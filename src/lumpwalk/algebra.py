@@ -379,7 +379,11 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
             parts = line.split()
             if len(parts) != 3 or parts[1] != "cyclotomic":
                 raise InputFormatError(f"line {lineno}: bad scalar header {raw!r}")
-            field = cyclotomic_field(int(parts[2]))
+            try:
+                order = int(parts[2])
+            except ValueError:
+                raise InputFormatError(f"line {lineno}: bad cyclotomic order {parts[2]!r}")
+            field = cyclotomic_field(order)
             header_done = True
             continue
         # the group element is the final token; scalar literals may contain spaces

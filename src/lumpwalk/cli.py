@@ -392,6 +392,8 @@ def _cmd_conditional(inputs: Inputs, args) -> dict:
 
 
 def _cmd_simulate(inputs: Inputs, args) -> dict:
+    if args.length < 0:
+        raise InputFormatError(f"--length must be non-negative, got {args.length}")
     problem = inputs.load_problem()
     w = inputs.load_weight()
     alpha = inputs.load_weight("dist", "dist")

@@ -162,6 +162,20 @@ def kernel_coefficients(field, images: list[list]) -> Subspace:
     return out
 
 
+def kernel_span(field, images: list[list], basis_rows: list[list], ambient: int) -> Subspace:
+    """Span of sum_k c_k * basis_rows[k] over the c with sum_k c_k * images[k] == 0."""
+    out = Subspace(field, ambient)
+    for cv in kernel_coefficients(field, images).rows:
+        vec = [field.zero] * ambient
+        for k, c in enumerate(cv):
+            if c:
+                for j, r in enumerate(basis_rows[k]):
+                    if r:
+                        vec[j] = vec[j] + c * r
+        out.insert(vec)
+    return out
+
+
 def nullspace(field, rows: list[list], ambient: int) -> Subspace:
     """Solutions v of the homogeneous system row . v == 0 for each row."""
     constraints = Subspace(field, ambient, rows)
@@ -183,14 +197,6 @@ def nullspace(field, rows: list[list], ambient: int) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # group-algebra level operations
-
-
-def element_subspace(field, group: FiniteGroup, elements) -> Subspace:
-    return Subspace(field, group.order, [e.to_field(field).coeffs for e in elements])
-
-
-def as_elements(V: Subspace, group: FiniteGroup) -> list[AlgebraElement]:
-    return [AlgebraElement(group, row, V.field) for row in V.rows]
 
 
 def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:
@@ -295,14 +301,4 @@ def orthogonal_complement(W: Subspace, ambient: Subspace | None = None,
         return total
 
     images = [[dot_conj(row, a) for row in W.rows] for a in ambient.rows]
-    coeffs = kernel_coefficients(field, images)
-    out = Subspace(field, W.ambient)
-    for cv in coeffs.rows:
-        vec = [field.zero] * W.ambient
-        for j, c in enumerate(cv):
-            if c:
-                for k, a in enumerate(ambient.rows[j]):
-                    if a:
-                        vec[k] = vec[k] + c * a
-        out.insert(vec)
-    return out
+    return kernel_span(field, images, ambient.rows, W.ambient)

@@ -5,12 +5,16 @@ structure of induced ideals: an induced left ideal is determined by its cut
 down to the subgroup algebra, so the fixpoint iterations run on vectors of
 length |H| and only the multiplications by the driving weight touch vectors
 of length |G|.
+
+The weak path uses closed forms instead of dense products: the obstruction
+(1 - eta_H) w eta_H comes from coset and double-coset sums of w, and the
+starting cut of J_w is written down in its canonical basis.  The dense forms
+remain as references in `tests/test_properties.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import (
@@ -26,7 +30,7 @@ from .algebra import (
 )
 from .errors import DomainError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets
-from .linalg import Subspace, kernel_coefficients
+from .linalg import Subspace, kernel_span
 from .scalars import RATIONALS, common_field, cyclotomic_field
 
 
@@ -135,6 +139,7 @@ class GurvitsLedouxIdeal:
     pi_H: Subspace
     provenance: str  # "minimal" | "minimal-for-start" | "maximal"
     weakly_lumping: bool | None = None
+    cut_violation: AlgebraElement | None = None  # first cut row u with u (1 - eta_H) w eta_H != 0
 
     @property
     def dim(self) -> int:
@@ -271,9 +276,23 @@ def time_reversal_dual_idempotent(problem: LumpingProblem, e: AlgebraElement) ->
 
 
 def _cut_times_w_eta(problem: LumpingProblem, w: AlgebraElement) -> AlgebraElement:
-    """(1 - eta_H) w eta_H, the obstruction used by the weak verdicts."""
-    weta = w * problem.eta_H
-    return weta - problem.eta_H * weta
+    """(1 - eta_H) w eta_H, the obstruction used by the weak verdicts.
+
+    w eta_H spreads w(gH) evenly over the coset gH and eta_H w eta_H spreads
+    w(HgH) evenly over the double coset HgH, so
+    z(g) = w(gH)/|H| - w(HgH)/|HgH|.
+    """
+    left, double = problem.left, problem.double
+    per_coset = coset_sums(w, left)
+    per_double = [w.field.zero] * double.n_classes
+    for cid, rep in enumerate(left.representatives):
+        per_double[double.class_of[rep]] += per_coset[cid]
+    order = problem.subgroup.order
+    z = []
+    for g in range(problem.group.order):
+        d = double.class_of[g]
+        z.append(per_coset[left.coset_of[g]] / order - per_double[d] / double.sizes[d])
+    return AlgebraElement(problem.group, z, w.field)
 
 
 def _grow_minimal_ideal(problem: LumpingProblem, w: AlgebraElement, seed: Subspace) -> Subspace:
@@ -297,8 +316,13 @@ def _grow_minimal_ideal(problem: LumpingProblem, w: AlgebraElement, seed: Subspa
         M = problem.close_H_ideal(grown)
 
 
-def compute_Lw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
-    """Minimal induced ideal containing the uniform element and stable under w."""
+def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
+                   alpha: AlgebraElement | None) -> GurvitsLedouxIdeal:
+    """Minimal induced ideal containing eta_G (and alpha, if given), stable under w.
+
+    The obstruction is evaluated once per basis row of the cut: the first row u
+    with u (1 - eta_H) w eta_H != 0 decides the verdict and is its certificate.
+    """
     w = w.require_weight()
     if not w.is_irreducible_weight():
         raise DomainError(
@@ -306,18 +330,21 @@ def compute_Lw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
             "use the generic per-start test instead"
         )
     seed = Subspace(RATIONALS, problem.subgroup.order, [problem.eta_H_vector()])
+    if alpha is not None:
+        for comp in problem.coset_components(alpha.require_distribution()):
+            seed.insert(comp)
     M = _grow_minimal_ideal(problem, w, seed)
-    ideal = GurvitsLedouxIdeal(problem, M, "minimal")
-    ideal.weakly_lumping = _ideal_cut_stable(problem, w, M)
+    ideal = GurvitsLedouxIdeal(problem, M, "minimal" if alpha is None else "minimal-for-start")
+    z = _cut_times_w_eta(problem, w)
+    rows = (problem.from_H_vector(row, M.field) for row in M.rows)
+    ideal.cut_violation = next((u for u in rows if not (u * z).is_zero()), None)
+    ideal.weakly_lumping = ideal.cut_violation is None
     return ideal
 
 
-def _ideal_cut_stable(problem: LumpingProblem, w: AlgebraElement, pi_H: Subspace) -> bool:
-    z = _cut_times_w_eta(problem, w)
-    for row in pi_H.rows:
-        if not (problem.from_H_vector(row, pi_H.field) * z).is_zero():
-            return False
-    return True
+def compute_Lw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
+    """Minimal induced ideal containing the uniform element and stable under w."""
+    return _minimal_ideal(problem, w, None)
 
 
 def test_weak_weight(problem: LumpingProblem, w: AlgebraElement):
@@ -325,34 +352,32 @@ def test_weak_weight(problem: LumpingProblem, w: AlgebraElement):
     ideal = compute_Lw(problem, w)
     if ideal.weakly_lumping:
         return True, ideal, None
-    z = _cut_times_w_eta(problem, w)
-    for row in ideal.pi_H.rows:
-        u = problem.from_H_vector(row, ideal.pi_H.field)
-        if not (u * z).is_zero():
-            return False, ideal, {"violating_cut_element": repr(u)}
-    raise AssertionError("unreachable: verdict and certificate disagree")
+    return False, ideal, {"violating_cut_element": repr(ideal.cut_violation)}
 
 
 def compute_L_alpha_w(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement):
     """Minimal induced ideal containing a start distribution; verdict for that start."""
-    w = w.require_weight()
-    if not w.is_irreducible_weight():
-        raise DomainError(
-            "weight is reducible (support does not generate the group); "
-            "use the generic per-start test instead"
-        )
-    alpha = alpha.require_distribution()
-    seed = Subspace(RATIONALS, problem.subgroup.order, [problem.eta_H_vector()])
-    for comp in problem.coset_components(alpha):
-        seed.insert(comp)
-    M = _grow_minimal_ideal(problem, w, seed)
-    ideal = GurvitsLedouxIdeal(problem, M, "minimal-for-start")
-    ideal.weakly_lumping = _ideal_cut_stable(problem, w, M)
+    ideal = _minimal_ideal(problem, w, alpha)
     return ideal, ideal.weakly_lumping
 
 
 # ---------------------------------------------------------------------------
 # the maximal ideal and the distribution-level test
+
+
+def _averaging_kernel(problem: LumpingProblem) -> Subspace:
+    """Cut of the full subgroup algebra: the kernel {v : sum v = 0} of averaging.
+
+    It is spanned by h - eta_H over the members h; its canonical basis is
+    e_j - e_{|H|-1} for j < |H| - 1.
+    """
+    n = problem.subgroup.order
+    cut = Subspace(RATIONALS, n)
+    for j in range(n - 1):
+        vec = [RATIONALS.zero] * n
+        vec[j], vec[n - 1] = RATIONALS.one, -RATIONALS.one
+        cut.insert(vec)
+    return cut
 
 
 def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
@@ -363,14 +388,6 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     w = w.require_weight()
     H = problem.subgroup
     eta_vec = problem.eta_H_vector()
-
-    # cut of the full subgroup algebra: h - h*eta_H = h - eta_H over members h,
-    # spanning the (|H| - 1)-dimensional kernel of averaging
-    cut = Subspace(RATIONALS, H.order)
-    for pos in range(H.order):
-        vec = [Fraction(0)] * H.order
-        vec[pos] = Fraction(1)
-        cut.insert([a - b for a, b in zip(vec, eta_vec)])
 
     def restrict_mod(ideal_cut: Subspace, include_eta: bool) -> Subspace:
         """{u in ideal_cut : u w lies in the ideal induced from (ideal_cut [+ eta_H])}."""
@@ -384,19 +401,9 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
             for comp in problem.coset_components(product):
                 flat.extend(reducer.reduce(comp))
             images.append(flat)
-        coeffs = kernel_coefficients(RATIONALS, images)
-        out = Subspace(RATIONALS, H.order)
-        for cv in coeffs.rows:
-            vec = [Fraction(0)] * H.order
-            for k, c in enumerate(cv):
-                if c:
-                    for j, r in enumerate(ideal_cut.rows[k]):
-                        if r:
-                            vec[j] = vec[j] + c * r
-            out.insert(vec)
-        return out
+        return kernel_span(RATIONALS, images, ideal_cut.rows, H.order)
 
-    current = cut
+    current = _averaging_kernel(problem)
     rounds = 0
     while True:
         rounds += 1

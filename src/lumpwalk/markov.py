@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError
 from .groups import FiniteGroup
-from .linalg import Subspace, intersect
+from .linalg import Subspace, intersect, kernel_span
 from .scalars import RATIONALS, parse_rational
 
 STATE_CAP = 5_000
@@ -317,8 +317,6 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
     lumped matrix Q.  V is maintained as a direct sum of per-lump blocks that
     shrink until all of V maps into V under P.
     """
-    from .linalg import kernel_coefficients
-
     mu = stationary_distribution(P)
     ok, _ = test_weak_generic(f, P, mu)
     if not ok:
@@ -331,18 +329,6 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
     n = P.n
     m = f.n_lumps
     lumps = f.lumps()
-
-    def block_from_coeffs(states, basis_rows, coeffs) -> Subspace:
-        out = Subspace(RATIONALS, n)
-        for cv in coeffs.rows:
-            vec = [Fraction(0)] * n
-            for k, c in enumerate(cv):
-                if c:
-                    for j, r in enumerate(basis_rows[k]):
-                        if r:
-                            vec[j] = vec[j] + c * r
-            out.insert(vec)
-        return out
 
     # start: per-lump solutions of v (PF - FQ) = 0; for v supported on lump b,
     # vF = (sum v) e_b, so the constraint image of e_x is e_x P F - Q[b].
@@ -357,8 +343,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
             basis_rows.append(v)
             image = f.apply_F(P.apply(v))
             images.append([image[j] - given[b][j] for j in range(m)])
-        coeffs = kernel_coefficients(RATIONALS, images)
-        blocks.append(block_from_coeffs(states, basis_rows, coeffs))
+        blocks.append(kernel_span(RATIONALS, images, basis_rows, n))
 
     def combined(blocks) -> Subspace:
         out = Subspace(RATIONALS, n)
@@ -380,8 +365,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
                 new_blocks.append(blk)
                 continue
             residues = [V.reduce(P.apply(v)) for v in blk.rows]
-            coeffs = kernel_coefficients(RATIONALS, residues)
-            new_blocks.append(block_from_coeffs(None, blk.rows, coeffs))
+            new_blocks.append(kernel_span(RATIONALS, residues, blk.rows, n))
         blocks = new_blocks
         V = combined(blocks)
     return GLSpace(V, "V_max", intersect(V, f.kernel_F()))
@@ -427,19 +411,25 @@ def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> Transition
 # text formats: `states <N>` then N rows of rationals; `lump <state> <label>`
 
 
-def parse_matrix_file(text: str) -> TransitionMatrix:
+def _read_states(text: str, what: str) -> tuple[int, list[str]]:
+    """The count N of a `states <N>` header and the non-blank lines after it."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("states"):
-        raise InputFormatError("matrix file must start with `states <N>`")
+        raise InputFormatError(f"{what} file must start with `states <N>`")
     try:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise InputFormatError("bad states header")
-    if len(lines) != n + 1:
-        raise InputFormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    return n, lines[1:]
+
+
+def parse_matrix_file(text: str) -> TransitionMatrix:
+    n, lines = _read_states(text, "matrix")
+    if len(lines) != n:
+        raise InputFormatError(f"expected {n} matrix rows, found {len(lines)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in lines:
         entries = [parse_rational(tok) for tok in ln.split()]
         if len(entries) != n:
             raise InputFormatError("matrix row with wrong entry count")
@@ -448,14 +438,10 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
 
 
 def parse_distribution_file(text: str) -> Distribution:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("states"):
-        raise InputFormatError("distribution file must start with `states <N>`")
-    n = int(lines[0].split()[1])
-    if len(lines) != 2:
+    n, lines = _read_states(text, "distribution")
+    if len(lines) != 1:
         raise InputFormatError("distribution file needs exactly one row")
-    entries = [parse_rational(tok) for tok in lines[1].split()]
+    entries = [parse_rational(tok) for tok in lines[0].split()]
     if len(entries) != n:
         raise InputFormatError("distribution row with wrong entry count")
     return Distribution(tuple(entries))
@@ -471,7 +457,10 @@ def parse_lump_file(text: str, n_states: int) -> LumpingFunction:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "lump":
             raise InputFormatError(f"line {lineno}: expected `lump <state> <label>`")
-        state = int(parts[1])
+        try:
+            state = int(parts[1])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: bad state {parts[1]!r}")
         label = parts[2]
         if not 0 <= state < n_states:
             raise InputFormatError(f"line {lineno}: state {state} out of range")

@@ -20,7 +20,7 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (ascending coefficient lists)
+# polynomial helpers (ascending coefficient lists; `_poly_div_exact` is integer-only)
 
 
 def _poly_trim(p):
@@ -305,7 +305,7 @@ class CyclotomicField:
         while len(r1) > 1:
             q, r = _frac_poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+            s0, s1 = s1, _frac_poly_sub(s0, _poly_mul(q, s1))
         assert r1, "minimal polynomial not coprime to element"
         inv_lead = ONE / r1[0]
         coeffs = [c * inv_lead for c in s1]
@@ -335,15 +335,6 @@ def _frac_poly_divmod(num, den):
             for j, b in enumerate(den):
                 num[j + k] -= q * b
     return _poly_trim(out), _poly_trim(num)
-
-
-def _frac_poly_mul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
 
 
 def _frac_poly_sub(p, q):
@@ -398,7 +389,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise InputFormatError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputFormatError(f"zero denominator in rational literal {text!r}")
 
 
 def parse_scalar(text: str, field):
@@ -422,7 +416,7 @@ def parse_scalar(text: str, field):
             m = _TERM_RE.match(chunk)
             if not m:
                 raise InputFormatError(f"bad cyclotomic term {chunk!r}")
-            coef = Fraction(m.group("coef")) if m.group("coef") else ONE
+            coef = parse_rational(m.group("coef")) if m.group("coef") else ONE
             exp = int(m.group("exp")) if m.group("exp") else 1
             total = total + sign * coef * field.zeta(exp)
         else:

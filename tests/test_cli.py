@@ -22,6 +22,8 @@ WEIGHT = "1/4 id\n1/4 (1,4)(2,3)\n1/4 (1,4,3)\n1/4 (1,4,2,3)\n"
 DIST_ID = "1 id\n"
 DIST_ETA_T = "1/2 id\n1/2 (2,3)\n"
 IDEMPOTENT = "1/2 id\n1/2 (2,3)\n"
+NONWEAK = "1/2 (1,2)\n1/2 (1,2,3,4)\n"
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
 
 
 @pytest.fixture()
@@ -30,7 +32,7 @@ def files(tmp_path):
     for name, text in [
         ("group", GROUP), ("subgroup", SUBGROUP), ("cyclic", CYCLIC),
         ("inner", INNER), ("weight", WEIGHT), ("dist_id", DIST_ID),
-        ("dist_eta_t", DIST_ETA_T), ("idempotent", IDEMPOTENT),
+        ("dist_eta_t", DIST_ETA_T), ("idempotent", IDEMPOTENT), ("nonweak", NONWEAK),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -101,11 +103,68 @@ def test_exit_codes(files, tmp_path):
     deg5 = tmp_path / "deg5.txt"
     deg5.write_text("degree 5\ngen (1,2)\n")
     assert run_cli("cosets", "--group", files["group"], "--subgroup", str(deg5)).returncode == 2
+    # malformed input files and flag values: exit 1 with a message, no traceback
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    matrix = write("matrix.txt", "states 2\n1/2 1/2\n1/2 1/2\n")
+    lumpmap = write("lumps.txt", "lump 0 a\nlump 1 b\n")
+    malformed = [
+        ["test", "weak", *common(files, "--weight", write("zero_den.txt", "1/0 id\n"))],
+        ["test", "weak", *common(files, "--weight", write("zero_den_z.txt", "scalar cyclotomic 4\n1/0*z id\n"))],
+        ["test", "weak", *common(files, "--weight", write("bad_order.txt", "scalar cyclotomic x\n1 id\n"))],
+        ["generic-test", "weak", "--matrix", write("zero_den_mat.txt", "states 2\n1/0 1\n1/2 1/2\n"),
+         "--lumpmap", lumpmap],
+        ["generic-test", "weak", "--matrix", matrix, "--lumpmap", write("bad_state.txt", "lump x a\nlump 1 b\n")],
+        ["generic-test", "weak", "--matrix", matrix, "--lumpmap", lumpmap,
+         "--dist", write("bad_states.txt", "states x\n1/2 1/2\n")],
+        ["simulate", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"]),
+         "--length", "-5"],
+    ]
+    for argv in malformed:
+        result = run_cli(*argv)
+        assert result.returncode == 1, (argv, result.stderr)
+        assert "Traceback" not in result.stderr, argv
     # verdict false is still exit 0
     result = run_cli(
         "test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])
     )
     assert result.returncode == 0
+
+
+def golden_cases(files):
+    """The weak-path requests whose reports are pinned in GOLDEN_PATH."""
+    weight = common(files, "--weight", files["weight"])
+    return {
+        "test-weak": ["test", "weak", *weight],
+        "test-weak-nonweak": ["test", "weak", *common(files, "--weight", files["nonweak"])],
+        "lw": ["lw", *weight],
+        "jw": ["jw", *weight],
+        "l-alpha-eta-t": ["l-alpha", *weight, "--dist", files["dist_eta_t"]],
+        "l-alpha-id": ["l-alpha", *weight, "--dist", files["dist_id"]],
+        "test-dist-eta-t": ["test-dist", *weight, "--dist", files["dist_eta_t"]],
+        "test-dist-id": ["test-dist", *weight, "--dist", files["dist_id"]],
+    }
+
+
+def golden_report(argv):
+    """The --json report of a request with the machine-specific input paths removed."""
+    result = run_cli(*argv, "--json")
+    assert result.returncode == 0, (argv, result.stderr)
+    report = json.loads(result.stdout)
+    for entry in report["inputs"].values():
+        del entry["path"]
+    return report
+
+
+def test_golden_weak_reports(files):
+    expected = json.loads(GOLDEN_PATH.read_text())
+    cases = golden_cases(files)
+    assert set(cases) == set(expected)
+    for name, argv in cases.items():
+        assert golden_report(argv) == expected[name], name
 
 
 def test_byte_stable_reports(files):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from lumpwalk import (
     AlgebraElement,
     Distribution,
+    LumpingProblem,
     eta,
     left_ideal_closure,
     lumping_function,
@@ -15,9 +16,11 @@ from lumpwalk import (
     transition_from_weight,
 )
 from lumpwalk import test_weak_weight as weak_weight_test
+from lumpwalk.linalg import Subspace
+from lumpwalk.lumping import _averaging_kernel, _cut_times_w_eta
 from lumpwalk.scalars import RATIONALS
 from tests.conftest import lazy_frustrator
-from tests.oracle_suite import run_suite, sample_weight, theta_basis
+from tests.oracle_suite import WEIGHT_KINDS, build_pool, run_suite, sample_weight, theta_basis
 
 
 def test_oracle_suite_small_batch():
@@ -27,6 +30,23 @@ def test_oracle_suite_small_batch():
     assert 0 < tally["weak"] < 40
     assert 0 < tally["strong"] < 40
     assert 0 < tally["weak_alpha"] < 40
+
+
+def test_closed_forms_match_dense_references_on_pool():
+    """The weak path's closed forms against the dense products they replace."""
+    rng = random.Random(4242)
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        eta_H = problem.eta_H
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            weta = w * eta_H
+            assert _cut_times_w_eta(problem, w) == weta - eta_H * weta, (label, kind)
+        eta_vec = problem.eta_H_vector()
+        h_minus_eta = [[(k == pos) - c for k, c in enumerate(eta_vec)] for pos in range(len(eta_vec))]
+        assert _averaging_kernel(problem) == Subspace(RATIONALS, len(eta_vec), h_minus_eta), label
 
 
 def test_kernel_of_coset_summing_has_expected_dimension(sym4, top_prob, die_prob):
