@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, InvariantError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, parse_cycles
 from .scalars import (
     RATIONALS,
@@ -305,7 +305,8 @@ def abelian_characters(H: Subgroup):
         while power not in known:
             power = G.mul(power, g)
             r += 1
-        assert m % r == 0  # r divides the exponent of H
+        if m % r:
+            raise InvariantError(f"generator order {r} does not divide the exponent {m}")
         extended = []
         for chi in chars:
             target = chi[power]  # exponent of the value at g^r
@@ -321,7 +322,8 @@ def abelian_characters(H: Subgroup):
                     power_exp = (power_exp + t) % m
                 extended.append(new)
         chars = extended
-    assert len(chars) == H.order and set(chars[0]) == set(H.members)
+    if len(chars) != H.order or set(chars[0]) != set(H.members):
+        raise InvariantError("character construction does not cover the subgroup")
     keyed = sorted(chars, key=lambda chi: tuple(chi[h] for h in H.members))
     return m, keyed
 
@@ -332,7 +334,7 @@ def conjugate_character_index(H: Subgroup, m: int, chars, index: int) -> int:
     for j, chi in enumerate(chars):
         if tuple(chi[h] for h in H.members) == target:
             return j
-    raise AssertionError("conjugate character missing")
+    raise InvariantError("conjugate character missing")
 
 
 def abelian_character_idempotent(H: Subgroup, character: dict, order: int | None = None) -> AlgebraElement:
@@ -351,9 +353,17 @@ def abelian_character_idempotent(H: Subgroup, character: dict, order: int | None
         for b in H.members:
             if (character[a] + character[b]) % m != character[G.mul(a, b)] % m:
                 raise DomainError("map is not a multiplicative character")
+    return character_idempotent(H, character, m)
+
+
+def character_idempotent(H: Subgroup, character: dict, m: int) -> AlgebraElement:
+    """As :func:`abelian_character_idempotent`, for a character known to be valid.
+
+    ``character`` must come from :func:`abelian_characters` with exponent ``m``.
+    """
     field = cyclotomic_field(m)
     inv_order = Fraction(1, H.order)
-    out = AlgebraElement.zero(G, field)
+    out = AlgebraElement.zero(H.parent, field)
     for h in H.members:
         out.coeffs[h] = field.zeta(-character[h] % m) * inv_order
     return out

@@ -473,9 +473,11 @@ def _build_parser() -> _Parser:
     add("interpolate", _cmd_interpolate, "inner-subgroup averaging certificate", weight=True, inner=True)
     add("theta-dim", _cmd_theta_dim, "dimension of the compatibility algebra", idempotent=True)
 
-    p = add("abelian-test", _cmd_abelian_test, "character-subset search (abelian subgroup)", weight=True)
+    p = add("abelian-test", _cmd_abelian_test,
+            "closure of the trivial character under nonzero double-coset pairings (abelian subgroup)",
+            weight=True)
     p.add_argument("--real-only", action="store_true",
-                   help="search only conjugation-closed character subsets")
+                   help="close under complex conjugation of characters as well")
 
     add("lumped-q", _cmd_lumped_q, "aggregated coset matrix and its orbital decomposition", weight=True)
     add("orbital", _cmd_orbital, "orbital matrices of the coset action")

@@ -15,3 +15,7 @@ class ResourceError(LumpwalkError):
 
 class InputFormatError(LumpwalkError):
     """An input file or literal does not match its grammar."""
+
+
+class InvariantError(LumpwalkError):
+    """An internal invariant failed; this is a bug, not bad input."""

@@ -103,6 +103,7 @@ def parse_cycles(degree: int, text: str) -> Permutation:
     if re.sub(_CYCLE_RE, "", stripped):
         raise InputFormatError(f"bad cycle notation {text!r}")
     cycles = []
+    seen = set()
     for body in _CYCLE_RE.findall(stripped):
         if not body:
             continue
@@ -111,6 +112,10 @@ def parse_cycles(degree: int, text: str) -> Permutation:
             raise InputFormatError(f"repeated point in cycle ({body})")
         if any(not 0 <= p < degree for p in points):
             raise InputFormatError(f"cycle point outside 1..{degree} in ({body})")
+        shared = seen.intersection(points)
+        if shared:
+            raise InputFormatError(f"point {min(shared) + 1} appears in two cycles of {text!r}")
+        seen.update(points)
         cycles.append(tuple(points))
     return Permutation.from_cycles(degree, cycles)
 
@@ -209,12 +214,22 @@ class FiniteGroup:
         return Subgroup(self, tuple(range(self.order)), self.generators)
 
     def is_generating(self, support) -> bool:
-        """True iff the closure of the given element ids is the whole group."""
+        """True iff the closure of the given element ids is the whole group.
+
+        An element joins the generators only if the subgroup generated so far
+        misses it; each join at least doubles that subgroup, so the closure is
+        recomputed at most log2 |G| times however large the support is.
+        """
         support = list(support)
         if not support:
             raise DomainError("empty support cannot generate")
-        perms = [self.elements[i] for i in support]
-        return len(_closure(self.degree, perms, self.order)) == self.order
+        gens, closure = [], {tuple(range(self.degree))}
+        for i in support:
+            perm = self.elements[i]
+            if perm.images not in closure:
+                gens.append(perm)
+                closure = _closure(self.degree, gens, self.order)
+        return len(closure) == self.order
 
 
 @dataclass(frozen=True)

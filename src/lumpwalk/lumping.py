@@ -8,23 +8,22 @@ of length |G|.
 
 The weak path uses closed forms instead of dense products: the obstruction
 (1 - eta_H) w eta_H comes from coset and double-coset sums of w, and the
-starting cut of J_w is written down in its canonical basis.  The dense forms
-remain as references in `tests/test_properties.py`.
+starting cut of J_w is written down in its canonical basis.  The abelian
+test reads its character pairings off the values of w on each double coset.
+The dense forms remain as references in `tests/test_properties.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .algebra import (
     AlgebraElement,
-    abelian_character_idempotent,
     abelian_characters,
+    character_idempotent,
     conjugate_character_index,
     coset_sums,
     eta,
-    inner_product,
     is_idempotent,
     supported_on,
 )
@@ -509,62 +508,76 @@ def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
 
 def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement,
                       conjugation_closed_only: bool = False):
-    """Search for a character subset certifying weak lumping (abelian H only).
+    """Certify weak lumping by a subset of characters (abelian H only).
 
-    Subsets P of the character group containing the trivial character are
-    enumerated by increasing size, lexicographically within each size; the
-    first P whose orthogonality constraints all vanish is returned together
-    with its idempotent.  With ``conjugation_closed_only`` the search is
-    restricted to subsets closed under complex conjugation of characters.
+    For characters chi_b, chi_c and a double-coset representative x the
+    pairing <e_b x e_c, w> is (1/(|G||H|^2)) sum_{h,h'} zeta^(chi_b(h) + chi_c(h')) w(h x h'),
+    so it only reads w on HxH.  A subset P containing the trivial character 0
+    certifies weak lumping iff every pairing from b in P to c outside P
+    vanishes, and so does every pairing from b != 0 in P to 0.  Write b -> c
+    when some pairing for (b, c) is nonzero: the certifying sets are the sets
+    closed under -> that avoid the forbidden characters b != 0 with b -> 0.
+    They are closed under intersection, so the smallest one is the closure of
+    the trivial character under nonzero double-coset pairings (also under
+    complex conjugation with ``conjugation_closed_only``), and the walk lumps
+    weakly iff that closure avoids the forbidden characters.  For a rational
+    weight, conjugating b and c conjugates the pairing, so the closure is
+    conjugation-closed already and both modes give the same answer.
+
+    Returns (verdict, P, e_P) with P the sorted closure and e_P the sum of
+    its character idempotents, or (False, None, None).
     """
     H = problem.subgroup
-    if not H.is_abelian():
-        raise DomainError("subgroup is not abelian")
+    m, chars = abelian_characters(H)
     w = w.require_weight()
     if not w.is_irreducible_weight():
         raise DomainError(
             "weight is reducible (support does not generate the group); "
             "the character-subset criterion requires an irreducible weight"
         )
-    m, chars = abelian_characters(H)
+    G = problem.group
     field = cyclotomic_field(m)
-    idempotents = [
-        abelian_character_idempotent(H, chi, m) for chi in chars
-    ]
-    n_chars = len(chars)
-    reps = problem.double.representatives
-    w_f = w.to_field(field)
-    pairings = {}
-    for x in reps:
-        x_elem = AlgebraElement.basis(problem.group, x, field)
-        for b in range(n_chars):
-            eb_x = idempotents[b] * x_elem
-            for c in range(n_chars):
-                pairings[(x, b, c)] = inner_product(eb_x * idempotents[c], w_f)
+    exponents = [[chi[h] for h in H.members] for chi in chars]
+    # per double coset HxH, the nonzero entries (i, j, w(h_i x h_j)) of its |H| x |H| table
+    tables = []
+    for x in problem.double.representatives:
+        table = []
+        for i, h in enumerate(H.members):
+            hx = G.mul(h, x)
+            for j, k in enumerate(H.members):
+                value = w.coeffs[G.mul(hx, k)]
+                if value:
+                    table.append((i, j, value))
+        tables.append(table)
 
-    def subset_works(P):
-        complement = [c for c in range(n_chars) if c not in P]
-        for x in reps:
-            for b in P:
-                for c in complement + [0]:
-                    if (b, c) == (0, 0):
-                        continue
-                    if not field.is_zero(pairings[(x, b, c)]):
-                        return False
-        return True
+    def pairs_nonzero(b: int, c: int) -> bool:
+        """Whether <e_b x e_c, w> != 0 for some double-coset representative x."""
+        vb, vc = exponents[b], exponents[c]
+        for table in tables:
+            buckets = [0] * m
+            for i, j, value in table:
+                buckets[(vb[i] + vc[j]) % m] += value
+            if not field.power_sum(buckets).is_zero():
+                return True
+        return False
 
-    conj_index = [conjugate_character_index(H, m, chars, i) for i in range(n_chars)]
-    for size in range(1, n_chars + 1):
-        for rest in combinations(range(1, n_chars), size - 1):
-            P = (0,) + rest
-            if conjugation_closed_only and any(conj_index[b] not in P for b in P):
-                continue
-            if subset_works(P):
-                e_P = idempotents[0]
-                for b in rest:
-                    e_P = e_P + idempotents[b]
-                return True, P, e_P
-    return False, None, None
+    closure, frontier = {0}, [0]
+    while frontier:
+        b = frontier.pop()
+        if b and pairs_nonzero(b, 0):
+            return False, None, None
+        targets = [c for c in range(len(chars)) if c not in closure and pairs_nonzero(b, c)]
+        if conjugation_closed_only:
+            targets.append(conjugate_character_index(H, m, chars, b))
+        for c in targets:
+            if c not in closure:
+                closure.add(c)
+                frontier.append(c)
+    P = tuple(sorted(closure))
+    e_P = character_idempotent(H, chars[0], m)
+    for b in P[1:]:
+        e_P = e_P + character_idempotent(H, chars[b], m)
+    return True, P, e_P
 
 
 # ---------------------------------------------------------------------------

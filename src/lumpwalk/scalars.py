@@ -243,6 +243,16 @@ class CyclotomicField:
         """z^k as a field element."""
         return Cyclo(self, self._power_table[k % self.order])
 
+    def power_sum(self, coeffs) -> Cyclo:
+        """sum_k coeffs[k] z^k, reduced, for rational coeffs indexed by 0 <= k < n."""
+        out = [ZERO] * self.phi
+        for k, c in enumerate(coeffs):
+            if c:
+                for i, r in enumerate(self._power_table[k]):
+                    if r:
+                        out[i] += c * r
+        return Cyclo(self, out)
+
     def from_rational(self, q) -> Cyclo:
         coeffs = [ZERO] * self.phi
         coeffs[0] = Fraction(q)

@@ -23,7 +23,10 @@ DIST_ID = "1 id\n"
 DIST_ETA_T = "1/2 id\n1/2 (2,3)\n"
 IDEMPOTENT = "1/2 id\n1/2 (2,3)\n"
 NONWEAK = "1/2 (1,2)\n1/2 (1,2,3,4)\n"
+DIE = "1/4 (3,4)\n1/6 (2,4,3)\n1/6 (1,2)\n1/12 (1,3,4)\n1/4 (1,4,2)\n1/12 (1,4,2,3)\n"
+DIE_STAR = "1/4 (3,4)\n1/6 (2,3,4)\n1/6 (1,2)\n1/4 (1,2,4)\n1/12 (1,3,2,4)\n1/12 (1,4,3)\n"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
+ABELIAN_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_abelian_reports.json"
 
 
 @pytest.fixture()
@@ -33,6 +36,7 @@ def files(tmp_path):
         ("group", GROUP), ("subgroup", SUBGROUP), ("cyclic", CYCLIC),
         ("inner", INNER), ("weight", WEIGHT), ("dist_id", DIST_ID),
         ("dist_eta_t", DIST_ETA_T), ("idempotent", IDEMPOTENT), ("nonweak", NONWEAK),
+        ("die", DIE), ("die_star", DIE_STAR),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -40,9 +44,9 @@ def files(tmp_path):
     return paths
 
 
-def run_cli(*args):
+def run_cli(*args, interpreter_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "lumpwalk.cli", *args],
+        [sys.executable, *interpreter_flags, "-m", "lumpwalk.cli", *args],
         capture_output=True, text=True,
     )
 
@@ -122,6 +126,9 @@ def test_exit_codes(files, tmp_path):
          "--dist", write("bad_states.txt", "states x\n1/2 1/2\n")],
         ["simulate", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"]),
          "--length", "-5"],
+        ["test", "weak", *common(files, "--weight", write("overlap.txt", "1 (1,2,3)(1,2,3)\n"))],
+        ["cosets", "--group", write("overlap_group.txt", "degree 4\ngen (1,2)(2,1)\n"),
+         "--subgroup", files["subgroup"]],
     ]
     for argv in malformed:
         result = run_cli(*argv)
@@ -132,6 +139,20 @@ def test_exit_codes(files, tmp_path):
         "test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])
     )
     assert result.returncode == 0
+
+
+def test_internal_error_exits_2_without_traceback(files, monkeypatch, capsys):
+    from lumpwalk import cli
+    from lumpwalk.errors import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("conjugate character missing")
+
+    monkeypatch.setattr(cli, "abelian_weak_test", broken)
+    argv = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"],
+            "--weight", files["die"]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "lumpwalk: error: conjugate character missing\n"
 
 
 def golden_cases(files):
@@ -165,6 +186,44 @@ def test_golden_weak_reports(files):
     assert set(cases) == set(expected)
     for name, argv in cases.items():
         assert golden_report(argv) == expected[name], name
+
+
+def abelian_golden_cases(files):
+    """The abelian-test requests whose reports are pinned in ABELIAN_GOLDEN_PATH."""
+    out = {}
+    for weight in ("weight", "nonweak", "die", "die_star"):
+        argv = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"],
+                "--weight", files[weight]]
+        out[f"abelian-{weight}"] = argv
+        out[f"abelian-{weight}-real-only"] = [*argv, "--real-only"]
+    return out
+
+
+def test_golden_abelian_reports(files, sym4):
+    from lumpwalk.algebra import parse_element_file
+
+    assert parse_element_file(DIE_STAR, sym4) == parse_element_file(DIE, sym4).star()
+    expected = json.loads(ABELIAN_GOLDEN_PATH.read_text())
+    cases = abelian_golden_cases(files)
+    assert set(cases) == set(expected)
+    for name, argv in cases.items():
+        assert golden_report(argv) == expected[name], name
+
+
+def test_reports_do_not_depend_on_asserts(files):
+    """`python -O` strips assert statements; no verdict or report may change."""
+    abelian = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"]]
+    requests = [
+        [*abelian, "--weight", files["die"]],
+        [*abelian, "--weight", files["die"], "--real-only"],
+        [*abelian, "--weight", files["nonweak"], "--real-only"],
+        ["test", "strong", *common(files, "--weight", files["weight"])],
+    ]
+    for argv in requests:
+        plain = run_cli(*argv, "--json")
+        optimized = run_cli(*argv, "--json", interpreter_flags=["-O"])
+        assert plain.returncode == 0, (argv, plain.stderr)
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout), argv
 
 
 def test_byte_stable_reports(files):

@@ -1,5 +1,7 @@
 """Permutation groups, subgroups, cosets and double cosets."""
 
+import random
+
 import pytest
 
 from lumpwalk import (
@@ -13,7 +15,7 @@ from lumpwalk import (
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, ResourceError
-from lumpwalk.groups import format_group_file
+from lumpwalk.groups import _closure, format_group_file
 
 
 def test_generate_sym4():
@@ -139,6 +141,18 @@ def test_is_generating(sym4, dihedral10):
     assert not sym4.is_generating([0])
     with pytest.raises(DomainError):
         sym4.is_generating([])
+    trivial = FiniteGroup.generate(3, [])
+    assert trivial.is_generating([0])
+
+
+def test_is_generating_matches_closure_of_whole_support(sym4):
+    """Skipping support elements already generated must not change the answer."""
+    rng = random.Random(7)
+    for size in (1, 2, 3, 5, 24):
+        for _ in range(20):
+            support = rng.sample(range(24), size)
+            whole = _closure(4, [sym4.elements[i] for i in support], 24)
+            assert sym4.is_generating(support) == (len(whole) == 24), support
 
 
 def test_conjugate_and_intersect(sym4):
@@ -173,6 +187,15 @@ def test_group_file_roundtrip(sym4):
 def test_cycle_string_roundtrip(sym4):
     for p in sym4.elements:
         assert parse_cycles(4, p.cycle_string()).images == p.images
+
+
+def test_parse_cycles_rejects_points_shared_between_cycles():
+    assert parse_cycles(4, "(1,2)(3,4)").images == (1, 0, 3, 2)
+    for text in ("(1,2,3)(1,2,3)", "(1,2)(2,1)", "(1,2)(1,3)", "(1)(1,2)", "(1,2)(3,4)(4,1)"):
+        with pytest.raises(InputFormatError):
+            parse_cycles(4, text)
+    with pytest.raises(InputFormatError):
+        parse_cycles(4, "(1,2,1)")
 
 
 def test_permutation_validation():

@@ -2,12 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from lumpwalk import (
     AlgebraElement,
     Distribution,
     LumpingProblem,
+    abelian_character_idempotent,
+    abelian_characters,
+    abelian_weak_test,
     eta,
+    inner_product,
     left_ideal_closure,
     lumping_function,
     minimal_GL_space,
@@ -16,9 +21,10 @@ from lumpwalk import (
     transition_from_weight,
 )
 from lumpwalk import test_weak_weight as weak_weight_test
+from lumpwalk.algebra import conjugate_character_index
 from lumpwalk.linalg import Subspace
 from lumpwalk.lumping import _averaging_kernel, _cut_times_w_eta
-from lumpwalk.scalars import RATIONALS
+from lumpwalk.scalars import RATIONALS, cyclotomic_field
 from tests.conftest import lazy_frustrator
 from tests.oracle_suite import WEIGHT_KINDS, build_pool, run_suite, sample_weight, theta_basis
 
@@ -47,6 +53,86 @@ def test_closed_forms_match_dense_references_on_pool():
         eta_vec = problem.eta_H_vector()
         h_minus_eta = [[(k == pos) - c for k, c in enumerate(eta_vec)] for pos in range(len(eta_vec))]
         assert _averaging_kernel(problem) == Subspace(RATIONALS, len(eta_vec), h_minus_eta), label
+
+
+def dense_abelian_pairings(problem, w):
+    """Reference: every pairing <e_b x e_c, w> from dense group-algebra products."""
+    H = problem.subgroup
+    m, chars = abelian_characters(H)
+    field = cyclotomic_field(m)
+    idempotents = [abelian_character_idempotent(H, chi, m) for chi in chars]
+    w_f = w.to_field(field)
+    pairings = {}
+    for x in problem.double.representatives:
+        x_elem = AlgebraElement.basis(problem.group, x, field)
+        for b, e_b in enumerate(idempotents):
+            eb_x = e_b * x_elem
+            for c, e_c in enumerate(idempotents):
+                pairings[(x, b, c)] = inner_product(eb_x * e_c, w_f)
+    return pairings
+
+
+def subset_search(problem, pairings, conjugation_closed_only):
+    """Reference: the first certifying character subset, by size, then lexicographically."""
+    H = problem.subgroup
+    m, chars = abelian_characters(H)
+    field = cyclotomic_field(m)
+    n_chars = len(chars)
+    reps = problem.double.representatives
+    conj_index = [conjugate_character_index(H, m, chars, i) for i in range(n_chars)]
+
+    def subset_works(P):
+        complement = [c for c in range(n_chars) if c not in P]
+        return all(
+            field.is_zero(pairings[(x, b, c)])
+            for x in reps for b in P for c in complement + [0] if (b, c) != (0, 0)
+        )
+
+    for size in range(1, n_chars + 1):
+        for rest in combinations(range(1, n_chars), size - 1):
+            P = (0,) + rest
+            if conjugation_closed_only and any(conj_index[b] not in P for b in P):
+                continue
+            if subset_works(P):
+                return True, P
+    return False, None
+
+
+def test_abelian_closure_matches_subset_search_on_pool():
+    """The closure of the trivial character against the dense pairings and subset search."""
+    rng = random.Random(3131)
+    compared = accepted = 0
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        if not problem.subgroup.is_abelian():
+            continue
+        m, chars = abelian_characters(problem.subgroup)
+        idempotents = [abelian_character_idempotent(problem.subgroup, chi, m) for chi in chars]
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            pairings = dense_abelian_pairings(problem, w)
+            results = []
+            for real_only in (False, True):
+                expected = subset_search(problem, pairings, real_only)
+                ok, P, e_P = abelian_weak_test(problem, w, conjugation_closed_only=real_only)
+                assert (ok, P) == expected, (label, kind, real_only)
+                results.append((ok, P))
+                if ok:
+                    expected_idempotent = idempotents[0]
+                    for b in P[1:]:
+                        expected_idempotent = expected_idempotent + idempotents[b]
+                    assert e_P == expected_idempotent, (label, kind, real_only)
+                    accepted += 1
+                compared += 1
+            # w is rational, so conjugating both characters conjugates the pairing
+            # and the closure of the trivial character is already conjugation-closed
+            assert results[0] == results[1], (label, kind)
+    assert compared == 88
+    assert 0 < accepted < compared
 
 
 def test_kernel_of_coset_summing_has_expected_dimension(sym4, top_prob, die_prob):

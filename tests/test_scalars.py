@@ -58,6 +58,18 @@ def test_zeta_powers_and_reduction():
         assert value.is_zero()
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 12])
+def test_power_sum_matches_zeta_arithmetic(n):
+    F = cyclotomic_field(n)
+    for coeffs in ([Fraction(k - 2, k + 1) for k in range(n)], [Fraction(1)] * n, [0] * n):
+        expected = F.zero
+        for k, c in enumerate(coeffs):
+            expected = expected + Fraction(c) * F.zeta(k)
+        assert F.power_sum(coeffs) == expected
+    # the n-th roots of unity sum to zero for n > 1
+    assert F.power_sum([1] * n).is_zero() == (n > 1)
+
+
 def test_conjugation():
     F = cyclotomic_field(4)
     z = Fraction(1, 4) + Fraction(1, 4) * F.zeta()
