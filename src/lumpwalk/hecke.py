@@ -2,14 +2,19 @@
 
 The 0/1 orbital matrix of a double coset records the orbit of the group acting
 diagonally on pairs of left cosets; their span is the commutant of the coset
-action and is anti-isomorphic to the algebra of bi-invariant weights.  A
+action and is isomorphic to the algebra of bi-invariant weights.  A
 stochastic matrix on cosets arises as a lumped transition matrix exactly when
 it is invariant under the diagonal action, i.e. a non-negative combination of
 orbital matrices.
+
+Everything here reads double-coset sums of a weight and the table
+`LumpingProblem.pair_classes` of the double coset of r_i^-1 r_j; no
+group-algebra product is taken.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,19 +36,11 @@ class OrbitalMatrix:
 
 def orbital_matrices(problem: LumpingProblem) -> list[OrbitalMatrix]:
     """One 0/1 matrix per double coset; entry (gH, g'H) is 1 iff g^-1 g' lies in it."""
-    G = problem.group
-    reps = problem.left.representatives
-    m = len(reps)
-    out = []
-    for cid in range(problem.double.n_classes):
-        rows = []
-        for ri in reps:
-            inv = G.inv(ri)
-            rows.append(tuple(
-                1 if problem.double.class_of[G.mul(inv, rj)] == cid else 0 for rj in reps
-            ))
-        out.append(OrbitalMatrix(cid, problem.double.representatives[cid], tuple(rows)))
-    return out
+    table = problem.pair_classes
+    return [
+        OrbitalMatrix(cid, rep, tuple(tuple(int(c == cid) for c in row) for row in table))
+        for cid, rep in enumerate(problem.double.representatives)
+    ]
 
 
 @dataclass
@@ -68,30 +65,13 @@ class HeckeElement:
         ]
 
 
-def averaged_class_element(problem: LumpingProblem, cid: int) -> AlgebraElement:
-    """The uniform idempotent-sandwiched basis element of one double coset."""
-    out = AlgebraElement.zero(problem.group)
-    size = problem.double.sizes[cid]
-    for g in problem.double.classes[cid]:
-        out.coeffs[g] = Fraction(1, size)
-    return out
-
-
 def hecke_project(problem: LumpingProblem, w: AlgebraElement) -> HeckeElement:
     """eta_H w eta_H in the double-coset basis: the value on a class is
     the class weight divided by the class size."""
-    values = [w.field.zero] * problem.double.n_classes
-    for i, c in w.support():
-        cid = problem.double.class_of[i]
-        values[cid] = values[cid] + c
-    values = [
-        v / Fraction(problem.double.sizes[cid]) for cid, v in enumerate(values)
-    ]
-    projected = HeckeElement(problem, values)
-    # the sandwich product must agree with the averaging shortcut
-    sandwiched = problem.eta_H * w * problem.eta_H
-    assert sandwiched == projected.element().to_field(w.field), "averaging shortcut failed"
-    return projected
+    sizes = problem.double.sizes
+    return HeckeElement(problem, [
+        v / Fraction(sizes[cid]) for cid, v in enumerate(problem.double_coset_sums(w))
+    ])
 
 
 def check_Q_characterization(problem: LumpingProblem, Q):
@@ -112,12 +92,9 @@ def check_Q_characterization(problem: LumpingProblem, Q):
         if sum(r) != 1:
             raise DomainError("lumped matrix row does not sum to 1")
     G = problem.group
-    reps = problem.left.representatives
     values: dict[int, Fraction] = {}
-    for i, ri in enumerate(reps):
-        inv = G.inv(ri)
-        for j, rj in enumerate(reps):
-            cid = problem.double.class_of[G.mul(inv, rj)]
+    for i, row in enumerate(problem.pair_classes):
+        for j, cid in enumerate(row):
             if cid in values:
                 if values[cid] != rows[i][j]:
                     certificate = {
@@ -139,44 +116,32 @@ def check_Q_characterization(problem: LumpingProblem, Q):
 
 
 def verify_hecke_isomorphism(problem: LumpingProblem) -> bool:
-    """Check the anti-homomorphism from bi-invariant weights to orbital matrices.
+    """Check the isomorphism from bi-invariant weights to orbital matrices.
 
-    The basis element of class C maps to M_C / m_C where m_C is the ones-count
-    of a row; products must map to products in the opposite order.
+    The averaged basis element 1_C / |C| of class C maps to M_C / m_C, where
+    m_C = |C| / |H| is the ones-count of a row.  Products of indicators
+    expand as 1_A 1_B = sum_C N^C_AB 1_C with the counted structure constants
+    N^C_AB = #{x in A : x^-1 r_C in B}, so the map is multiplicative exactly
+    when |H| M_A M_B = sum_C N^C_AB M_C.  Entry (i, j) of M_A M_B counts the
+    cosets k with (i, k) in orbital A and (k, j) in orbital B, and entry
+    (i, j) of the right-hand side is N^C_AB for the orbital C of (i, j).
     """
-    orbitals = orbital_matrices(problem)
-    m = problem.index
-    n_classes = problem.double.n_classes
-
-    def scaled(cid):
-        mc = orbitals[cid].ones_per_row
-        return [[Fraction(x, mc) for x in row] for row in orbitals[cid].matrix]
-
-    def mat_mul(A, B):
-        return [
-            [sum((A[i][k] * B[k][j] for k in range(m)), Fraction(0)) for j in range(m)]
-            for i in range(m)
-        ]
-
-    basis = [averaged_class_element(problem, cid) for cid in range(n_classes)]
-    for a in range(n_classes):
-        for b in range(n_classes):
-            product = basis[a] * basis[b]
-            image = [[Fraction(0)] * m for _ in range(m)]
-            for cid in range(n_classes):
-                value = product.coeffs[problem.double.representatives[cid]]
-                # constant on the class; expansion coefficient is value * size
-                if any(
-                    product.coeffs[g] != value for g in problem.double.classes[cid]
-                ):
-                    return False
-                if value:
-                    coef = value * problem.double.sizes[cid]
-                    block = scaled(cid)
-                    for i in range(m):
-                        for j in range(m):
-                            image[i][j] += coef * block[i][j]
-            expected = mat_mul(scaled(b), scaled(a))
-            if image != expected:
+    G, double = problem.group, problem.double
+    n = double.n_classes
+    # structure[a][c] counts the classes b of x^-1 r_c over x in class a
+    structure = []
+    for members in double.classes:
+        inverses = [G.inv(x) for x in members]
+        structure.append([
+            Counter(double.class_of[G.mul(x_inv, r)] for x_inv in inverses)
+            for r in double.representatives
+        ])
+    order_H = problem.subgroup.order
+    table = problem.pair_classes
+    for row in table:
+        for j, c in enumerate(row):
+            paths = Counter((row[k], table[k][j]) for k in range(len(table)))
+            if any(order_H * paths[a, b] != structure[a][c][b]
+                   for a in range(n) for b in range(n)):
                 return False
     return True

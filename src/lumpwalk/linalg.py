@@ -11,7 +11,7 @@ complements under the conjugate-linear inner product.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, eta
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
 
 
@@ -210,26 +210,41 @@ def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:
     return out
 
 
-def left_ideal_closure(V: Subspace, group: FiniteGroup) -> Subspace:
-    """Smallest left ideal containing V: fixpoint under the group generators.
+def permutation_closure(V: Subspace, perms) -> Subspace:
+    """Smallest subspace containing V and stable under coordinate permutations.
 
-    Closure under each generator's (invertible) left action gives closure
-    under every group element, so only generators are multiplied.
+    Each perm moves entry k of a vector to position perm[k].  The fixpoint
+    kernel of both ideal closures: left multiplication by a generator is such
+    a permutation, and closure under the generators gives closure under the
+    whole group they generate.
     """
     out = V.copy()
-    gens = group.generators
+    zero = out.field.zero
     rounds = 0
     changed = True
     while changed:
         rounds += 1
-        assert rounds <= group.order + 1, "ideal closure failed to stabilize"
+        if rounds > out.ambient + 1:
+            raise InvariantError("ideal closure failed to stabilize")
         changed = False
         for row in list(out.rows):
-            elem = AlgebraElement(group, list(row), out.field)
-            for g in gens:
-                if out.insert(elem.translate_left(g).coeffs):
+            src = list(row)  # insert() may rewrite the stored row
+            for perm in perms:
+                shifted = [zero] * out.ambient
+                for pos, c in enumerate(src):
+                    if c:
+                        shifted[perm[pos]] = c
+                if out.insert(shifted):
                     changed = True
     return out
+
+
+def left_ideal_closure(V: Subspace, group: FiniteGroup) -> Subspace:
+    """Smallest left ideal containing V: fixpoint under the group generators."""
+    elements = range(group.order)
+    return permutation_closure(
+        V, [tuple(group.mul(g, x) for x in elements) for g in group.generators]
+    )
 
 
 def project_space(V: Subspace, decomposition: CosetDecomposition, group: FiniteGroup):

@@ -6,16 +6,19 @@ down to the subgroup algebra, so the fixpoint iterations run on vectors of
 length |H| and only the multiplications by the driving weight touch vectors
 of length |G|.
 
-The weak path uses closed forms instead of dense products: the obstruction
-(1 - eta_H) w eta_H comes from coset and double-coset sums of w, and the
-starting cut of J_w is written down in its canonical basis.  The abelian
-test reads its character pairings off the values of w on each double coset.
-The dense forms remain as references in `tests/test_properties.py`.
+The verdicts use closed forms instead of dense products.  The strong and
+exact tests (with their obstructions), the weak obstruction and the lumped
+matrix read coset and double-coset sums of w; the lumped matrix and `hecke`
+read the table `pair_classes` of the double coset of r_i^-1 r_j; the starting
+cut of J_w is written in its canonical basis; the abelian test reads its
+character pairings off w on each double coset.  The dense forms remain as
+references in `tests/test_properties.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
@@ -27,9 +30,9 @@ from .algebra import (
     is_idempotent,
     supported_on,
 )
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets
-from .linalg import Subspace, kernel_span
+from .linalg import Subspace, kernel_span, permutation_closure
 from .scalars import RATIONALS, common_field, cyclotomic_field
 
 
@@ -52,6 +55,21 @@ class LumpingProblem:
     @property
     def index(self) -> int:
         return self.left.n_cosets
+
+    @cached_property
+    def pair_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Entry (i, j) is the double coset of r_i^-1 r_j, for left-coset representatives r."""
+        G, class_of = self.group, self.double.class_of
+        reps = self.left.representatives
+        return tuple(tuple(class_of[G.mul(inv, rj)] for rj in reps) for inv in self._rep_inverses)
+
+    def double_coset_sums(self, w: AlgebraElement) -> list:
+        """The weight w(HxH) of each double coset, by class id."""
+        sums = [w.field.zero] * self.double.n_classes
+        for i, c in w.support():
+            cid = self.double.class_of[i]
+            sums[cid] = sums[cid] + c
+        return sums
 
     # -- vectors over the subgroup algebra -------------------------------------
 
@@ -93,24 +111,7 @@ class LumpingProblem:
 
     def close_H_ideal(self, space: Subspace) -> Subspace:
         """Smallest left ideal of the subgroup algebra containing the span."""
-        perms = self._H_generator_perms()
-        out = space.copy()
-        changed = True
-        rounds = 0
-        while changed:
-            rounds += 1
-            assert rounds <= self.subgroup.order + 1
-            changed = False
-            for row in list(out.rows):
-                src = list(row)
-                for perm in perms:
-                    shifted = [out.field.zero] * len(src)
-                    for pos, c in enumerate(src):
-                        if c:
-                            shifted[perm[pos]] = c
-                    if out.insert(shifted):
-                        changed = True
-        return out
+        return permutation_closure(space, self._H_generator_perms())
 
     def eta_H_vector(self, scalar_field=RATIONALS) -> list:
         return self.to_H_vector(self.eta_H.to_field(scalar_field))
@@ -182,49 +183,48 @@ def _double_coset_constancy(problem: LumpingProblem, w: AlgebraElement, side: st
     """Check that coset weights are constant within each double coset."""
     decomposition = problem.left if side == "left" else problem.right
     sums = coset_sums(w, decomposition)
-    for cid in range(problem.double.n_classes):
-        seen = {}
-        for coset_id, rep in enumerate(decomposition.representatives):
-            if problem.double.class_of[rep] != cid:
-                continue
-            # every coset lies inside one double coset, keyed by its rep
-            seen[coset_id] = sums[coset_id]
-        values = list(seen.values())
-        if any(v != values[0] for v in values[1:]):
-            pair = sorted(seen, key=seen.get)
+    by_class = [[] for _ in range(problem.double.n_classes)]
+    for coset_id, rep in enumerate(decomposition.representatives):
+        # every coset lies inside one double coset, keyed by its rep
+        by_class[problem.double.class_of[rep]].append(coset_id)
+    names = problem.group.elements
+    for cid, members in enumerate(by_class):
+        if any(sums[k] != sums[members[0]] for k in members[1:]):
+            pair = sorted(members, key=sums.__getitem__)
+            ends = (pair[0], pair[-1])
             return False, {
-                "double_coset": problem.group.elements[problem.double.representatives[cid]].cycle_string(),
-                "cosets": [
-                    problem.group.elements[decomposition.representatives[pair[0]]].cycle_string(),
-                    problem.group.elements[decomposition.representatives[pair[-1]]].cycle_string(),
-                ],
-                "sums": [str(seen[pair[0]]), str(seen[pair[-1]])],
+                "double_coset": names[problem.double.representatives[cid]].cycle_string(),
+                "cosets": [names[decomposition.representatives[k]].cycle_string() for k in ends],
+                "sums": [str(sums[k]) for k in ends],
             }
     return True, None
 
 
-def test_strong(problem: LumpingProblem, w: AlgebraElement):
-    """Strong lumping: left-coset weights constant within each double coset.
+def _one_sided_test(problem: LumpingProblem, w: AlgebraElement, side: str):
+    """Coset weights on one side constant within each double coset.
 
-    The equivalent algebraic condition (1 - eta_H) w eta_H == 0 is computed as
-    well and the two answers are required to agree.
+    The equivalent algebraic condition, that the obstruction of
+    `_cut_times_w_eta` for the same side vanishes, is evaluated as well and
+    the two answers are required to agree.
     """
     w = w.require_weight()
-    verdict, certificate = _double_coset_constancy(problem, w, "left")
-    weta = w * problem.eta_H
-    algebraic = (weta - problem.eta_H * weta).is_zero()
-    assert algebraic == verdict, "strong-lumping criteria disagree"
+    verdict, certificate = _double_coset_constancy(problem, w, side)
+    if _cut_times_w_eta(problem, w, side).is_zero() != verdict:
+        kind = "strong" if side == "left" else "exact"
+        raise InvariantError(f"{kind}-lumping criteria disagree")
     return verdict, certificate
+
+
+def test_strong(problem: LumpingProblem, w: AlgebraElement):
+    """Strong lumping: left-coset weights constant within each double coset,
+    equivalently (1 - eta_H) w eta_H == 0."""
+    return _one_sided_test(problem, w, "left")
 
 
 def test_exact(problem: LumpingProblem, w: AlgebraElement):
-    """Exact lumping: right-coset weights constant within each double coset."""
-    w = w.require_weight()
-    verdict, certificate = _double_coset_constancy(problem, w, "right")
-    etaw = problem.eta_H * w
-    algebraic = (etaw - etaw * problem.eta_H).is_zero()
-    assert algebraic == verdict, "exact-lumping criteria disagree"
-    return verdict, certificate
+    """Exact lumping: right-coset weights constant within each double coset,
+    equivalently eta_H w (1 - eta_H) == 0."""
+    return _one_sided_test(problem, w, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +274,25 @@ def time_reversal_dual_idempotent(problem: LumpingProblem, e: AlgebraElement) ->
 # the minimal ideal and the weight-level weak lumping test
 
 
-def _cut_times_w_eta(problem: LumpingProblem, w: AlgebraElement) -> AlgebraElement:
-    """(1 - eta_H) w eta_H, the obstruction used by the weak verdicts.
+def _cut_times_w_eta(problem: LumpingProblem, w: AlgebraElement,
+                     side: str = "left") -> AlgebraElement:
+    """(1 - eta_H) w eta_H for side "left", eta_H w (1 - eta_H) for side "right".
 
-    w eta_H spreads w(gH) evenly over the coset gH and eta_H w eta_H spreads
-    w(HgH) evenly over the double coset HgH, so
-    z(g) = w(gH)/|H| - w(HgH)/|HgH|.
+    The left one is the obstruction used by the weak verdicts.  w eta_H
+    spreads w(gH) evenly over the coset gH, eta_H w spreads w(Hg) evenly over
+    Hg, and eta_H w eta_H spreads w(HgH) evenly over the double coset HgH, so
+    z(g) = w(gH)/|H| - w(HgH)/|HgH| on the left and
+    z(g) = w(Hg)/|H| - w(HgH)/|HgH| on the right.
     """
-    left, double = problem.left, problem.double
-    per_coset = coset_sums(w, left)
-    per_double = [w.field.zero] * double.n_classes
-    for cid, rep in enumerate(left.representatives):
-        per_double[double.class_of[rep]] += per_coset[cid]
+    decomposition = problem.left if side == "left" else problem.right
+    double = problem.double
+    per_coset = coset_sums(w, decomposition)
+    per_double = problem.double_coset_sums(w)
     order = problem.subgroup.order
     z = []
     for g in range(problem.group.order):
         d = double.class_of[g]
-        z.append(per_coset[left.coset_of[g]] / order - per_double[d] / double.sizes[d])
+        z.append(per_coset[decomposition.coset_of[g]] / order - per_double[d] / double.sizes[d])
     return AlgebraElement(problem.group, z, w.field)
 
 
@@ -300,7 +302,8 @@ def _grow_minimal_ideal(problem: LumpingProblem, w: AlgebraElement, seed: Subspa
     rounds = 0
     while True:
         rounds += 1
-        assert rounds <= problem.subgroup.order + 1, "minimal ideal failed to stabilize"
+        if rounds > problem.subgroup.order + 1:
+            raise InvariantError("minimal ideal failed to stabilize")
         fresh = []
         for row in M.basis():
             product = problem.from_H_vector(row, M.field) * w
@@ -406,7 +409,8 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     rounds = 0
     while True:
         rounds += 1
-        assert rounds <= H.order + 1, "maximal ideal failed to stabilize"
+        if rounds > H.order + 1:
+            raise InvariantError("maximal ideal failed to stabilize")
         narrowed = restrict_mod(current, include_eta=False)
         again = restrict_mod(narrowed, include_eta=True)
         if again.dim == current.dim:
@@ -454,10 +458,9 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
     th = double_cosets(G, T, H)
     hh = problem.double
     w_th = [w.field.zero] * th.n_classes
-    w_hh = [w.field.zero] * hh.n_classes
     for i, c in w.support():
         w_th[th.class_of[i]] += c
-        w_hh[hh.class_of[i]] += c
+    w_hh = problem.double_coset_sums(w)
     for cid in range(th.n_classes):
         big = hh.class_of[th.representatives[cid]]
         if w_th[cid] * hh.sizes[big] != w_hh[big] * th.sizes[cid]:
@@ -595,7 +598,7 @@ def small_H_verdict_consistency(problem: LumpingProblem, w: AlgebraElement) -> s
     exact, _ = test_exact(problem, w)
     weak, _, _ = test_weak_weight(problem, w)
     if weak != (strong or exact):
-        raise AssertionError("weak verdict inconsistent with strong/exact for small subgroup")
+        raise InvariantError("weak verdict inconsistent with strong/exact for small subgroup")
     if strong and exact:
         return "strong+exact"
     if strong:
@@ -609,18 +612,13 @@ def walk_lumped_matrix(problem: LumpingProblem, w: AlgebraElement):
     """Lumped transition matrix of the stationary walk over left cosets.
 
     Row gH, column g'H holds (eta_H w)(g^-1 g' H) for the normalized weight;
-    this is the aggregated matrix of the walk under the uniform law.
+    this is the aggregated matrix of the walk under the uniform law.  The
+    cosets hxH, h in H, cover HxH evenly, so (eta_H w)(xH) = |H| w(HxH)/|HxH|.
     """
     w = w.require_weight().normalized()
-    averaged = problem.eta_H * w
-    sums = coset_sums(averaged, problem.left)
-    G = problem.group
-    reps = problem.left.representatives
-    out = []
-    for i, ri in enumerate(reps):
-        inv = G.inv(ri)
-        out.append([sums[problem.left.coset_of[G.mul(inv, rj)]] for rj in reps])
-    return out
+    order, sizes = problem.subgroup.order, problem.double.sizes
+    per_class = [s * order / sizes[cid] for cid, s in enumerate(problem.double_coset_sums(w))]
+    return [[per_class[cid] for cid in row] for row in problem.pair_classes]
 
 
 def lumping_function(problem: LumpingProblem):
@@ -676,5 +674,5 @@ def analyze(problem: LumpingProblem, w: AlgebraElement,
         verdicts["weak_weight"] = None
         certificates["weak_weight"] = {"reason": "reducible weight: use the generic per-start test"}
     if verdicts.get("weak_weight") is False and (strong or exact):
-        raise AssertionError("strong or exact lumping must imply weak lumping")
+        raise InvariantError("strong or exact lumping must imply weak lumping")
     return LumpingReport(verdicts, dimensions, bases, certificates, lumped)

@@ -25,8 +25,14 @@ IDEMPOTENT = "1/2 id\n1/2 (2,3)\n"
 NONWEAK = "1/2 (1,2)\n1/2 (1,2,3,4)\n"
 DIE = "1/4 (3,4)\n1/6 (2,4,3)\n1/6 (1,2)\n1/12 (1,3,4)\n1/4 (1,4,2)\n1/12 (1,4,2,3)\n"
 DIE_STAR = "1/4 (3,4)\n1/6 (2,3,4)\n1/6 (1,2)\n1/4 (1,2,4)\n1/12 (1,3,2,4)\n1/12 (1,4,3)\n"
+TRANSPOSITIONS = "".join(f"1/6 ({i},{j})\n" for i in range(1, 5) for j in range(i + 1, 5))
+DIHEDRAL = "degree 5\ngen (1,2,3,4,5)\ngen (2,5)(3,4)\n"
+REFLECTION = "degree 5\ngen (2,5)(3,4)\n"
+DIHEDRAL_WEIGHT = "1/2 (1,2,3,4,5)\n1/4 (2,5)(3,4)\n1/4 (1,5,4,3,2)\n"
+DIHEDRAL_ROTATIONS = "1/2 (1,2,3,4,5)\n1/2 (1,5,4,3,2)\n"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
 ABELIAN_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_abelian_reports.json"
+VERDICT_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_verdict_reports.json"
 
 
 @pytest.fixture()
@@ -36,7 +42,9 @@ def files(tmp_path):
         ("group", GROUP), ("subgroup", SUBGROUP), ("cyclic", CYCLIC),
         ("inner", INNER), ("weight", WEIGHT), ("dist_id", DIST_ID),
         ("dist_eta_t", DIST_ETA_T), ("idempotent", IDEMPOTENT), ("nonweak", NONWEAK),
-        ("die", DIE), ("die_star", DIE_STAR),
+        ("die", DIE), ("die_star", DIE_STAR), ("transpositions", TRANSPOSITIONS),
+        ("dihedral", DIHEDRAL), ("reflection", REFLECTION),
+        ("dihedral_weight", DIHEDRAL_WEIGHT), ("dihedral_rotations", DIHEDRAL_ROTATIONS),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -210,6 +218,40 @@ def test_golden_abelian_reports(files, sym4):
         assert golden_report(argv) == expected[name], name
 
 
+def verdict_golden_cases(files):
+    """The strong, exact, lumped-q and orbital requests pinned in VERDICT_GOLDEN_PATH.
+
+    Top-card S4/S{2,3,4}, the die S4/C4 and the dihedral D10/<(2,5)(3,4)>; all
+    three have commutative Hecke algebras.
+    """
+    problems = {
+        "top": ["--group", files["group"], "--subgroup", files["subgroup"]],
+        "die": ["--group", files["group"], "--subgroup", files["cyclic"]],
+        "dihedral": ["--group", files["dihedral"], "--subgroup", files["reflection"]],
+    }
+    weights = {
+        "top": ["weight", "nonweak", "transpositions"],
+        "die": ["die", "transpositions"],
+        "dihedral": ["dihedral_weight", "dihedral_rotations"],
+    }
+    out = {}
+    for name, problem in problems.items():
+        for weight in weights[name]:
+            for kind in ("strong", "exact"):
+                out[f"{kind}-{name}-{weight}"] = ["test", kind, *problem, "--weight", files[weight]]
+            out[f"lumped-q-{name}-{weight}"] = ["lumped-q", *problem, "--weight", files[weight]]
+        out[f"orbital-{name}"] = ["orbital", *problem]
+    return out
+
+
+def test_golden_verdict_reports(files):
+    expected = json.loads(VERDICT_GOLDEN_PATH.read_text())
+    cases = verdict_golden_cases(files)
+    assert set(cases) == set(expected)
+    for name, argv in cases.items():
+        assert golden_report(argv) == expected[name], name
+
+
 def test_reports_do_not_depend_on_asserts(files):
     """`python -O` strips assert statements; no verdict or report may change."""
     abelian = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"]]
@@ -218,12 +260,26 @@ def test_reports_do_not_depend_on_asserts(files):
         [*abelian, "--weight", files["die"], "--real-only"],
         [*abelian, "--weight", files["nonweak"], "--real-only"],
         ["test", "strong", *common(files, "--weight", files["weight"])],
+        ["test", "exact", *common(files, "--weight", files["weight"])],
+        ["lumped-q", *common(files, "--weight", files["weight"])],
+        ["orbital", *common(files)],
     ]
     for argv in requests:
         plain = run_cli(*argv, "--json")
         optimized = run_cli(*argv, "--json", interpreter_flags=["-O"])
         assert plain.returncode == 0, (argv, plain.stderr)
         assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout), argv
+
+
+def test_orbital_hecke_isomorphism_noncommutative(files, tmp_path):
+    # the Hecke algebra of S4/V4 is not commutative
+    klein = tmp_path / "klein.txt"
+    klein.write_text("degree 4\ngen (1,2)(3,4)\ngen (1,3)(2,4)\n")
+    result = run_cli("orbital", "--group", files["group"], "--subgroup", str(klein), "--json")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert len(report["labels"]) == 6
+    assert report["verdicts"]["hecke_isomorphism"] is True
 
 
 def test_byte_stable_reports(files):

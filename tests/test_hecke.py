@@ -18,6 +18,7 @@ from lumpwalk import test_exact as exact_test
 from lumpwalk import test_strong as strong_test
 from lumpwalk.errors import DomainError
 from tests.conftest import lazy_frustrator
+from tests.oracle_suite import build_pool
 
 
 def test_orbitals_two_transitive(sym4, top_prob):
@@ -112,10 +113,14 @@ def test_hecke_isomorphism(sym4, top_prob, die_prob, dihedral_prob):
     assert verify_hecke_isomorphism(top_prob)
     assert verify_hecke_isomorphism(die_prob)
     assert verify_hecke_isomorphism(dihedral_prob)
+    # S4/V4 and S4/<(3,4)> have non-commutative Hecke algebras, so the
+    # product order of the check matters there
+    for label, G, hgens in build_pool():
+        assert verify_hecke_isomorphism(LumpingProblem(G, G.subgroup(hgens))), label
 
 
 def test_offdiagonal_orbital_square(top_prob):
-    # for the two-class problem the anti-isomorphism forces
+    # for the two-class problem the isomorphism forces
     # (J - I)^2 = 3 I + 2 (J - I) in the orbital span
     mats = {m.ones_per_row: m.matrix for m in orbital_matrices(top_prob)}
     J_minus_I = mats[3]

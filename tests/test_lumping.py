@@ -33,7 +33,8 @@ from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_distribution as weak_dist_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
-from lumpwalk.errors import DomainError
+from lumpwalk import lumping
+from lumpwalk.errors import DomainError, InvariantError
 from lumpwalk.scalars import RATIONALS
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer, top_to_random
 from tests.conftest import lazy_frustrator, uniform_on
@@ -422,6 +423,22 @@ def test_small_subgroup_verdicts(dihedral10, dihedral_prob):
     # the three-element balanced weight happens to lump exactly
     balanced = uniform_on(G, [sigma, sig_tau, tau])
     assert small_H_verdict_consistency(dihedral_prob, balanced) == "exact"
+
+
+@pytest.mark.parametrize("test, side", [(strong_test, "left"), (exact_test, "right")])
+def test_strong_exact_self_check_raises_on_disagreement(monkeypatch, top_prob, frustrator, test, side):
+    """The closed-form obstruction cross-checks the coset-sum criterion without assert."""
+    verdict, _ = test(top_prob, frustrator)
+    calls = []
+
+    def flipped(problem, w, s):
+        calls.append(s)
+        return not verdict, None
+
+    monkeypatch.setattr(lumping, "_double_coset_constancy", flipped)
+    with pytest.raises(InvariantError, match="criteria disagree"):
+        test(top_prob, frustrator)
+    assert calls == [side]
 
 
 def test_small_subgroup_guard(top_prob, frustrator):

@@ -11,15 +11,22 @@ from lumpwalk import (
     abelian_character_idempotent,
     abelian_characters,
     abelian_weak_test,
+    coset_sums,
     eta,
+    hecke_project,
     inner_product,
     left_ideal_closure,
     lumping_function,
     minimal_GL_space,
+    orbital_matrices,
     span,
     stable_ideal_check,
     transition_from_weight,
+    verify_hecke_isomorphism,
+    walk_lumped_matrix,
 )
+from lumpwalk import test_exact as exact_test
+from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk.algebra import conjugate_character_index
 from lumpwalk.linalg import Subspace
@@ -38,9 +45,67 @@ def test_oracle_suite_small_batch():
     assert 0 < tally["weak_alpha"] < 40
 
 
+def dense_lumped_matrix(problem, w):
+    """Reference: coset sums of the dense product eta_H w, for the normalized weight."""
+    sums = coset_sums(problem.eta_H * w.normalized(), problem.left)
+    G, left = problem.group, problem.left
+    return [
+        [sums[left.coset_of[G.mul(G.inv(ri), rj)]] for rj in left.representatives]
+        for ri in left.representatives
+    ]
+
+
+def averaged_class_element(problem, cid):
+    """The uniform element 1_C / |C| of one double coset."""
+    out = AlgebraElement.zero(problem.group)
+    for g in problem.double.classes[cid]:
+        out.coeffs[g] = Fraction(1, problem.double.sizes[cid])
+    return out
+
+
+def dense_hecke_check(problem, anti=False):
+    """Reference: the orbital map on dense products of averaged class elements.
+
+    1_A/|A| * 1_B/|B| must be bi-invariant and map to (M_A/m_A)(M_B/m_B), or
+    to (M_B/m_B)(M_A/m_A) with ``anti``.
+    """
+    orbitals = orbital_matrices(problem)
+    m = problem.index
+    n_classes = problem.double.n_classes
+
+    def scaled(cid):
+        mc = orbitals[cid].ones_per_row
+        return [[Fraction(x, mc) for x in row] for row in orbitals[cid].matrix]
+
+    def mat_mul(A, B):
+        return [
+            [sum((A[i][k] * B[k][j] for k in range(m)), Fraction(0)) for j in range(m)]
+            for i in range(m)
+        ]
+
+    basis = [averaged_class_element(problem, cid) for cid in range(n_classes)]
+    for a in range(n_classes):
+        for b in range(n_classes):
+            product = basis[a] * basis[b]
+            image = [[Fraction(0)] * m for _ in range(m)]
+            for cid in range(n_classes):
+                value = product.coeffs[problem.double.representatives[cid]]
+                if any(product.coeffs[g] != value for g in problem.double.classes[cid]):
+                    return False
+                block = scaled(cid)
+                for i in range(m):
+                    for j in range(m):
+                        image[i][j] += value * problem.double.sizes[cid] * block[i][j]
+            expected = mat_mul(scaled(b), scaled(a)) if anti else mat_mul(scaled(a), scaled(b))
+            if image != expected:
+                return False
+    return True
+
+
 def test_closed_forms_match_dense_references_on_pool():
-    """The weak path's closed forms against the dense products they replace."""
+    """The closed forms of the weak and verdict paths against the dense products they replace."""
     rng = random.Random(4242)
+    anti_order_fails = []
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         eta_H = problem.eta_H
@@ -49,10 +114,25 @@ def test_closed_forms_match_dense_references_on_pool():
                 continue  # the nullspace construction is for small orders
             w = sample_weight(rng, problem, kind)
             weta = w * eta_H
-            assert _cut_times_w_eta(problem, w) == weta - eta_H * weta, (label, kind)
+            left = weta - eta_H * weta
+            etaw = eta_H * w
+            right = etaw - etaw * eta_H
+            assert _cut_times_w_eta(problem, w) == left, (label, kind)
+            assert _cut_times_w_eta(problem, w, "left") == left, (label, kind)
+            assert _cut_times_w_eta(problem, w, "right") == right, (label, kind)
+            assert strong_test(problem, w)[0] == left.is_zero(), (label, kind)
+            assert exact_test(problem, w)[0] == right.is_zero(), (label, kind)
+            assert walk_lumped_matrix(problem, w) == dense_lumped_matrix(problem, w), (label, kind)
+            sandwiched = eta_H * w * eta_H
+            assert hecke_project(problem, w).element().to_field(w.field) == sandwiched, (label, kind)
         eta_vec = problem.eta_H_vector()
         h_minus_eta = [[(k == pos) - c for k, c in enumerate(eta_vec)] for pos in range(len(eta_vec))]
         assert _averaging_kernel(problem) == Subspace(RATIONALS, len(eta_vec), h_minus_eta), label
+        assert verify_hecke_isomorphism(problem) is dense_hecke_check(problem) is True, label
+        if not dense_hecke_check(problem, anti=True):
+            anti_order_fails.append(label)
+    # the pool holds non-commutative Hecke algebras, where the order matters
+    assert anti_order_fails == ["S4/V4", "S4/<(3,4)>"]
 
 
 def dense_abelian_pairings(problem, w):
