@@ -120,8 +120,9 @@ class AlgebraElement:
         G = a.group
         out = [f.zero] * G.order
         mul = G.mul
+        b_support = list(b.support())
         for i, ca in a.support():
-            for j, cb in b.support():
+            for j, cb in b_support:
                 k = mul(i, j)
                 out[k] = out[k] + ca * cb
         return AlgebraElement(G, out, f)

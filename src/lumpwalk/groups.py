@@ -349,25 +349,26 @@ class DoubleCosetDecomposition:
 
 
 def double_cosets(G: FiniteGroup, T: Subgroup, H: Subgroup) -> DoubleCosetDecomposition:
-    """Partition of G into classes TxH, with the counting identity checked."""
+    """Partition of G into classes TxH, with the counting identity checked.
+
+    Each class is the union of the left cosets (tx)H over t in T.
+    """
     if T.parent is not G or H.parent is not G:
         raise DomainError("subgroups do not belong to this group")
+    left = cosets(G, H, "left")
     class_of = [-1] * G.order
     reps, sizes, blocks = [], [], []
     for x in range(G.order):
         if class_of[x] != -1:
             continue
         cid = len(reps)
-        block = set()
-        for t in T.members:
-            tx = G.mul(t, x)
-            for h in H.members:
-                block.add(G.mul(tx, h))
+        coset_ids = {left.coset_of[G.mul(t, x)] for t in T.members}
+        block = sorted(g for c in coset_ids for g in left.cosets[c])
         for g in block:
             class_of[g] = cid
         reps.append(x)
         sizes.append(len(block))
-        blocks.append(tuple(sorted(block)))
+        blocks.append(tuple(block))
         # |TxH| * |x^{-1} T x cap H| == |H| * |T|
         xi = G.inv(x)
         conj = {G.mul(G.mul(xi, t), x) for t in T.members}

@@ -1,7 +1,12 @@
 """Exact linear algebra over subspaces of a group algebra.
 
 Subspaces are held in reduced row echelon form with leading coefficient 1, so
-two subspaces are equal exactly when their basis matrices are equal.  On top
+two subspaces are equal exactly when their basis matrices are equal.  Each
+row also keeps the ascending list of its nonzero columns, updated whenever an
+insertion rewrites the row, so reduction and back-elimination touch only those
+entries; `kernel_coefficients` keeps the same lists for its pivot rows.  The
+entries and the order of the arithmetic on them are those of a dense sweep,
+so bases and kernels do not depend on the cache.  On top
 of the generic vector-space kernel this module provides the group-algebra
 operations: ideal closures, coset projections of subspaces, induced-ideal
 recognition, the `(1 - eta_H)` cut of an induced ideal, and orthogonal
@@ -16,15 +21,20 @@ from .groups import CosetDecomposition, FiniteGroup, Subgroup
 
 
 class Subspace:
-    """Row space of a matrix over an exact scalar field, kept in RREF."""
+    """Row space of a matrix over an exact scalar field, kept in RREF.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    ``support[i]`` lists the nonzero columns of ``rows[i]`` in ascending order,
+    so elimination visits only those entries.
+    """
+
+    __slots__ = ("field", "ambient", "rows", "pivots", "support")
 
     def __init__(self, field, ambient: int, vectors=()):
         self.field = field
         self.ambient = ambient
         self.rows: list[list] = []
         self.pivots: list[int] = []
+        self.support: list[list[int]] = []
         for v in vectors:
             self.insert(v)
 
@@ -36,6 +46,7 @@ class Subspace:
         out = Subspace(self.field, self.ambient)
         out.rows = [list(r) for r in self.rows]
         out.pivots = list(self.pivots)
+        out.support = [list(s) for s in self.support]
         return out
 
     def reduce(self, vector) -> list:
@@ -43,33 +54,37 @@ class Subspace:
         if len(vector) != self.ambient:
             raise DomainError("vector length does not match the ambient dimension")
         v = list(vector)
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, cols in zip(self.rows, self.pivots, self.support):
             c = v[p]
             if c:
-                for k in range(p, self.ambient):
-                    if row[k]:
-                        v[k] = v[k] - c * row[k]
+                for k in cols:
+                    v[k] = v[k] - c * row[k]
         return v
 
     def insert(self, vector) -> bool:
         """Add a vector to the span; returns True if the dimension grew."""
         v = self.reduce(vector)
-        pivot = next((k for k, c in enumerate(v) if c), None)
-        if pivot is None:
+        cols = [k for k, c in enumerate(v) if c]
+        if not cols:
             return False
+        pivot = cols[0]
         lead = v[pivot]
         if lead != self.field.one:
-            v = [c / lead for c in v]
+            for k in cols:
+                v[k] = v[k] / lead
         # eliminate the new pivot column from existing rows
-        for row in self.rows:
+        for i, row in enumerate(self.rows):
             c = row[pivot]
             if c:
-                for k in range(pivot, self.ambient):
-                    if v[k]:
-                        row[k] = row[k] - c * v[k]
+                for k in cols:
+                    row[k] = row[k] - c * v[k]
+                touched = set(self.support[i])
+                touched.update(cols)
+                self.support[i] = [k for k in sorted(touched) if row[k]]
         at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
+        self.support.insert(at, cols)
         return True
 
     def contains(self, vector) -> bool:
@@ -134,31 +149,32 @@ def kernel_coefficients(field, images: list[list]) -> Subspace:
     out = Subspace(field, k)
     if k == 0:
         return out
-    m = len(images[0])
-    pivot_rows: list[tuple[list, list]] = []  # (image residue, coefficient vector)
+    # per pivot row: pivot column, image residue, its nonzero columns,
+    # coefficient vector, its nonzero columns
+    pivot_rows: list[tuple[int, list, list[int], list, list[int]]] = []
     for i, img in enumerate(images):
         v = list(img)
         coef = [field.zero] * k
         coef[i] = field.one
-        for pimg, pcoef in pivot_rows:
-            p = next(j for j, c in enumerate(pimg) if c)
+        for p, pimg, img_cols, pcoef, coef_cols in pivot_rows:
             c = v[p]
             if c:
-                for j in range(m):
-                    if pimg[j]:
-                        v[j] = v[j] - c * pimg[j]
-                for j in range(k):
-                    if pcoef[j]:
-                        coef[j] = coef[j] - c * pcoef[j]
-        pivot = next((j for j, c in enumerate(v) if c), None)
-        if pivot is None:
+                for j in img_cols:
+                    v[j] = v[j] - c * pimg[j]
+                for j in coef_cols:
+                    coef[j] = coef[j] - c * pcoef[j]
+        img_cols = [j for j, c in enumerate(v) if c]
+        if not img_cols:
             out.insert(coef)
         else:
-            lead = v[pivot]
+            coef_cols = [j for j, c in enumerate(coef) if c]
+            lead = v[img_cols[0]]
             if lead != field.one:
-                v = [c / lead for c in v]
-                coef = [c / lead for c in coef]
-            pivot_rows.append((v, coef))
+                for j in img_cols:
+                    v[j] = v[j] / lead
+                for j in coef_cols:
+                    coef[j] = coef[j] / lead
+            pivot_rows.append((img_cols[0], v, img_cols, coef, coef_cols))
     return out
 
 

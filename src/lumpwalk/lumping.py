@@ -3,8 +3,13 @@
 Everything here is exact.  The two ideal computations follow the product
 structure of induced ideals: an induced left ideal is determined by its cut
 down to the subgroup algebra, so the fixpoint iterations run on vectors of
-length |H| and only the multiplications by the driving weight touch vectors
-of length |G|.
+length |H|.  Right multiplication by the driving weight is read from a
+per-weight action table, built once per ideal computation: for each subgroup
+element h and each g in the support of w, the left coset of h g and the
+position of h g inside it.  So u w is computed as its coset components,
+never as a product in the group algebra.  The weak obstruction u z, with
+z = (1 - eta_H) w eta_H constant on left cosets, is checked at one
+representative per coset.
 
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
@@ -97,6 +102,36 @@ class LumpingProblem:
             cid = self.left.coset_of[i]
             pos = H.position(G.mul(self._rep_inverses[cid], i))
             out[cid][pos] = c
+        return out
+
+    def weight_action(self, w: AlgebraElement) -> list[list[tuple]]:
+        """Right multiplication by w on the subgroup basis, as a table.
+
+        Entry p lists, for each (g, w(g)) in the support of w, the left coset
+        id c of h_p g, the subgroup position of r_c^-1 h_p g and w(g).
+        """
+        G, H = self.group, self.subgroup
+        coset_of, position = self.left.coset_of, H.position
+        support = list(w.support())
+        table = []
+        for h in H.members:
+            entries = []
+            for g, c in support:
+                x = G.mul(h, g)
+                cid = coset_of[x]
+                entries.append((cid, position(G.mul(self._rep_inverses[cid], x)), c))
+            table.append(entries)
+        return table
+
+    def times_weight(self, action: list[list[tuple]], vec) -> list[list]:
+        """The coset components of u w for a rational H-vector u, from the action table of w."""
+        zero = RATIONALS.zero
+        out = [[zero] * self.subgroup.order for _ in range(self.index)]
+        for c, entries in zip(vec, action):
+            if c:
+                for cid, pos, value in entries:
+                    comp = out[cid]
+                    comp[pos] = comp[pos] + c * value
         return out
 
     def _H_generator_perms(self):
@@ -204,12 +239,12 @@ def _one_sided_test(problem: LumpingProblem, w: AlgebraElement, side: str):
     """Coset weights on one side constant within each double coset.
 
     The equivalent algebraic condition, that the obstruction of
-    `_cut_times_w_eta` for the same side vanishes, is evaluated as well and
+    `_cut_coset_values` for the same side vanishes, is evaluated as well and
     the two answers are required to agree.
     """
     w = w.require_weight()
     verdict, certificate = _double_coset_constancy(problem, w, side)
-    if _cut_times_w_eta(problem, w, side).is_zero() != verdict:
+    if any(_cut_coset_values(problem, w, side)) == verdict:
         kind = "strong" if side == "left" else "exact"
         raise InvariantError(f"{kind}-lumping criteria disagree")
     return verdict, certificate
@@ -274,30 +309,63 @@ def time_reversal_dual_idempotent(problem: LumpingProblem, e: AlgebraElement) ->
 # the minimal ideal and the weight-level weak lumping test
 
 
-def _cut_times_w_eta(problem: LumpingProblem, w: AlgebraElement,
-                     side: str = "left") -> AlgebraElement:
+def _cut_coset_values(problem: LumpingProblem, w: AlgebraElement, side: str = "left") -> list:
     """(1 - eta_H) w eta_H for side "left", eta_H w (1 - eta_H) for side "right".
 
     The left one is the obstruction used by the weak verdicts.  w eta_H
     spreads w(gH) evenly over the coset gH, eta_H w spreads w(Hg) evenly over
     Hg, and eta_H w eta_H spreads w(HgH) evenly over the double coset HgH, so
     z(g) = w(gH)/|H| - w(HgH)/|HgH| on the left and
-    z(g) = w(Hg)/|H| - w(HgH)/|HgH| on the right.
+    z(g) = w(Hg)/|H| - w(HgH)/|HgH| on the right.  Either is constant on the
+    cosets of its side; the value on each coset is returned, by coset id.
     """
     decomposition = problem.left if side == "left" else problem.right
     double = problem.double
     per_coset = coset_sums(w, decomposition)
     per_double = problem.double_coset_sums(w)
     order = problem.subgroup.order
-    z = []
-    for g in range(problem.group.order):
-        d = double.class_of[g]
-        z.append(per_coset[decomposition.coset_of[g]] / order - per_double[d] / double.sizes[d])
-    return AlgebraElement(problem.group, z, w.field)
+    values = []
+    for cid, rep in enumerate(decomposition.representatives):
+        d = double.class_of[rep]
+        values.append(per_coset[cid] / order - per_double[d] / double.sizes[d])
+    return values
 
 
-def _grow_minimal_ideal(problem: LumpingProblem, w: AlgebraElement, seed: Subspace) -> Subspace:
-    """Fixpoint M <- ideal(M + all translated coset components of M w)."""
+def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: Subspace):
+    """The first row u of M with u (1 - eta_H) w eta_H != 0, or None.
+
+    z = (1 - eta_H) w eta_H is constant on left cosets, so u z is right
+    H-invariant and vanishes iff (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does for
+    every left-coset representative r_j.
+    """
+    values = _cut_coset_values(problem, w)
+    if not any(values):
+        return None
+    G, left = problem.group, problem.left
+    # z(h_p^-1 r_j), per subgroup position p and coset id j
+    shifted = []
+    for h in problem.subgroup.members:
+        h_inv = G.inv(h)
+        shifted.append([values[left.coset_of[G.mul(h_inv, r)]] for r in left.representatives])
+    zero = M.field.zero
+    for row in M.rows:
+        at_reps = [zero] * problem.index
+        for c, z_row in zip(row, shifted):
+            if c:
+                for j, z in enumerate(z_row):
+                    if z:
+                        at_reps[j] = at_reps[j] + c * z
+        if any(at_reps):
+            return row
+    return None
+
+
+def _grow_minimal_ideal(problem: LumpingProblem, action: list, seed: Subspace) -> Subspace:
+    """Fixpoint M <- ideal(M + all translated coset components of M w).
+
+    ``action`` is the table of right multiplication by w from
+    `LumpingProblem.weight_action`.
+    """
     M = problem.close_H_ideal(seed)
     rounds = 0
     while True:
@@ -306,8 +374,7 @@ def _grow_minimal_ideal(problem: LumpingProblem, w: AlgebraElement, seed: Subspa
             raise InvariantError("minimal ideal failed to stabilize")
         fresh = []
         for row in M.basis():
-            product = problem.from_H_vector(row, M.field) * w
-            for comp in problem.coset_components(product):
+            for comp in problem.times_weight(action, row):
                 if not M.contains(comp):
                     fresh.append(comp)
         if not fresh:
@@ -335,12 +402,12 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     if alpha is not None:
         for comp in problem.coset_components(alpha.require_distribution()):
             seed.insert(comp)
-    M = _grow_minimal_ideal(problem, w, seed)
+    M = _grow_minimal_ideal(problem, problem.weight_action(w), seed)
     ideal = GurvitsLedouxIdeal(problem, M, "minimal" if alpha is None else "minimal-for-start")
-    z = _cut_times_w_eta(problem, w)
-    rows = (problem.from_H_vector(row, M.field) for row in M.rows)
-    ideal.cut_violation = next((u for u in rows if not (u * z).is_zero()), None)
-    ideal.weakly_lumping = ideal.cut_violation is None
+    violation = _first_cut_violation(problem, w, M)
+    if violation is not None:
+        ideal.cut_violation = problem.from_H_vector(violation, M.field)
+    ideal.weakly_lumping = violation is None
     return ideal
 
 
@@ -390,6 +457,7 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     w = w.require_weight()
     H = problem.subgroup
     eta_vec = problem.eta_H_vector()
+    action = problem.weight_action(w)
 
     def restrict_mod(ideal_cut: Subspace, include_eta: bool) -> Subspace:
         """{u in ideal_cut : u w lies in the ideal induced from (ideal_cut [+ eta_H])}."""
@@ -398,9 +466,8 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
             reducer.insert(eta_vec)
         images = []
         for row in ideal_cut.rows:
-            product = problem.from_H_vector(row, ideal_cut.field) * w
             flat = []
-            for comp in problem.coset_components(product):
+            for comp in problem.times_weight(action, row):
                 flat.extend(reducer.reduce(comp))
             images.append(flat)
         return kernel_span(RATIONALS, images, ideal_cut.rows, H.order)

@@ -30,6 +30,12 @@ DIHEDRAL = "degree 5\ngen (1,2,3,4,5)\ngen (2,5)(3,4)\n"
 REFLECTION = "degree 5\ngen (2,5)(3,4)\n"
 DIHEDRAL_WEIGHT = "1/2 (1,2,3,4,5)\n1/4 (2,5)(3,4)\n1/4 (1,5,4,3,2)\n"
 DIHEDRAL_ROTATIONS = "1/2 (1,2,3,4,5)\n1/2 (1,5,4,3,2)\n"
+SYM5 = "degree 5\ngen (1,2)\ngen (1,2,3,4,5)\n"
+TOP5 = "degree 5\ngen (2,3)\ngen (2,3,4,5)\n"
+BOTTOM5 = "1/4 (1,5,4,3,2)\n1/4 (1,5,3,2)\n1/4 (1,5,2)\n1/4 (1,5)\n"
+RTT5 = "1/5 id\n1/5 (1,2)\n1/5 (1,2,3)\n1/5 (1,2,3,4)\n1/5 (1,2,3,4,5)\n"
+DIST5_SWAP = "1/2 id\n1/2 (1,2)\n"
+DIST5_S3 = "".join(f"1/6 {g}\n" for g in ("id", "(2,3)", "(2,4)", "(3,4)", "(2,3,4)", "(2,4,3)"))
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
 ABELIAN_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_abelian_reports.json"
 VERDICT_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_verdict_reports.json"
@@ -45,6 +51,8 @@ def files(tmp_path):
         ("die", DIE), ("die_star", DIE_STAR), ("transpositions", TRANSPOSITIONS),
         ("dihedral", DIHEDRAL), ("reflection", REFLECTION),
         ("dihedral_weight", DIHEDRAL_WEIGHT), ("dihedral_rotations", DIHEDRAL_ROTATIONS),
+        ("sym5", SYM5), ("top5", TOP5), ("bottom5", BOTTOM5), ("rtt5", RTT5),
+        ("dist5_swap", DIST5_SWAP), ("dist5_s3", DIST5_S3),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -164,9 +172,13 @@ def test_internal_error_exits_2_without_traceback(files, monkeypatch, capsys):
 
 
 def golden_cases(files):
-    """The weak-path requests whose reports are pinned in GOLDEN_PATH."""
+    """The weak-path requests whose reports are pinned in GOLDEN_PATH.
+
+    The S4 top-card problem with the frustrator, and the larger cut of S5 over
+    its top-card stabilizer S4 with bottom-card and random-to-top.
+    """
     weight = common(files, "--weight", files["weight"])
-    return {
+    out = {
         "test-weak": ["test", "weak", *weight],
         "test-weak-nonweak": ["test", "weak", *common(files, "--weight", files["nonweak"])],
         "lw": ["lw", *weight],
@@ -176,6 +188,13 @@ def golden_cases(files):
         "test-dist-eta-t": ["test-dist", *weight, "--dist", files["dist_eta_t"]],
         "test-dist-id": ["test-dist", *weight, "--dist", files["dist_id"]],
     }
+    for name in ("bottom5", "rtt5"):
+        s5 = ["--group", files["sym5"], "--subgroup", files["top5"], "--weight", files[name]]
+        out[f"s5-test-weak-{name}"] = ["test", "weak", *s5]
+        out[f"s5-jw-{name}"] = ["jw", *s5]
+        for dist in ("dist_id", "dist5_swap", "dist5_s3"):
+            out[f"s5-test-dist-{name}-{dist}"] = ["test-dist", *s5, "--dist", files[dist]]
+    return out
 
 
 def golden_report(argv):
@@ -263,6 +282,10 @@ def test_reports_do_not_depend_on_asserts(files):
         ["test", "exact", *common(files, "--weight", files["weight"])],
         ["lumped-q", *common(files, "--weight", files["weight"])],
         ["orbital", *common(files)],
+        ["test", "weak", *common(files, "--weight", files["weight"])],
+        ["test", "weak", *common(files, "--weight", files["nonweak"])],
+        ["jw", *common(files, "--weight", files["weight"])],
+        ["test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"])],
     ]
     for argv in requests:
         plain = run_cli(*argv, "--json")

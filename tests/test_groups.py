@@ -15,7 +15,7 @@ from lumpwalk import (
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, ResourceError
-from lumpwalk.groups import _closure, format_group_file
+from lumpwalk.groups import DoubleCosetDecomposition, _closure, format_group_file
 
 
 def test_generate_sym4():
@@ -211,3 +211,31 @@ def test_coset_invariants(sym4, top_prob):
             assert decomposition.coset_of[rep] == cid
             assert rep == min(decomposition.cosets[cid])
         assert sorted(sum(decomposition.cosets, ())) == list(range(24))
+
+
+def brute_force_double_cosets(G, T, H):
+    """Reference: each class TxH built from all |T| |H| products t x h."""
+    class_of = [-1] * G.order
+    reps, sizes, blocks = [], [], []
+    for x in range(G.order):
+        if class_of[x] != -1:
+            continue
+        block = sorted({G.mul(G.mul(t, x), h) for t in T.members for h in H.members})
+        for g in block:
+            class_of[g] = len(reps)
+        reps.append(x)
+        sizes.append(len(block))
+        blocks.append(tuple(block))
+    return DoubleCosetDecomposition(T, H, tuple(class_of), tuple(reps), tuple(sizes), tuple(blocks))
+
+
+def test_double_cosets_match_brute_force_on_pool():
+    """Classes built from left cosets equal the classes built from all products."""
+    from tests.oracle_suite import build_pool
+
+    for label, G, hgens in build_pool():
+        H = G.subgroup(hgens)
+        inner = G.subgroup(hgens[:1] + [G.elements[0]])
+        trivial = G.subgroup([])
+        for T, K in ((H, H), (inner, H), (trivial, H), (H, trivial), (G.full_subgroup(), H)):
+            assert double_cosets(G, T, K) == brute_force_double_cosets(G, T, K), label

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumpwalk import (
     AlgebraElement,
@@ -26,6 +28,110 @@ from lumpwalk.scalars import RATIONALS
 
 def rand_vec(rng, n, low=-3, high=3):
     return [Fraction(rng.randint(low, high)) for _ in range(n)]
+
+
+class DenseSubspace:
+    """Reference: RREF elimination that tests every column of every pivot row."""
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vector):
+        v = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for k in range(p, self.ambient):
+                    if row[k]:
+                        v[k] = v[k] - c * row[k]
+        return v
+
+    def insert(self, vector):
+        v = self.reduce(vector)
+        pivot = next((k for k, c in enumerate(v) if c), None)
+        if pivot is None:
+            return False
+        lead = v[pivot]
+        if lead != 1:
+            v = [c / lead for c in v]
+        for row in self.rows:
+            c = row[pivot]
+            if c:
+                for k in range(pivot, self.ambient):
+                    if v[k]:
+                        row[k] = row[k] - c * v[k]
+        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pivot)
+        return True
+
+
+def dense_kernel_coefficients(images):
+    """Reference: kernel coefficients, finding each pivot again on every use."""
+    k = len(images)
+    out = DenseSubspace(k)
+    if k == 0:
+        return out
+    m = len(images[0])
+    pivot_rows = []
+    for i, img in enumerate(images):
+        v = list(img)
+        coef = [Fraction(0)] * k
+        coef[i] = Fraction(1)
+        for pimg, pcoef in pivot_rows:
+            p = next(j for j, c in enumerate(pimg) if c)
+            c = v[p]
+            if c:
+                for j in range(m):
+                    if pimg[j]:
+                        v[j] = v[j] - c * pimg[j]
+                for j in range(k):
+                    if pcoef[j]:
+                        coef[j] = coef[j] - c * pcoef[j]
+        pivot = next((j for j, c in enumerate(v) if c), None)
+        if pivot is None:
+            out.insert(coef)
+        else:
+            lead = v[pivot]
+            if lead != 1:
+                v = [c / lead for c in v]
+                coef = [c / lead for c in coef]
+            pivot_rows.append((v, coef))
+    return out
+
+
+# mostly zeros, so the nonzero-column lists are short and change under elimination
+sparse_entries = st.sampled_from(
+    [Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)]
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A width and a list of rows of that width over sparse rational entries."""
+    width = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=width, max_size=width), max_size=12))
+    return width, rows
+
+
+@given(sparse_matrices(), st.lists(sparse_entries, min_size=9, max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_sparse_elimination_matches_dense_reference(matrix, probe):
+    width, rows = matrix
+    probe = probe[:width]
+    fast, dense = Subspace(RATIONALS, width), DenseSubspace(width)
+    for row in rows:
+        assert fast.insert(row) == dense.insert(row)
+        assert (fast.rows, fast.pivots) == (dense.rows, dense.pivots)
+        assert fast.support == [[k for k, c in enumerate(r) if c] for r in fast.rows]
+        assert fast.reduce(probe) == dense.reduce(probe)
+    copied = fast.copy()
+    assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
+    kernel, reference = kernel_coefficients(RATIONALS, rows), dense_kernel_coefficients(rows)
+    assert (kernel.rows, kernel.pivots) == (reference.rows, reference.pivots)
+    assert kernel.support == [[k for k, c in enumerate(r) if c] for r in kernel.rows]
 
 
 def test_canonical_echelon():

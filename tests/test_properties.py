@@ -29,8 +29,9 @@ from lumpwalk import test_exact as exact_test
 from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk.algebra import conjugate_character_index
-from lumpwalk.linalg import Subspace
-from lumpwalk.lumping import _averaging_kernel, _cut_times_w_eta
+from lumpwalk.linalg import Subspace, nullspace
+from lumpwalk.lumping import _averaging_kernel, _cut_coset_values, _first_cut_violation
+from lumpwalk.lumping import compute_Lw
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
 from tests.conftest import lazy_frustrator
 from tests.oracle_suite import WEIGHT_KINDS, build_pool, run_suite, sample_weight, theta_basis
@@ -102,6 +103,13 @@ def dense_hecke_check(problem, anti=False):
     return True
 
 
+def cut_element(problem, w, side="left"):
+    """The obstruction of one side as an element: its coset value at every group element."""
+    decomposition = problem.left if side == "left" else problem.right
+    values = _cut_coset_values(problem, w, side)
+    return AlgebraElement(problem.group, [values[c] for c in decomposition.coset_of])
+
+
 def test_closed_forms_match_dense_references_on_pool():
     """The closed forms of the weak and verdict paths against the dense products they replace."""
     rng = random.Random(4242)
@@ -117,9 +125,8 @@ def test_closed_forms_match_dense_references_on_pool():
             left = weta - eta_H * weta
             etaw = eta_H * w
             right = etaw - etaw * eta_H
-            assert _cut_times_w_eta(problem, w) == left, (label, kind)
-            assert _cut_times_w_eta(problem, w, "left") == left, (label, kind)
-            assert _cut_times_w_eta(problem, w, "right") == right, (label, kind)
+            assert cut_element(problem, w) == left, (label, kind)
+            assert cut_element(problem, w, "right") == right, (label, kind)
             assert strong_test(problem, w)[0] == left.is_zero(), (label, kind)
             assert exact_test(problem, w)[0] == right.is_zero(), (label, kind)
             assert walk_lumped_matrix(problem, w) == dense_lumped_matrix(problem, w), (label, kind)
@@ -133,6 +140,51 @@ def test_closed_forms_match_dense_references_on_pool():
             anti_order_fails.append(label)
     # the pool holds non-commutative Hecke algebras, where the order matters
     assert anti_order_fails == ["S4/V4", "S4/<(3,4)>"]
+
+
+def test_weak_path_tables_match_dense_products_on_pool():
+    """The action table and the coset-level obstruction against dense products.
+
+    Checked on the basis rows of L_w, on the unit vectors of the subgroup
+    algebra, and on the annihilator {u : u z = 0} of the obstruction z, which
+    the coset-level check must pass as a whole.
+    """
+    rng = random.Random(5151)
+    weak = nonweak = 0
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        n = problem.subgroup.order
+        units = Subspace(RATIONALS, n, [[Fraction(k == j) for k in range(n)] for j in range(n)])
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            weta = w * problem.eta_H
+            z = weta - problem.eta_H * weta
+            action = problem.weight_action(w)
+            lw = compute_Lw(problem, w)
+            unit_products = [problem.from_H_vector(row) * z for row in units.rows]
+            annihilator = nullspace(RATIONALS, [[uz.coeffs[g] for uz in unit_products]
+                                                for g in range(G.order)], n)
+            assert _first_cut_violation(problem, w, annihilator) is None, (label, kind)
+            for M in (lw.pi_H, units):
+                for row in M.rows:
+                    dense = problem.coset_components(problem.from_H_vector(row) * w)
+                    assert problem.times_weight(action, row) == dense, (label, kind)
+                first = next((row for row in M.rows
+                              if not (problem.from_H_vector(row) * z).is_zero()), None)
+                assert _first_cut_violation(problem, w, M) == first, (label, kind)
+            if lw.weakly_lumping:
+                assert lw.cut_violation is None, (label, kind)
+                weak += 1
+            else:
+                first = next(row for row in lw.pi_H.rows
+                             if not (problem.from_H_vector(row) * z).is_zero())
+                assert lw.cut_violation == problem.from_H_vector(first), (label, kind)
+                nonweak += 1
+    assert weak > 0 and nonweak > 0
 
 
 def dense_abelian_pairings(problem, w):
