@@ -329,15 +329,6 @@ def abelian_characters(H: Subgroup):
     return m, keyed
 
 
-def conjugate_character_index(H: Subgroup, m: int, chars, index: int) -> int:
-    """Index of the complex conjugate of the given character."""
-    target = tuple((-chars[index][h]) % m for h in H.members)
-    for j, chi in enumerate(chars):
-        if tuple(chi[h] for h in H.members) == target:
-            return j
-    raise InvariantError("conjugate character missing")
-
-
 def abelian_character_idempotent(H: Subgroup, character: dict, order: int | None = None) -> AlgebraElement:
     """Primitive idempotent (1/|H|) sum_h chi(h^-1) h of an abelian subgroup.
 

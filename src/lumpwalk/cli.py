@@ -9,6 +9,7 @@ across runs for identical inputs unless `--timing` is requested.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -291,9 +292,7 @@ def _cmd_theta_dim(inputs: Inputs, args) -> dict:
 def _cmd_abelian_test(inputs: Inputs, args) -> dict:
     problem = inputs.load_problem()
     w = inputs.load_weight()
-    verdict, witness, idem = abelian_weak_test(
-        problem, w, conjugation_closed_only=args.real_only
-    )
+    verdict, witness, idem = abelian_weak_test(problem, w)
     report = _report_base("abelian-test", inputs)
     report["verdicts"]["weak"] = verdict
     if verdict:
@@ -477,7 +476,9 @@ def _build_parser() -> _Parser:
             "closure of the trivial character under nonzero double-coset pairings (abelian subgroup)",
             weight=True)
     p.add_argument("--real-only", action="store_true",
-                   help="close under complex conjugation of characters as well")
+                   help="ask for a conjugation-closed witness; accepted, but it cannot "
+                        "change the result: for a rational weight the closure of the "
+                        "trivial character is conjugation-closed already")
 
     add("lumped-q", _cmd_lumped_q, "aggregated coset matrix and its orbital decomposition", weight=True)
     add("orbital", _cmd_orbital, "orbital matrices of the coset action")
@@ -509,6 +510,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use; `parse_args` returns a
+    fresh namespace on every call, so requests share nothing through it."""
+    return _build_parser()
+
+
 def _render_text(report: dict, out) -> None:
     def walk(prefix, value):
         if isinstance(value, dict):
@@ -523,9 +531,8 @@ def _render_text(report: dict, out) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     inputs = Inputs(args)

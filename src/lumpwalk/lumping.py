@@ -29,7 +29,6 @@ from .algebra import (
     AlgebraElement,
     abelian_characters,
     character_idempotent,
-    conjugate_character_index,
     coset_sums,
     eta,
     is_idempotent,
@@ -576,8 +575,7 @@ def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
 # the abelian-subgroup linear-system test
 
 
-def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement,
-                      conjugation_closed_only: bool = False):
+def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement):
     """Certify weak lumping by a subset of characters (abelian H only).
 
     For characters chi_b, chi_c and a double-coset representative x the
@@ -588,11 +586,11 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement,
     when some pairing for (b, c) is nonzero: the certifying sets are the sets
     closed under -> that avoid the forbidden characters b != 0 with b -> 0.
     They are closed under intersection, so the smallest one is the closure of
-    the trivial character under nonzero double-coset pairings (also under
-    complex conjugation with ``conjugation_closed_only``), and the walk lumps
-    weakly iff that closure avoids the forbidden characters.  For a rational
-    weight, conjugating b and c conjugates the pairing, so the closure is
-    conjugation-closed already and both modes give the same answer.
+    the trivial character under nonzero double-coset pairings, and the walk
+    lumps weakly iff that closure avoids the forbidden characters.  For a
+    rational weight, conjugating b and c conjugates the pairing, so the closure
+    is closed under complex conjugation already: asking for a
+    conjugation-closed certificate cannot change the answer.
 
     Returns (verdict, P, e_P) with P the sorted closure and e_P the sum of
     its character idempotents, or (False, None, None).
@@ -636,11 +634,8 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement,
         b = frontier.pop()
         if b and pairs_nonzero(b, 0):
             return False, None, None
-        targets = [c for c in range(len(chars)) if c not in closure and pairs_nonzero(b, c)]
-        if conjugation_closed_only:
-            targets.append(conjugate_character_index(H, m, chars, b))
-        for c in targets:
-            if c not in closure:
+        for c in range(len(chars)):
+            if c not in closure and pairs_nonzero(b, c):
                 closure.add(c)
                 frontier.append(c)
     P = tuple(sorted(closure))

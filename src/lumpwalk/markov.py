@@ -6,17 +6,23 @@ It provides the minimal stable subspace for a start distribution, the
 weak/strong/exact lumping tests, the maximal stable subspace, stationary
 distributions, lumped transition matrices, exact conditional laws given a
 lump history, and time reversal.
+
+A transition matrix keeps the nonzero entries of each row beside its dense
+rows; validation and every step of the chain read only those.  The cut
+`V ∩ ker F` of a stable subspace is the kernel of `F` on a basis of `V`,
+eliminated over images as wide as the number of lumps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
-from .linalg import Subspace, intersect, kernel_span
+from .linalg import Subspace, kernel_span
 from .scalars import RATIONALS, parse_rational
 
 STATE_CAP = 5_000
@@ -50,34 +56,44 @@ class Distribution:
 
 
 class TransitionMatrix:
-    """Row-stochastic matrix with exact rational entries acting on row vectors."""
+    """Row-stochastic matrix with exact rational entries acting on row vectors.
 
-    __slots__ = ("n", "rows")
+    ``rows`` is the dense matrix; ``nonzero[x]`` lists the ``(y, P(x, y))``
+    pairs with ``P(x, y) != 0`` in ascending ``y``, so validation and
+    ``apply`` touch only those entries.
+    """
+
+    __slots__ = ("n", "rows", "nonzero")
 
     def __init__(self, rows):
-        rows = [list(map(Fraction, r)) for r in rows]
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
         n = len(rows)
         if n > STATE_CAP:
             raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
+        nonzero = []
         for r in rows:
             if len(r) != n:
                 raise DomainError("transition matrix must be square")
-            if any(x < 0 for x in r):
+            pairs = [(y, p) for y, p in enumerate(r) if p]
+            if any(p.numerator < 0 for _, p in pairs):
                 raise DomainError("negative transition probability")
-            if sum(r) != 1:
+            # summed in integers over the row's common denominator: adding
+            # Fractions one by one takes a gcd per term
+            den = math.lcm(*{p.denominator for _, p in pairs})
+            if sum(p.numerator * (den // p.denominator) for _, p in pairs) != den:
                 raise DomainError("row of transition matrix does not sum to 1")
+            nonzero.append(pairs)
         self.n = n
         self.rows = rows
+        self.nonzero = nonzero
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         """Row vector times matrix."""
         out = [Fraction(0)] * self.n
-        for x, vx in enumerate(vec):
+        for vx, pairs in zip(vec, self.nonzero):
             if vx:
-                row = self.rows[x]
-                for y, p in enumerate(row):
-                    if p:
-                        out[y] = out[y] + vx * p
+                for y, p in pairs:
+                    out[y] = out[y] + vx * p
         return out
 
     def step(self, alpha: Distribution) -> Distribution:
@@ -132,7 +148,8 @@ class LumpingFunction:
 
     def project(self, vec, b: int) -> list[Fraction]:
         """The projection Pi_b, zeroing coordinates outside lump b."""
-        return [x if self.lump_of[i] == b else Fraction(0) for i, x in enumerate(vec)]
+        zero = Fraction(0)
+        return [x if self.lump_of[i] == b else zero for i, x in enumerate(vec)]
 
     def apply_F(self, vec) -> list[Fraction]:
         out = [Fraction(0)] * self.n_lumps
@@ -201,7 +218,8 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
     steps = 0
     while frontier:
         steps += 1
-        assert steps <= n, "minimal stable space failed to stabilize in |A| steps"
+        if steps > n:
+            raise InvariantError("minimal stable space failed to stabilize in |A| steps")
         new_frontier = []
         for v in frontier:
             vP = P.apply(v)
@@ -210,7 +228,15 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
                 if any(proj) and V.insert(proj):
                     new_frontier.append(proj)
         frontier = new_frontier
-    return GLSpace(V, "minimal-for-alpha", intersect(V, f.kernel_F()))
+    return GLSpace(V, "minimal-for-alpha", _cut(f, V))
+
+
+def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
+    """V cap ker F, from the lump images of a basis of V (n_lumps wide, not 2n).
+
+    The same subspace as `intersect(V, f.kernel_F())`, in the same canonical RREF.
+    """
+    return kernel_span(RATIONALS, [f.apply_F(v) for v in V.rows], V.rows, V.ambient)
 
 
 def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
@@ -257,7 +283,8 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     from .linalg import nullspace
 
     sols = nullspace(RATIONALS, rows, n)
-    assert sols.dim == 1, "irreducible chain must have a unique stationary law"
+    if sols.dim != 1:
+        raise InvariantError("irreducible chain must have a unique stationary law")
     vec = sols.rows[0]
     total = sum(vec)
     mu = [x / total for x in vec]
@@ -358,7 +385,8 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
         if all(V.contains(P.apply(v)) for v in V.rows):
             break
         replacements += 1
-        assert replacements <= max(n - m, 0) + 1, "maximal stable space failed to stabilize"
+        if replacements > max(n - m, 0) + 1:
+            raise InvariantError("maximal stable space failed to stabilize")
         new_blocks = []
         for blk in blocks:
             if blk.dim == 0:
@@ -368,7 +396,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
             new_blocks.append(kernel_span(RATIONALS, residues, blk.rows, n))
         blocks = new_blocks
         V = combined(blocks)
-    return GLSpace(V, "V_max", intersect(V, f.kernel_F()))
+    return GLSpace(V, "V_max", _cut(f, V))
 
 
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
@@ -428,9 +456,17 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
     n, lines = _read_states(text, "matrix")
     if len(lines) != n:
         raise InputFormatError(f"expected {n} matrix rows, found {len(lines)}")
+    values = {}  # token -> Fraction: a walk matrix has few distinct entries
+
+    def value(tok):
+        x = values.get(tok)
+        if x is None:
+            x = values[tok] = parse_rational(tok)
+        return x
+
     rows = []
     for ln in lines:
-        entries = [parse_rational(tok) for tok in ln.split()]
+        entries = [value(tok) for tok in ln.split()]
         if len(entries) != n:
             raise InputFormatError("matrix row with wrong entry count")
         rows.append(entries)

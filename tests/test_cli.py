@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ DIST_ID = "1 id\n"
 DIST_ETA_T = "1/2 id\n1/2 (2,3)\n"
 IDEMPOTENT = "1/2 id\n1/2 (2,3)\n"
 NONWEAK = "1/2 (1,2)\n1/2 (1,2,3,4)\n"
+TOP_TO_RANDOM = "1/4 id\n1/4 (1,2)\n1/4 (1,3,2)\n1/4 (1,4,3,2)\n"
 DIE = "1/4 (3,4)\n1/6 (2,4,3)\n1/6 (1,2)\n1/12 (1,3,4)\n1/4 (1,4,2)\n1/12 (1,4,2,3)\n"
 DIE_STAR = "1/4 (3,4)\n1/6 (2,3,4)\n1/6 (1,2)\n1/4 (1,2,4)\n1/12 (1,3,2,4)\n1/12 (1,4,3)\n"
 TRANSPOSITIONS = "".join(f"1/6 ({i},{j})\n" for i in range(1, 5) for j in range(i + 1, 5))
@@ -39,15 +41,16 @@ DIST5_S3 = "".join(f"1/6 {g}\n" for g in ("id", "(2,3)", "(2,4)", "(3,4)", "(2,3
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
 ABELIAN_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_abelian_reports.json"
 VERDICT_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_verdict_reports.json"
+GENERIC_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_generic_reports.json"
 
 
-@pytest.fixture()
-def files(tmp_path):
+def write_files(tmp_path):
     paths = {}
     for name, text in [
         ("group", GROUP), ("subgroup", SUBGROUP), ("cyclic", CYCLIC),
         ("inner", INNER), ("weight", WEIGHT), ("dist_id", DIST_ID),
         ("dist_eta_t", DIST_ETA_T), ("idempotent", IDEMPOTENT), ("nonweak", NONWEAK),
+        ("top_to_random", TOP_TO_RANDOM),
         ("die", DIE), ("die_star", DIE_STAR), ("transpositions", TRANSPOSITIONS),
         ("dihedral", DIHEDRAL), ("reflection", REFLECTION),
         ("dihedral_weight", DIHEDRAL_WEIGHT), ("dihedral_rotations", DIHEDRAL_ROTATIONS),
@@ -58,6 +61,11 @@ def files(tmp_path):
         p.write_text(text)
         paths[name] = str(p)
     return paths
+
+
+@pytest.fixture()
+def files(tmp_path):
+    return write_files(tmp_path)
 
 
 def run_cli(*args, interpreter_flags=()):
@@ -271,9 +279,95 @@ def test_golden_verdict_reports(files):
         assert golden_report(argv) == expected[name], name
 
 
-def test_reports_do_not_depend_on_asserts(files):
+def write_chain(files, tmp_path, name, group, subgroup, weight, starts):
+    """Matrix and lump-map files of the walk of a weight file, lumped to left cosets.
+
+    Also writes one distribution file per entry of `starts` that lists
+    elements, uniform on them (`None` stands for the default start).  Rows are built here from the group's multiplication, not
+    by `lumpwalk.markov`, whose parsing is under test.
+    """
+    from lumpwalk import LumpingProblem
+    from lumpwalk.algebra import parse_element_file
+    from lumpwalk.groups import parse_group_file
+
+    G = parse_group_file(Path(files[group]).read_text())
+    spec = parse_group_file(Path(files[subgroup]).read_text())
+    H = G.subgroup([spec.elements[g] for g in spec.generators])
+    w = parse_element_file(Path(files[weight]).read_text(), G)
+    support = [(g, c / w.total()) for g, c in w.support()]
+    rows = []
+    for x in range(G.order):
+        row = [Fraction(0)] * G.order
+        for g, p in support:
+            row[G.mul(x, g)] += p
+        rows.append(" ".join(str(p) for p in row))
+    coset_of = LumpingProblem(G, H).left.coset_of
+    texts = {
+        "matrix": f"states {G.order}\n" + "\n".join(rows) + "\n",
+        "lumpmap": "".join(f"lump {x} c{c}\n" for x, c in enumerate(coset_of)),
+    }
+    for start, elements in starts.items():
+        if elements is None:
+            continue
+        ids = {G.element_of(e) for e in elements}
+        row = [str(Fraction(1, len(ids))) if x in ids else "0" for x in range(G.order)]
+        texts[start] = f"states {G.order}\n" + " ".join(row) + "\n"
+    out = {}
+    for role, text in texts.items():
+        path = tmp_path / f"{name}-{role}.txt"
+        path.write_text(text)
+        out[role] = str(path)
+    return out
+
+
+def generic_golden_cases(files, tmp_path):
+    """The generic-test requests whose reports are pinned in GENERIC_GOLDEN_PATH.
+
+    Walk matrices of the S4 fixtures (top-card with the frustrator, with the
+    non-weak weight and with top-to-random, which lumps exactly; the die over
+    C4) and of S5 over its top-card stabiliser.
+    Starts: the uniform default, a point at the identity and, on the top-card
+    chain, `eta_T` of the middle swap.  The point start and the non-weak weight
+    pin `violating_vector` certificates.
+    """
+    uniform, point = {"uniform": None}, {"point": ["id"]}
+    both = {**uniform, **point}
+    chains = {
+        "top": ("group", "subgroup", "weight", {**both, "eta-t": ["id", "(2,3)"]}),
+        "top-nonweak": ("group", "subgroup", "nonweak", both),
+        "top-to-random": ("group", "subgroup", "top_to_random", both),
+        "die": ("group", "cyclic", "die", both),
+        "s5-bottom5": ("sym5", "top5", "bottom5", uniform),
+        "s5-rtt5": ("sym5", "top5", "rtt5", point),
+    }
+    out = {}
+    for name, (group, subgroup, weight, starts) in chains.items():
+        chain = write_chain(files, tmp_path, name, group, subgroup, weight, starts)
+        argv = ["--matrix", chain["matrix"], "--lumpmap", chain["lumpmap"]]
+        out[f"generic-strong-{name}"] = ["generic-test", "strong", *argv]
+        for start, elements in starts.items():
+            dist = [] if elements is None else ["--dist", chain[start]]
+            for kind in ("exact", "weak"):
+                out[f"generic-{kind}-{name}-{start}"] = ["generic-test", kind, *argv, *dist]
+    return out
+
+
+def test_golden_generic_reports(files, tmp_path):
+    expected = json.loads(GENERIC_GOLDEN_PATH.read_text())
+    cases = generic_golden_cases(files, tmp_path)
+    assert set(cases) == set(expected)
+    assert any("certificates" in report for report in expected.values())
+    for name, argv in cases.items():
+        assert golden_report(argv) == expected[name], name
+
+
+def test_reports_do_not_depend_on_asserts(files, tmp_path):
     """`python -O` strips assert statements; no verdict or report may change."""
     abelian = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"]]
+    chains = {}
+    for name, weight in (("weak", "weight"), ("nonweak", "nonweak")):
+        chain = write_chain(files, tmp_path, name, "group", "subgroup", weight, {})
+        chains[name] = ["--matrix", chain["matrix"], "--lumpmap", chain["lumpmap"]]
     requests = [
         [*abelian, "--weight", files["die"]],
         [*abelian, "--weight", files["die"], "--real-only"],
@@ -286,12 +380,47 @@ def test_reports_do_not_depend_on_asserts(files):
         ["test", "weak", *common(files, "--weight", files["nonweak"])],
         ["jw", *common(files, "--weight", files["weight"])],
         ["test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"])],
+        ["generic-test", "weak", *chains["weak"]],
+        ["generic-test", "weak", *chains["nonweak"]],
+        ["generic-test", "exact", *chains["weak"]],
     ]
     for argv in requests:
         plain = run_cli(*argv, "--json")
         optimized = run_cli(*argv, "--json", interpreter_flags=["-O"])
         assert plain.returncode == 0, (argv, plain.stderr)
         assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout), argv
+
+
+def test_reused_parser_matches_fresh_processes(files, tmp_path, capsys, monkeypatch):
+    """`cli.main` keeps one parser per process; no call may see an earlier call's options."""
+    from lumpwalk import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+    chain = write_chain(files, tmp_path, "top", "group", "subgroup", "weight", {"point": ["id"]})
+    generic = ["generic-test", "weak", "--matrix", chain["matrix"], "--lumpmap", chain["lumpmap"]]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("degree x\n")
+    sequence = [
+        (["cosets", "--group", str(bad), "--subgroup", files["subgroup"]], 1),
+        (["test", "weak", "--group", files["group"]], 1),
+        ([*generic, "--dist", chain["point"], "--json"], 0),
+        ([*generic, "--json"], 0),
+        (["test", "weak", *common(files, "--weight", files["weight"]), "--json"], 0),
+        (["--version"], 0),
+        (["--help"], 0),
+    ]
+    parser = cli._parser()
+    for argv, code in sequence:
+        assert cli.main(argv) == code, argv
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._parser() is parser
+    # the run without --dist took the uniform default, not the previous run's file
+    assert cli.main([*generic, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["inputs"]) == {"matrix", "lumpmap"}
+    assert report["verdicts"]["weak"] is True
 
 
 def test_orbital_hecke_isomorphism_noncommutative(files, tmp_path):

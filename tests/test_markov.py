@@ -28,6 +28,7 @@ from lumpwalk import (
 )
 from lumpwalk.errors import DomainError, InputFormatError
 from lumpwalk.markov import (
+    STATE_CAP,
     lumped_matrix_from_start,
     parse_distribution_file,
     parse_lump_file,
@@ -55,6 +56,54 @@ def test_transition_from_weight_rows(sym4):
     assert all(Pid.rows[x][x] == 1 for x in range(24))
     doubled = random_to_top(sym4).scale(2)
     assert transition_from_weight(sym4, doubled) == P
+
+
+def dense_apply(P, vec):
+    """Reference: row vector times the dense matrix, every entry visited."""
+    return [sum((vec[x] * P.rows[x][y] for x in range(P.n)), Fraction(0)) for y in range(P.n)]
+
+
+def test_sparse_rows_match_dense_reference(sym4, frustrator):
+    rng = random.Random(77)
+    chains = [transition_from_weight(sym4, w) for w in (frustrator, random_to_top(sym4))]
+    for n in (1, 3, 7):
+        rows = []
+        for _ in range(n):
+            raw = [rng.choice([0, 0, 1, 2, 5]) for _ in range(n)]
+            raw[rng.randrange(n)] += 1
+            rows.append([Fraction(r, sum(raw)) for r in raw])
+        chains.append(TransitionMatrix(rows))
+    for P in chains:
+        assert P.nonzero == [[(y, p) for y, p in enumerate(row) if p] for row in P.rows]
+        for _ in range(5):
+            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * rng.randint(0, 1)
+                   for _ in range(P.n)]
+            assert P.apply(vec) == dense_apply(P, vec)
+        for x in range(P.n):
+            unit = [Fraction(int(y == x)) for y in range(P.n)]
+            assert P.apply(unit) == P.rows[x] == dense_apply(P, unit)
+
+
+def test_transition_matrix_validation():
+    half = Fraction(1, 2)
+    assert TransitionMatrix([[1, 0], ["1/3", Fraction(2, 3)]]).rows[1] == [Fraction(1, 3),
+                                                                          Fraction(2, 3)]
+    with pytest.raises(DomainError, match="square"):
+        TransitionMatrix([[half, half]])
+    with pytest.raises(DomainError, match="square"):
+        TransitionMatrix([[1, 0], [1]])
+    with pytest.raises(DomainError, match="negative"):
+        TransitionMatrix([[1, 0], [Fraction(3, 2), -half]])
+    with pytest.raises(DomainError, match="sum to 1"):
+        TransitionMatrix([[half, Fraction(1, 3)], [1, 0]])
+    with pytest.raises(DomainError, match="sum to 1"):
+        TransitionMatrix([[0, 0], [0, 1]])
+    with pytest.raises(DomainError, match="sum to 1"):
+        # 1/6 + 1/10 + 10/15 + 1/30 = 29/30, over a common denominator of several
+        TransitionMatrix([[Fraction(1, 6), Fraction(1, 10)] + [Fraction(1, 15)] * 10
+                          + [Fraction(1, 30)]] * 13)
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        TransitionMatrix([[]] * (STATE_CAP + 1))
 
 
 # -- the minimal stable space and the three tests -----------------------------
@@ -377,3 +426,15 @@ def test_matrix_files(tmp_path):
         parse_lump_file("lump 0 a\n", 2)
     with pytest.raises(DomainError):
         parse_matrix_file("states 2\n1/2 1/3\n1 0\n")
+
+
+def test_matrix_file_tokens():
+    # equal tokens give equal values, and equal values written differently agree
+    P = parse_matrix_file("states 3\n1/3 1/3 1/3\n2/6 0 4/6\n0 1 0\n")
+    assert P.rows == [[Fraction(1, 3)] * 3, [Fraction(1, 3), 0, Fraction(2, 3)], [0, 1, 0]]
+    assert P.nonzero[1] == [(0, Fraction(1, 3)), (2, Fraction(2, 3))]
+    # a bad token fails wherever it repeats, and so does a zero denominator
+    for text in ("states 2\n1/x 1/x\n1/x 1/x\n", "states 2\n1/2 1/2\n1/x 1/x\n",
+                 "states 2\n1/2 1/2\n1/0 1\n", "states 2\n1/0 1/0\n1/0 1/0\n"):
+        with pytest.raises(InputFormatError):
+            parse_matrix_file(text)
