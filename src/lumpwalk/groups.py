@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InputFormatError, ResourceError
+from .errors import DomainError, InputFormatError, InvariantError, ResourceError
 
 DEFAULT_ORDER_CAP = 20_000
 
@@ -150,7 +150,8 @@ class FiniteGroup:
         self.index = {p.images: i for i, p in enumerate(elements)}
         self.generators = tuple(generators)
         self._inverses = None
-        assert elements[0].is_identity()
+        if not elements[0].is_identity():
+            raise InvariantError("the first enumerated group element is not the identity")
 
     # -- construction -------------------------------------------------------
 

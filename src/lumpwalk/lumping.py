@@ -11,13 +11,21 @@ never as a product in the group algebra.  The weak obstruction u z, with
 z = (1 - eta_H) w eta_H constant on left cosets, is checked at one
 representative per coset.
 
+Both fixpoints are the one worklist closure `linalg.closure`.  The cut of
+L_w is the closure of eta_H (and the coset components of a start) under the
+generators of H and under u -> each coset component of u w.  The cut of J_w
+is read through the time-reversal duality: its annihilator under the plain
+dot product is the closure of the all-ones vector under the transposed
+action table, a -> M_c a, and the cut is the nullspace of the annihilator
+plus eta_H.
+
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
 matrix read coset and double-coset sums of w; the lumped matrix and `hecke`
-read the table `pair_classes` of the double coset of r_i^-1 r_j; the starting
-cut of J_w is written in its canonical basis; the abelian test reads its
-character pairings off w on each double coset.  The dense forms remain as
-references in `tests/test_properties.py`.
+read the table `pair_classes` of the double coset of r_i^-1 r_j; the abelian
+test reads its character pairings off w on each double coset.  The dense
+forms, and the round-based fixpoint loops, remain as references in
+`tests/test_properties.py`.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .algebra import (
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets
-from .linalg import Subspace, kernel_span, permutation_closure
+from .linalg import Subspace, closure, nullspace, permuted
 from .scalars import RATIONALS, common_field, cyclotomic_field
 
 
@@ -133,6 +141,23 @@ class LumpingProblem:
                     comp[pos] = comp[pos] + c * value
         return out
 
+    def transposed_times_weight(self, action: list[list[tuple]], vec) -> list[list]:
+        """M_c a for each coset id c, where u M_c is the coset-c component of u w.
+
+        M_c[p][pos] sums w(g) over the entries (c, pos, w(g)) of ``action[p]``,
+        so (M_c a)[p] is read from row p of the table.  Under the plain dot
+        product, (u M_c) . a = u . (M_c a).
+        """
+        zero = RATIONALS.zero
+        out = [[zero] * self.subgroup.order for _ in range(self.index)]
+        for p, entries in enumerate(action):
+            for cid, pos, value in entries:
+                c = vec[pos]
+                if c:
+                    comp = out[cid]
+                    comp[p] = comp[p] + value * c
+        return out
+
     def _H_generator_perms(self):
         """Left multiplication by each subgroup generator as an index map."""
         if self._H_gen_perms is None:
@@ -143,9 +168,20 @@ class LumpingProblem:
             self._H_gen_perms = tuple(perms)
         return self._H_gen_perms
 
-    def close_H_ideal(self, space: Subspace) -> Subspace:
-        """Smallest left ideal of the subgroup algebra containing the span."""
-        return permutation_closure(space, self._H_generator_perms())
+    def close_H_ideal(self, space: Subspace, action: list) -> Subspace:
+        """Smallest left ideal of the subgroup algebra containing the span and
+        closed under u -> each coset component of u w, for the action table of
+        a weight w (`weight_action`).
+        """
+        perms = self._H_generator_perms()
+        zero = space.field.zero
+
+        def successors(u):
+            for perm in perms:
+                yield permuted(u, perm, zero)
+            yield from self.times_weight(action, u)
+
+        return closure(space, successors)
 
     def eta_H_vector(self, scalar_field=RATIONALS) -> list:
         return self.to_H_vector(self.eta_H.to_field(scalar_field))
@@ -359,31 +395,6 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: Subspace
     return None
 
 
-def _grow_minimal_ideal(problem: LumpingProblem, action: list, seed: Subspace) -> Subspace:
-    """Fixpoint M <- ideal(M + all translated coset components of M w).
-
-    ``action`` is the table of right multiplication by w from
-    `LumpingProblem.weight_action`.
-    """
-    M = problem.close_H_ideal(seed)
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > problem.subgroup.order + 1:
-            raise InvariantError("minimal ideal failed to stabilize")
-        fresh = []
-        for row in M.basis():
-            for comp in problem.times_weight(action, row):
-                if not M.contains(comp):
-                    fresh.append(comp)
-        if not fresh:
-            return M
-        grown = M.copy()
-        for comp in fresh:
-            grown.insert(comp)
-        M = problem.close_H_ideal(grown)
-
-
 def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
                    alpha: AlgebraElement | None) -> GurvitsLedouxIdeal:
     """Minimal induced ideal containing eta_G (and alpha, if given), stable under w.
@@ -401,7 +412,7 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     if alpha is not None:
         for comp in problem.coset_components(alpha.require_distribution()):
             seed.insert(comp)
-    M = _grow_minimal_ideal(problem, problem.weight_action(w), seed)
+    M = problem.close_H_ideal(seed, problem.weight_action(w))
     ideal = GurvitsLedouxIdeal(problem, M, "minimal" if alpha is None else "minimal-for-start")
     violation = _first_cut_violation(problem, w, M)
     if violation is not None:
@@ -433,59 +444,30 @@ def compute_L_alpha_w(problem: LumpingProblem, w: AlgebraElement, alpha: Algebra
 # the maximal ideal and the distribution-level test
 
 
-def _averaging_kernel(problem: LumpingProblem) -> Subspace:
-    """Cut of the full subgroup algebra: the kernel {v : sum v = 0} of averaging.
+def _maximal_cut_annihilator(problem: LumpingProblem, action: list) -> Subspace:
+    """The annihilator, under the plain dot product, of the cut C of J_w.
 
-    It is spanned by h - eta_H over the members h; its canonical basis is
-    e_j - e_{|H|-1} for j < |H| - 1.
+    C is the largest subspace of {v : sum v = 0} with u M_c in C for every u
+    in C and every coset id c (`transposed_times_weight`).  Its annihilator
+    is the smallest subspace that contains the all-ones vector and is closed
+    under a -> M_c a, the time-reversal dual of a minimal ideal.
     """
     n = problem.subgroup.order
-    cut = Subspace(RATIONALS, n)
-    for j in range(n - 1):
-        vec = [RATIONALS.zero] * n
-        vec[j], vec[n - 1] = RATIONALS.one, -RATIONALS.one
-        cut.insert(vec)
-    return cut
+    ones = Subspace(RATIONALS, n, [[RATIONALS.one] * n])
+    return closure(ones, lambda a: problem.transposed_times_weight(action, a))
 
 
 def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
-    """Maximal induced ideal certifying weak lumping; start sets are its simplex."""
+    """Maximal induced ideal certifying weak lumping; start sets are its simplex.
+
+    Its cut is C + Q eta_H, with C the nullspace of `_maximal_cut_annihilator`.
+    """
     weak, _, _ = test_weak_weight(problem, w)
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
-    w = w.require_weight()
-    H = problem.subgroup
-    eta_vec = problem.eta_H_vector()
-    action = problem.weight_action(w)
-
-    def restrict_mod(ideal_cut: Subspace, include_eta: bool) -> Subspace:
-        """{u in ideal_cut : u w lies in the ideal induced from (ideal_cut [+ eta_H])}."""
-        reducer = ideal_cut.copy()
-        if include_eta:
-            reducer.insert(eta_vec)
-        images = []
-        for row in ideal_cut.rows:
-            flat = []
-            for comp in problem.times_weight(action, row):
-                flat.extend(reducer.reduce(comp))
-            images.append(flat)
-        return kernel_span(RATIONALS, images, ideal_cut.rows, H.order)
-
-    current = _averaging_kernel(problem)
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > H.order + 1:
-            raise InvariantError("maximal ideal failed to stabilize")
-        narrowed = restrict_mod(current, include_eta=False)
-        again = restrict_mod(narrowed, include_eta=True)
-        if again.dim == current.dim:
-            current = again
-            break
-        current = again
-
-    pi_H = current.copy()
-    pi_H.insert(eta_vec)
+    annihilator = _maximal_cut_annihilator(problem, problem.weight_action(w.require_weight()))
+    pi_H = nullspace(RATIONALS, annihilator.rows, problem.subgroup.order)
+    pi_H.insert(problem.eta_H_vector())
     ideal = GurvitsLedouxIdeal(problem, pi_H, "maximal")
     ideal.weakly_lumping = True
     return ideal

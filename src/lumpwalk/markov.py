@@ -10,13 +10,14 @@ lump history, and time reversal.
 A transition matrix keeps the nonzero entries of each row beside its dense
 rows; validation and every step of the chain read only those.  The cut
 `V ∩ ker F` of a stable subspace is the kernel of `F` on a basis of `V`,
-eliminated over images as wide as the number of lumps.
+eliminated over images as wide as the number of lumps, and is computed only
+by the callers that read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement
@@ -177,7 +178,6 @@ class GLSpace:
 
     space: Subspace
     provenance: str  # "minimal-for-alpha" | "V_max" | "user"
-    circ: Subspace = field(default=None)  # space  cap ker F, set by the constructors
 
     @property
     def dim(self) -> int:
@@ -228,7 +228,7 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
                 if any(proj) and V.insert(proj):
                     new_frontier.append(proj)
         frontier = new_frontier
-    return GLSpace(V, "minimal-for-alpha", _cut(f, V))
+    return GLSpace(V, "minimal-for-alpha")
 
 
 def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
@@ -242,7 +242,7 @@ def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
 def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
     """Weak lumping of MC(alpha, P) under f; certificate is a violating vector."""
     gl = minimal_GL_space(f, P, alpha)
-    for v in gl.circ.rows:
+    for v in _cut(f, gl.space).rows:
         image = f.apply_F(P.apply(v))
         if any(image):
             return False, list(v)
@@ -396,7 +396,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
             new_blocks.append(kernel_span(RATIONALS, residues, blk.rows, n))
         blocks = new_blocks
         V = combined(blocks)
-    return GLSpace(V, "V_max", _cut(f, V))
+    return GLSpace(V, "V_max")
 
 
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, InvariantError
 
 MAX_CYCLOTOMIC_ORDER = 64
 
@@ -45,11 +45,13 @@ def _poly_div_exact(num, den):
     lead = den[-1]
     for k in range(len(out) - 1, -1, -1):
         q, r = divmod(num[len(den) - 1 + k], lead)
-        assert r == 0, "non-exact cyclotomic division"
+        if r:
+            raise InvariantError("non-exact cyclotomic division")
         out[k] = q
         for j, b in enumerate(den):
             num[j + k] -= q * b
-    assert not _poly_trim(num), "non-zero remainder in cyclotomic division"
+    if _poly_trim(num):
+        raise InvariantError("non-zero remainder in cyclotomic division")
     return _poly_trim(out)
 
 
@@ -218,7 +220,8 @@ class CyclotomicField:
         self.order = order
         self.phi = _euler_phi(order)
         minimal = cyclotomic_polynomial(order)
-        assert len(minimal) == self.phi + 1
+        if len(minimal) != self.phi + 1:
+            raise InvariantError(f"cyclotomic polynomial of order {order} has the wrong degree")
         self._minimal = [Fraction(c) for c in minimal]
         # power_table[k] = coefficients of z^k in the basis, 0 <= k <= max(n-1, 2*phi-2)
         top = max(order - 1, 2 * self.phi - 2)
@@ -316,7 +319,8 @@ class CyclotomicField:
             q, r = _frac_poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _frac_poly_sub(s0, _poly_mul(q, s1))
-        assert r1, "minimal polynomial not coprime to element"
+        if not r1:
+            raise InvariantError("minimal polynomial not coprime to element")
         inv_lead = ONE / r1[0]
         coeffs = [c * inv_lead for c in s1]
         # reduce mod minimal (degree can be phi-1 at most already, but be safe)

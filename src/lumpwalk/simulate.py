@@ -9,10 +9,12 @@ anywhere in the package depends on them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement
+from .errors import InvariantError
 from .lumping import LumpingProblem
 
 _MASK = (1 << 64) - 1
@@ -61,13 +63,13 @@ def _sampler(entries):
             acc += p
             values.append(value)
             thresholds.append(acc)
-    assert acc == 1, "sampler probabilities must sum to 1"
+    if acc != 1:
+        raise InvariantError("sampler probabilities must sum to 1")
+    last = len(values) - 1
 
     def draw(u: Fraction):
-        for value, threshold in zip(values, thresholds):
-            if u < threshold:
-                return value
-        return values[-1]
+        """The value at the first threshold above u (the last value if none is)."""
+        return values[min(bisect_right(thresholds, u), last)]
 
     return draw
 

@@ -35,6 +35,7 @@ DIHEDRAL_ROTATIONS = "1/2 (1,2,3,4,5)\n1/2 (1,5,4,3,2)\n"
 SYM5 = "degree 5\ngen (1,2)\ngen (1,2,3,4,5)\n"
 TOP5 = "degree 5\ngen (2,3)\ngen (2,3,4,5)\n"
 BOTTOM5 = "1/4 (1,5,4,3,2)\n1/4 (1,5,3,2)\n1/4 (1,5,2)\n1/4 (1,5)\n"
+BOTTOM5_STAR = "1/4 (1,2,3,4,5)\n1/4 (1,2,3,5)\n1/4 (1,2,5)\n1/4 (1,5)\n"
 RTT5 = "1/5 id\n1/5 (1,2)\n1/5 (1,2,3)\n1/5 (1,2,3,4)\n1/5 (1,2,3,4,5)\n"
 DIST5_SWAP = "1/2 id\n1/2 (1,2)\n"
 DIST5_S3 = "".join(f"1/6 {g}\n" for g in ("id", "(2,3)", "(2,4)", "(3,4)", "(2,3,4)", "(2,4,3)"))
@@ -54,7 +55,8 @@ def write_files(tmp_path):
         ("die", DIE), ("die_star", DIE_STAR), ("transpositions", TRANSPOSITIONS),
         ("dihedral", DIHEDRAL), ("reflection", REFLECTION),
         ("dihedral_weight", DIHEDRAL_WEIGHT), ("dihedral_rotations", DIHEDRAL_ROTATIONS),
-        ("sym5", SYM5), ("top5", TOP5), ("bottom5", BOTTOM5), ("rtt5", RTT5),
+        ("sym5", SYM5), ("top5", TOP5), ("bottom5", BOTTOM5), ("bottom5_star", BOTTOM5_STAR),
+        ("rtt5", RTT5),
         ("dist5_swap", DIST5_SWAP), ("dist5_s3", DIST5_S3),
     ]:
         p = tmp_path / f"{name}.txt"
@@ -202,6 +204,13 @@ def golden_cases(files):
         out[f"s5-jw-{name}"] = ["jw", *s5]
         for dist in ("dist_id", "dist5_swap", "dist5_s3"):
             out[f"s5-test-dist-{name}-{dist}"] = ["test-dist", *s5, "--dist", files[dist]]
+    # the reversed bottom-card weight: weak, neither strong nor exact, and its
+    # maximal ideal lies strictly between the minimal one and the whole algebra
+    s5 = ["--group", files["sym5"], "--subgroup", files["top5"], "--weight", files["bottom5_star"]]
+    out["s5-test-weak-bottom5_star"] = ["test", "weak", *s5]
+    out["s5-jw-bottom5_star"] = ["jw", *s5]
+    for dist in ("dist_id", "dist5_swap"):
+        out[f"s5-test-dist-bottom5_star-{dist}"] = ["test-dist", *s5, "--dist", files[dist]]
     return out
 
 
@@ -383,6 +392,8 @@ def test_reports_do_not_depend_on_asserts(files, tmp_path):
         ["generic-test", "weak", *chains["weak"]],
         ["generic-test", "weak", *chains["nonweak"]],
         ["generic-test", "exact", *chains["weak"]],
+        ["simulate", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"]),
+         "--seed", "3", "--length", "500", "--diagnose"],
     ]
     for argv in requests:
         plain = run_cli(*argv, "--json")

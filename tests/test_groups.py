@@ -14,8 +14,14 @@ from lumpwalk import (
     parse_cycles,
     parse_group_file,
 )
-from lumpwalk.errors import DomainError, InputFormatError, ResourceError
+from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
 from lumpwalk.groups import DoubleCosetDecomposition, _closure, format_group_file
+
+
+def test_group_not_starting_at_the_identity_is_an_invariant_error():
+    swap, identity = Permutation((1, 0)), Permutation((0, 1))
+    with pytest.raises(InvariantError, match="identity"):
+        FiniteGroup(2, [swap, identity], [0])
 
 
 def test_generate_sym4():

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lumpwalk import (
     AlgebraElement,
     Distribution,
@@ -31,10 +34,13 @@ from lumpwalk import test_exact as exact_test
 from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
-from lumpwalk.linalg import Subspace, intersect, nullspace
-from lumpwalk.lumping import _averaging_kernel, _cut_coset_values, _first_cut_violation
-from lumpwalk.lumping import compute_Lw
+from lumpwalk.algebra import parse_element_file
+from lumpwalk.linalg import Subspace, closure, intersect, kernel_span, nullspace, permuted
+from lumpwalk.lumping import _cut_coset_values, _first_cut_violation, _maximal_cut_annihilator
+from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
+from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
+from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
 from tests.conftest import lazy_frustrator
 from tests.oracle_suite import WEIGHT_KINDS, build_pool, run_suite, sample_weight, theta_basis
 
@@ -112,6 +118,92 @@ def cut_element(problem, w, side="left"):
     return AlgebraElement(problem.group, [values[c] for c in decomposition.coset_of])
 
 
+def round_based_closure(V, perms):
+    """Reference: smallest subspace containing V and stable under coordinate permutations.
+
+    Each perm moves entry k of a vector to position perm[k].  Every round
+    translates every row by every perm, until a round adds nothing.
+    """
+    out = V.copy()
+    zero = out.field.zero
+    changed = True
+    while changed:
+        changed = False
+        for row in list(out.rows):
+            src = list(row)  # insert() may rewrite the stored row
+            for perm in perms:
+                shifted = [zero] * out.ambient
+                for pos, c in enumerate(src):
+                    if c:
+                        shifted[perm[pos]] = c
+                if out.insert(shifted):
+                    changed = True
+    return out
+
+
+def grown_minimal_ideal(problem, action, seed):
+    """Reference: M <- H-ideal(M + all coset components of M w) until nothing is added."""
+    perms = problem._H_generator_perms()
+    M = round_based_closure(seed, perms)
+    while True:
+        fresh = []
+        for row in M.basis():
+            for comp in problem.times_weight(action, row):
+                if not M.contains(comp):
+                    fresh.append(comp)
+        if not fresh:
+            return M
+        grown = M.copy()
+        for comp in fresh:
+            grown.insert(comp)
+        M = round_based_closure(grown, perms)
+
+
+def averaging_kernel(problem):
+    """The kernel {v : sum v = 0} of averaging on the subgroup algebra, in its
+    canonical basis e_j - e_{|H|-1} for j < |H| - 1."""
+    n = problem.subgroup.order
+    cut = Subspace(RATIONALS, n)
+    for j in range(n - 1):
+        vec = [RATIONALS.zero] * n
+        vec[j], vec[n - 1] = RATIONALS.one, -RATIONALS.one
+        cut.insert(vec)
+    return cut
+
+
+def narrowed_maximal_cut(problem, w):
+    """Reference: the cut of J_w by narrowing the averaging kernel.
+
+    Each round keeps the u whose coset components of u w lie in the current
+    space, then those whose components lie in it plus eta_H, until a round
+    removes nothing; eta_H is added at the end.
+    """
+    eta_vec = problem.eta_H_vector()
+    action = problem.weight_action(w)
+
+    def restrict_mod(ideal_cut, include_eta):
+        reducer = ideal_cut.copy()
+        if include_eta:
+            reducer.insert(eta_vec)
+        images = []
+        for row in ideal_cut.rows:
+            flat = []
+            for comp in problem.times_weight(action, row):
+                flat.extend(reducer.reduce(comp))
+            images.append(flat)
+        return kernel_span(RATIONALS, images, ideal_cut.rows, problem.subgroup.order)
+
+    current = averaging_kernel(problem)
+    while True:
+        again = restrict_mod(restrict_mod(current, include_eta=False), include_eta=True)
+        if again.dim == current.dim:
+            break
+        current = again
+    current = again.copy()
+    current.insert(eta_vec)
+    return current
+
+
 def test_closed_forms_match_dense_references_on_pool():
     """The closed forms of the weak and verdict paths against the dense products they replace."""
     rng = random.Random(4242)
@@ -136,7 +228,7 @@ def test_closed_forms_match_dense_references_on_pool():
             assert hecke_project(problem, w).element().to_field(w.field) == sandwiched, (label, kind)
         eta_vec = problem.eta_H_vector()
         h_minus_eta = [[(k == pos) - c for k, c in enumerate(eta_vec)] for pos in range(len(eta_vec))]
-        assert _averaging_kernel(problem) == Subspace(RATIONALS, len(eta_vec), h_minus_eta), label
+        assert averaging_kernel(problem) == Subspace(RATIONALS, len(eta_vec), h_minus_eta), label
         assert verify_hecke_isomorphism(problem) is dense_hecke_check(problem) is True, label
         if not dense_hecke_check(problem, anti=True):
             anti_order_fails.append(label)
@@ -189,6 +281,109 @@ def test_weak_path_tables_match_dense_products_on_pool():
     assert weak > 0 and nonweak > 0
 
 
+def extra_weak_path_instances():
+    """(label, problem, weight, weak verdict) beyond the pool's random draws.
+
+    Top-card S4 and S5 under four card shuffles: their maximal ideals lie
+    strictly between the minimal one and the whole algebra, which the
+    pool's weakly lumping draws rarely reach.  And a non-weak S4 weight with
+    a non-scalar part on H, where the map of the subgroup's own coset
+    changes the annihilator of the maximal cut.
+    """
+    out = []
+    for n in (4, 5):
+        G = symmetric_group(n)
+        problem = LumpingProblem(G, top_stabilizer(G))
+        for name, w in (("bottom", bottom_card_cycle(G)), ("rtt", random_to_top(G))):
+            out.append((f"S{n} {name}", problem, w, True))
+            out.append((f"S{n} {name}*", problem, w.star(), True))
+    G = symmetric_group(4)
+    w = parse_element_file("3 (3,4)\n5 (2,3)\n2 (2,4)\n5 (1,2,4,3)\n5 (1,3,4,2)\n", G)
+    out.append(("S4 H-supported", LumpingProblem(G, top_stabilizer(G)), w, False))
+    return out
+
+
+def check_weak_fixpoints(problem, w, rng, label):
+    """L_w, L_alpha and (for a weak w) J_w against the references; returns the verdict."""
+    G, n = problem.group, problem.subgroup.order
+    action = problem.weight_action(w)
+    eta_seed = Subspace(RATIONALS, n, [problem.eta_H_vector()])
+    lw = compute_Lw(problem, w)
+    assert lw.pi_H == grown_minimal_ideal(problem, action, eta_seed), label
+    points = rng.sample(range(G.order), min(2, G.order))
+    alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
+    alpha_seed = eta_seed.copy()
+    for comp in problem.coset_components(alpha):
+        alpha_seed.insert(comp)
+    l_alpha, _ = compute_L_alpha_w(problem, w, alpha)
+    assert l_alpha.pi_H == grown_minimal_ideal(problem, action, alpha_seed), label
+    # the largest stable sum-zero cut is defined for every weight, weak or not
+    annihilator = _maximal_cut_annihilator(problem, action)
+    maximal = nullspace(RATIONALS, annihilator.rows, n)
+    maximal.insert(problem.eta_H_vector())
+    assert maximal == narrowed_maximal_cut(problem, w), label
+    if not lw.weakly_lumping:
+        return False
+    jw = compute_Jw(problem, w)
+    assert jw.pi_H == maximal, label
+    sum_zero = intersect(jw.pi_H, averaging_kernel(problem))
+    assert annihilator.dim + sum_zero.dim == n, label
+    assert all(sum(a * c for a, c in zip(a_row, c_row)) == 0
+               for a_row in annihilator.rows for c_row in sum_zero.rows), label
+    assert problem.close_H_ideal(jw.pi_H, action) == jw.pi_H, label
+    return True
+
+
+def test_weak_fixpoints_match_round_based_references_on_pool():
+    """The worklist closures against the round-based loops they replaced.
+
+    L_w and L_alpha against the old minimal-ideal growth, J_w against the
+    narrowing loop, and `left_ideal_closure` against the round-based closure,
+    on every pool pair and weight family and on `extra_weak_path_instances`.  The
+    annihilator of J_w is orthogonal to its sum-zero part and of the
+    complementary dimension, and the cut of J_w is a left H-ideal stable
+    under w.
+    """
+    rng = random.Random(7272)
+    verdicts = []
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        group_perms = [tuple(G.mul(g, x) for x in range(G.order)) for g in G.generators]
+        sparse = [AlgebraElement.from_pairs(G, [(rng.randrange(G.order), Fraction(rng.randint(-2, 2)))
+                                                for _ in range(3)]) for _ in range(2)]
+        # x eta_H generates an ideal of dimension at most [G:H]; a sparse
+        # element alone is kept to the small groups, where its ideal is cheap
+        seed = Subspace(RATIONALS, G.order, [(sparse[0] * problem.eta_H).coeffs])
+        if G.order <= 30:
+            seed.insert(sparse[1].coeffs)
+        assert left_ideal_closure(seed, G) == round_based_closure(seed, group_perms), label
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            verdicts.append(check_weak_fixpoints(problem, w, rng, (label, kind)))
+    assert len(verdicts) == 51 and 0 < sum(verdicts) < 51
+    for label, problem, w, weak in extra_weak_path_instances():
+        assert check_weak_fixpoints(problem, w, rng, label) == weak, label
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_worklist_closure_matches_round_based_loop(data):
+    """The worklist kernel against the round-based loop on random permutation sets."""
+    n = data.draw(st.integers(1, 7))
+    perms = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+    vectors = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                 max_size=3))
+    V = Subspace(RATIONALS, n, [[Fraction(c) for c in v] for v in vectors])
+    zero = RATIONALS.zero
+    grown = closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
+    assert grown == round_based_closure(V, perms)
+    assert grown.support == [[k for k, c in enumerate(row) if c] for row in grown.rows]
+
+
 def test_generic_cut_matches_zassenhaus_intersection_on_pool():
     """`V cap ker F` of the generic oracle against the Zassenhaus intersection it replaced.
 
@@ -211,11 +406,11 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
             P = transition_from_weight(G, w)
             for alpha in (uniform, Distribution.point(G.order, rng.randrange(G.order))):
                 gl = minimal_GL_space(f, P, alpha)
-                assert gl.circ == intersect(gl.space, kernel), (label, kind)
+                assert _cut(f, gl.space) == intersect(gl.space, kernel), (label, kind)
                 minimal += 1
             if weak_generic(f, P, uniform)[0]:
                 vmax = compute_Vmax_generic(f, P, lumped_transition_matrix(f, P, uniform))
-                assert vmax.circ == intersect(vmax.space, kernel), (label, kind)
+                assert _cut(f, vmax.space) == intersect(vmax.space, kernel), (label, kind)
                 maximal += 1
     assert 0 < maximal < minimal // 2
 

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpwalk.errors import DomainError, InputFormatError
+from lumpwalk import scalars
+from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.scalars import (
+    CyclotomicField,
+    _poly_div_exact,
     cyclotomic_field,
     cyclotomic_polynomial,
     common_field,
@@ -158,3 +161,25 @@ def test_order_cap():
     with pytest.raises(DomainError):
         cyclotomic_field(0)
     assert cyclotomic_field(64).phi == 32
+
+
+def test_inexact_polynomial_division_is_an_invariant_error():
+    with pytest.raises(InvariantError, match="non-exact cyclotomic division"):
+        _poly_div_exact([1], [2])
+    # (x^2 + 1) / (x + 1) leaves the remainder 2
+    with pytest.raises(InvariantError, match="non-zero remainder"):
+        _poly_div_exact([1, 0, 1], [1, 1])
+
+
+def test_wrong_degree_minimal_polynomial_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda n: [1, 1])
+    with pytest.raises(InvariantError, match="wrong degree"):
+        CyclotomicField(5)
+
+
+def test_inverting_a_factor_of_the_modulus_is_an_invariant_error():
+    field = CyclotomicField(4)
+    # x^2 - 1 in place of the irreducible x^2 + 1: 1 + z shares the factor x + 1
+    field._minimal = [Fraction(-1), Fraction(0), Fraction(1)]
+    with pytest.raises(InvariantError, match="not coprime"):
+        field.one / (field.one + field.zeta())

@@ -2,6 +2,10 @@
 order-2 diagnostics."""
 
 import math
+import random
+from fractions import Fraction
+
+import pytest
 
 from lumpwalk import (
     AlgebraElement,
@@ -13,8 +17,9 @@ from lumpwalk import (
     simulate_walk,
     walk_lumped_matrix,
 )
+from lumpwalk.errors import InvariantError
 from lumpwalk.shuffles import random_to_top
-from lumpwalk.simulate import simulate_ensemble
+from lumpwalk.simulate import _sampler, simulate_ensemble
 
 
 def test_prng_is_stable():
@@ -93,3 +98,46 @@ def test_diagnostic_iid_sequence_clean():
 def test_diagnostic_short_sequence_warns():
     report = markov_diagnostic([0, 1, 0, 1], 2)
     assert report.warning is not None and report.clean
+
+
+def linear_scan_draw(entries, u):
+    """Reference: the value at the first cumulative threshold above u, by a linear scan."""
+    acc = Fraction(0)
+    kept = []
+    for value, p in entries:
+        if p:
+            acc += p
+            kept.append((value, acc))
+    for value, threshold in kept:
+        if u < threshold:
+            return value
+    return kept[-1][0]
+
+
+def test_bisect_draw_matches_linear_scan():
+    rng = random.Random(404)
+    gen = Xoshiro256StarStar(404)
+    for _ in range(200):
+        weights = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(rng.randint(1, 9))]
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        entries = [(k, Fraction(c, total)) for k, c in enumerate(weights)]
+        draw = _sampler(entries)
+        thresholds = []
+        acc = Fraction(0)
+        for _, p in entries:
+            acc += p
+            thresholds.append(acc)
+        # the thresholds themselves, and their neighbours, are the boundary cases
+        probes = [gen.next_unit_fraction() for _ in range(20)]
+        probes += [t + d for t in thresholds for d in (-Fraction(1, 1 << 64), 0)]
+        probes.append(Fraction(0))
+        for u in probes:
+            if 0 <= u < 1:
+                assert draw(u) == linear_scan_draw(entries, u), (entries, u)
+
+
+def test_sampler_rejects_probabilities_not_summing_to_one():
+    with pytest.raises(InvariantError, match="sum to 1"):
+        _sampler([(0, Fraction(1, 2)), (1, Fraction(1, 3))])
