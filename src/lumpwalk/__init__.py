@@ -79,7 +79,6 @@ from .lumping import (
 )
 from .markov import (
     Distribution,
-    GLSpace,
     LumpingFunction,
     TransitionMatrix,
     compute_Vmax_generic,

@@ -64,7 +64,11 @@ def _read(path: str) -> tuple[str, str]:
             raw = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}")
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc}")
+    return text, hashlib.sha256(raw).hexdigest()
 
 
 class Inputs:
@@ -341,6 +345,8 @@ def _cmd_generic_test(inputs: Inputs, args) -> dict:
         return report
     if args.dist:
         alpha = parse_distribution_file(inputs.record("dist", args.dist))
+        if alpha.n != P.n:
+            raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
     else:
         alpha = Distribution.uniform(P.n)
     if args.kind == "weak":
@@ -419,9 +425,12 @@ def _cmd_simulate(inputs: Inputs, args) -> dict:
         if diag.warning:
             report["certificates"]["warning"] = diag.warning
     if args.trajectory_out:
-        with open(args.trajectory_out, "w") as fh:
-            for b in trajectory.lumps:
-                fh.write(f.labels[b] + "\n")
+        try:
+            with open(args.trajectory_out, "w") as fh:
+                for b in trajectory.lumps:
+                    fh.write(f.labels[b] + "\n")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {args.trajectory_out}: {exc}")
     return report
 
 

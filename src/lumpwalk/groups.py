@@ -107,7 +107,10 @@ def parse_cycles(degree: int, text: str) -> Permutation:
     for body in _CYCLE_RE.findall(stripped):
         if not body:
             continue
-        points = [int(p) - 1 for p in body.split(",")]
+        try:
+            points = [int(p) - 1 for p in body.split(",")]
+        except ValueError:
+            raise InputFormatError(f"bad point in cycle ({body})")
         if len(points) != len(set(points)):
             raise InputFormatError(f"repeated point in cycle ({body})")
         if any(not 0 <= p < degree for p in points):
@@ -397,6 +400,8 @@ def parse_group_file(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
                 degree = int(line.split()[1])
             except (IndexError, ValueError):
                 raise InputFormatError(f"line {lineno}: bad degree line {raw!r}")
+            if degree < 1:
+                raise InputFormatError(f"line {lineno}: degree must be positive, got {degree}")
         elif line.startswith("gen"):
             if degree is None:
                 raise InputFormatError(f"line {lineno}: gen before degree")

@@ -7,8 +7,9 @@ insertion rewrites the row, so reduction and back-elimination touch only those
 entries; `kernel_coefficients` keeps the same lists for its pivot rows.  The
 entries and the order of the arithmetic on them are those of a dense sweep,
 so bases and kernels do not depend on the cache.  `closure` is the one
-fixpoint kernel: the smallest subspace containing a seed and closed under
-given linear maps, grown from a worklist.  On top of the generic
+fixpoint kernel, for the group path and the generic oracle alike: the
+smallest subspace containing a seed and closed under given linear maps,
+grown from a worklist.  On top of the generic
 vector-space kernel this module provides the group-algebra operations: ideal
 closures, coset projections of subspaces, induced-ideal recognition, the
 `(1 - eta_H)` cut of an induced ideal, and orthogonal complements under the
@@ -238,7 +239,9 @@ def closure(V: Subspace, successors) -> Subspace:
     loop ends when the worklist is empty or the span is the whole space.
     The fixpoint is unique, so the order of exploration does not change the
     canonical RREF; last in, first out was about three times faster than
-    first in, first out on the S7 shuffle closures.
+    first in, first out on the S7 shuffle closures.  It serves the group
+    path (ideals, `L_w`, the annihilator of `J_w`) and the generic oracle
+    (the minimal stable space and the annihilator of `V_max`) alike.
     """
     out = V.copy()
     worklist = out.basis()

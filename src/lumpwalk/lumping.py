@@ -62,7 +62,6 @@ class LumpingProblem:
         self.eta_H = eta(G, H)
         self.eta_G = eta(G, range(G.order))
         self._rep_inverses = tuple(G.inv(r) for r in self.left.representatives)
-        self._H_gen_perms = None
 
     @property
     def index(self) -> int:
@@ -158,22 +157,18 @@ class LumpingProblem:
                     comp[p] = comp[p] + value * c
         return out
 
-    def _H_generator_perms(self):
+    @cached_property
+    def _H_generator_perms(self) -> tuple[tuple[int, ...], ...]:
         """Left multiplication by each subgroup generator as an index map."""
-        if self._H_gen_perms is None:
-            H, G = self.subgroup, self.group
-            perms = []
-            for g in H.generators:
-                perms.append(tuple(H.position(G.mul(g, h)) for h in H.members))
-            self._H_gen_perms = tuple(perms)
-        return self._H_gen_perms
+        H, G = self.subgroup, self.group
+        return tuple(tuple(H.position(G.mul(g, h)) for h in H.members) for g in H.generators)
 
     def close_H_ideal(self, space: Subspace, action: list) -> Subspace:
         """Smallest left ideal of the subgroup algebra containing the span and
         closed under u -> each coset component of u w, for the action table of
         a weight w (`weight_action`).
         """
-        perms = self._H_generator_perms()
+        perms = self._H_generator_perms
         zero = space.field.zero
 
         def successors(u):
@@ -476,7 +471,7 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
 def test_weak_distribution(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement):
     """Whether the walk started at alpha lumps weakly: membership in the maximal ideal."""
     alpha = alpha.require_distribution()
-    weak, lw, _ = test_weak_weight(problem, w)
+    weak, _, _ = test_weak_weight(problem, w)
     if not weak:
         return False, None
     jw = compute_Jw(problem, w)

@@ -7,8 +7,13 @@ weak/strong/exact lumping tests, the maximal stable subspace, stationary
 distributions, lumped transition matrices, exact conditional laws given a
 lump history, and time reversal.
 
+Both stable subspaces are fixpoints of `linalg.closure` over Q, with no
+group, action table or modular arithmetic: the minimal one grows rows under
+v -> Pi_b(v P), and the maximal one is the nullspace of the columns grown
+from PF - FQ under a -> P a and a -> Pi_b a.
+
 A transition matrix keeps the nonzero entries of each row beside its dense
-rows; validation and every step of the chain read only those.  The cut
+rows; validation and every product with a vector read only those.  The cut
 `V ∩ ker F` of a stable subspace is the kernel of `F` on a basis of `V`,
 eliminated over images as wide as the number of lumps, and is computed only
 by the callers that read it.
@@ -23,7 +28,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
-from .linalg import Subspace, kernel_span
+from .linalg import Subspace, closure, kernel_span, nullspace
 from .scalars import RATIONALS, parse_rational
 
 STATE_CAP = 5_000
@@ -60,8 +65,8 @@ class TransitionMatrix:
     """Row-stochastic matrix with exact rational entries acting on row vectors.
 
     ``rows`` is the dense matrix; ``nonzero[x]`` lists the ``(y, P(x, y))``
-    pairs with ``P(x, y) != 0`` in ascending ``y``, so validation and
-    ``apply`` touch only those entries.
+    pairs with ``P(x, y) != 0`` in ascending ``y``, so validation, ``apply``
+    and ``apply_column`` touch only those entries.
     """
 
     __slots__ = ("n", "rows", "nonzero")
@@ -95,6 +100,17 @@ class TransitionMatrix:
             if vx:
                 for y, p in pairs:
                     out[y] = out[y] + vx * p
+        return out
+
+    def apply_column(self, vec: list[Fraction]) -> list[Fraction]:
+        """Matrix times column vector."""
+        out = []
+        for pairs in self.nonzero:
+            total = Fraction(0)
+            for y, p in pairs:
+                if vec[y]:
+                    total = total + p * vec[y]
+            out.append(total)
         return out
 
     def step(self, alpha: Distribution) -> Distribution:
@@ -172,18 +188,6 @@ class LumpingFunction:
         return out
 
 
-@dataclass
-class GLSpace:
-    """A subspace closed under the transition operator and the lump projections."""
-
-    space: Subspace
-    provenance: str  # "minimal-for-alpha" | "V_max" | "user"
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
 # ---------------------------------------------------------------------------
 # construction of chains
 
@@ -206,29 +210,17 @@ def transition_from_weight(G: FiniteGroup, w: AlgebraElement) -> TransitionMatri
 # Gurvits-Ledoux spaces and the generic lumping tests
 
 
-def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution) -> GLSpace:
-    """Fixpoint V <- V + sum_b V P Pi_b started from the projections of alpha."""
-    n = P.n
-    V = Subspace(RATIONALS, n)
-    frontier = []
-    for b in range(f.n_lumps):
-        proj = f.project(alpha.probs, b)
-        if any(proj) and V.insert(proj):
-            frontier.append(proj)
-    steps = 0
-    while frontier:
-        steps += 1
-        if steps > n:
-            raise InvariantError("minimal stable space failed to stabilize in |A| steps")
-        new_frontier = []
-        for v in frontier:
-            vP = P.apply(v)
-            for b in range(f.n_lumps):
-                proj = f.project(vP, b)
-                if any(proj) and V.insert(proj):
-                    new_frontier.append(proj)
-        frontier = new_frontier
-    return GLSpace(V, "minimal-for-alpha")
+def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution) -> Subspace:
+    """Smallest subspace holding the lump projections of alpha and closed
+    under v -> Pi_b(v P) for every lump b."""
+    lumps = range(f.n_lumps)
+    seed = Subspace(RATIONALS, P.n, (f.project(alpha.probs, b) for b in lumps))
+
+    def successors(v):
+        vP = P.apply(v)
+        return (f.project(vP, b) for b in lumps)
+
+    return closure(seed, successors)
 
 
 def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
@@ -241,8 +233,7 @@ def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
 
 def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
     """Weak lumping of MC(alpha, P) under f; certificate is a violating vector."""
-    gl = minimal_GL_space(f, P, alpha)
-    for v in _cut(f, gl.space).rows:
+    for v in _cut(f, minimal_GL_space(f, P, alpha)).rows:
         image = f.apply_F(P.apply(v))
         if any(image):
             return False, list(v)
@@ -261,10 +252,10 @@ def test_strong_generic(f: LumpingFunction, P: TransitionMatrix) -> bool:
 
 def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution) -> bool:
     """Exact lumping via the per-lump dimension criterion dim(V Pi_b) <= 1."""
-    gl = minimal_GL_space(f, P, alpha)
+    V = minimal_GL_space(f, P, alpha)
     for b in range(f.n_lumps):
         block = Subspace(RATIONALS, P.n)
-        for v in gl.space.rows:
+        for v in V.rows:
             block.insert(f.project(v, b))
             if block.dim > 1:
                 return False
@@ -280,8 +271,6 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     rows = []
     for y in range(n):
         rows.append([P.rows[x][y] - (1 if x == y else 0) for x in range(n)])
-    from .linalg import nullspace
-
     sols = nullspace(RATIONALS, rows, n)
     if sols.dim != 1:
         raise InvariantError("irreducible chain must have a unique stationary law")
@@ -337,12 +326,13 @@ def lumped_matrix_from_start(f: LumpingFunction, P: TransitionMatrix, alpha: Dis
     return rows
 
 
-def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
+def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace:
     """Largest subspace V with V P <= V, V Pi_b <= V and V <= ker(PF - FQ).
 
     Requires an irreducible P whose stationary chain lumps weakly under f with
-    lumped matrix Q.  V is maintained as a direct sum of per-lump blocks that
-    shrink until all of V maps into V under P.
+    lumped matrix Q.  V is the nullspace of its annihilator: the smallest
+    space of columns holding the columns of PF - FQ and closed under
+    a -> P a and a -> Pi_b a, since v (P a) = (v P) a and v (Pi_b a) = (v Pi_b) a.
     """
     mu = stationary_distribution(P)
     ok, _ = test_weak_generic(f, P, mu)
@@ -353,50 +343,21 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> GLSpace:
     if expected != given:
         raise DomainError("Q is not the lumped transition matrix of the stationary chain")
 
-    n = P.n
-    m = f.n_lumps
-    lumps = f.lumps()
+    lumps = range(f.n_lumps)
+    # column j of PF - FQ: the mass P(x, lump j) less Q[f(x)][j]
+    columns = [[-given[b][j] for b in f.lump_of] for j in lumps]
+    for x, pairs in enumerate(P.nonzero):
+        for y, p in pairs:
+            column = columns[f.lump_of[y]]
+            column[x] = column[x] + p
 
-    # start: per-lump solutions of v (PF - FQ) = 0; for v supported on lump b,
-    # vF = (sum v) e_b, so the constraint image of e_x is e_x P F - Q[b].
-    blocks = []
-    for b in range(m):
-        states = lumps[b]
-        basis_rows = []
-        images = []
-        for x in states:
-            v = [Fraction(0)] * n
-            v[x] = Fraction(1)
-            basis_rows.append(v)
-            image = f.apply_F(P.apply(v))
-            images.append([image[j] - given[b][j] for j in range(m)])
-        blocks.append(kernel_span(RATIONALS, images, basis_rows, n))
+    def successors(a):
+        yield P.apply_column(a)
+        for b in lumps:
+            yield f.project(a, b)
 
-    def combined(blocks) -> Subspace:
-        out = Subspace(RATIONALS, n)
-        for blk in blocks:
-            for r in blk.rows:
-                out.insert(r)
-        return out
-
-    V = combined(blocks)
-    replacements = 0
-    while True:
-        if all(V.contains(P.apply(v)) for v in V.rows):
-            break
-        replacements += 1
-        if replacements > max(n - m, 0) + 1:
-            raise InvariantError("maximal stable space failed to stabilize")
-        new_blocks = []
-        for blk in blocks:
-            if blk.dim == 0:
-                new_blocks.append(blk)
-                continue
-            residues = [V.reduce(P.apply(v)) for v in blk.rows]
-            new_blocks.append(kernel_span(RATIONALS, residues, blk.rows, n))
-        blocks = new_blocks
-        V = combined(blocks)
-    return GLSpace(V, "V_max")
+    annihilator = closure(Subspace(RATIONALS, P.n, columns), successors)
+    return nullspace(RATIONALS, annihilator.rows, P.n)
 
 
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
@@ -449,6 +410,8 @@ def _read_states(text: str, what: str) -> tuple[int, list[str]]:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise InputFormatError("bad states header")
+    if n < 1:
+        raise InputFormatError(f"{what} file needs at least one state, got {n}")
     return n, lines[1:]
 
 

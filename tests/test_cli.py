@@ -1,12 +1,17 @@
 """End-to-end CLI runs: exit codes, report stability, schema validation."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 try:
     import jsonschema
@@ -165,6 +170,99 @@ def test_exit_codes(files, tmp_path):
         "test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])
     )
     assert result.returncode == 0
+
+
+CHAIN_MATRIX = "states 4\n1/2 1/2 0 0\n0 1/2 1/2 0\n0 0 1/2 1/2\n1/2 0 0 1/2\n"
+CHAIN_LUMPMAP = "lump 0 a\nlump 1 a\nlump 2 b\nlump 3 b\n"
+CHAIN_DIST = "states 4\n1/2 0 1/2 0\n"
+# every input-file role with a valid file, and the command that reads it
+FUZZ_ROLES = {
+    "group": (GROUP, "test weak"),
+    "subgroup": (SUBGROUP, "test weak"),
+    "weight": (WEIGHT, "test weak"),
+    "dist": (DIST_ETA_T, "test-dist"),
+    "idempotent": (IDEMPOTENT, "stable-check"),
+    "inner_subgroup": (INNER, "interpolate"),
+    "matrix": (CHAIN_MATRIX, "generic-test weak"),
+    "lumpmap": (CHAIN_LUMPMAP, "generic-test weak"),
+    "chain_dist": (CHAIN_DIST, "generic-test weak"),
+}
+FUZZ_COMMANDS = {
+    "test weak": "test weak --group {group} --subgroup {subgroup} --weight {weight}",
+    "test-dist": "test-dist --group {group} --subgroup {subgroup} --weight {weight} --dist {dist}",
+    "stable-check": "stable-check --group {group} --subgroup {subgroup} --weight {weight} "
+                    "--idempotent {idempotent}",
+    "interpolate": "interpolate --group {group} --subgroup {subgroup} --weight {weight} "
+                   "--inner-subgroup {inner_subgroup}",
+    "generic-test weak": "generic-test weak --matrix {matrix} --lumpmap {lumpmap} --dist {chain_dist}",
+    "simulate": "simulate --group {group} --subgroup {subgroup} --weight {weight} --dist {dist} "
+                "--length 20 --trajectory-out {trajectory}/lumps.txt",
+}
+FUZZ_TOKENS = [b"0", b"1", b"2", b"5", b"-", b"/", b",", b"(", b")", b" ", b"\n", b"#",
+               b"x", b"\xff", b"id", b"-1", b"1/0", b"gen ", b"degree ", b"states ", b"lump "]
+
+
+@st.composite
+def mutated_input(draw):
+    """(command, {role: bytes}, expected exit code): one valid file with a few edits."""
+    role = draw(st.sampled_from(sorted(FUZZ_ROLES)))
+    text, command = FUZZ_ROLES[role]
+    data = text.encode()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "drop line", "repeat line"]))
+        if kind in ("insert", "replace"):
+            token = draw(st.sampled_from(FUZZ_TOKENS))
+            data = data[:at] + token + data[at + (kind == "replace"):]
+        elif kind == "delete":
+            data = data[:at] + data[at + 1:]
+        else:
+            lines = data.splitlines(keepends=True)
+            if lines:
+                k = at % len(lines)
+                lines[k:k + 1] = [] if kind == "drop line" else [lines[k]] * 2
+                data = b"".join(lines)
+    return command, {role: data}, None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(("test weak", {"group": b"degree 4\ngen (1,2,)\ngen (1,2,3,4)\n"}, 1))
+@example(("test weak", {"weight": b"1 (,4,2,3)\n"}, 1))
+@example(("test weak", {"weight": b"1/4 id\n1/4 (1,4)(2,3)\xff\n"}, 1))
+@example(("test weak", {"group": b"degree -1\n"}, 1))
+@example(("generic-test weak", {"matrix": b"states 0\n", "lumpmap": b""}, 1))
+@example(("generic-test weak", {"chain_dist": b"states 5\n1/5 1/5 1/5 1/5 1/5\n"}, 2))
+@example(("simulate", {"trajectory": b"a file where a directory should be\n"}, 1))
+@given(mutated_input())
+def test_mutated_inputs_exit_cleanly(case):
+    """A mutated input file of any role ends in exit 0, 1 or 2, never in an
+    exception; a nonzero exit prints one `lumpwalk:` line and nothing else.
+
+    Each file is the valid one of its role unless the case replaces it; the
+    trajectory role is the directory `simulate` writes into, a plain file
+    when replaced.
+    """
+    from lumpwalk import cli
+
+    command, replaced, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"trajectory": str(Path(tmp) / "trajectory")}
+        for role, (text, _) in FUZZ_ROLES.items():
+            paths[role] = str(Path(tmp) / f"{role}.txt")
+            Path(paths[role]).write_bytes(text.encode())
+        for role, data in replaced.items():
+            Path(paths[role]).write_bytes(data)
+        if "trajectory" not in replaced:
+            Path(paths["trajectory"]).mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(FUZZ_COMMANDS[command].format(**paths).split())
+    assert code in (0, 1, 2), (case, code)
+    if expected is not None:
+        assert code == expected, (case, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("lumpwalk: ") and err.getvalue().count("\n") == 1, case
+        assert not out.getvalue(), case
 
 
 def test_internal_error_exits_2_without_traceback(files, monkeypatch, capsys):

@@ -132,7 +132,7 @@ def test_minimal_space_walk_closure(sym4, top_prob, frustrator):
     f = lumping_function(top_prob)
     P = transition_from_weight(sym4, frustrator)
     gl = minimal_GL_space(f, P, Distribution.uniform(24))
-    closure = left_ideal_closure(gl.space, sym4)
+    closure = left_ideal_closure(gl, sym4)
     eta_T = eta(sym4, sym4.subgroup([sym4.elements[sym4.element_of("(2,3)")]]))
     ideal_T = left_ideal_closure(span(RATIONALS, 24, [eta_T.coeffs]), sym4)
     assert closure == ideal_T
@@ -190,7 +190,7 @@ def test_reducible_pentagon(dihedral10, dihedral_prob):
     gl = minimal_GL_space(f, P, dist(uniform_on(G, C5.members)))
     assert gl.dim <= 10
     # the cut part is stable under P when it lumps
-    for v in _cut(f, gl.space).rows:
+    for v in _cut(f, gl).rows:
         assert not any(f.apply_F(P.apply(v)))
 
 
@@ -246,7 +246,7 @@ def test_vmax(sym4, top_prob, frustrator, mid_swap_T):
     vmax = compute_Vmax_generic(f, P, Q)
     eta_T = eta(sym4, mid_swap_T)
     ideal_T = left_ideal_closure(span(RATIONALS, 24, [eta_T.coeffs]), sym4)
-    assert left_ideal_closure(vmax.space, sym4) == ideal_T
+    assert left_ideal_closure(vmax, sym4) == ideal_T
     assert vmax.dim == 12
     strong = eta_T * frustrator
     Ps = transition_from_weight(sym4, strong)
@@ -388,7 +388,7 @@ def test_ergodic_membership(sym4, top_prob):
         total = sum(raw) or Fraction(1)
         alpha = Distribution(tuple(r / total for r in raw)) if sum(raw) else Distribution.point(24, 0)
         gl = minimal_GL_space(f, P, alpha)
-        assert gl.space.contains(list(mu.probs))
+        assert gl.contains(list(mu.probs))
 
 
 def test_conditional_independence_exact_lumping(sym4, top_prob):

@@ -20,7 +20,6 @@ from lumpwalk import (
     hecke_project,
     inner_product,
     left_ideal_closure,
-    lumped_transition_matrix,
     lumping_function,
     minimal_GL_space,
     orbital_matrices,
@@ -143,7 +142,7 @@ def round_based_closure(V, perms):
 
 def grown_minimal_ideal(problem, action, seed):
     """Reference: M <- H-ideal(M + all coset components of M w) until nothing is added."""
-    perms = problem._H_generator_perms()
+    perms = problem._H_generator_perms
     M = round_based_closure(seed, perms)
     while True:
         fresh = []
@@ -384,14 +383,64 @@ def test_worklist_closure_matches_round_based_loop(data):
     assert grown.support == [[k for k, c in enumerate(row) if c] for row in grown.rows]
 
 
-def test_generic_cut_matches_zassenhaus_intersection_on_pool():
-    """`V cap ker F` of the generic oracle against the Zassenhaus intersection it replaced.
+def round_based_GL_space(f, P, alpha):
+    """Reference: the minimal stable space of alpha grown round by round."""
+    V = Subspace(RATIONALS, P.n)
+    frontier = []
+    for b in range(f.n_lumps):
+        proj = f.project(alpha.probs, b)
+        if any(proj) and V.insert(proj):
+            frontier.append(proj)
+    while frontier:
+        new_frontier = []
+        for v in frontier:
+            vP = P.apply(v)
+            for b in range(f.n_lumps):
+                proj = f.project(vP, b)
+                if any(proj) and V.insert(proj):
+                    new_frontier.append(proj)
+        frontier = new_frontier
+    return V
 
-    For the minimal stable space from a uniform and from a point start, and for
-    the maximal stable space wherever the stationary (uniform) chain lumps weakly.
+
+def block_narrowed_Vmax(f, P, Q):
+    """Reference: V_max as a direct sum of per-lump blocks, narrowed until V P <= V.
+
+    A block starts as the vectors v on its lump with v (PF - FQ) = 0 (for v
+    supported on lump b, vF = (sum v) e_b), and keeps the part of itself that
+    P maps into the current sum of blocks.
+    """
+    n, m = P.n, f.n_lumps
+    blocks = []
+    for b, states in enumerate(f.lumps()):
+        basis_rows, images = [], []
+        for x in states:
+            v = [Fraction(0)] * n
+            v[x] = Fraction(1)
+            basis_rows.append(v)
+            image = f.apply_F(P.apply(v))
+            images.append([image[j] - Fraction(Q[b][j]) for j in range(m)])
+        blocks.append(kernel_span(RATIONALS, images, basis_rows, n))
+    while True:
+        V = Subspace(RATIONALS, n, [r for blk in blocks for r in blk.rows])
+        if all(V.contains(P.apply(v)) for v in V.rows):
+            return V
+        blocks = [kernel_span(RATIONALS, [V.reduce(P.apply(v)) for v in blk.rows], blk.rows, n)
+                  for blk in blocks]
+
+
+def test_generic_cut_matches_zassenhaus_intersection_on_pool():
+    """The generic oracle's stable spaces against their references on the pool.
+
+    For the minimal stable space from a uniform, a point and a two-point
+    start, and for the maximal stable space wherever the stationary (uniform)
+    chain lumps weakly: the worklist closure equals the round-based or
+    block-narrowed loop it replaced, and `V cap ker F` equals the Zassenhaus
+    intersection.  On those weak draws the maximal induced ideal J_w of the
+    group path equals V_max as well.
     """
     rng = random.Random(6262)
-    minimal = maximal = 0
+    draws = minimal = maximal = 0
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         f = lumping_function(problem)
@@ -404,15 +453,27 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
             if not w.is_irreducible_weight():
                 w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
             P = transition_from_weight(G, w)
-            for alpha in (uniform, Distribution.point(G.order, rng.randrange(G.order))):
+            draws += 1
+            x = rng.randrange(G.order)
+            # a start on two lumps that is not stationary: its lump
+            # projections are not in the closure of the start alone
+            y = f.lumps()[(f.lump_of[x] + 1) % f.n_lumps][0]
+            spread = Distribution.from_vector(
+                [Fraction((s == x) + (s == y), 2) for s in range(G.order)])
+            for alpha in (uniform, Distribution.point(G.order, x), spread):
                 gl = minimal_GL_space(f, P, alpha)
-                assert _cut(f, gl.space) == intersect(gl.space, kernel), (label, kind)
+                assert gl == round_based_GL_space(f, P, alpha), (label, kind)
+                assert _cut(f, gl) == intersect(gl, kernel), (label, kind)
                 minimal += 1
             if weak_generic(f, P, uniform)[0]:
-                vmax = compute_Vmax_generic(f, P, lumped_transition_matrix(f, P, uniform))
-                assert _cut(f, vmax.space) == intersect(vmax.space, kernel), (label, kind)
+                Q = walk_lumped_matrix(problem, w)
+                vmax = compute_Vmax_generic(f, P, Q)
+                assert vmax == block_narrowed_Vmax(f, P, Q), (label, kind)
+                assert _cut(f, vmax) == intersect(vmax, kernel), (label, kind)
+                assert compute_Jw(problem, w).full_subspace() == vmax, (label, kind)
                 maximal += 1
-    assert 0 < maximal < minimal // 2
+    assert minimal == 3 * draws
+    assert 0 < maximal < draws
 
 
 def dense_abelian_pairings(problem, w):
@@ -565,7 +626,7 @@ def test_minimal_ideal_is_closure_of_generic_space(sym4, top_prob, die_prob, die
         f = lumping_function(prob)
         P = transition_from_weight(sym4, w)
         gl = minimal_GL_space(f, P, Distribution.uniform(24))
-        closure = left_ideal_closure(gl.space, sym4)
+        closure = left_ideal_closure(gl, sym4)
         _, ideal, _ = weak_weight_test(prob, w)
         assert closure == ideal.full_subspace()
 
