@@ -14,11 +14,12 @@ import hashlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .algebra import format_element, parse_element_file
 from .errors import DomainError, InputFormatError, LumpwalkError, ResourceError
-from .groups import parse_group_file
+from .groups import double_cosets, parse_generators, parse_group_file
 from .hecke import check_Q_characterization, orbital_matrices, verify_hecke_isomorphism
 from .lumping import (
     LumpingProblem,
@@ -58,73 +59,97 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read(path: str) -> tuple[str, str]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path} is not UTF-8 text: {exc}")
-    return text, hashlib.sha256(raw).hexdigest()
+def _subgroup(inputs, role: str, text: str):
+    """A subgroup file is read for its generators only; the subgroup is their
+    closure inside the group."""
+    degree, gens = parse_generators(text)
+    if degree != inputs.group.degree:
+        raise DomainError(f"{role.replace('_', ' ')} file degree differs from the group degree")
+    return inputs.group.subgroup(gens)
+
+
+def _element(inputs, role: str, text: str):
+    return parse_element_file(text, inputs.group)
+
+
+# input-file role -> (help text, parser of the file's text); the flag is the
+# role with dashes, and each parser looks up the library function when called
+ROLES = {
+    "group": ("group file (degree + gen lines)", lambda inputs, role, text: parse_group_file(text)),
+    "subgroup": ("subgroup file; generators must lie in the group", _subgroup),
+    "weight": ("weight file (scalar element lines)", _element),
+    "dist": ("start distribution file (sums to 1)", _element),
+    "idempotent": ("idempotent element file", _element),
+    "inner_subgroup": ("subgroup of the lumping subgroup", _subgroup),
+    "matrix": ("`states N` + N rational rows", lambda inputs, role, text: parse_matrix_file(text)),
+    "lumpmap": ("`lump <state> <label>` lines",
+                lambda inputs, role, text: parse_lump_file(text, inputs.matrix.n)),
+}
 
 
 class Inputs:
-    """Loads and fingerprints the referenced files."""
+    """Reads, fingerprints and parses the input files of one request."""
 
     def __init__(self, args):
         self.args = args
         self.digests = {}
         self.group = None
         self.subgroup = None
-        self.problem = None
 
-    def record(self, role: str, path: str) -> str:
-        text, digest = _read(path)
-        self.digests[role] = {"path": path, "sha256": digest}
+    def read(self, role: str) -> str:
+        path = getattr(self.args, role)
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise InputFormatError(f"cannot read {path}: {exc}")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path} is not UTF-8 text: {exc}")
+        self.digests[role] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
         return text
 
-    def load_problem(self):
-        gtext = self.record("group", self.args.group)
-        stext = self.record("subgroup", self.args.subgroup)
-        self.group = parse_group_file(gtext)
-        sub_spec = parse_group_file(stext)
-        if sub_spec.degree != self.group.degree:
-            raise DomainError("subgroup file degree differs from the group degree")
-        gens = [sub_spec.elements[g] for g in sub_spec.generators]
-        self.subgroup = self.group.subgroup(gens)
-        self.problem = LumpingProblem(self.group, self.subgroup)
-        return self.problem
-
-    def load_group_only(self):
-        gtext = self.record("group", self.args.group)
-        self.group = parse_group_file(gtext)
-        return self.group
-
-    def load_weight(self, role="weight", attr="weight"):
-        text = self.record(role, getattr(self.args, attr))
-        return parse_element_file(text, self.group)
-
-    def load_inner_subgroup(self):
-        text = self.record("inner_subgroup", self.args.inner_subgroup)
-        spec = parse_group_file(text)
-        if spec.degree != self.group.degree:
-            raise DomainError("inner subgroup file degree differs from the group degree")
-        return self.group.subgroup([spec.elements[g] for g in spec.generators])
+    def load(self, role: str):
+        """Parse the file of a role and keep it as the attribute of that name."""
+        value = ROLES[role][1](self, role, self.read(role))
+        setattr(self, role, value)
+        if role == "subgroup":
+            self.problem = LumpingProblem(self.group, value)
+        return value
 
 
-def _report_base(command: str, inputs: Inputs) -> dict:
-    out = {"command": command, "inputs": inputs.digests, "verdicts": {}}
-    if inputs.group is not None:
-        out["group"] = {"degree": inputs.group.degree, "order": inputs.group.order}
-    if inputs.subgroup is not None:
-        out["subgroup"] = {
-            "order": inputs.subgroup.order,
-            "index": inputs.subgroup.index_in_parent,
-        }
-    return out
+def _arg(*flags, **kwargs) -> tuple:
+    """One `add_argument` call, as data."""
+    return flags, kwargs
+
+
+OUTPUT = (
+    _arg("--json", action="store_true", help="emit a JSON report"),
+    _arg("--text", action="store_true", help="emit the flat text report (default)"),
+    _arg("--timing", action="store_true", help="include wall-clock timing in the report"),
+)
+
+
+class Command(NamedTuple):
+    """One row of the command table: a subcommand's arguments and its body."""
+
+    name: str
+    help: str
+    roles: tuple[str, ...]  # input files, all required, in load order
+    body: Callable  # (inputs, args, report) -> None; fills in the command's fields
+    options: tuple  # the other arguments, in help order
+
+
+COMMANDS: list[Command] = []  # the command table, in help order
+
+
+def _command(name: str, help_text: str, roles: str, *options, output=OUTPUT):
+    """Add the decorated body to COMMANDS, with the output flags before `options`."""
+    def register(body):
+        COMMANDS.append(Command(name, help_text, tuple(roles.split()), body, (*output, *options)))
+        return body
+    return register
 
 
 def _mat_str(rows):
@@ -136,108 +161,86 @@ def _element_strings(elements) -> list[str]:
     return ["; ".join(format_element(e).strip().splitlines()) for e in elements]
 
 
+def _labels(group, ids) -> list[str]:
+    return [group.elements[i].cycle_string() for i in ids]
+
+
+def _ideal_fields(report: dict, verdict_key: str, verdict, ideal) -> None:
+    report["verdicts"][verdict_key] = verdict
+    report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.pi_H.dim}
+    report["bases"] = {"cut": _element_strings(ideal.basis_elements())}
+
+
+def _failed_conditions(report: dict, verdict_key: str, result) -> None:
+    verdict, failed = result
+    report["verdicts"][verdict_key] = verdict
+    if failed:
+        report["certificates"] = {"failed_conditions": failed}
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommands
 
 
-def _cmd_cosets(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    decomposition = problem.left if args.side == "left" else problem.right
-    report = _report_base("cosets", inputs)
-    report["labels"] = [
-        inputs.group.elements[r].cycle_string() for r in decomposition.representatives
-    ]
+@_command("cosets", "coset decomposition and representatives", "group subgroup",
+          _arg("--side", choices=["left", "right"], default="left"))
+def _cosets(inputs: Inputs, args, report: dict) -> None:
+    decomposition = inputs.problem.left if args.side == "left" else inputs.problem.right
+    report["labels"] = _labels(inputs.group, decomposition.representatives)
     report["dimensions"] = {"cosets": decomposition.n_cosets}
     report["verdicts"]["completed"] = True
-    return report
 
 
-def _cmd_double_cosets(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
+@_command("double-cosets", "double-coset classes and sizes", "group subgroup",
+          _arg("--inner-subgroup", dest="inner_subgroup", default=None,
+               help="optional left factor (defaults to the subgroup itself)"))
+def _double_cosets(inputs: Inputs, args, report: dict) -> None:
     if args.inner_subgroup:
-        T = inputs.load_inner_subgroup()
-        from .groups import double_cosets as dc
-
-        decomposition = dc(inputs.group, T, inputs.subgroup)
+        inner = inputs.load("inner_subgroup")
+        decomposition = double_cosets(inputs.group, inner, inputs.subgroup)
     else:
-        decomposition = problem.double
-    report = _report_base("double-cosets", inputs)
-    report["labels"] = [
-        inputs.group.elements[r].cycle_string() for r in decomposition.representatives
-    ]
+        decomposition = inputs.problem.double
+    report["labels"] = _labels(inputs.group, decomposition.representatives)
     report["dimensions"] = {"classes": decomposition.n_classes}
     report["certificates"] = {"sizes": list(decomposition.sizes)}
     report["verdicts"]["completed"] = True
-    return report
 
 
-def _cmd_test(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    report = _report_base(f"test {args.kind}", inputs)
-    if args.kind == "strong":
-        verdict, cert = test_strong(problem, w)
-        report["verdicts"]["strong"] = verdict
-        if cert:
-            report["certificates"] = {"strong": cert}
-    elif args.kind == "exact":
-        verdict, cert = test_exact(problem, w)
-        report["verdicts"]["exact"] = verdict
-        if cert:
-            report["certificates"] = {"exact": cert}
-    else:
-        verdict, ideal, cert = test_weak_weight(problem, w)
-        report["verdicts"]["weak"] = verdict
-        report["dimensions"] = {
-            "minimal_ideal": ideal.dim,
-            "minimal_ideal_cut": ideal.pi_H.dim,
-        }
+@_command("test", "strong / exact / weak lumping verdict", "group subgroup weight",
+          _arg("kind", choices=["strong", "exact", "weak"]))
+def _test(inputs: Inputs, args, report: dict) -> None:
+    if args.kind == "weak":
+        verdict, ideal, cert = test_weak_weight(inputs.problem, inputs.weight)
+        report["dimensions"] = {"minimal_ideal": ideal.dim, "minimal_ideal_cut": ideal.pi_H.dim}
         report["bases"] = {"minimal_ideal_cut": _element_strings(ideal.basis_elements())}
-        if cert:
-            report["certificates"] = {"weak": cert}
-    return report
+    else:
+        test = test_strong if args.kind == "strong" else test_exact
+        verdict, cert = test(inputs.problem, inputs.weight)
+    report["verdicts"][args.kind] = verdict
+    if cert:
+        report["certificates"] = {args.kind: cert}
 
 
-def _cmd_lw(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    ideal = compute_Lw(problem, w)
-    report = _report_base("lw", inputs)
-    report["verdicts"]["weakly_lumping"] = ideal.weakly_lumping
-    report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.pi_H.dim}
-    report["bases"] = {"cut": _element_strings(ideal.basis_elements())}
-    return report
+@_command("lw", "minimal stable induced ideal of the weight", "group subgroup weight")
+def _lw(inputs: Inputs, args, report: dict) -> None:
+    ideal = compute_Lw(inputs.problem, inputs.weight)
+    _ideal_fields(report, "weakly_lumping", ideal.weakly_lumping, ideal)
 
 
-def _cmd_jw(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    ideal = compute_Jw(problem, w)
-    report = _report_base("jw", inputs)
-    report["verdicts"]["weakly_lumping"] = True
-    report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.pi_H.dim}
-    report["bases"] = {"cut": _element_strings(ideal.basis_elements())}
-    return report
+@_command("jw", "maximal stable induced ideal (admissible starts)", "group subgroup weight")
+def _jw(inputs: Inputs, args, report: dict) -> None:
+    _ideal_fields(report, "weakly_lumping", True, compute_Jw(inputs.problem, inputs.weight))
 
 
-def _cmd_l_alpha(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    alpha = inputs.load_weight("dist", "dist")
-    ideal, verdict = compute_L_alpha_w(problem, w, alpha)
-    report = _report_base("l-alpha", inputs)
-    report["verdicts"]["weak_for_start"] = verdict
-    report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.pi_H.dim}
-    report["bases"] = {"cut": _element_strings(ideal.basis_elements())}
-    return report
+@_command("l-alpha", "minimal stable ideal containing a start", "group subgroup weight dist")
+def _l_alpha(inputs: Inputs, args, report: dict) -> None:
+    ideal, verdict = compute_L_alpha_w(inputs.problem, inputs.weight, inputs.dist)
+    _ideal_fields(report, "weak_for_start", verdict, ideal)
 
 
-def _cmd_test_dist(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    alpha = inputs.load_weight("dist", "dist")
-    verdict, jw = test_weak_distribution(problem, w, alpha)
-    report = _report_base("test-dist", inputs)
+@_command("test-dist", "weak lumping verdict for one start", "group subgroup weight dist")
+def _test_dist(inputs: Inputs, args, report: dict) -> None:
+    verdict, jw = test_weak_distribution(inputs.problem, inputs.weight, inputs.dist)
     report["verdicts"]["weak_for_start"] = verdict
     if jw is not None:
         report["dimensions"] = {"maximal_ideal": jw.dim}
@@ -245,110 +248,88 @@ def _cmd_test_dist(inputs: Inputs, args) -> dict:
         report["certificates"] = {
             "weak_for_start": {"reason": "the weight itself does not lump weakly"}
         }
-    return report
 
 
-def _cmd_stable_check(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    e = parse_element_file(inputs.record("idempotent", args.idempotent), inputs.group)
-    verdict, failed = stable_ideal_check(problem, w, e)
-    report = _report_base("stable-check", inputs)
-    report["verdicts"]["stable"] = verdict
-    if failed:
-        report["certificates"] = {"failed_conditions": failed}
-    return report
+@_command("stable-check", "verify a stable-ideal certificate",
+          "group subgroup weight idempotent")
+def _stable_check(inputs: Inputs, args, report: dict) -> None:
+    result = stable_ideal_check(inputs.problem, inputs.weight, inputs.idempotent)
+    _failed_conditions(report, "stable", result)
 
 
-def _cmd_dual(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    e = parse_element_file(inputs.record("idempotent", args.idempotent), inputs.group)
-    dual = time_reversal_dual_idempotent(problem, e)
-    report = _report_base("dual", inputs)
+@_command("dual", "time-reversal dual of an idempotent", "group subgroup idempotent")
+def _dual(inputs: Inputs, args, report: dict) -> None:
+    dual = time_reversal_dual_idempotent(inputs.problem, inputs.idempotent)
     report["verdicts"]["completed"] = True
     report["bases"] = {"dual_idempotent": _element_strings([dual])}
-    return report
 
 
-def _cmd_interpolate(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    T = inputs.load_inner_subgroup()
-    verdict, failed = interpolation_test(problem, T, w)
-    report = _report_base("interpolate", inputs)
-    report["verdicts"]["stable_for_inner_averaging"] = verdict
-    if failed:
-        report["certificates"] = {"failed_conditions": failed}
-    return report
+@_command("interpolate", "inner-subgroup averaging certificate",
+          "group subgroup weight inner_subgroup")
+def _interpolate(inputs: Inputs, args, report: dict) -> None:
+    result = interpolation_test(inputs.problem, inputs.inner_subgroup, inputs.weight)
+    _failed_conditions(report, "stable_for_inner_averaging", result)
 
 
-def _cmd_theta_dim(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    e = parse_element_file(inputs.record("idempotent", args.idempotent), inputs.group)
-    dim, per_class = theta_dimension(problem, e)
-    report = _report_base("theta-dim", inputs)
+@_command("theta-dim", "dimension of the compatibility algebra", "group subgroup idempotent")
+def _theta_dim(inputs: Inputs, args, report: dict) -> None:
+    dim, per_class = theta_dimension(inputs.problem, inputs.idempotent)
     report["verdicts"]["completed"] = True
     report["dimensions"] = {"theta": dim}
     report["certificates"] = {"constraints_per_class": per_class}
-    return report
 
 
-def _cmd_abelian_test(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    verdict, witness, idem = abelian_weak_test(problem, w)
-    report = _report_base("abelian-test", inputs)
+@_command("abelian-test",
+          "closure of the trivial character under nonzero double-coset pairings "
+          "(abelian subgroup)", "group subgroup weight",
+          _arg("--real-only", action="store_true",
+               help="ask for a conjugation-closed witness; accepted, but it cannot "
+                    "change the result: for a rational weight the closure of the "
+                    "trivial character is conjugation-closed already"))
+def _abelian_test(inputs: Inputs, args, report: dict) -> None:
+    verdict, witness, idem = abelian_weak_test(inputs.problem, inputs.weight)
     report["verdicts"]["weak"] = verdict
     if verdict:
         report["witness"] = list(witness)
         report["bases"] = {"witness_idempotent": _element_strings([idem])}
-    return report
 
 
-def _cmd_lumped_q(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    rows = walk_lumped_matrix(problem, w)
+@_command("lumped-q", "aggregated coset matrix and its orbital decomposition",
+          "group subgroup weight")
+def _lumped_q(inputs: Inputs, args, report: dict) -> None:
+    problem = inputs.problem
+    rows = walk_lumped_matrix(problem, inputs.weight)
     achievable, coefficients, realizing = check_Q_characterization(problem, rows)
-    report = _report_base("lumped-q", inputs)
-    report["labels"] = [
-        inputs.group.elements[r].cycle_string() for r in problem.left.representatives
-    ]
+    report["labels"] = _labels(inputs.group, problem.left.representatives)
     report["matrices"] = {"lumped": _mat_str(rows)}
     report["verdicts"]["achievable"] = achievable
     if achievable:
         report["certificates"] = {"orbital_coefficients": [str(c) for c in coefficients]}
         report["bases"] = {"realizing_weight": _element_strings([realizing])}
-    return report
 
 
-def _cmd_orbital(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    mats = orbital_matrices(problem)
-    report = _report_base("orbital", inputs)
-    report["labels"] = [
-        inputs.group.elements[o.representative].cycle_string() for o in mats
-    ]
-    report["matrices"] = {
-        f"orbital_{o.class_id}": [list(row) for row in o.matrix] for o in mats
-    }
-    report["verdicts"]["hecke_isomorphism"] = verify_hecke_isomorphism(problem)
-    return report
+@_command("orbital", "orbital matrices of the coset action", "group subgroup")
+def _orbital(inputs: Inputs, args, report: dict) -> None:
+    mats = orbital_matrices(inputs.problem)
+    report["labels"] = _labels(inputs.group, [o.representative for o in mats])
+    report["matrices"] = {f"orbital_{o.class_id}": [list(row) for row in o.matrix] for o in mats}
+    report["verdicts"]["hecke_isomorphism"] = verify_hecke_isomorphism(inputs.problem)
 
 
-def _cmd_generic_test(inputs: Inputs, args) -> dict:
-    P = parse_matrix_file(inputs.record("matrix", args.matrix))
-    f = parse_lump_file(inputs.record("lumpmap", args.lumpmap), P.n)
-    report = {"command": f"generic-test {args.kind}", "inputs": inputs.digests, "verdicts": {}}
+# generic-test's optional --dist precedes its output flags, which have no help text
+@_command("generic-test", "oracle tests on an arbitrary finite chain", "matrix lumpmap",
+          _arg("kind", choices=["weak", "strong", "exact"]),
+          _arg("--dist", default=None, help="start law (`states N` + one row); default uniform"),
+          _arg("--json", action="store_true"), _arg("--text", action="store_true"),
+          _arg("--timing", action="store_true"), output=())
+def _generic_test(inputs: Inputs, args, report: dict) -> None:
+    f, P = inputs.lumpmap, inputs.matrix
     if args.kind == "strong":
         report["verdicts"]["strong"] = test_strong_generic(f, P)
-        return report
-    if args.dist:
-        alpha = parse_distribution_file(inputs.record("dist", args.dist))
-        if alpha.n != P.n:
-            raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
-    else:
-        alpha = Distribution.uniform(P.n)
+        return
+    alpha = parse_distribution_file(inputs.read("dist")) if args.dist else Distribution.uniform(P.n)
+    if alpha.n != P.n:
+        raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
     if args.kind == "weak":
         verdict, certificate = test_weak_generic(f, P, alpha)
         report["verdicts"]["weak"] = verdict
@@ -356,55 +337,48 @@ def _cmd_generic_test(inputs: Inputs, args) -> dict:
             report["certificates"] = {"violating_vector": [str(x) for x in certificate]}
     else:
         report["verdicts"]["exact"] = test_exact_generic(f, P, alpha)
-    return report
 
 
 def _parse_observations(problem, text: str):
     """Coset ids or coset-representative cycle strings; `;`-separated when
     cycle notation (which contains commas) is used."""
-    separator = ";" if ";" in text else ","
-    out = []
-    for token in text.split(separator):
-        token = token.strip()
-        if token.isdigit():
-            out.append(int(token))
-        else:
-            gid = problem.group.element_of(token)
-            out.append(problem.left.coset_of[gid])
-    return out
+    tokens = [token.strip() for token in text.split(";" if ";" in text else ",")]
+    coset_of, element_of = problem.left.coset_of, problem.group.element_of
+    return [int(token) if token.isdigit() else coset_of[element_of(token)] for token in tokens]
 
 
-def _cmd_conditional(inputs: Inputs, args) -> dict:
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    alpha = inputs.load_weight("dist", "dist").require_distribution()
+@_command("conditional", "exact law of the state given a lump history",
+          "group subgroup weight dist",
+          _arg("--obs", required=True,
+               help="observed lumps: coset ids `0,0,1` or representatives `id;(1,2)`"))
+def _conditional(inputs: Inputs, args, report: dict) -> None:
+    problem = inputs.problem
+    alpha = inputs.dist.require_distribution()
     f = lumping_function(problem)
-    P = transition_from_weight(inputs.group, w)
+    P = transition_from_weight(inputs.group, inputs.weight)
     observations = _parse_observations(problem, args.obs)
-    law = conditional_distribution(
-        f, P, Distribution(tuple(alpha.coeffs)), observations
-    )
-    report = _report_base("conditional", inputs)
+    law = conditional_distribution(f, P, Distribution(tuple(alpha.coeffs)), observations)
     report["verdicts"]["completed"] = True
     report["labels"] = list(f.labels)
-    support = {
-        inputs.group.elements[i].cycle_string(): str(p)
-        for i, p in enumerate(law.probs)
-        if p
-    }
+    support = {inputs.group.elements[i].cycle_string(): str(p)
+               for i, p in enumerate(law.probs) if p}
     report["certificates"] = {"conditional_law": support}
-    return report
 
 
-def _cmd_simulate(inputs: Inputs, args) -> dict:
+@_command("simulate", "sample the walk and report empirical lump statistics",
+          "group subgroup weight dist",
+          _arg("--seed", type=int, default=1),
+          _arg("--length", type=int, default=10_000),
+          _arg("--diagnose", action="store_true",
+               help="run the advisory order-2 Markov diagnostic"),
+          _arg("--trajectory-out", dest="trajectory_out", default=None,
+               help="write one lump label per line to this file"))
+def _simulate(inputs: Inputs, args, report: dict) -> None:
     if args.length < 0:
         raise InputFormatError(f"--length must be non-negative, got {args.length}")
-    problem = inputs.load_problem()
-    w = inputs.load_weight()
-    alpha = inputs.load_weight("dist", "dist")
-    trajectory = simulate_walk(problem, w, alpha, args.seed, args.length)
+    problem = inputs.problem
+    trajectory = simulate_walk(problem, inputs.weight, inputs.dist, args.seed, args.length)
     f = lumping_function(problem)
-    report = _report_base("simulate", inputs)
     report["verdicts"]["completed"] = True
     report["labels"] = list(f.labels)
     empirical = empirical_lumped_matrix(trajectory.lumps, f.n_lumps)
@@ -416,12 +390,9 @@ def _cmd_simulate(inputs: Inputs, args) -> dict:
     if args.diagnose:
         diag = markov_diagnostic(trajectory.lumps, f.n_lumps)
         report["verdicts"]["diagnostic_clean"] = diag.clean
-        report["certificates"] = {
-            "flagged_contexts": [
-                {"context": list(item["context"]), "statistic": round(item["statistic"], 3)}
-                for item in diag.flagged
-            ]
-        }
+        flagged = [{"context": list(item["context"]), "statistic": round(item["statistic"], 3)}
+                   for item in diag.flagged]
+        report["certificates"] = {"flagged_contexts": flagged}
         if diag.warning:
             report["certificates"]["warning"] = diag.warning
     if args.trajectory_out:
@@ -431,7 +402,6 @@ def _cmd_simulate(inputs: Inputs, args) -> dict:
                     fh.write(f.labels[b] + "\n")
         except OSError as exc:
             raise InputFormatError(f"cannot write {args.trajectory_out}: {exc}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -442,81 +412,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lumpwalk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lumpwalk {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, help_text, *, weight=False, dist=False, idempotent=False, inner=False):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=fn)
-        p.add_argument("--group", required=True, help="group file (degree + gen lines)")
-        p.add_argument("--subgroup", required=True, help="subgroup file; generators must lie in the group")
-        if weight:
-            p.add_argument("--weight", required=True, help="weight file (scalar element lines)")
-        if dist:
-            p.add_argument("--dist", required=True, help="start distribution file (sums to 1)")
-        if idempotent:
-            p.add_argument("--idempotent", required=True, help="idempotent element file")
-        if inner:
-            p.add_argument("--inner-subgroup", dest="inner_subgroup", required=True,
-                           help="subgroup of the lumping subgroup")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--text", action="store_true", help="emit the flat text report (default)")
-        p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
-        return p
-
-    p = add("cosets", _cmd_cosets, "coset decomposition and representatives")
-    p.add_argument("--side", choices=["left", "right"], default="left")
-
-    p = add("double-cosets", _cmd_double_cosets, "double-coset classes and sizes")
-    p.add_argument("--inner-subgroup", dest="inner_subgroup", default=None,
-                   help="optional left factor (defaults to the subgroup itself)")
-
-    p = add("test", _cmd_test, "strong / exact / weak lumping verdict", weight=True)
-    p.add_argument("kind", choices=["strong", "exact", "weak"])
-
-    add("lw", _cmd_lw, "minimal stable induced ideal of the weight", weight=True)
-    add("jw", _cmd_jw, "maximal stable induced ideal (admissible starts)", weight=True)
-    add("l-alpha", _cmd_l_alpha, "minimal stable ideal containing a start", weight=True, dist=True)
-    add("test-dist", _cmd_test_dist, "weak lumping verdict for one start", weight=True, dist=True)
-    add("stable-check", _cmd_stable_check, "verify a stable-ideal certificate", weight=True, idempotent=True)
-    add("dual", _cmd_dual, "time-reversal dual of an idempotent", idempotent=True)
-    add("interpolate", _cmd_interpolate, "inner-subgroup averaging certificate", weight=True, inner=True)
-    add("theta-dim", _cmd_theta_dim, "dimension of the compatibility algebra", idempotent=True)
-
-    p = add("abelian-test", _cmd_abelian_test,
-            "closure of the trivial character under nonzero double-coset pairings (abelian subgroup)",
-            weight=True)
-    p.add_argument("--real-only", action="store_true",
-                   help="ask for a conjugation-closed witness; accepted, but it cannot "
-                        "change the result: for a rational weight the closure of the "
-                        "trivial character is conjugation-closed already")
-
-    add("lumped-q", _cmd_lumped_q, "aggregated coset matrix and its orbital decomposition", weight=True)
-    add("orbital", _cmd_orbital, "orbital matrices of the coset action")
-
-    p = sub.add_parser("generic-test", help="oracle tests on an arbitrary finite chain")
-    p.set_defaults(handler=_cmd_generic_test)
-    p.add_argument("kind", choices=["weak", "strong", "exact"])
-    p.add_argument("--matrix", required=True, help="`states N` + N rational rows")
-    p.add_argument("--lumpmap", required=True, help="`lump <state> <label>` lines")
-    p.add_argument("--dist", default=None, help="start law (`states N` + one row); default uniform")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true")
-    p.add_argument("--timing", action="store_true")
-
-    p = add("conditional", _cmd_conditional, "exact law of the state given a lump history",
-            weight=True, dist=True)
-    p.add_argument("--obs", required=True,
-                   help="observed lumps: coset ids `0,0,1` or representatives `id;(1,2)`")
-
-    p = add("simulate", _cmd_simulate, "sample the walk and report empirical lump statistics",
-            weight=True, dist=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--length", type=int, default=10_000)
-    p.add_argument("--diagnose", action="store_true",
-                   help="run the advisory order-2 Markov diagnostic")
-    p.add_argument("--trajectory-out", dest="trajectory_out", default=None,
-                   help="write one lump label per line to this file")
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        p.set_defaults(command=command)
+        for role in command.roles:
+            p.add_argument("--" + role.replace("_", "-"), dest=role, required=True,
+                           help=ROLES[role][0])
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
     return parser
+
+
+def _run(command: Command, args) -> dict:
+    """Load the command's inputs in order, build the base report, run the body."""
+    inputs = Inputs(args)
+    for role in command.roles:
+        inputs.load(role)
+    name = f"{command.name} {args.kind}" if "kind" in vars(args) else command.name
+    report = {"command": name, "inputs": inputs.digests, "verdicts": {}}
+    if inputs.group is not None:
+        report["group"] = {"degree": inputs.group.degree, "order": inputs.group.order}
+    if inputs.subgroup is not None:
+        H = inputs.subgroup
+        report["subgroup"] = {"order": H.order, "index": H.index_in_parent}
+    command.body(inputs, args, report)
+    return report
 
 
 @functools.cache
@@ -544,10 +464,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    inputs = Inputs(args)
     start = time.monotonic()
     try:
-        report = args.handler(inputs, args)
+        report = _run(args.command, args)
     except InputFormatError as exc:
         print(f"lumpwalk: input error: {exc}", file=sys.stderr)
         return 1

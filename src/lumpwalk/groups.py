@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 from .errors import DomainError, InputFormatError, InvariantError, ResourceError
 
 DEFAULT_ORDER_CAP = 20_000
+# Work budget of one enumeration: degree times group order, the number of
+# permutation entries it stores.  The order cap alone would let a small group
+# on millions of points cost seconds and gigabytes.
+MAX_GROUP_ENTRIES = 500_000
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,17 @@ def parse_cycles(degree: int, text: str) -> Permutation:
     return Permutation.from_cycles(degree, cycles)
 
 
+def _over_budget(degree: int) -> ResourceError:
+    return ResourceError(
+        f"degree {degree} times the group order exceeds the work budget of "
+        f"{MAX_GROUP_ENTRIES} permutation entries"
+    )
+
+
 def _closure(degree: int, seeds, cap: int) -> set[tuple[int, ...]]:
+    budget = MAX_GROUP_ENTRIES // degree
+    if not budget:
+        raise _over_budget(degree)
     identity = tuple(range(degree))
     elements = {identity}
     frontier = [identity]
@@ -138,6 +152,8 @@ def _closure(degree: int, seeds, cap: int) -> set[tuple[int, ...]]:
                         raise ResourceError(
                             f"group order exceeds the configured cap {cap}"
                         )
+                    if len(elements) >= budget:
+                        raise _over_budget(degree)
                     elements.add(prod)
                     nxt.append(prod)
         frontier = nxt
@@ -388,7 +404,8 @@ def double_cosets(G: FiniteGroup, T: Subgroup, H: Subgroup) -> DoubleCosetDecomp
 # group file format: `degree <n>` then `gen <cycles>` lines, 1-based points
 
 
-def parse_group_file(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def parse_generators(text: str) -> tuple[int, list[Permutation]]:
+    """The degree and the generators of a group file, without enumerating the group."""
     degree = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -402,6 +419,8 @@ def parse_group_file(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
                 raise InputFormatError(f"line {lineno}: bad degree line {raw!r}")
             if degree < 1:
                 raise InputFormatError(f"line {lineno}: degree must be positive, got {degree}")
+            if degree > MAX_GROUP_ENTRIES:
+                raise _over_budget(degree)
         elif line.startswith("gen"):
             if degree is None:
                 raise InputFormatError(f"line {lineno}: gen before degree")
@@ -410,6 +429,11 @@ def parse_group_file(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
             raise InputFormatError(f"line {lineno}: unrecognized line {raw!r}")
     if degree is None:
         raise InputFormatError("missing degree line")
+    return degree, gens
+
+
+def parse_group_file(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    degree, gens = parse_generators(text)
     return FiniteGroup.generate(degree, gens, order_cap)
 
 

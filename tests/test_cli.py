@@ -44,10 +44,17 @@ BOTTOM5_STAR = "1/4 (1,2,3,4,5)\n1/4 (1,2,3,5)\n1/4 (1,2,5)\n1/4 (1,5)\n"
 RTT5 = "1/5 id\n1/5 (1,2)\n1/5 (1,2,3)\n1/5 (1,2,3,4)\n1/5 (1,2,3,4,5)\n"
 DIST5_SWAP = "1/2 id\n1/2 (1,2)\n"
 DIST5_S3 = "".join(f"1/6 {g}\n" for g in ("id", "(2,3)", "(2,4)", "(3,4)", "(2,3,4)", "(2,4,3)"))
+# idempotents of the top-card problem: eta_H, and the time-reversal dual of eta_T
+ETA_H = "".join(f"1/6 {g}\n" for g in ("id", "(2,3)", "(2,4)", "(3,4)", "(2,3,4)", "(2,4,3)"))
+DUAL_ETA_T = "2/3 id\n1/6 (3,4)\n-1/3 (2,3)\n1/6 (2,3,4)\n1/6 (2,4,3)\n1/6 (2,4)\n"
+INNER_34 = "degree 4\ngen (3,4)\n"
+INNER_234 = "degree 4\ngen (2,3,4)\n"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
 ABELIAN_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_abelian_reports.json"
 VERDICT_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_verdict_reports.json"
 GENERIC_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_generic_reports.json"
+CLI_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_cli_reports.json"
+CLI_TEXT_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_cli_text.json"
 
 
 def write_files(tmp_path):
@@ -63,6 +70,8 @@ def write_files(tmp_path):
         ("sym5", SYM5), ("top5", TOP5), ("bottom5", BOTTOM5), ("bottom5_star", BOTTOM5_STAR),
         ("rtt5", RTT5),
         ("dist5_swap", DIST5_SWAP), ("dist5_s3", DIST5_S3),
+        ("eta_h", ETA_H), ("dual_eta_t", DUAL_ETA_T), ("inner_34", INNER_34),
+        ("inner_234", INNER_234),
     ]:
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
@@ -230,6 +239,8 @@ def mutated_input(draw):
 @example(("test weak", {"weight": b"1 (,4,2,3)\n"}, 1))
 @example(("test weak", {"weight": b"1/4 id\n1/4 (1,4)(2,3)\xff\n"}, 1))
 @example(("test weak", {"group": b"degree -1\n"}, 1))
+@example(("test weak", {"group": b"degree 1000000\ngen (1,2)\n"}, 2))
+@example(("test weak", {"subgroup": b"degree 1000000\ngen (1,2)\n"}, 2))
 @example(("generic-test weak", {"matrix": b"states 0\n", "lumpmap": b""}, 1))
 @example(("generic-test weak", {"chain_dist": b"states 5\n1/5 1/5 1/5 1/5 1/5\n"}, 2))
 @example(("simulate", {"trajectory": b"a file where a directory should be\n"}, 1))
@@ -468,6 +479,100 @@ def test_golden_generic_reports(files, tmp_path):
         assert golden_report(argv) == expected[name], name
 
 
+def cli_golden_cases(files):
+    """The requests of the subcommands that no other golden file pins, by name.
+
+    On the S4 top-card problem with the frustrator: `stable-check` with a
+    stable idempotent and with one that fails each condition and both,
+    `interpolate` passing and failing each condition and both.
+    """
+    top = common(files)
+    weight = common(files, "--weight", files["weight"])
+    out = {
+        "cosets-left": ["cosets", *top],
+        "cosets-right": ["cosets", *top, "--side", "right"],
+        "double-cosets": ["double-cosets", *top],
+        "double-cosets-inner": ["double-cosets", *top, "--inner-subgroup", files["inner"]],
+        "dual": ["dual", *top, "--idempotent", files["idempotent"]],
+        "theta-dim": ["theta-dim", *top, "--idempotent", files["idempotent"]],
+        "conditional-ids": ["conditional", *weight, "--dist", files["dist_eta_t"], "--obs", "0,0,1"],
+        "conditional-representatives": ["conditional", *weight, "--dist", files["dist_id"],
+                                        "--obs", "id;(1,2,3,4)"],
+        "simulate-diagnose": ["simulate", *weight, "--dist", files["dist_eta_t"],
+                              "--seed", "3", "--length", "2000", "--diagnose"],
+    }
+    for name, idempotent in (("stable", "idempotent"), ("ideal", "eta_h"),
+                             ("cut", "dist_id"), ("both", "dual_eta_t")):
+        out[f"stable-check-{name}"] = ["stable-check", *weight, "--idempotent", files[idempotent]]
+    for name, w, inner in (("pass", "weight", "inner"), ("both", "nonweak", "inner"),
+                           ("exact", "weight", "inner_234"), ("mass", "top_to_random", "inner_34")):
+        out[f"interpolate-{name}"] = ["interpolate", *common(files, "--weight", files[w]),
+                                      "--inner-subgroup", files[inner]]
+    return out
+
+
+# the requests whose text report is pinned
+CLI_TEXT_CASES = ("cosets-right", "stable-check-both", "simulate-diagnose")
+
+
+def run_in_process(capsys, argv):
+    """(exit code, stdout, stderr) of one `cli.main` call in this process."""
+    from lumpwalk import cli
+
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_golden_cli_reports(files, capsys):
+    expected = json.loads(CLI_GOLDEN_PATH.read_text())
+    cases = cli_golden_cases(files)
+    assert set(cases) == set(expected)
+    for name, argv in cases.items():
+        code, out, err = run_in_process(capsys, [*argv, "--json"])
+        assert (code, err) == (0, ""), (name, err)
+        report = json.loads(out)
+        for entry in report["inputs"].values():
+            del entry["path"]
+        assert report == expected[name], name
+
+
+def cli_text_cases(files):
+    """Text reports and the `--help` of the program and of every subcommand of
+    the command table, by name, as argument lists."""
+    from lumpwalk import cli
+
+    cases = cli_golden_cases(files)
+    out = {f"text-{name}": cases[name] for name in CLI_TEXT_CASES}
+    out["help"] = ["--help"]
+    for command in cli.COMMANDS:
+        out[f"help-{command.name}"] = [command.name, "--help"]
+    return out
+
+
+def test_golden_cli_text_and_help(files, tmp_path, capsys, monkeypatch):
+    """Text reports (input paths relative to the test directory) and `--help`
+    at 80 columns are byte-identical to the recorded ones."""
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(CLI_TEXT_GOLDEN_PATH.read_text())
+    cases = cli_text_cases(files)
+    assert set(cases) == set(expected)
+    for name, argv in cases.items():
+        code, out, err = run_in_process(capsys, argv)
+        assert (code, err) == (0, ""), (name, err)
+        assert out.replace(str(tmp_path), "<tmp>") == expected[name], name
+
+
+def test_every_subcommand_has_a_golden_report(files, tmp_path):
+    """A subcommand added to the command table needs a pinned report."""
+    from lumpwalk import cli
+
+    cases = [*golden_cases(files).values(), *abelian_golden_cases(files).values(),
+             *verdict_golden_cases(files).values(),
+             *generic_golden_cases(files, tmp_path).values(), *cli_golden_cases(files).values()]
+    assert {argv[0] for argv in cases} == {command.name for command in cli.COMMANDS}
+
+
 def test_reports_do_not_depend_on_asserts(files, tmp_path):
     """`python -O` strips assert statements; no verdict or report may change."""
     abelian = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"]]
@@ -553,40 +658,40 @@ def test_byte_stable_reports(files):
     assert text1.stdout == text2.stdout
 
 
+# arguments beyond the input files that a subcommand needs for a valid request
+SCHEMA_EXTRA = {
+    "conditional": ["--obs", "0,0"],
+    "simulate": ["--seed", "3", "--length", "2000", "--diagnose"],
+}
+
+
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
-def test_reports_validate_against_schema(files, tmp_path):
+def test_reports_validate_against_schema(files, tmp_path, capsys):
+    """The JSON report of every subcommand of the command table, and of each
+    kind of those that take one, validates against the schema."""
+    from lumpwalk import cli
+
     schema = json.loads(SCHEMA_PATH.read_text())
     validator = jsonschema.Draft202012Validator(schema)
     matrix = tmp_path / "matrix.txt"
     matrix.write_text("states 2\n1/2 1/2\n1/2 1/2\n")
     lumpmap = tmp_path / "lumps.txt"
     lumpmap.write_text("lump 0 a\nlump 1 b\n")
-    commands = [
-        ["cosets", *common(files)],
-        ["double-cosets", *common(files)],
-        ["test", "strong", *common(files, "--weight", files["weight"])],
-        ["test", "weak", *common(files, "--weight", files["weight"])],
-        ["lw", *common(files, "--weight", files["weight"])],
-        ["jw", *common(files, "--weight", files["weight"])],
-        ["l-alpha", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"])],
-        ["test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])],
-        ["stable-check", *common(files, "--weight", files["weight"], "--idempotent", files["idempotent"])],
-        ["dual", *common(files, "--idempotent", files["idempotent"])],
-        ["interpolate", *common(files, "--weight", files["weight"], "--inner-subgroup", files["inner"])],
-        ["theta-dim", *common(files, "--idempotent", files["idempotent"])],
-        ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"], "--weight", files["weight"]],
-        ["lumped-q", *common(files, "--weight", files["weight"])],
-        ["orbital", *common(files)],
-        ["generic-test", "weak", "--matrix", str(matrix), "--lumpmap", str(lumpmap)],
-        ["conditional", *common(files, "--weight", files["weight"], "--dist", files["dist_id"]), "--obs", "0,0"],
-        ["simulate", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"]),
-         "--seed", "3", "--length", "2000", "--diagnose"],
-    ]
-    for argv in commands:
-        result = run_cli(*argv, "--json")
-        assert result.returncode == 0, (argv, result.stderr)
-        report = json.loads(result.stdout)
-        validator.validate(report)
+    paths = {**files, "dist": files["dist_eta_t"], "inner_subgroup": files["inner"],
+             "matrix": str(matrix), "lumpmap": str(lumpmap)}
+    for command in cli.COMMANDS:
+        role_paths = dict(paths)
+        if command.name == "abelian-test":
+            role_paths["subgroup"] = files["cyclic"]  # the test needs an abelian subgroup
+        argv = [command.name, *SCHEMA_EXTRA.get(command.name, [])]
+        for role in command.roles:
+            argv += ["--" + role.replace("_", "-"), role_paths[role]]
+        kinds = [kwargs["choices"] for flags, kwargs in command.options if flags == ("kind",)]
+        for kind in kinds[0] if kinds else [None]:
+            request = argv if kind is None else [*argv, kind]
+            code, out, err = run_in_process(capsys, [*request, "--json"])
+            assert code == 0, (request, err)
+            validator.validate(json.loads(out))
 
 
 def test_dual_command_output(files):

@@ -15,7 +15,13 @@ from lumpwalk import (
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
-from lumpwalk.groups import DoubleCosetDecomposition, _closure, format_group_file
+from lumpwalk.groups import (
+    MAX_GROUP_ENTRIES,
+    DoubleCosetDecomposition,
+    _closure,
+    format_group_file,
+    parse_generators,
+)
 
 
 def test_group_not_starting_at_the_identity_is_an_invariant_error():
@@ -45,6 +51,14 @@ def test_order_cap():
         FiniteGroup.generate(
             4, [parse_cycles(4, "(1,2)"), parse_cycles(4, "(1,2,3,4)")], order_cap=10
         )
+    # degree times order is bounded as well: a group of order 2 on more than
+    # half the budget of points stops at its second element
+    degree = MAX_GROUP_ENTRIES // 2 + 1
+    with pytest.raises(ResourceError, match="work budget"):
+        FiniteGroup.generate(degree, [parse_cycles(degree, "(1,2)")])
+    # and a group file over the budget stops at its degree line
+    with pytest.raises(ResourceError, match="work budget"):
+        parse_generators(f"degree {MAX_GROUP_ENTRIES + 1}\ngen (1,2)\n")
 
 
 def test_canonical_ordering_idempotent(sym4):
@@ -175,6 +189,18 @@ def test_conjugate_and_intersect(sym4):
     n = sym4.element_of("(2,3)")
     assert conjugate_subgroup(H, n).members == H.members
     assert intersect_subgroups(H, H).members == H.members
+
+
+def test_subgroup_from_file_generators_matches_enumerated_file(sym4):
+    """Closing a subgroup file's generators inside the group gives the same
+    subgroup as enumerating the file as a group of its own first."""
+    for text in ("degree 4\ngen (2,3)\ngen (2,3,4)\n", "degree 4\n",
+                 "degree 4\ngen id\ngen (1,2)(3,4)\ngen (1,3)(2,4)\ngen (1,2)(3,4)\n"):
+        degree, gens = parse_generators(text)
+        spec = parse_group_file(text)
+        assert degree == spec.degree == 4
+        enumerated = sym4.subgroup([spec.elements[g] for g in spec.generators])
+        assert sym4.subgroup(gens) == enumerated, text
 
 
 def test_group_file_roundtrip(sym4):
