@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -324,12 +325,14 @@ def _orbital(inputs: Inputs, args, report: dict) -> None:
           _arg("--timing", action="store_true"), output=())
 def _generic_test(inputs: Inputs, args, report: dict) -> None:
     f, P = inputs.lumpmap, inputs.matrix
-    if args.kind == "strong":
+    alpha = parse_distribution_file(inputs.read("dist")) if args.dist else None
+    if alpha is not None and alpha.n != P.n:
+        raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
+    if args.kind == "strong":  # read and checked all the same, the law does not enter
         report["verdicts"]["strong"] = test_strong_generic(f, P)
         return
-    alpha = parse_distribution_file(inputs.read("dist")) if args.dist else Distribution.uniform(P.n)
-    if alpha.n != P.n:
-        raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
+    if alpha is None:
+        alpha = Distribution.uniform(P.n)
     if args.kind == "weak":
         verdict, certificate = test_weak_generic(f, P, alpha)
         report["verdicts"]["weak"] = verdict
@@ -477,11 +480,22 @@ def main(argv=None) -> int:
         print(f"lumpwalk: error: {exc}", file=sys.stderr)
         return 2
     report["timing"] = {"seconds": round(time.monotonic() - start, 6)} if args.timing else None
-    if args.json and not args.text:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    else:
-        _render_text(report, sys.stdout)
+    try:
+        if args.json and not args.text:
+            json.dump(report, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+        else:
+            _render_text(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; what is left in the buffer goes to the null
+        # device, so the flush at interpreter shutdown does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("lumpwalk: output error: the report could not be written (broken pipe)",
+              file=sys.stderr)
+        return 1
     return 0
 
 

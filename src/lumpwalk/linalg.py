@@ -9,7 +9,13 @@ entries and the order of the arithmetic on them are those of a dense sweep,
 so bases and kernels do not depend on the cache.  `closure` is the one
 fixpoint kernel, for the group path and the generic oracle alike: the
 smallest subspace containing a seed and closed under given linear maps,
-grown from a worklist.  On top of the generic
+grown from a worklist.  `full_rank_mod_p` runs the same worklist over the
+integers mod the prime `PRIME` and only answers whether that closure is the
+whole space; rank mod p is at most the rank over Q, so a True answer is a
+proof, and the caller can return the identity basis without exact
+elimination.  `nullspace` echelonises its constraints with the columns
+reversed, so the solution of each free column is already a row of the
+canonical basis and no second elimination is needed.  On top of the generic
 vector-space kernel this module provides the group-algebra operations: ideal
 closures, coset projections of subspaces, induced-ideal recognition, the
 `(1 - eta_H)` cut of an induced ideal, and orthogonal complements under the
@@ -21,6 +27,8 @@ from __future__ import annotations
 from .algebra import AlgebraElement, eta
 from .errors import DomainError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
+
+PRIME = 2**61 - 1  # the modulus of `full_rank_mod_p`
 
 
 class Subspace:
@@ -40,6 +48,18 @@ class Subspace:
         self.support: list[list[int]] = []
         for v in vectors:
             self.insert(v)
+
+    @classmethod
+    def whole(cls, field, ambient: int) -> "Subspace":
+        """The whole space, with the identity matrix as its basis."""
+        out = cls(field, ambient)
+        for i in range(ambient):
+            row = [field.zero] * ambient
+            row[i] = field.one
+            out.rows.append(row)
+            out.pivots.append(i)
+            out.support.append([i])
+        return out
 
     @property
     def dim(self) -> int:
@@ -196,21 +216,32 @@ def kernel_span(field, images: list[list], basis_rows: list[list], ambient: int)
 
 
 def nullspace(field, rows: list[list], ambient: int) -> Subspace:
-    """Solutions v of the homogeneous system row . v == 0 for each row."""
-    constraints = Subspace(field, ambient, rows)
-    out = Subspace(field, ambient)
-    pivset = set(constraints.pivots)
-    one = field.one
-    zero = field.zero
+    """Solutions v of the homogeneous system row . v == 0 for each row.
+
+    The constraints are echelonised with their columns reversed, so the pivot
+    of each constraint is its last nonzero column, and the constraint is zero
+    at every other pivot.  The solution of a free column f is 1 at f and
+    -row[f] at the pivot of each row, all of them right of f, and 0 at every
+    other free column: a row of the canonical basis as it stands.
+    """
+    last = ambient - 1
+    reversed_rows = Subspace(field, ambient, [row[::-1] for row in rows])
+    solutions = {}
+    pivots = {last - p for p in reversed_rows.pivots}
     for free in range(ambient):
-        if free in pivset:
-            continue
-        v = [zero] * ambient
-        v[free] = one
-        for row, p in zip(constraints.rows, constraints.pivots):
-            if row[free]:
-                v[p] = -row[free]
-        out.insert(v)
+        if free not in pivots:
+            v = [field.zero] * ambient
+            v[free] = field.one
+            solutions[free] = v
+    for row, p, cols in zip(reversed_rows.rows, reversed_rows.pivots, reversed_rows.support):
+        for k in cols:
+            if k != p:
+                solutions[last - k][last - p] = -row[k]
+    out = Subspace(field, ambient)
+    for free, v in solutions.items():
+        out.rows.append(v)
+        out.pivots.append(free)
+        out.support.append([k for k, c in enumerate(v) if c])
     return out
 
 
@@ -252,6 +283,75 @@ def closure(V: Subspace, successors) -> Subspace:
                     return out
                 worklist.append(image)
     return out
+
+
+def residue(q) -> int:
+    """A rational mod PRIME; ValueError when PRIME divides its denominator."""
+    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+
+def full_rank_mod_p(seeds, successors, ambient: int) -> bool:
+    """Whether the `closure` worklist, run mod PRIME, spans the whole space.
+
+    ``seeds`` are int vectors and ``successors(v)`` yields int images; the
+    worklist is that of `closure`, over the integers mod PRIME.  Rows are
+    kept in reduced echelon form mod PRIME, each with the list of its
+    nonzero columns other than its pivot, so a vector is reduced by one
+    pass over the rows and tested on the free columns only.  Entries are
+    reduced lazily, at the pivots and at the test.  The loop stops as soon
+    as the rank reaches ``ambient``.
+
+    When the seeds and maps are the residues of rational ones whose
+    denominators PRIME does not divide, every vector explored is the residue
+    of a vector of the rational closure, and vectors independent mod PRIME
+    are independent over Q: a True answer proves that the rational closure
+    is the whole space.  A False answer proves nothing.
+    """
+    p = PRIME
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    support: list[list[int]] = []  # nonzero columns of each row, pivot excluded
+    free = list(range(ambient))
+
+    def grows(vector) -> bool:
+        v = list(vector)
+        for row, q, cols in zip(rows, pivots, support):
+            c = v[q] % p
+            if c:
+                for k in cols:
+                    v[k] -= c * row[k]
+        cols = [k for k in free if v[k] % p]
+        if not cols:
+            return False
+        q = cols.pop(0)
+        inv = pow(v[q], -1, p)
+        new = [0] * ambient
+        new[q] = 1
+        for k in cols:
+            new[k] = v[k] * inv % p
+        for i, row in enumerate(rows):
+            c = row[q]
+            if c:
+                for k in cols:
+                    row[k] = (row[k] - c * new[k]) % p
+                row[q] = 0
+                touched = set(support[i])
+                touched.update(cols)
+                support[i] = [k for k in sorted(touched) if row[k]]
+        free.remove(q)
+        rows.append(new)
+        pivots.append(q)
+        support.append(cols)
+        return True
+
+    worklist = [s for s in seeds if grows(s)]
+    while worklist and free:
+        for image in successors(worklist.pop()):
+            if grows(image):
+                if not free:
+                    return True
+                worklist.append(image)
+    return not free
 
 
 def permuted(vector, perm, zero) -> list:

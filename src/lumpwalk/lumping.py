@@ -13,11 +13,16 @@ representative per coset.
 
 Both fixpoints are the one worklist closure `linalg.closure`.  The cut of
 L_w is the closure of eta_H (and the coset components of a start) under the
-generators of H and under u -> each coset component of u w.  The cut of J_w
+generators of H and under u -> each coset component of u w.  The same
+worklist is first run on residues mod `linalg.PRIME`, with the same
+successor code fed the residue table (`linalg.full_rank_mod_p`): when it
+reaches rank |H|, the cut is the whole subgroup algebra, proven without
+exact elimination, and its basis is the identity.  The cut of J_w
 is read through the time-reversal duality: its annihilator under the plain
 dot product is the closure of the all-ones vector under the transposed
 action table, a -> M_c a, and the cut is the nullspace of the annihilator
-plus eta_H.
+plus eta_H.  The annihilator is the whole space only when that cut is
+Q eta_H, so it is always computed by the exact closure.
 
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
@@ -44,7 +49,7 @@ from .algebra import (
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets
-from .linalg import Subspace, closure, nullspace, permuted
+from .linalg import Subspace, closure, full_rank_mod_p, nullspace, permuted, residue
 from .scalars import RATIONALS, common_field, cyclotomic_field
 
 
@@ -130,9 +135,12 @@ class LumpingProblem:
         return table
 
     def times_weight(self, action: list[list[tuple]], vec) -> list[list]:
-        """The coset components of u w for a rational H-vector u, from the action table of w."""
-        zero = RATIONALS.zero
-        out = [[zero] * self.subgroup.order for _ in range(self.index)]
+        """The coset components of u w for an H-vector u, from the action table of w.
+
+        The entries are sums of products of those of u and of the table, so
+        the same code serves rational vectors and their residues mod a prime.
+        """
+        out = [[0] * self.subgroup.order for _ in range(self.index)]
         for c, entries in zip(vec, action):
             if c:
                 for cid, pos, value in entries:
@@ -167,16 +175,31 @@ class LumpingProblem:
         """Smallest left ideal of the subgroup algebra containing the span and
         closed under u -> each coset component of u w, for the action table of
         a weight w (`weight_action`).
+
+        When the worklist run on residues mod `linalg.PRIME` reaches full rank,
+        the ideal is the whole subgroup algebra and its basis is the identity,
+        with no exact elimination.  Otherwise, or when the prime divides a
+        denominator, the exact closure decides.
         """
         perms = self._H_generator_perms
-        zero = space.field.zero
 
-        def successors(u):
-            for perm in perms:
-                yield permuted(u, perm, zero)
-            yield from self.times_weight(action, u)
+        def successors(table):
+            def images(u):
+                for perm in perms:
+                    yield permuted(u, perm, 0)
+                yield from self.times_weight(table, u)
+            return images
 
-        return closure(space, successors)
+        try:
+            seeds = [[residue(c) for c in row] for row in space.rows]
+            table = [[(cid, pos, residue(value)) for cid, pos, value in entries]
+                     for entries in action]
+        except ValueError:  # the prime divides a denominator
+            pass
+        else:
+            if full_rank_mod_p(seeds, successors(table), space.ambient):
+                return Subspace.whole(space.field, space.ambient)
+        return closure(space, successors(action))
 
     def eta_H_vector(self, scalar_field=RATIONALS) -> list:
         return self.to_H_vector(self.eta_H.to_field(scalar_field))

@@ -323,22 +323,75 @@ def golden_cases(files):
     return out
 
 
-def golden_report(argv):
-    """The --json report of a request with the machine-specific input paths removed."""
-    result = run_cli(*argv, "--json")
-    assert result.returncode == 0, (argv, result.stderr)
-    report = json.loads(result.stdout)
+def golden_report(capsys, argv):
+    """The --json report of a request, run through `cli.main` in this process,
+    with the machine-specific input paths removed."""
+    code, out, err = run_in_process(capsys, [*argv, "--json"])
+    assert (code, err) == (0, ""), (argv, err)
+    report = json.loads(out)
     for entry in report["inputs"].values():
         del entry["path"]
     return report
 
 
-def test_golden_weak_reports(files):
+def test_golden_weak_reports(files, capsys):
     expected = json.loads(GOLDEN_PATH.read_text())
     cases = golden_cases(files)
     assert set(cases) == set(expected)
     for name, argv in cases.items():
-        assert golden_report(argv) == expected[name], name
+        assert golden_report(capsys, argv) == expected[name], name
+
+
+def spy(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (name, result) to calls."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((name, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_weak_goldens_do_not_depend_on_the_prime(files, capsys, monkeypatch, prime):
+    """With a small prime the rank check of `close_H_ideal` finds a denominator
+    divisible by p or may come up short of full rank; the exact closure then
+    decides, and the S4 weak reports are those of the default prime."""
+    from lumpwalk import linalg, lumping
+
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    calls = []
+    spy(monkeypatch, lumping, "full_rank_mod_p", calls)
+    spy(monkeypatch, lumping, "closure", calls)
+    expected = json.loads(GOLDEN_PATH.read_text())
+    for name, argv in golden_cases(files).items():
+        if not name.startswith("s5-"):
+            assert golden_report(capsys, argv) == expected[name], (prime, name)
+    names = [name for name, _ in calls]
+    checks = [result for name, result in calls if name == "full_rank_mod_p"]
+    if prime == 2:  # every S4 weight here has an even denominator
+        assert not checks and names
+    else:  # a check that comes up short hands over to the exact closure
+        assert False in checks
+        assert all(names[i + 1] == "closure" for i, (name, result) in enumerate(calls)
+                   if name == "full_rank_mod_p" and not result)
+
+
+def test_full_rank_shortcut_is_taken(files, capsys, monkeypatch):
+    """The non-weak S4 weight has L_w the whole algebra: the rank mod p proves
+    it, the exact closure of `close_H_ideal` does not run, and the report is
+    the pinned one."""
+    from lumpwalk import lumping
+
+    calls = []
+    spy(monkeypatch, lumping, "full_rank_mod_p", calls)
+    spy(monkeypatch, lumping, "closure", calls)
+    expected = json.loads(GOLDEN_PATH.read_text())
+    argv = golden_cases(files)["test-weak-nonweak"]
+    assert golden_report(capsys, argv) == expected["test-weak-nonweak"]
+    assert [name for name, _ in calls] == ["full_rank_mod_p"] and calls[0][1] is True
 
 
 def abelian_golden_cases(files):
@@ -352,7 +405,7 @@ def abelian_golden_cases(files):
     return out
 
 
-def test_golden_abelian_reports(files, sym4):
+def test_golden_abelian_reports(files, sym4, capsys):
     from lumpwalk.algebra import parse_element_file
 
     assert parse_element_file(DIE_STAR, sym4) == parse_element_file(DIE, sym4).star()
@@ -360,7 +413,7 @@ def test_golden_abelian_reports(files, sym4):
     cases = abelian_golden_cases(files)
     assert set(cases) == set(expected)
     for name, argv in cases.items():
-        assert golden_report(argv) == expected[name], name
+        assert golden_report(capsys, argv) == expected[name], name
 
 
 def verdict_golden_cases(files):
@@ -389,12 +442,12 @@ def verdict_golden_cases(files):
     return out
 
 
-def test_golden_verdict_reports(files):
+def test_golden_verdict_reports(files, capsys):
     expected = json.loads(VERDICT_GOLDEN_PATH.read_text())
     cases = verdict_golden_cases(files)
     assert set(cases) == set(expected)
     for name, argv in cases.items():
-        assert golden_report(argv) == expected[name], name
+        assert golden_report(capsys, argv) == expected[name], name
 
 
 def write_chain(files, tmp_path, name, group, subgroup, weight, starts):
@@ -470,13 +523,13 @@ def generic_golden_cases(files, tmp_path):
     return out
 
 
-def test_golden_generic_reports(files, tmp_path):
+def test_golden_generic_reports(files, tmp_path, capsys):
     expected = json.loads(GENERIC_GOLDEN_PATH.read_text())
     cases = generic_golden_cases(files, tmp_path)
     assert set(cases) == set(expected)
     assert any("certificates" in report for report in expected.values())
     for name, argv in cases.items():
-        assert golden_report(argv) == expected[name], name
+        assert golden_report(capsys, argv) == expected[name], name
 
 
 def cli_golden_cases(files):
@@ -529,12 +582,7 @@ def test_golden_cli_reports(files, capsys):
     cases = cli_golden_cases(files)
     assert set(cases) == set(expected)
     for name, argv in cases.items():
-        code, out, err = run_in_process(capsys, [*argv, "--json"])
-        assert (code, err) == (0, ""), (name, err)
-        report = json.loads(out)
-        for entry in report["inputs"].values():
-            del entry["path"]
-        assert report == expected[name], name
+        assert golden_report(capsys, argv) == expected[name], name
 
 
 def cli_text_cases(files):
@@ -732,6 +780,53 @@ def test_generic_test_cli(files, tmp_path):
     result = run_cli("generic-test", "strong", "--matrix", str(matrix),
                      "--lumpmap", str(lumpmap), "--json")
     assert json.loads(result.stdout)["verdicts"]["strong"] is False
+
+
+def test_generic_strong_reads_and_checks_the_start_law(tmp_path, capsys):
+    """`generic-test strong` ignores the law in its verdict, but reads,
+    fingerprints and validates `--dist` as `weak` and `exact` do."""
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("states 2\n1/2 1/2\n1/3 2/3\n")
+    lumpmap = tmp_path / "lumps.txt"
+    lumpmap.write_text("lump 0 a\nlump 1 b\n")
+    chain = ["--matrix", str(matrix), "--lumpmap", str(lumpmap)]
+    too_long = tmp_path / "dist3.txt"
+    too_long.write_text("states 3\n1/3 1/3 1/3\n")
+    point = tmp_path / "dist2.txt"
+    point.write_text("states 2\n1 0\n")
+    for kind in ("strong", "weak", "exact"):
+        code, out, err = run_in_process(capsys, ["generic-test", kind, *chain, "--dist", str(too_long)])
+        assert (code, out) == (2, ""), kind
+        assert err == "lumpwalk: precondition violated: start law has 3 states, the matrix 2\n"
+        code, out, err = run_in_process(capsys, ["generic-test", kind, *chain, "--dist", "/nonexistent"])
+        assert (code, out) == (1, ""), kind
+        assert err.startswith("lumpwalk: input error: cannot read /nonexistent") and "\n" == err[-1]
+    code, out, err = run_in_process(capsys, ["generic-test", "strong", *chain, "--dist", str(point),
+                                             "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert set(report["inputs"]) == {"matrix", "lumpmap", "dist"}
+    assert report["verdicts"] == {"strong": True}
+
+
+def test_closed_pipe_exits_1_without_traceback(tmp_path):
+    """A reader that closes the pipe before the report is written: exit 1 and
+    one message, no traceback, also at interpreter shutdown."""
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("states 2\n1/2 1/2\n1/3 2/3\n")
+    lumpmap = tmp_path / "lumps.txt"
+    lumpmap.write_text("lump 0 a\nlump 1 b\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lumpwalk.cli", "generic-test", "strong", "--matrix", str(matrix),
+         "--lumpmap", str(lumpmap), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # before the interpreter has even started the request
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "lumpwalk: output error: the report could not be written (broken pipe)\n"
 
 
 def test_simulate_trajectory_export(files, tmp_path):

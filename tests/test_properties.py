@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumpwalk import (
@@ -34,7 +36,16 @@ from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.algebra import parse_element_file
-from lumpwalk.linalg import Subspace, closure, intersect, kernel_span, nullspace, permuted
+from lumpwalk import linalg, lumping
+from lumpwalk.linalg import (
+    Subspace,
+    closure,
+    full_rank_mod_p,
+    intersect,
+    kernel_span,
+    nullspace,
+    permuted,
+)
 from lumpwalk.lumping import _cut_coset_values, _first_cut_violation, _maximal_cut_annihilator
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
@@ -381,6 +392,147 @@ def test_worklist_closure_matches_round_based_loop(data):
     grown = closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
     assert grown == round_based_closure(V, perms)
     assert grown.support == [[k for k, c in enumerate(row) if c] for row in grown.rows]
+
+
+def exact_H_ideal(problem, seed, action):
+    """Reference: `close_H_ideal` without the rank check, the exact closure alone."""
+    perms = problem._H_generator_perms
+
+    def successors(u):
+        for perm in perms:
+            yield permuted(u, perm, 0)
+        yield from problem.times_weight(action, u)
+
+    return closure(seed, successors)
+
+
+def check_rank_shortcut(problem, w, rng, label):
+    """L_w and L_alpha from `close_H_ideal` against the exact closure: rows,
+    pivots and supports.  Returns how many of the two are the whole space.
+    """
+    G, n = problem.group, problem.subgroup.order
+    action = problem.weight_action(w)
+    seed = Subspace(RATIONALS, n, [problem.eta_H_vector()])
+    points = rng.sample(range(G.order), min(2, G.order))
+    alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
+    alpha_seed = seed.copy()
+    for comp in problem.coset_components(alpha):
+        alpha_seed.insert(comp)
+    full = 0
+    for space in (seed, alpha_seed):
+        proofs = []
+
+        def recorded(*args):
+            proofs.append(full_rank_mod_p(*args))
+            return proofs[-1]
+
+        with mock.patch.object(lumping, "full_rank_mod_p", recorded):
+            fast = problem.close_H_ideal(space, action)
+        exact = exact_H_ideal(problem, space, action)
+        assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
+        # no denominator here is divisible by the default prime, and the
+        # shortcut is taken exactly when the ideal is the whole algebra
+        assert proofs == [exact.dim == n], label
+        full += exact.dim == n
+    return full
+
+
+def test_rank_shortcut_matches_exact_closure():
+    """`close_H_ideal` equals the exact closure on every pool pair and weight
+    family and on S6 over its top-card stabiliser, for L_w and for L_alpha;
+    both the whole algebra and proper ideals occur."""
+    rng = random.Random(6161)
+    full = total = 0
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            full += check_rank_shortcut(problem, w, rng, (label, kind))
+            total += 2
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    for name, w in (("bottom", bottom_card_cycle(G)), ("rtt", random_to_top(G))):
+        full += check_rank_shortcut(problem, w, rng, ("S6", name))
+        total += 2
+    assert 0 < full < total
+
+
+def random_linear_maps(data, n):
+    return data.draw(st.lists(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                       min_size=n, max_size=n), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_full_rank_mod_p_is_a_proof(data):
+    """Whenever the rank mod p reaches the ambient dimension, so does the exact
+    closure; for the default prime and for small primes, which fall short more often."""
+    n = data.draw(st.integers(1, 5))
+    seeds = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=3))
+    maps = random_linear_maps(data, n)
+    prime = data.draw(st.sampled_from([2, 3, 5, linalg.PRIME]))
+
+    def successors(v):
+        for M in maps:
+            yield [sum(a * b for a, b in zip(row, v)) for row in M]
+
+    with mock.patch.object(linalg, "PRIME", prime):
+        proven = full_rank_mod_p(seeds, successors, n)
+    exact = closure(Subspace(RATIONALS, n, [[Fraction(c) for c in v] for v in seeds]), successors)
+    if proven:
+        assert exact.dim == n
+        assert exact == Subspace.whole(RATIONALS, n)
+
+
+def insert_nullspace(field, rows, ambient):
+    """Reference: the nullspace by forward echelon form, each solution inserted."""
+    constraints = Subspace(field, ambient, rows)
+    out = Subspace(field, ambient)
+    pivset = set(constraints.pivots)
+    for free in range(ambient):
+        if free in pivset:
+            continue
+        v = [field.zero] * ambient
+        v[free] = field.one
+        for row, p in zip(constraints.rows, constraints.pivots):
+            if row[free]:
+                v[p] = -row[free]
+        out.insert(v)
+    return out
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def constraint_matrices(draw):
+    """(rows, ambient): random rational rows, with zero rows and repeats mixed in."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = list(rows[draw(st.integers(0, len(rows) - 1))]) if rows and draw(st.booleans()) \
+            else [Fraction(0)] * n
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_matrices())
+@example(([], 1))
+@example(([[Fraction(0)]], 1))
+@example(([[Fraction(2)]], 1))
+@example(([[Fraction(0)] * 3] * 2, 3))
+@example(([[Fraction(int(i == j)) for j in range(4)] for i in range(4)], 4))
+@example(([[Fraction(1), Fraction(2), Fraction(3)]] * 3, 3))
+def test_nullspace_matches_insert_reference(case):
+    rows, n = case
+    fast, ref = nullspace(RATIONALS, rows, n), insert_nullspace(RATIONALS, rows, n)
+    assert (fast.rows, fast.pivots, fast.support) == (ref.rows, ref.pivots, ref.support)
+    assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in fast.rows)
 
 
 def round_based_GL_space(f, P, alpha):
