@@ -169,6 +169,7 @@ class FiniteGroup:
         self.index = {p.images: i for i, p in enumerate(elements)}
         self.generators = tuple(generators)
         self._inverses = None
+        self._generating: dict[frozenset[int], bool] = {}  # `is_generating`, by support
         if not elements[0].is_identity():
             raise InvariantError("the first enumerated group element is not the identity")
 
@@ -238,18 +239,23 @@ class FiniteGroup:
 
         An element joins the generators only if the subgroup generated so far
         misses it; each join at least doubles that subgroup, so the closure is
-        recomputed at most log2 |G| times however large the support is.
+        recomputed at most log2 |G| times however large the support is.  The
+        answer is kept per set of ids for the life of the group, so asking
+        again for the same support builds no closure.
         """
         support = list(support)
         if not support:
             raise DomainError("empty support cannot generate")
-        gens, closure = [], {tuple(range(self.degree))}
-        for i in support:
-            perm = self.elements[i]
-            if perm.images not in closure:
-                gens.append(perm)
-                closure = _closure(self.degree, gens, self.order)
-        return len(closure) == self.order
+        key = frozenset(support)
+        if key not in self._generating:
+            gens, closure = [], {tuple(range(self.degree))}
+            for i in support:
+                perm = self.elements[i]
+                if perm.images not in closure:
+                    gens.append(perm)
+                    closure = _closure(self.degree, gens, self.order)
+            self._generating[key] = len(closure) == self.order
+        return self._generating[key]
 
 
 @dataclass(frozen=True)

@@ -6,27 +6,42 @@ row also keeps the ascending list of its nonzero columns, updated whenever an
 insertion rewrites the row, so reduction and back-elimination touch only those
 entries; `kernel_coefficients` keeps the same lists for its pivot rows.  The
 entries and the order of the arithmetic on them are those of a dense sweep,
-so bases and kernels do not depend on the cache.  `closure` is the one
-fixpoint kernel, for the group path and the generic oracle alike: the
-smallest subspace containing a seed and closed under given linear maps,
-grown from a worklist.  `full_rank_mod_p` runs the same worklist over the
-integers mod the prime `PRIME` and only answers whether that closure is the
-whole space; rank mod p is at most the rank over Q, so a True answer is a
-proof, and the caller can return the identity basis without exact
-elimination.  `nullspace` echelonises its constraints with the columns
-reversed, so the solution of each free column is already a row of the
-canonical basis and no second elimination is needed.  On top of the generic
-vector-space kernel this module provides the group-algebra operations: ideal
-closures, coset projections of subspaces, induced-ideal recognition, the
-`(1 - eta_H)` cut of an induced ideal, and orthogonal complements under the
-conjugate-linear inner product.
+so bases and kernels do not depend on the cache.
+
+There are two row stores.  `Subspace` holds its rows over any exact scalar
+field.  `IntegerRows` holds a rational row space fraction-free: each row is
+the canonical RREF row times the one positive integer that makes it a
+primitive integer vector (entries with gcd 1, positive pivot).  That scaled
+form is unique, so it determines the canonical RREF, which `to_subspace`
+builds once, at the end; reduction and back-elimination use integer row
+operations and divide only by a gcd.  The group-path closures and the
+rational `nullspace` run on `IntegerRows`; the generic oracle's closures stay
+on `Subspace`.
+
+`closure` is the one fixpoint kernel, generic over the row store, for the
+group path and the generic oracle alike: the smallest subspace containing a
+seed and closed under given linear maps, grown from a worklist.
+`full_rank_mod_p` runs the same worklist on integer vectors, reduced mod the
+prime `PRIME`, and only answers whether that closure is the whole space; rank
+mod p is at most the rank over Q, so a True answer is a proof, and the caller
+can return the identity basis without exact elimination.  `nullspace`
+echelonises its constraints with the columns reversed, so the solution of
+each free column is already a row of the canonical basis and no second
+elimination is needed.  On top of the generic vector-space kernel this module
+provides the group-algebra operations: ideal closures, coset projections of
+subspaces, induced-ideal recognition, the `(1 - eta_H)` cut of an induced
+ideal, and orthogonal complements under the conjugate-linear inner product.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .algebra import AlgebraElement, eta
 from .errors import DomainError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
+from .scalars import RATIONALS
 
 PRIME = 2**61 - 1  # the modulus of `full_rank_mod_p`
 
@@ -135,6 +150,117 @@ class Subspace:
         return [list(r) for r in self.rows]
 
 
+class IntegerRows:
+    """Row space over Q of integer vectors, kept as the scaled canonical RREF.
+
+    ``rows[i]`` is the canonical RREF row with pivot ``pivots[i]`` times the
+    positive integer that makes it primitive: integer entries with gcd 1 and
+    a positive pivot entry.  ``support[i]`` lists its nonzero columns in
+    ascending order.  `insert` takes integer vectors; `to_subspace` gives the
+    canonical `Subspace` over the rationals.
+    """
+
+    __slots__ = ("ambient", "rows", "pivots", "support")
+
+    def __init__(self, ambient: int, vectors=()):
+        self.ambient = ambient
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.support: list[list[int]] = []
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def copy(self) -> "IntegerRows":
+        out = IntegerRows(self.ambient)
+        out.rows = [list(r) for r in self.rows]
+        out.pivots = list(self.pivots)
+        out.support = [list(s) for s in self.support]
+        return out
+
+    def basis(self) -> list[list[int]]:
+        return [list(r) for r in self.rows]
+
+    def reduce(self, vector) -> list[int]:
+        """A nonzero integer multiple of the residue of an integer vector after
+        eliminating all pivots (input not mutated)."""
+        if len(vector) != self.ambient:
+            raise DomainError("vector length does not match the ambient dimension")
+        v = list(vector)
+        for row, p, cols in zip(self.rows, self.pivots, self.support):
+            c = v[p]
+            if c:
+                d = row[p]
+                g = gcd(c, d)
+                if g != d:
+                    m = d // g
+                    v = [m * x for x in v]
+                c //= g
+                for k in cols:
+                    v[k] -= c * row[k]
+        return v
+
+    def insert(self, vector) -> bool:
+        """Add an integer vector to the span; returns True if the dimension grew."""
+        v = self.reduce(vector)
+        if not any(v):
+            return False
+        cols = [k for k, c in enumerate(v) if c]
+        pivot = cols[0]
+        g = gcd(*v)
+        if v[pivot] < 0:
+            g = -g
+        if g != 1:
+            for k in cols:
+                v[k] //= g
+        d = v[pivot]
+        # eliminate the new pivot column from existing rows; their pivots stay positive
+        for i, row in enumerate(self.rows):
+            c = row[pivot]
+            if c:
+                g = gcd(c, d)
+                m, c = d // g, c // g
+                touched = set(self.support[i])
+                touched.update(cols)
+                for k in touched:
+                    row[k] = m * row[k] - c * v[k]
+                kept = [k for k in sorted(touched) if row[k]]
+                g = gcd(*(row[k] for k in kept))
+                if g != 1:
+                    for k in kept:
+                        row[k] //= g
+                self.support[i] = kept
+        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pivot)
+        self.support.insert(at, cols)
+        return True
+
+    def to_subspace(self) -> Subspace:
+        """The same row space as a `Subspace` over the rationals, in canonical RREF."""
+        out = Subspace(RATIONALS, self.ambient)
+        zero = RATIONALS.zero
+        for row, p, cols in zip(self.rows, self.pivots, self.support):
+            d = row[p]
+            canonical = [zero] * self.ambient
+            for k in cols:
+                canonical[k] = Fraction(row[k], d)
+            out.rows.append(canonical)
+            out.pivots.append(p)
+            out.support.append(list(cols))
+        return out
+
+
+def integer_row(vector) -> list[int]:
+    """A rational vector times the lcm of its denominators: an integer vector
+    spanning the same line."""
+    scale = lcm(*(c.denominator for c in vector))
+    return [c.numerator * (scale // c.denominator) for c in vector]
+
+
 def span(field, ambient: int, vectors) -> Subspace:
     return Subspace(field, ambient, vectors)
 
@@ -222,10 +348,16 @@ def nullspace(field, rows: list[list], ambient: int) -> Subspace:
     of each constraint is its last nonzero column, and the constraint is zero
     at every other pivot.  The solution of a free column f is 1 at f and
     -row[f] at the pivot of each row, all of them right of f, and 0 at every
-    other free column: a row of the canonical basis as it stands.
+    other free column: a row of the canonical basis as it stands.  Over the
+    rationals each constraint is scaled to integers, which does not change the
+    solutions, and echelonised on `IntegerRows`.
     """
     last = ambient - 1
-    reversed_rows = Subspace(field, ambient, [row[::-1] for row in rows])
+    if field.kind == "rational":
+        reversed_rows = IntegerRows(
+            ambient, [integer_row(row[::-1]) for row in rows]).to_subspace()
+    else:
+        reversed_rows = Subspace(field, ambient, [row[::-1] for row in rows])
     solutions = {}
     pivots = {last - p for p in reversed_rows.pivots}
     for free in range(ambient):
@@ -263,7 +395,9 @@ def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:
 def closure(V: Subspace, successors) -> Subspace:
     """Smallest subspace containing V and closed under linear maps.
 
-    ``successors(v)`` yields the image of v under each map.  The images of a
+    ``V`` is a row store, `Subspace` or `IntegerRows`, and only its `copy`,
+    `basis`, `insert`, `dim` and `ambient` are used; ``successors(v)`` yields
+    the image of v under each map, in the entries the store takes.  The images of a
     spanning set span the image of a space, and the vectors that grew the
     span form one: each of them is put on the worklist once, and each image
     that grows the span is put on it in turn (semi-naive evaluation).  The
@@ -285,11 +419,6 @@ def closure(V: Subspace, successors) -> Subspace:
     return out
 
 
-def residue(q) -> int:
-    """A rational mod PRIME; ValueError when PRIME divides its denominator."""
-    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
-
-
 def full_rank_mod_p(seeds, successors, ambient: int) -> bool:
     """Whether the `closure` worklist, run mod PRIME, spans the whole space.
 
@@ -301,11 +430,10 @@ def full_rank_mod_p(seeds, successors, ambient: int) -> bool:
     reduced lazily, at the pivots and at the test.  The loop stops as soon
     as the rank reaches ``ambient``.
 
-    When the seeds and maps are the residues of rational ones whose
-    denominators PRIME does not divide, every vector explored is the residue
-    of a vector of the rational closure, and vectors independent mod PRIME
+    When the seeds and maps are integer, every vector explored is an integer
+    vector of the rational closure, and integer vectors independent mod PRIME
     are independent over Q: a True answer proves that the rational closure
-    is the whole space.  A False answer proves nothing.
+    is the whole space, for every prime.  A False answer proves nothing.
     """
     p = PRIME
     rows: list[list[int]] = []

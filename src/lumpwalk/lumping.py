@@ -11,32 +11,34 @@ never as a product in the group algebra.  The weak obstruction u z, with
 z = (1 - eta_H) w eta_H constant on left cosets, is checked at one
 representative per coset.
 
-Both fixpoints are the one worklist closure `linalg.closure`.  The cut of
-L_w is the closure of eta_H (and the coset components of a start) under the
-generators of H and under u -> each coset component of u w.  The same
-worklist is first run on residues mod `linalg.PRIME`, with the same
-successor code fed the residue table (`linalg.full_rank_mod_p`): when it
-reaches rank |H|, the cut is the whole subgroup algebra, proven without
-exact elimination, and its basis is the identity.  The cut of J_w
-is read through the time-reversal duality: its annihilator under the plain
-dot product is the closure of the all-ones vector under the transposed
-action table, a -> M_c a, and the cut is the nullspace of the annihilator
-plus eta_H.  The annihilator is the whole space only when that cut is
-Q eta_H, so it is always computed by the exact closure.
+Both fixpoints are the one worklist closure `linalg.closure`, run on
+integer rows (`linalg.IntegerRows`): the action table is scaled once by the
+lcm of its denominators and each seed row by that of its own, which changes
+no span.  The cut of L_w is the closure of eta_H (and the coset components of
+a start) under the generators of H and under u -> each coset component of
+u w.  The same worklist is first run mod `linalg.PRIME` on the same integer
+seeds and table (`linalg.full_rank_mod_p`): when it reaches rank |H|, the cut
+is the whole subgroup algebra, proven without exact elimination, and its
+basis is the identity.  The cut of J_w is read through the time-reversal
+duality: its annihilator under the plain dot product is the closure of the
+all-ones vector under the transposed action table, a -> M_c a, and the cut
+is the nullspace of the annihilator plus eta_H.  The annihilator is the
+whole space only when that cut is Q eta_H, so it takes no mod-p check.
 
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
 matrix read coset and double-coset sums of w; the lumped matrix and `hecke`
 read the table `pair_classes` of the double coset of r_i^-1 r_j; the abelian
 test reads its character pairings off w on each double coset.  The dense
-forms, and the round-based fixpoint loops, remain as references in
-`tests/test_properties.py`.
+forms, the round-based fixpoint loops and the `Fraction` closures remain as
+references in `tests/test_properties.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 from .algebra import (
     AlgebraElement,
@@ -49,8 +51,27 @@ from .algebra import (
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets
-from .linalg import Subspace, closure, full_rank_mod_p, nullspace, permuted, residue
+from .linalg import (
+    IntegerRows,
+    Subspace,
+    closure,
+    full_rank_mod_p,
+    integer_row,
+    nullspace,
+    permuted,
+)
 from .scalars import RATIONALS, common_field, cyclotomic_field
+
+
+def _integer_table(action: list[list[tuple]]) -> list[list[tuple]]:
+    """An action table times the lcm of its denominators.
+
+    A map and its nonzero multiples generate the same closures, and the
+    scaled table maps integer vectors to integer vectors.
+    """
+    scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
+    return [[(cid, pos, value.numerator * (scale // value.denominator))
+             for cid, pos, value in entries] for entries in action]
 
 
 class LumpingProblem:
@@ -138,7 +159,7 @@ class LumpingProblem:
         """The coset components of u w for an H-vector u, from the action table of w.
 
         The entries are sums of products of those of u and of the table, so
-        the same code serves rational vectors and their residues mod a prime.
+        the same code serves rational and integer vectors and tables.
         """
         out = [[0] * self.subgroup.order for _ in range(self.index)]
         for c, entries in zip(vec, action):
@@ -155,8 +176,7 @@ class LumpingProblem:
         so (M_c a)[p] is read from row p of the table.  Under the plain dot
         product, (u M_c) . a = u . (M_c a).
         """
-        zero = RATIONALS.zero
-        out = [[zero] * self.subgroup.order for _ in range(self.index)]
+        out = [[0] * self.subgroup.order for _ in range(self.index)]
         for p, entries in enumerate(action):
             for cid, pos, value in entries:
                 c = vec[pos]
@@ -176,30 +196,23 @@ class LumpingProblem:
         closed under u -> each coset component of u w, for the action table of
         a weight w (`weight_action`).
 
-        When the worklist run on residues mod `linalg.PRIME` reaches full rank,
-        the ideal is the whole subgroup algebra and its basis is the identity,
-        with no exact elimination.  Otherwise, or when the prime divides a
-        denominator, the exact closure decides.
+        The seed rows and the table are scaled to integers.  When the worklist
+        run mod `linalg.PRIME` reaches full rank, the ideal is the whole
+        subgroup algebra and its basis is the identity, with no exact
+        elimination; otherwise the closure on `IntegerRows` decides.
         """
         perms = self._H_generator_perms
+        table = _integer_table(action)
+        seeds = [integer_row(row) for row in space.rows]
 
-        def successors(table):
-            def images(u):
-                for perm in perms:
-                    yield permuted(u, perm, 0)
-                yield from self.times_weight(table, u)
-            return images
+        def images(u):
+            for perm in perms:
+                yield permuted(u, perm, 0)
+            yield from self.times_weight(table, u)
 
-        try:
-            seeds = [[residue(c) for c in row] for row in space.rows]
-            table = [[(cid, pos, residue(value)) for cid, pos, value in entries]
-                     for entries in action]
-        except ValueError:  # the prime divides a denominator
-            pass
-        else:
-            if full_rank_mod_p(seeds, successors(table), space.ambient):
-                return Subspace.whole(space.field, space.ambient)
-        return closure(space, successors(action))
+        if full_rank_mod_p(seeds, images, space.ambient):
+            return Subspace.whole(space.field, space.ambient)
+        return closure(IntegerRows(space.ambient, seeds), images).to_subspace()
 
     def eta_H_vector(self, scalar_field=RATIONALS) -> list:
         return self.to_H_vector(self.eta_H.to_field(scalar_field))
@@ -462,17 +475,19 @@ def compute_L_alpha_w(problem: LumpingProblem, w: AlgebraElement, alpha: Algebra
 # the maximal ideal and the distribution-level test
 
 
-def _maximal_cut_annihilator(problem: LumpingProblem, action: list) -> Subspace:
+def _maximal_cut_annihilator(problem: LumpingProblem, action: list) -> IntegerRows:
     """The annihilator, under the plain dot product, of the cut C of J_w.
 
     C is the largest subspace of {v : sum v = 0} with u M_c in C for every u
     in C and every coset id c (`transposed_times_weight`).  Its annihilator
     is the smallest subspace that contains the all-ones vector and is closed
-    under a -> M_c a, the time-reversal dual of a minimal ideal.
+    under a -> M_c a, the time-reversal dual of a minimal ideal; it is grown
+    on integer rows from the integer table (`_integer_table`).
     """
     n = problem.subgroup.order
-    ones = Subspace(RATIONALS, n, [[RATIONALS.one] * n])
-    return closure(ones, lambda a: problem.transposed_times_weight(action, a))
+    table = _integer_table(action)
+    return closure(IntegerRows(n, [[1] * n]),
+                   lambda a: problem.transposed_times_weight(table, a))
 
 
 def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:

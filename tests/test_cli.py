@@ -84,9 +84,9 @@ def files(tmp_path):
     return write_files(tmp_path)
 
 
-def run_cli(*args, interpreter_flags=()):
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, *interpreter_flags, "-m", "lumpwalk.cli", *args],
+        [sys.executable, "-m", "lumpwalk.cli", *args],
         capture_output=True, text=True,
     )
 
@@ -356,9 +356,10 @@ def spy(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_weak_goldens_do_not_depend_on_the_prime(files, capsys, monkeypatch, prime):
-    """With a small prime the rank check of `close_H_ideal` finds a denominator
-    divisible by p or may come up short of full rank; the exact closure then
-    decides, and the S4 weak reports are those of the default prime."""
+    """With a small prime the rank check of `close_H_ideal` may come up short
+    of full rank; the exact closure then decides, and the S4 weak reports are
+    those of the default prime.  The check runs on the integer-scaled seeds and
+    table, so no prime, not even one dividing a denominator of the weight, skips it."""
     from lumpwalk import linalg, lumping
 
     monkeypatch.setattr(linalg, "PRIME", prime)
@@ -371,12 +372,10 @@ def test_weak_goldens_do_not_depend_on_the_prime(files, capsys, monkeypatch, pri
             assert golden_report(capsys, argv) == expected[name], (prime, name)
     names = [name for name, _ in calls]
     checks = [result for name, result in calls if name == "full_rank_mod_p"]
-    if prime == 2:  # every S4 weight here has an even denominator
-        assert not checks and names
-    else:  # a check that comes up short hands over to the exact closure
-        assert False in checks
-        assert all(names[i + 1] == "closure" for i, (name, result) in enumerate(calls)
-                   if name == "full_rank_mod_p" and not result)
+    # a check that comes up short hands over to the exact closure
+    assert False in checks
+    assert all(names[i + 1] == "closure" for i, (name, result) in enumerate(calls)
+               if name == "full_rank_mod_p" and not result)
 
 
 def test_full_rank_shortcut_is_taken(files, capsys, monkeypatch):
@@ -621,8 +620,24 @@ def test_every_subcommand_has_a_golden_report(files, tmp_path):
     assert {argv[0] for argv in cases} == {command.name for command in cli.COMMANDS}
 
 
-def test_reports_do_not_depend_on_asserts(files, tmp_path):
-    """`python -O` strips assert statements; no verdict or report may change."""
+# Runs each argument list of a JSON list on standard input through `cli.main`
+# in one interpreter and prints the optimize flag and each (exit code, stdout).
+OPTIMIZED_RUNNER = """
+import contextlib, io, json, sys
+from lumpwalk import cli
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+json.dump({"optimize": sys.flags.optimize, "results": results}, sys.stdout)
+"""
+
+
+def test_reports_do_not_depend_on_asserts(files, tmp_path, capsys):
+    """`python -O` strips assert statements; no verdict or report may change.
+    The plain side runs in this process, the whole `-O` side in one interpreter."""
     abelian = ["abelian-test", "--group", files["group"], "--subgroup", files["cyclic"]]
     chains = {}
     for name, weight in (("weak", "weight"), ("nonweak", "nonweak")):
@@ -646,11 +661,19 @@ def test_reports_do_not_depend_on_asserts(files, tmp_path):
         ["simulate", *common(files, "--weight", files["weight"], "--dist", files["dist_eta_t"]),
          "--seed", "3", "--length", "500", "--diagnose"],
     ]
-    for argv in requests:
-        plain = run_cli(*argv, "--json")
-        optimized = run_cli(*argv, "--json", interpreter_flags=["-O"])
-        assert plain.returncode == 0, (argv, plain.stderr)
-        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout), argv
+    requests = [[*argv, "--json"] for argv in requests]
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUNNER],
+        input=json.dumps(requests), capture_output=True, text=True,
+    )
+    assert optimized.returncode == 0, optimized.stderr
+    optimized = json.loads(optimized.stdout)
+    assert optimized["optimize"] == 1
+    assert len(optimized["results"]) == len(requests)
+    for argv, (code, out) in zip(requests, optimized["results"]):
+        plain_code, plain_out, plain_err = run_in_process(capsys, argv)
+        assert plain_code == 0, (argv, plain_err)
+        assert (code, out) == (plain_code, plain_out), argv
 
 
 def test_reused_parser_matches_fresh_processes(files, tmp_path, capsys, monkeypatch):

@@ -175,6 +175,34 @@ def test_is_generating_matches_closure_of_whole_support(sym4):
             assert sym4.is_generating(support) == (len(whole) == 24), support
 
 
+def test_irreducibility_is_decided_once_per_support(monkeypatch):
+    """A second `is_irreducible_weight` call on the same group, for the same
+    support, builds no closure; another support still does."""
+    from lumpwalk import groups
+    from lumpwalk.algebra import parse_element_file
+    from lumpwalk.shuffles import random_to_top, symmetric_group
+
+    G = symmetric_group(5)
+    w = random_to_top(G)
+    calls = []
+    real = groups._closure
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    assert w.is_irreducible_weight()
+    first = len(calls)
+    assert first > 0
+    assert w.is_irreducible_weight()
+    assert w.scale(2).is_irreducible_weight()  # same support, other values
+    assert len(calls) == first
+    swap = parse_element_file("1 (1,2)\n", G)
+    assert not swap.is_irreducible_weight()
+    assert len(calls) > first
+
+
 def test_conjugate_and_intersect(sym4):
     H = sym4.subgroup([parse_cycles(4, "(2,3)"), parse_cycles(4, "(2,3,4)")])
     x = sym4.element_of("(1,2)")

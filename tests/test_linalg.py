@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from lumpwalk import (
     subspace_sum,
 )
 from lumpwalk.errors import DomainError
-from lumpwalk.linalg import is_left_ideal, kernel_coefficients, nullspace
+from lumpwalk.linalg import IntegerRows, integer_row, is_left_ideal, kernel_coefficients, nullspace
 from lumpwalk.scalars import RATIONALS
 
 
@@ -132,6 +133,66 @@ def test_sparse_elimination_matches_dense_reference(matrix, probe):
     kernel, reference = kernel_coefficients(RATIONALS, rows), dense_kernel_coefficients(rows)
     assert (kernel.rows, kernel.pivots) == (reference.rows, reference.pivots)
     assert kernel.support == [[k for k, c in enumerate(r) if c] for r in kernel.rows]
+
+
+# zero half the time, otherwise a fraction with any sign and mixed denominators
+signed_entries = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 10))
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A width, a list of rows of that width (repeats and multiples mixed in)
+    and an order in which to insert them."""
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(signed_entries, min_size=width, max_size=width), max_size=10))
+    if rows and draw(st.booleans()):
+        scale = draw(st.sampled_from([Fraction(-1), Fraction(2, 3), Fraction(-7, 4)]))
+        rows.append([scale * c for c in draw(st.sampled_from(rows))])
+    return width, rows, draw(st.permutations(range(len(rows))))
+
+
+def proportional(u, v):
+    """Whether u is a nonzero multiple of v, or both are zero."""
+    k = next((k for k, c in enumerate(v) if c), None)
+    if k is None:
+        return not any(u)
+    return bool(u[k]) and all(a * v[k] == b * u[k] for a, b in zip(u, v))
+
+
+@given(rational_matrices(), st.lists(signed_entries, min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_integer_rows_match_fraction_rows(matrix, probe):
+    """`IntegerRows` against `Subspace` and the dense reference, in any insertion
+    order: the same growth at every step, primitive rows with a positive pivot,
+    and after `to_subspace` the same rows, pivots and supports."""
+    width, rows, order = matrix
+    probe = probe[:width]
+    fast, ref, dense = IntegerRows(width), Subspace(RATIONALS, width), DenseSubspace(width)
+    for i in order:
+        row = rows[i]
+        grew = fast.insert(integer_row(row))
+        assert grew == ref.insert(row) == dense.insert(row)
+        for r, p, cols in zip(fast.rows, fast.pivots, fast.support):
+            assert all(isinstance(c, int) for c in r)
+            assert r[p] > 0 and gcd(*r) == 1
+            assert cols == [k for k, c in enumerate(r) if c]
+        exact = fast.to_subspace()
+        assert (exact.rows, exact.pivots, exact.support) == (ref.rows, ref.pivots, ref.support)
+        assert (exact.rows, exact.pivots) == (dense.rows, dense.pivots)
+        assert proportional(fast.reduce(integer_row(probe)), ref.reduce(probe))
+    again = IntegerRows(width, [integer_row(row) for row in rows])
+    assert (again.rows, again.pivots, again.support) == (fast.rows, fast.pivots, fast.support)
+    copied = fast.copy()
+    assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
+    assert copied.basis() == fast.rows and copied.dim == ref.dim
+
+
+def test_integer_row_scales_by_the_lcm_of_denominators():
+    assert integer_row([Fraction(1, 4), Fraction(-1, 6), 0, Fraction(2)]) == [3, -2, 0, 24]
+    assert integer_row([Fraction(0)] * 3) == [0, 0, 0]
+    assert integer_row([2, -3]) == [2, -3]
 
 
 def test_canonical_echelon():

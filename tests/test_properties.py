@@ -406,6 +406,23 @@ def exact_H_ideal(problem, seed, action):
     return closure(seed, successors)
 
 
+def exact_annihilator(problem, action):
+    """Reference: `_maximal_cut_annihilator` as the `Fraction` closure of the
+    all-ones vector under the rational transposed table."""
+    n = problem.subgroup.order
+    ones = Subspace(RATIONALS, n, [[RATIONALS.one] * n])
+    return closure(ones, lambda a: problem.transposed_times_weight(action, a))
+
+
+def check_annihilator(problem, w, label):
+    """The integer-row annihilator of the maximal cut against the `Fraction`
+    closure: rows, pivots and supports."""
+    action = problem.weight_action(w)
+    fast = _maximal_cut_annihilator(problem, action).to_subspace()
+    exact = exact_annihilator(problem, action)
+    assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
+
+
 def check_rank_shortcut(problem, w, rng, label):
     """L_w and L_alpha from `close_H_ideal` against the exact closure: rows,
     pivots and supports.  Returns how many of the two are the whole space.
@@ -440,7 +457,9 @@ def check_rank_shortcut(problem, w, rng, label):
 def test_rank_shortcut_matches_exact_closure():
     """`close_H_ideal` equals the exact closure on every pool pair and weight
     family and on S6 over its top-card stabiliser, for L_w and for L_alpha;
-    both the whole algebra and proper ideals occur."""
+    both the whole algebra and proper ideals occur.  The annihilator of the
+    maximal cut, grown on integer rows, equals the `Fraction` closure on the
+    same inputs."""
     rng = random.Random(6161)
     full = total = 0
     for label, G, hgens in build_pool():
@@ -452,11 +471,13 @@ def test_rank_shortcut_matches_exact_closure():
             if not w.is_irreducible_weight():
                 w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
             full += check_rank_shortcut(problem, w, rng, (label, kind))
+            check_annihilator(problem, w, (label, kind))
             total += 2
     G = symmetric_group(6)
     problem = LumpingProblem(G, top_stabilizer(G))
     for name, w in (("bottom", bottom_card_cycle(G)), ("rtt", random_to_top(G))):
         full += check_rank_shortcut(problem, w, rng, ("S6", name))
+        check_annihilator(problem, w, ("S6", name))
         total += 2
     assert 0 < full < total
 
@@ -505,7 +526,8 @@ def insert_nullspace(field, rows, ambient):
     return out
 
 
-rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+# zero, or a fraction with any sign and mixed denominators
+rationals = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
 
 
 @st.composite
@@ -528,6 +550,8 @@ def constraint_matrices(draw):
 @example(([[Fraction(0)] * 3] * 2, 3))
 @example(([[Fraction(int(i == j)) for j in range(4)] for i in range(4)], 4))
 @example(([[Fraction(1), Fraction(2), Fraction(3)]] * 3, 3))
+@example(([[Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4)]], 3))
+@example(([[Fraction(3, 4), Fraction(-1, 6), Fraction(0)], [Fraction(-3, 2), Fraction(1, 3), Fraction(7, 5)]], 3))
 def test_nullspace_matches_insert_reference(case):
     rows, n = case
     fast, ref = nullspace(RATIONALS, rows, n), insert_nullspace(RATIONALS, rows, n)
