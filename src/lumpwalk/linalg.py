@@ -20,11 +20,7 @@ on `Subspace`.
 
 `closure` is the one fixpoint kernel, generic over the row store, for the
 group path and the generic oracle alike: the smallest subspace containing a
-seed and closed under given linear maps, grown from a worklist.
-`full_rank_mod_p` runs the same worklist on integer vectors, reduced mod the
-prime `PRIME`, and only answers whether that closure is the whole space; rank
-mod p is at most the rank over Q, so a True answer is a proof, and the caller
-can return the identity basis without exact elimination.  `nullspace`
+seed and closed under given linear maps, grown from a worklist.  `nullspace`
 echelonises its constraints with the columns reversed, so the solution of
 each free column is already a row of the canonical basis and no second
 elimination is needed.  On top of the generic vector-space kernel this module
@@ -42,8 +38,6 @@ from .algebra import AlgebraElement, eta
 from .errors import DomainError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .scalars import RATIONALS
-
-PRIME = 2**61 - 1  # the modulus of `full_rank_mod_p`
 
 
 class Subspace:
@@ -63,18 +57,6 @@ class Subspace:
         self.support: list[list[int]] = []
         for v in vectors:
             self.insert(v)
-
-    @classmethod
-    def whole(cls, field, ambient: int) -> "Subspace":
-        """The whole space, with the identity matrix as its basis."""
-        out = cls(field, ambient)
-        for i in range(ambient):
-            row = [field.zero] * ambient
-            row[i] = field.one
-            out.rows.append(row)
-            out.pivots.append(i)
-            out.support.append([i])
-        return out
 
     @property
     def dim(self) -> int:
@@ -417,69 +399,6 @@ def closure(V: Subspace, successors) -> Subspace:
                     return out
                 worklist.append(image)
     return out
-
-
-def full_rank_mod_p(seeds, successors, ambient: int) -> bool:
-    """Whether the `closure` worklist, run mod PRIME, spans the whole space.
-
-    ``seeds`` are int vectors and ``successors(v)`` yields int images; the
-    worklist is that of `closure`, over the integers mod PRIME.  Rows are
-    kept in reduced echelon form mod PRIME, each with the list of its
-    nonzero columns other than its pivot, so a vector is reduced by one
-    pass over the rows and tested on the free columns only.  Entries are
-    reduced lazily, at the pivots and at the test.  The loop stops as soon
-    as the rank reaches ``ambient``.
-
-    When the seeds and maps are integer, every vector explored is an integer
-    vector of the rational closure, and integer vectors independent mod PRIME
-    are independent over Q: a True answer proves that the rational closure
-    is the whole space, for every prime.  A False answer proves nothing.
-    """
-    p = PRIME
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    support: list[list[int]] = []  # nonzero columns of each row, pivot excluded
-    free = list(range(ambient))
-
-    def grows(vector) -> bool:
-        v = list(vector)
-        for row, q, cols in zip(rows, pivots, support):
-            c = v[q] % p
-            if c:
-                for k in cols:
-                    v[k] -= c * row[k]
-        cols = [k for k in free if v[k] % p]
-        if not cols:
-            return False
-        q = cols.pop(0)
-        inv = pow(v[q], -1, p)
-        new = [0] * ambient
-        new[q] = 1
-        for k in cols:
-            new[k] = v[k] * inv % p
-        for i, row in enumerate(rows):
-            c = row[q]
-            if c:
-                for k in cols:
-                    row[k] = (row[k] - c * new[k]) % p
-                row[q] = 0
-                touched = set(support[i])
-                touched.update(cols)
-                support[i] = [k for k in sorted(touched) if row[k]]
-        free.remove(q)
-        rows.append(new)
-        pivots.append(q)
-        support.append(cols)
-        return True
-
-    worklist = [s for s in seeds if grows(s)]
-    while worklist and free:
-        for image in successors(worklist.pop()):
-            if grows(image):
-                if not free:
-                    return True
-                worklist.append(image)
-    return not free
 
 
 def permuted(vector, perm, zero) -> list:

@@ -16,14 +16,12 @@ integer rows (`linalg.IntegerRows`): the action table is scaled once by the
 lcm of its denominators and each seed row by that of its own, which changes
 no span.  The cut of L_w is the closure of eta_H (and the coset components of
 a start) under the generators of H and under u -> each coset component of
-u w.  The same worklist is first run mod `linalg.PRIME` on the same integer
-seeds and table (`linalg.full_rank_mod_p`): when it reaches rank |H|, the cut
-is the whole subgroup algebra, proven without exact elimination, and its
-basis is the identity.  The cut of J_w is read through the time-reversal
-duality: its annihilator under the plain dot product is the closure of the
-all-ones vector under the transposed action table, a -> M_c a, and the cut
-is the nullspace of the annihilator plus eta_H.  The annihilator is the
-whole space only when that cut is Q eta_H, so it takes no mod-p check.
+u w; the weak obstruction is checked on its integer rows, and the canonical
+`Fraction` rows are built once, for the report.  The cut of J_w is read
+through the time-reversal duality: its annihilator under the plain dot
+product is the closure of the all-ones vector under the transposed action
+table, a -> M_c a, and the cut is the nullspace of the annihilator plus
+eta_H.
 
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
@@ -55,7 +53,6 @@ from .linalg import (
     IntegerRows,
     Subspace,
     closure,
-    full_rank_mod_p,
     integer_row,
     nullspace,
     permuted,
@@ -191,15 +188,13 @@ class LumpingProblem:
         H, G = self.subgroup, self.group
         return tuple(tuple(H.position(G.mul(g, h)) for h in H.members) for g in H.generators)
 
-    def close_H_ideal(self, space: Subspace, action: list) -> Subspace:
+    def close_H_ideal(self, space: Subspace, action: list) -> IntegerRows:
         """Smallest left ideal of the subgroup algebra containing the span and
         closed under u -> each coset component of u w, for the action table of
         a weight w (`weight_action`).
 
-        The seed rows and the table are scaled to integers.  When the worklist
-        run mod `linalg.PRIME` reaches full rank, the ideal is the whole
-        subgroup algebra and its basis is the identity, with no exact
-        elimination; otherwise the closure on `IntegerRows` decides.
+        The seed rows and the table are scaled to integers, and the closure
+        runs on `IntegerRows`.
         """
         perms = self._H_generator_perms
         table = _integer_table(action)
@@ -210,9 +205,7 @@ class LumpingProblem:
                 yield permuted(u, perm, 0)
             yield from self.times_weight(table, u)
 
-        if full_rank_mod_p(seeds, images, space.ambient):
-            return Subspace.whole(space.field, space.ambient)
-        return closure(IntegerRows(space.ambient, seeds), images).to_subspace()
+        return closure(IntegerRows(space.ambient, seeds), images)
 
     def eta_H_vector(self, scalar_field=RATIONALS) -> list:
         return self.to_H_vector(self.eta_H.to_field(scalar_field))
@@ -397,14 +390,16 @@ def _cut_coset_values(problem: LumpingProblem, w: AlgebraElement, side: str = "l
     return values
 
 
-def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: Subspace):
-    """The first row u of M with u (1 - eta_H) w eta_H != 0, or None.
+def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: IntegerRows):
+    """The index of the first row u of M with u (1 - eta_H) w eta_H != 0, or None.
 
     z = (1 - eta_H) w eta_H is constant on left cosets, so u z is right
     H-invariant and vanishes iff (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does for
-    every left-coset representative r_j.
+    every left-coset representative r_j.  Whether u z vanishes does not
+    change when u or z is scaled, so the integer rows of M are checked against
+    the coset values of z scaled to integers.
     """
-    values = _cut_coset_values(problem, w)
+    values = integer_row(_cut_coset_values(problem, w))
     if not any(values):
         return None
     G, left = problem.group, problem.left
@@ -413,16 +408,15 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: Subspace
     for h in problem.subgroup.members:
         h_inv = G.inv(h)
         shifted.append([values[left.coset_of[G.mul(h_inv, r)]] for r in left.representatives])
-    zero = M.field.zero
-    for row in M.rows:
-        at_reps = [zero] * problem.index
-        for c, z_row in zip(row, shifted):
-            if c:
-                for j, z in enumerate(z_row):
-                    if z:
-                        at_reps[j] = at_reps[j] + c * z
+    for i, (row, cols) in enumerate(zip(M.rows, M.support)):
+        at_reps = [0] * problem.index
+        for p in cols:
+            c = row[p]
+            for j, z in enumerate(shifted[p]):
+                if z:
+                    at_reps[j] += c * z
         if any(at_reps):
-            return row
+            return i
     return None
 
 
@@ -443,11 +437,12 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     if alpha is not None:
         for comp in problem.coset_components(alpha.require_distribution()):
             seed.insert(comp)
-    M = problem.close_H_ideal(seed, problem.weight_action(w))
+    rows = problem.close_H_ideal(seed, problem.weight_action(w))
+    M = rows.to_subspace()
     ideal = GurvitsLedouxIdeal(problem, M, "minimal" if alpha is None else "minimal-for-start")
-    violation = _first_cut_violation(problem, w, M)
+    violation = _first_cut_violation(problem, w, rows)
     if violation is not None:
-        ideal.cut_violation = problem.from_H_vector(violation, M.field)
+        ideal.cut_violation = problem.from_H_vector(M.rows[violation], M.field)
     ideal.weakly_lumping = violation is None
     return ideal
 

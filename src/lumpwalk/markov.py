@@ -7,8 +7,8 @@ weak/strong/exact lumping tests, the maximal stable subspace, stationary
 distributions, lumped transition matrices, exact conditional laws given a
 lump history, and time reversal.
 
-Both stable subspaces are fixpoints of `linalg.closure` over Q, with no
-group, action table or modular arithmetic: the minimal one grows rows under
+Both stable subspaces are fixpoints of `linalg.closure` on `Fraction` rows,
+with no group or action table: the minimal one grows rows under
 v -> Pi_b(v P), and the maximal one is the nullspace of the columns grown
 from PF - FQ under a -> P a and a -> Pi_b a.
 

@@ -342,57 +342,6 @@ def test_golden_weak_reports(files, capsys):
         assert golden_report(capsys, argv) == expected[name], name
 
 
-def spy(monkeypatch, module, name, calls):
-    """Replace module.name by a wrapper that appends (name, result) to calls."""
-    real = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((name, result))
-        return result
-
-    monkeypatch.setattr(module, name, wrapper)
-
-
-@pytest.mark.parametrize("prime", [2, 3, 5])
-def test_weak_goldens_do_not_depend_on_the_prime(files, capsys, monkeypatch, prime):
-    """With a small prime the rank check of `close_H_ideal` may come up short
-    of full rank; the exact closure then decides, and the S4 weak reports are
-    those of the default prime.  The check runs on the integer-scaled seeds and
-    table, so no prime, not even one dividing a denominator of the weight, skips it."""
-    from lumpwalk import linalg, lumping
-
-    monkeypatch.setattr(linalg, "PRIME", prime)
-    calls = []
-    spy(monkeypatch, lumping, "full_rank_mod_p", calls)
-    spy(monkeypatch, lumping, "closure", calls)
-    expected = json.loads(GOLDEN_PATH.read_text())
-    for name, argv in golden_cases(files).items():
-        if not name.startswith("s5-"):
-            assert golden_report(capsys, argv) == expected[name], (prime, name)
-    names = [name for name, _ in calls]
-    checks = [result for name, result in calls if name == "full_rank_mod_p"]
-    # a check that comes up short hands over to the exact closure
-    assert False in checks
-    assert all(names[i + 1] == "closure" for i, (name, result) in enumerate(calls)
-               if name == "full_rank_mod_p" and not result)
-
-
-def test_full_rank_shortcut_is_taken(files, capsys, monkeypatch):
-    """The non-weak S4 weight has L_w the whole algebra: the rank mod p proves
-    it, the exact closure of `close_H_ideal` does not run, and the report is
-    the pinned one."""
-    from lumpwalk import lumping
-
-    calls = []
-    spy(monkeypatch, lumping, "full_rank_mod_p", calls)
-    spy(monkeypatch, lumping, "closure", calls)
-    expected = json.loads(GOLDEN_PATH.read_text())
-    argv = golden_cases(files)["test-weak-nonweak"]
-    assert golden_report(capsys, argv) == expected["test-weak-nonweak"]
-    assert [name for name, _ in calls] == ["full_rank_mod_p"] and calls[0][1] is True
-
-
 def abelian_golden_cases(files):
     """The abelian-test requests whose reports are pinned in ABELIAN_GOLDEN_PATH."""
     out = {}

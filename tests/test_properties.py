@@ -4,8 +4,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from unittest import mock
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,11 +34,11 @@ from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.algebra import parse_element_file
-from lumpwalk import linalg, lumping
 from lumpwalk.linalg import (
+    IntegerRows,
     Subspace,
     closure,
-    full_rank_mod_p,
+    integer_row,
     intersect,
     kernel_span,
     nullspace,
@@ -249,12 +247,14 @@ def test_closed_forms_match_dense_references_on_pool():
 def test_weak_path_tables_match_dense_products_on_pool():
     """The action table and the coset-level obstruction against dense products.
 
-    Checked on the basis rows of L_w, on the unit vectors of the subgroup
-    algebra, and on the annihilator {u : u z = 0} of the obstruction z, which
-    the coset-level check must pass as a whole.
+    Checked on the basis rows of L_w and on the unit vectors of the subgroup
+    algebra.  The obstruction z is also checked on the annihilator
+    {u : u z = 0}, which must pass as a whole, and on the annihilator plus
+    one unit vector, where rows that pass can come before the first that
+    fails; the index of that row is compared with the dense products u z.
     """
     rng = random.Random(5151)
-    weak = nonweak = 0
+    weak = nonweak = later = 0
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         n = problem.subgroup.order
@@ -272,14 +272,23 @@ def test_weak_path_tables_match_dense_products_on_pool():
             unit_products = [problem.from_H_vector(row) * z for row in units.rows]
             annihilator = nullspace(RATIONALS, [[uz.coeffs[g] for uz in unit_products]
                                                 for g in range(G.order)], n)
-            assert _first_cut_violation(problem, w, annihilator) is None, (label, kind)
             for M in (lw.pi_H, units):
                 for row in M.rows:
                     dense = problem.coset_components(problem.from_H_vector(row) * w)
                     assert problem.times_weight(action, row) == dense, (label, kind)
-                first = next((row for row in M.rows
+            spaces = [annihilator, lw.pi_H, units]
+            for row in units.rows:
+                grown = annihilator.copy()
+                if grown.insert(row):
+                    spaces.append(grown)
+            for M in spaces:
+                first = next((i for i, row in enumerate(M.rows)
                               if not (problem.from_H_vector(row) * z).is_zero()), None)
-                assert _first_cut_violation(problem, w, M) == first, (label, kind)
+                # canonical rows inserted in order keep their order as integer rows
+                scaled = IntegerRows(n, [integer_row(row) for row in M.rows])
+                assert scaled.to_subspace() == M, (label, kind)
+                assert _first_cut_violation(problem, w, scaled) == first, (label, kind)
+                later += (first or 0) > 0
             if lw.weakly_lumping:
                 assert lw.cut_violation is None, (label, kind)
                 weak += 1
@@ -288,7 +297,7 @@ def test_weak_path_tables_match_dense_products_on_pool():
                              if not (problem.from_H_vector(row) * z).is_zero())
                 assert lw.cut_violation == problem.from_H_vector(first), (label, kind)
                 nonweak += 1
-    assert weak > 0 and nonweak > 0
+    assert weak > 0 and nonweak > 0 and later > 0
 
 
 def extra_weak_path_instances():
@@ -340,7 +349,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     assert annihilator.dim + sum_zero.dim == n, label
     assert all(sum(a * c for a, c in zip(a_row, c_row)) == 0
                for a_row in annihilator.rows for c_row in sum_zero.rows), label
-    assert problem.close_H_ideal(jw.pi_H, action) == jw.pi_H, label
+    assert problem.close_H_ideal(jw.pi_H, action).to_subspace() == jw.pi_H, label
     return True
 
 
@@ -382,7 +391,10 @@ def test_weak_fixpoints_match_round_based_references_on_pool():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_worklist_closure_matches_round_based_loop(data):
-    """The worklist kernel against the round-based loop on random permutation sets."""
+    """The worklist kernel against the round-based loop on random permutation
+    sets, and on both row stores under random small integer linear maps: the
+    integer rows give the `Fraction` rows, pivots and supports, and the
+    identity basis when the closure is the whole space."""
     n = data.draw(st.integers(1, 7))
     perms = data.draw(st.lists(st.permutations(range(n)), max_size=3))
     vectors = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
@@ -392,10 +404,22 @@ def test_worklist_closure_matches_round_based_loop(data):
     grown = closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
     assert grown == round_based_closure(V, perms)
     assert grown.support == [[k for k, c in enumerate(row) if c] for row in grown.rows]
+    maps = data.draw(st.lists(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                       min_size=n, max_size=n), max_size=3))
+
+    def successors(v):
+        for M in maps:
+            yield [sum(a * b for a, b in zip(row, v)) for row in M]
+
+    exact = closure(V, successors)
+    fast = closure(IntegerRows(n, vectors), successors).to_subspace()
+    assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support)
+    if exact.dim == n:
+        assert exact.rows == [[Fraction(k == i) for k in range(n)] for i in range(n)]
 
 
 def exact_H_ideal(problem, seed, action):
-    """Reference: `close_H_ideal` without the rank check, the exact closure alone."""
+    """Reference: `close_H_ideal` as the `Fraction` closure under the rational table."""
     perms = problem._H_generator_perms
 
     def successors(u):
@@ -423,9 +447,9 @@ def check_annihilator(problem, w, label):
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
 
 
-def check_rank_shortcut(problem, w, rng, label):
-    """L_w and L_alpha from `close_H_ideal` against the exact closure: rows,
-    pivots and supports.  Returns how many of the two are the whole space.
+def check_H_ideal(problem, w, rng, label):
+    """L_w and L_alpha from `close_H_ideal` against the `Fraction` closure:
+    rows, pivots and supports.  Returns how many of the two are the whole space.
     """
     G, n = problem.group, problem.subgroup.order
     action = problem.weight_action(w)
@@ -437,27 +461,17 @@ def check_rank_shortcut(problem, w, rng, label):
         alpha_seed.insert(comp)
     full = 0
     for space in (seed, alpha_seed):
-        proofs = []
-
-        def recorded(*args):
-            proofs.append(full_rank_mod_p(*args))
-            return proofs[-1]
-
-        with mock.patch.object(lumping, "full_rank_mod_p", recorded):
-            fast = problem.close_H_ideal(space, action)
+        fast = problem.close_H_ideal(space, action).to_subspace()
         exact = exact_H_ideal(problem, space, action)
         assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
-        # no denominator here is divisible by the default prime, and the
-        # shortcut is taken exactly when the ideal is the whole algebra
-        assert proofs == [exact.dim == n], label
         full += exact.dim == n
     return full
 
 
 def test_rank_shortcut_matches_exact_closure():
-    """`close_H_ideal` equals the exact closure on every pool pair and weight
-    family and on S6 over its top-card stabiliser, for L_w and for L_alpha;
-    both the whole algebra and proper ideals occur.  The annihilator of the
+    """`close_H_ideal` on integer rows equals the `Fraction` closure on every
+    pool pair and weight family and on S6 over its top-card stabiliser, for
+    L_w and for L_alpha; both the whole algebra and proper ideals occur.  The annihilator of the
     maximal cut, grown on integer rows, equals the `Fraction` closure on the
     same inputs."""
     rng = random.Random(6161)
@@ -470,43 +484,16 @@ def test_rank_shortcut_matches_exact_closure():
             w = sample_weight(rng, problem, kind)
             if not w.is_irreducible_weight():
                 w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
-            full += check_rank_shortcut(problem, w, rng, (label, kind))
+            full += check_H_ideal(problem, w, rng, (label, kind))
             check_annihilator(problem, w, (label, kind))
             total += 2
     G = symmetric_group(6)
     problem = LumpingProblem(G, top_stabilizer(G))
     for name, w in (("bottom", bottom_card_cycle(G)), ("rtt", random_to_top(G))):
-        full += check_rank_shortcut(problem, w, rng, ("S6", name))
+        full += check_H_ideal(problem, w, rng, ("S6", name))
         check_annihilator(problem, w, ("S6", name))
         total += 2
     assert 0 < full < total
-
-
-def random_linear_maps(data, n):
-    return data.draw(st.lists(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                                       min_size=n, max_size=n), max_size=3))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_full_rank_mod_p_is_a_proof(data):
-    """Whenever the rank mod p reaches the ambient dimension, so does the exact
-    closure; for the default prime and for small primes, which fall short more often."""
-    n = data.draw(st.integers(1, 5))
-    seeds = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=3))
-    maps = random_linear_maps(data, n)
-    prime = data.draw(st.sampled_from([2, 3, 5, linalg.PRIME]))
-
-    def successors(v):
-        for M in maps:
-            yield [sum(a * b for a, b in zip(row, v)) for row in M]
-
-    with mock.patch.object(linalg, "PRIME", prime):
-        proven = full_rank_mod_p(seeds, successors, n)
-    exact = closure(Subspace(RATIONALS, n, [[Fraction(c) for c in v] for v in seeds]), successors)
-    if proven:
-        assert exact.dim == n
-        assert exact == Subspace.whole(RATIONALS, n)
 
 
 def insert_nullspace(field, rows, ambient):
