@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 
 from .algebra import (
     AlgebraElement,
-    abelian_character_idempotent,
     abelian_characters,
     coset_sums,
     eta,
-    in_E_bullet,
-    inner_product,
     is_idempotent,
     parse_element_file,
     format_element,
@@ -29,10 +26,8 @@ from .groups import (
     FiniteGroup,
     Permutation,
     Subgroup,
-    conjugate_subgroup,
     cosets,
     double_cosets,
-    intersect_subgroups,
     parse_cycles,
     parse_group_file,
 )
@@ -44,30 +39,16 @@ from .hecke import (
     orbital_matrices,
     verify_hecke_isomorphism,
 )
-from .linalg import (
-    Subspace,
-    circ,
-    intersect,
-    is_induced,
-    left_ideal_closure,
-    orthogonal_complement,
-    project_space,
-    right_multiply_space,
-    span,
-    subspace_sum,
-)
+from .linalg import Subspace, intersect
 from .lumping import (
     GurvitsLedouxIdeal,
     LumpingProblem,
-    LumpingReport,
     abelian_weak_test,
-    analyze,
     compute_Jw,
     compute_L_alpha_w,
     compute_Lw,
     interpolation_test,
     lumping_function,
-    small_H_verdict_consistency,
     stable_ideal_check,
     test_exact,
     test_strong,
@@ -99,7 +80,6 @@ from .scalars import (
     RATIONALS,
     cyclotomic_field,
     cyclotomic_polynomial,
-    embed_rational,
 )
 from .shuffles import bottom_card_cycle, random_to_top, top_to_random
 from .simulate import (

@@ -224,7 +224,7 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# standard elements and bilinear forms
+# standard elements, idempotents and coset sums
 
 
 def eta(group: FiniteGroup, members) -> AlgebraElement:
@@ -241,34 +241,12 @@ def eta(group: FiniteGroup, members) -> AlgebraElement:
     return out
 
 
-def inner_product(a: AlgebraElement, b: AlgebraElement):
-    """G-invariant inner product (1/|G|) sum conj(a(g)) b(g); conjugate-linear in ``a``."""
-    x, y, f = a._aligned(b)
-    conj = f.conjugate
-    total = f.zero
-    for i, c in x.support():
-        d = y.coeffs[i]
-        if d:
-            total = total + conj(c) * d
-    return total / Fraction(a.group.order)
-
-
 def is_idempotent(e: AlgebraElement) -> bool:
     return e * e == e
 
 
 def supported_on(e: AlgebraElement, H: Subgroup) -> bool:
     return all(i in H for i in e.support_ids())
-
-
-def in_E_bullet(e: AlgebraElement, H: Subgroup) -> bool:
-    """Membership in the idempotents e of C[H] with eta_H e = eta_H."""
-    if not supported_on(e, H):
-        return False
-    if not is_idempotent(e):
-        return False
-    eta_H = eta(e.group, H)
-    return eta_H * e == eta_H.to_field(e.field)
 
 
 def coset_sums(w: AlgebraElement, decomposition: CosetDecomposition) -> list:
@@ -329,29 +307,11 @@ def abelian_characters(H: Subgroup):
     return m, keyed
 
 
-def abelian_character_idempotent(H: Subgroup, character: dict, order: int | None = None) -> AlgebraElement:
+def character_idempotent(H: Subgroup, character: dict, m: int) -> AlgebraElement:
     """Primitive idempotent (1/|H|) sum_h chi(h^-1) h of an abelian subgroup.
 
-    ``character`` maps member ids to exponents of ``zeta_order``; it is checked
-    to be multiplicative.
-    """
-    if not H.is_abelian():
-        raise DomainError("subgroup is not abelian")
-    G = H.parent
-    m = order if order is not None else H.exponent()
-    if set(character) != set(H.members):
-        raise DomainError("character must be defined on exactly the subgroup members")
-    for a in H.members:
-        for b in H.members:
-            if (character[a] + character[b]) % m != character[G.mul(a, b)] % m:
-                raise DomainError("map is not a multiplicative character")
-    return character_idempotent(H, character, m)
-
-
-def character_idempotent(H: Subgroup, character: dict, m: int) -> AlgebraElement:
-    """As :func:`abelian_character_idempotent`, for a character known to be valid.
-
-    ``character`` must come from :func:`abelian_characters` with exponent ``m``.
+    ``character`` maps member ids to exponents of ``zeta_m`` and must come from
+    :func:`abelian_characters` with exponent ``m``; it is not checked.
     """
     field = cyclotomic_field(m)
     inv_order = Fraction(1, H.order)

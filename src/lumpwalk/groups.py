@@ -309,22 +309,6 @@ class Subgroup:
         return all(m in self for m in other.members)
 
 
-def conjugate_subgroup(H: Subgroup, x: int) -> Subgroup:
-    """The subgroup x H x^{-1}."""
-    G = H.parent
-    xi = G.inv(x)
-    members = sorted(G.mul(G.mul(x, h), xi) for h in H.members)
-    gens = sorted(G.mul(G.mul(x, h), xi) for h in H.generators) or []
-    return Subgroup(G, tuple(members), tuple(g for g in gens if g != 0))
-
-
-def intersect_subgroups(A: Subgroup, B: Subgroup) -> Subgroup:
-    if A.parent is not B.parent:
-        raise DomainError("subgroups of different groups")
-    members = tuple(sorted(set(A.members) & set(B.members)))
-    return Subgroup(A.parent, members, tuple(m for m in members if m != 0))
-
-
 @dataclass(frozen=True)
 class CosetDecomposition:
     side: str  # "left" (gH) or "right" (Hg)
@@ -442,9 +426,3 @@ def parse_group_file(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
     degree, gens = parse_generators(text)
     return FiniteGroup.generate(degree, gens, order_cap)
 
-
-def format_group_file(G: FiniteGroup) -> str:
-    lines = [f"degree {G.degree}"]
-    for g in G.generators:
-        lines.append(f"gen {G.elements[g].cycle_string()}")
-    return "\n".join(lines) + "\n"

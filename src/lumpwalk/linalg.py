@@ -1,4 +1,4 @@
-"""Exact linear algebra over subspaces of a group algebra.
+"""Exact linear algebra: row spaces, their closures under linear maps, kernels.
 
 Subspaces are held in reduced row echelon form with leading coefficient 1, so
 two subspaces are equal exactly when their basis matrices are equal.  Each
@@ -14,19 +14,17 @@ the canonical RREF row times the one positive integer that makes it a
 primitive integer vector (entries with gcd 1, positive pivot).  That scaled
 form is unique, so it determines the canonical RREF, which `to_subspace`
 builds once, at the end; reduction and back-elimination use integer row
-operations and divide only by a gcd.  The group-path closures and the
-rational `nullspace` run on `IntegerRows`; the generic oracle's closures stay
-on `Subspace`.
+operations and divide only by a gcd.  The group-path closures and
+`nullspace` run on `IntegerRows`; the generic oracle's closures stay on
+`Subspace`.
 
 `closure` is the one fixpoint kernel, generic over the row store, for the
 group path and the generic oracle alike: the smallest subspace containing a
 seed and closed under given linear maps, grown from a worklist.  `nullspace`
 echelonises its constraints with the columns reversed, so the solution of
 each free column is already a row of the canonical basis and no second
-elimination is needed.  On top of the generic vector-space kernel this module
-provides the group-algebra operations: ideal closures, coset projections of
-subspaces, induced-ideal recognition, the `(1 - eta_H)` cut of an induced
-ideal, and orthogonal complements under the conjugate-linear inner product.
+elimination is needed.  The kernels and `nullspace` work over the rationals.
+The module knows nothing of groups: its callers hand it vectors and maps.
 """
 
 from __future__ import annotations
@@ -34,9 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import AlgebraElement, eta
 from .errors import DomainError
-from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .scalars import RATIONALS
 
 
@@ -210,7 +206,7 @@ class IntegerRows:
                 for k in touched:
                     row[k] = m * row[k] - c * v[k]
                 kept = [k for k in sorted(touched) if row[k]]
-                g = gcd(*(row[k] for k in kept))
+                g = gcd(*[row[k] for k in kept])
                 if g != 1:
                     for k in kept:
                         row[k] //= g
@@ -243,19 +239,6 @@ def integer_row(vector) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in vector]
 
 
-def span(field, ambient: int, vectors) -> Subspace:
-    return Subspace(field, ambient, vectors)
-
-
-def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    if U.ambient != V.ambient:
-        raise DomainError("ambient dimension mismatch")
-    out = U.copy()
-    for r in V.rows:
-        out.insert(r)
-    return out
-
-
 def intersect(U: Subspace, V: Subspace) -> Subspace:
     """Zassenhaus intersection: echelonize [u|u] and [v|0] rows."""
     if U.ambient != V.ambient:
@@ -274,10 +257,10 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     return out
 
 
-def kernel_coefficients(field, images: list[list]) -> Subspace:
-    """Coefficient vectors c with sum_i c_i * images[i] == 0 (a subspace of R^len)."""
+def kernel_coefficients(images: list[list]) -> Subspace:
+    """Coefficient vectors c with sum_i c_i * images[i] == 0 (a subspace of Q^len)."""
     k = len(images)
-    out = Subspace(field, k)
+    out = Subspace(RATIONALS, k)
     if k == 0:
         return out
     # per pivot row: pivot column, image residue, its nonzero columns,
@@ -285,8 +268,8 @@ def kernel_coefficients(field, images: list[list]) -> Subspace:
     pivot_rows: list[tuple[int, list, list[int], list, list[int]]] = []
     for i, img in enumerate(images):
         v = list(img)
-        coef = [field.zero] * k
-        coef[i] = field.one
+        coef = [RATIONALS.zero] * k
+        coef[i] = RATIONALS.one
         for p, pimg, img_cols, pcoef, coef_cols in pivot_rows:
             c = v[p]
             if c:
@@ -300,7 +283,7 @@ def kernel_coefficients(field, images: list[list]) -> Subspace:
         else:
             coef_cols = [j for j, c in enumerate(coef) if c]
             lead = v[img_cols[0]]
-            if lead != field.one:
+            if lead != RATIONALS.one:
                 for j in img_cols:
                     v[j] = v[j] / lead
                 for j in coef_cols:
@@ -309,11 +292,11 @@ def kernel_coefficients(field, images: list[list]) -> Subspace:
     return out
 
 
-def kernel_span(field, images: list[list], basis_rows: list[list], ambient: int) -> Subspace:
+def kernel_span(images: list[list], basis_rows: list[list], ambient: int) -> Subspace:
     """Span of sum_k c_k * basis_rows[k] over the c with sum_k c_k * images[k] == 0."""
-    out = Subspace(field, ambient)
-    for cv in kernel_coefficients(field, images).rows:
-        vec = [field.zero] * ambient
+    out = Subspace(RATIONALS, ambient)
+    for cv in kernel_coefficients(images).rows:
+        vec = [RATIONALS.zero] * ambient
         for k, c in enumerate(cv):
             if c:
                 for j, r in enumerate(basis_rows[k]):
@@ -323,54 +306,35 @@ def kernel_span(field, images: list[list], basis_rows: list[list], ambient: int)
     return out
 
 
-def nullspace(field, rows: list[list], ambient: int) -> Subspace:
-    """Solutions v of the homogeneous system row . v == 0 for each row.
+def nullspace(rows: list[list], ambient: int) -> Subspace:
+    """Rational solutions v of the homogeneous system row . v == 0 for each row.
 
     The constraints are echelonised with their columns reversed, so the pivot
     of each constraint is its last nonzero column, and the constraint is zero
     at every other pivot.  The solution of a free column f is 1 at f and
     -row[f] at the pivot of each row, all of them right of f, and 0 at every
-    other free column: a row of the canonical basis as it stands.  Over the
-    rationals each constraint is scaled to integers, which does not change the
-    solutions, and echelonised on `IntegerRows`.
+    other free column: a row of the canonical basis as it stands.  Each
+    constraint is scaled to integers, which does not change the solutions,
+    and echelonised on `IntegerRows`.
     """
     last = ambient - 1
-    if field.kind == "rational":
-        reversed_rows = IntegerRows(
-            ambient, [integer_row(row[::-1]) for row in rows]).to_subspace()
-    else:
-        reversed_rows = Subspace(field, ambient, [row[::-1] for row in rows])
+    reversed_rows = IntegerRows(ambient, [integer_row(row[::-1]) for row in rows]).to_subspace()
     solutions = {}
     pivots = {last - p for p in reversed_rows.pivots}
     for free in range(ambient):
         if free not in pivots:
-            v = [field.zero] * ambient
-            v[free] = field.one
+            v = [RATIONALS.zero] * ambient
+            v[free] = RATIONALS.one
             solutions[free] = v
     for row, p, cols in zip(reversed_rows.rows, reversed_rows.pivots, reversed_rows.support):
         for k in cols:
             if k != p:
                 solutions[last - k][last - p] = -row[k]
-    out = Subspace(field, ambient)
+    out = Subspace(RATIONALS, ambient)
     for free, v in solutions.items():
         out.rows.append(v)
         out.pivots.append(free)
         out.support.append([k for k, c in enumerate(v) if c])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# group-algebra level operations
-
-
-def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:
-    """Span of v*w over a basis of V."""
-    G = w.group
-    if V.ambient != G.order:
-        raise DomainError("subspace is not in this group algebra")
-    out = Subspace(V.field, V.ambient)
-    for row in V.rows:
-        out.insert((AlgebraElement(G, row, V.field) * w).coeffs)
     return out
 
 
@@ -408,87 +372,3 @@ def permuted(vector, perm, zero) -> list:
         if c:
             out[perm[pos]] = c
     return out
-
-
-def left_ideal_closure(V: Subspace, group: FiniteGroup) -> Subspace:
-    """Smallest left ideal containing V: closure under the group generators.
-
-    Left multiplication by a generator permutes coordinates, and closure
-    under the generators gives closure under the whole group.
-    """
-    elements = range(group.order)
-    perms = [tuple(group.mul(g, x) for x in elements) for g in group.generators]
-    zero = V.field.zero
-    return closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
-
-
-def project_space(V: Subspace, decomposition: CosetDecomposition, group: FiniteGroup):
-    """Per-coset projections pi_bH(V) as subspaces."""
-    out = []
-    for cid in range(decomposition.n_cosets):
-        block = Subspace(V.field, V.ambient)
-        for row in V.rows:
-            e = AlgebraElement(group, row, V.field).project_coset(decomposition, cid)
-            block.insert(e.coeffs)
-        out.append(block)
-    return out
-
-
-def is_left_ideal(V: Subspace, group: FiniteGroup) -> bool:
-    for row in V.rows:
-        elem = AlgebraElement(group, row, V.field)
-        for g in group.generators:
-            if not V.contains(elem.translate_left(g).coeffs):
-                return False
-    return True
-
-
-def is_induced(V: Subspace, decomposition: CosetDecomposition, group: FiniteGroup) -> bool:
-    """True iff V is a left ideal equal to the direct sum of its coset projections."""
-    if not is_left_ideal(V, group):
-        return False
-    for row in V.rows:
-        elem = AlgebraElement(group, row, V.field)
-        for cid in range(decomposition.n_cosets):
-            if not V.contains(elem.project_coset(decomposition, cid).coeffs):
-                return False
-    return True
-
-
-def circ(L: Subspace, H: Subgroup, decomposition: CosetDecomposition) -> Subspace:
-    """The cut L(1 - eta_H) of an induced ideal L containing eta_G."""
-    G = H.parent
-    eta_G = eta(G, range(G.order)).to_field(L.field)
-    if not L.contains(eta_G.coeffs):
-        raise DomainError("cut undefined: the ideal does not contain the uniform element")
-    if not is_induced(L, decomposition, G):
-        raise DomainError("cut undefined: the subspace is not an induced left ideal")
-    eta_H = eta(G, H).to_field(L.field)
-    one = AlgebraElement.one(G, L.field)
-    return right_multiply_space(L, one - eta_H)
-
-
-def orthogonal_complement(W: Subspace, ambient: Subspace | None = None,
-                          group_order: int | None = None) -> Subspace:
-    """Perpendicular space under the conjugate-linear inner product.
-
-    With ``ambient`` given, the complement is taken inside that subspace
-    (e.g. the span of one double coset); otherwise inside the full space.
-    """
-    field = W.field
-    conj = field.conjugate
-    if ambient is None:
-        rows = [[conj(c) for c in row] for row in W.rows]
-        return nullspace(field, rows, W.ambient)
-    if ambient.ambient != W.ambient:
-        raise DomainError("ambient dimension mismatch")
-
-    def dot_conj(w, v):
-        total = field.zero
-        for k, c in enumerate(w):
-            if c and v[k]:
-                total = total + conj(c) * v[k]
-        return total
-
-    images = [[dot_conj(row, a) for row in W.rows] for a in ambient.rows]
-    return kernel_span(field, images, ambient.rows, W.ambient)

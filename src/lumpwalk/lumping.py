@@ -29,12 +29,14 @@ matrix read coset and double-coset sums of w; the lumped matrix and `hecke`
 read the table `pair_classes` of the double coset of r_i^-1 r_j; the abelian
 test reads its character pairings off w on each double coset.  The dense
 forms, the round-based fixpoint loops and the `Fraction` closures remain as
-references in `tests/test_properties.py`.
+references in `tests/test_properties.py`; the induced ideals as subspaces of
+the full group algebra, with the axioms they satisfy there, in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -216,14 +218,6 @@ class LumpingProblem:
         """Membership of an element of C[G] in the ideal induced from pi_H."""
         return all(pi_H.contains(comp) for comp in self.coset_components(elem))
 
-    def induce_full(self, pi_H: Subspace) -> Subspace:
-        """Materialize the induced ideal as a subspace of the full group algebra."""
-        out = Subspace(pi_H.field, self.group.order)
-        for rep in self.left.representatives:
-            for row in pi_H.rows:
-                out.insert(self.from_H_vector(row, pi_H.field).translate_left(rep).coeffs)
-        return out
-
 
 @dataclass
 class GurvitsLedouxIdeal:
@@ -231,7 +225,6 @@ class GurvitsLedouxIdeal:
 
     problem: LumpingProblem
     pi_H: Subspace
-    provenance: str  # "minimal" | "minimal-for-start" | "maximal"
     weakly_lumping: bool | None = None
     cut_violation: AlgebraElement | None = None  # first cut row u with u (1 - eta_H) w eta_H != 0
 
@@ -239,31 +232,8 @@ class GurvitsLedouxIdeal:
     def dim(self) -> int:
         return self.problem.index * self.pi_H.dim
 
-    def verify_axioms(self, w: AlgebraElement) -> dict:
-        """Recompute the defining properties from the stored basis."""
-        problem = self.problem
-        full = self.full_subspace()
-        from .linalg import is_induced, right_multiply_space
-
-        moved = right_multiply_space(full, w.require_weight())
-        one = AlgebraElement.one(problem.group, full.field)
-        cut = right_multiply_space(full, one - problem.eta_H.to_field(full.field))
-        cut_moved = right_multiply_space(cut, w)
-        return {
-            "contains_uniform": full.contains(problem.eta_G.to_field(full.field).coeffs),
-            "stable_under_weight": full.contains_subspace(moved),
-            "induced": is_induced(full, problem.left, problem.group),
-            "cut_stable": cut.contains_subspace(cut_moved),
-        }
-
     def contains(self, elem: AlgebraElement) -> bool:
         return self.problem.induced_contains(self.pi_H, elem)
-
-    def contains_ideal(self, other: "GurvitsLedouxIdeal") -> bool:
-        return self.pi_H.contains_subspace(other.pi_H)
-
-    def full_subspace(self) -> Subspace:
-        return self.problem.induce_full(self.pi_H)
 
     def basis_elements(self) -> list[AlgebraElement]:
         return [self.problem.from_H_vector(r, self.pi_H.field) for r in self.pi_H.rows]
@@ -439,7 +409,7 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
             seed.insert(comp)
     rows = problem.close_H_ideal(seed, problem.weight_action(w))
     M = rows.to_subspace()
-    ideal = GurvitsLedouxIdeal(problem, M, "minimal" if alpha is None else "minimal-for-start")
+    ideal = GurvitsLedouxIdeal(problem, M)
     violation = _first_cut_violation(problem, w, rows)
     if violation is not None:
         ideal.cut_violation = problem.from_H_vector(M.rows[violation], M.field)
@@ -494,9 +464,9 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     annihilator = _maximal_cut_annihilator(problem, problem.weight_action(w.require_weight()))
-    pi_H = nullspace(RATIONALS, annihilator.rows, problem.subgroup.order)
+    pi_H = nullspace(annihilator.rows, problem.subgroup.order)
     pi_H.insert(problem.eta_H_vector())
-    ideal = GurvitsLedouxIdeal(problem, pi_H, "maximal")
+    ideal = GurvitsLedouxIdeal(problem, pi_H)
     ideal.weakly_lumping = True
     return ideal
 
@@ -656,28 +626,7 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement):
 
 
 # ---------------------------------------------------------------------------
-# small subgroups, lumped matrices, reports
-
-
-def small_H_verdict_consistency(problem: LumpingProblem, w: AlgebraElement) -> str:
-    """For |H| <= 3: weak lumping forces strong or exact; returns the refined verdict."""
-    if problem.subgroup.order > 3:
-        raise DomainError("refined verdict only applies to subgroups of order <= 3")
-    w = w.require_weight()
-    if not w.is_irreducible_weight():
-        raise DomainError("weight is reducible")
-    strong, _ = test_strong(problem, w)
-    exact, _ = test_exact(problem, w)
-    weak, _, _ = test_weak_weight(problem, w)
-    if weak != (strong or exact):
-        raise InvariantError("weak verdict inconsistent with strong/exact for small subgroup")
-    if strong and exact:
-        return "strong+exact"
-    if strong:
-        return "strong"
-    if exact:
-        return "exact"
-    return "none"
+# the lumped matrix and the lumping function
 
 
 def walk_lumped_matrix(problem: LumpingProblem, w: AlgebraElement):
@@ -701,50 +650,3 @@ def lumping_function(problem: LumpingProblem):
         problem.group.elements[r].cycle_string() for r in problem.left.representatives
     )
     return LumpingFunction(tuple(problem.left.coset_of), labels)
-
-
-@dataclass
-class LumpingReport:
-    verdicts: dict
-    dimensions: dict
-    bases: dict = field(default_factory=dict)
-    certificates: dict = field(default_factory=dict)
-    lumped_matrix: list | None = None
-
-
-def analyze(problem: LumpingProblem, w: AlgebraElement,
-            alpha: AlgebraElement | None = None) -> LumpingReport:
-    """Full verdict set for a weight (and optionally a start distribution)."""
-    w = w.require_weight()
-    strong, cert_s = test_strong(problem, w)
-    exact, cert_e = test_exact(problem, w)
-    verdicts = {"strong": strong, "exact": exact}
-    dimensions = {}
-    bases = {}
-    certificates = {}
-    if cert_s:
-        certificates["strong"] = cert_s
-    if cert_e:
-        certificates["exact"] = cert_e
-    lumped = None
-    if w.is_irreducible_weight():
-        weak, lw, cert_w = test_weak_weight(problem, w)
-        verdicts["weak_weight"] = weak
-        dimensions["minimal_ideal"] = lw.dim
-        bases["minimal_ideal_cut"] = [repr(u) for u in lw.basis_elements()]
-        if cert_w:
-            certificates["weak_weight"] = cert_w
-        if weak:
-            lumped = [[str(q) for q in row] for row in walk_lumped_matrix(problem, w)]
-            if alpha is not None:
-                ok, jw = test_weak_distribution(problem, w, alpha)
-                verdicts["weak_for_start"] = ok
-                dimensions["maximal_ideal"] = jw.dim
-        elif alpha is not None:
-            verdicts["weak_for_start"] = False
-    else:
-        verdicts["weak_weight"] = None
-        certificates["weak_weight"] = {"reason": "reducible weight: use the generic per-start test"}
-    if verdicts.get("weak_weight") is False and (strong or exact):
-        raise InvariantError("strong or exact lumping must imply weak lumping")
-    return LumpingReport(verdicts, dimensions, bases, certificates, lumped)

@@ -175,18 +175,6 @@ class LumpingFunction:
                 out[self.lump_of[i]] += x
         return out
 
-    def kernel_F(self) -> Subspace:
-        """ker F, spanned by within-lump differences of basis vectors."""
-        out = Subspace(RATIONALS, self.n_states)
-        for block in self.lumps():
-            base = block[0]
-            for other in block[1:]:
-                v = [Fraction(0)] * self.n_states
-                v[base] = Fraction(1)
-                v[other] = Fraction(-1)
-                out.insert(v)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # construction of chains
@@ -226,9 +214,10 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
 def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
     """V cap ker F, from the lump images of a basis of V (n_lumps wide, not 2n).
 
-    The same subspace as `intersect(V, f.kernel_F())`, in the same canonical RREF.
+    The same subspace as `intersect(V, kernel_F(f))`, with the reference
+    `kernel_F` of `tests/reference.py`, in the same canonical RREF.
     """
-    return kernel_span(RATIONALS, [f.apply_F(v) for v in V.rows], V.rows, V.ambient)
+    return kernel_span([f.apply_F(v) for v in V.rows], V.rows, V.ambient)
 
 
 def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
@@ -271,7 +260,7 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     rows = []
     for y in range(n):
         rows.append([P.rows[x][y] - (1 if x == y else 0) for x in range(n)])
-    sols = nullspace(RATIONALS, rows, n)
+    sols = nullspace(rows, n)
     if sols.dim != 1:
         raise InvariantError("irreducible chain must have a unique stationary law")
     vec = sols.rows[0]
@@ -357,7 +346,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace
             yield f.project(a, b)
 
     annihilator = closure(Subspace(RATIONALS, P.n, columns), successors)
-    return nullspace(RATIONALS, annihilator.rows, P.n)
+    return nullspace(annihilator.rows, P.n)
 
 
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,

@@ -387,11 +387,6 @@ def common_field(f1, f2):
     )
 
 
-def embed_rational(q, order: int) -> Cyclo:
-    """Constant embedding of a rational into Q(zeta_order)."""
-    return cyclotomic_field(order).from_rational(Fraction(q))
-
-
 # ---------------------------------------------------------------------------
 # scalar literal grammar: rationals `p/q`; cyclotomic sums `a + b*z^k - ...`
 

@@ -34,7 +34,6 @@ from lumpwalk import test_exact_generic as exact_generic
 from lumpwalk import test_strong_generic as strong_generic
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.linalg import nullspace
-from lumpwalk.scalars import RATIONALS
 
 
 def _gen(degree, *cycles):
@@ -79,7 +78,7 @@ def theta_basis(problem, e):
         img2 = (e - eta_H) * basis_g * eta_H
         rows.append(img1.coeffs + img2.coeffs)
     constraints = [[rows[g][k] for g in range(G.order)] for k in range(2 * G.order)]
-    return nullspace(RATIONALS, constraints, G.order)
+    return nullspace(constraints, G.order)
 
 
 def random_subgroup_of(rng, H):

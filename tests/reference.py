@@ -1,0 +1,116 @@
+"""Full-|G| reference forms for the differential tests.
+
+The package decides lumping on vectors of length |H|: an induced ideal is
+held by its cut to the subgroup algebra.  These are the forms over the whole
+group algebra C[G] that the tests compare against: left-ideal closures,
+right multiplication of a subspace, induced-ideal recognition, the induced
+ideal itself with its defining axioms, the conjugate-linear inner product,
+and the kernel of a lumping map.
+"""
+
+from fractions import Fraction
+
+from lumpwalk.algebra import AlgebraElement
+from lumpwalk.errors import DomainError
+from lumpwalk.groups import CosetDecomposition, FiniteGroup
+from lumpwalk.linalg import Subspace, closure, permuted
+from lumpwalk.scalars import RATIONALS
+
+
+def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:
+    """Span of v*w over a basis of V."""
+    G = w.group
+    if V.ambient != G.order:
+        raise DomainError("subspace is not in this group algebra")
+    out = Subspace(V.field, V.ambient)
+    for row in V.rows:
+        out.insert((AlgebraElement(G, row, V.field) * w).coeffs)
+    return out
+
+
+def left_ideal_closure(V: Subspace, group: FiniteGroup) -> Subspace:
+    """Smallest left ideal containing V: closure under the group generators.
+
+    Left multiplication by a generator permutes coordinates, and closure
+    under the generators gives closure under the whole group.
+    """
+    elements = range(group.order)
+    perms = [tuple(group.mul(g, x) for x in elements) for g in group.generators]
+    zero = V.field.zero
+    return closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
+
+
+def is_left_ideal(V: Subspace, group: FiniteGroup) -> bool:
+    for row in V.rows:
+        elem = AlgebraElement(group, row, V.field)
+        for g in group.generators:
+            if not V.contains(elem.translate_left(g).coeffs):
+                return False
+    return True
+
+
+def is_induced(V: Subspace, decomposition: CosetDecomposition, group: FiniteGroup) -> bool:
+    """True iff V is a left ideal equal to the direct sum of its coset projections."""
+    if not is_left_ideal(V, group):
+        return False
+    for row in V.rows:
+        elem = AlgebraElement(group, row, V.field)
+        for cid in range(decomposition.n_cosets):
+            if not V.contains(elem.project_coset(decomposition, cid).coeffs):
+                return False
+    return True
+
+
+def induce_full(problem, pi_H: Subspace) -> Subspace:
+    """Materialize the induced ideal as a subspace of the full group algebra."""
+    out = Subspace(pi_H.field, problem.group.order)
+    for rep in problem.left.representatives:
+        for row in pi_H.rows:
+            out.insert(problem.from_H_vector(row, pi_H.field).translate_left(rep).coeffs)
+    return out
+
+
+def full_subspace(ideal) -> Subspace:
+    """The induced ideal of a `GurvitsLedouxIdeal` as a subspace of C[G]."""
+    return induce_full(ideal.problem, ideal.pi_H)
+
+
+def verify_axioms(ideal, w: AlgebraElement) -> dict:
+    """Recompute the defining properties of an induced ideal from its stored basis."""
+    problem = ideal.problem
+    full = full_subspace(ideal)
+    moved = right_multiply_space(full, w.require_weight())
+    one = AlgebraElement.one(problem.group, full.field)
+    cut = right_multiply_space(full, one - problem.eta_H.to_field(full.field))
+    cut_moved = right_multiply_space(cut, w)
+    return {
+        "contains_uniform": full.contains(problem.eta_G.to_field(full.field).coeffs),
+        "stable_under_weight": full.contains_subspace(moved),
+        "induced": is_induced(full, problem.left, problem.group),
+        "cut_stable": cut.contains_subspace(cut_moved),
+    }
+
+
+def inner_product(a: AlgebraElement, b: AlgebraElement):
+    """G-invariant inner product (1/|G|) sum conj(a(g)) b(g); conjugate-linear in ``a``."""
+    x, y, f = a._aligned(b)
+    conj = f.conjugate
+    total = f.zero
+    for i, c in x.support():
+        d = y.coeffs[i]
+        if d:
+            total = total + conj(c) * d
+    return total / Fraction(a.group.order)
+
+
+def kernel_F(f) -> Subspace:
+    """ker F of a `LumpingFunction`, spanned by within-lump differences of basis vectors."""
+    out = Subspace(RATIONALS, f.n_states)
+    for block in f.lumps():
+        base = block[0]
+        for other in block[1:]:
+            v = [Fraction(0)] * f.n_states
+            v[base] = Fraction(1)
+            v[other] = Fraction(-1)
+            out.insert(v)
+    return out

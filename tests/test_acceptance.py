@@ -16,7 +16,7 @@ from lumpwalk import (
     AlgebraElement,
     Distribution,
     LumpingProblem,
-    abelian_character_idempotent,
+    Subspace,
     abelian_characters,
     abelian_weak_test,
     check_Q_characterization,
@@ -25,10 +25,8 @@ from lumpwalk import (
     coset_sums,
     eta,
     interpolation_test,
-    left_ideal_closure,
     lumping_function,
     orbital_matrices,
-    span,
     theta_dimension,
     transition_from_weight,
     verify_hecke_isomorphism,
@@ -39,6 +37,7 @@ from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_distribution as weak_dist_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
+from lumpwalk.algebra import character_idempotent
 from lumpwalk.scalars import RATIONALS
 from lumpwalk.shuffles import (
     bottom_card_cycle,
@@ -55,6 +54,7 @@ from lumpwalk.simulate import (
 )
 from tests.conftest import lazy_frustrator, uniform_on
 from tests.oracle_suite import run_suite
+from tests.reference import full_subspace, left_ideal_closure
 
 
 @contextmanager
@@ -68,7 +68,7 @@ def criterion(number, description):
 
 
 def ideal_of(G, elem):
-    return left_ideal_closure(span(RATIONALS, G.order, [elem.coeffs]), G)
+    return left_ideal_closure(Subspace(RATIONALS, G.order, [elem.coeffs]), G)
 
 
 def test_criterion_01_double_cosets(sym4, top_prob):
@@ -103,7 +103,7 @@ def test_criterion_03_minimal_ideal(sym4, top_prob, mid_swap_T):
             w = lazy_frustrator(sym4, lam)
             ideal = compute_Lw(top_prob, w)
             assert ideal.dim == 12
-            assert ideal.full_subspace() == expected
+            assert full_subspace(ideal) == expected
             averaged = top_prob.eta_H * w
             c12 = top_prob.left.coset_of[sym4.element_of("(1,2)")]
             proj = averaged.project_coset(top_prob.left, c12).normalized()
@@ -111,14 +111,14 @@ def test_criterion_03_minimal_ideal(sym4, top_prob, mid_swap_T):
                 sym4, [("(1,4,2)", Fraction(1, 2)), ("(1,4,3,2)", Fraction(1, 2))]
             )
         averaged_weight = eta(sym4, mid_swap_T) * lazy_frustrator(sym4, Fraction(3, 4))
-        assert compute_Lw(top_prob, averaged_weight).full_subspace() == expected
+        assert full_subspace(compute_Lw(top_prob, averaged_weight)) == expected
 
 
 def test_criterion_04_maximal_ideal_and_start_set(sym4, top_prob, mid_swap_T, frustrator):
     with criterion(4, "maximal stable ideal and admissible start distributions"):
         expected = ideal_of(sym4, eta(sym4, mid_swap_T))
         jw = compute_Jw(top_prob, frustrator)
-        assert jw.full_subspace() == expected
+        assert full_subspace(jw) == expected
         averaged = eta(sym4, mid_swap_T) * frustrator
         assert compute_Jw(top_prob, averaged).dim == 24
         assert weak_dist_test(top_prob, frustrator, eta(sym4, range(24)))[0]
@@ -207,7 +207,7 @@ def test_criterion_08_die_lumping(sym4, die_prob, die_weight):
         assert theta_dimension(die_prob, one)[0] == 21
         assert theta_dimension(die_prob, die_prob.eta_H)[0] == 21
         m, chars = abelian_characters(die_prob.subgroup)
-        idems = [abelian_character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
+        idems = [character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
         e_P = idems[0] + idems[1] + idems[3]
         assert theta_dimension(die_prob, e_P)[0] == 19
         assert not strong_test(die_prob, die_weight)[0]

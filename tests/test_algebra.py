@@ -7,12 +7,9 @@ import pytest
 
 from lumpwalk import (
     AlgebraElement,
-    abelian_character_idempotent,
     abelian_characters,
     coset_sums,
     eta,
-    in_E_bullet,
-    inner_product,
     is_idempotent,
     parse_cycles,
 )
@@ -22,8 +19,10 @@ from lumpwalk.algebra import (
     parse_element_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError
+from lumpwalk.lumping import require_E_bullet
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
 from tests.conftest import lazy_frustrator
+from tests.reference import inner_product
 
 
 def random_element(G, rng, low=-3, high=3):
@@ -115,17 +114,18 @@ def test_inner_product(sym4, top_prob):
 
 
 def test_E_bullet(sym4, top_prob, mid_swap_T, die_prob):
-    H = top_prob.subgroup
     eta_T = eta(sym4, mid_swap_T)
-    assert in_E_bullet(eta_T, H)
+    assert require_E_bullet(top_prob, eta_T) is eta_T
     half = AlgebraElement.one(sym4).scale(Fraction(1, 2))
     assert not is_idempotent(half)
-    assert not in_E_bullet(half, H)
+    with pytest.raises(DomainError, match="not idempotent"):
+        require_E_bullet(top_prob, half)
     m, chars = abelian_characters(die_prob.subgroup)
-    idems = [abelian_character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
+    idems = [character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
     e_P = idems[0] + idems[1] + idems[3]
-    assert in_E_bullet(e_P, die_prob.subgroup)
-    assert not in_E_bullet(idems[1], die_prob.subgroup)
+    assert require_E_bullet(die_prob, e_P) is e_P
+    with pytest.raises(DomainError, match="does not average to eta_H"):
+        require_E_bullet(die_prob, idems[1])
 
 
 def test_abelian_idempotents_die(sym4, die_prob):
@@ -133,7 +133,7 @@ def test_abelian_idempotents_die(sym4, die_prob):
     m, chars = abelian_characters(H)
     assert m == 4 and len(chars) == 4
     F = cyclotomic_field(4)
-    idems = [abelian_character_idempotent(H, chi, m) for chi in chars]
+    idems = [character_idempotent(H, chi, m) for chi in chars]
     # trivial character gives the averaging element
     assert idems[0] == die_prob.eta_H
     h = sym4.element_of("(1,2,3,4)")
@@ -142,7 +142,7 @@ def test_abelian_idempotents_die(sym4, die_prob):
     minus_i_char = next(
         k for k, chi in enumerate(chars) if chi[h] == 3
     )
-    e = abelian_character_idempotent(H, chars[minus_i_char], m)
+    e = character_idempotent(H, chars[minus_i_char], m)
     expected = AlgebraElement.zero(sym4, F)
     expected.coeffs[0] = F.from_rational(Fraction(1, 4))
     expected.coeffs[h] = i_unit * Fraction(1, 4)
@@ -151,7 +151,7 @@ def test_abelian_idempotents_die(sym4, die_prob):
     assert e == expected
     # sign character
     sign_index = next(k for k, chi in enumerate(chars) if chi[h] == 2)
-    s = abelian_character_idempotent(H, chars[sign_index], m)
+    s = character_idempotent(H, chars[sign_index], m)
     h2 = sym4.mul(h, h)
     h3 = sym4.mul(h2, h)
     assert s.coeffs[0] == Fraction(1, 4) and s.coeffs[h] == Fraction(-1, 4)
@@ -171,13 +171,12 @@ def test_abelian_character_validation(sym4, die_prob, top_prob):
         abelian_characters(top_prob.subgroup)  # nonabelian
     H = die_prob.subgroup
     m, chars = abelian_characters(H)
-    bad = dict(chars[1])
-    bad[H.members[1]] = (bad[H.members[1]] + 1) % m
-    with pytest.raises(DomainError):
-        abelian_character_idempotent(H, bad, m)
-    # the unchecked builder agrees with the checked one on valid characters
+    # every character is defined on exactly the members and is multiplicative
     for chi in chars:
-        assert character_idempotent(H, chi, m) == abelian_character_idempotent(H, chi, m)
+        assert set(chi) == set(H.members)
+        for a in H.members:
+            for b in H.members:
+                assert (chi[a] + chi[b]) % m == chi[sym4.mul(a, b)] % m
 
 
 def test_coset_sums(sym4, top_prob, frustrator):

@@ -1,30 +1,16 @@
-"""Exact subspace engine and the group-algebra ideal operations."""
+"""Exact subspace engine, and the full-|G| ideal references built on it."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumpwalk import (
-    AlgebraElement,
-    Subspace,
-    circ,
-    eta,
-    intersect,
-    is_induced,
-    left_ideal_closure,
-    orthogonal_complement,
-    project_space,
-    right_multiply_space,
-    span,
-    subspace_sum,
-)
-from lumpwalk.errors import DomainError
-from lumpwalk.linalg import IntegerRows, integer_row, is_left_ideal, kernel_coefficients, nullspace
+from lumpwalk import AlgebraElement, Subspace, eta, intersect
+from lumpwalk.linalg import IntegerRows, integer_row, kernel_coefficients, nullspace
 from lumpwalk.scalars import RATIONALS
+from tests.reference import is_induced, is_left_ideal, left_ideal_closure, right_multiply_space
 
 
 def rand_vec(rng, n, low=-3, high=3):
@@ -130,7 +116,7 @@ def test_sparse_elimination_matches_dense_reference(matrix, probe):
         assert fast.reduce(probe) == dense.reduce(probe)
     copied = fast.copy()
     assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
-    kernel, reference = kernel_coefficients(RATIONALS, rows), dense_kernel_coefficients(rows)
+    kernel, reference = kernel_coefficients(rows), dense_kernel_coefficients(rows)
     assert (kernel.rows, kernel.pivots) == (reference.rows, reference.pivots)
     assert kernel.support == [[k for k, c in enumerate(r) if c] for r in kernel.rows]
 
@@ -199,7 +185,7 @@ def test_canonical_echelon():
     rng = random.Random(1)
     for _ in range(5):
         vectors = [rand_vec(rng, 6) for _ in range(3)]
-        U = span(RATIONALS, 6, vectors)
+        U = Subspace(RATIONALS, 6, vectors)
         # a different generating set of the same space gives identical rows
         mixed = [
             [a + b for a, b in zip(vectors[0], vectors[1])],
@@ -207,16 +193,16 @@ def test_canonical_echelon():
             vectors[2],
             [3 * a for a in vectors[0]],
         ]
-        V = span(RATIONALS, 6, mixed)
+        V = Subspace(RATIONALS, 6, mixed)
         assert U == V
 
 
 def test_grassmann_identity():
     rng = random.Random(2)
     for _ in range(6):
-        U = span(RATIONALS, 8, [rand_vec(rng, 8) for _ in range(3)])
-        V = span(RATIONALS, 8, [rand_vec(rng, 8) for _ in range(3)])
-        s = subspace_sum(U, V)
+        U = Subspace(RATIONALS, 8, [rand_vec(rng, 8) for _ in range(3)])
+        V = Subspace(RATIONALS, 8, [rand_vec(rng, 8) for _ in range(3)])
+        s = Subspace(RATIONALS, 8, U.rows + V.rows)
         meet = intersect(U, V)
         assert s.dim + meet.dim == U.dim + V.dim
         assert U.contains_subspace(meet) and V.contains_subspace(meet)
@@ -226,12 +212,12 @@ def test_grassmann_identity():
 
 def test_nullspace_and_kernel():
     rows = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
-    ns = nullspace(RATIONALS, rows, 3)
+    ns = nullspace(rows, 3)
     assert ns.dim == 1
     v = ns.rows[0]
     assert v[0] + v[1] == 0 and v[1] + v[2] == 0
     images = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]
-    kernel = kernel_coefficients(RATIONALS, images)
+    kernel = kernel_coefficients(images)
     assert kernel.dim == 1
     c = kernel.rows[0]
     assert all(
@@ -241,12 +227,12 @@ def test_nullspace_and_kernel():
 
 def test_ideal_closures(sym4, top_prob, mid_swap_T):
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(span(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
     assert ideal_T.dim == 12  # induced from a one-dimensional module: dim = index
     eta_G = eta(sym4, range(24))
-    assert left_ideal_closure(span(RATIONALS, 24, [eta_G.coeffs]), sym4).dim == 1
+    assert left_ideal_closure(Subspace(RATIONALS, 24, [eta_G.coeffs]), sym4).dim == 1
     one = AlgebraElement.one(sym4)
-    assert left_ideal_closure(span(RATIONALS, 24, [one.coeffs]), sym4).dim == 24
+    assert left_ideal_closure(Subspace(RATIONALS, 24, [one.coeffs]), sym4).dim == 24
     assert ideal_T.contains(eta_G.coeffs)
     assert is_left_ideal(ideal_T, sym4)
 
@@ -254,14 +240,14 @@ def test_ideal_closures(sym4, top_prob, mid_swap_T):
 def test_closure_by_generators_matches_brute_force(sym4):
     rng = random.Random(9)
     seed = AlgebraElement(sym4, rand_vec(rng, 24, 0, 2))
-    fast = left_ideal_closure(span(RATIONALS, 24, [seed.coeffs]), sym4)
-    brute = span(RATIONALS, 24, [seed.translate_left(g).coeffs for g in range(24)])
+    fast = left_ideal_closure(Subspace(RATIONALS, 24, [seed.coeffs]), sym4)
+    brute = Subspace(RATIONALS, 24, [seed.translate_left(g).coeffs for g in range(24)])
     assert fast == brute
 
 
 def test_right_multiply_space(sym4, top_prob, mid_swap_T, frustrator):
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(span(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
     moved = right_multiply_space(ideal_T, frustrator)
     assert ideal_T.contains_subspace(moved)
     one = AlgebraElement.one(sym4)
@@ -271,14 +257,12 @@ def test_right_multiply_space(sym4, top_prob, mid_swap_T, frustrator):
 
 def test_project_and_induced(sym4, top_prob, mid_swap_T):
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(span(RATIONALS, 24, [eta_T.coeffs]), sym4)
-    blocks = project_space(ideal_T, top_prob.left, sym4)
-    assert sum(b.dim for b in blocks) == ideal_T.dim
+    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
     assert is_induced(ideal_T, top_prob.left, sym4)
     # ker of the coset-summing map decomposes over cosets
     one = AlgebraElement.one(sym4)
     ker = right_multiply_space(
-        left_ideal_closure(span(RATIONALS, 24, [one.coeffs]), sym4),
+        left_ideal_closure(Subspace(RATIONALS, 24, [one.coeffs]), sym4),
         one - top_prob.eta_H,
     )
     assert ker.dim == 24 - 4
@@ -286,51 +270,4 @@ def test_project_and_induced(sym4, top_prob, mid_swap_T):
     assert is_induced(Subspace(RATIONALS, 24), top_prob.left, sym4)  # {0}
     # a non-ideal subspace is not induced
     w = AlgebraElement.basis(sym4, sym4.element_of("(1,2)"))
-    assert not is_induced(span(RATIONALS, 24, [w.coeffs]), top_prob.left, sym4)
-
-
-def test_circ(sym4, top_prob, mid_swap_T):
-    H = top_prob.subgroup
-    one = AlgebraElement.one(sym4)
-    full = left_ideal_closure(span(RATIONALS, 24, [one.coeffs]), sym4)
-    assert circ(full, H, top_prob.left).dim == 20
-    eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(span(RATIONALS, 24, [eta_T.coeffs]), sym4)
-    cut_T = circ(ideal_T, H, top_prob.left)
-    assert cut_T.dim == 8  # 12 - [G:H]
-    ideal_H = left_ideal_closure(span(RATIONALS, 24, [top_prob.eta_H.coeffs]), sym4)
-    assert circ(ideal_H, H, top_prob.left).dim == 0
-    # cut equals the intersection with the coset-sum kernel
-    ker = right_multiply_space(full, one - top_prob.eta_H)
-    assert cut_T == intersect(ideal_T, ker)
-    # dim L - [G:H] in general
-    for ideal in (full, ideal_T, ideal_H):
-        assert circ(ideal, H, top_prob.left).dim == ideal.dim - 4
-    with pytest.raises(DomainError):
-        circ(span(RATIONALS, 24, [eta_T.coeffs]), H, top_prob.left)  # not an ideal
-    no_eta = left_ideal_closure(
-        span(RATIONALS, 24, [(eta_T - top_prob.eta_H).coeffs]), sym4
-    )
-    with pytest.raises(DomainError):
-        circ(no_eta, H, top_prob.left)  # does not contain the uniform element
-
-
-def test_orthogonal_complement(sym4):
-    rng = random.Random(4)
-    W = span(RATIONALS, 24, [rand_vec(rng, 24) for _ in range(5)])
-    Wp = orthogonal_complement(W)
-    assert W.dim + Wp.dim == 24
-    assert orthogonal_complement(Wp) == W
-    assert orthogonal_complement(Subspace(RATIONALS, 24)).dim == 24
-    # complement within an ambient subspace
-    ambient = span(RATIONALS, 24, [rand_vec(rng, 24) for _ in range(8)])
-    inner = span(RATIONALS, 24, ambient.rows[:3])
-    comp = orthogonal_complement(inner, ambient)
-    assert ambient.contains_subspace(comp)
-    from lumpwalk import inner_product
-
-    for r in comp.rows:
-        for w in inner.rows:
-            assert inner_product(
-                AlgebraElement(sym4, list(w)), AlgebraElement(sym4, list(r))
-            ) == 0
+    assert not is_induced(Subspace(RATIONALS, 24, [w.coeffs]), top_prob.left, sym4)

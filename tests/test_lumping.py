@@ -9,20 +9,16 @@ from lumpwalk import (
     AlgebraElement,
     Distribution,
     LumpingProblem,
-    abelian_character_idempotent,
+    Subspace,
     abelian_characters,
     abelian_weak_test,
-    analyze,
     compute_Jw,
     compute_L_alpha_w,
     compute_Lw,
     eta,
     interpolation_test,
-    left_ideal_closure,
     lumping_function,
     parse_cycles,
-    small_H_verdict_consistency,
-    span,
     stable_ideal_check,
     theta_dimension,
     time_reversal_dual_idempotent,
@@ -34,15 +30,17 @@ from lumpwalk import test_weak_distribution as weak_dist_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk import lumping
+from lumpwalk.algebra import character_idempotent
 from lumpwalk.errors import DomainError, InvariantError
 from lumpwalk.scalars import RATIONALS
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer, top_to_random
 from tests.conftest import lazy_frustrator, uniform_on
+from tests.reference import full_subspace, left_ideal_closure, verify_axioms
 from tests.test_properties import conjugate_index
 
 
 def ideal_of(G, elem):
-    return left_ideal_closure(span(RATIONALS, G.order, [elem.coeffs]), G)
+    return left_ideal_closure(Subspace(RATIONALS, G.order, [elem.coeffs]), G)
 
 
 def dist(elem):
@@ -95,7 +93,7 @@ def test_stable_ideal_check_cases(sym4, top_prob, mid_swap_T, frustrator, die_pr
     ok, failed = stable_ideal_check(top_prob, frustrator, top_prob.eta_H)
     assert not ok and failed == ["ideal-not-stable"]
     m, chars = abelian_characters(die_prob.subgroup)
-    idems = [abelian_character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
+    idems = [character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
     e_P = idems[0] + idems[1] + idems[3]
     assert stable_ideal_check(die_prob, die_weight, e_P) == (True, [])
     with pytest.raises(DomainError):
@@ -124,13 +122,13 @@ def test_minimal_ideal_is_mid_swap_ideal(sym4, top_prob, mid_swap_T, lam):
     ideal = compute_Lw(top_prob, w)
     assert ideal.dim == 12
     assert ideal.weakly_lumping
-    assert ideal.full_subspace() == ideal_of(sym4, eta(sym4, mid_swap_T))
+    assert full_subspace(ideal) == ideal_of(sym4, eta(sym4, mid_swap_T))
 
 
 def test_minimal_ideal_of_averaged_weight(sym4, top_prob, mid_swap_T, frustrator):
     w_strong = eta(sym4, mid_swap_T) * frustrator
     ideal = compute_Lw(top_prob, w_strong)
-    assert ideal.full_subspace() == ideal_of(sym4, eta(sym4, mid_swap_T))
+    assert full_subspace(ideal) == ideal_of(sym4, eta(sym4, mid_swap_T))
 
 
 def test_minimal_ideal_biinvariant_weight(sym4, top_prob):
@@ -142,7 +140,7 @@ def test_minimal_ideal_biinvariant_weight(sym4, top_prob):
         w.coeffs[g] = Fraction(1, 36)
     assert strong_test(top_prob, w)[0] and exact_test(top_prob, w)[0]
     ideal = compute_Lw(top_prob, w)
-    assert ideal.full_subspace() == ideal_of(sym4, top_prob.eta_H)
+    assert full_subspace(ideal) == ideal_of(sym4, top_prob.eta_H)
     assert ideal.dim == 4
 
 
@@ -183,7 +181,7 @@ def test_weak_weight_verdicts(sym4, top_prob, dihedral10, dihedral_prob, frustra
 def test_maximal_ideal(sym4, top_prob, mid_swap_T, frustrator):
     jw = compute_Jw(top_prob, frustrator)
     assert jw.dim == 12
-    assert jw.full_subspace() == ideal_of(sym4, eta(sym4, mid_swap_T))
+    assert full_subspace(jw) == ideal_of(sym4, eta(sym4, mid_swap_T))
     w_strong = eta(sym4, mid_swap_T) * frustrator
     assert compute_Jw(top_prob, w_strong).dim == 24
     # exactly lumping weight: the maximal ideal contains the averaging ideal
@@ -223,8 +221,8 @@ def test_sandwich_containment(sym4, top_prob, mid_swap_T, frustrator):
     jw = compute_Jw(top_prob, frustrator)
     l_alpha, ok = compute_L_alpha_w(top_prob, frustrator, eta(sym4, mid_swap_T))
     assert ok
-    assert l_alpha.contains_ideal(lw)
-    assert jw.contains_ideal(l_alpha)
+    assert l_alpha.pi_H.contains_subspace(lw.pi_H)
+    assert jw.pi_H.contains_subspace(l_alpha.pi_H)
 
 
 def test_L_alpha_cases(sym4, top_prob, mid_swap_T, frustrator):
@@ -232,7 +230,7 @@ def test_L_alpha_cases(sym4, top_prob, mid_swap_T, frustrator):
     ideal_u, ok_u = compute_L_alpha_w(top_prob, frustrator, eta(sym4, range(24)))
     assert ok_u and ideal_u.pi_H == lw.pi_H
     ideal_T, ok_T = compute_L_alpha_w(top_prob, frustrator, eta(sym4, mid_swap_T))
-    assert ok_T and ideal_T.full_subspace() == ideal_of(sym4, eta(sym4, mid_swap_T))
+    assert ok_T and full_subspace(ideal_T) == ideal_of(sym4, eta(sym4, mid_swap_T))
     ideal_d, ok_d = compute_L_alpha_w(top_prob, frustrator, AlgebraElement.basis(sym4, 0))
     assert not ok_d
     assert ideal_d.dim > 12
@@ -309,7 +307,7 @@ def test_theta_dimensions(sym4, top_prob, die_prob):
     assert d1d == 21
     assert sorted(per1d) == [0, 0, 3]  # three constraints, all on the large class
     m, chars = abelian_characters(die_prob.subgroup)
-    idems = [abelian_character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
+    idems = [character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
     e_P = idems[0] + idems[1] + idems[3]
     dP, perP = theta_dimension(die_prob, e_P)
     assert dP == 19
@@ -321,8 +319,6 @@ def test_theta_dimensions(sym4, top_prob, die_prob):
 
 def _theta_dimension_global(problem, e):
     """Independent oracle: one rank over the whole group algebra, no class split."""
-    from lumpwalk.linalg import Subspace
-
     G = problem.group
     f = e.field
     one = AlgebraElement.one(G, f)
@@ -350,7 +346,7 @@ def test_theta_multiplicative_closure(sym4, top_prob, mid_swap_T):
         img2 = (e - eta_H) * basis_g * eta_H
         rows.append(img1.coeffs + img2.coeffs)
     transposed = [[rows[g][k] for g in range(24)] for k in range(48)]
-    members = nullspace(RATIONALS, transposed, 24)
+    members = nullspace(transposed, 24)
     rng = random.Random(13)
 
     def random_member():
@@ -377,7 +373,7 @@ def test_abelian_test_die(die_prob, die_weight):
     ok, P, e_P = abelian_weak_test(die_prob, die_weight)
     assert ok and P == (0, 1, 3)
     m, chars = abelian_characters(die_prob.subgroup)
-    idems = [abelian_character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
+    idems = [character_idempotent(die_prob.subgroup, chi, m) for chi in chars]
     assert e_P == idems[0] + idems[1] + idems[3]
     ok_star, P_star, _ = abelian_weak_test(die_prob, die_weight.star())
     assert ok_star and P_star == (0, 2)
@@ -415,16 +411,21 @@ def test_small_subgroup_verdicts(dihedral10, dihedral_prob):
     exact_w = uniform_on(G, [sigma, sig_tau])         # supported on one left coset
     strong_w = uniform_on(G, [sigma, tau_sig])        # supported on one right coset
     both_w = uniform_on(G, [sig_tau, tau_sig])        # two reflections
-    assert small_H_verdict_consistency(dihedral_prob, exact_w) == "exact"
-    assert small_H_verdict_consistency(dihedral_prob, strong_w) == "strong"
-    assert small_H_verdict_consistency(dihedral_prob, both_w) == "strong+exact"
     none_w = AlgebraElement.from_pairs(G, [
         (sigma, Fraction(1, 4)), (sig_tau, Fraction(1, 2)), (tau, Fraction(1, 4))
     ])
-    assert small_H_verdict_consistency(dihedral_prob, none_w) == "none"
     # the three-element balanced weight happens to lump exactly
     balanced = uniform_on(G, [sigma, sig_tau, tau])
-    assert small_H_verdict_consistency(dihedral_prob, balanced) == "exact"
+    labels = {(True, True): "strong+exact", (True, False): "strong",
+              (False, True): "exact", (False, False): "none"}
+    for w, label in ((exact_w, "exact"), (strong_w, "strong"), (both_w, "strong+exact"),
+                     (none_w, "none"), (balanced, "exact")):
+        strong, _ = strong_test(dihedral_prob, w)
+        exact, _ = exact_test(dihedral_prob, w)
+        weak, _, _ = weak_weight_test(dihedral_prob, w)
+        # for |H| <= 3, weak lumping forces strong or exact lumping
+        assert weak == (strong or exact), label
+        assert labels[(strong, exact)] == label
 
 
 @pytest.mark.parametrize("test, side", [(strong_test, "left"), (exact_test, "right")])
@@ -443,44 +444,21 @@ def test_strong_exact_self_check_raises_on_disagreement(monkeypatch, top_prob, f
     assert calls == [side]
 
 
-def test_small_subgroup_guard(top_prob, frustrator):
-    with pytest.raises(DomainError):
-        small_H_verdict_consistency(top_prob, frustrator)
-
-
-# -- reports ------------------------------------------------------------------------
-
-
-def test_analyze_report(sym4, top_prob, frustrator, mid_swap_T):
-    report = analyze(top_prob, frustrator, alpha=eta(sym4, mid_swap_T))
-    assert report.verdicts == {
-        "strong": False,
-        "exact": False,
-        "weak_weight": True,
-        "weak_for_start": True,
-    }
-    assert report.dimensions["minimal_ideal"] == 12
-    assert report.lumped_matrix is not None
-    reducible = AlgebraElement.from_cycle_pairs(sym4, [("id", Fraction(1, 1))])
-    report2 = analyze(top_prob, reducible)
-    assert report2.verdicts["weak_weight"] is None
-
-
 def test_ideal_axioms_recomputable(sym4, top_prob, frustrator):
     lw = compute_Lw(top_prob, frustrator)
-    assert lw.verify_axioms(frustrator) == {
+    assert verify_axioms(lw, frustrator) == {
         "contains_uniform": True,
         "stable_under_weight": True,
         "induced": True,
         "cut_stable": True,
     }
     jw = compute_Jw(top_prob, frustrator)
-    assert all(jw.verify_axioms(frustrator).values())
+    assert all(verify_axioms(jw, frustrator).values())
     # the minimal ideal of a non-lumping weight fails only the cut axiom
     w = AlgebraElement.from_cycle_pairs(
         sym4, [("(1,2)", Fraction(1, 2)), ("(1,2,3,4)", Fraction(1, 2))]
     )
     ideal = compute_Lw(top_prob, w)
-    flags = ideal.verify_axioms(w)
+    flags = verify_axioms(ideal, w)
     assert flags["contains_uniform"] and flags["stable_under_weight"] and flags["induced"]
     assert not flags["cut_stable"]

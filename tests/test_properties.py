@@ -11,19 +11,15 @@ from lumpwalk import (
     AlgebraElement,
     Distribution,
     LumpingProblem,
-    abelian_character_idempotent,
     abelian_characters,
     abelian_weak_test,
     compute_Vmax_generic,
     coset_sums,
     eta,
     hecke_project,
-    inner_product,
-    left_ideal_closure,
     lumping_function,
     minimal_GL_space,
     orbital_matrices,
-    span,
     stable_ideal_check,
     transition_from_weight,
     verify_hecke_isomorphism,
@@ -33,7 +29,7 @@ from lumpwalk import test_exact as exact_test
 from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
-from lumpwalk.algebra import parse_element_file
+from lumpwalk.algebra import character_idempotent, parse_element_file
 from lumpwalk.linalg import (
     IntegerRows,
     Subspace,
@@ -51,6 +47,13 @@ from lumpwalk.scalars import RATIONALS, cyclotomic_field
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
 from tests.conftest import lazy_frustrator
 from tests.oracle_suite import WEIGHT_KINDS, build_pool, run_suite, sample_weight, theta_basis
+from tests.reference import (
+    full_subspace,
+    inner_product,
+    kernel_F,
+    left_ideal_closure,
+    right_multiply_space,
+)
 
 
 def test_oracle_suite_small_batch():
@@ -199,7 +202,7 @@ def narrowed_maximal_cut(problem, w):
             for comp in problem.times_weight(action, row):
                 flat.extend(reducer.reduce(comp))
             images.append(flat)
-        return kernel_span(RATIONALS, images, ideal_cut.rows, problem.subgroup.order)
+        return kernel_span(images, ideal_cut.rows, problem.subgroup.order)
 
     current = averaging_kernel(problem)
     while True:
@@ -270,8 +273,8 @@ def test_weak_path_tables_match_dense_products_on_pool():
             action = problem.weight_action(w)
             lw = compute_Lw(problem, w)
             unit_products = [problem.from_H_vector(row) * z for row in units.rows]
-            annihilator = nullspace(RATIONALS, [[uz.coeffs[g] for uz in unit_products]
-                                                for g in range(G.order)], n)
+            annihilator = nullspace([[uz.coeffs[g] for uz in unit_products]
+                                     for g in range(G.order)], n)
             for M in (lw.pi_H, units):
                 for row in M.rows:
                     dense = problem.coset_components(problem.from_H_vector(row) * w)
@@ -338,7 +341,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     assert l_alpha.pi_H == grown_minimal_ideal(problem, action, alpha_seed), label
     # the largest stable sum-zero cut is defined for every weight, weak or not
     annihilator = _maximal_cut_annihilator(problem, action)
-    maximal = nullspace(RATIONALS, annihilator.rows, n)
+    maximal = nullspace(annihilator.rows, n)
     maximal.insert(problem.eta_H_vector())
     assert maximal == narrowed_maximal_cut(problem, w), label
     if not lw.weakly_lumping:
@@ -496,8 +499,9 @@ def test_rank_shortcut_matches_exact_closure():
     assert 0 < full < total
 
 
-def insert_nullspace(field, rows, ambient):
+def insert_nullspace(rows, ambient):
     """Reference: the nullspace by forward echelon form, each solution inserted."""
+    field = RATIONALS
     constraints = Subspace(field, ambient, rows)
     out = Subspace(field, ambient)
     pivset = set(constraints.pivots)
@@ -541,7 +545,7 @@ def constraint_matrices(draw):
 @example(([[Fraction(3, 4), Fraction(-1, 6), Fraction(0)], [Fraction(-3, 2), Fraction(1, 3), Fraction(7, 5)]], 3))
 def test_nullspace_matches_insert_reference(case):
     rows, n = case
-    fast, ref = nullspace(RATIONALS, rows, n), insert_nullspace(RATIONALS, rows, n)
+    fast, ref = nullspace(rows, n), insert_nullspace(rows, n)
     assert (fast.rows, fast.pivots, fast.support) == (ref.rows, ref.pivots, ref.support)
     assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in fast.rows)
 
@@ -583,12 +587,12 @@ def block_narrowed_Vmax(f, P, Q):
             basis_rows.append(v)
             image = f.apply_F(P.apply(v))
             images.append([image[j] - Fraction(Q[b][j]) for j in range(m)])
-        blocks.append(kernel_span(RATIONALS, images, basis_rows, n))
+        blocks.append(kernel_span(images, basis_rows, n))
     while True:
         V = Subspace(RATIONALS, n, [r for blk in blocks for r in blk.rows])
         if all(V.contains(P.apply(v)) for v in V.rows):
             return V
-        blocks = [kernel_span(RATIONALS, [V.reduce(P.apply(v)) for v in blk.rows], blk.rows, n)
+        blocks = [kernel_span([V.reduce(P.apply(v)) for v in blk.rows], blk.rows, n)
                   for blk in blocks]
 
 
@@ -607,7 +611,7 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         f = lumping_function(problem)
-        kernel = f.kernel_F()
+        kernel = kernel_F(f)
         uniform = Distribution.uniform(G.order)
         for kind in WEIGHT_KINDS:
             if G.order > 30 and kind == "theta":
@@ -633,7 +637,7 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
                 vmax = compute_Vmax_generic(f, P, Q)
                 assert vmax == block_narrowed_Vmax(f, P, Q), (label, kind)
                 assert _cut(f, vmax) == intersect(vmax, kernel), (label, kind)
-                assert compute_Jw(problem, w).full_subspace() == vmax, (label, kind)
+                assert full_subspace(compute_Jw(problem, w)) == vmax, (label, kind)
                 maximal += 1
     assert minimal == 3 * draws
     assert 0 < maximal < draws
@@ -644,7 +648,7 @@ def dense_abelian_pairings(problem, w):
     H = problem.subgroup
     m, chars = abelian_characters(H)
     field = cyclotomic_field(m)
-    idempotents = [abelian_character_idempotent(H, chi, m) for chi in chars]
+    idempotents = [character_idempotent(H, chi, m) for chi in chars]
     w_f = w.to_field(field)
     pairings = {}
     for x in problem.double.representatives:
@@ -725,7 +729,7 @@ def test_abelian_closure_matches_subset_search_on_pool():
         if not problem.subgroup.is_abelian():
             continue
         m, chars = abelian_characters(problem.subgroup)
-        idempotents = [abelian_character_idempotent(problem.subgroup, chi, m) for chi in chars]
+        idempotents = [character_idempotent(problem.subgroup, chi, m) for chi in chars]
         for kind in WEIGHT_KINDS:
             if G.order > 30 and kind == "theta":
                 continue  # the nullspace construction is for small orders
@@ -753,9 +757,7 @@ def test_abelian_closure_matches_subset_search_on_pool():
 def test_kernel_of_coset_summing_has_expected_dimension(sym4, top_prob, die_prob):
     one = AlgebraElement.one(sym4)
     for prob in (top_prob, die_prob):
-        full = left_ideal_closure(span(RATIONALS, 24, [one.coeffs]), sym4)
-        from lumpwalk import right_multiply_space
-
+        full = left_ideal_closure(Subspace(RATIONALS, 24, [one.coeffs]), sym4)
         ker = right_multiply_space(full, one - prob.eta_H)
         assert ker.dim == 24 - prob.index
 
@@ -791,7 +793,7 @@ def test_minimal_ideal_is_closure_of_generic_space(sym4, top_prob, die_prob, die
         gl = minimal_GL_space(f, P, Distribution.uniform(24))
         closure = left_ideal_closure(gl, sym4)
         _, ideal, _ = weak_weight_test(prob, w)
-        assert closure == ideal.full_subspace()
+        assert closure == full_subspace(ideal)
 
 
 def test_theta_members_lump_stably(sym4, top_prob, mid_swap_T):
