@@ -15,7 +15,6 @@ from .errors import DomainError, InputFormatError, InvariantError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, parse_cycles
 from .scalars import (
     RATIONALS,
-    Cyclo,
     common_field,
     cyclotomic_field,
     format_scalar,
@@ -58,15 +57,6 @@ class AlgebraElement:
             out.coeffs[gid] = out.coeffs[gid] + c
         return out
 
-    @staticmethod
-    def from_cycle_pairs(group: FiniteGroup, pairs, scalar_field=RATIONALS) -> "AlgebraElement":
-        """As :meth:`from_pairs` but keyed by 1-based cycle notation strings."""
-        return AlgebraElement.from_pairs(
-            group,
-            ((group.element_of(text), c) for text, c in pairs),
-            scalar_field,
-        )
-
     # -- promotion ------------------------------------------------------------
 
     def to_field(self, scalar_field) -> "AlgebraElement":
@@ -94,14 +84,6 @@ class AlgebraElement:
 
     def __neg__(self):
         return AlgebraElement(self.group, [-x for x in self.coeffs], self.field)
-
-    def scale(self, scalar) -> "AlgebraElement":
-        if isinstance(scalar, Cyclo):
-            joint = common_field(self.field, scalar.field)
-            a = self.to_field(joint)
-            return AlgebraElement(a.group, [scalar * x for x in a.coeffs], joint)
-        c = self.field.coerce(scalar)
-        return AlgebraElement(self.group, [c * x for x in self.coeffs], self.field)
 
     # -- ring structure ----------------------------------------------------------
 
@@ -135,14 +117,6 @@ class AlgebraElement:
             out[G.inv(i)] = conj(c)
         return AlgebraElement(G, out, self.field)
 
-    def translate_left(self, gid: int) -> "AlgebraElement":
-        """Left multiplication by a group element (a coordinate permutation)."""
-        G = self.group
-        out = [self.field.zero] * G.order
-        for i, c in self.support():
-            out[G.mul(gid, i)] = c
-        return AlgebraElement(G, out, self.field)
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -153,12 +127,6 @@ class AlgebraElement:
         out = self.field.zero
         for _, c in self.support():
             out = out + c
-        return out
-
-    def sum_over(self, ids):
-        out = self.field.zero
-        for i in ids:
-            out = out + self.coeffs[i]
         return out
 
     def __eq__(self, other):
@@ -178,16 +146,6 @@ class AlgebraElement:
             for i, c in self.support()
         ]
         return "AlgebraElement(" + (" + ".join(parts) if parts else "0") + ")"
-
-    # -- projections --------------------------------------------------------------
-
-    def project_coset(self, decomposition: CosetDecomposition, coset_id: int) -> "AlgebraElement":
-        if not 0 <= coset_id < decomposition.n_cosets:
-            raise DomainError(f"no coset with id {coset_id}")
-        out = [self.field.zero] * self.group.order
-        for i in decomposition.cosets[coset_id]:
-            out[i] = self.coeffs[i]
-        return AlgebraElement(self.group, out, self.field)
 
     # -- weight / distribution checks ------------------------------------------------
 

@@ -347,7 +347,18 @@ def _parse_observations(problem, text: str):
     cycle notation (which contains commas) is used."""
     tokens = [token.strip() for token in text.split(";" if ";" in text else ",")]
     coset_of, element_of = problem.left.coset_of, problem.group.element_of
-    return [int(token) if token.isdigit() else coset_of[element_of(token)] for token in tokens]
+    observations = []
+    for t, token in enumerate(tokens):
+        if not token:
+            raise InputFormatError(f"--obs: empty observation at index {t}")
+        if not token.isdigit():
+            observations.append(coset_of[element_of(token)])
+        elif int(token) < problem.index:
+            observations.append(int(token))
+        else:
+            raise InputFormatError(f"--obs: coset id {token} at index {t} is not below "
+                                   f"the index {problem.index}")
+    return observations
 
 
 @_command("conditional", "exact law of the state given a lump history",

@@ -231,9 +231,6 @@ class FiniteGroup:
         gen_ids = sorted({self.index[g.images] for g in perms if not g.is_identity()})
         return Subgroup(self, tuple(members), tuple(gen_ids))
 
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)), self.generators)
-
     def is_generating(self, support) -> bool:
         """True iff the closure of the given element ids is the whole group.
 

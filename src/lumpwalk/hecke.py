@@ -29,10 +29,6 @@ class OrbitalMatrix:
     representative: int
     matrix: tuple[tuple[int, ...], ...]
 
-    @property
-    def ones_per_row(self) -> int:
-        return sum(self.matrix[0])
-
 
 def orbital_matrices(problem: LumpingProblem) -> list[OrbitalMatrix]:
     """One 0/1 matrix per double coset; entry (gH, g'H) is 1 iff g^-1 g' lies in it."""
@@ -49,20 +45,6 @@ class HeckeElement:
 
     problem: LumpingProblem
     class_values: list  # value of the element at each point of the class
-
-    def element(self) -> AlgebraElement:
-        out = AlgebraElement.zero(self.problem.group)
-        for cid, value in enumerate(self.class_values):
-            if value:
-                for g in self.problem.double.classes[cid]:
-                    out.coeffs[g] = value
-        return out
-
-    def basis_coefficients(self) -> list:
-        """Coefficients over the averaged double-coset basis elements."""
-        return [
-            v * self.problem.double.sizes[cid] for cid, v in enumerate(self.class_values)
-        ]
 
 
 def hecke_project(problem: LumpingProblem, w: AlgebraElement) -> HeckeElement:

@@ -4,9 +4,8 @@ Subspaces are held in reduced row echelon form with leading coefficient 1, so
 two subspaces are equal exactly when their basis matrices are equal.  Each
 row also keeps the ascending list of its nonzero columns, updated whenever an
 insertion rewrites the row, so reduction and back-elimination touch only those
-entries; `kernel_coefficients` keeps the same lists for its pivot rows.  The
-entries and the order of the arithmetic on them are those of a dense sweep,
-so bases and kernels do not depend on the cache.
+entries.  The entries and the order of the arithmetic on them are those of a
+dense sweep, so bases and kernels do not depend on the cache.
 
 There are two row stores.  `Subspace` holds its rows over any exact scalar
 field.  `IntegerRows` holds a rational row space fraction-free: each row is
@@ -17,6 +16,12 @@ builds once, at the end; reduction and back-elimination use integer row
 operations and divide only by a gcd.  The group-path closures and
 `nullspace` run on `IntegerRows`; the generic oracle's closures stay on
 `Subspace`.
+
+`kernel_span` is the one kernel that combines coefficient vectors with a
+basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
+off without building the coefficient vectors.  `kernel_coefficients` is
+`kernel_span` with unit basis rows, and `intersect` is `kernel_span` of the
+rows of both spaces with the rows of one.
 
 `closure` is the one fixpoint kernel, generic over the row store, for the
 group path and the generic oracle alike: the smallest subspace containing a
@@ -105,9 +110,6 @@ class Subspace:
 
     def contains(self, vector) -> bool:
         return not any(self.reduce(vector))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -239,71 +241,43 @@ def integer_row(vector) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in vector]
 
 
-def intersect(U: Subspace, V: Subspace) -> Subspace:
-    """Zassenhaus intersection: echelonize [u|u] and [v|0] rows."""
-    if U.ambient != V.ambient:
-        raise DomainError("ambient dimension mismatch")
-    n = U.ambient
-    zero = U.field.zero
-    wide = Subspace(U.field, 2 * n)
-    for u in U.rows:
-        wide.insert(list(u) + list(u))
-    for v in V.rows:
-        wide.insert(list(v) + [zero] * n)
-    out = Subspace(U.field, n)
-    for row, p in zip(wide.rows, wide.pivots):
-        if p >= n:
-            out.insert(row[n:])
+def kernel_span(images: list[list], basis_rows: list[list], ambient: int) -> Subspace:
+    """Span of sum_k c_k * basis_rows[k] over the c with sum_k c_k * images[k] == 0.
+
+    Zassenhaus's block echelon: the rows (images[k] | basis_rows[k]) are
+    echelonised as one `Subspace`.  A row whose pivot lies in the basis block
+    is zero on the image block, and those rows, cut to the basis block, are
+    the canonical RREF of the span.
+    """
+    width = len(images[0]) if images else 0
+    wide = Subspace(RATIONALS, width + ambient,
+                    (list(image) + list(row) for image, row in zip(images, basis_rows)))
+    out = Subspace(RATIONALS, ambient)
+    for row, p, cols in zip(wide.rows, wide.pivots, wide.support):
+        if p >= width:
+            out.rows.append(row[width:])
+            out.pivots.append(p - width)
+            out.support.append([k - width for k in cols])
     return out
 
 
 def kernel_coefficients(images: list[list]) -> Subspace:
     """Coefficient vectors c with sum_i c_i * images[i] == 0 (a subspace of Q^len)."""
     k = len(images)
-    out = Subspace(RATIONALS, k)
-    if k == 0:
-        return out
-    # per pivot row: pivot column, image residue, its nonzero columns,
-    # coefficient vector, its nonzero columns
-    pivot_rows: list[tuple[int, list, list[int], list, list[int]]] = []
-    for i, img in enumerate(images):
-        v = list(img)
-        coef = [RATIONALS.zero] * k
-        coef[i] = RATIONALS.one
-        for p, pimg, img_cols, pcoef, coef_cols in pivot_rows:
-            c = v[p]
-            if c:
-                for j in img_cols:
-                    v[j] = v[j] - c * pimg[j]
-                for j in coef_cols:
-                    coef[j] = coef[j] - c * pcoef[j]
-        img_cols = [j for j, c in enumerate(v) if c]
-        if not img_cols:
-            out.insert(coef)
-        else:
-            coef_cols = [j for j, c in enumerate(coef) if c]
-            lead = v[img_cols[0]]
-            if lead != RATIONALS.one:
-                for j in img_cols:
-                    v[j] = v[j] / lead
-                for j in coef_cols:
-                    coef[j] = coef[j] / lead
-            pivot_rows.append((img_cols[0], v, img_cols, coef, coef_cols))
-    return out
+    units = [[RATIONALS.one if j == i else RATIONALS.zero for j in range(k)] for i in range(k)]
+    return kernel_span(images, units, k)
 
 
-def kernel_span(images: list[list], basis_rows: list[list], ambient: int) -> Subspace:
-    """Span of sum_k c_k * basis_rows[k] over the c with sum_k c_k * images[k] == 0."""
-    out = Subspace(RATIONALS, ambient)
-    for cv in kernel_coefficients(images).rows:
-        vec = [RATIONALS.zero] * ambient
-        for k, c in enumerate(cv):
-            if c:
-                for j, r in enumerate(basis_rows[k]):
-                    if r:
-                        vec[j] = vec[j] + c * r
-        out.insert(vec)
-    return out
+def intersect(U: Subspace, V: Subspace) -> Subspace:
+    """U cap V over the rationals, by Zassenhaus's block echelon of (u | u) and (v | 0).
+
+    sum a_i u_i lies in V exactly when some sum b_j v_j cancels it, so U cap V
+    is the kernel span of the rows of U and V over the rows of U and zeros.
+    """
+    if U.ambient != V.ambient:
+        raise DomainError("ambient dimension mismatch")
+    zeros = [[RATIONALS.zero] * V.ambient] * V.dim
+    return kernel_span(U.rows + V.rows, U.rows + zeros, U.ambient)
 
 
 def nullspace(rows: list[list], ambient: int) -> Subspace:

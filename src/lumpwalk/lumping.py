@@ -13,15 +13,16 @@ representative per coset.
 
 Both fixpoints are the one worklist closure `linalg.closure`, run on
 integer rows (`linalg.IntegerRows`): the action table is scaled once by the
-lcm of its denominators and each seed row by that of its own, which changes
-no span.  The cut of L_w is the closure of eta_H (and the coset components of
-a start) under the generators of H and under u -> each coset component of
-u w; the weak obstruction is checked on its integer rows, and the canonical
-`Fraction` rows are built once, for the report.  The cut of J_w is read
-through the time-reversal duality: its annihilator under the plain dot
-product is the closure of the all-ones vector under the transposed action
-table, a -> M_c a, and the cut is the nullspace of the annihilator plus
-eta_H.
+lcm of its denominators and each seed vector by that of its own, which
+changes no span.  The cut of L_w is the closure of the all-ones vector
+|H| eta_H (and of the coset components of a start) under the generators of
+H and under u -> each coset component of u w; the seeds go onto the integer
+rows directly, so they are echelonised once.  The weak obstruction is
+checked on the integer rows, and the canonical `Fraction` rows are built
+once, for the report.  The cut of J_w is read through the time-reversal
+duality: its annihilator under the plain dot product is the closure of the
+all-ones vector under the transposed action table, a -> M_c a, and the cut
+is the nullspace of the annihilator plus eta_H.
 
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
@@ -85,7 +86,6 @@ class LumpingProblem:
         self.right = cosets(G, H, "right")
         self.double = double_cosets(G, H, H)
         self.eta_H = eta(G, H)
-        self.eta_G = eta(G, range(G.order))
         self._rep_inverses = tuple(G.inv(r) for r in self.left.representatives)
 
     @property
@@ -108,15 +108,6 @@ class LumpingProblem:
         return sums
 
     # -- vectors over the subgroup algebra -------------------------------------
-
-    def to_H_vector(self, elem: AlgebraElement) -> list:
-        H = self.subgroup
-        vec = [elem.field.zero] * H.order
-        for i, c in elem.support():
-            if i not in H:
-                raise DomainError("element is not supported on the subgroup")
-            vec[H.position(i)] = c
-        return vec
 
     def from_H_vector(self, vec, scalar_field=RATIONALS) -> AlgebraElement:
         out = AlgebraElement.zero(self.group, scalar_field)
@@ -190,33 +181,24 @@ class LumpingProblem:
         H, G = self.subgroup, self.group
         return tuple(tuple(H.position(G.mul(g, h)) for h in H.members) for g in H.generators)
 
-    def close_H_ideal(self, space: Subspace, action: list) -> IntegerRows:
-        """Smallest left ideal of the subgroup algebra containing the span and
-        closed under u -> each coset component of u w, for the action table of
-        a weight w (`weight_action`).
+    def close_H_ideal(self, seeds, action: list) -> IntegerRows:
+        """Smallest left ideal of the subgroup algebra containing the seed
+        vectors and closed under u -> each coset component of u w, for the
+        action table of a weight w (`weight_action`).
 
-        The seed rows and the table are scaled to integers, and the closure
-        runs on `IntegerRows`.
+        Each seed and the table are scaled to integers, and the closure runs
+        on `IntegerRows`.
         """
         perms = self._H_generator_perms
         table = _integer_table(action)
-        seeds = [integer_row(row) for row in space.rows]
 
         def images(u):
             for perm in perms:
                 yield permuted(u, perm, 0)
             yield from self.times_weight(table, u)
 
-        return closure(IntegerRows(space.ambient, seeds), images)
-
-    def eta_H_vector(self, scalar_field=RATIONALS) -> list:
-        return self.to_H_vector(self.eta_H.to_field(scalar_field))
-
-    # -- induced ideals --------------------------------------------------------
-
-    def induced_contains(self, pi_H: Subspace, elem: AlgebraElement) -> bool:
-        """Membership of an element of C[G] in the ideal induced from pi_H."""
-        return all(pi_H.contains(comp) for comp in self.coset_components(elem))
+        seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds))
+        return closure(seed_rows, images)
 
 
 @dataclass
@@ -233,7 +215,8 @@ class GurvitsLedouxIdeal:
         return self.problem.index * self.pi_H.dim
 
     def contains(self, elem: AlgebraElement) -> bool:
-        return self.problem.induced_contains(self.pi_H, elem)
+        """Membership of an element of C[G]: each of its coset components lies in pi_H."""
+        return all(self.pi_H.contains(comp) for comp in self.problem.coset_components(elem))
 
     def basis_elements(self) -> list[AlgebraElement]:
         return [self.problem.from_H_vector(r, self.pi_H.field) for r in self.pi_H.rows]
@@ -403,11 +386,10 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
             "weight is reducible (support does not generate the group); "
             "use the generic per-start test instead"
         )
-    seed = Subspace(RATIONALS, problem.subgroup.order, [problem.eta_H_vector()])
+    seeds = [[1] * problem.subgroup.order]  # eta_H, scaled by |H|
     if alpha is not None:
-        for comp in problem.coset_components(alpha.require_distribution()):
-            seed.insert(comp)
-    rows = problem.close_H_ideal(seed, problem.weight_action(w))
+        seeds += problem.coset_components(alpha.require_distribution())
+    rows = problem.close_H_ideal(seeds, problem.weight_action(w))
     M = rows.to_subspace()
     ideal = GurvitsLedouxIdeal(problem, M)
     violation = _first_cut_violation(problem, w, rows)
@@ -465,7 +447,7 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     annihilator = _maximal_cut_annihilator(problem, problem.weight_action(w.require_weight()))
     pi_H = nullspace(annihilator.rows, problem.subgroup.order)
-    pi_H.insert(problem.eta_H_vector())
+    pi_H.insert([RATIONALS.one] * problem.subgroup.order)  # eta_H, scaled by |H|
     ideal = GurvitsLedouxIdeal(problem, pi_H)
     ideal.weakly_lumping = True
     return ideal

@@ -14,8 +14,8 @@ from PF - FQ under a -> P a and a -> Pi_b a.
 
 A transition matrix keeps the nonzero entries of each row beside its dense
 rows; validation and every product with a vector read only those.  The cut
-`V ∩ ker F` of a stable subspace is the kernel of `F` on a basis of `V`,
-eliminated over images as wide as the number of lumps, and is computed only
+`V ∩ ker F` of a stable subspace is read off one block echelon of the rows
+`(v F | v)` over a basis of `V` (`linalg.kernel_span`), and is computed only
 by the callers that read it.
 """
 
@@ -55,10 +55,6 @@ class Distribution:
     @staticmethod
     def uniform(n: int) -> "Distribution":
         return Distribution((Fraction(1, n),) * n)
-
-    @staticmethod
-    def from_vector(vec) -> "Distribution":
-        return Distribution(tuple(Fraction(x) for x in vec))
 
 
 class TransitionMatrix:
@@ -113,9 +109,6 @@ class TransitionMatrix:
             out.append(total)
         return out
 
-    def step(self, alpha: Distribution) -> Distribution:
-        return Distribution(tuple(self.apply(list(alpha.probs))))
-
     def is_irreducible(self) -> bool:
         return self._reaches_all(forward=True) and self._reaches_all(forward=False)
 
@@ -152,10 +145,6 @@ class LumpingFunction:
     @property
     def n_lumps(self) -> int:
         return max(self.lump_of) + 1
-
-    @property
-    def n_states(self) -> int:
-        return len(self.lump_of)
 
     def lumps(self) -> list[list[int]]:
         out = [[] for _ in range(self.n_lumps)]
@@ -212,10 +201,11 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
 
 
 def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
-    """V cap ker F, from the lump images of a basis of V (n_lumps wide, not 2n).
+    """V cap ker F, from the block echelon of (v F | v) over a basis of V.
 
-    The same subspace as `intersect(V, kernel_F(f))`, with the reference
-    `kernel_F` of `tests/reference.py`, in the same canonical RREF.
+    Its rows are n_lumps + n wide, where those of the Zassenhaus intersection
+    `intersect(V, kernel_F(f))`, with the reference `kernel_F` of
+    `tests/reference.py`, are 2n wide; the result is the same canonical RREF.
     """
     return kernel_span([f.apply_F(v) for v in V.rows], V.rows, V.ambient)
 

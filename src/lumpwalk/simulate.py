@@ -128,6 +128,10 @@ def empirical_lumped_matrix(lumps, n_lumps: int):
     return out
 
 
+MIN_TRIPLES = 10_000  # observed (previous, current, next) triples the diagnostic needs
+THRESHOLD = 30.0  # statistic above which a context is flagged
+
+
 @dataclass
 class DiagnosticReport:
     """Order-2 vs order-1 homogeneity check of a lump sequence.
@@ -135,31 +139,29 @@ class DiagnosticReport:
     For each current lump b the transition counts are split by the previous
     lump a; each context (a, b) is scored with the chi-square-style statistic
     sum (observed - expected)^2 / expected against the pooled row for b.
-    Contexts above the threshold are flagged.  With the default threshold 30
-    and at most a few thousand contexts a well-mixed order-1 chain of 10^5
-    steps produces no flags in practice (tail mass of chi-square with <= 5
-    degrees of freedom beyond 30 is below 2e-5 per context); the check is
-    advisory either way.
+    Contexts above `THRESHOLD` are flagged.  With the threshold 30 and at
+    most a few thousand contexts a well-mixed order-1 chain of 10^5 steps
+    produces no flags in practice (tail mass of chi-square with <= 5 degrees
+    of freedom beyond 30 is below 2e-5 per context); the check is advisory
+    either way.  Fewer than `MIN_TRIPLES` observed triples give a warning
+    and no scores.
     """
 
     flagged: list = field(default_factory=list)
-    statistics: dict = field(default_factory=dict)
     warning: str | None = None
-    threshold: float = 30.0
 
     @property
     def clean(self) -> bool:
         return not self.flagged
 
 
-def markov_diagnostic(lumps, n_lumps: int, min_length: int = 10_000,
-                      threshold: float = 30.0) -> DiagnosticReport:
+def markov_diagnostic(lumps, n_lumps: int) -> DiagnosticReport:
     """Accepts one lump sequence or an ensemble of sequences (list of lists)."""
     sequences = [lumps] if lumps and isinstance(lumps[0], int) else list(lumps)
-    report = DiagnosticReport(threshold=threshold)
+    report = DiagnosticReport()
     observed = sum(max(len(s) - 2, 0) for s in sequences)
-    if observed < min_length:
-        report.warning = f"{observed} observed triples below the minimum {min_length}"
+    if observed < MIN_TRIPLES:
+        report.warning = f"{observed} observed triples below the minimum {MIN_TRIPLES}"
         return report
     # triple counts: previous lump, current lump, next lump
     triples = {}
@@ -185,7 +187,6 @@ def markov_diagnostic(lumps, n_lumps: int, min_length: int = 10_000,
                     continue
                 observed = triples.get((a, b, c), 0)
                 stat += (observed - expected) ** 2 / expected
-            report.statistics[(a, b)] = stat
-            if stat > threshold:
+            if stat > THRESHOLD:
                 report.flagged.append({"context": (a, b), "statistic": stat})
     return report

@@ -29,11 +29,11 @@ def lazy_frustrator(G, lam):
     """Lazy shuffle that lumps weakly (compatible with averaging over the
     middle swap) but not strongly or exactly for 0 < lam <= 1."""
     lam = Fraction(lam)
-    return AlgebraElement.from_cycle_pairs(G, [
-        ("id", 1 - lam),
-        ("(1,4)(2,3)", lam / 3),
-        ("(1,4,3)", lam / 3),
-        ("(1,4,2,3)", lam / 3),
+    return AlgebraElement.from_pairs(G, [
+        (G.element_of("id"), 1 - lam),
+        (G.element_of("(1,4)(2,3)"), lam / 3),
+        (G.element_of("(1,4,3)"), lam / 3),
+        (G.element_of("(1,4,2,3)"), lam / 3),
     ])
 
 
@@ -50,13 +50,13 @@ def die_prob(sym4):
 
 @pytest.fixture(scope="session")
 def die_weight(sym4):
-    return AlgebraElement.from_cycle_pairs(sym4, [
-        ("(1,2)", Fraction(2, 12)),
-        ("(1,4,2,3)", Fraction(1, 12)),
-        ("(1,3,4)", Fraction(1, 12)),
-        ("(2,4,3)", Fraction(2, 12)),
-        ("(3,4)", Fraction(3, 12)),
-        ("(1,4,2)", Fraction(3, 12)),
+    return AlgebraElement.from_pairs(sym4, [
+        (sym4.element_of("(1,2)"), Fraction(2, 12)),
+        (sym4.element_of("(1,4,2,3)"), Fraction(1, 12)),
+        (sym4.element_of("(1,3,4)"), Fraction(1, 12)),
+        (sym4.element_of("(2,4,3)"), Fraction(2, 12)),
+        (sym4.element_of("(3,4)"), Fraction(3, 12)),
+        (sym4.element_of("(1,4,2)"), Fraction(3, 12)),
     ])
 
 

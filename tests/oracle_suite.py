@@ -110,7 +110,7 @@ def sample_weight(rng, problem, kind):
                 for g in range(G.order)
                 if direction.coeffs[g] < 0
             ) if any(c < 0 for c in direction.coeffs) else Fraction(1)
-            w = w + direction.scale(scale / 2)
+            w = w + AlgebraElement(G, [scale / 2 * c for c in direction.coeffs])
         return w
     if kind == "coset":
         side = rng.choice(["left", "right"])
@@ -138,7 +138,7 @@ def sample_distribution(rng, problem, kind):
         return eta(G, range(G.order))
     if kind == "coset":
         b = rng.randrange(G.order)
-        return problem.eta_H.translate_left(b)
+        return AlgebraElement.basis(G, b) * problem.eta_H
     raw = [Fraction(rng.randint(0, 3)) for _ in range(G.order)]
     if not any(raw):
         raw[0] = Fraction(1)

@@ -10,7 +10,7 @@ and the kernel of a lumping map.
 
 from fractions import Fraction
 
-from lumpwalk.algebra import AlgebraElement
+from lumpwalk.algebra import AlgebraElement, eta
 from lumpwalk.errors import DomainError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup
 from lumpwalk.linalg import Subspace, closure, permuted
@@ -44,7 +44,7 @@ def is_left_ideal(V: Subspace, group: FiniteGroup) -> bool:
     for row in V.rows:
         elem = AlgebraElement(group, row, V.field)
         for g in group.generators:
-            if not V.contains(elem.translate_left(g).coeffs):
+            if not V.contains((AlgebraElement.basis(group, g, V.field) * elem).coeffs):
                 return False
     return True
 
@@ -53,10 +53,12 @@ def is_induced(V: Subspace, decomposition: CosetDecomposition, group: FiniteGrou
     """True iff V is a left ideal equal to the direct sum of its coset projections."""
     if not is_left_ideal(V, group):
         return False
+    zero = V.field.zero
     for row in V.rows:
-        elem = AlgebraElement(group, row, V.field)
         for cid in range(decomposition.n_cosets):
-            if not V.contains(elem.project_coset(decomposition, cid).coeffs):
+            projection = [c if decomposition.coset_of[i] == cid else zero
+                          for i, c in enumerate(row)]
+            if not V.contains(projection):
                 return False
     return True
 
@@ -65,8 +67,9 @@ def induce_full(problem, pi_H: Subspace) -> Subspace:
     """Materialize the induced ideal as a subspace of the full group algebra."""
     out = Subspace(pi_H.field, problem.group.order)
     for rep in problem.left.representatives:
+        translate = AlgebraElement.basis(problem.group, rep, pi_H.field)
         for row in pi_H.rows:
-            out.insert(problem.from_H_vector(row, pi_H.field).translate_left(rep).coeffs)
+            out.insert((translate * problem.from_H_vector(row, pi_H.field)).coeffs)
     return out
 
 
@@ -83,11 +86,12 @@ def verify_axioms(ideal, w: AlgebraElement) -> dict:
     one = AlgebraElement.one(problem.group, full.field)
     cut = right_multiply_space(full, one - problem.eta_H.to_field(full.field))
     cut_moved = right_multiply_space(cut, w)
+    eta_G = eta(problem.group, range(problem.group.order))
     return {
-        "contains_uniform": full.contains(problem.eta_G.to_field(full.field).coeffs),
-        "stable_under_weight": full.contains_subspace(moved),
+        "contains_uniform": full.contains(eta_G.to_field(full.field).coeffs),
+        "stable_under_weight": all(full.contains(r) for r in moved.rows),
         "induced": is_induced(full, problem.left, problem.group),
-        "cut_stable": cut.contains_subspace(cut_moved),
+        "cut_stable": all(cut.contains(r) for r in cut_moved.rows),
     }
 
 
@@ -105,11 +109,12 @@ def inner_product(a: AlgebraElement, b: AlgebraElement):
 
 def kernel_F(f) -> Subspace:
     """ker F of a `LumpingFunction`, spanned by within-lump differences of basis vectors."""
-    out = Subspace(RATIONALS, f.n_states)
+    n = len(f.lump_of)
+    out = Subspace(RATIONALS, n)
     for block in f.lumps():
         base = block[0]
         for other in block[1:]:
-            v = [Fraction(0)] * f.n_states
+            v = [Fraction(0)] * n
             v[base] = Fraction(1)
             v[other] = Fraction(-1)
             out.insert(v)

@@ -106,9 +106,11 @@ def test_criterion_03_minimal_ideal(sym4, top_prob, mid_swap_T):
             assert full_subspace(ideal) == expected
             averaged = top_prob.eta_H * w
             c12 = top_prob.left.coset_of[sym4.element_of("(1,2)")]
-            proj = averaged.project_coset(top_prob.left, c12).normalized()
-            assert proj == AlgebraElement.from_cycle_pairs(
-                sym4, [("(1,4,2)", Fraction(1, 2)), ("(1,4,3,2)", Fraction(1, 2))]
+            rep = AlgebraElement.basis(sym4, top_prob.left.representatives[c12])
+            comp = top_prob.coset_components(averaged)[c12]
+            assert (rep * top_prob.from_H_vector(comp)).normalized() == AlgebraElement.from_pairs(
+                sym4, [(sym4.element_of("(1,4,2)"), Fraction(1, 2)),
+                       (sym4.element_of("(1,4,3,2)"), Fraction(1, 2))]
             )
         averaged_weight = eta(sym4, mid_swap_T) * lazy_frustrator(sym4, Fraction(3, 4))
         assert full_subspace(compute_Lw(top_prob, averaged_weight)) == expected
@@ -289,7 +291,7 @@ def test_criterion_12_orbital_characterization(sym4, top_prob, die_prob, dihedra
             m = prob.index
             for _ in range(3):
                 raw = [Fraction(rng.randint(1, 6)) for _ in mats]
-                total = sum(c * mat.ones_per_row for c, mat in zip(raw, mats))
+                total = sum(c * sum(mat.matrix[0]) for c, mat in zip(raw, mats))
                 coeffs = [c / total for c in raw]
                 Q = [
                     [

@@ -1,4 +1,4 @@
-"""No dead helpers: every public function and class of the package is reached.
+"""No dead helpers: every public function, class and class member of the package is reached.
 
 A public module-level function or class of `src/lumpwalk/*.py` is live when
 
@@ -9,9 +9,16 @@ A public module-level function or class of `src/lumpwalk/*.py` is live when
   "*" names none in particular);
 - or a package module other than `__init__`, whose re-exports reach every
   name, refers to it by name: in a module-level statement other than an
-  import, or in the body of a live function or class.
+  import, or in the body of a live function, class or member.
 
-The test fails on the names that nothing live reaches.  Tests,
+A public member of a live public class, that is a method, a property or an
+attribute its `__init__` assigns on `self`, is live when live package code or
+a file `bench/*.py` refers to an attribute of that name, or `bench/tracing.py`
+names it as a boundary.  The body of a class, with its dunder methods and
+field declarations, is live with the class; the body of any other method
+only with the member.  Dunders and dataclass fields are not members here.
+
+The tests fail on the names that nothing live reaches.  Tests,
 `tests/reference.py` and the rest of `bench/` do not count.
 """
 
@@ -20,7 +27,8 @@ from pathlib import Path
 
 from tests.test_bench_tracing import load_tracing
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "lumpwalk"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "lumpwalk"
 
 # Paper-facing library entry points that no command calls: the generic
 # Markov-chain oracle, the card-shuffle families and the Monte-Carlo
@@ -34,21 +42,44 @@ LIBRARY = {
 }
 
 
-def referenced_names(node) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+def references(*nodes) -> tuple[set[str], set[str]]:
+    """The names the nodes refer to, bare or as an attribute, and the attribute
+    names alone, where an assignment to an attribute does not count."""
+    names, attributes = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+                if not isinstance(sub.ctx, ast.Store):
+                    attributes.add(sub.attr)
+    return names, attributes
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def init_attributes(cls: ast.ClassDef) -> set[str]:
+    """The attributes that the `__init__` of a class assigns on `self`."""
+    out = set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            for sub in ast.walk(item):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    out.add(sub.attr)
+    return out
 
 
 def package_definitions():
-    """(module, name) -> names its body refers to, for every top-level function
-    and class; the names that other module-level statements refer to; and the
-    definitions that a decorator of their own module registers."""
-    bodies, statements, registered = {}, set(), set()
+    """The references of every top-level function and class, keyed by
+    (module, name), a class without the bodies of its non-dunder methods; of
+    every such method and `__init__` attribute, keyed by (module, class,
+    member); of the other module-level statements; and the definitions that
+    a decorator of their own module registers."""
+    bodies, members, statements, registered = {}, {}, (set(), set()), set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         if path.stem == "__init__":
             continue
@@ -56,44 +87,83 @@ def package_definitions():
         local = {node.name for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bodies[(path.stem, node.name)] = referenced_names(node)
-                for decorator in node.decorator_list:
-                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                    if isinstance(target, ast.Name) and target.id in local:
-                        registered.add((path.stem, node.name))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                statements |= referenced_names(node)
-    return bodies, statements, registered
+            if isinstance(node, ast.FunctionDef):
+                bodies[(path.stem, node.name)] = references(node)
+            elif isinstance(node, ast.ClassDef):
+                own = []
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
+                        members[(path.stem, node.name, item.name)] = references(item)
+                    else:
+                        own.append(item)
+                for attribute in init_attributes(node):
+                    members.setdefault((path.stem, node.name, attribute), (set(), set()))
+                bodies[(path.stem, node.name)] = references(
+                    *own, *node.bases, *node.keywords, *node.decorator_list)
+            else:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for reached, found in zip(statements, references(node)):
+                        reached |= found
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if isinstance(target, ast.Name) and target.id in local:
+                    registered.add((path.stem, node.name))
+    return bodies, members, statements, registered
 
 
-def traced_names() -> set[str]:
+def traced_specs() -> list[list[str]]:
+    """Each boundary that `bench/tracing.py` wraps, split at its dot."""
     tracing = load_tracing()
-    names = set()
-    for layers in (tracing.BOUNDARIES, tracing.COUNTED_ONLY):
-        for specs in layers.values():
-            names.update(spec.split(".")[0] for spec in specs if spec != "*")
-    return names
+    return [spec.split(".") for layers in (tracing.BOUNDARIES, tracing.COUNTED_ONLY)
+            for specs in layers.values() for spec in specs if spec != "*"]
+
+
+def bench_attributes() -> set[str]:
+    out = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        out |= references(ast.parse(path.read_text()))[1]
+    return out
+
+
+def live_definitions():
+    """The definitions, the members, and which of each are live."""
+    bodies, members, (names, attributes), registered = package_definitions()
+    specs = traced_specs()
+    names = names | {spec[0] for spec in specs}
+    attributes = attributes | {spec[1] for spec in specs if len(spec) == 2} | bench_attributes()
+    for library in LIBRARY.values():
+        names |= library
+    live, live_members = set(), set()
+    grown = True
+    while grown:
+        grown = False
+        for key, (refs, attrs) in bodies.items():
+            if key not in live and (key in registered or key[1] in names):
+                live.add(key)
+                names |= refs
+                attributes |= attrs
+                grown = True
+        for key, (refs, attrs) in members.items():
+            if key not in live_members and key[:2] in live and key[2] in attributes:
+                live_members.add(key)
+                names |= refs
+                attributes |= attrs
+                grown = True
+    return bodies, members, live, live_members
 
 
 def unreached_names() -> list[str]:
-    bodies, statements, registered = package_definitions()
-    frontier = set(statements) | traced_names()
-    for names in LIBRARY.values():
-        frontier |= names
-    live: set[tuple[str, str]] = set(registered)
-    for key in registered:
-        frontier |= bodies[key]
-    seen: set[str] = set()
-    while frontier:
-        name = frontier.pop()
-        seen.add(name)
-        for key, refs in bodies.items():
-            if key[1] == name and key not in live:
-                live.add(key)
-                frontier |= refs - seen
+    bodies, _, live, _ = live_definitions()
     return sorted(f"{module}.{name}" for module, name in bodies
                   if not name.startswith("_") and (module, name) not in live)
+
+
+def unreached_members() -> list[str]:
+    _, members, live, live_members = live_definitions()
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in members
+                  if not cls.startswith("_") and not name.startswith("_")
+                  and (module, cls) in live and (module, cls, name) not in live_members)
 
 
 def test_every_public_name_is_reached():
@@ -101,8 +171,13 @@ def test_every_public_name_is_reached():
     assert not unreached, "reached by nothing live: " + ", ".join(unreached)
 
 
+def test_every_public_member_is_reached():
+    unreached = unreached_members()
+    assert not unreached, "reached by nothing live: " + ", ".join(unreached)
+
+
 def test_allow_list_names_exist():
-    bodies, _, _ = package_definitions()
+    bodies, _, _, _ = package_definitions()
     for module, names in LIBRARY.items():
         for name in names:
             assert (module, name) in bodies, f"{module}.{name}"

@@ -738,6 +738,20 @@ def test_conditional_impossible_prefix(files):
     assert "prefix index 1" in result.stderr
 
 
+def test_conditional_rejects_malformed_observations(files):
+    """An empty token or a coset id at or above the index is bad input (exit 1),
+    not the identity coset or an impossible history."""
+    for obs, message in (("", "empty observation at index 0"),
+                         ("0,,0", "empty observation at index 1"),
+                         ("0,99", "coset id 99 at index 1 is not below the index 4")):
+        result = run_cli(
+            "conditional", *common(files, "--weight", files["weight"], "--dist", files["dist_id"]),
+            "--obs", obs,
+        )
+        assert result.returncode == 1, obs
+        assert message in result.stderr and "Traceback" not in result.stderr, obs
+
+
 def test_generic_test_cli(files, tmp_path):
     matrix = tmp_path / "matrix.txt"
     matrix.write_text("states 4\n0 0 2/3 1/3\n0 0 1/3 2/3\n0 0 1 0\n0 0 0 1\n")

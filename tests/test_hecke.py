@@ -38,25 +38,30 @@ def test_orbitals_die(die_prob):
             for j in range(6):
                 total[i][j] += o.matrix[i][j]
     assert all(x == 1 for row in total for x in row)
-    assert sorted(o.ones_per_row for o in mats) == [1, 1, 4]
+    assert sorted(sum(o.matrix[0]) for o in mats) == [1, 1, 4]
 
 
 def test_orbital_whole_group(sym4):
-    prob = LumpingProblem(sym4, sym4.full_subgroup())
+    prob = LumpingProblem(sym4, sym4.subgroup(sym4.generators))
     mats = orbital_matrices(prob)
     assert len(mats) == 1 and mats[0].matrix == ((1,),)
 
 
 def test_hecke_project(sym4, top_prob, frustrator):
     he = hecke_project(top_prob, frustrator)
-    assert he.basis_coefficients() == [Fraction(1, 4), Fraction(3, 4)]
+    sizes = top_prob.double.sizes
+    assert [v * size for v, size in zip(he.class_values, sizes)] == [Fraction(1, 4), Fraction(3, 4)]
     x = sym4.element_of("(1,2)")
     hx = hecke_project(top_prob, AlgebraElement.basis(sym4, x))
     cid = top_prob.double.class_of[x]
     assert hx.class_values[cid] == Fraction(1, top_prob.double.sizes[cid])
-    # elements already bi-invariant are fixed points
-    fixed = hecke_project(top_prob, he.element())
-    assert fixed.element() == he.element()
+    # eta_H w eta_H takes the class values on each class, and as a
+    # bi-invariant element it is a fixed point
+    sandwiched = top_prob.eta_H * frustrator * top_prob.eta_H
+    assert all(sandwiched.coeffs[g] == value
+               for value, members in zip(he.class_values, top_prob.double.classes)
+               for g in members)
+    assert hecke_project(top_prob, sandwiched).class_values == he.class_values
 
 
 def test_q_characterization_uniform(sym4, top_prob, frustrator):
@@ -93,7 +98,7 @@ def test_q_round_trip_random(sym4, top_prob, die_prob, dihedral_prob):
         mats = orbital_matrices(prob)
         for _ in range(4):
             raw = [Fraction(rng.randint(1, 5)) for _ in mats]
-            total = sum(c * m.ones_per_row for c, m in zip(raw, mats))
+            total = sum(c * sum(m.matrix[0]) for c, m in zip(raw, mats))
             coeffs = [c / total for c in raw]
             m = prob.index
             Q = [
@@ -122,7 +127,7 @@ def test_hecke_isomorphism(sym4, top_prob, die_prob, dihedral_prob):
 def test_offdiagonal_orbital_square(top_prob):
     # for the two-class problem the isomorphism forces
     # (J - I)^2 = 3 I + 2 (J - I) in the orbital span
-    mats = {m.ones_per_row: m.matrix for m in orbital_matrices(top_prob)}
+    mats = {sum(m.matrix[0]): m.matrix for m in orbital_matrices(top_prob)}
     J_minus_I = mats[3]
     square = [
         [sum(J_minus_I[i][k] * J_minus_I[k][j] for k in range(4)) for j in range(4)]
@@ -138,7 +143,7 @@ def test_lumped_matrix_matches_biinvariant_projection(sym4, top_prob):
     rng = random.Random(8)
     for lam in (Fraction(1, 3), Fraction(4, 5)):
         w = lazy_frustrator(sym4, lam)
-        projected = hecke_project(top_prob, w).element()
+        projected = top_prob.eta_H * w * top_prob.eta_H
         assert walk_lumped_matrix(top_prob, w) == walk_lumped_matrix(top_prob, projected)
     del rng
 

@@ -55,7 +55,7 @@ def test_transition_from_weight_rows(sym4):
     delta = AlgebraElement.basis(sym4, 0)
     Pid = transition_from_weight(sym4, delta)
     assert all(Pid.rows[x][x] == 1 for x in range(24))
-    doubled = random_to_top(sym4).scale(2)
+    doubled = random_to_top(sym4) + random_to_top(sym4)
     assert transition_from_weight(sym4, doubled) == P
 
 

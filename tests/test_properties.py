@@ -54,6 +54,7 @@ from tests.reference import (
     left_ideal_closure,
     right_multiply_space,
 )
+from tests.test_linalg import dense_kernel_span
 
 
 def test_oracle_suite_small_batch():
@@ -94,7 +95,7 @@ def dense_hecke_check(problem, anti=False):
     n_classes = problem.double.n_classes
 
     def scaled(cid):
-        mc = orbitals[cid].ones_per_row
+        mc = sum(orbitals[cid].matrix[0])
         return [[Fraction(x, mc) for x in row] for row in orbitals[cid].matrix]
 
     def mat_mul(A, B):
@@ -189,7 +190,8 @@ def narrowed_maximal_cut(problem, w):
     space, then those whose components lie in it plus eta_H, until a round
     removes nothing; eta_H is added at the end.
     """
-    eta_vec = problem.eta_H_vector()
+    n = problem.subgroup.order
+    eta_vec = [Fraction(1, n)] * n
     action = problem.weight_action(w)
 
     def restrict_mod(ideal_cut, include_eta):
@@ -236,10 +238,13 @@ def test_closed_forms_match_dense_references_on_pool():
             assert exact_test(problem, w)[0] == right.is_zero(), (label, kind)
             assert walk_lumped_matrix(problem, w) == dense_lumped_matrix(problem, w), (label, kind)
             sandwiched = eta_H * w * eta_H
-            assert hecke_project(problem, w).element().to_field(w.field) == sandwiched, (label, kind)
-        eta_vec = problem.eta_H_vector()
-        h_minus_eta = [[(k == pos) - c for k, c in enumerate(eta_vec)] for pos in range(len(eta_vec))]
-        assert averaging_kernel(problem) == Subspace(RATIONALS, len(eta_vec), h_minus_eta), label
+            class_values = hecke_project(problem, w).class_values
+            assert all(sandwiched.coeffs[g] == value
+                       for value, members in zip(class_values, problem.double.classes)
+                       for g in members), (label, kind)
+        n = problem.subgroup.order
+        h_minus_eta = [[(k == pos) - Fraction(1, n) for k in range(n)] for pos in range(n)]
+        assert averaging_kernel(problem) == Subspace(RATIONALS, n, h_minus_eta), label
         assert verify_hecke_isomorphism(problem) is dense_hecke_check(problem) is True, label
         if not dense_hecke_check(problem, anti=True):
             anti_order_fails.append(label)
@@ -329,7 +334,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     """L_w, L_alpha and (for a weak w) J_w against the references; returns the verdict."""
     G, n = problem.group, problem.subgroup.order
     action = problem.weight_action(w)
-    eta_seed = Subspace(RATIONALS, n, [problem.eta_H_vector()])
+    eta_seed = Subspace(RATIONALS, n, [[Fraction(1, n)] * n])
     lw = compute_Lw(problem, w)
     assert lw.pi_H == grown_minimal_ideal(problem, action, eta_seed), label
     points = rng.sample(range(G.order), min(2, G.order))
@@ -342,7 +347,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     # the largest stable sum-zero cut is defined for every weight, weak or not
     annihilator = _maximal_cut_annihilator(problem, action)
     maximal = nullspace(annihilator.rows, n)
-    maximal.insert(problem.eta_H_vector())
+    maximal.insert([Fraction(1, n)] * n)
     assert maximal == narrowed_maximal_cut(problem, w), label
     if not lw.weakly_lumping:
         return False
@@ -352,7 +357,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     assert annihilator.dim + sum_zero.dim == n, label
     assert all(sum(a * c for a, c in zip(a_row, c_row)) == 0
                for a_row in annihilator.rows for c_row in sum_zero.rows), label
-    assert problem.close_H_ideal(jw.pi_H, action).to_subspace() == jw.pi_H, label
+    assert problem.close_H_ideal(jw.pi_H.rows, action).to_subspace() == jw.pi_H, label
     return True
 
 
@@ -452,20 +457,20 @@ def check_annihilator(problem, w, label):
 
 def check_H_ideal(problem, w, rng, label):
     """L_w and L_alpha from `close_H_ideal` against the `Fraction` closure:
-    rows, pivots and supports.  Returns how many of the two are the whole space.
+    rows, pivots and supports.  `close_H_ideal` takes the raw seeds, eta_H or
+    the all-ones vector and the coset components of alpha as they come (zero
+    components included), the reference their echelon form.  Returns how
+    many of the two are the whole space.
     """
     G, n = problem.group, problem.subgroup.order
     action = problem.weight_action(w)
-    seed = Subspace(RATIONALS, n, [problem.eta_H_vector()])
     points = rng.sample(range(G.order), min(2, G.order))
     alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
-    alpha_seed = seed.copy()
-    for comp in problem.coset_components(alpha):
-        alpha_seed.insert(comp)
     full = 0
-    for space in (seed, alpha_seed):
-        fast = problem.close_H_ideal(space, action).to_subspace()
-        exact = exact_H_ideal(problem, space, action)
+    for seeds in ([[Fraction(1, n)] * n], [[1] * n] + problem.coset_components(alpha)):
+        fast = problem.close_H_ideal(seeds, action).to_subspace()
+        echelon = Subspace(RATIONALS, n, [[Fraction(c) for c in v] for v in seeds])
+        exact = exact_H_ideal(problem, echelon, action)
         assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
         full += exact.dim == n
     return full
@@ -596,6 +601,16 @@ def block_narrowed_Vmax(f, P, Q):
                   for blk in blocks]
 
 
+def check_cut(f, V, kernel, label):
+    """`_cut` against the Zassenhaus intersection with ker F, and against the
+    dense kernel coefficients of the lump images combined with the basis of V,
+    which share no code with the block echelon of `kernel_span`."""
+    cut = _cut(f, V)
+    assert cut == intersect(V, kernel), label
+    dense = dense_kernel_span([f.apply_F(v) for v in V.rows], V.rows, V.ambient)
+    assert (cut.rows, cut.pivots) == (dense.rows, dense.pivots), label
+
+
 def test_generic_cut_matches_zassenhaus_intersection_on_pool():
     """The generic oracle's stable spaces against their references on the pool.
 
@@ -603,8 +618,8 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
     start, and for the maximal stable space wherever the stationary (uniform)
     chain lumps weakly: the worklist closure equals the round-based or
     block-narrowed loop it replaced, and `V cap ker F` equals the Zassenhaus
-    intersection.  On those weak draws the maximal induced ideal J_w of the
-    group path equals V_max as well.
+    intersection and the dense reference (`check_cut`).  On those weak draws
+    the maximal induced ideal J_w of the group path equals V_max as well.
     """
     rng = random.Random(6262)
     draws = minimal = maximal = 0
@@ -625,18 +640,17 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
             # a start on two lumps that is not stationary: its lump
             # projections are not in the closure of the start alone
             y = f.lumps()[(f.lump_of[x] + 1) % f.n_lumps][0]
-            spread = Distribution.from_vector(
-                [Fraction((s == x) + (s == y), 2) for s in range(G.order)])
+            spread = Distribution(tuple(Fraction((s == x) + (s == y), 2) for s in range(G.order)))
             for alpha in (uniform, Distribution.point(G.order, x), spread):
                 gl = minimal_GL_space(f, P, alpha)
                 assert gl == round_based_GL_space(f, P, alpha), (label, kind)
-                assert _cut(f, gl) == intersect(gl, kernel), (label, kind)
+                check_cut(f, gl, kernel, (label, kind))
                 minimal += 1
             if weak_generic(f, P, uniform)[0]:
                 Q = walk_lumped_matrix(problem, w)
                 vmax = compute_Vmax_generic(f, P, Q)
                 assert vmax == block_narrowed_Vmax(f, P, Q), (label, kind)
-                assert _cut(f, vmax) == intersect(vmax, kernel), (label, kind)
+                check_cut(f, vmax, kernel, (label, kind))
                 assert full_subspace(compute_Jw(problem, w)) == vmax, (label, kind)
                 maximal += 1
     assert minimal == 3 * draws
@@ -813,7 +827,7 @@ def test_theta_members_lump_stably(sym4, top_prob, mid_swap_T):
             )
         else:
             scale = Fraction(1)
-        w = w + direction.scale(scale / 2)
+        w = w + AlgebraElement(sym4, [scale / 2 * c for c in direction.coeffs])
         assert w.is_weight() and w.is_irreducible_weight()
         assert stable_ideal_check(top_prob, w, e)[0]
         ok, _, _ = weak_weight_test(top_prob, w)
