@@ -319,10 +319,15 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
     return AlgebraElement.from_pairs(group, pairs, field)
 
 
+def element_lines(field, terms) -> list[str]:
+    """The lines of an element file: the scalar header of a cyclotomic field,
+    then `<scalar> <cycles>` for each term (cycle string, coefficient), in the
+    order given."""
+    header = [f"scalar cyclotomic {field.order}"] if field.kind == "cyclotomic" else []
+    return header + [f"{format_scalar(c)} {cycles}" for cycles, c in terms]
+
+
 def format_element(a: AlgebraElement) -> str:
-    lines = []
-    if a.field.kind == "cyclotomic":
-        lines.append(f"scalar cyclotomic {a.field.order}")
-    for i, c in a.support():
-        lines.append(f"{format_scalar(c)} {a.group.elements[i].cycle_string()}")
-    return "\n".join(lines) + "\n"
+    names = a.group.elements
+    terms = ((names[i].cycle_string(), c) for i, c in a.support())
+    return "\n".join(element_lines(a.field, terms)) + "\n"

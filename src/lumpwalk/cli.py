@@ -18,7 +18,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import format_element, parse_element_file
+from .algebra import element_lines, format_element, parse_element_file
 from .errors import DomainError, InputFormatError, LumpwalkError, ResourceError
 from .groups import double_cosets, parse_generators, parse_group_file
 from .hecke import check_Q_characterization, orbital_matrices, verify_hecke_isomorphism
@@ -166,10 +166,20 @@ def _labels(group, ids) -> list[str]:
     return [group.elements[i].cycle_string() for i in ids]
 
 
+def _cut_strings(ideal) -> list[str]:
+    """The cut basis rows in the form of `_element_strings`, each formatted from
+    its |H| positions; the subgroup members are sorted, so the terms come in
+    element order, as they do for an element of the whole group algebra."""
+    labels = _labels(ideal.problem.group, ideal.problem.subgroup.members)
+    return ["; ".join(element_lines(ideal.pi_H.field, ((labels[p], c)
+                                                        for p, c in enumerate(row) if c)))
+            for row in ideal.pi_H.rows]
+
+
 def _ideal_fields(report: dict, verdict_key: str, verdict, ideal) -> None:
     report["verdicts"][verdict_key] = verdict
     report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.pi_H.dim}
-    report["bases"] = {"cut": _element_strings(ideal.basis_elements())}
+    report["bases"] = {"cut": _cut_strings(ideal)}
 
 
 def _failed_conditions(report: dict, verdict_key: str, result) -> None:
@@ -198,7 +208,7 @@ def _cosets(inputs: Inputs, args, report: dict) -> None:
 def _double_cosets(inputs: Inputs, args, report: dict) -> None:
     if args.inner_subgroup:
         inner = inputs.load("inner_subgroup")
-        decomposition = double_cosets(inputs.group, inner, inputs.subgroup)
+        decomposition = double_cosets(inputs.group, inner, inputs.problem.left)
     else:
         decomposition = inputs.problem.double
     report["labels"] = _labels(inputs.group, decomposition.representatives)
@@ -213,7 +223,7 @@ def _test(inputs: Inputs, args, report: dict) -> None:
     if args.kind == "weak":
         verdict, ideal, cert = test_weak_weight(inputs.problem, inputs.weight)
         report["dimensions"] = {"minimal_ideal": ideal.dim, "minimal_ideal_cut": ideal.pi_H.dim}
-        report["bases"] = {"minimal_ideal_cut": _element_strings(ideal.basis_elements())}
+        report["bases"] = {"minimal_ideal_cut": _cut_strings(ideal)}
     else:
         test = test_strong if args.kind == "strong" else test_exact
         verdict, cert = test(inputs.problem, inputs.weight)

@@ -4,6 +4,13 @@ Permutations act on points on the right and compose left to right: the image
 of point ``j`` under ``g*h`` is ``(j g) h``.  Elements of a generated group
 are canonically ordered with the identity first, then ascending lexicographic
 one-line notation, which makes element ids, bases and reports reproducible.
+
+Every product is taken by one kernel on one-line image tuples: for image
+tuples ``g`` and ``h`` the images of ``g*h`` are ``tuple([h[x] for x in g])``.
+The closures, `FiniteGroup.mul`, the coset and double-coset decompositions
+and `Permutation.__mul__` all use it, on the image tuples that a group keeps
+next to its index.  Inverses are computed per element from the image tuple,
+when asked for; no table of them is built.
 """
 
 from __future__ import annotations
@@ -38,14 +45,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise DomainError("degree mismatch in permutation product")
-        g, h = self.images, other.images
-        return Permutation(tuple(h[g[j]] for j in range(len(g))))
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for j, img in enumerate(self.images):
-            out[img] = j
-        return Permutation(tuple(out))
+        h = other.images
+        return Permutation(tuple([h[x] for x in self.images]))
 
     def apply(self, point: int) -> int:
         return self.images[point]
@@ -134,6 +135,15 @@ def _over_budget(degree: int) -> ResourceError:
     )
 
 
+def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of the inverse of the permutation with image tuple g.
+
+    Position y of the inverse holds the point that g sends to y, so sorting the
+    points by their images under g lists the images of the inverse.
+    """
+    return tuple(sorted(range(len(g)), key=g.__getitem__))
+
+
 def _closure(degree: int, seeds, cap: int) -> set[tuple[int, ...]]:
     budget = MAX_GROUP_ENTRIES // degree
     if not budget:
@@ -146,7 +156,7 @@ def _closure(degree: int, seeds, cap: int) -> set[tuple[int, ...]]:
         nxt = []
         for g in frontier:
             for h in gens:
-                prod = tuple(h[g[j]] for j in range(degree))
+                prod = tuple([h[x] for x in g])
                 if prod not in elements:
                     if len(elements) >= cap:
                         raise ResourceError(
@@ -166,9 +176,9 @@ class FiniteGroup:
     def __init__(self, degree: int, elements: list[Permutation], generators: list[int]):
         self.degree = degree
         self.elements = elements
-        self.index = {p.images: i for i, p in enumerate(elements)}
+        self.images = tuple(p.images for p in elements)  # one-line image tuple, by element id
+        self.index = {t: i for i, t in enumerate(self.images)}
         self.generators = tuple(generators)
-        self._inverses = None
         self._generating: dict[frozenset[int], bool] = {}  # `is_generating`, by support
         if not elements[0].is_identity():
             raise InvariantError("the first enumerated group element is not the identity")
@@ -195,17 +205,12 @@ class FiniteGroup:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        g = self.elements[i].images
-        h = self.elements[j].images
-        return self.index[tuple(h[g[k]] for k in range(self.degree))]
+        h = self.images[j]
+        return self.index[tuple([h[x] for x in self.images[i]])]
 
     def inv(self, i: int) -> int:
-        if self._inverses is None:
-            inv = [0] * self.order
-            for k, p in enumerate(self.elements):
-                inv[k] = self.index[p.inverse().images]
-            self._inverses = inv
-        return self._inverses[i]
+        """The id of the inverse, computed from the image tuple."""
+        return self.index[_inverse(self.images[i])]
 
     def id_of(self, perm: Permutation) -> int:
         try:
@@ -324,18 +329,21 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
         raise DomainError(f"side must be left or right, got {side!r}")
     if H.parent is not G:
         raise DomainError("subgroup does not belong to this group")
+    images, index = G.images, G.index
+    subgroup = [images[h] for h in H.members]
     coset_of = [-1] * G.order
     reps, blocks = [], []
     for g in range(G.order):
         if coset_of[g] != -1:
             continue
         cid = len(reps)
+        p = images[g]
         if side == "left":
-            block = sorted(G.mul(g, h) for h in H.members)
+            block = sorted([index[tuple([h[k] for k in p])] for h in subgroup])
         else:
-            block = sorted(G.mul(h, g) for h in H.members)
-        for x in block:
-            coset_of[x] = cid
+            block = sorted([index[tuple([p[k] for k in h])] for h in subgroup])
+        for y in block:
+            coset_of[y] = cid
         reps.append(g)  # g is minimal in its coset since we scan ids upward
         blocks.append(tuple(block))
     return CosetDecomposition(side, H, tuple(coset_of), tuple(reps), tuple(blocks))
@@ -355,31 +363,40 @@ class DoubleCosetDecomposition:
         return len(self.representatives)
 
 
-def double_cosets(G: FiniteGroup, T: Subgroup, H: Subgroup) -> DoubleCosetDecomposition:
+def double_cosets(G: FiniteGroup, T: Subgroup,
+                  left: CosetDecomposition) -> DoubleCosetDecomposition:
     """Partition of G into classes TxH, with the counting identity checked.
 
-    Each class is the union of the left cosets (tx)H over t in T.
+    H is the subgroup of ``left``, the left coset decomposition of G by H that
+    the caller holds.  Each class is the union of the left cosets (tx)H over t
+    in T.
     """
+    H = left.subgroup
     if T.parent is not G or H.parent is not G:
         raise DomainError("subgroups do not belong to this group")
-    left = cosets(G, H, "left")
+    if left.side != "left":
+        raise DomainError("double cosets are built from the left cosets of the right factor")
+    images, index = G.images, G.index
+    inner = [images[t] for t in T.members]
     class_of = [-1] * G.order
     reps, sizes, blocks = [], [], []
     for x in range(G.order):
         if class_of[x] != -1:
             continue
         cid = len(reps)
-        coset_ids = {left.coset_of[G.mul(t, x)] for t in T.members}
-        block = sorted(g for c in coset_ids for g in left.cosets[c])
-        for g in block:
-            class_of[g] = cid
+        p = images[x]
+        coset_ids = {left.coset_of[index[tuple([p[k] for k in t])]] for t in inner}
+        block = sorted(y for c in coset_ids for y in left.cosets[c])
+        for y in block:
+            class_of[y] = cid
         reps.append(x)
         sizes.append(len(block))
         blocks.append(tuple(block))
         # |TxH| * |x^{-1} T x cap H| == |H| * |T|
-        xi = G.inv(x)
-        conj = {G.mul(G.mul(xi, t), x) for t in T.members}
-        meet = len(conj & set(H.members))
+        p_inv, meet = _inverse(p), 0
+        for t in inner:
+            u = [t[k] for k in p_inv]  # x^-1 t
+            meet += index[tuple([p[k] for k in u])] in H  # x^-1 t x
         if len(block) * meet != H.order * T.order:
             raise DomainError("double coset counting identity failed (corrupt input group)")
     return DoubleCosetDecomposition(

@@ -1,15 +1,19 @@
 """Decision procedures for lumping a left-invariant walk to left cosets.
 
-Everything here is exact.  The two ideal computations follow the product
-structure of induced ideals: an induced left ideal is determined by its cut
-down to the subgroup algebra, so the fixpoint iterations run on vectors of
-length |H|.  Right multiplication by the driving weight is read from a
-per-weight action table, built once per ideal computation: for each subgroup
-element h and each g in the support of w, the left coset of h g and the
-position of h g inside it.  So u w is computed as its coset components,
-never as a product in the group algebra.  The weak obstruction u z, with
-z = (1 - eta_H) w eta_H constant on left cosets, is checked at one
-representative per coset.
+Everything here is exact.  A `LumpingProblem` builds each coset table once:
+the left cosets of H, the double cosets HxH as unions of those left cosets,
+and the right cosets only when first read (the exact test and
+`cosets --side right`).
+
+The two ideal computations follow the product structure of induced ideals:
+an induced left ideal is determined by its cut down to the subgroup algebra,
+so the fixpoint iterations run on vectors of length |H|.  Right
+multiplication by the driving weight is read from a per-weight action table,
+built once per ideal computation: for each subgroup element h and each g in
+the support of w, the left coset of h g and the position of h g inside it.
+So u w is computed as its coset components, never as a product in the group
+algebra.  The weak obstruction u z, with z = (1 - eta_H) w eta_H constant on
+left cosets, is checked at one representative per coset.
 
 Both fixpoints are the one worklist closure `linalg.closure`, run on
 integer rows (`linalg.IntegerRows`): the action table is scaled once by the
@@ -83,14 +87,19 @@ class LumpingProblem:
         self.group = G
         self.subgroup = H
         self.left = cosets(G, H, "left")
-        self.right = cosets(G, H, "right")
-        self.double = double_cosets(G, H, H)
+        self.double = double_cosets(G, H, self.left)
         self.eta_H = eta(G, H)
         self._rep_inverses = tuple(G.inv(r) for r in self.left.representatives)
 
     @property
     def index(self) -> int:
         return self.left.n_cosets
+
+    @cached_property
+    def right(self):
+        """The right coset decomposition, built when first read (`test_exact`,
+        `cosets --side right`)."""
+        return cosets(self.group, self.subgroup, "right")
 
     @cached_property
     def pair_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -217,9 +226,6 @@ class GurvitsLedouxIdeal:
     def contains(self, elem: AlgebraElement) -> bool:
         """Membership of an element of C[G]: each of its coset components lies in pi_H."""
         return all(self.pi_H.contains(comp) for comp in self.problem.coset_components(elem))
-
-    def basis_elements(self) -> list[AlgebraElement]:
-        return [self.problem.from_H_vector(r, self.pi_H.field) for r in self.pi_H.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +489,7 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
     etw = eta_T * w
     if not (etw - etw * eta_T).is_zero():
         failed.append("not-exact-to-inner-cosets")
-    th = double_cosets(G, T, H)
+    th = double_cosets(G, T, problem.left)
     hh = problem.double
     w_th = [w.field.zero] * th.n_classes
     for i, c in w.support():

@@ -6,6 +6,11 @@ group algebra C[G] that the tests compare against: left-ideal closures,
 right multiplication of a subspace, induced-ideal recognition, the induced
 ideal itself with its defining axioms, the conjugate-linear inner product,
 and the kernel of a lumping map.
+
+The group layer has its own reference, written in one-line notation and
+sharing no code with `lumpwalk.groups`: the multiplication and inverse
+tables of an enumerated group, and its one-sided and double cosets built
+from every product.
 """
 
 from fractions import Fraction
@@ -15,6 +20,50 @@ from lumpwalk.errors import DomainError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup
 from lumpwalk.linalg import Subspace, closure, permuted
 from lumpwalk.scalars import RATIONALS
+
+
+def compose(g: tuple, h: tuple) -> tuple:
+    """g*h in one-line notation: the image of j is h[g[j]] (apply g, then h)."""
+    return tuple(h[g[j]] for j in range(len(g)))
+
+
+def group_tables(G) -> tuple[list[list[int]], list[int]]:
+    """The multiplication table of G over its element ids, by `compose`, and
+    the inverse of each element, found by searching its row for the identity."""
+    perms = [p.images for p in G.elements]
+    ids = {p: i for i, p in enumerate(perms)}
+    mul = [[ids[compose(g, h)] for h in perms] for g in perms]
+    identity = ids[tuple(range(G.degree))]
+    return mul, [row.index(identity) for row in mul]
+
+
+def coset_partition(mul, members, side: str) -> tuple:
+    """(coset_of, representatives, cosets) of the cosets gH ("left") or Hg
+    ("right") of the subgroup with the given member ids, from a
+    multiplication table; the representative of a coset is its least id."""
+    coset_of, reps, blocks = [-1] * len(mul), [], []
+    for g in range(len(mul)):
+        if coset_of[g] == -1:
+            block = sorted({mul[g][h] if side == "left" else mul[h][g] for h in members})
+            for x in block:
+                coset_of[x] = len(reps)
+            reps.append(g)
+            blocks.append(tuple(block))
+    return tuple(coset_of), tuple(reps), tuple(blocks)
+
+
+def double_coset_partition(mul, left_members, right_members) -> tuple:
+    """(class_of, representatives, sizes, classes) of the classes TxH, each
+    built from all |T| |H| products t x h."""
+    class_of, reps, blocks = [-1] * len(mul), [], []
+    for x in range(len(mul)):
+        if class_of[x] == -1:
+            block = sorted({mul[mul[t][x]][h] for t in left_members for h in right_members})
+            for g in block:
+                class_of[g] = len(reps)
+            reps.append(x)
+            blocks.append(tuple(block))
+    return tuple(class_of), tuple(reps), tuple(len(b) for b in blocks), tuple(blocks)
 
 
 def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:

@@ -204,7 +204,7 @@ def test_averaging(sym4, top_prob, mid_swap_T):
     eta_T = eta(sym4, T)
     eta_H = top_prob.eta_H
     right_T = make_cosets(sym4, T, "right")
-    dc = make_double(sym4, T, H)
+    dc = make_double(sym4, T, top_prob.left)
     for _ in range(3):
         w = random_element(sym4, rng, 0, 4)
         left_avg = eta_T * w

@@ -825,3 +825,28 @@ def test_simulate_trajectory_export(files, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 51
     assert set(lines) <= {"id", "(1,2)", "(1,2,3)", "(1,2,3,4)"}
+
+
+def test_cut_strings_match_widened_elements(top_prob, die_prob, frustrator, die_weight):
+    """A cut basis formatted from its |H| positions reads as each row widened
+    to an element of the whole group algebra and formatted there, rational
+    and cyclotomic."""
+    from lumpwalk import (GurvitsLedouxIdeal, Subspace, abelian_characters, cli, compute_Jw,
+                          compute_Lw)
+    from lumpwalk.algebra import character_idempotent
+
+    def widened(ideal):
+        field = ideal.pi_H.field
+        return cli._element_strings(
+            [ideal.problem.from_H_vector(row, field) for row in ideal.pi_H.rows])
+
+    ideals = [compute(problem, w) for problem, w in ((top_prob, frustrator), (die_prob, die_weight))
+              for compute in (compute_Lw, compute_Jw)]
+    H = die_prob.subgroup
+    m, chars = abelian_characters(H)
+    idempotent = character_idempotent(H, chars[1], m)
+    cyclotomic = Subspace(idempotent.field, H.order, [[idempotent.coeffs[h] for h in H.members]])
+    ideals.append(GurvitsLedouxIdeal(die_prob, cyclotomic))
+    for ideal in ideals:
+        assert cli._cut_strings(ideal) == widened(ideal)
+    assert cli._cut_strings(ideals[-1])[0].startswith("scalar cyclotomic 4; ")

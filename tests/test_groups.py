@@ -13,12 +13,7 @@ from lumpwalk import (
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
-from lumpwalk.groups import (
-    MAX_GROUP_ENTRIES,
-    DoubleCosetDecomposition,
-    _closure,
-    parse_generators,
-)
+from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, parse_generators
 
 
 def test_group_not_starting_at_the_identity_is_an_invariant_error():
@@ -123,8 +118,8 @@ def test_double_cosets_trivial_left_factor(sym4):
     # cosets xH of H
     H = sym4.subgroup([parse_cycles(4, "(2,3)"), parse_cycles(4, "(2,3,4)")])
     T = sym4.subgroup([])
-    dc = double_cosets(sym4, T, H)
     lc = cosets(sym4, H, "left")
+    dc = double_cosets(sym4, T, lc)
     assert dc.n_classes == lc.n_cosets
     assert set(dc.classes) == set(lc.cosets)
 
@@ -133,7 +128,7 @@ def test_counting_identity(sym4):
     # |TgH| * |g^-1 T g cap H| == |H| * |T| checked against direct enumeration
     T = sym4.subgroup([parse_cycles(4, "(1,2)"), parse_cycles(4, "(3,4)")])
     H = sym4.subgroup([parse_cycles(4, "(2,3,4)")])
-    dc = double_cosets(sym4, T, H)
+    dc = double_cosets(sym4, T, cosets(sym4, H))
     for cid, x in enumerate(dc.representatives):
         xi = sym4.inv(x)
         conj = {sym4.mul(sym4.mul(xi, t), x) for t in T.members}
@@ -256,29 +251,45 @@ def test_coset_invariants(sym4, top_prob):
         assert sorted(sum(decomposition.cosets, ())) == list(range(24))
 
 
-def brute_force_double_cosets(G, T, H):
-    """Reference: each class TxH built from all |T| |H| products t x h."""
-    class_of = [-1] * G.order
-    reps, sizes, blocks = [], [], []
-    for x in range(G.order):
-        if class_of[x] != -1:
-            continue
-        block = sorted({G.mul(G.mul(t, x), h) for t in T.members for h in H.members})
-        for g in block:
-            class_of[g] = len(reps)
-        reps.append(x)
-        sizes.append(len(block))
-        blocks.append(tuple(block))
-    return DoubleCosetDecomposition(T, H, tuple(class_of), tuple(reps), tuple(sizes), tuple(blocks))
+def test_group_layer_matches_one_line_reference_on_pool():
+    """`mul`, `inv` and both coset decompositions agree with the one-line
+    reference of `tests/reference.py` on every pair of the pool."""
+    from tests.oracle_suite import build_pool
+    from tests.reference import coset_partition, group_tables
+
+    tables = {}
+    for label, G, hgens in build_pool():
+        if id(G) not in tables:
+            tables[id(G)] = group_tables(G)
+            mul, inv = tables[id(G)]
+            assert [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)] == mul, label
+            assert [G.inv(i) for i in range(G.order)] == inv, label
+        mul, _ = tables[id(G)]
+        H = G.subgroup(hgens)
+        for side in ("left", "right"):
+            got = cosets(G, H, side)
+            assert (got.coset_of, got.representatives, got.cosets) == coset_partition(
+                mul, H.members, side), (label, side)
 
 
 def test_double_cosets_match_brute_force_on_pool():
-    """Classes built from left cosets equal the classes built from all products."""
+    """Classes built from the left cosets of the right factor equal the
+    reference classes built from all products."""
     from tests.oracle_suite import build_pool
+    from tests.reference import double_coset_partition, group_tables
 
     for label, G, hgens in build_pool():
+        mul, _ = group_tables(G)
         H = G.subgroup(hgens)
         inner = G.subgroup(hgens[:1] + [G.elements[0]])
         trivial = G.subgroup([])
         for T, K in ((H, H), (inner, H), (trivial, H), (H, trivial), (G.subgroup(G.generators), H)):
-            assert double_cosets(G, T, K) == brute_force_double_cosets(G, T, K), label
+            got = double_cosets(G, T, cosets(G, K))
+            assert (got.left_subgroup, got.right_subgroup) == (T, K), label
+            assert (got.class_of, got.representatives, got.sizes, got.classes) == \
+                double_coset_partition(mul, T.members, K.members), label
+
+
+def test_double_cosets_need_the_left_decomposition(sym4, top_prob):
+    with pytest.raises(DomainError, match="left cosets"):
+        double_cosets(sym4, top_prob.subgroup, top_prob.right)

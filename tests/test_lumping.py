@@ -467,3 +467,14 @@ def test_ideal_axioms_recomputable(sym4, top_prob, frustrator):
     flags = verify_axioms(ideal, w)
     assert flags["contains_uniform"] and flags["stable_under_weight"] and flags["induced"]
     assert not flags["cut_stable"]
+
+
+def test_right_cosets_are_built_only_when_read(sym4, frustrator):
+    """Strong and weak verdicts read the left cosets only; the exact verdict
+    builds the right cosets on first use."""
+    for test in (strong_test, weak_weight_test):
+        problem = LumpingProblem(sym4, top_stabilizer(sym4))
+        test(problem, frustrator)
+        assert "right" not in problem.__dict__, test.__name__
+        exact_test(problem, frustrator)
+        assert problem.__dict__["right"].side == "right"
