@@ -91,8 +91,9 @@ class Subspace:
         pivot = cols[0]
         lead = v[pivot]
         if lead != self.field.one:
+            inv = self.field.one / lead  # in the field, also for int entries
             for k in cols:
-                v[k] = v[k] / lead
+                v[k] = v[k] * inv
         # eliminate the new pivot column from existing rows
         for i, row in enumerate(self.rows):
             c = row[pivot]
@@ -325,8 +326,9 @@ def closure(V: Subspace, successors) -> Subspace:
     The fixpoint is unique, so the order of exploration does not change the
     canonical RREF; last in, first out was about three times faster than
     first in, first out on the S7 shuffle closures.  It serves the group
-    path (ideals, `L_w`, the annihilator of `J_w`) and the generic oracle
-    (the minimal stable space and the annihilator of `V_max`) alike.
+    path (`L_w`, `L_alpha` and `L_{w*}`, whose nullspace is the cut of
+    `J_w`) and the generic oracle (the minimal stable space and the
+    annihilator of `V_max`) alike.
     """
     out = V.copy()
     worklist = out.basis()

@@ -15,7 +15,8 @@ So u w is computed as its coset components, never as a product in the group
 algebra.  The weak obstruction u z, with z = (1 - eta_H) w eta_H constant on
 left cosets, is checked at one representative per coset.
 
-Both fixpoints are the one worklist closure `linalg.closure`, run on
+The cuts of L_w and L_alpha, and the annihilator of that of J_w, are all
+grown by `close_H_ideal`, the one worklist closure `linalg.closure` run on
 integer rows (`linalg.IntegerRows`): the action table is scaled once by the
 lcm of its denominators and each seed vector by that of its own, which
 changes no span.  The cut of L_w is the closure of the all-ones vector
@@ -24,9 +25,8 @@ H and under u -> each coset component of u w; the seeds go onto the integer
 rows directly, so they are echelonised once.  The weak obstruction is
 checked on the integer rows, and the canonical `Fraction` rows are built
 once, for the report.  The cut of J_w is read through the time-reversal
-duality: its annihilator under the plain dot product is the closure of the
-all-ones vector under the transposed action table, a -> M_c a, and the cut
-is the nullspace of the annihilator plus eta_H.
+duality: it is the nullspace of the cut of L_{w*}, for the reversed weight
+w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).
 
 The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
@@ -65,17 +65,6 @@ from .linalg import (
     permuted,
 )
 from .scalars import RATIONALS, common_field, cyclotomic_field
-
-
-def _integer_table(action: list[list[tuple]]) -> list[list[tuple]]:
-    """An action table times the lcm of its denominators.
-
-    A map and its nonzero multiples generate the same closures, and the
-    scaled table maps integer vectors to integer vectors.
-    """
-    scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
-    return [[(cid, pos, value.numerator * (scale // value.denominator))
-             for cid, pos, value in entries] for entries in action]
 
 
 class LumpingProblem:
@@ -168,22 +157,6 @@ class LumpingProblem:
                     comp[pos] = comp[pos] + c * value
         return out
 
-    def transposed_times_weight(self, action: list[list[tuple]], vec) -> list[list]:
-        """M_c a for each coset id c, where u M_c is the coset-c component of u w.
-
-        M_c[p][pos] sums w(g) over the entries (c, pos, w(g)) of ``action[p]``,
-        so (M_c a)[p] is read from row p of the table.  Under the plain dot
-        product, (u M_c) . a = u . (M_c a).
-        """
-        out = [[0] * self.subgroup.order for _ in range(self.index)]
-        for p, entries in enumerate(action):
-            for cid, pos, value in entries:
-                c = vec[pos]
-                if c:
-                    comp = out[cid]
-                    comp[p] = comp[p] + value * c
-        return out
-
     @cached_property
     def _H_generator_perms(self) -> tuple[tuple[int, ...], ...]:
         """Left multiplication by each subgroup generator as an index map."""
@@ -195,11 +168,16 @@ class LumpingProblem:
         vectors and closed under u -> each coset component of u w, for the
         action table of a weight w (`weight_action`).
 
-        Each seed and the table are scaled to integers, and the closure runs
-        on `IntegerRows`.
+        It grows the cut of L_w (seeded with the all-ones vector), of L_alpha
+        (and the coset components of alpha) and, as the cut of L_{w*}, the
+        annihilator of the cut of J_w.  Each seed and the table are scaled to
+        integers, by the lcm of their denominators, and the closure runs on
+        `IntegerRows`: a map and its nonzero multiples give the same closure.
         """
         perms = self._H_generator_perms
-        table = _integer_table(action)
+        scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
+        table = [[(cid, pos, value.numerator * (scale // value.denominator))
+                  for cid, pos, value in entries] for entries in action]
 
         def images(u):
             for perm in perms:
@@ -428,32 +406,46 @@ def compute_L_alpha_w(problem: LumpingProblem, w: AlgebraElement, alpha: Algebra
 # the maximal ideal and the distribution-level test
 
 
-def _maximal_cut_annihilator(problem: LumpingProblem, action: list) -> IntegerRows:
-    """The annihilator, under the plain dot product, of the cut C of J_w.
-
-    C is the largest subspace of {v : sum v = 0} with u M_c in C for every u
-    in C and every coset id c (`transposed_times_weight`).  Its annihilator
-    is the smallest subspace that contains the all-ones vector and is closed
-    under a -> M_c a, the time-reversal dual of a minimal ideal; it is grown
-    on integer rows from the integer table (`_integer_table`).
-    """
-    n = problem.subgroup.order
-    table = _integer_table(action)
-    return closure(IntegerRows(n, [[1] * n]),
-                   lambda a: problem.transposed_times_weight(table, a))
-
-
 def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
     """Maximal induced ideal certifying weak lumping; start sets are its simplex.
 
-    Its cut is C + Q eta_H, with C the nullspace of `_maximal_cut_annihilator`.
+    Its cut is C + Q eta_H, with C the largest subspace of {u : sum u = 0}
+    such that u M_c lies in C for every u in C and every coset id c, where
+    u M_c is the coset-c component of u w.  C is the nullspace, under the
+    plain dot product, of the cut A of L_{w*}, the minimal ideal of the
+    reversed walk w*(g) = w(g^-1): `close_H_ideal` of the all-ones vector.
+
+    Proof.  Write h_p for the subgroup members, r_c for the coset
+    representatives, M_x[p][q] = w(h_p^-1 x h_q) for x in G, so that
+    M_c = M_{r_c}, and (k a)[p] = a[position of k^-1 h_p] for the left
+    translate of a vector a by k in H.  Then
+      (1) (M_x a)[p] = sum_q a_q w*(h_q^-1 x^-1 h_p), the coset-c component
+          of a w* when x = r_c^-1;
+      (2) M_{k x k'} a = k (M_x (k' a)) for k, k' in H, so a space closed
+          under translation by H and under a -> M_x a is closed under
+          a -> M_y a for every y in HxH.  Both the r_c and the r_c^-1 meet
+          every double coset, as inversion permutes the double cosets.
+    (i) C^perp is the smallest subspace that contains the all-ones vector
+    and is closed under a -> M_c a, since (u M_c) . a = u . (M_c a): the
+    annihilator of that subspace is sum-zero and closed under u -> u M_c,
+    so lies in C, and C^perp contains the all-ones vector and is closed.
+    (ii) C^perp is closed under translation by H.  For u in C and k in H,
+    (k u) M_{r_c} = u M_{k^-1 r_c}, and with k^-1 r_c = r_d k' this is
+    k'^-1 (u M_{r_d}).  So the span of the translates of C is sum-zero and
+    closed under every u -> u M_c: it lies in C by maximality.  As
+    (k a) . u = a . (k^-1 u), C^perp is closed under translation too.
+    (iii) By (ii) and (2), C^perp is closed under every a -> M_x a, so by
+    (1) under the maps of L_{w*}: A lies in C^perp.  A is closed under
+    translation and, by (1), under a -> M_x a for x = r_c^-1; by (2) then
+    also for x = r_c, so C^perp lies in A by (i).  Hence A = C^perp.
     """
     weak, _, _ = test_weak_weight(problem, w)
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
-    annihilator = _maximal_cut_annihilator(problem, problem.weight_action(w.require_weight()))
-    pi_H = nullspace(annihilator.rows, problem.subgroup.order)
-    pi_H.insert([RATIONALS.one] * problem.subgroup.order)  # eta_H, scaled by |H|
+    n = problem.subgroup.order
+    reversed_cut = problem.close_H_ideal([[1] * n], problem.weight_action(w.require_weight().star()))
+    pi_H = nullspace(reversed_cut.rows, n)
+    pi_H.insert([RATIONALS.one] * n)  # eta_H, scaled by |H|
     ideal = GurvitsLedouxIdeal(problem, pi_H)
     ideal.weakly_lumping = True
     return ideal

@@ -1,6 +1,6 @@
-"""No dead helpers: every public function, class and class member of the package is reached.
+"""No dead helpers: every function, class and class member of the package is reached.
 
-A public module-level function or class of `src/lumpwalk/*.py` is live when
+A module-level function or class of `src/lumpwalk/*.py` is live when
 
 - a decorator of its own module registers it at import (the command bodies
   of `cli`);
@@ -11,15 +11,16 @@ A public module-level function or class of `src/lumpwalk/*.py` is live when
   name, refers to it by name: in a module-level statement other than an
   import, or in the body of a live function, class or member.
 
-A public member of a live public class, that is a method, a property or an
-attribute its `__init__` assigns on `self`, is live when live package code or
-a file `bench/*.py` refers to an attribute of that name, or `bench/tracing.py`
+A member of a live class, that is a method, a property or an attribute its
+`__init__` assigns on `self`, is live when live package code or a file
+`bench/*.py` refers to an attribute of that name, or `bench/tracing.py`
 names it as a boundary.  The body of a class, with its dunder methods and
 field declarations, is live with the class; the body of any other method
 only with the member.  Dunders and dataclass fields are not members here.
 
-The tests fail on the names that nothing live reaches.  Tests,
-`tests/reference.py` and the rest of `bench/` do not count.
+The tests fail on the names that nothing live reaches, public and private
+(a leading underscore) alike, so a private helper cannot outlive its last
+caller.  Tests, `tests/reference.py` and the rest of `bench/` do not count.
 """
 
 import ast
@@ -153,26 +154,33 @@ def live_definitions():
     return bodies, members, live, live_members
 
 
-def unreached_names() -> list[str]:
+def unreached_names(private: bool) -> list[str]:
     bodies, _, live, _ = live_definitions()
     return sorted(f"{module}.{name}" for module, name in bodies
-                  if not name.startswith("_") and (module, name) not in live)
+                  if name.startswith("_") == private and (module, name) not in live)
 
 
-def unreached_members() -> list[str]:
+def unreached_members(private: bool) -> list[str]:
+    """The unreached members of the live classes; private ones are those of a
+    private class or with a private name."""
     _, members, live, live_members = live_definitions()
     return sorted(f"{module}.{cls}.{name}" for module, cls, name in members
-                  if not cls.startswith("_") and not name.startswith("_")
+                  if (cls.startswith("_") or name.startswith("_")) == private
                   and (module, cls) in live and (module, cls, name) not in live_members)
 
 
 def test_every_public_name_is_reached():
-    unreached = unreached_names()
+    unreached = unreached_names(private=False)
     assert not unreached, "reached by nothing live: " + ", ".join(unreached)
 
 
 def test_every_public_member_is_reached():
-    unreached = unreached_members()
+    unreached = unreached_members(private=False)
+    assert not unreached, "reached by nothing live: " + ", ".join(unreached)
+
+
+def test_every_private_helper_is_reached():
+    unreached = unreached_names(private=True) + unreached_members(private=True)
     assert not unreached, "reached by nothing live: " + ", ".join(unreached)
 
 

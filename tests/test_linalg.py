@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumpwalk import AlgebraElement, Subspace, eta, intersect
@@ -192,6 +192,19 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
     copied = fast.copy()
     assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
     assert copied.basis() == fast.rows and copied.dim == ref.dim
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=6))
+@example([[2, 1, 0, 0]])
+@settings(max_examples=100, deadline=None)
+def test_int_vectors_never_give_float_rows(rows):
+    """`Subspace.insert` divides by the pivot in the field, so `int` vectors
+    give no `float` entry, and the rows, pivots and supports of the same
+    vectors as `Fraction`s."""
+    fast = Subspace(RATIONALS, 4, rows)
+    assert not any(isinstance(c, float) for row in fast.rows for c in row)
+    exact = Subspace(RATIONALS, 4, [[Fraction(c) for c in row] for row in rows])
+    assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support)
 
 
 def test_integer_row_scales_by_the_lcm_of_denominators():

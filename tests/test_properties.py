@@ -40,7 +40,7 @@ from lumpwalk.linalg import (
     nullspace,
     permuted,
 )
-from lumpwalk.lumping import _cut_coset_values, _first_cut_violation, _maximal_cut_annihilator
+from lumpwalk.lumping import _cut_coset_values, _first_cut_violation
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
@@ -344,8 +344,9 @@ def check_weak_fixpoints(problem, w, rng, label):
         alpha_seed.insert(comp)
     l_alpha, _ = compute_L_alpha_w(problem, w, alpha)
     assert l_alpha.pi_H == grown_minimal_ideal(problem, action, alpha_seed), label
-    # the largest stable sum-zero cut is defined for every weight, weak or not
-    annihilator = _maximal_cut_annihilator(problem, action)
+    # the largest stable sum-zero cut is defined for every weight, weak or not;
+    # it is the nullspace of the cut of L_{w*}
+    annihilator = problem.close_H_ideal([[1] * n], problem.weight_action(w.star()))
     maximal = nullspace(annihilator.rows, n)
     maximal.insert([Fraction(1, n)] * n)
     assert maximal == narrowed_maximal_cut(problem, w), label
@@ -367,8 +368,8 @@ def test_weak_fixpoints_match_round_based_references_on_pool():
     L_w and L_alpha against the old minimal-ideal growth, J_w against the
     narrowing loop, and `left_ideal_closure` against the round-based closure,
     on every pool pair and weight family and on `extra_weak_path_instances`.  The
-    annihilator of J_w is orthogonal to its sum-zero part and of the
-    complementary dimension, and the cut of J_w is a left H-ideal stable
+    cut of L_{w*} is orthogonal to the sum-zero part of the cut of J_w and of
+    the complementary dimension, and the cut of J_w is a left H-ideal stable
     under w.
     """
     rng = random.Random(7272)
@@ -439,19 +440,31 @@ def exact_H_ideal(problem, seed, action):
 
 
 def exact_annihilator(problem, action):
-    """Reference: `_maximal_cut_annihilator` as the `Fraction` closure of the
-    all-ones vector under the rational transposed table."""
+    """Reference: the annihilator of the cut of J_w, under the plain dot
+    product, as the `Fraction` closure of the all-ones vector under the
+    rational transposed table, a -> M_c a for each coset id c, where u M_c is
+    the coset-c component of u w."""
     n = problem.subgroup.order
+
+    def transposed_times_weight(a):
+        # M_c[p][pos] sums w(g) over the entries (c, pos, w(g)) of action[p]
+        out = [[0] * n for _ in range(problem.index)]
+        for p, entries in enumerate(action):
+            for cid, pos, value in entries:
+                if a[pos]:
+                    out[cid][p] += value * a[pos]
+        return out
+
     ones = Subspace(RATIONALS, n, [[RATIONALS.one] * n])
-    return closure(ones, lambda a: problem.transposed_times_weight(action, a))
+    return closure(ones, transposed_times_weight)
 
 
 def check_annihilator(problem, w, label):
-    """The integer-row annihilator of the maximal cut against the `Fraction`
-    closure: rows, pivots and supports."""
-    action = problem.weight_action(w)
-    fast = _maximal_cut_annihilator(problem, action).to_subspace()
-    exact = exact_annihilator(problem, action)
+    """The cut of L_{w*} from `close_H_ideal` against the transposed
+    `Fraction` closure for w: rows, pivots and supports."""
+    n = problem.subgroup.order
+    fast = problem.close_H_ideal([[1] * n], problem.weight_action(w.star())).to_subspace()
+    exact = exact_annihilator(problem, problem.weight_action(w))
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
 
 
@@ -479,9 +492,9 @@ def check_H_ideal(problem, w, rng, label):
 def test_rank_shortcut_matches_exact_closure():
     """`close_H_ideal` on integer rows equals the `Fraction` closure on every
     pool pair and weight family and on S6 over its top-card stabiliser, for
-    L_w and for L_alpha; both the whole algebra and proper ideals occur.  The annihilator of the
-    maximal cut, grown on integer rows, equals the `Fraction` closure on the
-    same inputs."""
+    L_w and for L_alpha; both the whole algebra and proper ideals occur.  The
+    cut of L_{w*} equals the annihilator of the maximal cut of w, the
+    transposed `Fraction` closure, on the same inputs."""
     rng = random.Random(6161)
     full = total = 0
     for label, G, hgens in build_pool():
@@ -502,6 +515,33 @@ def test_rank_shortcut_matches_exact_closure():
         check_annihilator(problem, w, ("S6", name))
         total += 2
     assert 0 < full < total
+
+
+def test_maximal_cut_annihilator_is_left_H_ideal():
+    """The lemma behind reading J_w off L_{w*}: the annihilator of the
+    maximal cut is a left ideal of the subgroup algebra, though the
+    transposed closure that grows it never translates by H.  Closing the
+    transposed `Fraction` closure under the generators of H adds no row, on
+    every pool pair and weight family and on `extra_weak_path_instances`;
+    annihilators strictly between the all-ones line and the whole space
+    occur."""
+    rng = random.Random(8383)
+    cases = []
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            cases.append(((label, kind), problem, sample_weight(rng, problem, kind)))
+    cases += [(label, problem, w) for label, problem, w, _ in extra_weak_path_instances()]
+    proper = 0
+    for label, problem, w in cases:
+        annihilator = exact_annihilator(problem, problem.weight_action(w))
+        perms = problem._H_generator_perms
+        translated = closure(annihilator, lambda a: (permuted(a, perm, 0) for perm in perms))
+        assert translated == annihilator, label
+        proper += 1 < annihilator.dim < annihilator.ambient
+    assert proper > 0
 
 
 def insert_nullspace(rows, ambient):
