@@ -24,10 +24,10 @@ from .groups import (
     CosetDecomposition,
     DoubleCosetDecomposition,
     FiniteGroup,
-    Permutation,
     Subgroup,
     cosets,
     double_cosets,
+    format_cycles,
     parse_cycles,
     parse_group_file,
 )

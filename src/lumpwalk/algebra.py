@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InputFormatError, InvariantError
-from .groups import CosetDecomposition, FiniteGroup, Subgroup, parse_cycles
+from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .scalars import (
     RATIONALS,
     common_field,
@@ -51,10 +51,14 @@ class AlgebraElement:
 
     @staticmethod
     def from_pairs(group: FiniteGroup, pairs, scalar_field=RATIONALS) -> "AlgebraElement":
-        """Accumulating constructor from (element_id, scalar) pairs."""
-        out = AlgebraElement.zero(group, scalar_field)
+        """Accumulating constructor from (element_id, scalar) pairs: the
+        scalars of an element are summed, and one met once is kept as given."""
+        sums = {}
         for gid, c in pairs:
-            out.coeffs[gid] = out.coeffs[gid] + c
+            sums[gid] = sums[gid] + c if gid in sums else c
+        out = AlgebraElement.zero(group, scalar_field)
+        for gid, c in sums.items():
+            out.coeffs[gid] = c
         return out
 
     # -- promotion ------------------------------------------------------------
@@ -142,7 +146,7 @@ class AlgebraElement:
 
     def __repr__(self):
         parts = [
-            f"{format_scalar(c)}*{self.group.elements[i].cycle_string()}"
+            f"{format_scalar(c)}*{self.group.cycle_string(i)}"
             for i, c in self.support()
         ]
         return "AlgebraElement(" + (" + ".join(parts) if parts else "0") + ")"
@@ -288,6 +292,7 @@ def character_idempotent(H: Subgroup, character: dict, m: int) -> AlgebraElement
 def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
     field = RATIONALS
     pairs = []
+    scalars = {}  # literal -> scalar: a weight file has few distinct literals
     header_done = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -311,9 +316,10 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
             literal, cycles_text = line.rsplit(None, 1)
         except ValueError:
             raise InputFormatError(f"line {lineno}: expected `<scalar> <cycles>` in {raw!r}")
-        scalar = parse_scalar(literal, field)
-        gid = group.id_of(parse_cycles(group.degree, cycles_text))
-        pairs.append((gid, scalar))
+        scalar = scalars.get(literal)
+        if scalar is None:
+            scalar = scalars[literal] = parse_scalar(literal, field)
+        pairs.append((group.element_of(cycles_text), scalar))
     if not pairs:
         raise InputFormatError("element file has no coefficient lines")
     return AlgebraElement.from_pairs(group, pairs, field)
@@ -328,6 +334,5 @@ def element_lines(field, terms) -> list[str]:
 
 
 def format_element(a: AlgebraElement) -> str:
-    names = a.group.elements
-    terms = ((names[i].cycle_string(), c) for i, c in a.support())
+    terms = ((a.group.cycle_string(i), c) for i, c in a.support())
     return "\n".join(element_lines(a.field, terms)) + "\n"

@@ -163,7 +163,7 @@ def _element_strings(elements) -> list[str]:
 
 
 def _labels(group, ids) -> list[str]:
-    return [group.elements[i].cycle_string() for i in ids]
+    return [group.cycle_string(i) for i in ids]
 
 
 def _cut_strings(ideal) -> list[str]:
@@ -384,8 +384,7 @@ def _conditional(inputs: Inputs, args, report: dict) -> None:
     law = conditional_distribution(f, P, Distribution(tuple(alpha.coeffs)), observations)
     report["verdicts"]["completed"] = True
     report["labels"] = list(f.labels)
-    support = {inputs.group.elements[i].cycle_string(): str(p)
-               for i, p in enumerate(law.probs) if p}
+    support = {inputs.group.cycle_string(i): str(p) for i, p in enumerate(law.probs) if p}
     report["certificates"] = {"conditional_law": support}
 
 

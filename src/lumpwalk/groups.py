@@ -1,16 +1,23 @@
 """Finite permutation groups, subgroups and (double) coset decompositions.
 
 Permutations act on points on the right and compose left to right: the image
-of point ``j`` under ``g*h`` is ``(j g) h``.  Elements of a generated group
-are canonically ordered with the identity first, then ascending lexicographic
-one-line notation, which makes element ids, bases and reports reproducible.
+of point ``j`` under ``g*h`` is ``(j g) h``.  A permutation is its one-line
+image tuple: position ``j`` holds the image of point ``j``.  Elements of a
+generated group are canonically ordered with the identity first, then
+ascending lexicographic image tuples, which makes element ids, bases and
+reports reproducible.
 
-Every product is taken by one kernel on one-line image tuples: for image
-tuples ``g`` and ``h`` the images of ``g*h`` are ``tuple([h[x] for x in g])``.
-The closures, `FiniteGroup.mul`, the coset and double-coset decompositions
-and `Permutation.__mul__` all use it, on the image tuples that a group keeps
-next to its index.  Inverses are computed per element from the image tuple,
-when asked for; no table of them is built.
+Every product is taken by one kernel on image tuples: for image tuples ``g``
+and ``h`` the images of ``g*h`` are ``tuple([h[x] for x in g])``.  The
+closures, `FiniteGroup.mul` and the coset and double-coset decompositions all
+use it, on the image tuples that a group keeps next to its index.  Inverses
+are computed per element from the image tuple, when asked for; no table of
+them is built.
+
+Cycle notation is the text form.  `parse_cycles` checks it and returns the
+image tuple, and `format_cycles` writes it back from a tuple when a report
+names an element.  A tuple that a caller passes to `FiniteGroup.generate` or
+`FiniteGroup.subgroup` is checked to be a permutation of the group's degree.
 """
 
 from __future__ import annotations
@@ -26,88 +33,24 @@ DEFAULT_ORDER_CAP = 20_000
 # on millions of points cost seconds and gigabytes.
 MAX_GROUP_ENTRIES = 500_000
 
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {0, ..., n-1} in one-line notation."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise DomainError(f"not a permutation of 0..{n - 1}: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if other.degree != self.degree:
-            raise DomainError("degree mismatch in permutation product")
-        h = other.images
-        return Permutation(tuple([h[x] for x in self.images]))
-
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
-    def is_identity(self) -> bool:
-        return all(img == j for j, img in enumerate(self.images))
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
-
-    @staticmethod
-    def from_cycles(degree: int, cycles) -> "Permutation":
-        """Build from 0-based cycles, e.g. ((0, 1), (2, 3))."""
-        images = list(range(degree))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                if not 0 <= a < degree:
-                    raise DomainError(f"cycle point {a} outside degree {degree}")
-                images[a] = b
-        perm = Permutation(tuple(images))
-        return perm
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Non-trivial cycles, 0-based, each starting at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cycle = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cycle.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return tuple(out)
-
-    def cycle_string(self) -> str:
-        """1-based cycle notation, `id` for the identity."""
-        cycles = self.cycles()
-        if not cycles:
-            return "id"
-        return "".join("(" + ",".join(str(p + 1) for p in cyc) + ")" for cyc in cycles)
+_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
+_CYCLES_RE = re.compile(r"(?:\([0-9,]*\))*")
 
 
-_CYCLE_RE = re.compile(r"\(([0-9,\s]*)\)")
+def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
+    """The image tuple of 1-based cycle notation such as ``(1,2)(3,4)``;
+    ``id`` or ``()`` is the identity.
 
-
-def parse_cycles(degree: int, text: str) -> Permutation:
-    """Parse 1-based cycle notation such as ``(1,2)(3,4)``; ``id`` or ``()`` is the identity."""
+    Cycles whose points are in range, distinct and in disjoint cycles make a
+    permutation by construction, so the images need no further check.
+    """
     text = text.strip()
     if text in ("id", "()", "e", "1"):
-        return Permutation.identity(degree)
-    stripped = re.sub(r"[\s]", "", text)
-    if re.sub(_CYCLE_RE, "", stripped):
+        return tuple(range(degree))
+    stripped = "".join(text.split())  # without its whitespace
+    if not _CYCLES_RE.fullmatch(stripped):
         raise InputFormatError(f"bad cycle notation {text!r}")
-    cycles = []
+    images = list(range(degree))
     seen = set()
     for body in _CYCLE_RE.findall(stripped):
         if not body:
@@ -116,16 +59,48 @@ def parse_cycles(degree: int, text: str) -> Permutation:
             points = [int(p) - 1 for p in body.split(",")]
         except ValueError:
             raise InputFormatError(f"bad point in cycle ({body})")
-        if len(points) != len(set(points)):
+        cycle = set(points)
+        if len(cycle) != len(points):
             raise InputFormatError(f"repeated point in cycle ({body})")
-        if any(not 0 <= p < degree for p in points):
+        if min(points) < 0 or max(points) >= degree:
             raise InputFormatError(f"cycle point outside 1..{degree} in ({body})")
-        shared = seen.intersection(points)
-        if shared:
-            raise InputFormatError(f"point {min(shared) + 1} appears in two cycles of {text!r}")
-        seen.update(points)
-        cycles.append(tuple(points))
-    return Permutation.from_cycles(degree, cycles)
+        if not seen.isdisjoint(cycle):
+            shared = min(seen & cycle) + 1
+            raise InputFormatError(f"point {shared} appears in two cycles of {text!r}")
+        seen |= cycle
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+    return tuple(images)
+
+
+def format_cycles(images: tuple[int, ...]) -> str:
+    """1-based cycle notation of an image tuple, each non-trivial cycle from
+    its least point; `id` for the identity.  Each step marks a new point, so
+    the walk ends even on a tuple that is not a permutation."""
+    seen = [False] * len(images)
+    cycles = []
+    for start, j in enumerate(images):
+        if seen[start] or j == start:
+            continue
+        cycle = [start + 1]
+        seen[start] = True
+        while not seen[j]:
+            cycle.append(j + 1)
+            seen[j] = True
+            j = images[j]
+        cycles.append("(" + ",".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "id"
+
+
+def _permutation(degree: int, images) -> tuple[int, ...]:
+    """A caller's permutation as an image tuple, checked to be a bijection of
+    0..degree-1."""
+    images = tuple(images)
+    if len(images) != degree:
+        raise DomainError(f"generator degree {len(images)} != {degree}")
+    if sorted(images) != list(range(degree)):
+        raise DomainError(f"not a permutation of 0..{degree - 1}: {images}")
+    return images
 
 
 def _over_budget(degree: int) -> ResourceError:
@@ -144,65 +119,77 @@ def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(g)), key=g.__getitem__))
 
 
-def _closure(degree: int, seeds, cap: int) -> set[tuple[int, ...]]:
+def _closure(degree: int, gens, cap: int, known=None) -> set[tuple[int, ...]]:
+    """The group generated by the image tuples `gens`, by Dimino's algorithm.
+
+    The generators join one at a time.  The group K generated before a new
+    generator is closed under the earlier ones, so the group it grows into is
+    a union of right cosets K r, and K r t = K (r t) lies in it as soon as
+    r t does: only coset representatives are multiplied by the generators,
+    and each new coset costs |K| products that need no lookup.  `known`, if
+    given, is the group generated by all of `gens` but the last, and only the
+    last joins.
+    """
     budget = MAX_GROUP_ENTRIES // degree
     if not budget:
         raise _over_budget(degree)
-    identity = tuple(range(degree))
-    elements = {identity}
-    frontier = [identity]
-    gens = [p.images for p in seeds]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = tuple([h[x] for x in g])
-                if prod not in elements:
-                    if len(elements) >= cap:
-                        raise ResourceError(
-                            f"group order exceeds the configured cap {cap}"
-                        )
-                    if len(elements) >= budget:
-                        raise _over_budget(degree)
-                    elements.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    limit = min(cap, budget)
+    elements = set(known) if known else {tuple(range(degree))}
+    for k in range(len(gens) - 1 if known else 0, len(gens)):
+        if gens[k] in elements:
+            continue
+        block, active = list(elements), gens[:k + 1]
+        pending = [gens[k]]  # representatives of cosets that may be new
+        for r in pending:  # grows while it is read
+            if r in elements:
+                continue
+            if len(elements) + len(block) > limit:
+                if cap <= budget:
+                    raise ResourceError(f"group order exceeds the configured cap {cap}")
+                raise _over_budget(degree)
+            elements.update([tuple([r[x] for x in g]) for g in block])  # the coset K r
+            for t in active:
+                rt = tuple([t[x] for x in r])
+                if rt not in elements:
+                    pending.append(rt)
     return elements
 
 
 class FiniteGroup:
-    """Enumerated permutation group with canonical element indexing."""
+    """Enumerated permutation group with canonical element indexing.
 
-    def __init__(self, degree: int, elements: list[Permutation], generators: list[int]):
+    `images` holds the image tuple of each element, by id, and `index` the id
+    of each image tuple.
+    """
+
+    def __init__(self, degree: int, images, generators):
         self.degree = degree
-        self.elements = elements
-        self.images = tuple(p.images for p in elements)  # one-line image tuple, by element id
-        self.index = {t: i for i, t in enumerate(self.images)}
-        self.generators = tuple(generators)
-        self._generating: dict[frozenset[int], bool] = {}  # `is_generating`, by support
-        if not elements[0].is_identity():
+        self.images = tuple(images)
+        if self.images[0] != tuple(range(degree)):
             raise InvariantError("the first enumerated group element is not the identity")
+        self.index = {t: i for i, t in enumerate(self.images)}
+        # the ids of the image tuples that generate the group, identity left out
+        self.generators = tuple(sorted({self.index[g] for g in generators} - {0}))
+        self._generating: dict[frozenset[int], bool] = {}  # `is_generating`, by support
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def generate(degree: int, generators, order_cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
-        gens = list(generators)
-        for g in gens:
-            if g.degree != degree:
-                raise DomainError(f"generator degree {g.degree} != {degree}")
-        closure = _closure(degree, gens, order_cap)
-        ordered = sorted(closure)  # identity is lexicographically least
-        elements = [Permutation(t) for t in ordered]
-        index = {t: i for i, t in enumerate(ordered)}
-        gen_ids = sorted({index[g.images] for g in gens if not g.is_identity()})
-        return FiniteGroup(degree, elements, gen_ids)
+        """The group generated by the given image tuples, each checked."""
+        gens = [_permutation(degree, g) for g in generators]
+        return FiniteGroup(degree, sorted(_closure(degree, gens, order_cap)), gens)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The elements by id, as image tuples: the same tuple as `images`."""
+        return self.images
 
     def mul(self, i: int, j: int) -> int:
         h = self.images[j]
@@ -212,50 +199,55 @@ class FiniteGroup:
         """The id of the inverse, computed from the image tuple."""
         return self.index[_inverse(self.images[i])]
 
-    def id_of(self, perm: Permutation) -> int:
+    def cycle_string(self, i: int) -> str:
+        """The element with id i in 1-based cycle notation."""
+        return format_cycles(self.images[i])
+
+    def id_of(self, images: tuple[int, ...]) -> int:
+        """The id of the element with the given image tuple."""
         try:
-            return self.index[perm.images]
+            return self.index[images]
         except KeyError:
-            raise DomainError(f"{perm.cycle_string()} is not an element of this group")
+            raise DomainError(f"{format_cycles(images)} is not an element of this group")
 
     def element_of(self, text: str) -> int:
         """Element id from 1-based cycle notation."""
         return self.id_of(parse_cycles(self.degree, text))
 
     def subgroup(self, generators) -> "Subgroup":
-        """Closure of the given permutations inside this group."""
-        perms = []
+        """Closure of the given element ids or image tuples inside this group."""
+        gens = []
         for g in generators:
-            if isinstance(g, int):
-                g = self.elements[g]
-            if g.images not in self.index:
-                raise DomainError(f"generator {g.cycle_string()} is not in the group")
-            perms.append(g)
-        closure = _closure(self.degree, perms, self.order)
+            g = self.images[g] if isinstance(g, int) else _permutation(self.degree, g)
+            if g not in self.index:
+                raise DomainError(f"generator {format_cycles(g)} is not in the group")
+            gens.append(g)
+        closure = _closure(self.degree, gens, self.order)
         members = sorted(self.index[t] for t in closure)
-        gen_ids = sorted({self.index[g.images] for g in perms if not g.is_identity()})
+        gen_ids = sorted({self.index[g] for g in gens} - {0})
         return Subgroup(self, tuple(members), tuple(gen_ids))
 
     def is_generating(self, support) -> bool:
         """True iff the closure of the given element ids is the whole group.
 
         An element joins the generators only if the subgroup generated so far
-        misses it; each join at least doubles that subgroup, so the closure is
-        recomputed at most log2 |G| times however large the support is.  The
-        answer is kept per set of ids for the life of the group, so asking
-        again for the same support builds no closure.
+        misses it; each join at least doubles that subgroup, so it happens at
+        most log2 |G| times however large the support is.  Each join extends
+        the subgroup already generated (`_closure` with `known`) instead of
+        closing from the identity again.  The answer is kept per set of ids
+        for the life of the group, so asking again for the same support
+        builds no closure.
         """
         support = list(support)
         if not support:
             raise DomainError("empty support cannot generate")
         key = frozenset(support)
         if key not in self._generating:
-            gens, closure = [], {tuple(range(self.degree))}
+            gens, closure = [], {self.images[0]}
             for i in support:
-                perm = self.elements[i]
-                if perm.images not in closure:
-                    gens.append(perm)
-                    closure = _closure(self.degree, gens, self.order)
+                if self.images[i] not in closure:
+                    gens.append(self.images[i])
+                    closure = _closure(self.degree, gens, self.order, closure)
             self._generating[key] = len(closure) == self.order
         return self._generating[key]
 
@@ -408,8 +400,9 @@ def double_cosets(G: FiniteGroup, T: Subgroup,
 # group file format: `degree <n>` then `gen <cycles>` lines, 1-based points
 
 
-def parse_generators(text: str) -> tuple[int, list[Permutation]]:
-    """The degree and the generators of a group file, without enumerating the group."""
+def parse_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """The degree and the generator image tuples of a group file, without
+    enumerating the group."""
     degree = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -417,6 +410,8 @@ def parse_generators(text: str) -> tuple[int, list[Permutation]]:
         if not line:
             continue
         if line.startswith("degree"):
+            if degree is not None:
+                raise InputFormatError(f"line {lineno}: second degree line {raw!r}")
             try:
                 degree = int(line.split()[1])
             except (IndexError, ValueError):

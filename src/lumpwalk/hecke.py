@@ -80,7 +80,7 @@ def check_Q_characterization(problem: LumpingProblem, Q):
             if cid in values:
                 if values[cid] != rows[i][j]:
                     certificate = {
-                        "class": G.elements[problem.double.representatives[cid]].cycle_string(),
+                        "class": G.cycle_string(problem.double.representatives[cid]),
                         "entries": [str(values[cid]), str(rows[i][j])],
                         "position": [i, j],
                     }

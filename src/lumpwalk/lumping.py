@@ -218,14 +218,14 @@ def _double_coset_constancy(problem: LumpingProblem, w: AlgebraElement, side: st
     for coset_id, rep in enumerate(decomposition.representatives):
         # every coset lies inside one double coset, keyed by its rep
         by_class[problem.double.class_of[rep]].append(coset_id)
-    names = problem.group.elements
+    name = problem.group.cycle_string
     for cid, members in enumerate(by_class):
         if any(sums[k] != sums[members[0]] for k in members[1:]):
             pair = sorted(members, key=sums.__getitem__)
             ends = (pair[0], pair[-1])
             return False, {
-                "double_coset": names[problem.double.representatives[cid]].cycle_string(),
-                "cosets": [names[decomposition.representatives[k]].cycle_string() for k in ends],
+                "double_coset": name(problem.double.representatives[cid]),
+                "cosets": [name(decomposition.representatives[k]) for k in ends],
                 "sums": [str(sums[k]) for k in ends],
             }
     return True, None
@@ -626,7 +626,5 @@ def lumping_function(problem: LumpingProblem):
     """The left-coset lumping map as a generic lumping function."""
     from .markov import LumpingFunction
 
-    labels = tuple(
-        problem.group.elements[r].cycle_string() for r in problem.left.representatives
-    )
+    labels = tuple(problem.group.cycle_string(r) for r in problem.left.representatives)
     return LumpingFunction(tuple(problem.left.coset_of), labels)

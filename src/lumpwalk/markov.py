@@ -442,6 +442,8 @@ def parse_lump_file(text: str, n_states: int) -> LumpingFunction:
         label = parts[2]
         if not 0 <= state < n_states:
             raise InputFormatError(f"line {lineno}: state {state} out of range")
+        if state in assignments:
+            raise InputFormatError(f"line {lineno}: state {state} has a second lump line")
         assignments[state] = label
     if set(assignments) != set(range(n_states)):
         raise InputFormatError("every state needs exactly one lump line")

@@ -12,7 +12,15 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .errors import DomainError
-from .groups import FiniteGroup, Permutation
+from .groups import FiniteGroup
+
+
+def _cycle(n: int, first: int, last: int) -> tuple[int, ...]:
+    """The image tuple of the cycle (first, first+1, ..., last) on n points, 0-based."""
+    images = list(range(n))
+    images[first:last] = range(first + 1, last + 1)
+    images[last] = first
+    return tuple(images)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -21,20 +29,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise DomainError("need at least one point")
     if n == 1:
         return FiniteGroup.generate(1, [])
-    gens = [Permutation.from_cycles(n, [(0, 1)]), Permutation.from_cycles(n, [tuple(range(n))])]
-    return FiniteGroup.generate(n, gens)
+    return FiniteGroup.generate(n, [_cycle(n, 0, 1), _cycle(n, 0, n - 1)])
 
 
 def top_stabilizer(G: FiniteGroup):
     """The subgroup fixing position 1 (the shuffles that keep the top card)."""
     n = G.degree
-    gens = []
-    if n >= 3:
-        gens = [
-            Permutation.from_cycles(n, [(1, 2)]),
-            Permutation.from_cycles(n, [tuple(range(1, n))]),
-        ]
-    return G.subgroup(gens)
+    return G.subgroup([_cycle(n, 1, 2), _cycle(n, 1, n - 1)] if n >= 3 else [])
 
 
 def random_to_top(G: FiniteGroup) -> AlgebraElement:
@@ -43,8 +44,7 @@ def random_to_top(G: FiniteGroup) -> AlgebraElement:
     w = AlgebraElement.zero(G)
     p = Fraction(1, n)
     for k in range(1, n + 1):
-        perm = Permutation.from_cycles(n, [tuple(range(k))]) if k >= 2 else Permutation.identity(n)
-        w.coeffs[G.id_of(perm)] += p
+        w.coeffs[G.id_of(_cycle(n, 0, k - 1))] += p
     return w
 
 
@@ -74,5 +74,5 @@ def bottom_card_cycle(G: FiniteGroup) -> AlgebraElement:
             images[j - 1] = j - 2
         for j in range(k + 1, n):
             images[j - 1] = j - 1
-        w.coeffs[G.id_of(Permutation(tuple(images)))] += p
+        w.coeffs[G.id_of(tuple(images))] += p
     return w

@@ -8,9 +8,10 @@ ideal itself with its defining axioms, the conjugate-linear inner product,
 and the kernel of a lumping map.
 
 The group layer has its own reference, written in one-line notation and
-sharing no code with `lumpwalk.groups`: the multiplication and inverse
-tables of an enumerated group, and its one-sided and double cosets built
-from every product.
+sharing no code with `lumpwalk.groups`: the one-line images of a cycle
+string, the multiplication and inverse tables of an enumerated group, the
+subgroup generated by some of its elements, and its one-sided and double
+cosets built from every product.
 """
 
 from fractions import Fraction
@@ -27,10 +28,34 @@ def compose(g: tuple, h: tuple) -> tuple:
     return tuple(h[g[j]] for j in range(len(g)))
 
 
+def cycles_to_one_line(degree: int, text: str) -> tuple:
+    """The one-line images of a canonical cycle string such as `(1,3)(2,4)`,
+    1-based, or `id`: each point of a cycle goes to the next, the last to the
+    first."""
+    images = list(range(degree))
+    if text != "id":
+        for cycle in text[1:-1].split(")("):
+            points = [int(p) - 1 for p in cycle.split(",")]
+            for k, p in enumerate(points):
+                images[p] = points[(k + 1) % len(points)]
+    return tuple(images)
+
+
+def generated_subgroup(mul, identity: int, ids) -> set:
+    """The ids of the subgroup generated by the given ids, from a
+    multiplication table: all that right multiplication by them reaches from
+    the identity, a whole frontier at a time."""
+    reached, frontier = {identity}, {identity}
+    while frontier:
+        frontier = {mul[g][s] for g in frontier for s in ids} - reached
+        reached |= frontier
+    return reached
+
+
 def group_tables(G) -> tuple[list[list[int]], list[int]]:
     """The multiplication table of G over its element ids, by `compose`, and
     the inverse of each element, found by searching its row for the identity."""
-    perms = [p.images for p in G.elements]
+    perms = list(G.elements)
     ids = {p: i for i, p in enumerate(perms)}
     mul = [[ids[compose(g, h)] for h in perms] for g in perms]
     identity = ids[tuple(range(G.degree))]

@@ -190,12 +190,10 @@ def test_criterion_07_bottom_card_family(n):
         assert exact_test(prob, w)[0] is False  # fails for all n >= 3
         if n >= 4:
             assert strong_test(prob, w)[0] is False
-            from lumpwalk.groups import Permutation
+            from lumpwalk.groups import parse_cycles
 
-            T = G.subgroup([
-                Permutation.from_cycles(n, [(1, 2)]),
-                Permutation.from_cycles(n, [tuple(range(1, n - 1))]),
-            ])
+            middle = ",".join(str(p) for p in range(2, n))
+            T = G.subgroup([parse_cycles(n, "(2,3)"), parse_cycles(n, f"({middle})")])
             ok, failed = interpolation_test(prob, T, w)
             assert ok and failed == []
             weak, _, _ = weak_weight_test(prob, w)

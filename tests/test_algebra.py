@@ -58,7 +58,7 @@ def test_frustrator_averaged_closed_form(sym4, mid_swap_T):
     for lam in (Fraction(1, 4), Fraction(2, 3)):
         w = lazy_frustrator(sym4, lam)
         left = eta(sym4, mid_swap_T) * w
-        h14 = [i for i in range(24) if sym4.elements[i].images[0] == 3]
+        h14 = [i for i in range(24) if sym4.images[i][0] == 3]
         expected = AlgebraElement(sym4, [(1 - lam) * c for c in eta(sym4, mid_swap_T).coeffs])
         for i in h14:
             expected.coeffs[i] += Fraction(lam, 6)
@@ -185,7 +185,7 @@ def test_coset_sums(sym4, top_prob, frustrator):
     sums = coset_sums(frustrator, top_prob.right)
     # all non-identity support lies in the right coset sending the top position to 4
     by_rep = {
-        sym4.elements[r].cycle_string(): sums[cid]
+        sym4.cycle_string(r): sums[cid]
         for cid, r in enumerate(top_prob.right.representatives)
     }
     assert sum(sums, Fraction(0)) == 1

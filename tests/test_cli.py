@@ -169,6 +169,11 @@ def test_exit_codes(files, tmp_path):
         ["test", "weak", *common(files, "--weight", write("overlap.txt", "1 (1,2,3)(1,2,3)\n"))],
         ["cosets", "--group", write("overlap_group.txt", "degree 4\ngen (1,2)(2,1)\n"),
          "--subgroup", files["subgroup"]],
+        ["generic-test", "strong", "--matrix", matrix,
+         "--lumpmap", write("twice.txt", "lump 0 a\nlump 1 b\nlump 1 a\n")],
+        ["cosets", "--group", write("two_degrees.txt", "degree 3\ngen (1,2)\ndegree 4\n"
+                                                       "gen (1,2,3,4)\n"),
+         "--subgroup", files["subgroup"]],
     ]
     for argv in malformed:
         result = run_cli(*argv)

@@ -6,26 +6,24 @@ import pytest
 
 from lumpwalk import (
     FiniteGroup,
-    Permutation,
     cosets,
     double_cosets,
     parse_cycles,
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
-from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, parse_generators
+from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, format_cycles, parse_generators
 
 
 def test_group_not_starting_at_the_identity_is_an_invariant_error():
-    swap, identity = Permutation((1, 0)), Permutation((0, 1))
     with pytest.raises(InvariantError, match="identity"):
-        FiniteGroup(2, [swap, identity], [0])
+        FiniteGroup(2, [(1, 0), (0, 1)], [(1, 0)])
 
 
 def test_generate_sym4():
     G = FiniteGroup.generate(4, [parse_cycles(4, "(1,2)"), parse_cycles(4, "(1,2,3,4)")])
     assert G.order == 24
-    assert G.elements[0].is_identity()
+    assert G.images[0] == (0, 1, 2, 3)
 
 
 def test_generate_dihedral():
@@ -55,16 +53,14 @@ def test_order_cap():
 
 def test_canonical_ordering_idempotent(sym4):
     regenerated = FiniteGroup.generate(4, list(sym4.elements))
-    assert [p.images for p in regenerated.elements] == [p.images for p in sym4.elements]
+    assert regenerated.images == sym4.images
 
 
-def test_composition_convention():
+def test_composition_convention(sym4):
     # j(gh) = (jg)h: apply g first, then h
-    g = parse_cycles(4, "(1,2)")
-    h = parse_cycles(4, "(2,3)")
-    gh = g * h
-    assert gh.apply(0) == 2  # 1 -> 2 -> 3 in 1-based points
-    assert (g * h).cycle_string() == "(1,3,2)"
+    gh = sym4.mul(sym4.element_of("(1,2)"), sym4.element_of("(2,3)"))
+    assert sym4.images[gh][0] == 2  # 1 -> 2 -> 3 in 1-based points
+    assert sym4.cycle_string(gh) == "(1,3,2)"
 
 
 def test_subgroups(sym4):
@@ -81,7 +77,7 @@ def test_subgroups(sym4):
 def test_left_cosets(sym4, top_prob):
     decomposition = top_prob.left
     assert decomposition.n_cosets == 4
-    reps = {sym4.elements[r].cycle_string() for r in decomposition.representatives}
+    reps = {sym4.cycle_string(r) for r in decomposition.representatives}
     # the four cosets are H, (1,2)H, (1,3)H, (1,4)H; representatives are the
     # minimal element id in each coset
     coset_of = decomposition.coset_of
@@ -90,7 +86,7 @@ def test_left_cosets(sym4, top_prob):
         cid = coset_of[sym4.element_of(f"(1,{k})")]
         members = decomposition.cosets[cid]
         # gH = permutations sending position k to the top
-        assert all(sym4.elements[m].images[k - 1] == 0 for m in members)
+        assert all(sym4.images[m][k - 1] == 0 for m in members)
     assert "id" in reps
 
 
@@ -167,6 +163,31 @@ def test_is_generating_matches_closure_of_whole_support(sym4):
             assert sym4.is_generating(support) == (len(whole) == 24), support
 
 
+def test_dimino_step_matches_closure_from_scratch_on_pool():
+    """Generators joined one at a time onto the subgroup already generated
+    (`_closure` with `known`, as `is_generating` does) give the subgroup that
+    the reference closes from the identity, on every pool group with random
+    supports; so do the whole closure and `is_generating` itself."""
+    from tests.oracle_suite import build_pool
+    from tests.reference import generated_subgroup, group_tables
+
+    rng = random.Random(11)
+    groups = {id(G): G for _, G, _ in build_pool()}
+    for G in groups.values():
+        mul, _ = group_tables(G)
+        for _ in range(40):
+            support = rng.sample(range(G.order), rng.randint(1, min(5, G.order)))
+            gens, known = [], {G.images[0]}
+            for k, i in enumerate(support):
+                gens.append(G.images[i])
+                known = _closure(G.degree, gens, G.order, known)
+                assert {G.index[t] for t in known} == generated_subgroup(mul, 0, support[:k + 1])
+            whole = _closure(G.degree, [G.images[i] for i in support], G.order)
+            assert whole == known, support
+            fresh = FiniteGroup(G.degree, G.images, [])  # no answer kept from another test
+            assert fresh.is_generating(support) == (len(known) == G.order), support
+
+
 def test_irreducibility_is_decided_once_per_support(monkeypatch):
     """A second `is_irreducible_weight` call on the same group, for the same
     support, builds no closure; another support still does."""
@@ -212,7 +233,7 @@ def test_group_file_roundtrip(sym4):
     G = parse_group_file(text)
     assert G.order == 24
     written = f"degree {G.degree}\n" + "".join(
-        f"gen {G.elements[g].cycle_string()}\n" for g in G.generators)
+        f"gen {G.cycle_string(g)}\n" for g in G.generators)
     assert parse_group_file(written).order == 24
     with pytest.raises(InputFormatError):
         parse_group_file("gen (1,2)")
@@ -222,13 +243,57 @@ def test_group_file_roundtrip(sym4):
         parse_group_file("degree x")
 
 
+def test_group_file_rejects_a_second_degree_line():
+    with pytest.raises(InputFormatError, match="line 3: second degree line"):
+        parse_generators("degree 3\ngen (1,2)\ndegree 4\ngen (1,2,3,4)\n")
+    with pytest.raises(InputFormatError, match="line 2: second degree line"):
+        parse_generators("degree 4\ndegree 4\n")
+
+
+def test_cycle_strings_roundtrip_to_the_one_line_reference():
+    """A random permutation of degree 1 to 7, written as a cycle string and
+    parsed back, is the same image tuple, and the one-line reference reads
+    the string the same way; spaces inside the notation change nothing."""
+    from tests.reference import cycles_to_one_line
+
+    rng = random.Random(3)
+    for degree in range(1, 8):
+        for _ in range(300):
+            images = list(range(degree))
+            rng.shuffle(images)
+            images = tuple(images)
+            text = format_cycles(images)
+            assert parse_cycles(degree, text) == images, text
+            assert cycles_to_one_line(degree, text) == images, text
+            assert parse_cycles(degree, " " + text.replace(",", " , ") + " ") == images, text
+
+
+def test_parse_cycles_rejections_keep_their_messages():
+    cases = {
+        "(1,2)(2,3)": "point 2 appears in two cycles of '(1,2)(2,3)'",
+        "(1,2,3)(1,2,3)": "point 1 appears in two cycles of '(1,2,3)(1,2,3)'",
+        "(1,5)": "cycle point outside 1..4 in (1,5)",
+        "(0,1)": "cycle point outside 1..4 in (0,1)",
+        "(1,2,1)": "repeated point in cycle (1,2,1)",
+        "(1,,2)": "bad point in cycle (1,,2)",
+        "(1,2,)": "bad point in cycle (1,2,)",
+        "(1,2)x": "bad cycle notation '(1,2)x'",
+        "((1,2))": "bad cycle notation '((1,2))'",
+        "(1 2)": "cycle point outside 1..4 in (12)",
+    }
+    for text, message in cases.items():
+        with pytest.raises(InputFormatError) as caught:
+            parse_cycles(4, text)
+        assert str(caught.value) == message, text
+
+
 def test_cycle_string_roundtrip(sym4):
-    for p in sym4.elements:
-        assert parse_cycles(4, p.cycle_string()).images == p.images
+    for i, p in enumerate(sym4.images):
+        assert parse_cycles(4, sym4.cycle_string(i)) == p
 
 
 def test_parse_cycles_rejects_points_shared_between_cycles():
-    assert parse_cycles(4, "(1,2)(3,4)").images == (1, 0, 3, 2)
+    assert parse_cycles(4, "(1,2)(3,4)") == (1, 0, 3, 2)
     for text in ("(1,2,3)(1,2,3)", "(1,2)(2,1)", "(1,2)(1,3)", "(1)(1,2)", "(1,2)(3,4)(4,1)"):
         with pytest.raises(InputFormatError):
             parse_cycles(4, text)
@@ -236,9 +301,15 @@ def test_parse_cycles_rejects_points_shared_between_cycles():
         parse_cycles(4, "(1,2,1)")
 
 
-def test_permutation_validation():
-    with pytest.raises(DomainError):
-        Permutation((0, 0, 1))
+def test_permutation_validation(sym4):
+    """A permutation a caller passes in as an image tuple is checked."""
+    for bad in ((0, 0, 1), (0, 1, 3), (1, 0)):
+        with pytest.raises(DomainError):
+            FiniteGroup.generate(3, [bad])
+    with pytest.raises(DomainError, match="not a permutation"):
+        sym4.subgroup([(0, 0, 1, 2)])
+    with pytest.raises(DomainError, match="is not in the group"):
+        FiniteGroup.generate(4, [(1, 0, 2, 3)]).subgroup([(0, 2, 1, 3)])
 
 
 def test_coset_invariants(sym4, top_prob):

@@ -425,6 +425,8 @@ def test_matrix_files(tmp_path):
         parse_matrix_file("1/2 1/2\n")
     with pytest.raises(InputFormatError):
         parse_lump_file("lump 0 a\n", 2)
+    with pytest.raises(InputFormatError, match="line 3: state 1 has a second lump line"):
+        parse_lump_file("lump 0 a\nlump 1 b\nlump 1 a\n", 2)
     with pytest.raises(DomainError):
         parse_matrix_file("states 2\n1/2 1/3\n1 0\n")
 
