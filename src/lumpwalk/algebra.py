@@ -154,14 +154,14 @@ class AlgebraElement:
     # -- weight / distribution checks ------------------------------------------------
 
     def is_weight(self) -> bool:
-        """Non-negative rational coefficients, at least one positive."""
+        """Non-negative rational coefficients, at least one positive: each
+        nonzero coefficient is rational and positive, and there is one."""
+        values = [c for _, c in self.support()]
         if self.field.kind != "rational":
-            if not all(self.field.is_rational_value(c) for c in self.coeffs):
+            if not all(self.field.is_rational_value(c) for c in values):
                 return False
-            values = [self.field.rational_value(c) for c in self.coeffs]
-        else:
-            values = self.coeffs
-        return all(v >= 0 for v in values) and any(v > 0 for v in values)
+            values = [self.field.rational_value(c) for c in values]
+        return bool(values) and all(v > 0 for v in values)
 
     def require_weight(self) -> "AlgebraElement":
         if not self.is_weight():

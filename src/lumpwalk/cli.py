@@ -50,6 +50,7 @@ from .markov import (
     test_weak_generic,
     transition_from_weight,
 )
+from .scalars import RATIONALS
 from .simulate import empirical_lumped_matrix, markov_diagnostic, simulate_walk
 
 
@@ -171,8 +172,7 @@ def _cut_strings(ideal) -> list[str]:
     its |H| positions; the subgroup members are sorted, so the terms come in
     element order, as they do for an element of the whole group algebra."""
     labels = _labels(ideal.problem.group, ideal.problem.subgroup.members)
-    return ["; ".join(element_lines(ideal.pi_H.field, ((labels[p], c)
-                                                        for p, c in enumerate(row) if c)))
+    return ["; ".join(element_lines(RATIONALS, ((labels[p], c) for p, c in enumerate(row) if c)))
             for row in ideal.pi_H.rows]
 
 

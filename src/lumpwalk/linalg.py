@@ -1,4 +1,4 @@
-"""Exact linear algebra: row spaces, their closures under linear maps, kernels.
+"""Exact linear algebra over Q: row spaces, their closures under linear maps, kernels.
 
 Subspaces are held in reduced row echelon form with leading coefficient 1, so
 two subspaces are equal exactly when their basis matrices are equal.  Each
@@ -7,13 +7,13 @@ insertion rewrites the row, so reduction and back-elimination touch only those
 entries.  The entries and the order of the arithmetic on them are those of a
 dense sweep, so bases and kernels do not depend on the cache.
 
-There are two row stores.  `Subspace` holds its rows over any exact scalar
-field.  `IntegerRows` holds a rational row space fraction-free: each row is
-the canonical RREF row times the one positive integer that makes it a
-primitive integer vector (entries with gcd 1, positive pivot).  That scaled
-form is unique, so it determines the canonical RREF, which `to_subspace`
-builds once, at the end; reduction and back-elimination use integer row
-operations and divide only by a gcd.  The group-path closures and
+There are two row stores, both for rational row spaces.  `Subspace` holds
+`Fraction` rows with leading coefficient 1.  `IntegerRows` holds a row space
+fraction-free: each row is the canonical RREF row times the one positive
+integer that makes it a primitive integer vector (entries with gcd 1,
+positive pivot).  That scaled form is unique, so it determines the canonical
+RREF, which `to_subspace` builds once, at the end; reduction and
+back-elimination use integer row operations and divide only by a gcd.  The group-path closures and
 `nullspace` run on `IntegerRows`; the generic oracle's closures stay on
 `Subspace`.
 
@@ -28,8 +28,8 @@ group path and the generic oracle alike: the smallest subspace containing a
 seed and closed under given linear maps, grown from a worklist.  `nullspace`
 echelonises its constraints with the columns reversed, so the solution of
 each free column is already a row of the canonical basis and no second
-elimination is needed.  The kernels and `nullspace` work over the rationals.
-The module knows nothing of groups: its callers hand it vectors and maps.
+elimination is needed.  No elimination runs over a cyclotomic field.  The
+module knows nothing of groups: its callers hand it vectors and maps.
 """
 
 from __future__ import annotations
@@ -42,16 +42,15 @@ from .scalars import RATIONALS
 
 
 class Subspace:
-    """Row space of a matrix over an exact scalar field, kept in RREF.
+    """Row space of a rational matrix, kept in RREF.
 
     ``support[i]`` lists the nonzero columns of ``rows[i]`` in ascending order,
     so elimination visits only those entries.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "support")
+    __slots__ = ("ambient", "rows", "pivots", "support")
 
-    def __init__(self, field, ambient: int, vectors=()):
-        self.field = field
+    def __init__(self, ambient: int, vectors=()):
         self.ambient = ambient
         self.rows: list[list] = []
         self.pivots: list[int] = []
@@ -64,7 +63,7 @@ class Subspace:
         return len(self.rows)
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.field, self.ambient)
+        out = Subspace(self.ambient)
         out.rows = [list(r) for r in self.rows]
         out.pivots = list(self.pivots)
         out.support = [list(s) for s in self.support]
@@ -90,8 +89,8 @@ class Subspace:
             return False
         pivot = cols[0]
         lead = v[pivot]
-        if lead != self.field.one:
-            inv = self.field.one / lead  # in the field, also for int entries
+        if lead != 1:
+            inv = RATIONALS.one / lead  # a Fraction, also for int entries
             for k in cols:
                 v[k] = v[k] * inv
         # eliminate the new pivot column from existing rows
@@ -222,7 +221,7 @@ class IntegerRows:
 
     def to_subspace(self) -> Subspace:
         """The same row space as a `Subspace` over the rationals, in canonical RREF."""
-        out = Subspace(RATIONALS, self.ambient)
+        out = Subspace(self.ambient)
         zero = RATIONALS.zero
         for row, p, cols in zip(self.rows, self.pivots, self.support):
             d = row[p]
@@ -251,9 +250,9 @@ def kernel_span(images: list[list], basis_rows: list[list], ambient: int) -> Sub
     the canonical RREF of the span.
     """
     width = len(images[0]) if images else 0
-    wide = Subspace(RATIONALS, width + ambient,
+    wide = Subspace(width + ambient,
                     (list(image) + list(row) for image, row in zip(images, basis_rows)))
-    out = Subspace(RATIONALS, ambient)
+    out = Subspace(ambient)
     for row, p, cols in zip(wide.rows, wide.pivots, wide.support):
         if p >= width:
             out.rows.append(row[width:])
@@ -305,7 +304,7 @@ def nullspace(rows: list[list], ambient: int) -> Subspace:
         for k in cols:
             if k != p:
                 solutions[last - k][last - p] = -row[k]
-    out = Subspace(RATIONALS, ambient)
+    out = Subspace(ambient)
     for free, v in solutions.items():
         out.rows.append(v)
         out.pivots.append(free)

@@ -32,16 +32,22 @@ The verdicts use closed forms instead of dense products.  The strong and
 exact tests (with their obstructions), the weak obstruction and the lumped
 matrix read coset and double-coset sums of w; the lumped matrix and `hecke`
 read the table `pair_classes` of the double coset of r_i^-1 r_j; the abelian
-test reads its character pairings off w on each double coset.  The dense
-forms, the round-based fixpoint loops and the `Fraction` closures remain as
-references in `tests/test_properties.py`; the induced ideals as subspaces of
-the full group algebra, with the axioms they satisfy there, in
-`tests/reference.py`.
+test reads its character pairings off w on each double coset; condition (a)
+of the interpolation test is the exact test for the pair (G, T).  The
+dimension of the compatibility algebra Theta(e) is a sum of traces, one per
+double coset, read off the coefficients of e (proved at `theta_dimension`),
+so no elimination runs over a cyclotomic field: all of it is over Q.  The
+dense forms, the round-based fixpoint loops and the `Fraction` closures
+remain as references in `tests/test_properties.py`; the induced ideals as
+subspaces of the full group algebra, with the axioms they satisfy there, and
+the rank form of Theta(e), in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -107,8 +113,8 @@ class LumpingProblem:
 
     # -- vectors over the subgroup algebra -------------------------------------
 
-    def from_H_vector(self, vec, scalar_field=RATIONALS) -> AlgebraElement:
-        out = AlgebraElement.zero(self.group, scalar_field)
+    def from_H_vector(self, vec) -> AlgebraElement:
+        out = AlgebraElement.zero(self.group)
         for pos, c in enumerate(vec):
             if c:
                 out.coeffs[self.subgroup.members[pos]] = c
@@ -378,7 +384,7 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     ideal = GurvitsLedouxIdeal(problem, M)
     violation = _first_cut_violation(problem, w, rows)
     if violation is not None:
-        ideal.cut_violation = problem.from_H_vector(M.rows[violation], M.field)
+        ideal.cut_violation = problem.from_H_vector(M.rows[violation])
     ideal.weakly_lumping = violation is None
     return ideal
 
@@ -468,7 +474,8 @@ def test_weak_distribution(problem: LumpingProblem, w: AlgebraElement, alpha: Al
 def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
     """Stable lumping for the ideal generated by the averaging element of T <= H.
 
-    Condition (a): the walk lumps exactly to left cosets of T.
+    Condition (a): the walk lumps exactly to left cosets of T, that is
+    eta_T w (1 - eta_T) = 0 (`test_exact` for the pair (G, T)).
     Condition (b): w(TgH) is proportional to double-coset size within each HgH.
     """
     H = problem.subgroup
@@ -476,10 +483,8 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
         raise DomainError("inner subgroup is not contained in the lumping subgroup")
     w = w.require_weight()
     G = problem.group
-    eta_T = eta(G, T)
     failed = []
-    etw = eta_T * w
-    if not (etw - etw * eta_T).is_zero():
+    if not test_exact(LumpingProblem(G, T), w)[0]:
         failed.append("not-exact-to-inner-cosets")
     th = double_cosets(G, T, problem.left)
     hh = problem.double
@@ -500,35 +505,60 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
 
 
 def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
-    """Dimension of {w : e w (1-e) = 0 and (e - eta_H) w eta_H = 0}, by exact rank.
+    """Dimension of Theta(e) = {w : e w (1-e) = 0 and (e - eta_H) w eta_H = 0}.
 
-    Returns (dimension, per_class) where per_class maps each double-coset id to
-    the number of independent constraints it contributes; the per-class
-    dimensions add up to the total.
+    Returns (dimension, per_class) where per_class lists, by double-coset id,
+    the number of independent constraints the class contributes; the
+    dimension is |G| minus their sum.  The count of the class HxH is a trace,
+    read off the coefficients of e without a product in the group algebra:
+      c(HxH) = sum over g in HxH and h in supp e with h' = g^-1 h^-1 g in H of
+               e(h) (delta_{h',1} - e(h') + 1/|H|),  minus 1.
+
+    Proof.  Write eta = eta_H, A(w) = e w (1-e) and B(w) = (e - eta) w eta.
+    As e lies in C[H], eta e = e eta = s eta for the coefficient sum s of e,
+    so eta e = eta (`require_E_bullet`) gives e eta = eta.  Hence 1 - e and
+    eta are orthogonal idempotents, and e - eta is idempotent.
+    (i) e and eta lie in C[H], so A and B map each C[HxH] into itself:
+    Theta(e) is the sum of its parts in the C[HxH], and the class counts the
+    rank of w -> (A(w), B(w)) on C[HxH].
+    (ii) A and B are idempotent maps with A B = B A = 0, as eta (1-e) = 0 and
+    (1-e) eta = 0.  So A + B is idempotent, and (A + B) w = 0 gives
+    A w = A (A + B) w = 0 and B w = 0: the rank of the pair is that of A + B,
+    which, being idempotent, is its trace.
+    (iii) In the basis of the elements g of HxH, the coefficient of g in
+    A(g) = e g - e g e is e(1) - sum_h e(h) e(h'), and in
+    B(g) = e g eta - eta g eta it is sum_h e(h)/|H| - |H n gHg^-1|/|H|^2,
+    with h running over the h in H whose h' lies in H.  As h' = 1 exactly
+    when h = 1, e(1) = sum_h e(h) delta_{h',1}, and the other terms summed
+    over the class give the double sum of c(HxH).  For g = a x b with a, b
+    in H, H n gHg^-1 = a (H n xHx^-1) a^-1, and |HxH| |H n xHx^-1| = |H|^2
+    (the counting identity checked by `double_cosets`): the last term sums
+    to the 1.
+    The count is a rank, so a trace that is not an integer is an error of the
+    program and raises `InvariantError`.
     """
     e = require_E_bullet(problem, e)
-    G = problem.group
-    f = e.field
-    one = AlgebraElement.one(G, f)
-    eta_H = problem.eta_H.to_field(f)
-    left1 = e
-    right1 = one - e
-    left2 = e - eta_H
-    right2 = eta_H
-    total_dim = 0
+    G, H = problem.group, problem.subgroup
+    field, coeffs = e.field, e.coeffs
+    inverses = [(G.inv(h), h) for h in e.support_ids()]
+    uniform = Fraction(1, H.order)
     per_class = []
-    for cid in range(problem.double.n_classes):
-        members = problem.double.classes[cid]
-        rank_space = Subspace(f, 2 * G.order)
+    for members in problem.double.classes:
+        hits = Counter()  # (h, h') -> the number of g in the class with g^-1 h^-1 g = h'
         for g in members:
-            basis_g = AlgebraElement.basis(G, g, f)
-            img1 = left1 * basis_g * right1
-            img2 = left2 * basis_g * right2
-            rank_space.insert(img1.coeffs + img2.coeffs)
-        constraints = rank_space.dim
-        per_class.append(constraints)
-        total_dim += len(members) - constraints
-    return total_dim, per_class
+            g_inv = G.inv(g)
+            for h_inv, h in inverses:
+                k = G.mul(g_inv, G.mul(h_inv, g))
+                if k in H:
+                    hits[h, k] += 1
+        trace = field.zero
+        for (h, k), n in hits.items():
+            trace = trace + n * coeffs[h] * (int(k == 0) - coeffs[k] + uniform)
+        count = trace - 1
+        if not field.is_rational_value(count) or field.rational_value(count).denominator != 1:
+            raise InvariantError(f"theta constraint count {count} is not an integer")
+        per_class.append(int(field.rational_value(count)))
+    return G.order - sum(per_class), per_class
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +596,8 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement):
     G = problem.group
     field = cyclotomic_field(m)
     exponents = [[chi[h] for h in H.members] for chi in chars]
+    # whether a pairing vanishes does not change when w is scaled: read w as integers
+    values = integer_row(w.coeffs)
     # per double coset HxH, the nonzero entries (i, j, w(h_i x h_j)) of its |H| x |H| table
     tables = []
     for x in problem.double.representatives:
@@ -573,7 +605,7 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement):
         for i, h in enumerate(H.members):
             hx = G.mul(h, x)
             for j, k in enumerate(H.members):
-                value = w.coeffs[G.mul(hx, k)]
+                value = values[G.mul(hx, k)]
                 if value:
                     table.append((i, j, value))
         tables.append(table)

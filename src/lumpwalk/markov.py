@@ -29,7 +29,7 @@ from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
 from .linalg import Subspace, closure, kernel_span, nullspace
-from .scalars import RATIONALS, parse_rational
+from .scalars import parse_rational
 
 STATE_CAP = 5_000
 
@@ -191,7 +191,7 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
     """Smallest subspace holding the lump projections of alpha and closed
     under v -> Pi_b(v P) for every lump b."""
     lumps = range(f.n_lumps)
-    seed = Subspace(RATIONALS, P.n, (f.project(alpha.probs, b) for b in lumps))
+    seed = Subspace(P.n, (f.project(alpha.probs, b) for b in lumps))
 
     def successors(v):
         vP = P.apply(v)
@@ -233,7 +233,7 @@ def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribut
     """Exact lumping via the per-lump dimension criterion dim(V Pi_b) <= 1."""
     V = minimal_GL_space(f, P, alpha)
     for b in range(f.n_lumps):
-        block = Subspace(RATIONALS, P.n)
+        block = Subspace(P.n)
         for v in V.rows:
             block.insert(f.project(v, b))
             if block.dim > 1:
@@ -335,7 +335,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace
         for b in lumps:
             yield f.project(a, b)
 
-    annihilator = closure(Subspace(RATIONALS, P.n, columns), successors)
+    annihilator = closure(Subspace(P.n, columns), successors)
     return nullspace(annihilator.rows, P.n)
 
 

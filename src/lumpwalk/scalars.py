@@ -3,7 +3,10 @@
 Rationals are plain ``fractions.Fraction``.  A cyclotomic scalar is a vector of
 rationals over the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced
 modulo the n-th cyclotomic polynomial, so equality of scalars is equality of
-coefficient vectors.  No floating point is used anywhere.
+coefficient vectors.  Cyclotomic scalars form a ring here: they add, subtract,
+multiply and conjugate, but do not divide, as no elimination runs over Q(zeta_n)
+(characters, idempotents and the traces of `theta-dim` need no division).  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -27,15 +30,6 @@ def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
 
 
 def _poly_div_exact(num, den):
@@ -147,18 +141,6 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.field._mul(self, self.field._invert(o))
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.field._mul(o, self.field._invert(self))
-
     def __eq__(self, other):
         if isinstance(other, Cyclo):
             return self.field.order == other.field.order and self.coeffs == other.coeffs
@@ -222,7 +204,6 @@ class CyclotomicField:
         minimal = cyclotomic_polynomial(order)
         if len(minimal) != self.phi + 1:
             raise InvariantError(f"cyclotomic polynomial of order {order} has the wrong degree")
-        self._minimal = [Fraction(c) for c in minimal]
         # power_table[k] = coefficients of z^k in the basis, 0 <= k <= max(n-1, 2*phi-2)
         top = max(order - 1, 2 * self.phi - 2)
         table = []
@@ -234,7 +215,7 @@ class CyclotomicField:
             if len(row) > self.phi:
                 lead = row.pop()
                 if lead:
-                    row = [c - lead * m for c, m in zip(row, self._minimal[:-1])]
+                    row = [c - lead * m for c, m in zip(row, minimal[:-1])]
             else:
                 row = row + [ZERO] * (self.phi - len(row))
             table.append(tuple(row))
@@ -309,55 +290,8 @@ class CyclotomicField:
                             out[k] += c * r
         return Cyclo(self, out)
 
-    def _invert(self, a: Cyclo) -> Cyclo:
-        if a.is_zero():
-            raise ZeroDivisionError("division by zero cyclotomic scalar")
-        # extended Euclid in Q[x] against the minimal polynomial
-        r0, r1 = list(self._minimal), _poly_trim([Fraction(c) for c in a.coeffs])
-        s0, s1 = [], [ONE]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise InvariantError("minimal polynomial not coprime to element")
-        inv_lead = ONE / r1[0]
-        coeffs = [c * inv_lead for c in s1]
-        # reduce mod minimal (degree can be phi-1 at most already, but be safe)
-        out = [ZERO] * self.phi
-        for k, c in enumerate(coeffs):
-            if c:
-                row = self._power_table[k]
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return Cyclo(self, out)
-
     def __repr__(self):
         return f"CyclotomicField({self.order})"
-
-
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    if len(num) < len(den):
-        return [], _poly_trim(num)
-    out = [ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        q = num[len(den) - 1 + k] / lead
-        out[k] = q
-        if q:
-            for j, b in enumerate(den):
-                num[j + k] -= q * b
-    return _poly_trim(out), _poly_trim(num)
-
-
-def _frac_poly_sub(p, q):
-    out = [ZERO] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _poly_trim(out)
 
 
 RATIONALS = RationalField()

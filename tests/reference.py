@@ -5,7 +5,8 @@ held by its cut to the subgroup algebra.  These are the forms over the whole
 group algebra C[G] that the tests compare against: left-ideal closures,
 right multiplication of a subspace, induced-ideal recognition, the induced
 ideal itself with its defining axioms, the conjugate-linear inner product,
-and the kernel of a lumping map.
+the kernel of a lumping map, and the dimension of the compatibility algebra
+Theta(e) by ranks, over Q(zeta_n) through the rotations of each row.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -96,9 +97,9 @@ def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:
     G = w.group
     if V.ambient != G.order:
         raise DomainError("subspace is not in this group algebra")
-    out = Subspace(V.field, V.ambient)
+    out = Subspace(V.ambient)
     for row in V.rows:
-        out.insert((AlgebraElement(G, row, V.field) * w).coeffs)
+        out.insert((AlgebraElement(G, row) * w).coeffs)
     return out
 
 
@@ -110,15 +111,14 @@ def left_ideal_closure(V: Subspace, group: FiniteGroup) -> Subspace:
     """
     elements = range(group.order)
     perms = [tuple(group.mul(g, x) for x in elements) for g in group.generators]
-    zero = V.field.zero
-    return closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
+    return closure(V, lambda v: (permuted(v, perm, RATIONALS.zero) for perm in perms))
 
 
 def is_left_ideal(V: Subspace, group: FiniteGroup) -> bool:
     for row in V.rows:
-        elem = AlgebraElement(group, row, V.field)
+        elem = AlgebraElement(group, row)
         for g in group.generators:
-            if not V.contains((AlgebraElement.basis(group, g, V.field) * elem).coeffs):
+            if not V.contains((AlgebraElement.basis(group, g) * elem).coeffs):
                 return False
     return True
 
@@ -127,10 +127,9 @@ def is_induced(V: Subspace, decomposition: CosetDecomposition, group: FiniteGrou
     """True iff V is a left ideal equal to the direct sum of its coset projections."""
     if not is_left_ideal(V, group):
         return False
-    zero = V.field.zero
     for row in V.rows:
         for cid in range(decomposition.n_cosets):
-            projection = [c if decomposition.coset_of[i] == cid else zero
+            projection = [c if decomposition.coset_of[i] == cid else RATIONALS.zero
                           for i, c in enumerate(row)]
             if not V.contains(projection):
                 return False
@@ -139,11 +138,11 @@ def is_induced(V: Subspace, decomposition: CosetDecomposition, group: FiniteGrou
 
 def induce_full(problem, pi_H: Subspace) -> Subspace:
     """Materialize the induced ideal as a subspace of the full group algebra."""
-    out = Subspace(pi_H.field, problem.group.order)
+    out = Subspace(problem.group.order)
     for rep in problem.left.representatives:
-        translate = AlgebraElement.basis(problem.group, rep, pi_H.field)
+        translate = AlgebraElement.basis(problem.group, rep)
         for row in pi_H.rows:
-            out.insert((translate * problem.from_H_vector(row, pi_H.field)).coeffs)
+            out.insert((translate * problem.from_H_vector(row)).coeffs)
     return out
 
 
@@ -157,12 +156,12 @@ def verify_axioms(ideal, w: AlgebraElement) -> dict:
     problem = ideal.problem
     full = full_subspace(ideal)
     moved = right_multiply_space(full, w.require_weight())
-    one = AlgebraElement.one(problem.group, full.field)
-    cut = right_multiply_space(full, one - problem.eta_H.to_field(full.field))
+    one = AlgebraElement.one(problem.group)
+    cut = right_multiply_space(full, one - problem.eta_H)
     cut_moved = right_multiply_space(cut, w)
     eta_G = eta(problem.group, range(problem.group.order))
     return {
-        "contains_uniform": full.contains(eta_G.to_field(full.field).coeffs),
+        "contains_uniform": full.contains(eta_G.coeffs),
         "stable_under_weight": all(full.contains(r) for r in moved.rows),
         "induced": is_induced(full, problem.left, problem.group),
         "cut_stable": all(cut.contains(r) for r in cut_moved.rows),
@@ -178,13 +177,55 @@ def inner_product(a: AlgebraElement, b: AlgebraElement):
         d = y.coeffs[i]
         if d:
             total = total + conj(c) * d
-    return total / Fraction(a.group.order)
+    return total * Fraction(1, a.group.order)
+
+
+def field_rank(rows, field) -> int:
+    """The rank over a scalar field of rows of its scalars, by an elimination
+    over Q alone.
+
+    Over Q(zeta_n) each row v is written in the rational coordinates of the
+    power basis together with its rotations zeta^j v, j < phi(n).  The Q-span
+    of the rotations of the rows is the Q(zeta_n)-span of the rows, whose
+    dimension over Q is phi(n) times its dimension over Q(zeta_n).
+    """
+    if field.kind == "rational":
+        return Subspace(len(rows[0]), rows).dim
+    rotations = [field.zeta(j) for j in range(field.phi)]
+    space = Subspace(len(rows[0]) * field.phi)
+    for row in rows:
+        for z in rotations:
+            space.insert([q for c in row for q in (z * c).coeffs])
+    assert space.dim % field.phi == 0, "the rotation rank is a multiple of phi"
+    return space.dim // field.phi
+
+
+def theta_rows(problem, e, members) -> list[list]:
+    """The constraint rows (e g (1-e) | (e - eta_H) g eta_H) of the group
+    elements g given, by dense products over the field of e."""
+    G, f = problem.group, e.field
+    one = AlgebraElement.one(G, f)
+    eta_H = problem.eta_H.to_field(f)
+    rows = []
+    for g in members:
+        basis_g = AlgebraElement.basis(G, g, f)
+        rows.append((e * basis_g * (one - e)).coeffs + ((e - eta_H) * basis_g * eta_H).coeffs)
+    return rows
+
+
+def theta_dimension_by_rank(problem, e) -> tuple[int, list[int]]:
+    """Reference for `theta_dimension`: per double coset, the rank of the
+    constraint rows of its elements (`field_rank`); the dimension is |G|
+    minus their sum."""
+    per_class = [field_rank(theta_rows(problem, e, members), e.field)
+                 for members in problem.double.classes]
+    return problem.group.order - sum(per_class), per_class
 
 
 def kernel_F(f) -> Subspace:
     """ker F of a `LumpingFunction`, spanned by within-lump differences of basis vectors."""
     n = len(f.lump_of)
-    out = Subspace(RATIONALS, n)
+    out = Subspace(n)
     for block in f.lumps():
         base = block[0]
         for other in block[1:]:

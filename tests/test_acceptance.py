@@ -38,7 +38,6 @@ from lumpwalk import test_weak_distribution as weak_dist_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.algebra import character_idempotent
-from lumpwalk.scalars import RATIONALS
 from lumpwalk.shuffles import (
     bottom_card_cycle,
     random_to_top,
@@ -68,7 +67,7 @@ def criterion(number, description):
 
 
 def ideal_of(G, elem):
-    return left_ideal_closure(Subspace(RATIONALS, G.order, [elem.coeffs]), G)
+    return left_ideal_closure(Subspace(G.order, [elem.coeffs]), G)
 
 
 def test_criterion_01_double_cosets(sym4, top_prob):

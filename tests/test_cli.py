@@ -31,6 +31,8 @@ IDEMPOTENT = "1/2 id\n1/2 (2,3)\n"
 NONWEAK = "1/2 (1,2)\n1/2 (1,2,3,4)\n"
 TOP_TO_RANDOM = "1/4 id\n1/4 (1,2)\n1/4 (1,3,2)\n1/4 (1,4,3,2)\n"
 DIE = "1/4 (3,4)\n1/6 (2,4,3)\n1/6 (1,2)\n1/12 (1,3,4)\n1/4 (1,4,2)\n1/12 (1,4,2,3)\n"
+# the witness idempotent e_P of `abelian-test` on the die, in its cyclotomic file form
+E_P = "scalar cyclotomic 4\n3/4 id\n1/4 (1,2,3,4)\n-1/4 (1,3)(2,4)\n1/4 (1,4,3,2)\n"
 DIE_STAR = "1/4 (3,4)\n1/6 (2,3,4)\n1/6 (1,2)\n1/4 (1,2,4)\n1/12 (1,3,2,4)\n1/12 (1,4,3)\n"
 TRANSPOSITIONS = "".join(f"1/6 ({i},{j})\n" for i in range(1, 5) for j in range(i + 1, 5))
 DIHEDRAL = "degree 5\ngen (1,2,3,4,5)\ngen (2,5)(3,4)\n"
@@ -64,7 +66,7 @@ def write_files(tmp_path):
         ("inner", INNER), ("weight", WEIGHT), ("dist_id", DIST_ID),
         ("dist_eta_t", DIST_ETA_T), ("idempotent", IDEMPOTENT), ("nonweak", NONWEAK),
         ("top_to_random", TOP_TO_RANDOM),
-        ("die", DIE), ("die_star", DIE_STAR), ("transpositions", TRANSPOSITIONS),
+        ("die", DIE), ("e_p", E_P), ("die_star", DIE_STAR), ("transpositions", TRANSPOSITIONS),
         ("dihedral", DIHEDRAL), ("reflection", REFLECTION),
         ("dihedral_weight", DIHEDRAL_WEIGHT), ("dihedral_rotations", DIHEDRAL_ROTATIONS),
         ("sym5", SYM5), ("top5", TOP5), ("bottom5", BOTTOM5), ("bottom5_star", BOTTOM5_STAR),
@@ -490,7 +492,9 @@ def cli_golden_cases(files):
 
     On the S4 top-card problem with the frustrator: `stable-check` with a
     stable idempotent and with one that fails each condition and both,
-    `interpolate` passing and failing each condition and both.
+    `interpolate` passing and failing each condition and both.  On the die
+    S4/C4: `theta-dim` with the witness idempotent e_P of `abelian-test`, read
+    from a cyclotomic file.
     """
     top = common(files)
     weight = common(files, "--weight", files["weight"])
@@ -501,6 +505,8 @@ def cli_golden_cases(files):
         "double-cosets-inner": ["double-cosets", *top, "--inner-subgroup", files["inner"]],
         "dual": ["dual", *top, "--idempotent", files["idempotent"]],
         "theta-dim": ["theta-dim", *top, "--idempotent", files["idempotent"]],
+        "theta-dim-cyclotomic": ["theta-dim", "--group", files["group"], "--subgroup",
+                                 files["cyclic"], "--idempotent", files["e_p"]],
         "conditional-ids": ["conditional", *weight, "--dist", files["dist_eta_t"], "--obs", "0,0,1"],
         "conditional-representatives": ["conditional", *weight, "--dist", files["dist_id"],
                                         "--obs", "id;(1,2,3,4)"],
@@ -605,6 +611,8 @@ def test_reports_do_not_depend_on_asserts(files, tmp_path, capsys):
         ["test", "exact", *common(files, "--weight", files["weight"])],
         ["lumped-q", *common(files, "--weight", files["weight"])],
         ["orbital", *common(files)],
+        ["theta-dim", "--group", files["group"], "--subgroup", files["cyclic"],
+         "--idempotent", files["e_p"]],
         ["test", "weak", *common(files, "--weight", files["weight"])],
         ["test", "weak", *common(files, "--weight", files["nonweak"])],
         ["jw", *common(files, "--weight", files["weight"])],
@@ -834,24 +842,13 @@ def test_simulate_trajectory_export(files, tmp_path):
 
 def test_cut_strings_match_widened_elements(top_prob, die_prob, frustrator, die_weight):
     """A cut basis formatted from its |H| positions reads as each row widened
-    to an element of the whole group algebra and formatted there, rational
-    and cyclotomic."""
-    from lumpwalk import (GurvitsLedouxIdeal, Subspace, abelian_characters, cli, compute_Jw,
-                          compute_Lw)
-    from lumpwalk.algebra import character_idempotent
+    to an element of the whole group algebra and formatted there."""
+    from lumpwalk import cli, compute_Jw, compute_Lw
 
     def widened(ideal):
-        field = ideal.pi_H.field
-        return cli._element_strings(
-            [ideal.problem.from_H_vector(row, field) for row in ideal.pi_H.rows])
+        return cli._element_strings([ideal.problem.from_H_vector(row) for row in ideal.pi_H.rows])
 
     ideals = [compute(problem, w) for problem, w in ((top_prob, frustrator), (die_prob, die_weight))
               for compute in (compute_Lw, compute_Jw)]
-    H = die_prob.subgroup
-    m, chars = abelian_characters(H)
-    idempotent = character_idempotent(H, chars[1], m)
-    cyclotomic = Subspace(idempotent.field, H.order, [[idempotent.coeffs[h] for h in H.members]])
-    ideals.append(GurvitsLedouxIdeal(die_prob, cyclotomic))
     for ideal in ideals:
         assert cli._cut_strings(ideal) == widened(ideal)
-    assert cli._cut_strings(ideals[-1])[0].startswith("scalar cyclotomic 4; ")

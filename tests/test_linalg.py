@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lumpwalk import AlgebraElement, Subspace, eta, intersect
 from lumpwalk.linalg import IntegerRows, integer_row, kernel_coefficients, kernel_span, nullspace
-from lumpwalk.scalars import RATIONALS
 from tests.reference import is_induced, is_left_ideal, left_ideal_closure, right_multiply_space
 
 
@@ -123,7 +122,7 @@ def sparse_matrices(draw):
 def test_sparse_elimination_matches_dense_reference(matrix, probe):
     width, rows = matrix
     probe = probe[:width]
-    fast, dense = Subspace(RATIONALS, width), DenseSubspace(width)
+    fast, dense = Subspace(width), DenseSubspace(width)
     for row in rows:
         assert fast.insert(row) == dense.insert(row)
         assert (fast.rows, fast.pivots) == (dense.rows, dense.pivots)
@@ -174,7 +173,7 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
     and after `to_subspace` the same rows, pivots and supports."""
     width, rows, order = matrix
     probe = probe[:width]
-    fast, ref, dense = IntegerRows(width), Subspace(RATIONALS, width), DenseSubspace(width)
+    fast, ref, dense = IntegerRows(width), Subspace(width), DenseSubspace(width)
     for i in order:
         row = rows[i]
         grew = fast.insert(integer_row(row))
@@ -201,9 +200,9 @@ def test_int_vectors_never_give_float_rows(rows):
     """`Subspace.insert` divides by the pivot in the field, so `int` vectors
     give no `float` entry, and the rows, pivots and supports of the same
     vectors as `Fraction`s."""
-    fast = Subspace(RATIONALS, 4, rows)
+    fast = Subspace(4, rows)
     assert not any(isinstance(c, float) for row in fast.rows for c in row)
-    exact = Subspace(RATIONALS, 4, [[Fraction(c) for c in row] for row in rows])
+    exact = Subspace(4, [[Fraction(c) for c in row] for row in rows])
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support)
 
 
@@ -217,7 +216,7 @@ def test_canonical_echelon():
     rng = random.Random(1)
     for _ in range(5):
         vectors = [rand_vec(rng, 6) for _ in range(3)]
-        U = Subspace(RATIONALS, 6, vectors)
+        U = Subspace(6, vectors)
         # a different generating set of the same space gives identical rows
         mixed = [
             [a + b for a, b in zip(vectors[0], vectors[1])],
@@ -225,16 +224,16 @@ def test_canonical_echelon():
             vectors[2],
             [3 * a for a in vectors[0]],
         ]
-        V = Subspace(RATIONALS, 6, mixed)
+        V = Subspace(6, mixed)
         assert U == V
 
 
 def test_grassmann_identity():
     rng = random.Random(2)
     for _ in range(6):
-        U = Subspace(RATIONALS, 8, [rand_vec(rng, 8) for _ in range(3)])
-        V = Subspace(RATIONALS, 8, [rand_vec(rng, 8) for _ in range(3)])
-        s = Subspace(RATIONALS, 8, U.rows + V.rows)
+        U = Subspace(8, [rand_vec(rng, 8) for _ in range(3)])
+        V = Subspace(8, [rand_vec(rng, 8) for _ in range(3)])
+        s = Subspace(8, U.rows + V.rows)
         meet = intersect(U, V)
         assert s.dim + meet.dim == U.dim + V.dim
         assert all(U.contains(r) and V.contains(r) for r in meet.rows)
@@ -259,12 +258,12 @@ def test_nullspace_and_kernel():
 
 def test_ideal_closures(sym4, top_prob, mid_swap_T):
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(24, [eta_T.coeffs]), sym4)
     assert ideal_T.dim == 12  # induced from a one-dimensional module: dim = index
     eta_G = eta(sym4, range(24))
-    assert left_ideal_closure(Subspace(RATIONALS, 24, [eta_G.coeffs]), sym4).dim == 1
+    assert left_ideal_closure(Subspace(24, [eta_G.coeffs]), sym4).dim == 1
     one = AlgebraElement.one(sym4)
-    assert left_ideal_closure(Subspace(RATIONALS, 24, [one.coeffs]), sym4).dim == 24
+    assert left_ideal_closure(Subspace(24, [one.coeffs]), sym4).dim == 24
     assert ideal_T.contains(eta_G.coeffs)
     assert is_left_ideal(ideal_T, sym4)
 
@@ -272,15 +271,15 @@ def test_ideal_closures(sym4, top_prob, mid_swap_T):
 def test_closure_by_generators_matches_brute_force(sym4):
     rng = random.Random(9)
     seed = AlgebraElement(sym4, rand_vec(rng, 24, 0, 2))
-    fast = left_ideal_closure(Subspace(RATIONALS, 24, [seed.coeffs]), sym4)
-    brute = Subspace(RATIONALS, 24,
+    fast = left_ideal_closure(Subspace(24, [seed.coeffs]), sym4)
+    brute = Subspace(24,
                      [(AlgebraElement.basis(sym4, g) * seed).coeffs for g in range(24)])
     assert fast == brute
 
 
 def test_right_multiply_space(sym4, top_prob, mid_swap_T, frustrator):
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(24, [eta_T.coeffs]), sym4)
     moved = right_multiply_space(ideal_T, frustrator)
     assert all(ideal_T.contains(r) for r in moved.rows)
     one = AlgebraElement.one(sym4)
@@ -290,17 +289,17 @@ def test_right_multiply_space(sym4, top_prob, mid_swap_T, frustrator):
 
 def test_project_and_induced(sym4, top_prob, mid_swap_T):
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(24, [eta_T.coeffs]), sym4)
     assert is_induced(ideal_T, top_prob.left, sym4)
     # ker of the coset-summing map decomposes over cosets
     one = AlgebraElement.one(sym4)
     ker = right_multiply_space(
-        left_ideal_closure(Subspace(RATIONALS, 24, [one.coeffs]), sym4),
+        left_ideal_closure(Subspace(24, [one.coeffs]), sym4),
         one - top_prob.eta_H,
     )
     assert ker.dim == 24 - 4
     assert is_induced(ker, top_prob.left, sym4)
-    assert is_induced(Subspace(RATIONALS, 24), top_prob.left, sym4)  # {0}
+    assert is_induced(Subspace(24), top_prob.left, sym4)  # {0}
     # a non-ideal subspace is not induced
     w = AlgebraElement.basis(sym4, sym4.element_of("(1,2)"))
-    assert not is_induced(Subspace(RATIONALS, 24, [w.coeffs]), top_prob.left, sym4)
+    assert not is_induced(Subspace(24, [w.coeffs]), top_prob.left, sym4)

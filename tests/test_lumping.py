@@ -32,15 +32,16 @@ from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk import lumping
 from lumpwalk.algebra import character_idempotent
 from lumpwalk.errors import DomainError, InvariantError
-from lumpwalk.scalars import RATIONALS
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer, top_to_random
 from tests.conftest import lazy_frustrator, uniform_on
-from tests.reference import full_subspace, left_ideal_closure, verify_axioms
+from tests.oracle_suite import build_pool, random_subgroup_of
+from tests.reference import (field_rank, full_subspace, left_ideal_closure, theta_dimension_by_rank,
+                             theta_rows, verify_axioms)
 from tests.test_properties import conjugate_index
 
 
 def ideal_of(G, elem):
-    return left_ideal_closure(Subspace(RATIONALS, G.order, [elem.coeffs]), G)
+    return left_ideal_closure(Subspace(G.order, [elem.coeffs]), G)
 
 
 def dist(elem):
@@ -322,18 +323,69 @@ def test_theta_dimensions(sym4, top_prob, die_prob):
 
 
 def _theta_dimension_global(problem, e):
-    """Independent oracle: one rank over the whole group algebra, no class split."""
+    """Independent oracle: one rank over the whole group algebra, no class
+    split, over Q(zeta_n) through the rotations of each row."""
     G = problem.group
-    f = e.field
-    one = AlgebraElement.one(G, f)
-    eta_H = problem.eta_H.to_field(f)
-    space = Subspace(f, 2 * G.order)
-    for g in range(G.order):
-        basis_g = AlgebraElement.basis(G, g, f)
-        img1 = e * basis_g * (one - e)
-        img2 = (e - eta_H) * basis_g * eta_H
-        space.insert(img1.coeffs + img2.coeffs)
-    return G.order - space.dim
+    return G.order - field_rank(theta_rows(problem, e, range(G.order)), e.field)
+
+
+def _theta_idempotents(rng, problem):
+    """Idempotents of E_bullet for the differential tests: 1, eta_H, eta_T for
+    two random subgroups T of H, and sums of character idempotents of
+    T = <t> for t of the largest order in H: the averaging one plus the first
+    other one (not real once the order is above 2), and plus a random set of
+    the others."""
+    G, H = problem.group, problem.subgroup
+    out = [AlgebraElement.one(G), problem.eta_H]
+    out += [eta(G, random_subgroup_of(rng, H)) for _ in range(2)]
+    T = max((G.subgroup([t]) for t in H.members), key=lambda T: T.order)
+    m, chars = abelian_characters(T)
+    idems = [character_idempotent(T, chi, m) for chi in chars]
+    if len(idems) > 1:
+        out.append(idems[0] + idems[1])
+    e = idems[0]
+    for b in rng.sample(range(1, len(chars)), rng.randint(0, len(chars) - 1)):
+        e = e + idems[b]
+    out.append(e)
+    return out
+
+
+def test_theta_dimension_matches_rotation_rank():
+    """The trace count of `theta_dimension` equals, per double coset, the rank
+    of the dense constraint rows, over Q(zeta_n) through their rotations, on
+    every pool pair up to order 30, with rational and cyclotomic idempotents,
+    and on S5 over its top-card stabiliser once."""
+    rng = random.Random(29)
+    cyclotomic = 0
+    for label, G, hgens in build_pool():
+        if G.order > 30:
+            continue
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for e in _theta_idempotents(rng, problem):
+            assert theta_dimension(problem, e) == theta_dimension_by_rank(problem, e), label
+            cyclotomic += not all(e.field.is_rational_value(c) for c in e.coeffs)
+    assert cyclotomic > 0
+    S5 = symmetric_group(5)
+    problem = LumpingProblem(S5, top_stabilizer(S5))
+    e = eta(S5, S5.subgroup([parse_cycles(5, "(2,3)")]))
+    assert theta_dimension(problem, e) == theta_dimension_by_rank(problem, e) == (91, [5, 24])
+
+
+def test_theta_dimension_s6():
+    """S6 over its top-card stabiliser with e = eta of <(2,3)>: 549, per class [27, 144]."""
+    S6 = symmetric_group(6)
+    problem = LumpingProblem(S6, top_stabilizer(S6))
+    e = eta(S6, S6.subgroup([parse_cycles(6, "(2,3)")]))
+    assert theta_dimension(problem, e) == (549, [27, 144])
+
+
+def test_theta_count_that_is_not_an_integer_raises(monkeypatch, top_prob):
+    """A constraint count is a rank; an element let past the idempotent check
+    that gives a fractional trace is an invariant error, not a dimension."""
+    third = AlgebraElement.from_pairs(top_prob.group, [(0, Fraction(1, 3))])
+    monkeypatch.setattr(lumping, "require_E_bullet", lambda problem, e: e)
+    with pytest.raises(InvariantError, match="not an integer"):
+        theta_dimension(top_prob, third)
 
 
 def test_theta_multiplicative_closure(sym4, top_prob, mid_swap_T):

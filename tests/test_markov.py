@@ -34,7 +34,6 @@ from lumpwalk.markov import (
     parse_lump_file,
     parse_matrix_file,
 )
-from lumpwalk.scalars import RATIONALS
 from lumpwalk.shuffles import random_to_top, top_to_random
 from tests.conftest import uniform_on
 from tests.reference import left_ideal_closure
@@ -134,7 +133,7 @@ def test_minimal_space_walk_closure(sym4, top_prob, frustrator):
     gl = minimal_GL_space(f, P, Distribution.uniform(24))
     closure = left_ideal_closure(gl, sym4)
     eta_T = eta(sym4, sym4.subgroup([sym4.elements[sym4.element_of("(2,3)")]]))
-    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(24, [eta_T.coeffs]), sym4)
     assert closure == ideal_T
 
 
@@ -245,7 +244,7 @@ def test_vmax(sym4, top_prob, frustrator, mid_swap_T):
     Q = walk_lumped_matrix(top_prob, frustrator)
     vmax = compute_Vmax_generic(f, P, Q)
     eta_T = eta(sym4, mid_swap_T)
-    ideal_T = left_ideal_closure(Subspace(RATIONALS, 24, [eta_T.coeffs]), sym4)
+    ideal_T = left_ideal_closure(Subspace(24, [eta_T.coeffs]), sym4)
     assert left_ideal_closure(vmax, sym4) == ideal_T
     assert vmax.dim == 12
     strong = eta_T * frustrator

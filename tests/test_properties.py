@@ -17,6 +17,7 @@ from lumpwalk import (
     coset_sums,
     eta,
     hecke_project,
+    interpolation_test,
     lumping_function,
     minimal_GL_space,
     orbital_matrices,
@@ -46,7 +47,14 @@ from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
 from tests.conftest import lazy_frustrator
-from tests.oracle_suite import WEIGHT_KINDS, build_pool, run_suite, sample_weight, theta_basis
+from tests.oracle_suite import (
+    WEIGHT_KINDS,
+    build_pool,
+    random_subgroup_of,
+    run_suite,
+    sample_weight,
+    theta_basis,
+)
 from tests.reference import (
     full_subspace,
     inner_product,
@@ -137,7 +145,7 @@ def round_based_closure(V, perms):
     translates every row by every perm, until a round adds nothing.
     """
     out = V.copy()
-    zero = out.field.zero
+    zero = RATIONALS.zero
     changed = True
     while changed:
         changed = False
@@ -175,7 +183,7 @@ def averaging_kernel(problem):
     """The kernel {v : sum v = 0} of averaging on the subgroup algebra, in its
     canonical basis e_j - e_{|H|-1} for j < |H| - 1."""
     n = problem.subgroup.order
-    cut = Subspace(RATIONALS, n)
+    cut = Subspace(n)
     for j in range(n - 1):
         vec = [RATIONALS.zero] * n
         vec[j], vec[n - 1] = RATIONALS.one, -RATIONALS.one
@@ -220,7 +228,9 @@ def narrowed_maximal_cut(problem, w):
 def test_closed_forms_match_dense_references_on_pool():
     """The closed forms of the weak and verdict paths against the dense products they replace."""
     rng = random.Random(4242)
+    inner_rng = random.Random(4243)  # the inner subgroups T, apart from the weights
     anti_order_fails = []
+    inexact_to_inner = 0
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         eta_H = problem.eta_H
@@ -237,6 +247,14 @@ def test_closed_forms_match_dense_references_on_pool():
             assert strong_test(problem, w)[0] == left.is_zero(), (label, kind)
             assert exact_test(problem, w)[0] == right.is_zero(), (label, kind)
             assert walk_lumped_matrix(problem, w) == dense_lumped_matrix(problem, w), (label, kind)
+            # interpolation condition (a): eta_T w - eta_T w eta_T == 0
+            T = random_subgroup_of(inner_rng, problem.subgroup)
+            eta_T = eta(G, T)
+            etw = eta_T * w
+            inexact = not (etw - etw * eta_T).is_zero()
+            failed = interpolation_test(problem, T, w)[1]
+            assert ("not-exact-to-inner-cosets" in failed) == inexact, (label, kind)
+            inexact_to_inner += inexact
             sandwiched = eta_H * w * eta_H
             class_values = hecke_project(problem, w).class_values
             assert all(sandwiched.coeffs[g] == value
@@ -244,12 +262,13 @@ def test_closed_forms_match_dense_references_on_pool():
                        for g in members), (label, kind)
         n = problem.subgroup.order
         h_minus_eta = [[(k == pos) - Fraction(1, n) for k in range(n)] for pos in range(n)]
-        assert averaging_kernel(problem) == Subspace(RATIONALS, n, h_minus_eta), label
+        assert averaging_kernel(problem) == Subspace(n, h_minus_eta), label
         assert verify_hecke_isomorphism(problem) is dense_hecke_check(problem) is True, label
         if not dense_hecke_check(problem, anti=True):
             anti_order_fails.append(label)
     # the pool holds non-commutative Hecke algebras, where the order matters
     assert anti_order_fails == ["S4/V4", "S4/<(3,4)>"]
+    assert inexact_to_inner > 0
 
 
 def test_weak_path_tables_match_dense_products_on_pool():
@@ -266,7 +285,7 @@ def test_weak_path_tables_match_dense_products_on_pool():
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         n = problem.subgroup.order
-        units = Subspace(RATIONALS, n, [[Fraction(k == j) for k in range(n)] for j in range(n)])
+        units = Subspace(n, [[Fraction(k == j) for k in range(n)] for j in range(n)])
         for kind in WEIGHT_KINDS:
             if G.order > 30 and kind == "theta":
                 continue  # the nullspace construction is for small orders
@@ -334,7 +353,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     """L_w, L_alpha and (for a weak w) J_w against the references; returns the verdict."""
     G, n = problem.group, problem.subgroup.order
     action = problem.weight_action(w)
-    eta_seed = Subspace(RATIONALS, n, [[Fraction(1, n)] * n])
+    eta_seed = Subspace(n, [[Fraction(1, n)] * n])
     lw = compute_Lw(problem, w)
     assert lw.pi_H == grown_minimal_ideal(problem, action, eta_seed), label
     points = rng.sample(range(G.order), min(2, G.order))
@@ -381,7 +400,7 @@ def test_weak_fixpoints_match_round_based_references_on_pool():
                                                 for _ in range(3)]) for _ in range(2)]
         # x eta_H generates an ideal of dimension at most [G:H]; a sparse
         # element alone is kept to the small groups, where its ideal is cheap
-        seed = Subspace(RATIONALS, G.order, [(sparse[0] * problem.eta_H).coeffs])
+        seed = Subspace(G.order, [(sparse[0] * problem.eta_H).coeffs])
         if G.order <= 30:
             seed.insert(sparse[1].coeffs)
         assert left_ideal_closure(seed, G) == round_based_closure(seed, group_perms), label
@@ -408,7 +427,7 @@ def test_worklist_closure_matches_round_based_loop(data):
     perms = data.draw(st.lists(st.permutations(range(n)), max_size=3))
     vectors = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                                  max_size=3))
-    V = Subspace(RATIONALS, n, [[Fraction(c) for c in v] for v in vectors])
+    V = Subspace(n, [[Fraction(c) for c in v] for v in vectors])
     zero = RATIONALS.zero
     grown = closure(V, lambda v: (permuted(v, perm, zero) for perm in perms))
     assert grown == round_based_closure(V, perms)
@@ -455,7 +474,7 @@ def exact_annihilator(problem, action):
                     out[cid][p] += value * a[pos]
         return out
 
-    ones = Subspace(RATIONALS, n, [[RATIONALS.one] * n])
+    ones = Subspace(n, [[RATIONALS.one] * n])
     return closure(ones, transposed_times_weight)
 
 
@@ -482,7 +501,7 @@ def check_H_ideal(problem, w, rng, label):
     full = 0
     for seeds in ([[Fraction(1, n)] * n], [[1] * n] + problem.coset_components(alpha)):
         fast = problem.close_H_ideal(seeds, action).to_subspace()
-        echelon = Subspace(RATIONALS, n, [[Fraction(c) for c in v] for v in seeds])
+        echelon = Subspace(n, [[Fraction(c) for c in v] for v in seeds])
         exact = exact_H_ideal(problem, echelon, action)
         assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
         full += exact.dim == n
@@ -547,8 +566,8 @@ def test_maximal_cut_annihilator_is_left_H_ideal():
 def insert_nullspace(rows, ambient):
     """Reference: the nullspace by forward echelon form, each solution inserted."""
     field = RATIONALS
-    constraints = Subspace(field, ambient, rows)
-    out = Subspace(field, ambient)
+    constraints = Subspace(ambient, rows)
+    out = Subspace(ambient)
     pivset = set(constraints.pivots)
     for free in range(ambient):
         if free in pivset:
@@ -597,7 +616,7 @@ def test_nullspace_matches_insert_reference(case):
 
 def round_based_GL_space(f, P, alpha):
     """Reference: the minimal stable space of alpha grown round by round."""
-    V = Subspace(RATIONALS, P.n)
+    V = Subspace(P.n)
     frontier = []
     for b in range(f.n_lumps):
         proj = f.project(alpha.probs, b)
@@ -634,7 +653,7 @@ def block_narrowed_Vmax(f, P, Q):
             images.append([image[j] - Fraction(Q[b][j]) for j in range(m)])
         blocks.append(kernel_span(images, basis_rows, n))
     while True:
-        V = Subspace(RATIONALS, n, [r for blk in blocks for r in blk.rows])
+        V = Subspace(n, [r for blk in blocks for r in blk.rows])
         if all(V.contains(P.apply(v)) for v in V.rows):
             return V
         blocks = [kernel_span([V.reduce(P.apply(v)) for v in blk.rows], blk.rows, n)
@@ -811,7 +830,7 @@ def test_abelian_closure_matches_subset_search_on_pool():
 def test_kernel_of_coset_summing_has_expected_dimension(sym4, top_prob, die_prob):
     one = AlgebraElement.one(sym4)
     for prob in (top_prob, die_prob):
-        full = left_ideal_closure(Subspace(RATIONALS, 24, [one.coeffs]), sym4)
+        full = left_ideal_closure(Subspace(24, [one.coeffs]), sym4)
         ker = right_multiply_space(full, one - prob.eta_H)
         assert ker.dim == 24 - prob.index
 
