@@ -257,10 +257,10 @@ class Subgroup:
     parent: FiniteGroup
     members: tuple[int, ...]
     generators: tuple[int, ...]
-    _pos: dict = field(default_factory=dict, repr=False, compare=False)
+    _member_set: set = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
-        self._pos.update({m: k for k, m in enumerate(self.members)})
+        self._member_set.update(self.members)
 
     @property
     def order(self) -> int:
@@ -271,11 +271,7 @@ class Subgroup:
         return self.parent.order // self.order
 
     def __contains__(self, element_id: int) -> bool:
-        return element_id in self._pos
-
-    def position(self, element_id: int) -> int:
-        """Position of a member in the sorted member list."""
-        return self._pos[element_id]
+        return element_id in self._member_set
 
     def is_abelian(self) -> bool:
         mul = self.parent.mul
@@ -305,11 +301,19 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CosetDecomposition:
+    """The cosets of a subgroup on one side, each represented by its least id.
+
+    ``position[x]`` is the position in the subgroup's member list of the h
+    with x = r h on the left side and x = h r on the right, for r the
+    representative of the coset of x.
+    """
+
     side: str  # "left" (gH) or "right" (Hg)
     subgroup: Subgroup
     coset_of: tuple[int, ...]
     representatives: tuple[int, ...]
     cosets: tuple[tuple[int, ...], ...]
+    position: tuple[int, ...]
 
     @property
     def n_cosets(self) -> int:
@@ -323,7 +327,7 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
         raise DomainError("subgroup does not belong to this group")
     images, index = G.images, G.index
     subgroup = [images[h] for h in H.members]
-    coset_of = [-1] * G.order
+    coset_of, position = [-1] * G.order, [-1] * G.order
     reps, blocks = [], []
     for g in range(G.order):
         if coset_of[g] != -1:
@@ -331,14 +335,16 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
         cid = len(reps)
         p = images[g]
         if side == "left":
-            block = sorted([index[tuple([h[k] for k in p])] for h in subgroup])
+            block = [index[tuple([h[k] for k in p])] for h in subgroup]  # g h, in member order
         else:
-            block = sorted([index[tuple([p[k] for k in h])] for h in subgroup])
-        for y in block:
+            block = [index[tuple([p[k] for k in h])] for h in subgroup]  # h g, in member order
+        for pos, y in enumerate(block):
             coset_of[y] = cid
+            position[y] = pos
         reps.append(g)  # g is minimal in its coset since we scan ids upward
-        blocks.append(tuple(block))
-    return CosetDecomposition(side, H, tuple(coset_of), tuple(reps), tuple(blocks))
+        blocks.append(tuple(sorted(block)))
+    return CosetDecomposition(side, H, tuple(coset_of), tuple(reps), tuple(blocks),
+                              tuple(position))
 
 
 @dataclass(frozen=True)

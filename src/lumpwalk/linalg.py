@@ -25,7 +25,14 @@ rows of both spaces with the rows of one.
 
 `closure` is the one fixpoint kernel, generic over the row store, for the
 group path and the generic oracle alike: the smallest subspace containing a
-seed and closed under given linear maps, grown from a worklist.  `nullspace`
+seed and closed under given linear maps, grown from a worklist.  Its maps
+come in two families, successors and translations.  Every vector that grows
+the span gets the translations, and only the seed rows and the successor
+images that grew it also get the successors: a translate gets translations
+only.  That is sound when the successors of a translate are translates of
+successors, as for a left ideal of a group algebra under left multiplication
+by the group (proved at `closure`); the generic oracle passes no
+translations, so every map meets every vector there.  `nullspace`
 echelonises its constraints with the columns reversed, so the solution of
 each free column is already a row of the canonical basis and no second
 elimination is needed.  No elimination runs over a cyclotomic field.  The
@@ -312,31 +319,58 @@ def nullspace(rows: list[list], ambient: int) -> Subspace:
     return out
 
 
-def closure(V: Subspace, successors) -> Subspace:
+def closure(V: Subspace, successors, translations=lambda v: ()) -> Subspace:
     """Smallest subspace containing V and closed under linear maps.
 
     ``V`` is a row store, `Subspace` or `IntegerRows`, and only its `copy`,
-    `basis`, `insert`, `dim` and `ambient` are used; ``successors(v)`` yields
-    the image of v under each map, in the entries the store takes.  The images of a
-    spanning set span the image of a space, and the vectors that grew the
-    span form one: each of them is put on the worklist once, and each image
-    that grows the span is put on it in turn (semi-naive evaluation).  The
-    loop ends when the worklist is empty or the span is the whole space.
-    The fixpoint is unique, so the order of exploration does not change the
-    canonical RREF; last in, first out was about three times faster than
-    first in, first out on the S7 shuffle closures.  It serves the group
-    path (`L_w`, `L_alpha` and `L_{w*}`, whose nullspace is the cut of
-    `J_w`) and the generic oracle (the minimal stable space and the
-    annihilator of `V_max`) alike.
+    `basis`, `insert`, `dim` and `ambient` are used; ``successors(v)`` and
+    ``translations(v)`` yield the image of v under each map of their family,
+    in the entries the store takes.  The images of a spanning set span the
+    image of a space, and the vectors that grew the span form one: each of
+    them is put on the worklist once, and each image that grows the span is
+    put on it in turn (semi-naive evaluation).  Every vector on the worklist
+    gets the translations; the seed rows and the successor images that grew
+    the span also get the successors, but a translate gets translations
+    only.  The loop ends when the worklist is empty or the span is the
+    whole space.  The fixpoint is unique, so the order of exploration does
+    not change the canonical RREF; last in, first out was about three times
+    faster than first in, first out on the S7 shuffle closures.
+
+    The translations are for a closure that is a module: the caller vouches
+    that for every translation t and every successor f' there are a
+    successor f and a product t' of translations with f'(t v) = t'(f(v))
+    for all v.  Then the fixpoint is that of all maps on every vector.
+    Proof: the queued vectors span the result S (the seed rows among them),
+    and all of them get the translations, so S is closed under the
+    translations and under their products.  Each queued vector v has its
+    successor images in S, by induction on how v was derived: for a seed row
+    or a successor image each image was inserted or already lay in the span;
+    for v = t u with u queued earlier, f'(v) = t'(f(u)), where f(u) lies in S
+    by induction and t' maps S into itself.  So S is closed under every map.
+    Each queued vector is a seed row or an image of a queued vector, so S
+    lies in the closure of V under all maps; it contains V and is closed, so
+    it is that closure.  An early stop at the whole space is the whole space.
+
+    It serves the group path (`L_w`, `L_alpha` and `L_{w*}`, whose nullspace
+    is the cut of `J_w`: left H-ideals, with the generators of H as the
+    translations) and the generic oracle (the minimal stable space and the
+    annihilator of `V_max`, with no translations) alike.
     """
+    def images(vector, spins):
+        for image in translations(vector):
+            yield image, False
+        if spins:
+            for image in successors(vector):
+                yield image, True
+
     out = V.copy()
-    worklist = out.basis()
+    worklist = [(row, True) for row in out.basis()]
     while worklist:
-        for image in successors(worklist.pop()):
+        for image, spins in images(*worklist.pop()):
             if out.insert(image):
                 if out.dim == out.ambient:
                     return out
-                worklist.append(image)
+                worklist.append((image, spins))
     return out
 
 

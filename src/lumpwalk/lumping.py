@@ -1,9 +1,9 @@
 """Decision procedures for lumping a left-invariant walk to left cosets.
 
 Everything here is exact.  A `LumpingProblem` builds each coset table once:
-the left cosets of H, the double cosets HxH as unions of those left cosets,
-and the right cosets only when first read (the exact test and
-`cosets --side right`).
+the left cosets of H, with the position in H of r^-1 x for each x in a coset
+rH, the double cosets HxH as unions of those left cosets, and the right
+cosets only when first read (the exact test and `cosets --side right`).
 
 The two ideal computations follow the product structure of induced ideals:
 an induced left ideal is determined by its cut down to the subgroup algebra,
@@ -22,7 +22,11 @@ lcm of its denominators and each seed vector by that of its own, which
 changes no span.  The cut of L_w is the closure of the all-ones vector
 |H| eta_H (and of the coset components of a start) under the generators of
 H and under u -> each coset component of u w; the seeds go onto the integer
-rows directly, so they are echelonised once.  The weak obstruction is
+rows directly, so they are echelonised once.  The closure is a left ideal of
+the subgroup algebra, and the coset components of a translate k u are
+translates of those of u, so only the seeds and the coset components that
+grew the span get coset components of their own; a translate gets the
+generators of H only (`close_H_ideal`).  The weak obstruction is
 checked on the integer rows, and the canonical `Fraction` rows are built
 once, for the report.  The cut of J_w is read through the time-reversal
 duality: it is the nullspace of the cut of L_{w*}, for the reversed weight
@@ -84,7 +88,6 @@ class LumpingProblem:
         self.left = cosets(G, H, "left")
         self.double = double_cosets(G, H, self.left)
         self.eta_H = eta(G, H)
-        self._rep_inverses = tuple(G.inv(r) for r in self.left.representatives)
 
     @property
     def index(self) -> int:
@@ -101,7 +104,7 @@ class LumpingProblem:
         """Entry (i, j) is the double coset of r_i^-1 r_j, for left-coset representatives r."""
         G, class_of = self.group, self.double.class_of
         reps = self.left.representatives
-        return tuple(tuple(class_of[G.mul(inv, rj)] for rj in reps) for inv in self._rep_inverses)
+        return tuple(tuple(class_of[G.mul(inv, rj)] for rj in reps) for inv in map(G.inv, reps))
 
     def double_coset_sums(self, w: AlgebraElement) -> list:
         """The weight w(HxH) of each double coset, by class id."""
@@ -122,30 +125,29 @@ class LumpingProblem:
 
     def coset_components(self, elem: AlgebraElement) -> list[list]:
         """Per left coset bH, the vector of b^-1 pi_bH(elem) over the subgroup."""
-        G, H = self.group, self.subgroup
-        out = [[elem.field.zero] * H.order for _ in range(self.index)]
+        coset_of, position = self.left.coset_of, self.left.position
+        out = [[elem.field.zero] * self.subgroup.order for _ in range(self.index)]
         for i, c in elem.support():
-            cid = self.left.coset_of[i]
-            pos = H.position(G.mul(self._rep_inverses[cid], i))
-            out[cid][pos] = c
+            out[coset_of[i]][position[i]] = c
         return out
 
     def weight_action(self, w: AlgebraElement) -> list[list[tuple]]:
         """Right multiplication by w on the subgroup basis, as a table.
 
         Entry p lists, for each (g, w(g)) in the support of w, the left coset
-        id c of h_p g, the subgroup position of r_c^-1 h_p g and w(g).
+        id c of h_p g, the subgroup position of r_c^-1 h_p g and w(g): one
+        composition h_p g per entry, and the rest read off the coset table.
         """
-        G, H = self.group, self.subgroup
-        coset_of, position = self.left.coset_of, H.position
-        support = list(w.support())
+        images, index = self.group.images, self.group.index
+        coset_of, position = self.left.coset_of, self.left.position
+        support = [(images[g], c) for g, c in w.support()]
         table = []
-        for h in H.members:
+        for h in self.subgroup.members:
+            h = images[h]
             entries = []
             for g, c in support:
-                x = G.mul(h, g)
-                cid = coset_of[x]
-                entries.append((cid, position(G.mul(self._rep_inverses[cid], x)), c))
+                x = index[tuple([g[k] for k in h])]  # h g
+                entries.append((coset_of[x], position[x], c))
             table.append(entries)
         return table
 
@@ -165,9 +167,13 @@ class LumpingProblem:
 
     @cached_property
     def _H_generator_perms(self) -> tuple[tuple[int, ...], ...]:
-        """Left multiplication by each subgroup generator as an index map."""
-        H, G = self.subgroup, self.group
-        return tuple(tuple(H.position(G.mul(g, h)) for h in H.members) for g in H.generators)
+        """Left multiplication by each subgroup generator as an index map.
+
+        H is the left coset of the identity, its own representative, so the
+        coset table gives the position of each member.
+        """
+        H, G, position = self.subgroup, self.group, self.left.position
+        return tuple(tuple(position[G.mul(g, h)] for h in H.members) for g in H.generators)
 
     def close_H_ideal(self, seeds, action: list) -> IntegerRows:
         """Smallest left ideal of the subgroup algebra containing the seed
@@ -179,19 +185,20 @@ class LumpingProblem:
         annihilator of the cut of J_w.  Each seed and the table are scaled to
         integers, by the lcm of their denominators, and the closure runs on
         `IntegerRows`: a map and its nonzero multiples give the same closure.
+
+        Left multiplications by the generators of H are the translations of
+        `linalg.closure`, and the coset components of u w its successors, so
+        a translate k u gets no coset components of its own: if
+        k r_c = r_d h_c, the coset-d component of (k u) w is h_c times the
+        coset-c component of u w, a translate of a vector the closure holds.
         """
         perms = self._H_generator_perms
         scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
         table = [[(cid, pos, value.numerator * (scale // value.denominator))
                   for cid, pos, value in entries] for entries in action]
-
-        def images(u):
-            for perm in perms:
-                yield permuted(u, perm, 0)
-            yield from self.times_weight(table, u)
-
         seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds))
-        return closure(seed_rows, images)
+        return closure(seed_rows, lambda u: self.times_weight(table, u),
+                       lambda u: (permuted(u, perm, 0) for perm in perms))
 
 
 @dataclass
@@ -346,11 +353,13 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: IntegerR
     if not any(values):
         return None
     G, left = problem.group, problem.left
+    images, index, coset_of = G.images, G.index, left.coset_of
+    reps = [images[r] for r in left.representatives]
     # z(h_p^-1 r_j), per subgroup position p and coset id j
     shifted = []
     for h in problem.subgroup.members:
-        h_inv = G.inv(h)
-        shifted.append([values[left.coset_of[G.mul(h_inv, r)]] for r in left.representatives])
+        h_inv = images[G.inv(h)]
+        shifted.append([values[coset_of[index[tuple([r[k] for k in h_inv])]]] for r in reps])
     for i, (row, cols) in enumerate(zip(M.rows, M.support)):
         at_reps = [0] * problem.index
         for p in cols:
@@ -539,17 +548,19 @@ def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
     """
     e = require_E_bullet(problem, e)
     G, H = problem.group, problem.subgroup
-    field, coeffs = e.field, e.coeffs
-    inverses = [(G.inv(h), h) for h in e.support_ids()]
+    field, coeffs, images = e.field, e.coeffs, G.images
+    in_H = {images[h]: h for h in H.members}  # the id of each member, by image tuple
+    inverses = [(images[G.inv(h)], h) for h in e.support_ids()]
     uniform = Fraction(1, H.order)
     per_class = []
     for members in problem.double.classes:
         hits = Counter()  # (h, h') -> the number of g in the class with g^-1 h^-1 g = h'
         for g in members:
-            g_inv = G.inv(g)
+            g_img = images[g]
+            g_inv = images[G.inv(g)]
             for h_inv, h in inverses:
-                k = G.mul(g_inv, G.mul(h_inv, g))
-                if k in H:
+                k = in_H.get(tuple([g_img[h_inv[x]] for x in g_inv]))  # g^-1 h^-1 g
+                if k is not None:
                     hits[h, k] += 1
         trace = field.zero
         for (h, k), n in hits.items():

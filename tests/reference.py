@@ -6,7 +6,9 @@ group algebra C[G] that the tests compare against: left-ideal closures,
 right multiplication of a subspace, induced-ideal recognition, the induced
 ideal itself with its defining axioms, the conjugate-linear inner product,
 the kernel of a lumping map, and the dimension of the compatibility algebra
-Theta(e) by ranks, over Q(zeta_n) through the rotations of each row.
+Theta(e) by ranks, over Q(zeta_n) through the rotations of each row.  One
+reference stays on the cut: the closure of `close_H_ideal` with every map on
+every vector, which the translation rule of `linalg.closure` must reproduce.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -16,11 +18,12 @@ cosets built from every product.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from lumpwalk.algebra import AlgebraElement, eta
 from lumpwalk.errors import DomainError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup
-from lumpwalk.linalg import Subspace, closure, permuted
+from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row, permuted
 from lumpwalk.scalars import RATIONALS
 
 
@@ -90,6 +93,24 @@ def double_coset_partition(mul, left_members, right_members) -> tuple:
             reps.append(x)
             blocks.append(tuple(block))
     return tuple(class_of), tuple(reps), tuple(len(b) for b in blocks), tuple(blocks)
+
+
+def all_maps_H_ideal(problem, seeds, action) -> IntegerRows:
+    """Reference for `LumpingProblem.close_H_ideal`: the same integer-row
+    closure with every map on every vector, the generators of H and the
+    coset components of u w alike, as successors of one family."""
+    perms = problem._H_generator_perms
+    scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
+    table = [[(cid, pos, value.numerator * (scale // value.denominator))
+              for cid, pos, value in entries] for entries in action]
+
+    def images(u):
+        for perm in perms:
+            yield permuted(u, perm, 0)
+        yield from problem.times_weight(table, u)
+
+    seed_rows = IntegerRows(problem.subgroup.order, (integer_row(v) for v in seeds))
+    return closure(seed_rows, images)
 
 
 def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:

@@ -343,6 +343,21 @@ def test_group_layer_matches_one_line_reference_on_pool():
                 mul, H.members, side), (label, side)
 
 
+def test_coset_position_table_on_pool():
+    """`position` of both coset decompositions on every pair of the pool:
+    x = r h on the left and x = h r on the right, for r the representative
+    of the coset of x and h the member at position[x]."""
+    from tests.oracle_suite import build_pool
+
+    for label, G, hgens in build_pool():
+        H = G.subgroup(hgens)
+        for side in ("left", "right"):
+            got = cosets(G, H, side)
+            for x in range(G.order):
+                r, h = got.representatives[got.coset_of[x]], H.members[got.position[x]]
+                assert x == (G.mul(r, h) if side == "left" else G.mul(h, r)), (label, side, x)
+
+
 def test_double_cosets_match_brute_force_on_pool():
     """Classes built from the left cosets of the right factor equal the
     reference classes built from all products."""

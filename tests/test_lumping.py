@@ -32,6 +32,7 @@ from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk import lumping
 from lumpwalk.algebra import character_idempotent
 from lumpwalk.errors import DomainError, InvariantError
+from lumpwalk.linalg import IntegerRows
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer, top_to_random
 from tests.conftest import lazy_frustrator, uniform_on
 from tests.oracle_suite import build_pool, random_subgroup_of
@@ -423,6 +424,28 @@ def test_theta_multiplicative_closure(sym4, top_prob, mid_swap_T):
 
 
 # -- abelian enumeration -----------------------------------------------------------
+
+
+def test_closure_insert_counts_on_s6(monkeypatch):
+    """A work-count guard on the translation rule of the weak closures:
+    S6 over its top-card stabiliser, L_w of random-to-top takes at most 260
+    `IntegerRows.insert` calls (249 with the rule, 907 with every map on
+    every vector) and L_w of the reversed bottom-card weight at most 200
+    (183 and 609).  Counts, unlike times, do not depend on the machine."""
+    calls = []
+    insert = IntegerRows.insert
+
+    def counted(self, vector):
+        calls.append(None)
+        return insert(self, vector)
+
+    monkeypatch.setattr(IntegerRows, "insert", counted)
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    for name, w, cap in (("rtt", random_to_top(G), 260), ("bottom*", bottom_card_cycle(G).star(), 200)):
+        calls.clear()
+        assert compute_Lw(problem, w).weakly_lumping, name
+        assert len(calls) <= cap, (name, len(calls))
 
 
 def test_abelian_test_die(die_prob, die_weight):

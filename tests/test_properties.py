@@ -56,6 +56,7 @@ from tests.oracle_suite import (
     theta_basis,
 )
 from tests.reference import (
+    all_maps_H_ideal,
     full_subspace,
     inner_product,
     kernel_F,
@@ -534,6 +535,52 @@ def test_rank_shortcut_matches_exact_closure():
         check_annihilator(problem, w, ("S6", name))
         total += 2
     assert 0 < full < total
+
+
+def check_translation_rule(problem, w, rng, label):
+    """L_w, L_alpha and L_{w*} from `close_H_ideal`, which spares translates
+    the coset maps, against `all_maps_H_ideal`, which applies every map to
+    every vector: the same integer rows, pivots and supports.  Returns how
+    many of the three are proper ideals."""
+    G, n = problem.group, problem.subgroup.order
+    points = rng.sample(range(G.order), min(2, G.order))
+    alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
+    ones = [[1] * n]
+    proper = 0
+    for seeds, weight in ((ones, w), (ones + problem.coset_components(alpha), w), (ones, w.star())):
+        action = problem.weight_action(weight)
+        fast = problem.close_H_ideal(seeds, action)
+        spun = all_maps_H_ideal(problem, seeds, action)
+        assert (fast.rows, fast.pivots, fast.support) == (spun.rows, spun.pivots, spun.support), label
+        proper += fast.dim < n
+    return proper
+
+
+def test_translation_rule_matches_all_maps_closure():
+    """The translation rule of `linalg.closure` gives the closure of every
+    map on every vector, for L_w, L_alpha and L_{w*}, on every pool pair and
+    weight family and on S6 over its top-card stabiliser under bottom-card,
+    random-to-top and the reversed bottom-card w*; proper ideals and the
+    whole algebra both occur."""
+    rng = random.Random(9191)
+    proper = total = 0
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            proper += check_translation_rule(problem, w, rng, (label, kind))
+            total += 3
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    bottom = bottom_card_cycle(G)
+    for name, w in (("bottom", bottom), ("rtt", random_to_top(G)), ("bottom*", bottom.star())):
+        proper += check_translation_rule(problem, w, rng, ("S6", name))
+        total += 3
+    assert 0 < proper < total
 
 
 def test_maximal_cut_annihilator_is_left_H_ideal():
