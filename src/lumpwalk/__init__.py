@@ -15,7 +15,6 @@ from .algebra import (
     abelian_characters,
     coset_sums,
     eta,
-    is_idempotent,
     parse_element_file,
     format_element,
 )

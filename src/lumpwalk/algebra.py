@@ -203,14 +203,6 @@ def eta(group: FiniteGroup, members) -> AlgebraElement:
     return out
 
 
-def is_idempotent(e: AlgebraElement) -> bool:
-    return e * e == e
-
-
-def supported_on(e: AlgebraElement, H: Subgroup) -> bool:
-    return all(i in H for i in e.support_ids())
-
-
 def coset_sums(w: AlgebraElement, decomposition: CosetDecomposition) -> list:
     """The vector of coset weights w(coset), one entry per coset id."""
     sums = [w.field.zero] * decomposition.n_cosets

@@ -354,8 +354,8 @@ def _generic_test(inputs: Inputs, args, report: dict) -> None:
 
 def _parse_observations(problem, text: str):
     """Coset ids or coset-representative cycle strings; `;`-separated when
-    cycle notation (which contains commas) is used."""
-    tokens = [token.strip() for token in text.split(";" if ";" in text else ",")]
+    cycle notation (which contains commas) is used, even for one observation."""
+    tokens = [token.strip() for token in text.split(";" if ";" in text or "(" in text else ",")]
     coset_of, element_of = problem.left.coset_of, problem.group.element_of
     observations = []
     for t, token in enumerate(tokens):

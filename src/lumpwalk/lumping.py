@@ -12,8 +12,7 @@ multiplication by the driving weight is read from a per-weight action table,
 built once per ideal computation: for each subgroup element h and each g in
 the support of w, the left coset of h g and the position of h g inside it.
 So u w is computed as its coset components, never as a product in the group
-algebra.  The weak obstruction u z, with z = (1 - eta_H) w eta_H constant on
-left cosets, is checked at one representative per coset.
+algebra.
 
 The cuts of L_w and L_alpha, and the annihilator of that of J_w, are all
 grown by `close_H_ideal`, the one worklist closure `linalg.closure` run on
@@ -32,19 +31,19 @@ once, for the report.  The cut of J_w is read through the time-reversal
 duality: it is the nullspace of the cut of L_{w*}, for the reversed weight
 w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).
 
-The verdicts use closed forms instead of dense products.  The strong and
-exact tests (with their obstructions), the weak obstruction and the lumped
-matrix read coset and double-coset sums of w; the lumped matrix and `hecke`
-read the table `pair_classes` of the double coset of r_i^-1 r_j; the abelian
-test reads its character pairings off w on each double coset; condition (a)
-of the interpolation test is the exact test for the pair (G, T).  The
-dimension of the compatibility algebra Theta(e) is a sum of traces, one per
-double coset, read off the coefficients of e (proved at `theta_dimension`),
-so no elimination runs over a cyclotomic field: all of it is over Q.  The
-dense forms, the round-based fixpoint loops and the `Fraction` closures
-remain as references in `tests/test_properties.py`; the induced ideals as
-subspaces of the full group algebra, with the axioms they satisfy there, and
-the rank form of Theta(e), in `tests/reference.py`.
+No command takes a product in the group algebra.  The strong and exact
+tests and the lumped matrix read coset and double-coset sums of w, the
+lumped matrix and `hecke` the table `pair_classes` of the double coset of
+r_i^-1 r_j, and the abelian test its pairings off w on each double coset.
+One cut kernel, `_first_cut_violation`, evaluates u z for
+z = (1 - eta_H) w eta_H at one representative per left coset: for the weak
+verdict, for the cut condition e z = 0 of the stable-ideal check, which
+takes any element w, and for condition (b) eta_T z = 0 of the interpolation
+test, whose condition (a) is the exact test for (G, T).  The E_• check and
+the ideal condition e w (1-e) = 0 read the action tables of e and w, and
+Theta(e) has its dimension as a sum of traces read off e, so all
+elimination is over Q.  The dense forms remain as references in
+`tests/test_properties.py` and `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ from .algebra import (
     character_idempotent,
     coset_sums,
     eta,
-    is_idempotent,
-    supported_on,
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets
@@ -276,12 +273,19 @@ def test_exact(problem: LumpingProblem, w: AlgebraElement):
 
 
 def require_E_bullet(problem: LumpingProblem, e: AlgebraElement) -> AlgebraElement:
-    if not supported_on(e, problem.subgroup):
+    """e itself if it lies in E_•: supported on H, idempotent, and eta_H e = eta_H.
+
+    Read off the vector u of e over H, without a product in the group algebra:
+    e e = u e has the coset components `times_weight(weight_action(e), u)`,
+    all zero but that of H, which is e e itself; and eta_H e is the
+    coefficient sum of e times eta_H, as eta_H h = eta_H for h in H.
+    """
+    if not all(i in problem.subgroup for i in e.support_ids()):
         raise DomainError("idempotent is not supported on the subgroup")
-    if not is_idempotent(e):
+    u = problem.coset_components(e)[0]
+    if problem.times_weight(problem.weight_action(e), u)[0] != u:
         raise DomainError("element is not idempotent")
-    eta_H = problem.eta_H.to_field(e.field)
-    if eta_H * e != eta_H:
+    if e.total() != 1:
         raise DomainError("idempotent does not average to eta_H (eta_H e != eta_H)")
     return e
 
@@ -291,17 +295,24 @@ def stable_ideal_check(problem: LumpingProblem, w: AlgebraElement, e: AlgebraEle
 
     Returns (verdict, failed) where failed names the violated condition:
     "ideal-not-stable" for e w (1-e) != 0, "cut-not-stable" for
-    (e - eta_H) w eta_H != 0.
+    (e - eta_H) w eta_H != 0.  w may be any element, rational or cyclotomic:
+    the w that pass form the linear space Theta(e).
+
+    With u the vector of e over H: (i) right multiplication by C[H] keeps
+    each left coset, so e w (1-e) = 0 iff x (1-e) = 0 for every coset
+    component x of e w = u w (`times_weight`), with x e read off the action
+    table of e.  (ii) As e eta_H = eta_H (see `theta_dimension`),
+    (e - eta_H) w eta_H = e z for z = (1 - eta_H) w eta_H: the cut kernel.
     """
     e = require_E_bullet(problem, e)
-    joint = common_field(w.field, e.field)
-    w = w.to_field(joint)
-    e = e.to_field(joint)
-    one = AlgebraElement.one(problem.group, joint)
+    common_field(w.field, e.field)  # mixed cyclotomic orders are a DomainError
+    u = problem.coset_components(e)[0]
+    e_action = problem.weight_action(e)
     failed = []
-    if not (e * w * (one - e)).is_zero():
+    if any(x != problem.times_weight(e_action, x)[0]
+           for x in problem.times_weight(problem.weight_action(w), u) if any(x)):
         failed.append("ideal-not-stable")
-    if not ((e - problem.eta_H.to_field(joint)) * w * problem.eta_H.to_field(joint)).is_zero():
+    if _first_cut_violation(problem, w, [u]) is not None:
         failed.append("cut-not-stable")
     return not failed, failed
 
@@ -309,8 +320,7 @@ def stable_ideal_check(problem: LumpingProblem, w: AlgebraElement, e: AlgebraEle
 def time_reversal_dual_idempotent(problem: LumpingProblem, e: AlgebraElement) -> AlgebraElement:
     """The idempotent 1 - e* + eta_H generating the stable ideal of the reversed walk."""
     e = require_E_bullet(problem, e)
-    one = AlgebraElement.one(problem.group, e.field)
-    dual = one - e.star() + problem.eta_H.to_field(e.field)
+    dual = AlgebraElement.one(problem.group, e.field) - e.star() + problem.eta_H.to_field(e.field)
     return require_E_bullet(problem, dual)
 
 
@@ -332,26 +342,29 @@ def _cut_coset_values(problem: LumpingProblem, w: AlgebraElement, side: str = "l
     double = problem.double
     per_coset = coset_sums(w, decomposition)
     per_double = problem.double_coset_sums(w)
-    order = problem.subgroup.order
+    # times 1/n rather than divided by n: a cyclotomic scalar has no division
+    per_H = Fraction(1, problem.subgroup.order)
     values = []
     for cid, rep in enumerate(decomposition.representatives):
         d = double.class_of[rep]
-        values.append(per_coset[cid] / order - per_double[d] / double.sizes[d])
+        values.append(per_coset[cid] * per_H - per_double[d] * Fraction(1, double.sizes[d]))
     return values
 
 
-def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: IntegerRows):
-    """The index of the first row u of M with u (1 - eta_H) w eta_H != 0, or None.
+def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> int | None:
+    """The index of the first H-vector u of `rows` with u z != 0, for
+    z = (1 - eta_H) w eta_H, or None: the one cut kernel, of the weak verdict,
+    of `stable_ideal_check` and of condition (b) of `interpolation_test`.
 
-    z = (1 - eta_H) w eta_H is constant on left cosets, so u z is right
-    H-invariant and vanishes iff (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does for
-    every left-coset representative r_j.  Whether u z vanishes does not
-    change when u or z is scaled, so the integer rows of M are checked against
-    the coset values of z scaled to integers.
+    z is constant on left cosets, so u z vanishes iff
+    (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does at every left-coset
+    representative r_j; rational coset values of z are scaled to integers.
     """
-    values = integer_row(_cut_coset_values(problem, w))
+    values = _cut_coset_values(problem, w)
     if not any(values):
         return None
+    if w.field.kind == "rational":
+        values = integer_row(values)
     G, left = problem.group, problem.left
     images, index, coset_of = G.images, G.index, left.coset_of
     reps = [images[r] for r in left.representatives]
@@ -360,13 +373,13 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, M: IntegerR
     for h in problem.subgroup.members:
         h_inv = images[G.inv(h)]
         shifted.append([values[coset_of[index[tuple([r[k] for k in h_inv])]]] for r in reps])
-    for i, (row, cols) in enumerate(zip(M.rows, M.support)):
+    for i, row in enumerate(rows):
         at_reps = [0] * problem.index
-        for p in cols:
-            c = row[p]
-            for j, z in enumerate(shifted[p]):
-                if z:
-                    at_reps[j] += c * z
+        for c, zs in zip(row, shifted):
+            if c:
+                for j, z in enumerate(zs):
+                    if z:
+                        at_reps[j] += c * z
         if any(at_reps):
             return i
     return None
@@ -391,7 +404,7 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     rows = problem.close_H_ideal(seeds, problem.weight_action(w))
     M = rows.to_subspace()
     ideal = GurvitsLedouxIdeal(problem, M)
-    violation = _first_cut_violation(problem, w, rows)
+    violation = _first_cut_violation(problem, w, rows.rows)
     if violation is not None:
         ideal.cut_violation = problem.from_H_vector(M.rows[violation])
     ideal.weakly_lumping = violation is None
@@ -485,7 +498,10 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
 
     Condition (a): the walk lumps exactly to left cosets of T, that is
     eta_T w (1 - eta_T) = 0 (`test_exact` for the pair (G, T)).
-    Condition (b): w(TgH) is proportional to double-coset size within each HgH.
+    Condition (b): w(TgH) is proportional to double-coset size within each
+    HgH: eta_T w eta_H is w(TgH)/|TgH| on TgH, eta_H w eta_H is w(HgH)/|HgH|
+    on HgH, so (b) is (eta_T - eta_H) w eta_H = 0, or eta_T z = 0 for the
+    z of the cut kernel, as eta_T eta_H = eta_H.
     """
     H = problem.subgroup
     if not H.contains_subgroup(T):
@@ -495,17 +511,9 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
     failed = []
     if not test_exact(LumpingProblem(G, T), w)[0]:
         failed.append("not-exact-to-inner-cosets")
-    th = double_cosets(G, T, problem.left)
-    hh = problem.double
-    w_th = [w.field.zero] * th.n_classes
-    for i, c in w.support():
-        w_th[th.class_of[i]] += c
-    w_hh = problem.double_coset_sums(w)
-    for cid in range(th.n_classes):
-        big = hh.class_of[th.representatives[cid]]
-        if w_th[cid] * hh.sizes[big] != w_hh[big] * th.sizes[cid]:
-            failed.append("unbalanced-double-coset-mass")
-            break
+    eta_T = problem.coset_components(eta(G, T))[0]  # a vector over the subgroup, as T <= H
+    if _first_cut_violation(problem, w, [eta_T]) is not None:
+        failed.append("unbalanced-double-coset-mass")
     return not failed, failed
 
 

@@ -5,8 +5,10 @@ held by its cut to the subgroup algebra.  These are the forms over the whole
 group algebra C[G] that the tests compare against: left-ideal closures,
 right multiplication of a subspace, induced-ideal recognition, the induced
 ideal itself with its defining axioms, the conjugate-linear inner product,
-the kernel of a lumping map, and the dimension of the compatibility algebra
-Theta(e) by ranks, over Q(zeta_n) through the rotations of each row.  One
+the kernel of a lumping map, the dimension of the compatibility algebra
+Theta(e) by ranks, over Q(zeta_n) through the rotations of each row, the
+E_• membership and stable-ideal checks by dense products, and condition (b)
+of the interpolation test by the double cosets T\\G/H.  One
 reference stays on the cut: the closure of `close_H_ideal` with every map on
 every vector, which the translation rule of `linalg.closure` must reproduce.
 
@@ -22,9 +24,9 @@ from math import lcm
 
 from lumpwalk.algebra import AlgebraElement, eta
 from lumpwalk.errors import DomainError
-from lumpwalk.groups import CosetDecomposition, FiniteGroup
+from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets
 from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row, permuted
-from lumpwalk.scalars import RATIONALS
+from lumpwalk.scalars import RATIONALS, common_field
 
 
 def compose(g: tuple, h: tuple) -> tuple:
@@ -241,6 +243,50 @@ def theta_dimension_by_rank(problem, e) -> tuple[int, list[int]]:
     per_class = [field_rank(theta_rows(problem, e, members), e.field)
                  for members in problem.double.classes]
     return problem.group.order - sum(per_class), per_class
+
+
+def require_E_bullet_dense(problem, e) -> AlgebraElement:
+    """Reference for `lumping.require_E_bullet`: the same checks, in the same
+    order and with the same messages, by dense products."""
+    if not all(i in problem.subgroup for i in e.support_ids()):
+        raise DomainError("idempotent is not supported on the subgroup")
+    if e * e != e:
+        raise DomainError("element is not idempotent")
+    eta_H = problem.eta_H.to_field(e.field)
+    if eta_H * e != eta_H:
+        raise DomainError("idempotent does not average to eta_H (eta_H e != eta_H)")
+    return e
+
+
+def stable_ideal_check_dense(problem, w, e) -> tuple[bool, list[str]]:
+    """Reference for `lumping.stable_ideal_check`: e w (1-e) and
+    (e - eta_H) w eta_H by dense products over the joint field."""
+    e = require_E_bullet_dense(problem, e)
+    joint = common_field(w.field, e.field)
+    w = w.to_field(joint)
+    e = e.to_field(joint)
+    one = AlgebraElement.one(problem.group, joint)
+    eta_H = problem.eta_H.to_field(joint)
+    failed = []
+    if not (e * w * (one - e)).is_zero():
+        failed.append("ideal-not-stable")
+    if not ((e - eta_H) * w * eta_H).is_zero():
+        failed.append("cut-not-stable")
+    return not failed, failed
+
+
+def balanced_double_coset_mass(problem, T, w) -> bool:
+    """Reference for condition (b) of `lumping.interpolation_test`: w(TgH)
+    |HgH| = w(HgH) |TgH| for every double coset TgH, from the classes T\\G/H
+    and the sums of w over them and over the classes H\\G/H."""
+    th = double_cosets(problem.group, T, problem.left)
+    hh = problem.double
+    w_th = [w.field.zero] * th.n_classes
+    for i, c in w.support():
+        w_th[th.class_of[i]] += c
+    w_hh = problem.double_coset_sums(w)
+    return all(w_th[cid] * hh.sizes[hh.class_of[rep]] == w_hh[hh.class_of[rep]] * th.sizes[cid]
+               for cid, rep in enumerate(th.representatives))
 
 
 def kernel_F(f) -> Subspace:

@@ -180,7 +180,7 @@ def test_criterion_06_conditional_counterexample(sym4, top_prob, frustrator):
         assert f.apply_F(P.apply(vec_q))[jack] / sum(vec_q) == Fraction(1, 8)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_criterion_07_bottom_card_family(n):
     with criterion(7, f"bottom-card two-step shuffle on {n} cards"):
         G = symmetric_group(n)

@@ -51,6 +51,11 @@ ETA_H = "".join(f"1/6 {g}\n" for g in ("id", "(2,3)", "(2,4)", "(3,4)", "(2,3,4)
 DUAL_ETA_T = "2/3 id\n1/6 (3,4)\n-1/3 (2,3)\n1/6 (2,3,4)\n1/6 (2,4,3)\n1/6 (2,4)\n"
 INNER_34 = "degree 4\ngen (3,4)\n"
 INNER_234 = "degree 4\ngen (2,3,4)\n"
+# elements w that are not weights: `stable-check` takes them all
+SIGNED = "-1/4 id\n-1/4 (1,4)(2,3)\n-1/4 (1,4,3)\n-1/4 (1,4,2,3)\n"  # minus the frustrator
+MIXED_SIGN = WEIGHT + "-1 (1,2)\n"
+ROTATED = "scalar cyclotomic 4\n" + "".join(f"1/4*z {line.split()[1]}\n" for line in WEIGHT.splitlines())
+ROTATED_DIE = "scalar cyclotomic 4\n1/4+z (3,4)\n-1/6 (2,4,3)\n1/6*z (1,2)\n1/4 (1,4,2)\n"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_weak_reports.json"
 ABELIAN_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_abelian_reports.json"
 VERDICT_GOLDEN_PATH = Path(__file__).resolve().parent / "golden_verdict_reports.json"
@@ -580,6 +585,24 @@ def test_every_subcommand_has_a_golden_report(files, tmp_path):
     assert {argv[0] for argv in cases} == {command.name for command in cli.COMMANDS}
 
 
+def test_no_command_takes_a_group_algebra_product(files, tmp_path, sym4, capsys, monkeypatch):
+    """Every golden request, JSON and text, gives its pinned report with
+    `AlgebraElement.__mul__` made to raise: no command path takes a product in
+    the group algebra."""
+    from lumpwalk.algebra import AlgebraElement
+
+    def refuse(self, other):
+        raise AssertionError("a group-algebra product on a command path")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    test_golden_weak_reports(files, capsys)
+    test_golden_abelian_reports(files, sym4, capsys)
+    test_golden_verdict_reports(files, capsys)
+    test_golden_generic_reports(files, tmp_path, capsys)
+    test_golden_cli_reports(files, capsys)
+    test_golden_cli_text_and_help(files, tmp_path, capsys, monkeypatch)
+
+
 # Runs each argument list of a JSON list on standard input through `cli.main`
 # in one interpreter and prints the optimize flag and each (exit code, stdout).
 OPTIMIZED_RUNNER = """
@@ -763,6 +786,57 @@ def test_conditional_rejects_malformed_observations(files):
         )
         assert result.returncode == 1, obs
         assert message in result.stderr and "Traceback" not in result.stderr, obs
+
+
+def test_conditional_single_representative(files, tmp_path, capsys):
+    """One observation in cycle notation is one representative, not a list
+    split at its commas: `(1,2)` gives the law of the id of its coset."""
+    dist = tmp_path / "dist_swap.txt"
+    dist.write_text("1/2 id\n1/2 (1,2)\n")
+    argv = ["conditional", *common(files, "--weight", files["weight"], "--dist", str(dist)),
+            "--json", "--obs"]
+    code, out, err = run_in_process(capsys, [*argv, "(1,2)"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["certificates"] == {"conditional_law": {"(1,2)": "1"}}
+    code, out, err = run_in_process(capsys, [*argv, str(report["labels"].index("(1,2)"))])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certificates"] == report["certificates"]
+    code, out, err = run_in_process(capsys, [*argv, "(1,2);"])
+    assert (code, out) == (1, "") and "empty observation at index 1" in err
+
+
+def test_stable_check_takes_any_element(files, tmp_path, capsys):
+    """`stable-check` takes any element w, negative or cyclotomic, as the w
+    that pass form the linear space Theta(e): exit 0 and the verdict of the
+    dense products, with no traceback."""
+    from lumpwalk import LumpingProblem
+    from lumpwalk.algebra import parse_element_file
+    from lumpwalk.groups import parse_group_file
+    from tests.reference import stable_ideal_check_dense
+
+    G = parse_group_file(GROUP)
+    verdicts = set()
+    for name, text in (("signed", SIGNED), ("mixed", MIXED_SIGN), ("rotated", ROTATED),
+                       ("rotated-die", ROTATED_DIE)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        w = parse_element_file(text, G)
+        for subgroup, idempotent in (("subgroup", "idempotent"), ("subgroup", "eta_h"),
+                                     ("cyclic", "e_p")):
+            spec = parse_group_file(Path(files[subgroup]).read_text())
+            problem = LumpingProblem(G, G.subgroup([spec.elements[g] for g in spec.generators]))
+            e = parse_element_file(Path(files[idempotent]).read_text(), G)
+            verdict, failed = stable_ideal_check_dense(problem, w, e)
+            code, out, err = run_in_process(capsys, [
+                "stable-check", "--group", files["group"], "--subgroup", files[subgroup],
+                "--weight", str(path), "--idempotent", files[idempotent], "--json"])
+            assert (code, err) == (0, ""), (name, idempotent)
+            report = json.loads(out)
+            assert report["verdicts"]["stable"] is verdict, (name, idempotent)
+            assert report.get("certificates", {}).get("failed_conditions", []) == failed
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_generic_test_cli(files, tmp_path):

@@ -1,6 +1,7 @@
 """Cross-cutting invariants: oracle agreement, dualities, well-definedness."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.algebra import character_idempotent, parse_element_file
+from lumpwalk.errors import DomainError
 from lumpwalk.linalg import (
     IntegerRows,
     Subspace,
@@ -41,7 +43,7 @@ from lumpwalk.linalg import (
     nullspace,
     permuted,
 )
-from lumpwalk.lumping import _cut_coset_values, _first_cut_violation
+from lumpwalk.lumping import _cut_coset_values, _first_cut_violation, require_E_bullet
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
@@ -57,11 +59,14 @@ from tests.oracle_suite import (
 )
 from tests.reference import (
     all_maps_H_ideal,
+    balanced_double_coset_mass,
     full_subspace,
     inner_product,
     kernel_F,
     left_ideal_closure,
+    require_E_bullet_dense,
     right_multiply_space,
+    stable_ideal_check_dense,
 )
 from tests.test_linalg import dense_kernel_span
 
@@ -231,7 +236,7 @@ def test_closed_forms_match_dense_references_on_pool():
     rng = random.Random(4242)
     inner_rng = random.Random(4243)  # the inner subgroups T, apart from the weights
     anti_order_fails = []
-    inexact_to_inner = 0
+    inexact_to_inner = unbalanced_mass = 0
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         eta_H = problem.eta_H
@@ -256,6 +261,11 @@ def test_closed_forms_match_dense_references_on_pool():
             failed = interpolation_test(problem, T, w)[1]
             assert ("not-exact-to-inner-cosets" in failed) == inexact, (label, kind)
             inexact_to_inner += inexact
+            # condition (b): (eta_T - eta_H) w eta_H == 0, and by the double cosets T\G/H
+            unbalanced = not ((eta_T - eta_H) * w * eta_H).is_zero()
+            assert ("unbalanced-double-coset-mass" in failed) == unbalanced, (label, kind)
+            assert balanced_double_coset_mass(problem, T, w) is not unbalanced, (label, kind)
+            unbalanced_mass += unbalanced
             sandwiched = eta_H * w * eta_H
             class_values = hecke_project(problem, w).class_values
             assert all(sandwiched.coeffs[g] == value
@@ -269,7 +279,7 @@ def test_closed_forms_match_dense_references_on_pool():
             anti_order_fails.append(label)
     # the pool holds non-commutative Hecke algebras, where the order matters
     assert anti_order_fails == ["S4/V4", "S4/<(3,4)>"]
-    assert inexact_to_inner > 0
+    assert inexact_to_inner > 0 and unbalanced_mass > 0
 
 
 def test_weak_path_tables_match_dense_products_on_pool():
@@ -315,7 +325,8 @@ def test_weak_path_tables_match_dense_products_on_pool():
                 # canonical rows inserted in order keep their order as integer rows
                 scaled = IntegerRows(n, [integer_row(row) for row in M.rows])
                 assert scaled.to_subspace() == M, (label, kind)
-                assert _first_cut_violation(problem, w, scaled) == first, (label, kind)
+                assert _first_cut_violation(problem, w, scaled.rows) == first, (label, kind)
+                assert _first_cut_violation(problem, w, M.rows) == first, (label, kind)
                 later += (first or 0) > 0
             if lw.weakly_lumping:
                 assert lw.cut_violation is None, (label, kind)
@@ -880,6 +891,77 @@ def test_kernel_of_coset_summing_has_expected_dimension(sym4, top_prob, die_prob
         full = left_ideal_closure(Subspace(24, [one.coeffs]), sym4)
         ker = right_multiply_space(full, one - prob.eta_H)
         assert ker.dim == 24 - prob.index
+
+
+def E_bullet_cases(rng, label, problem):
+    """Elements to test for E_• membership, (inside, outside) by name.
+
+    Inside: the unit, eta_H, eta_T for a random T <= H and, for an abelian H,
+    e_0 + e_chi for each non-real character chi, and on the die the witness
+    e_P = e_0 + e_1 + e_3.  Outside: (1/2) 1, a lone nontrivial character
+    idempotent, eta of H without its identity (not a subgroup) and an element
+    supported off H.
+    """
+    G, H = problem.group, problem.subgroup
+    inside = {"one": AlgebraElement.one(G), "eta_H": problem.eta_H,
+              "eta_T": eta(G, random_subgroup_of(rng, H))}
+    outside = {"half": AlgebraElement.from_pairs(G, [(0, Fraction(1, 2))]),
+               "eta_H_minus_id": eta(G, H.members[1:]),
+               "off_H": AlgebraElement.basis(G, next(g for g in range(G.order) if g not in H))}
+    if H.is_abelian():
+        m, chars = abelian_characters(H)
+        idems = [character_idempotent(H, chi, m) for chi in chars]
+        outside["e_chi"] = idems[-1]
+        for b, chi in enumerate(chars):
+            if any(2 * k % m for k in chi.values()):
+                inside[f"e_0+e_{b}"] = idems[0] + idems[b]
+        if label == "S4/C4":
+            inside["e_P"] = idems[0] + idems[1] + idems[3]
+    return inside, outside
+
+
+def domain_message(check, *args):
+    """The message of the `DomainError` a call raises, or None."""
+    try:
+        check(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_E_bullet_and_stable_check_match_dense_products():
+    """`require_E_bullet` and `stable_ideal_check` against their dense
+    products, on the pool and on S6 over its top-card stabiliser: the same
+    (verdict, failed) inside E_•, the same `DomainError` message outside it.
+    The elements w include a signed one, as `stable_ideal_check` takes any."""
+    rng = random.Random(2020)
+    S6 = symmetric_group(6)
+    instances = [*build_pool(), ("S6/S5", S6, [S6.elements[g] for g in top_stabilizer(S6).generators])]
+    outcomes = Counter()
+    for label, G, hgens in instances:
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        if G.order > 120:  # one sparse weight: the dense products on S6 are slow
+            elements = [sample_weight(rng, problem, "random")]
+        else:
+            kinds = [k for k in WEIGHT_KINDS if G.order <= 30 or k != "theta"]
+            signed = AlgebraElement.zero(G)
+            for _ in range(4):
+                signed.coeffs[rng.randrange(G.order)] += Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            elements = [*(sample_weight(rng, problem, kind) for kind in kinds), signed]
+        inside, outside = E_bullet_cases(rng, label, problem)
+        for name, e in inside.items():
+            assert require_E_bullet(problem, e) is e, (label, name)
+            for w in elements:
+                result = stable_ideal_check(problem, w, e)
+                assert result == stable_ideal_check_dense(problem, w, e), (label, name)
+                outcomes[tuple(result[1])] += 1
+        for name, e in outside.items():
+            message = domain_message(require_E_bullet_dense, problem, e)
+            assert message is not None, (label, name)
+            assert domain_message(require_E_bullet, problem, e) == message, (label, name)
+            assert domain_message(stable_ideal_check, problem, elements[0], e) == message, (label, name)
+            outcomes[message] += 1
+    assert len(outcomes) == 7, outcomes  # each verdict and each message occurs
 
 
 def test_stable_verdict_is_ideal_invariant(sym4, top_prob, mid_swap_T, frustrator):
