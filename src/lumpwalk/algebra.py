@@ -92,12 +92,17 @@ class AlgebraElement:
     # -- ring structure ----------------------------------------------------------
 
     def support(self):
+        """The pairs (id, coefficient) of the nonzero coefficients.  The dense
+        coefficients share the field's zero object, so an identity test skips
+        most of them before the scalar test."""
+        zero = self.field.zero
         for i, c in enumerate(self.coeffs):
-            if c:
+            if c is not zero and c:
                 yield i, c
 
     def support_ids(self) -> list[int]:
-        return [i for i, c in enumerate(self.coeffs) if c]
+        zero = self.field.zero
+        return [i for i, c in enumerate(self.coeffs) if c is not zero and c]
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):

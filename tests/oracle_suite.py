@@ -78,7 +78,7 @@ def theta_basis(problem, e):
         img2 = (e - eta_H) * basis_g * eta_H
         rows.append(img1.coeffs + img2.coeffs)
     constraints = [[rows[g][k] for g in range(G.order)] for k in range(2 * G.order)]
-    return nullspace(constraints, G.order)
+    return nullspace(constraints, G.order).to_subspace()
 
 
 def random_subgroup_of(rng, H):

@@ -10,7 +10,9 @@ Theta(e) by ranks, over Q(zeta_n) through the rotations of each row, the
 E_• membership and stable-ideal checks by dense products, and condition (b)
 of the interpolation test by the double cosets T\\G/H.  One
 reference stays on the cut: the closure of `close_H_ideal` with every map on
-every vector, which the translation rule of `linalg.closure` must reproduce.
+every vector, which the translation rule of `linalg.closure` must reproduce;
+it translates by scattering entries (`permuted`) where the package gathers
+them by the inverse map, so the two translation codes stay independent.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -25,13 +27,23 @@ from math import lcm
 from lumpwalk.algebra import AlgebraElement, eta
 from lumpwalk.errors import DomainError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets
-from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row, permuted
+from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row
 from lumpwalk.scalars import RATIONALS, common_field
 
 
 def compose(g: tuple, h: tuple) -> tuple:
     """g*h in one-line notation: the image of j is h[g[j]] (apply g, then h)."""
     return tuple(h[g[j]] for j in range(len(g)))
+
+
+def permuted(vector, perm, zero) -> list:
+    """The vector with entry k moved to position perm[k]: a scatter, where the
+    closures of `lumpwalk` gather by the inverse map."""
+    out = [zero] * len(vector)
+    for pos, c in enumerate(vector):
+        if c:
+            out[perm[pos]] = c
+    return out
 
 
 def cycles_to_one_line(degree: int, text: str) -> tuple:

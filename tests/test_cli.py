@@ -926,3 +926,33 @@ def test_cut_strings_match_widened_elements(top_prob, die_prob, frustrator, die_
               for compute in (compute_Lw, compute_Jw)]
     for ideal in ideals:
         assert cli._cut_strings(ideal) == widened(ideal)
+
+
+def test_degree_one_group_through_the_weak_and_verdict_commands(tmp_path, capsys):
+    """The trivial group of degree 1, where `operator.itemgetter` of one index
+    would give a point instead of an image tuple: `test weak`, `jw`,
+    `test exact` and `abelian-test` exit 0 with the pinned report bytes."""
+    import hashlib
+
+    group, weight = tmp_path / "trivial.txt", tmp_path / "weight.txt"
+    group.write_text("degree 1\ngen id\n")
+    weight.write_text("1 id\n")
+    inputs = {role: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+              for role, path in (("group", group), ("subgroup", group), ("weight", weight))}
+    common_fields = {"group": {"degree": 1, "order": 1}, "inputs": inputs,
+                     "subgroup": {"index": 1, "order": 1}, "timing": None}
+    expected = {
+        ("test", "weak"): {"bases": {"minimal_ideal_cut": ["1 id"]}, "command": "test weak",
+                           "dimensions": {"minimal_ideal": 1, "minimal_ideal_cut": 1},
+                           "verdicts": {"weak": True}},
+        ("jw",): {"bases": {"cut": ["1 id"]}, "command": "jw",
+                  "dimensions": {"cut": 1, "ideal": 1}, "verdicts": {"weakly_lumping": True}},
+        ("test", "exact"): {"command": "test exact", "verdicts": {"exact": True}},
+        ("abelian-test",): {"bases": {"witness_idempotent": ["scalar cyclotomic 1; 1 id"]},
+                            "command": "abelian-test", "verdicts": {"weak": True}, "witness": [0]},
+    }
+    for command, fields in expected.items():
+        argv = [*command, "--group", str(group), "--subgroup", str(group),
+                "--weight", str(weight), "--json"]
+        report = json.dumps({**common_fields, **fields}, sort_keys=True, indent=2) + "\n"
+        assert run_in_process(capsys, argv) == (0, report, ""), command

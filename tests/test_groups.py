@@ -12,7 +12,7 @@ from lumpwalk import (
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
-from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, format_cycles, parse_generators
+from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, format_cycles, gather, parse_generators
 
 
 def test_group_not_starting_at_the_identity_is_an_invariant_error():
@@ -320,6 +320,39 @@ def test_coset_invariants(sym4, top_prob):
             assert decomposition.coset_of[rep] == cid
             assert rep == min(decomposition.cosets[cid])
         assert sorted(sum(decomposition.cosets, ())) == list(range(24))
+
+
+def test_gather_matches_the_python_product_loop():
+    """`gather(g)(h)` is the image tuple of g*h, `tuple([h[x] for x in g])`, at
+    degrees 1 to 7; at degree 1 it is a tuple too, not a point."""
+    rng = random.Random(2101)
+    for degree in range(1, 8):
+        for _ in range(50):
+            g, h = list(range(degree)), list(range(degree))
+            rng.shuffle(g)
+            rng.shuffle(h)
+            g, h = tuple(g), tuple(h)
+            assert gather(g)(h) == tuple([h[x] for x in g]), (g, h)
+
+
+def test_group_layer_matches_one_line_reference_at_degrees_one_and_two():
+    """`mul`, `inv`, both coset decompositions and the double cosets on the
+    groups of degree 1 and 2, where a gather has one or two points."""
+    from tests.reference import coset_partition, double_coset_partition, group_tables
+
+    for degree, gens in ((1, []), (2, [(0, 1)]), (2, [(1, 0)])):
+        G = FiniteGroup.generate(degree, gens)
+        mul, inv = group_tables(G)
+        assert [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)] == mul
+        assert [G.inv(i) for i in range(G.order)] == inv
+        for H in (G.subgroup([]), G.subgroup(G.generators)):
+            for side in ("left", "right"):
+                got = cosets(G, H, side)
+                assert (got.coset_of, got.representatives, got.cosets) == coset_partition(
+                    mul, H.members, side), (degree, side)
+            got = double_cosets(G, H, cosets(G, H))
+            assert (got.class_of, got.representatives, got.sizes, got.classes) == \
+                double_coset_partition(mul, H.members, H.members), degree
 
 
 def test_group_layer_matches_one_line_reference_on_pool():

@@ -243,7 +243,7 @@ def test_grassmann_identity():
 
 def test_nullspace_and_kernel():
     rows = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
-    ns = nullspace(rows, 3)
+    ns = nullspace(rows, 3).to_subspace()
     assert ns.dim == 1
     v = ns.rows[0]
     assert v[0] + v[1] == 0 and v[1] + v[2] == 0

@@ -403,7 +403,7 @@ def test_theta_multiplicative_closure(sym4, top_prob, mid_swap_T):
         img2 = (e - eta_H) * basis_g * eta_H
         rows.append(img1.coeffs + img2.coeffs)
     transposed = [[rows[g][k] for g in range(24)] for k in range(48)]
-    members = nullspace(transposed, 24)
+    members = nullspace(transposed, 24).to_subspace()
     rng = random.Random(13)
 
     def random_member():

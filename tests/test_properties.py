@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,6 @@ from lumpwalk.linalg import (
     intersect,
     kernel_span,
     nullspace,
-    permuted,
 )
 from lumpwalk.lumping import _cut_coset_values, _first_cut_violation, require_E_bullet
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
@@ -64,6 +64,7 @@ from tests.reference import (
     inner_product,
     kernel_F,
     left_ideal_closure,
+    permuted,
     require_E_bullet_dense,
     right_multiply_space,
     stable_ideal_check_dense,
@@ -309,7 +310,7 @@ def test_weak_path_tables_match_dense_products_on_pool():
             lw = compute_Lw(problem, w)
             unit_products = [problem.from_H_vector(row) * z for row in units.rows]
             annihilator = nullspace([[uz.coeffs[g] for uz in unit_products]
-                                     for g in range(G.order)], n)
+                                     for g in range(G.order)], n).to_subspace()
             for M in (lw.pi_H, units):
                 for row in M.rows:
                     dense = problem.coset_components(problem.from_H_vector(row) * w)
@@ -378,7 +379,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     # the largest stable sum-zero cut is defined for every weight, weak or not;
     # it is the nullspace of the cut of L_{w*}
     annihilator = problem.close_H_ideal([[1] * n], problem.weight_action(w.star()))
-    maximal = nullspace(annihilator.rows, n)
+    maximal = nullspace(annihilator.rows, n).to_subspace()
     maximal.insert([Fraction(1, n)] * n)
     assert maximal == narrowed_maximal_cut(problem, w), label
     if not lw.weakly_lumping:
@@ -667,9 +668,36 @@ def constraint_matrices(draw):
 @example(([[Fraction(3, 4), Fraction(-1, 6), Fraction(0)], [Fraction(-3, 2), Fraction(1, 3), Fraction(7, 5)]], 3))
 def test_nullspace_matches_insert_reference(case):
     rows, n = case
-    fast, ref = nullspace(rows, n), insert_nullspace(rows, n)
-    assert (fast.rows, fast.pivots, fast.support) == (ref.rows, ref.pivots, ref.support)
+    assert_nullspace_matches_reference(rows, n)
+
+
+def assert_nullspace_matches_reference(rows, n):
+    """`nullspace` gives the integer canonical rows of the `Fraction` reference:
+    the same rows, pivots and supports once made `Fraction` rows, each row
+    primitive with a positive pivot and its support exactly its nonzero columns."""
+    fast = nullspace(rows, n)
+    canonical, ref = fast.to_subspace(), insert_nullspace(rows, n)
+    assert (canonical.rows, canonical.pivots, canonical.support) == (ref.rows, ref.pivots, ref.support)
+    for row, p, cols in zip(fast.rows, fast.pivots, fast.support):
+        assert all(type(c) is int for c in row)
+        assert row[p] > 0 and gcd(*row) == 1
+        assert cols == [k for k, c in enumerate(row) if c]
     assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in fast.rows)
+
+
+def test_nullspace_matches_insert_reference_on_pool_reversed_cuts():
+    """The constraints `compute_Jw` hands to `nullspace`: the cut of L_{w*}, on
+    every pool pair and weight family."""
+    rng = random.Random(2121)
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        n = problem.subgroup.order
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            cut = problem.close_H_ideal([[1] * n], problem.weight_action(w.star()))
+            assert_nullspace_matches_reference(cut.rows, n)
 
 
 def round_based_GL_space(f, P, alpha):
