@@ -160,13 +160,15 @@ class AlgebraElement:
 
     def is_weight(self) -> bool:
         """Non-negative rational coefficients, at least one positive: each
-        nonzero coefficient is rational and positive, and there is one."""
+        nonzero coefficient is rational and positive, and there is one.  A
+        rational's sign is that of its numerator, so the signs are read off
+        the numerators, in one scan of the support."""
         values = [c for _, c in self.support()]
         if self.field.kind != "rational":
             if not all(self.field.is_rational_value(c) for c in values):
                 return False
             values = [self.field.rational_value(c) for c in values]
-        return bool(values) and all(v > 0 for v in values)
+        return bool(values) and all(v.numerator > 0 for v in values)
 
     def require_weight(self) -> "AlgebraElement":
         if not self.is_weight():
@@ -186,8 +188,10 @@ class AlgebraElement:
         return AlgebraElement(self.group, [c / t for c in self.coeffs], self.field)
 
     def is_irreducible_weight(self) -> bool:
-        w = self.require_weight()
-        return self.group.is_generating(w.support_ids())
+        """Whether the support of this weight generates the group.  The caller
+        has checked that it is a weight (`require_weight`); it is not checked
+        again."""
+        return self.group.is_generating(self.support_ids())
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ DEFAULT_ORDER_CAP = 20_000
 # on millions of points cost seconds and gigabytes.
 MAX_GROUP_ENTRIES = 500_000
 
-_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
 _CYCLES_RE = re.compile(r"(?:\([0-9,]*\))*")
 
 
@@ -51,8 +50,11 @@ def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
     """The image tuple of 1-based cycle notation such as ``(1,2)(3,4)``;
     ``id`` or ``()`` is the identity.
 
-    Cycles whose points are in range, distinct and in disjoint cycles make a
-    permutation by construction, so the images need no further check.
+    Once `_CYCLES_RE` has matched the text without its whitespace, its cycles
+    are the pieces between the outer parentheses split at ``)(``: one split,
+    no second scan.  Cycles whose points are in range, distinct and in
+    disjoint cycles make a permutation by construction, so the images need no
+    further check.
     """
     text = text.strip()
     if text in ("id", "()", "e", "1"):
@@ -62,7 +64,7 @@ def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
         raise InputFormatError(f"bad cycle notation {text!r}")
     images = list(range(degree))
     seen = set()
-    for body in _CYCLE_RE.findall(stripped):
+    for body in stripped[1:-1].split(")("):
         if not body:
             continue
         try:

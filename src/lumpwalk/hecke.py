@@ -91,8 +91,9 @@ def check_Q_characterization(problem: LumpingProblem, Q):
     order_H = problem.subgroup.order
     for cid, q in values.items():
         if q:
+            value = q / order_H  # one division per class, shared by its members
             for g in problem.double.classes[cid]:
-                weight.coeffs[g] = q / order_H
+                weight.coeffs[g] = value
     coefficients = [values[cid] for cid in range(problem.double.n_classes)]
     return True, coefficients, weight
 

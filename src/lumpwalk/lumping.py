@@ -41,7 +41,8 @@ verdict, for the cut condition e z = 0 of the stable-ideal check, which
 takes any element w, and for condition (b) eta_T z = 0 of the interpolation
 test, whose condition (a) is the exact test for (G, T).  The E_• check and
 the ideal condition e w (1-e) = 0 read the action tables of e and w, and
-Theta(e) has its dimension as a sum of traces read off e, so all
+Theta(e) has its dimension as a sum of traces read off e, summed per left
+coset of each double coset and per conjugacy class of H, so all
 elimination is over Q.  The dense forms remain as references in
 `tests/test_properties.py` and `tests/reference.py`.
 """
@@ -214,16 +215,21 @@ class GurvitsLedouxIdeal:
 # strong and exact lumping
 
 
-def _double_coset_constancy(problem: LumpingProblem, w: AlgebraElement, side: str):
-    """Check that coset weights are constant within each double coset."""
-    decomposition = problem.left if side == "left" else problem.right
-    sums = coset_sums(w, decomposition)
+def _cosets_by_class(problem: LumpingProblem, decomposition) -> list[list[int]]:
+    """The coset ids of one side in each double coset, by class id: every
+    coset lies inside one double coset, keyed by its representative."""
     by_class = [[] for _ in range(problem.double.n_classes)]
     for coset_id, rep in enumerate(decomposition.representatives):
-        # every coset lies inside one double coset, keyed by its rep
         by_class[problem.double.class_of[rep]].append(coset_id)
+    return by_class
+
+
+def _double_coset_constancy(problem: LumpingProblem, sums: list, side: str):
+    """Check that the coset weights `sums` of one side are constant within
+    each double coset."""
+    decomposition = problem.left if side == "left" else problem.right
     name = problem.group.cycle_string
-    for cid, members in enumerate(by_class):
+    for cid, members in enumerate(_cosets_by_class(problem, decomposition)):
         if any(sums[k] != sums[members[0]] for k in members[1:]):
             pair = sorted(members, key=sums.__getitem__)
             ends = (pair[0], pair[-1])
@@ -238,13 +244,15 @@ def _double_coset_constancy(problem: LumpingProblem, w: AlgebraElement, side: st
 def _one_sided_test(problem: LumpingProblem, w: AlgebraElement, side: str):
     """Coset weights on one side constant within each double coset.
 
-    The equivalent algebraic condition, that the obstruction of
-    `_cut_coset_values` for the same side vanishes, is evaluated as well and
-    the two answers are required to agree.
+    The coset sums of w are taken once, and both criteria read them: the
+    constancy itself, and the equivalent algebraic condition that the
+    obstruction of `_cut_coset_values` for the same side vanishes.  The two
+    answers are required to agree.
     """
     w = w.require_weight()
-    verdict, certificate = _double_coset_constancy(problem, w, side)
-    if any(_cut_coset_values(problem, w, side)) == verdict:
+    sums = coset_sums(w, problem.left if side == "left" else problem.right)
+    verdict, certificate = _double_coset_constancy(problem, sums, side)
+    if any(_cut_coset_values(problem, sums, side)) == verdict:
         kind = "strong" if side == "left" else "exact"
         raise InvariantError(f"{kind}-lumping criteria disagree")
     return verdict, certificate
@@ -345,8 +353,9 @@ def time_reversal_dual_idempotent(problem: LumpingProblem, e: AlgebraElement) ->
 # the minimal ideal and the weight-level weak lumping test
 
 
-def _cut_coset_values(problem: LumpingProblem, w: AlgebraElement, side: str = "left") -> list:
-    """(1 - eta_H) w eta_H for side "left", eta_H w (1 - eta_H) for side "right".
+def _cut_coset_values(problem: LumpingProblem, sums: list, side: str = "left") -> list:
+    """(1 - eta_H) w eta_H for side "left", eta_H w (1 - eta_H) for side "right",
+    from the coset sums `sums` of w on that side (`coset_sums`).
 
     The left one is the obstruction used by the weak verdicts.  w eta_H
     spreads w(gH) evenly over the coset gH, eta_H w spreads w(Hg) evenly over
@@ -354,17 +363,17 @@ def _cut_coset_values(problem: LumpingProblem, w: AlgebraElement, side: str = "l
     z(g) = w(gH)/|H| - w(HgH)/|HgH| on the left and
     z(g) = w(Hg)/|H| - w(HgH)/|HgH| on the right.  Either is constant on the
     cosets of its side; the value on each coset is returned, by coset id.
+    A double coset is a union of cosets of either side, so w(HgH) is the sum
+    of the coset sums inside it.
     """
     decomposition = problem.left if side == "left" else problem.right
-    double = problem.double
-    per_coset = coset_sums(w, decomposition)
-    per_double = problem.double_coset_sums(w)
     # times 1/n rather than divided by n: a cyclotomic scalar has no division
     per_H = Fraction(1, problem.subgroup.order)
-    values = []
-    for cid, rep in enumerate(decomposition.representatives):
-        d = double.class_of[rep]
-        values.append(per_coset[cid] * per_H - per_double[d] * Fraction(1, double.sizes[d]))
+    values = [None] * decomposition.n_cosets
+    for cid, members in enumerate(_cosets_by_class(problem, decomposition)):
+        mean = sum(sums[k] for k in members) * Fraction(1, problem.double.sizes[cid])
+        for k in members:
+            values[k] = sums[k] * per_H - mean
     return values
 
 
@@ -377,7 +386,7 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
     (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does at every left-coset
     representative r_j; rational coset values of z are scaled to integers.
     """
-    values = _cut_coset_values(problem, w)
+    values = _cut_coset_values(problem, coset_sums(w, problem.left))
     if not any(values):
         return None
     if w.field.kind == "rational":
@@ -538,15 +547,40 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
 # dimension of the stable-compatibility algebra of an idempotent
 
 
+def _conjugacy_classes(H: Subgroup) -> list[list[int]]:
+    """The conjugacy classes of H as lists of member ids: the orbits of
+    conjugation by the generators of H, in order of their least member."""
+    G = H.parent
+    conjugations = [(G.inv(s), s) for s in H.generators]
+    seen, classes = set(), []
+    for h in H.members:
+        if h in seen:
+            continue
+        seen.add(h)
+        orbit = [h]
+        for x in orbit:  # grows while it is read
+            for s_inv, s in conjugations:
+                y = G.mul(G.mul(s_inv, x), s)  # s^-1 x s
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        classes.append(orbit)
+    return classes
+
+
 def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
     """Dimension of Theta(e) = {w : e w (1-e) = 0 and (e - eta_H) w eta_H = 0}.
 
     Returns (dimension, per_class) where per_class lists, by double-coset id,
     the number of independent constraints the class contributes; the
     dimension is |G| minus their sum.  The count of the class HxH is a trace,
-    read off the coefficients of e without a product in the group algebra:
-      c(HxH) = sum over g in HxH and h in supp e with h' = g^-1 h^-1 g in H of
-               e(h) (delta_{h',1} - e(h') + 1/|H|),  minus 1.
+    read off the coefficients of e without a product in the group algebra,
+    as a sum over the representatives r of the left cosets rH inside HxH and
+    the conjugacy classes of H:
+      c(HxH) = sum over r and h in supp e with y = r^-1 h^-1 r in H of
+               e(h) (|H| delta_{h,1} + 1 - |H| e(cl(y)) / |cl(y)|),  minus 1,
+    with cl(y) the conjugacy class of y in H and e(cl) the sum of e over it.
+    That is |G:H| |supp e| compositions, not |G| |supp e|.
 
     Proof.  Write eta = eta_H, A(w) = e w (1-e) and B(w) = (e - eta) w eta.
     As e lies in C[H], eta e = e eta = s eta for the coefficient sum s of e,
@@ -562,34 +596,44 @@ def theta_dimension(problem: LumpingProblem, e: AlgebraElement):
     (iii) In the basis of the elements g of HxH, the coefficient of g in
     A(g) = e g - e g e is e(1) - sum_h e(h) e(h'), and in
     B(g) = e g eta - eta g eta it is sum_h e(h)/|H| - |H n gHg^-1|/|H|^2,
-    with h running over the h in H whose h' lies in H.  As h' = 1 exactly
-    when h = 1, e(1) = sum_h e(h) delta_{h',1}, and the other terms summed
-    over the class give the double sum of c(HxH).  For g = a x b with a, b
-    in H, H n gHg^-1 = a (H n xHx^-1) a^-1, and |HxH| |H n xHx^-1| = |H|^2
-    (the counting identity checked by `double_cosets`): the last term sums
-    to the 1.
+    with h' = g^-1 h^-1 g and h running over the h in H whose h' lies in H.
+    As h' = 1 exactly when h = 1, e(1) = sum_h e(h) delta_{h',1}, so the
+    trace is the sum over g in HxH and those h of
+    e(h) (delta_{h',1} - e(h') + 1/|H|), minus the sum of the last terms.
+    For g = a x b with a, b in H, H n gHg^-1 = a (H n xHx^-1) a^-1, and
+    |HxH| |H n xHx^-1| = |H|^2 (the counting identity checked by
+    `double_cosets`): the last terms sum to 1.
+    (iv) Write g = r k with k in H.  Then h' = k^-1 y k, which lies in H
+    exactly when y does, so the h that count depend on r alone.  As k runs
+    over H, k^-1 y k runs |H| / |cl(y)| times over cl(y), and it is 1 only if
+    y = 1, that is h = 1.  Summed over k, the term of (iii) is
+    e(h) (|H| delta_{h,1} - |H| e(cl(y)) / |cl(y)| + 1): the formula above.
+    The classes are the orbits of conjugation by the generators of H, which
+    generate the group of inner automorphisms of H.
     The count is a rank, so a trace that is not an integer is an error of the
     program and raises `InvariantError`.
     """
     e = require_E_bullet(problem, e)
-    G, H = problem.group, problem.subgroup
-    field, coeffs, images = e.field, e.coeffs, G.images
-    in_H = {images[h]: h for h in H.members}  # the id of each member, by image tuple
+    G, H, left = problem.group, problem.subgroup, problem.left
+    field, coeffs, images, index = e.field, e.coeffs, G.images, G.index
+    classes = _conjugacy_classes(H)
+    class_of = {h: number for number, members in enumerate(classes) for h in members}
+    # e(cl) / |cl| per class, times 1/n: a cyclotomic scalar has no division
+    averages = [sum(coeffs[h] for h in members) * Fraction(1, len(members)) for members in classes]
     inverses = [(gather(images[G.inv(h)]), h) for h in e.support_ids()]
-    uniform = Fraction(1, H.order)
     per_class = []
-    for members in problem.double.classes:
-        hits = Counter()  # (h, h') -> the number of g in the class with g^-1 h^-1 g = h'
-        for g in members:
-            g_img = images[g]
-            g_inv_times = gather(images[G.inv(g)])
+    for members in _cosets_by_class(problem, left):
+        hits = Counter()  # (h, cl(y)) -> the number of representatives r with that class
+        for r in (left.representatives[k] for k in members):
+            r_img = images[r]
+            r_inv_times = gather(images[G.inv(r)])
             for h_inv_times, h in inverses:
-                k = in_H.get(g_inv_times(h_inv_times(g_img)))  # g^-1 h^-1 g
-                if k is not None:
-                    hits[h, k] += 1
+                y = index[r_inv_times(h_inv_times(r_img))]  # r^-1 h^-1 r
+                if y in class_of:
+                    hits[h, class_of[y]] += 1
         trace = field.zero
-        for (h, k), n in hits.items():
-            trace = trace + n * coeffs[h] * (int(k == 0) - coeffs[k] + uniform)
+        for (h, number), n in hits.items():
+            trace = trace + n * coeffs[h] * (H.order * int(h == 0) + 1 - H.order * averages[number])
         count = trace - 1
         if not field.is_rational_value(count) or field.rational_value(count).denominator != 1:
             raise InvariantError(f"theta constraint count {count} is not an integer")
@@ -683,10 +727,12 @@ def walk_lumped_matrix(problem: LumpingProblem, w: AlgebraElement):
     Row gH, column g'H holds (eta_H w)(g^-1 g' H) for the normalized weight;
     this is the aggregated matrix of the walk under the uniform law.  The
     cosets hxH, h in H, cover HxH evenly, so (eta_H w)(xH) = |H| w(HxH)/|HxH|.
+    The weight is normalized by dividing each double-coset sum by the total,
+    their sum, not each coefficient of w.
     """
-    w = w.require_weight().normalized()
-    order, sizes = problem.subgroup.order, problem.double.sizes
-    per_class = [s * order / sizes[cid] for cid, s in enumerate(problem.double_coset_sums(w))]
+    sums = problem.double_coset_sums(w.require_weight())
+    total, order, sizes = sum(sums), problem.subgroup.order, problem.double.sizes
+    per_class = [s * order / (sizes[cid] * total) for cid, s in enumerate(sums)]
     return [[per_class[cid] for cid in row] for row in problem.pair_classes]
 
 

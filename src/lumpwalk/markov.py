@@ -113,13 +113,21 @@ class TransitionMatrix:
         return self._reaches_all(forward=True) and self._reaches_all(forward=False)
 
     def _reaches_all(self, forward: bool) -> bool:
+        """Whether state 0 reaches every state (forward) or every state reaches
+        it (backward): a search on the `nonzero` entries, backward on
+        predecessor lists built once."""
+        if forward:
+            neighbours = [[y for y, _ in pairs] for pairs in self.nonzero]
+        else:
+            neighbours = [[] for _ in range(self.n)]
+            for x, pairs in enumerate(self.nonzero):
+                for y, _ in pairs:
+                    neighbours[y].append(x)
         seen = {0}
         stack = [0]
         while stack:
-            x = stack.pop()
-            for y in range(self.n):
-                p = self.rows[x][y] if forward else self.rows[y][x]
-                if p and y not in seen:
+            for y in neighbours[stack.pop()]:
+                if y not in seen:
                     seen.add(y)
                     stack.append(y)
         return len(seen) == self.n

@@ -8,7 +8,11 @@ ideal itself with its defining axioms, the conjugate-linear inner product,
 the kernel of a lumping map, the dimension of the compatibility algebra
 Theta(e) by ranks, over Q(zeta_n) through the rotations of each row, the
 E_• membership and stable-ideal checks by dense products, and condition (b)
-of the interpolation test by the double cosets T\\G/H.  One
+of the interpolation test by the double cosets T\\G/H.  The closed forms
+that sum once per coset or per class keep their per-element forms here: the
+strong and exact tests that sum w once per criterion, the lumped matrix of
+the normalized weight, the realizing weight divided per element, and
+Theta(e) summed over every element of each double coset.  One
 reference stays on the cut: the closure of `close_H_ideal` with every map on
 every vector, which the translation rule of `linalg.closure` must reproduce;
 it translates by scattering entries (`permuted`) where the package gathers
@@ -18,16 +22,20 @@ The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
 string, the multiplication and inverse tables of an enumerated group, the
 subgroup generated by some of its elements, and its one-sided and double
-cosets built from every product.
+cosets built from every product.  The cycle parser keeps its form with a
+second scan for the cycles (`parse_cycles_findall`).
 """
 
+import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from lumpwalk.algebra import AlgebraElement, eta
-from lumpwalk.errors import DomainError
-from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets
+from lumpwalk.algebra import AlgebraElement, coset_sums, eta
+from lumpwalk.errors import DomainError, InputFormatError, InvariantError
+from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
 from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row
+from lumpwalk.lumping import require_E_bullet
 from lumpwalk.scalars import RATIONALS, common_field
 
 
@@ -313,3 +321,165 @@ def kernel_F(f) -> Subspace:
             v[other] = Fraction(-1)
             out.insert(v)
     return out
+
+
+_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
+_CYCLES_RE = re.compile(r"(?:\([0-9,]*\))*")
+
+
+def parse_cycles_findall(degree: int, text: str) -> tuple[int, ...]:
+    """Reference for `lumpwalk.groups.parse_cycles`: the text checked by one
+    regular expression, then its cycles found by a second scan (`findall`)."""
+    text = text.strip()
+    if text in ("id", "()", "e", "1"):
+        return tuple(range(degree))
+    stripped = "".join(text.split())  # without its whitespace
+    if not _CYCLES_RE.fullmatch(stripped):
+        raise InputFormatError(f"bad cycle notation {text!r}")
+    images = list(range(degree))
+    seen = set()
+    for body in _CYCLE_RE.findall(stripped):
+        if not body:
+            continue
+        try:
+            points = [int(p) - 1 for p in body.split(",")]
+        except ValueError:
+            raise InputFormatError(f"bad point in cycle ({body})")
+        cycle = set(points)
+        if len(cycle) != len(points):
+            raise InputFormatError(f"repeated point in cycle ({body})")
+        if min(points) < 0 or max(points) >= degree:
+            raise InputFormatError(f"cycle point outside 1..{degree} in ({body})")
+        if not seen.isdisjoint(cycle):
+            shared = min(seen & cycle) + 1
+            raise InputFormatError(f"point {shared} appears in two cycles of {text!r}")
+        seen |= cycle
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+    return tuple(images)
+
+
+def double_coset_constancy_two_pass(problem, w, side):
+    """Reference for the constancy criterion of `lumping._one_sided_test`:
+    the coset sums of w taken for this criterion alone."""
+    decomposition = problem.left if side == "left" else problem.right
+    sums = coset_sums(w, decomposition)
+    by_class = [[] for _ in range(problem.double.n_classes)]
+    for coset_id, rep in enumerate(decomposition.representatives):
+        # every coset lies inside one double coset, keyed by its rep
+        by_class[problem.double.class_of[rep]].append(coset_id)
+    name = problem.group.cycle_string
+    for cid, members in enumerate(by_class):
+        if any(sums[k] != sums[members[0]] for k in members[1:]):
+            pair = sorted(members, key=sums.__getitem__)
+            ends = (pair[0], pair[-1])
+            return False, {
+                "double_coset": name(problem.double.representatives[cid]),
+                "cosets": [name(decomposition.representatives[k]) for k in ends],
+                "sums": [str(sums[k]) for k in ends],
+            }
+    return True, None
+
+
+def cut_coset_values_two_pass(problem, w, side="left") -> list:
+    """Reference for `lumping._cut_coset_values`: the coset sums and the
+    double-coset sums of w each taken from its coefficients, and the mean of a
+    double coset divided out once per coset."""
+    decomposition = problem.left if side == "left" else problem.right
+    double = problem.double
+    per_coset = coset_sums(w, decomposition)
+    per_double = problem.double_coset_sums(w)
+    per_H = Fraction(1, problem.subgroup.order)
+    values = []
+    for cid, rep in enumerate(decomposition.representatives):
+        d = double.class_of[rep]
+        values.append(per_coset[cid] * per_H - per_double[d] * Fraction(1, double.sizes[d]))
+    return values
+
+
+def one_sided_test_two_pass(problem, w, side):
+    """Reference for `lumping._one_sided_test`: both criteria, each summing
+    all the terms of w, and the same agreement check."""
+    w = w.require_weight()
+    verdict, certificate = double_coset_constancy_two_pass(problem, w, side)
+    if any(cut_coset_values_two_pass(problem, w, side)) == verdict:
+        kind = "strong" if side == "left" else "exact"
+        raise InvariantError(f"{kind}-lumping criteria disagree")
+    return verdict, certificate
+
+
+def walk_lumped_matrix_normalizing(problem, w):
+    """Reference for `lumping.walk_lumped_matrix`: the double-coset sums of
+    the normalized weight, each coefficient divided by the total."""
+    w = w.require_weight().normalized()
+    order, sizes = problem.subgroup.order, problem.double.sizes
+    per_class = [s * order / sizes[cid] for cid, s in enumerate(problem.double_coset_sums(w))]
+    return [[per_class[cid] for cid in row] for row in problem.pair_classes]
+
+
+def check_Q_characterization_per_element(problem, Q):
+    """Reference for `hecke.check_Q_characterization`: the realizing weight
+    holds q / |H| computed once for each element of each class."""
+    m = problem.index
+    rows = [list(map(Fraction, row)) for row in Q]
+    if len(rows) != m or any(len(r) != m for r in rows):
+        raise DomainError("lumped matrix has the wrong shape")
+    for r in rows:
+        if any(x < 0 for x in r):
+            raise DomainError("lumped matrix has a negative entry")
+        if sum(r) != 1:
+            raise DomainError("lumped matrix row does not sum to 1")
+    G = problem.group
+    values = {}
+    for i, row in enumerate(problem.pair_classes):
+        for j, cid in enumerate(row):
+            if cid in values:
+                if values[cid] != rows[i][j]:
+                    certificate = {
+                        "class": G.cycle_string(problem.double.representatives[cid]),
+                        "entries": [str(values[cid]), str(rows[i][j])],
+                        "position": [i, j],
+                    }
+                    return False, certificate, None
+            else:
+                values[cid] = rows[i][j]
+    weight = AlgebraElement.zero(G)
+    order_H = problem.subgroup.order
+    for cid, q in values.items():
+        if q:
+            for g in problem.double.classes[cid]:
+                weight.coeffs[g] = q / order_H
+    coefficients = [values[cid] for cid in range(problem.double.n_classes)]
+    return True, coefficients, weight
+
+
+def theta_dimension_per_element(problem, e) -> tuple[int, list[int]]:
+    """Reference for `lumping.theta_dimension`: the trace of each double coset
+    HxH summed over its elements g, with g^-1 h^-1 g composed for every g and
+    every h in the support of e:
+      c(HxH) = sum over g in HxH and h in supp e with h' = g^-1 h^-1 g in H of
+               e(h) (delta_{h',1} - e(h') + 1/|H|),  minus 1."""
+    e = require_E_bullet(problem, e)
+    G, H = problem.group, problem.subgroup
+    field, coeffs, images = e.field, e.coeffs, G.images
+    in_H = {images[h]: h for h in H.members}  # the id of each member, by image tuple
+    inverses = [(gather(images[G.inv(h)]), h) for h in e.support_ids()]
+    uniform = Fraction(1, H.order)
+    per_class = []
+    for members in problem.double.classes:
+        hits = Counter()  # (h, h') -> the number of g in the class with g^-1 h^-1 g = h'
+        for g in members:
+            g_img = images[g]
+            g_inv_times = gather(images[G.inv(g)])
+            for h_inv_times, h in inverses:
+                k = in_H.get(g_inv_times(h_inv_times(g_img)))  # g^-1 h^-1 g
+                if k is not None:
+                    hits[h, k] += 1
+        trace = field.zero
+        for (h, k), n in hits.items():
+            trace = trace + n * coeffs[h] * (int(k == 0) - coeffs[k] + uniform)
+        count = trace - 1
+        if not field.is_rational_value(count) or field.rational_value(count).denominator != 1:
+            raise InvariantError(f"theta constraint count {count} is not an integer")
+        per_class.append(int(field.rational_value(count)))
+    return G.order - sum(per_class), per_class

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -601,6 +602,32 @@ def test_no_command_takes_a_group_algebra_product(files, tmp_path, sym4, capsys,
     test_golden_generic_reports(files, tmp_path, capsys)
     test_golden_cli_reports(files, capsys)
     test_golden_cli_text_and_help(files, tmp_path, capsys, monkeypatch)
+
+
+def test_closed_form_commands_do_not_normalize_the_weight(files, sym4, capsys, monkeypatch):
+    """The goldens of `test strong`, `test exact`, `lumped-q`, `theta-dim` and
+    `abelian-test` give their pinned reports with `AlgebraElement.normalized`
+    made to raise: these commands divide sums of the weight by its total, not
+    each of its coefficients.  `simulate` normalizes its weight to sample
+    from it, so its goldens are left out."""
+    from lumpwalk.algebra import AlgebraElement
+
+    def refuse(self):
+        raise AssertionError("a weight normalized coefficient by coefficient")
+
+    monkeypatch.setattr(AlgebraElement, "normalized", refuse)
+    goldens = [(VERDICT_GOLDEN_PATH, verdict_golden_cases(files)),
+               (ABELIAN_GOLDEN_PATH, abelian_golden_cases(files)),
+               (CLI_GOLDEN_PATH, cli_golden_cases(files))]
+    checked = Counter()
+    for path, cases in goldens:
+        expected = json.loads(path.read_text())
+        for name, argv in cases.items():
+            if argv[:2] in (["test", "strong"], ["test", "exact"]) or argv[0] in (
+                    "lumped-q", "theta-dim", "abelian-test"):
+                assert golden_report(capsys, argv) == expected[name], name
+                checked[" ".join(argv[:2]) if argv[0] == "test" else argv[0]] += 1
+    assert set(checked) == {"test strong", "test exact", "lumped-q", "theta-dim", "abelian-test"}
 
 
 # Runs each argument list of a JSON list on standard input through `cli.main`

@@ -1,8 +1,11 @@
 """Permutation groups, subgroups, cosets and double cosets."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumpwalk import (
     FiniteGroup,
@@ -13,6 +16,7 @@ from lumpwalk import (
 )
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
 from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, format_cycles, gather, parse_generators
+from tests.reference import parse_cycles_findall
 
 
 def test_group_not_starting_at_the_identity_is_an_invariant_error():
@@ -285,6 +289,57 @@ def test_parse_cycles_rejections_keep_their_messages():
         with pytest.raises(InputFormatError) as caught:
             parse_cycles(4, text)
         assert str(caught.value) == message, text
+
+
+# every character that str.split() removes: the whitespace of cycle notation
+SPLIT_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".split()) == 2)
+
+
+@st.composite
+def cycle_texts(draw):
+    """(degree, text) at degrees 1 to 9, with whitespace around the characters
+    of the last two forms of text: a string over the characters of cycle
+    notation and whitespace; cycles of points 0 to degree + 1 and empty points,
+    which reach every rejection; or the cycle string of a permutation of the
+    degree."""
+    degree = draw(st.integers(1, 9))
+    form = draw(st.integers(0, 2))
+    if form == 0:
+        return degree, draw(st.text(st.sampled_from("()0123456789," + SPLIT_WHITESPACE),
+                                    max_size=24))
+    if form == 1:
+        # mostly points of the degree, so that cycles often meet
+        inside = [str(k) for k in range(1, degree + 1)]
+        point = st.sampled_from(["", "0", str(degree + 1), *inside * 4])
+        cycles = draw(st.lists(st.lists(point, max_size=4), max_size=4))
+        text = "".join("(" + ",".join(points) + ")" for points in cycles)
+    else:
+        text = format_cycles(tuple(draw(st.permutations(range(degree)))))
+    whitespace = st.text(st.sampled_from(SPLIT_WHITESPACE), max_size=2)
+    return degree, "".join(draw(whitespace) + ch for ch in text) + draw(whitespace)
+
+
+def parse_outcome(parse, degree, text):
+    """The image tuple of a parse, or the message of its `InputFormatError`."""
+    try:
+        return parse(degree, text)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cycle_texts())
+def test_parse_cycles_matches_its_findall_reference(case):
+    """One split after the check gives the tuple, or the message, of the
+    reference that finds the cycles by a second scan."""
+    degree, text = case
+    assert parse_outcome(parse_cycles, degree, text) == parse_outcome(parse_cycles_findall, degree, text)
+
+
+def test_parse_cycles_removes_all_whitespace_that_split_removes():
+    assert len(SPLIT_WHITESPACE) == 29 and all(c in SPLIT_WHITESPACE for c in " \t\n\x85\u3000")
+    for c in SPLIT_WHITESPACE:
+        assert parse_cycles(4, f"{c}({c}1{c},2,{c}3{c}){c}({c}4){c}") == (1, 2, 0, 3), hex(ord(c))
 
 
 def test_cycle_string_roundtrip(sym4):

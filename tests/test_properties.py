@@ -15,6 +15,7 @@ from lumpwalk import (
     LumpingProblem,
     abelian_characters,
     abelian_weak_test,
+    check_Q_characterization,
     compute_Vmax_generic,
     coset_sums,
     eta,
@@ -23,7 +24,9 @@ from lumpwalk import (
     lumping_function,
     minimal_GL_space,
     orbital_matrices,
+    parse_cycles,
     stable_ideal_check,
+    theta_dimension,
     transition_from_weight,
     verify_hecke_isomorphism,
     walk_lumped_matrix,
@@ -32,7 +35,7 @@ from lumpwalk import test_exact as exact_test
 from lumpwalk import test_strong as strong_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
-from lumpwalk.algebra import character_idempotent, parse_element_file
+from lumpwalk.algebra import character_idempotent, format_element, parse_element_file
 from lumpwalk.errors import DomainError
 from lumpwalk.linalg import (
     IntegerRows,
@@ -60,14 +63,18 @@ from tests.oracle_suite import (
 from tests.reference import (
     all_maps_H_ideal,
     balanced_double_coset_mass,
+    check_Q_characterization_per_element,
     full_subspace,
     inner_product,
     kernel_F,
     left_ideal_closure,
+    one_sided_test_two_pass,
     permuted,
     require_E_bullet_dense,
     right_multiply_space,
     stable_ideal_check_dense,
+    theta_dimension_per_element,
+    walk_lumped_matrix_normalizing,
 )
 from tests.test_linalg import dense_kernel_span
 
@@ -141,7 +148,7 @@ def dense_hecke_check(problem, anti=False):
 def cut_element(problem, w, side="left"):
     """The obstruction of one side as an element: its coset value at every group element."""
     decomposition = problem.left if side == "left" else problem.right
-    values = _cut_coset_values(problem, w, side)
+    values = _cut_coset_values(problem, coset_sums(w, decomposition), side)
     return AlgebraElement(problem.group, [values[c] for c in decomposition.coset_of])
 
 
@@ -990,6 +997,74 @@ def test_E_bullet_and_stable_check_match_dense_products():
             assert domain_message(stable_ideal_check, problem, elements[0], e) == message, (label, name)
             outcomes[message] += 1
     assert len(outcomes) == 7, outcomes  # each verdict and each message occurs
+
+
+def check_class_sum_forms(problem, w, label):
+    """The strong and exact verdicts with their certificates, the lumped
+    rows, and the realizing weight (or the certificate) of the lumped rows and
+    of their rows shifted by one, against the per-element references.
+    Returns whether each of the two is achievable."""
+    for test, side in ((strong_test, "left"), (exact_test, "right")):
+        assert test(problem, w) == one_sided_test_two_pass(problem, w, side), (label, side)
+    Q = walk_lumped_matrix(problem, w)
+    assert Q == walk_lumped_matrix_normalizing(problem, w), label
+    achievable = []
+    for rows in (Q, Q[1:] + Q[:1]):
+        got = check_Q_characterization(problem, rows)
+        want = check_Q_characterization_per_element(problem, rows)
+        assert got[:2] == want[:2], label
+        if got[0]:
+            assert format_element(got[2]) == format_element(want[2]), label
+        achievable.append(got[0])
+    return tuple(achievable)
+
+
+def test_class_sum_forms_match_per_element_references():
+    """The strong and exact tests, the lumped matrix, its realizing weight
+    and Theta(e), each summed once per coset or per class, against the
+    per-element forms they replace (`tests/reference.py`).
+
+    Weights: the pool's samples, S6 over its top-card stabiliser with
+    bottom-card and random-to-top, and S6 over the cyclic group of the
+    6-cycle with a seeded bi-invariant weight (a random value in 1..4 on each
+    double coset).  Idempotents: those of `E_bullet_cases` on the pool,
+    among them the die's e_P and e_0 + e_chi for a non-real chi, and on S7
+    over its top-card stabiliser 1, eta of <(2,3)> and eta_H.
+    """
+    rng = random.Random(2222)
+    verdicts, achievable, cyclotomic = Counter(), Counter(), 0
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            achievable[check_class_sum_forms(problem, w, (label, kind))] += 1
+            verdicts[strong_test(problem, w)[0], exact_test(problem, w)[0]] += 1
+        for name, e in E_bullet_cases(rng, label, problem)[0].items():
+            assert theta_dimension(problem, e) == theta_dimension_per_element(problem, e), (label, name)
+            cyclotomic += e.field.kind == "cyclotomic"
+    # every strong/exact verdict pair, and shifted rows both achievable and not
+    assert len(verdicts) == 4 and set(achievable) == {(True, True), (True, False)}, (
+        verdicts, achievable)
+    assert cyclotomic > 0
+    S6 = symmetric_group(6)
+    top = LumpingProblem(S6, top_stabilizer(S6))
+    for name, w in (("bottom-card", bottom_card_cycle(S6)), ("random-to-top", random_to_top(S6))):
+        check_class_sum_forms(top, w, ("S6/S5", name))
+    cyclic = LumpingProblem(S6, S6.subgroup([parse_cycles(6, "(1,2,3,4,5,6)")]))
+    bi_invariant = AlgebraElement.zero(S6)
+    for members in cyclic.double.classes:
+        value = Fraction(rng.randint(1, 4))
+        for g in members:
+            bi_invariant.coeffs[g] = value
+    check_class_sum_forms(cyclic, bi_invariant, ("S6/C6", "bi-invariant"))
+    assert strong_test(cyclic, bi_invariant)[0] and exact_test(cyclic, bi_invariant)[0]
+    S7 = symmetric_group(7)
+    problem = LumpingProblem(S7, top_stabilizer(S7))
+    for e in (AlgebraElement.one(S7), eta(S7, S7.subgroup([parse_cycles(7, "(2,3)")])),
+              problem.eta_H):
+        assert theta_dimension(problem, e) == theta_dimension_per_element(problem, e), ("S7/S6", e)
 
 
 def test_stable_verdict_is_ideal_invariant(sym4, top_prob, mid_swap_T, frustrator):
