@@ -213,8 +213,10 @@ def eta(group: FiniteGroup, members) -> AlgebraElement:
 
 
 def coset_sums(w: AlgebraElement, decomposition: CosetDecomposition) -> list:
-    """The vector of coset weights w(coset), one entry per coset id."""
-    sums = [w.field.zero] * decomposition.n_cosets
+    """The vector of coset weights w(coset), one entry per coset id.  The sums
+    start at the `int` 0, which every scalar adds to, so those of an element
+    with `int` coefficients stay integers."""
+    sums = [0] * decomposition.n_cosets
     for i, c in w.support():
         cid = decomposition.coset_of[i]
         sums[cid] = sums[cid] + c

@@ -7,16 +7,16 @@ insertion rewrites the row, so reduction and back-elimination touch only those
 entries.  The entries and the order of the arithmetic on them are those of a
 dense sweep, so bases and kernels do not depend on the cache.
 
-There are two row stores, both for rational row spaces.  `Subspace` holds
-`Fraction` rows with leading coefficient 1.  `IntegerRows` holds a row space
-fraction-free: each row is the canonical RREF row times the one positive
-integer that makes it a primitive integer vector (entries with gcd 1,
-positive pivot).  That scaled form is unique, so it determines the canonical
-RREF, which `to_subspace` builds once, at the end; reduction and
-back-elimination use integer row operations and divide only by a gcd.  The group-path closures and
-`nullspace` run on `IntegerRows`, and `nullspace` returns one, so a caller
-builds the `Fraction` rows once, when it reads them; the generic oracle's
-closures stay on `Subspace`.
+There are two row stores for rational row spaces, on one skeleton
+(`_RowStore`).  `Subspace` holds `Fraction` rows with leading coefficient 1.
+`IntegerRows` holds a row space fraction-free: each row is the canonical
+RREF row times the one positive integer that makes it a primitive integer
+vector (entries with gcd 1, positive pivot).  That scaled form is unique, so
+it determines the canonical RREF, which `to_subspace` builds once, at the
+end; its eliminations use integer row operations and divide only by a gcd.
+The group-path closures and `nullspace` run on `IntegerRows`, and
+`nullspace` returns one, so a caller builds the `Fraction` rows once; the
+generic oracle's closures stay on `Subspace`.
 
 `kernel_span` is the one kernel that combines coefficient vectors with a
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
@@ -49,11 +49,11 @@ from .errors import DomainError
 from .scalars import RATIONALS
 
 
-class Subspace:
-    """Row space of a rational matrix, kept in RREF.
-
-    ``support[i]`` lists the nonzero columns of ``rows[i]`` in ascending order,
-    so elimination visits only those entries.
+class _RowStore:
+    """What the two row stores share: the basis rows of a row space in
+    ``ambient`` columns, with the pivot column ``pivots[i]`` of ``rows[i]``
+    and its nonzero columns ``support[i]`` in ascending order, so elimination
+    visits only those entries.  A subclass defines `insert` and `reduce`.
     """
 
     __slots__ = ("ambient", "rows", "pivots", "support")
@@ -70,12 +70,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "Subspace":
-        out = Subspace(self.ambient)
+    def copy(self):
+        out = type(self)(self.ambient)
         out.rows = [list(r) for r in self.rows]
         out.pivots = list(self.pivots)
         out.support = [list(s) for s in self.support]
         return out
+
+    def basis(self) -> list[list]:
+        return [list(r) for r in self.rows]
+
+
+class Subspace(_RowStore):
+    """Row space of a rational matrix, kept in RREF with leading coefficient 1."""
+
+    __slots__ = ()
 
     def reduce(self, vector) -> list:
         """Residue of a vector after eliminating all pivots (input not mutated)."""
@@ -134,43 +143,17 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-    def basis(self) -> list[list]:
-        return [list(r) for r in self.rows]
 
-
-class IntegerRows:
+class IntegerRows(_RowStore):
     """Row space over Q of integer vectors, kept as the scaled canonical RREF.
 
     ``rows[i]`` is the canonical RREF row with pivot ``pivots[i]`` times the
     positive integer that makes it primitive: integer entries with gcd 1 and
-    a positive pivot entry.  ``support[i]`` lists its nonzero columns in
-    ascending order.  `insert` takes integer vectors; `to_subspace` gives the
-    canonical `Subspace` over the rationals.
+    a positive pivot entry.  `insert` takes integer vectors; `to_subspace`
+    gives the canonical `Subspace` over the rationals.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "support")
-
-    def __init__(self, ambient: int, vectors=()):
-        self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.support: list[list[int]] = []
-        for v in vectors:
-            self.insert(v)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def copy(self) -> "IntegerRows":
-        out = IntegerRows(self.ambient)
-        out.rows = [list(r) for r in self.rows]
-        out.pivots = list(self.pivots)
-        out.support = [list(s) for s in self.support]
-        return out
-
-    def basis(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+    __slots__ = ()
 
     def reduce(self, vector) -> list[int]:
         """A nonzero integer multiple of the residue of an integer vector after

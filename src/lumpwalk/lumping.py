@@ -14,22 +14,26 @@ the support of w, the left coset of h g and the position of h g inside it.
 So u w is computed as its coset components, never as a product in the group
 algebra.
 
-The cuts of L_w and L_alpha, and the annihilator of that of J_w, are all
-grown by `close_H_ideal`, the one worklist closure `linalg.closure` run on
-integer rows (`linalg.IntegerRows`): the action table is scaled once by the
-lcm of its denominators and each seed vector by that of its own, which
-changes no span.  The cut of L_w is the closure of the all-ones vector
-|H| eta_H (and of the coset components of a start) under the generators of
-H and under u -> each coset component of u w; the seeds go onto the integer
-rows directly, so they are echelonised once.  The closure is a left ideal of
-the subgroup algebra, and the coset components of a translate k u are
-translates of those of u, so only the seeds and the coset components that
-grew the span get coset components of their own; a translate gets the
-generators of H only (`close_H_ideal`).  The weak obstruction is
-checked on the integer rows, and the canonical `Fraction` rows are built
-once, for the report.  The cut of J_w is read through the time-reversal
-duality: it is the nullspace of the cut of L_{w*}, for the reversed weight
-w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).
+Every criterion here is homogeneous linear in w or e, so no verdict changes
+when an element is multiplied by a positive number: every exact kernel reads
+the integral form (D, D w) of `_integer_element`, D the lcm of the
+denominators of a rational w and 1 for a cyclotomic one, and compares its
+results up to D.  The cuts of L_w and L_alpha, and the annihilator of that
+of J_w, are all grown by `close_H_ideal`, the one worklist closure
+`linalg.closure` run on integer rows (`linalg.IntegerRows`) under the
+action table of D w; each seed vector is scaled by the lcm of its own
+denominators, which changes no span.  The cut of L_w is the closure of the
+all-ones vector |H| eta_H (and of the coset components of a start) under
+the generators of H and under u -> each coset component of u w; the seeds
+go onto the integer rows directly, so they are echelonised once.  The
+closure is a left ideal of the subgroup algebra, and the coset components
+of a translate k u are translates of those of u, so only the seeds and the
+coset components that grew the span get coset components of their own; a
+translate gets the generators of H only (`close_H_ideal`).  The weak
+obstruction is checked on the integer rows, and the canonical `Fraction`
+rows are built once, for the report.  The cut of J_w is read through the
+time-reversal duality: it is the nullspace of the cut of L_{w*}, for the
+reversed weight w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).
 
 No command takes a product in the group algebra.  The strong and exact
 tests and the lumped matrix read coset and double-coset sums of w, the
@@ -39,8 +43,9 @@ One cut kernel, `_first_cut_violation`, evaluates u z for
 z = (1 - eta_H) w eta_H at one representative per left coset: for the weak
 verdict, for the cut condition e z = 0 of the stable-ideal check, which
 takes any element w, and for condition (b) eta_T z = 0 of the interpolation
-test, whose condition (a) is the exact test for (G, T).  The E_• check and
-the ideal condition e w (1-e) = 0 read the action tables of e and w, and
+test, whose condition (a) is the exact test for (G, T).  It reads |HgH| z,
+with no division, from the coset sums of D w.  The E_• check and the ideal
+condition e w (1-e) = 0 read the action tables of D e and D w, and
 Theta(e) has its dimension as a sum of traces read off e, summed per left
 coset of each double coset and per conjugacy class of H, so all
 elimination is over Q.  The dense forms remain as references in
@@ -68,6 +73,22 @@ from .linalg import IntegerRows, Subspace, closure, integer_row, nullspace
 from .scalars import common_field, cyclotomic_field
 
 
+def _integer_element(w: AlgebraElement) -> tuple[int, AlgebraElement]:
+    """The integral form (D, D w), the one place where an exact kernel
+    scales an element: for a rational w, D is the lcm of the denominators on
+    its support, and D w has `int` coefficients, so its action table, coset
+    components and coset sums are integers; a cyclotomic w, whose scalars do
+    not divide, is (1, w).  D > 0, so D w has the verdicts of w."""
+    if w.field.kind != "rational":
+        return 1, w
+    support = list(w.support())
+    scale = lcm(*(c.denominator for _, c in support))
+    coeffs = [0] * w.group.order
+    for i, c in support:
+        coeffs[i] = c.numerator * (scale // c.denominator)
+    return scale, AlgebraElement(w.group, coeffs)
+
+
 class LumpingProblem:
     """A pair (G, H) with its coset geometry and averaging element cached."""
 
@@ -78,11 +99,15 @@ class LumpingProblem:
         self.subgroup = H
         self.left = cosets(G, H, "left")
         self.double = double_cosets(G, H, self.left)
-        self.eta_H = eta(G, H)
 
     @property
     def index(self) -> int:
         return self.left.n_cosets
+
+    @cached_property
+    def eta_H(self) -> AlgebraElement:
+        """The averaging element of H, dense over G, built when first read."""
+        return eta(self.group, self.subgroup)
 
     @cached_property
     def right(self):
@@ -166,16 +191,16 @@ class LumpingProblem:
         H, G, position = self.subgroup, self.group, self.left.position
         return tuple(tuple(position[G.mul(g, h)] for h in H.members) for g in H.generators)
 
-    def close_H_ideal(self, seeds, action: list) -> IntegerRows:
+    def close_H_ideal(self, seeds, w: AlgebraElement) -> IntegerRows:
         """Smallest left ideal of the subgroup algebra containing the seed
-        vectors and closed under u -> each coset component of u w, for the
-        action table of a weight w (`weight_action`).
+        vectors and closed under u -> each coset component of u w.
 
         It grows the cut of L_w (seeded with the all-ones vector), of L_alpha
         (and the coset components of alpha) and, as the cut of L_{w*}, the
-        annihilator of the cut of J_w.  Each seed and the table are scaled to
-        integers, by the lcm of their denominators, and the closure runs on
-        `IntegerRows`: a map and its nonzero multiples give the same closure.
+        annihilator of the cut of J_w.  It runs on `IntegerRows` under the
+        action table of the integral form D w (`_integer_element`), with each
+        seed scaled by `integer_row`: nonzero multiples of a map or a seed
+        give the same closure.
 
         Left multiplications by the generators of H are the translations of
         `linalg.closure`, and the coset components of u w its successors, so
@@ -185,9 +210,7 @@ class LumpingProblem:
         """
         # k u holds u_p at the position of k h_p: it gathers u by the map of k^-1
         translations = [gather(inverse(perm)) for perm in self._H_generator_perms]
-        scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
-        table = [[(cid, pos, value.numerator * (scale // value.denominator))
-                  for cid, pos, value in entries] for entries in action]
+        table = self.weight_action(_integer_element(w)[1])
         seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds))
         return closure(seed_rows, lambda u: self.times_weight(table, u),
                        lambda u: (k_inv(u) for k_inv in translations))
@@ -274,14 +297,6 @@ def test_exact(problem: LumpingProblem, w: AlgebraElement):
 # stable ideals from idempotents
 
 
-def _integer_element(w: AlgebraElement) -> tuple[int, AlgebraElement]:
-    """(D, D w) for a rational w, with D the lcm of the denominators of its
-    coefficients: D w has integer coefficients, so its action table and its
-    coset components are integers, built without a `Fraction` product."""
-    scale = lcm(*(c.denominator for _, c in w.support()))
-    return scale, AlgebraElement(w.group, [c.numerator * (scale // c.denominator) for c in w.coeffs])
-
-
 def require_E_bullet(problem: LumpingProblem, e: AlgebraElement) -> AlgebraElement:
     """e itself if it lies in E_•: supported on H, idempotent, and eta_H e = eta_H."""
     _E_bullet_action(problem, e)
@@ -289,24 +304,21 @@ def require_E_bullet(problem: LumpingProblem, e: AlgebraElement) -> AlgebraEleme
 
 
 def _E_bullet_action(problem: LumpingProblem, e: AlgebraElement) -> tuple[int, list, list]:
-    """(D, the action table of D e, the vector D u of e over H) once e is
-    checked to lie in E_•, with D the lcm of the denominators of a rational e
-    and 1 for a cyclotomic one.
+    """(D, the action table of D e, the vector D u of e over H) for the
+    integral form of e (`_integer_element`), once e is checked to lie in E_•.
 
-    Read off the vector u of e over H, without a product in the group algebra:
-    e e = u e has the coset components `times_weight(weight_action(e), u)`,
-    all zero but that of H, which is e e itself.  For a rational e the check
-    runs on integers, as (D u)(D e) = D (D u) exactly when e e = e.  eta_H e
-    is the coefficient sum of e times eta_H, as eta_H h = eta_H for h in H.
+    Read off u without a product in the group algebra: e e = u e has the
+    coset components `times_weight(weight_action(e), u)`, all zero but that
+    of H, which is e e itself; on the integral form, (D u)(D e) = D (D u)
+    exactly when e e = e.  eta_H e is the coefficient sum of e times eta_H,
+    as eta_H h = eta_H for h in H.
     """
     if not all(i in problem.subgroup for i in e.support_ids()):
         raise DomainError("idempotent is not supported on the subgroup")
-    scale = 1
-    if e.field.kind == "rational":
-        scale, e = _integer_element(e)
+    scale, e = _integer_element(e)
     u = problem.coset_components(e)[0]
     action = problem.weight_action(e)
-    if problem.times_weight(action, u)[0] != (u if scale == 1 else [scale * c for c in u]):
+    if problem.times_weight(action, u)[0] != [scale * c for c in u]:
         raise DomainError("element is not idempotent")
     if e.total() != scale:
         raise DomainError("idempotent does not average to eta_H (eta_H e != eta_H)")
@@ -327,14 +339,13 @@ def stable_ideal_check(problem: LumpingProblem, w: AlgebraElement, e: AlgebraEle
     action table of D e that the E_• check built.  (ii) As e eta_H = eta_H
     (see `theta_dimension`), (e - eta_H) w eta_H = e z for
     z = (1 - eta_H) w eta_H: the cut kernel.  Both conditions keep their
-    truth when u or w is scaled, so a rational u and w are scaled to
-    integers, and so is every x.
+    truth when u or w is scaled, so w is read in its integral form too.
     """
     scale, e_action, u = _E_bullet_action(problem, e)
     common_field(w.field, e.field)  # mixed cyclotomic orders are a DomainError
-    w_action = problem.weight_action(_integer_element(w)[1] if w.field.kind == "rational" else w)
+    w_action = problem.weight_action(_integer_element(w)[1])
     failed = []
-    if any(problem.times_weight(e_action, x)[0] != (x if scale == 1 else [scale * c for c in x])
+    if any(problem.times_weight(e_action, x)[0] != [scale * c for c in x]
            for x in problem.times_weight(w_action, u) if any(x)):
         failed.append("ideal-not-stable")
     if _first_cut_violation(problem, w, [u]) is not None:
@@ -354,26 +365,27 @@ def time_reversal_dual_idempotent(problem: LumpingProblem, e: AlgebraElement) ->
 
 
 def _cut_coset_values(problem: LumpingProblem, sums: list, side: str = "left") -> list:
-    """(1 - eta_H) w eta_H for side "left", eta_H w (1 - eta_H) for side "right",
-    from the coset sums `sums` of w on that side (`coset_sums`).
+    """|HgH| z(g) = k w(gH) - w(HgH) for z = (1 - eta_H) w eta_H on side
+    "left", |HgH| z(g) = k w(Hg) - w(HgH) for z = eta_H w (1 - eta_H) on side
+    "right", by coset id, from the coset sums `sums` of w on that side
+    (`coset_sums`), with k the number of cosets of that side in HgH.
 
     The left one is the obstruction used by the weak verdicts.  w eta_H
     spreads w(gH) evenly over the coset gH, eta_H w spreads w(Hg) evenly over
     Hg, and eta_H w eta_H spreads w(HgH) evenly over the double coset HgH, so
     z(g) = w(gH)/|H| - w(HgH)/|HgH| on the left and
-    z(g) = w(Hg)/|H| - w(HgH)/|HgH| on the right.  Either is constant on the
-    cosets of its side; the value on each coset is returned, by coset id.
-    A double coset is a union of cosets of either side, so w(HgH) is the sum
-    of the coset sums inside it.
+    z(g) = w(Hg)/|H| - w(HgH)/|HgH| on the right.  A double coset is a union
+    of k cosets of either side, so |HgH| = k |H| and w(HgH) is the sum of the
+    coset sums inside it.  The factor |HgH| leaves no division, and a
+    positive factor per double coset changes no zero pattern (proof at
+    `_first_cut_violation`).
     """
     decomposition = problem.left if side == "left" else problem.right
-    # times 1/n rather than divided by n: a cyclotomic scalar has no division
-    per_H = Fraction(1, problem.subgroup.order)
     values = [None] * decomposition.n_cosets
-    for cid, members in enumerate(_cosets_by_class(problem, decomposition)):
-        mean = sum(sums[k] for k in members) * Fraction(1, problem.double.sizes[cid])
+    for members in _cosets_by_class(problem, decomposition):
+        total = sum(sums[k] for k in members)
         for k in members:
-            values[k] = sums[k] * per_H - mean
+            values[k] = len(members) * sums[k] - total
     return values
 
 
@@ -384,13 +396,15 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
 
     z is constant on left cosets, so u z vanishes iff
     (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does at every left-coset
-    representative r_j; rational coset values of z are scaled to integers.
+    representative r_j.  It reads z times D |HgH| on each double coset HgH,
+    from `_cut_coset_values` of the integral form D w (`_integer_element`):
+    integers for a rational w.  As h_p^-1 r_j lies in H r_j H, the sum at r_j
+    reads z only on H r_j H, so a positive factor per double coset scales it
+    as a whole and changes no zero pattern.
     """
-    values = _cut_coset_values(problem, coset_sums(w, problem.left))
+    values = _cut_coset_values(problem, coset_sums(_integer_element(w)[1], problem.left))
     if not any(values):
         return None
-    if w.field.kind == "rational":
-        values = integer_row(values)
     G, left = problem.group, problem.left
     images, index, coset_of = G.images, G.index, left.coset_of
     reps = [images[r] for r in left.representatives]
@@ -427,7 +441,7 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     seeds = [[1] * problem.subgroup.order]  # eta_H, scaled by |H|
     if alpha is not None:
         seeds += problem.coset_components(alpha.require_distribution())
-    rows = problem.close_H_ideal(seeds, problem.weight_action(w))
+    rows = problem.close_H_ideal(seeds, w)
     M = rows.to_subspace()
     ideal = GurvitsLedouxIdeal(problem, M)
     violation = _first_cut_violation(problem, w, rows.rows)
@@ -497,7 +511,7 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
-    reversed_cut = problem.close_H_ideal([[1] * n], problem.weight_action(w.require_weight().star()))
+    reversed_cut = problem.close_H_ideal([[1] * n], w.require_weight().star())
     rows = nullspace(reversed_cut.rows, n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
     ideal = GurvitsLedouxIdeal(problem, rows.to_subspace())
@@ -677,7 +691,7 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement):
     field = cyclotomic_field(m)
     exponents = [[chi[h] for h in H.members] for chi in chars]
     # whether a pairing vanishes does not change when w is scaled: read w as integers
-    values = integer_row(w.coeffs)
+    values = _integer_element(w)[1].coeffs
     # per double coset HxH, the nonzero entries (i, j, w(h_i x h_j)) of its |H| x |H| table
     tables = []
     for x in problem.double.representatives:

@@ -189,3 +189,27 @@ def test_allow_list_names_exist():
     for module, names in LIBRARY.items():
         for name in names:
             assert (module, name) in bodies, f"{module}.{name}"
+
+
+def unused_imports() -> list[str]:
+    """The names a package module other than `__init__` imports and never
+    refers to; `from __future__` imports bind no name."""
+    out = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        out += [f"{path.stem}: {name}" for name in sorted(imported) if name not in used]
+    return out
+
+
+def test_no_unused_imports():
+    unused = unused_imports()
+    assert not unused, "imported and never used: " + ", ".join(unused)

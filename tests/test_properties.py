@@ -46,7 +46,12 @@ from lumpwalk.linalg import (
     kernel_span,
     nullspace,
 )
-from lumpwalk.lumping import _cut_coset_values, _first_cut_violation, require_E_bullet
+from lumpwalk.lumping import (
+    _cut_coset_values,
+    _first_cut_violation,
+    _integer_element,
+    require_E_bullet,
+)
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field
@@ -146,10 +151,14 @@ def dense_hecke_check(problem, anti=False):
 
 
 def cut_element(problem, w, side="left"):
-    """The obstruction of one side as an element: its coset value at every group element."""
+    """The obstruction of one side as an element: its coset value at every
+    group element, divided by the size of the double coset HgH that holds
+    it, as `_cut_coset_values` returns |HgH| z(g)."""
     decomposition = problem.left if side == "left" else problem.right
     values = _cut_coset_values(problem, coset_sums(w, decomposition), side)
-    return AlgebraElement(problem.group, [values[c] for c in decomposition.coset_of])
+    sizes, class_of = problem.double.sizes, problem.double.class_of
+    return AlgebraElement(problem.group, [values[c] * Fraction(1, sizes[class_of[g]])
+                                          for g, c in enumerate(decomposition.coset_of)], w.field)
 
 
 def round_based_closure(V, perms):
@@ -256,8 +265,15 @@ def test_closed_forms_match_dense_references_on_pool():
             left = weta - eta_H * weta
             etaw = eta_H * w
             right = etaw - etaw * eta_H
-            assert cut_element(problem, w) == left, (label, kind)
-            assert cut_element(problem, w, "right") == right, (label, kind)
+            # the obstruction from rational, integral and cyclotomic coset sums
+            scale, integral = _integer_element(w)
+            assert all(type(s) is int for s in coset_sums(integral, problem.left)), (label, kind)
+            cyclotomic = w.to_field(cyclotomic_field(4))
+            for side, dense in (("left", left), ("right", right)):
+                assert cut_element(problem, w, side) == dense, (label, kind, side)
+                assert cut_element(problem, cyclotomic, side) == dense, (label, kind, side)
+                scaled = [scale * c for c in dense.coeffs]
+                assert cut_element(problem, integral, side).coeffs == scaled, (label, kind, side)
             assert strong_test(problem, w)[0] == left.is_zero(), (label, kind)
             assert exact_test(problem, w)[0] == right.is_zero(), (label, kind)
             assert walk_lumped_matrix(problem, w) == dense_lumped_matrix(problem, w), (label, kind)
@@ -385,7 +401,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     assert l_alpha.pi_H == grown_minimal_ideal(problem, action, alpha_seed), label
     # the largest stable sum-zero cut is defined for every weight, weak or not;
     # it is the nullspace of the cut of L_{w*}
-    annihilator = problem.close_H_ideal([[1] * n], problem.weight_action(w.star()))
+    annihilator = problem.close_H_ideal([[1] * n], w.star())
     maximal = nullspace(annihilator.rows, n).to_subspace()
     maximal.insert([Fraction(1, n)] * n)
     assert maximal == narrowed_maximal_cut(problem, w), label
@@ -397,7 +413,7 @@ def check_weak_fixpoints(problem, w, rng, label):
     assert annihilator.dim + sum_zero.dim == n, label
     assert all(sum(a * c for a, c in zip(a_row, c_row)) == 0
                for a_row in annihilator.rows for c_row in sum_zero.rows), label
-    assert problem.close_H_ideal(jw.pi_H.rows, action).to_subspace() == jw.pi_H, label
+    assert problem.close_H_ideal(jw.pi_H.rows, w).to_subspace() == jw.pi_H, label
     return True
 
 
@@ -502,7 +518,7 @@ def check_annihilator(problem, w, label):
     """The cut of L_{w*} from `close_H_ideal` against the transposed
     `Fraction` closure for w: rows, pivots and supports."""
     n = problem.subgroup.order
-    fast = problem.close_H_ideal([[1] * n], problem.weight_action(w.star())).to_subspace()
+    fast = problem.close_H_ideal([[1] * n], w.star()).to_subspace()
     exact = exact_annihilator(problem, problem.weight_action(w))
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
 
@@ -520,7 +536,7 @@ def check_H_ideal(problem, w, rng, label):
     alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
     full = 0
     for seeds in ([[Fraction(1, n)] * n], [[1] * n] + problem.coset_components(alpha)):
-        fast = problem.close_H_ideal(seeds, action).to_subspace()
+        fast = problem.close_H_ideal(seeds, w).to_subspace()
         echelon = Subspace(n, [[Fraction(c) for c in v] for v in seeds])
         exact = exact_H_ideal(problem, echelon, action)
         assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
@@ -568,7 +584,7 @@ def check_translation_rule(problem, w, rng, label):
     proper = 0
     for seeds, weight in ((ones, w), (ones + problem.coset_components(alpha), w), (ones, w.star())):
         action = problem.weight_action(weight)
-        fast = problem.close_H_ideal(seeds, action)
+        fast = problem.close_H_ideal(seeds, weight)
         spun = all_maps_H_ideal(problem, seeds, action)
         assert (fast.rows, fast.pivots, fast.support) == (spun.rows, spun.pivots, spun.support), label
         proper += fast.dim < n
@@ -703,7 +719,7 @@ def test_nullspace_matches_insert_reference_on_pool_reversed_cuts():
             if G.order > 30 and kind == "theta":
                 continue  # the nullspace construction is for small orders
             w = sample_weight(rng, problem, kind)
-            cut = problem.close_H_ideal([[1] * n], problem.weight_action(w.star()))
+            cut = problem.close_H_ideal([[1] * n], w.star())
             assert_nullspace_matches_reference(cut.rows, n)
 
 
@@ -997,6 +1013,53 @@ def test_E_bullet_and_stable_check_match_dense_products():
             assert domain_message(stable_ideal_check, problem, elements[0], e) == message, (label, name)
             outcomes[message] += 1
     assert len(outcomes) == 7, outcomes  # each verdict and each message occurs
+
+
+def test_rational_and_cyclotomic_scalar_paths_agree():
+    """Each rational e and w against its copy over Q(zeta_4), on every pool
+    pair: the same `require_E_bullet` outcome, the same (verdict, failed) of
+    `stable_ideal_check` for every mix of the two fields, and the same index
+    from the cut kernel `_first_cut_violation` on the unit vectors of the
+    subgroup algebra in a random order, after the all-ones vector for every
+    other w (|H| eta_H z = 0 always, and a unit u has u z = 0 only for z = 0).
+    The elements e are those of `E_bullet_cases` and 1 - eta_H, which does
+    not average to eta_H.  The rational path reads the integral forms of e
+    and w, the cyclotomic one the elements as given."""
+    rng = random.Random(2323)
+    Q4 = cyclotomic_field(4)
+    outcomes, firsts = Counter(), Counter()
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        n = problem.subgroup.order
+        kinds = [k for k in WEIGHT_KINDS if G.order <= 30 or k != "theta"]
+        signed = AlgebraElement.zero(G)
+        for _ in range(4):
+            signed.coeffs[rng.randrange(G.order)] += Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        elements = [*(sample_weight(rng, problem, kind) for kind in kinds), signed]
+        inside, outside = E_bullet_cases(rng, label, problem)
+        outside["one_minus_eta_H"] = AlgebraElement.one(G) - problem.eta_H
+        for name, e in {**inside, **outside}.items():
+            if e.field.kind != "rational":
+                continue
+            message = domain_message(require_E_bullet, problem, e)
+            assert domain_message(require_E_bullet, problem, e.to_field(Q4)) == message, (label, name)
+            if message is not None:
+                outcomes[message] += 1
+                continue
+            for w in elements:
+                result = stable_ideal_check(problem, w, e)
+                for e_field, w_field in ((e.to_field(Q4), w), (e, w.to_field(Q4)),
+                                         (e.to_field(Q4), w.to_field(Q4))):
+                    assert stable_ideal_check(problem, w_field, e_field) == result, (label, name)
+                outcomes[tuple(result[1])] += 1
+        units = [[int(k == j) for k in range(n)] for j in range(n)]
+        for i, w in enumerate(elements):
+            rows = [[1] * n] * (i % 2) + rng.sample(units, n)
+            first = _first_cut_violation(problem, w, rows)
+            assert _first_cut_violation(problem, w.to_field(Q4), rows) == first, label
+            firsts["none" if first is None else "later" if first else "first"] += 1
+    # each single verdict, each E_• message and each kind of index occurs
+    assert len(outcomes) == 6 and len(firsts) == 3, (outcomes, firsts)
 
 
 def check_class_sum_forms(problem, w, label):
