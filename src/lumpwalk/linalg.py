@@ -7,16 +7,19 @@ insertion rewrites the row, so reduction and back-elimination touch only those
 entries.  The entries and the order of the arithmetic on them are those of a
 dense sweep, so bases and kernels do not depend on the cache.
 
-There are two row stores for rational row spaces, on one skeleton
+There are three row stores for rational row spaces, on one skeleton
 (`_RowStore`).  `Subspace` holds `Fraction` rows with leading coefficient 1.
 `IntegerRows` holds a row space fraction-free: each row is the canonical
 RREF row times the one positive integer that makes it a primitive integer
 vector (entries with gcd 1, positive pivot).  That scaled form is unique, so
 it determines the canonical RREF, which `to_subspace` builds once, at the
 end; its eliminations use integer row operations and divide only by a gcd.
-The group-path closures and `nullspace` run on `IntegerRows`, and
-`nullspace` returns one, so a caller builds the `Fraction` rows once; the
-generic oracle's closures stay on `Subspace`.
+`ReversedRows` is `IntegerRows` of each vector with its columns reversed:
+it takes and gives back vectors in their own order, and holds the echelon
+form that `nullspace` reads.  The group-path closures and `nullspace` run
+on integer rows, and `nullspace` returns an `IntegerRows`, so a caller
+builds the `Fraction` rows once; the generic oracle's closures stay on
+`Subspace`.
 
 `kernel_span` is the one kernel that combines coefficient vectors with a
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
@@ -34,10 +37,12 @@ only.  That is sound when the successors of a translate are translates of
 successors, as for a left ideal of a group algebra under left multiplication
 by the group (proved at `closure`); the generic oracle passes no
 translations, so every map meets every vector there.  `nullspace`
-echelonises its constraints with the columns reversed, so the solution of
-each free column is already a row of the canonical basis and no second
-elimination is needed.  No elimination runs over a cyclotomic field.  The
-module knows nothing of groups: its callers hand it vectors and maps.
+echelonises its constraints with the columns reversed, on `ReversedRows`,
+so the solution of each free column is already a row of the canonical
+basis and no second elimination is needed; a closure grown on
+`ReversedRows` is handed to it as it stands.  No elimination runs over a
+cyclotomic field.  The module knows nothing of groups: its callers hand it
+vectors and maps.
 """
 
 from __future__ import annotations
@@ -225,6 +230,25 @@ class IntegerRows(_RowStore):
         return out
 
 
+class ReversedRows(IntegerRows):
+    """`IntegerRows` of each vector with its columns reversed, so the pivot
+    of a row is its last nonzero column.
+
+    `insert` takes a vector in its own column order and `basis` gives the
+    rows back in it, so `closure` runs on this store as on any other.
+    ``rows``, ``pivots``, ``support``, `reduce` and `to_subspace` are in the
+    reversed columns: the echelon form `nullspace` reads.
+    """
+
+    __slots__ = ()
+
+    def insert(self, vector) -> bool:
+        return super().insert(vector[::-1])
+
+    def basis(self) -> list[list[int]]:
+        return [row[::-1] for row in self.rows]
+
+
 def integer_row(vector) -> list[int]:
     """A rational vector times the lcm of its denominators: an integer vector
     spanning the same line."""
@@ -271,26 +295,36 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     return kernel_span(U.rows + V.rows, U.rows + zeros, U.ambient)
 
 
-def nullspace(rows: list[list], ambient: int) -> IntegerRows:
-    """Rational solutions v of the homogeneous system row . v == 0 for each row,
-    as the canonical rows of an `IntegerRows`.
+def nullspace(constraints, ambient: int) -> IntegerRows:
+    """Rational solutions v of the homogeneous system row . v == 0 for each
+    constraint row, as the canonical rows of an `IntegerRows`.
 
-    The constraints are echelonised with their columns reversed, so the pivot
-    of each constraint is its last nonzero column, and the constraint is zero
-    at every other pivot.  The solution of a free column f is 1 at f and
-    -row[f] / row[pivot] at the pivot of each row, all of them right of f, and
-    0 at every other free column: a canonical RREF row as it stands.  Each
-    constraint is scaled to integers, which does not change the solutions,
-    and echelonised on `IntegerRows`; each solution is scaled by the lcm of
-    its denominators and divided by the gcd of its entries, so it is the
-    primitive integer row with a positive pivot, built without a `Fraction`.
+    ``constraints`` is a list of rational rows, or a `ReversedRows` that
+    holds them already (as `compute_Jw` grows the cut of L_{w*}).  Rows are
+    scaled to integers, which does not change the solutions, and echelonised
+    on `ReversedRows`, with their columns reversed, so the pivot of each
+    constraint is its last nonzero column, and the constraint is zero at
+    every other pivot.  The solution of a free column f is 1 at f and
+    -row[f] / row[pivot] at the pivot of each row, all of them right of f,
+    and 0 at every other free column: a canonical RREF row as it stands.
+    Each solution is scaled by the lcm of its denominators and divided by
+    the gcd of its entries, so it is the primitive integer row with a
+    positive pivot, built without a `Fraction`.
+
+    The column order of the echelon is free to a closure: whether a vector
+    grows the span does not depend on it, and a seed row comes back from
+    `basis` as the same line in either order.  So from one seed row a
+    closure grown on `ReversedRows` has the worklist, inserts and yields of
+    one grown on `IntegerRows`, and its store is read here as it stands,
+    without a second elimination.
     """
+    if not isinstance(constraints, ReversedRows):
+        constraints = ReversedRows(ambient, [integer_row(row) for row in constraints])
     last = ambient - 1
-    reversed_rows = IntegerRows(ambient, [integer_row(row[::-1]) for row in rows])
-    pivots = {last - p for p in reversed_rows.pivots}
+    pivots = {last - p for p in constraints.pivots}
     # per free column f, (pivot column, numerator, denominator) of each entry right of f
     entries = {free: [] for free in range(ambient) if free not in pivots}
-    for row, p, cols in zip(reversed_rows.rows, reversed_rows.pivots, reversed_rows.support):
+    for row, p, cols in zip(constraints.rows, constraints.pivots, constraints.support):
         d = row[p]
         for k in cols:
             if k != p:

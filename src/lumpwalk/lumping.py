@@ -20,8 +20,8 @@ the integral form (D, D w) of `_integer_element`, D the lcm of the
 denominators of a rational w and 1 for a cyclotomic one, and compares its
 results up to D.  The cuts of L_w and L_alpha, and the annihilator of that
 of J_w, are all grown by `close_H_ideal`, the one worklist closure
-`linalg.closure` run on integer rows (`linalg.IntegerRows`) under the
-action table of D w; each seed vector is scaled by the lcm of its own
+`linalg.closure` run on integer rows under the action table of D w, taken
+once per call; each seed vector is scaled by the lcm of its own
 denominators, which changes no span.  The cut of L_w is the closure of the
 all-ones vector |H| eta_H (and of the coset components of a start) under
 the generators of H and under u -> each coset component of u w; the seeds
@@ -33,7 +33,11 @@ translate gets the generators of H only (`close_H_ideal`).  The weak
 obstruction is checked on the integer rows, and the canonical `Fraction`
 rows are built once, for the report.  The cut of J_w is read through the
 time-reversal duality: it is the nullspace of the cut of L_{w*}, for the
-reversed weight w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).
+reversed weight w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).  The
+cuts of L_w and L_alpha are held on `linalg.IntegerRows`, in the canonical
+RREF that reports and the cut certificate read; that of L_{w*} on
+`linalg.ReversedRows`, with its columns reversed, the echelon form
+`nullspace` reads, so it is echelonised once.
 
 No command takes a product in the group algebra.  The strong and exact
 tests and the lumped matrix read coset and double-coset sums of w, the
@@ -69,7 +73,7 @@ from .algebra import (
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets, gather, inverse
-from .linalg import IntegerRows, Subspace, closure, integer_row, nullspace
+from .linalg import IntegerRows, ReversedRows, Subspace, closure, integer_row, nullspace
 from .scalars import common_field, cyclotomic_field
 
 
@@ -191,16 +195,19 @@ class LumpingProblem:
         H, G, position = self.subgroup, self.group, self.left.position
         return tuple(tuple(position[G.mul(g, h)] for h in H.members) for g in H.generators)
 
-    def close_H_ideal(self, seeds, w: AlgebraElement) -> IntegerRows:
+    def close_H_ideal(self, seeds, w: AlgebraElement, store=IntegerRows,
+                      integral: AlgebraElement | None = None) -> IntegerRows:
         """Smallest left ideal of the subgroup algebra containing the seed
         vectors and closed under u -> each coset component of u w.
 
         It grows the cut of L_w (seeded with the all-ones vector), of L_alpha
         (and the coset components of alpha) and, as the cut of L_{w*}, the
-        annihilator of the cut of J_w.  It runs on `IntegerRows` under the
-        action table of the integral form D w (`_integer_element`), with each
-        seed scaled by `integer_row`: nonzero multiples of a map or a seed
-        give the same closure.
+        annihilator of the cut of J_w.  It runs on integer rows, `store`
+        (`IntegerRows`, or `ReversedRows` for the annihilator that
+        `nullspace` reads), under the action table of the integral form D w
+        (`_integer_element`; `integral`, when the caller holds it already),
+        with each seed scaled by `integer_row`: nonzero multiples of a map or
+        a seed give the same closure.
 
         Left multiplications by the generators of H are the translations of
         `linalg.closure`, and the coset components of u w its successors, so
@@ -210,8 +217,10 @@ class LumpingProblem:
         """
         # k u holds u_p at the position of k h_p: it gathers u by the map of k^-1
         translations = [gather(inverse(perm)) for perm in self._H_generator_perms]
-        table = self.weight_action(_integer_element(w)[1])
-        seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds))
+        if integral is None:
+            integral = _integer_element(w)[1]
+        table = self.weight_action(integral)
+        seed_rows = store(self.subgroup.order, (integer_row(v) for v in seeds))
         return closure(seed_rows, lambda u: self.times_weight(table, u),
                        lambda u: (k_inv(u) for k_inv in translations))
 
@@ -339,16 +348,18 @@ def stable_ideal_check(problem: LumpingProblem, w: AlgebraElement, e: AlgebraEle
     action table of D e that the E_• check built.  (ii) As e eta_H = eta_H
     (see `theta_dimension`), (e - eta_H) w eta_H = e z for
     z = (1 - eta_H) w eta_H: the cut kernel.  Both conditions keep their
-    truth when u or w is scaled, so w is read in its integral form too.
+    truth when u or w is scaled, so w is read in its integral form too,
+    taken once for both.
     """
     scale, e_action, u = _E_bullet_action(problem, e)
     common_field(w.field, e.field)  # mixed cyclotomic orders are a DomainError
-    w_action = problem.weight_action(_integer_element(w)[1])
+    integral = _integer_element(w)[1]
+    w_action = problem.weight_action(integral)
     failed = []
     if any(problem.times_weight(e_action, x)[0] != [scale * c for c in x]
            for x in problem.times_weight(w_action, u) if any(x)):
         failed.append("ideal-not-stable")
-    if _first_cut_violation(problem, w, [u]) is not None:
+    if _first_cut_violation(problem, integral, [u]) is not None:
         failed.append("cut-not-stable")
     return not failed, failed
 
@@ -396,13 +407,14 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
 
     z is constant on left cosets, so u z vanishes iff
     (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does at every left-coset
-    representative r_j.  It reads z times D |HgH| on each double coset HgH,
-    from `_cut_coset_values` of the integral form D w (`_integer_element`):
-    integers for a rational w.  As h_p^-1 r_j lies in H r_j H, the sum at r_j
-    reads z only on H r_j H, so a positive factor per double coset scales it
-    as a whole and changes no zero pattern.
+    representative r_j.  It reads z times |HgH| on each double coset HgH,
+    from `_cut_coset_values` of w.  As h_p^-1 r_j lies in H r_j H, the sum
+    at r_j reads z only on H r_j H, so a positive factor per double coset
+    scales it as a whole and changes no zero pattern; so does a positive
+    multiple of w, and each caller hands its integral form D w
+    (`_integer_element`), taken once per call, so a rational w sums integers.
     """
-    values = _cut_coset_values(problem, coset_sums(_integer_element(w)[1], problem.left))
+    values = _cut_coset_values(problem, coset_sums(w, problem.left))
     if not any(values):
         return None
     G, left = problem.group, problem.left
@@ -441,10 +453,11 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     seeds = [[1] * problem.subgroup.order]  # eta_H, scaled by |H|
     if alpha is not None:
         seeds += problem.coset_components(alpha.require_distribution())
-    rows = problem.close_H_ideal(seeds, w)
+    integral = _integer_element(w)[1]
+    rows = problem.close_H_ideal(seeds, w, integral=integral)
     M = rows.to_subspace()
     ideal = GurvitsLedouxIdeal(problem, M)
-    violation = _first_cut_violation(problem, w, rows.rows)
+    violation = _first_cut_violation(problem, integral, rows.rows)
     if violation is not None:
         ideal.cut_violation = problem.from_H_vector(M.rows[violation])
     ideal.weakly_lumping = violation is None
@@ -506,13 +519,19 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     (1) under the maps of L_{w*}: A lies in C^perp.  A is closed under
     translation and, by (1), under a -> M_x a for x = r_c^-1; by (2) then
     also for x = r_c, so C^perp lies in A by (i).  Hence A = C^perp.
+
+    A is grown on `ReversedRows`, echelonised with its columns reversed, the
+    form `nullspace` reads, so A is echelonised once.  The order is free:
+    whether an image grows the span does not depend on the column order, so
+    the worklist, the inserts and their yields are those of the closure on
+    `IntegerRows`, and only the echelon form that holds A differs.
     """
     weak, _, _ = test_weak_weight(problem, w)
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
-    reversed_cut = problem.close_H_ideal([[1] * n], w.require_weight().star())
-    rows = nullspace(reversed_cut.rows, n)
+    reversed_cut = problem.close_H_ideal([[1] * n], w.require_weight().star(), ReversedRows)
+    rows = nullspace(reversed_cut, n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
     ideal = GurvitsLedouxIdeal(problem, rows.to_subspace())
     ideal.weakly_lumping = True
@@ -552,7 +571,7 @@ def interpolation_test(problem: LumpingProblem, T: Subgroup, w: AlgebraElement):
     if not test_exact(LumpingProblem(G, T), w)[0]:
         failed.append("not-exact-to-inner-cosets")
     eta_T = problem.coset_components(eta(G, T))[0]  # a vector over the subgroup, as T <= H
-    if _first_cut_violation(problem, w, [eta_T]) is not None:
+    if _first_cut_violation(problem, _integer_element(w)[1], [eta_T]) is not None:
         failed.append("unbalanced-double-coset-mass")
     return not failed, failed
 

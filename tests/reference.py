@@ -12,11 +12,14 @@ of the interpolation test by the double cosets T\\G/H.  The closed forms
 that sum once per coset or per class keep their per-element forms here: the
 strong and exact tests that sum w once per criterion, the lumped matrix of
 the normalized weight, the realizing weight divided per element, and
-Theta(e) summed over every element of each double coset.  One
-reference stays on the cut: the closure of `close_H_ideal` with every map on
-every vector, which the translation rule of `linalg.closure` must reproduce;
-it translates by scattering entries (`permuted`) where the package gathers
-them by the inverse map, so the two translation codes stay independent.
+Theta(e) summed over every element of each double coset.  Two
+references stay on the cut.  One is the closure of `close_H_ideal` with
+every map on every vector, which the translation rule of `linalg.closure`
+must reproduce; it translates by scattering entries (`permuted`) where the
+package gathers them by the inverse map, so the two translation codes stay
+independent.  The other is the cut of J_w by two echelons: the cut of
+L_{w*} grown on forward integer rows and echelonised again, columns
+reversed, by `nullspace`, which `compute_Jw` does in one.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -34,7 +37,7 @@ from math import lcm
 from lumpwalk.algebra import AlgebraElement, coset_sums, eta
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
-from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row
+from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row, nullspace
 from lumpwalk.lumping import require_E_bullet
 from lumpwalk.scalars import RATIONALS, common_field
 
@@ -133,6 +136,18 @@ def all_maps_H_ideal(problem, seeds, action) -> IntegerRows:
 
     seed_rows = IntegerRows(problem.subgroup.order, (integer_row(v) for v in seeds))
     return closure(seed_rows, images)
+
+
+def maximal_cut_two_echelons(problem, w: AlgebraElement) -> Subspace:
+    """Reference for the cut of `compute_Jw`: the cut of L_{w*} grown on
+    forward `IntegerRows`, its rows handed to `nullspace` as plain
+    constraints, which echelonises them a second time with the columns
+    reversed, plus eta_H."""
+    n = problem.subgroup.order
+    forward = problem.close_H_ideal([[1] * n], w.star())
+    rows = nullspace(forward.rows, n)
+    rows.insert([1] * n)
+    return rows.to_subspace()
 
 
 def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:

@@ -448,6 +448,29 @@ def test_closure_insert_counts_on_s6(monkeypatch):
         assert len(calls) <= cap, (name, len(calls))
 
 
+def test_jw_insert_counts_on_s6(monkeypatch):
+    """A work-count guard on the one echelon of the cut of L_{w*}: S6 over
+    its top-card stabiliser, `compute_Jw` takes at most 207 `IntegerRows.insert`
+    calls for bottom-card (23 for L_w, 183 for L_{w*}, 1 for eta_H; a second
+    echelon of the cut in `nullspace` would add 76) and at most 259 for
+    random-to-top (260 with that second echelon).  `ReversedRows.insert`
+    goes through `IntegerRows.insert`, so both stores are counted."""
+    calls = []
+    insert = IntegerRows.insert
+
+    def counted(self, vector):
+        calls.append(None)
+        return insert(self, vector)
+
+    monkeypatch.setattr(IntegerRows, "insert", counted)
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    for name, w, cap in (("bottom", bottom_card_cycle(G), 207), ("rtt", random_to_top(G), 259)):
+        calls.clear()
+        compute_Jw(problem, w)
+        assert len(calls) <= cap, (name, len(calls))
+
+
 def test_abelian_test_die(die_prob, die_weight):
     ok, P, e_P = abelian_weak_test(die_prob, die_weight)
     assert ok and P == (0, 1, 3)

@@ -39,6 +39,7 @@ from lumpwalk.algebra import character_idempotent, format_element, parse_element
 from lumpwalk.errors import DomainError
 from lumpwalk.linalg import (
     IntegerRows,
+    ReversedRows,
     Subspace,
     closure,
     integer_row,
@@ -73,6 +74,7 @@ from tests.reference import (
     inner_product,
     kernel_F,
     left_ideal_closure,
+    maximal_cut_two_echelons,
     one_sided_test_two_pass,
     permuted,
     require_E_bullet_dense,
@@ -694,10 +696,14 @@ def test_nullspace_matches_insert_reference(case):
     assert_nullspace_matches_reference(rows, n)
 
 
-def assert_nullspace_matches_reference(rows, n):
+def assert_nullspace_matches_reference(rows, n, store=None):
     """`nullspace` gives the integer canonical rows of the `Fraction` reference:
     the same rows, pivots and supports once made `Fraction` rows, each row
-    primitive with a positive pivot and its support exactly its nonzero columns."""
+    primitive with a positive pivot and its support exactly its nonzero columns.
+    It gives the same rows, pivots and supports when handed the constraints as
+    a `ReversedRows` store: ``store`` if given (it must span the rows), else
+    the rows inserted into one last to first, so the store has another
+    history than the one `nullspace` builds from the rows."""
     fast = nullspace(rows, n)
     canonical, ref = fast.to_subspace(), insert_nullspace(rows, n)
     assert (canonical.rows, canonical.pivots, canonical.support) == (ref.rows, ref.pivots, ref.support)
@@ -706,6 +712,10 @@ def assert_nullspace_matches_reference(rows, n):
         assert row[p] > 0 and gcd(*row) == 1
         assert cols == [k for k, c in enumerate(row) if c]
     assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in fast.rows)
+    if store is None:
+        store = ReversedRows(n, [integer_row(row) for row in reversed(rows)])
+    read = nullspace(store, n)
+    assert (read.rows, read.pivots, read.support) == (fast.rows, fast.pivots, fast.support)
 
 
 def test_nullspace_matches_insert_reference_on_pool_reversed_cuts():
@@ -720,7 +730,48 @@ def test_nullspace_matches_insert_reference_on_pool_reversed_cuts():
                 continue  # the nullspace construction is for small orders
             w = sample_weight(rng, problem, kind)
             cut = problem.close_H_ideal([[1] * n], w.star())
-            assert_nullspace_matches_reference(cut.rows, n)
+            store = problem.close_H_ideal([[1] * n], w.star(), ReversedRows)
+            assert_nullspace_matches_reference(cut.rows, n, store)
+
+
+def test_reversed_annihilator_matches_forward_route():
+    """`compute_Jw` grows the cut of L_{w*} on `ReversedRows` and reads its
+    nullspace off that store.  On every pool pair and weight family and on
+    S6 over its top-card stabiliser under bottom-card, random-to-top and
+    their reverses, the reversed store holds exactly the forward closure's
+    rows echelonised with their columns reversed (rows, pivots, supports),
+    and `basis` gives back the forward span; for a weak weight the cut of
+    J_w equals the route of two echelons (`maximal_cut_two_echelons`).
+    Weak and non-weak weights and proper annihilators occur."""
+    rng = random.Random(2424)
+    cases = []
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            cases.append(((label, kind), problem, w))
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    for name, w in (("bottom", bottom_card_cycle(G)), ("rtt", random_to_top(G))):
+        cases += [(("S6", name), problem, w), (("S6", name + "*"), problem, w.star())]
+    weak = proper = 0
+    for label, problem, w in cases:
+        n = problem.subgroup.order
+        forward = problem.close_H_ideal([[1] * n], w.star())
+        store = problem.close_H_ideal([[1] * n], w.star(), ReversedRows)
+        expected = IntegerRows(n, [row[::-1] for row in forward.rows])
+        assert (store.rows, store.pivots, store.support) == \
+            (expected.rows, expected.pivots, expected.support), label
+        assert IntegerRows(n, store.basis()).rows == forward.rows, label
+        proper += 1 < store.dim < n
+        if compute_Lw(problem, w).weakly_lumping:
+            assert compute_Jw(problem, w).pi_H == maximal_cut_two_echelons(problem, w), label
+            weak += 1
+    assert 0 < weak < len(cases) and proper > 0, (weak, proper, len(cases))
 
 
 def round_based_GL_space(f, P, alpha):
