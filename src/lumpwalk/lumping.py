@@ -40,9 +40,10 @@ RREF that reports and the cut certificate read; that of L_{w*} on
 `nullspace` reads, so it is echelonised once.
 
 No command takes a product in the group algebra.  The strong and exact
-tests and the lumped matrix read coset and double-coset sums of w, the
-lumped matrix and `hecke` the table `pair_classes` of the double coset of
-r_i^-1 r_j, and the abelian test its pairings off w on each double coset.
+tests read the coset sums of D w, and the lumped matrix the double-coset
+sums of w, the lumped matrix and `hecke` the table `pair_classes` of the
+double coset of r_i^-1 r_j, and the abelian test its pairings off D w on
+each double coset, summed in integers over an integral power table.
 One cut kernel, `_first_cut_violation`, evaluates u z for
 z = (1 - eta_H) w eta_H at one representative per left coset: for the weak
 verdict, for the cut condition e z = 0 of the stable-ideal check, which
@@ -256,9 +257,10 @@ def _cosets_by_class(problem: LumpingProblem, decomposition) -> list[list[int]]:
     return by_class
 
 
-def _double_coset_constancy(problem: LumpingProblem, sums: list, side: str):
-    """Check that the coset weights `sums` of one side are constant within
-    each double coset."""
+def _double_coset_constancy(problem: LumpingProblem, sums: list, side: str, scale: int):
+    """Check that the coset weights `sums` of one side, those of D w for
+    D = `scale`, are constant within each double coset; the certificate
+    prints the sums of w itself."""
     decomposition = problem.left if side == "left" else problem.right
     name = problem.group.cycle_string
     for cid, members in enumerate(_cosets_by_class(problem, decomposition)):
@@ -268,7 +270,7 @@ def _double_coset_constancy(problem: LumpingProblem, sums: list, side: str):
             return False, {
                 "double_coset": name(problem.double.representatives[cid]),
                 "cosets": [name(decomposition.representatives[k]) for k in ends],
-                "sums": [str(sums[k]) for k in ends],
+                "sums": [str(Fraction(sums[k], scale)) for k in ends],
             }
     return True, None
 
@@ -276,14 +278,15 @@ def _double_coset_constancy(problem: LumpingProblem, sums: list, side: str):
 def _one_sided_test(problem: LumpingProblem, w: AlgebraElement, side: str):
     """Coset weights on one side constant within each double coset.
 
-    The coset sums of w are taken once, and both criteria read them: the
-    constancy itself, and the equivalent algebraic condition that the
-    obstruction of `_cut_coset_values` for the same side vanishes.  The two
-    answers are required to agree.
+    The coset sums of the integral form (D, D w) are taken once, and both
+    criteria read them: the constancy itself, and the equivalent algebraic
+    condition that the obstruction of `_cut_coset_values` for the same side
+    vanishes.  Neither changes when w is scaled, and D > 0 keeps the order of
+    the sums.  The two answers are required to agree.
     """
-    w = w.require_weight()
+    scale, w = _integer_element(w.require_weight())
     sums = coset_sums(w, problem.left if side == "left" else problem.right)
-    verdict, certificate = _double_coset_constancy(problem, sums, side)
+    verdict, certificate = _double_coset_constancy(problem, sums, side, scale)
     if any(_cut_coset_values(problem, sums, side)) == verdict:
         kind = "strong" if side == "left" else "exact"
         raise InvariantError(f"{kind}-lumping criteria disagree")

@@ -12,18 +12,20 @@ with no group or action table: the minimal one grows rows under
 v -> Pi_b(v P), and the maximal one is the nullspace of the columns grown
 from PF - FQ under a -> P a and a -> Pi_b a.
 
-A transition matrix keeps the nonzero entries of each row beside its dense
-rows; validation and every product with a vector read only those.  The cut
-`V ∩ ker F` of a stable subspace is read off one block echelon of the rows
-`(v F | v)` over a basis of `V` (`linalg.kernel_span`), and is computed only
-by the callers that read it.
+A transition matrix keeps each row in its integral form (D, D P(x, .)) in
+`int`, beside the dense rows and the nonzero entries of each row: validation
+and Dynkin's test read the integral form, every product with a vector the
+nonzero entries.  The cut `V ∩ ker F` of a stable subspace is read off one
+block echelon of the rows `(v F | v)` over a basis of `V`
+(`linalg.kernel_span`), and is computed only by the callers that read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 
 from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
@@ -57,37 +59,59 @@ class Distribution:
         return Distribution((Fraction(1, n),) * n)
 
 
+def _integral_row(keys, value) -> tuple[list[Fraction], int, list[int]]:
+    """One row as (entries, D, M): its `Fraction` entries, D the lcm of their
+    denominators and M = D * row in `int`.
+
+    The row is given as keys, and `value` maps a key to its `Fraction`: the
+    entries themselves (`Fraction`, `int` or literal strings) by default,
+    integer numerators over one denominator from `transition_from_weight` and
+    `time_reversal_matrix`, the tokens of a matrix file from
+    `parse_matrix_file`.  Each distinct key is read once, in the order it
+    first occurs, so a row of a walk matrix, with few distinct entries, is
+    scaled with C-level maps.
+    """
+    values = {k: value(k) for k in dict.fromkeys(keys)}
+    scale = lcm(*(v.denominator for v in values.values()))
+    scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+    return list(map(values.__getitem__, keys)), scale, list(map(scaled.__getitem__, keys))
+
+
 class TransitionMatrix:
     """Row-stochastic matrix with exact rational entries acting on row vectors.
 
-    ``rows`` is the dense matrix; ``nonzero[x]`` lists the ``(y, P(x, y))``
-    pairs with ``P(x, y) != 0`` in ascending ``y``, so validation, ``apply``
-    and ``apply_column`` touch only those entries.
+    Each row x is held in its integral form ``integral[x] = (D_x, M_x)``,
+    with D_x the lcm of the denominators of the row and M_x = D_x P(x, .) in
+    `int` (`_integral_row`), and validation reads only that form: no entry of
+    M_x is negative, and M_x sums to D_x.  ``rows`` is the dense matrix of
+    `Fraction`s; ``nonzero[x]`` lists the ``(y, P(x, y))`` pairs with
+    ``P(x, y) != 0`` in ascending ``y``, picked out where M_x is nonzero, so
+    ``apply`` and ``apply_column`` touch only those entries.
+
+    Rows are given as keys mapped to their values by `value`, the entries
+    themselves by default (`_integral_row`).
     """
 
-    __slots__ = ("n", "rows", "nonzero")
+    __slots__ = ("n", "rows", "nonzero", "integral")
 
-    def __init__(self, rows):
-        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
-        n = len(rows)
+    def __init__(self, rows, value=Fraction):
+        forms = [_integral_row(r, value) for r in rows]
+        n = len(forms)
         if n > STATE_CAP:
             raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
-        nonzero = []
-        for r in rows:
-            if len(r) != n:
+        columns = range(n)
+        for _, scale, scaled in forms:
+            if len(scaled) != n:
                 raise DomainError("transition matrix must be square")
-            pairs = [(y, p) for y, p in enumerate(r) if p]
-            if any(p.numerator < 0 for _, p in pairs):
+            if min(scaled) < 0:
                 raise DomainError("negative transition probability")
-            # summed in integers over the row's common denominator: adding
-            # Fractions one by one takes a gcd per term
-            den = math.lcm(*{p.denominator for _, p in pairs})
-            if sum(p.numerator * (den // p.denominator) for _, p in pairs) != den:
+            if sum(scaled) != scale:
                 raise DomainError("row of transition matrix does not sum to 1")
-            nonzero.append(pairs)
         self.n = n
-        self.rows = rows
-        self.nonzero = nonzero
+        self.rows = [entries for entries, _, _ in forms]
+        self.nonzero = [list(zip(compress(columns, scaled), compress(entries, scaled)))
+                        for entries, _, scaled in forms]
+        self.integral = [(scale, scaled) for _, scale, scaled in forms]
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         """Row vector times matrix."""
@@ -178,17 +202,22 @@ class LumpingFunction:
 
 
 def transition_from_weight(G: FiniteGroup, w: AlgebraElement) -> TransitionMatrix:
-    """Walk matrix P(x, y) = w(x^-1 y)/w(G) of the left-invariant random walk."""
-    w = w.require_weight()
-    total = w.total()
-    support = [(g, c / total) for g, c in w.support()]
+    """Walk matrix P(x, y) = w(x^-1 y)/w(G) of the left-invariant random walk.
+
+    Row x is given as the integers (D w)(x^-1 y), D the lcm of the
+    denominators of w, each distinct one read as a `Fraction` over
+    (D w)(G) once: x g runs over distinct y as g runs over supp w.
+    """
+    support = list(w.require_weight().support())
+    _, _, weights = _integral_row([c for _, c in support], Fraction)
+    total = sum(weights)
     rows = []
     for x in range(G.order):
-        row = [Fraction(0)] * G.order
-        for g, p in support:
-            row[G.mul(x, g)] += p
+        row = [0] * G.order
+        for (g, _), m in zip(support, weights):
+            row[G.mul(x, g)] = m
         rows.append(row)
-    return TransitionMatrix(rows)
+    return TransitionMatrix(rows, lambda m: Fraction(m, total))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +257,26 @@ def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distributi
 
 
 def test_strong_generic(f: LumpingFunction, P: TransitionMatrix) -> bool:
-    """Dynkin's condition: within every lump, all rows have equal lump sums."""
+    """Dynkin's condition: within every lump, all rows have equal lump sums.
+
+    Read on the integral rows: the lump sums of row x are the integer lump
+    sums of M_x over D_x, so two rows agree iff their integer sums do, each
+    multiplied by the other row's D.
+    """
+    lump_of, m = f.lump_of, f.n_lumps
+
+    def lump_sums(x):
+        scale, scaled = P.integral[x]
+        sums = [0] * m
+        for b, c in zip(compress(lump_of, scaled), compress(scaled, scaled)):
+            sums[b] += c
+        return scale, sums
+
     for block in f.lumps():
-        base = f.apply_F(P.rows[block[0]])
+        base_scale, base = lump_sums(block[0])
         for other in block[1:]:
-            if f.apply_F(P.rows[other]) != base:
+            scale, sums = lump_sums(other)
+            if [c * base_scale for c in sums] != [c * scale for c in base]:
                 return False
     return True
 
@@ -370,17 +414,26 @@ def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
 
 
 def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> TransitionMatrix:
-    """Reversed chain P*(x, y) = alpha(y) P(y, x) / alpha(x)."""
+    """Reversed chain P*(x, y) = alpha(y) P(y, x) / alpha(x).
+
+    Read off the integral rows: with alpha(y) = a_y / A and
+    P(y, x) = M_y[x] / D_y, P*(x, y) = a_y (L / D_y) M_y[x] (K / a_x) / (L K)
+    for L the lcm of the D_y and K that of the a_x, so every row is given as
+    integers over the one denominator L K.
+    """
     if any(p == 0 for p in alpha.probs):
         raise DomainError("time reversal requires a full-support distribution")
     if P.apply(list(alpha.probs)) != list(alpha.probs):
         raise DomainError("time reversal requires a stationary distribution")
-    n = P.n
-    rows = [
-        [alpha.probs[y] * P.rows[y][x] / alpha.probs[x] for y in range(n)]
-        for x in range(n)
-    ]
-    return TransitionMatrix(rows)
+    _, _, weights = _integral_row(alpha.probs, Fraction)
+    row_scale = lcm(*(d for d, _ in P.integral))
+    weight_scale = lcm(*weights)
+    columns = [(a * (row_scale // d), scaled) for a, (d, scaled) in zip(weights, P.integral)]
+    rows = []
+    for x, a in enumerate(weights):
+        k = weight_scale // a
+        rows.append([u * scaled[x] * k for u, scaled in columns])
+    return TransitionMatrix(rows, lambda m: Fraction(m, row_scale * weight_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +461,19 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
         raise InputFormatError(f"expected {n} matrix rows, found {len(lines)}")
     values = {}  # token -> Fraction: a walk matrix has few distinct entries
 
-    def value(tok):
-        x = values.get(tok)
-        if x is None:
-            x = values[tok] = parse_rational(tok)
-        return x
+    def token_rows():
+        """Each row's tokens, once its new tokens are parsed: a row at a time,
+        so no more than one row of token strings is held at once."""
+        for ln in lines:
+            tokens = ln.split()
+            for tok in dict.fromkeys(tokens):  # a bad token fails where it first occurs
+                if tok not in values:
+                    values[tok] = parse_rational(tok)
+            if len(tokens) != n:
+                raise InputFormatError("matrix row with wrong entry count")
+            yield tokens
 
-    rows = []
-    for ln in lines:
-        entries = [value(tok) for tok in ln.split()]
-        if len(entries) != n:
-            raise InputFormatError("matrix row with wrong entry count")
-        rows.append(entries)
-    return TransitionMatrix(rows)
+    return TransitionMatrix(token_rows(), values.__getitem__)
 
 
 def parse_distribution_file(text: str) -> Distribution:

@@ -204,32 +204,34 @@ class CyclotomicField:
         minimal = cyclotomic_polynomial(order)
         if len(minimal) != self.phi + 1:
             raise InvariantError(f"cyclotomic polynomial of order {order} has the wrong degree")
-        # power_table[k] = coefficients of z^k in the basis, 0 <= k <= max(n-1, 2*phi-2)
+        # power_table[k] = coefficients of z^k in the basis, 0 <= k <= max(n-1, 2*phi-2);
+        # Phi_n is monic with integer coefficients, so they are `int`s
         top = max(order - 1, 2 * self.phi - 2)
         table = []
-        row = [ZERO] * self.phi
-        row[0] = ONE
+        row = [0] * self.phi
+        row[0] = 1
         table.append(tuple(row))
         for _ in range(top):
-            row = [ZERO] + list(row)
+            row = [0] + list(row)
             if len(row) > self.phi:
                 lead = row.pop()
                 if lead:
                     row = [c - lead * m for c, m in zip(row, minimal[:-1])]
             else:
-                row = row + [ZERO] * (self.phi - len(row))
+                row = row + [0] * (self.phi - len(row))
             table.append(tuple(row))
         self._power_table = table
         self.zero = Cyclo(self, (ZERO,) * self.phi)
-        self.one = Cyclo(self, table[0])
+        self.one = self.from_rational(ONE)
 
     def zeta(self, k: int = 1) -> Cyclo:
         """z^k as a field element."""
         return Cyclo(self, self._power_table[k % self.order])
 
     def power_sum(self, coeffs) -> Cyclo:
-        """sum_k coeffs[k] z^k, reduced, for rational coeffs indexed by 0 <= k < n."""
-        out = [ZERO] * self.phi
+        """sum_k coeffs[k] z^k, reduced, for rational coeffs indexed by 0 <= k < n;
+        the power table is integral, so `int` coeffs give `int` coordinates."""
+        out = [0] * self.phi
         for k, c in enumerate(coeffs):
             if c:
                 for i, r in enumerate(self._power_table[k]):

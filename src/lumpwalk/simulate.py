@@ -3,7 +3,8 @@
 The sampler is fully reproducible: randomness comes from an explicit
 xoshiro256** generator seeded through splitmix64, and group elements are drawn
 by comparing the exact rational cumulative weights against u = k / 2^64 where
-k is the raw 64-bit output.  Diagnostics are advisory only; no verdict
+k is the raw 64-bit output, in integers: a threshold A / D is held as
+A * 2^64 and compared with k * D.  Diagnostics are advisory only; no verdict
 anywhere in the package depends on them.
 """
 
@@ -12,9 +13,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgebraElement
 from .errors import InvariantError
+from .groups import gather
 from .lumping import LumpingProblem
 
 _MASK = (1 << 64) - 1
@@ -49,27 +52,32 @@ class Xoshiro256StarStar:
         s[3] = self._rotl(s[3], 45)
         return result
 
-    def next_unit_fraction(self) -> Fraction:
-        return Fraction(self.next_uint64(), 1 << 64)
-
 
 def _sampler(entries):
-    """Cumulative-threshold sampler over (value, probability) pairs."""
+    """Cumulative-threshold sampler over (value, probability) pairs, drawn
+    with the raw 64-bit output k of the generator, u = k / 2^64.
+
+    The cumulative thresholds t_i = A_i / D, over the lcm D of the
+    denominators, are held as the integers A_i * 2^64, and `draw(k)` bisects
+    on k * D: t <= k / 2^64 iff A * 2^64 <= k * D, so it returns the value at
+    the first threshold above u with no `Fraction` per draw.  The last
+    threshold is D * 2^64 > k * D, so there always is one.
+    """
+    kept = [(value, p) for value, p in entries if p]
+    scale = lcm(*(p.denominator for _, p in kept))
     values = []
     thresholds = []
-    acc = Fraction(0)
-    for value, p in entries:
-        if p:
-            acc += p
-            values.append(value)
-            thresholds.append(acc)
-    if acc != 1:
+    acc = 0
+    for value, p in kept:
+        acc += p.numerator * (scale // p.denominator)
+        values.append(value)
+        thresholds.append(acc << 64)
+    if acc != scale:
         raise InvariantError("sampler probabilities must sum to 1")
-    last = len(values) - 1
 
-    def draw(u: Fraction):
-        """The value at the first threshold above u (the last value if none is)."""
-        return values[min(bisect_right(thresholds, u), last)]
+    def draw(k: int):
+        """The value at the first threshold above k / 2^64, for 0 <= k < 2^64."""
+        return values[bisect_right(thresholds, k * scale)]
 
     return draw
 
@@ -84,18 +92,20 @@ class Trajectory:
 
 def simulate_walk(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement,
                   seed: int, length: int) -> Trajectory:
-    """Sample X_0 ~ alpha then multiply by w-steps; deterministic in the seed."""
+    """Sample X_0 ~ alpha then multiply by w-steps; deterministic in the seed.
+
+    A step draws the image tuple of g in supp w, built once, and composes it
+    with that of the state."""
     w = w.require_weight().normalized()
     alpha = alpha.require_distribution()
     rng = Xoshiro256StarStar(seed)
+    images, index = problem.group.images, problem.group.index
     draw_start = _sampler(list(alpha.support()))
-    draw_step = _sampler(list(w.support()))
-    G = problem.group
-    x = draw_start(rng.next_unit_fraction())
+    draw_step = _sampler([(images[g], p) for g, p in w.support()])
+    x = draw_start(rng.next_uint64())
     states = [x]
     for _ in range(length):
-        g = draw_step(rng.next_unit_fraction())
-        x = G.mul(x, g)
+        x = index[gather(images[x])(draw_step(rng.next_uint64()))]
         states.append(x)
     lumps = tuple(problem.left.coset_of[s] for s in states)
     return Trajectory(seed, length, tuple(states), lumps)

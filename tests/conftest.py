@@ -1,5 +1,6 @@
 """Shared groups, subgroups and weights used across the suite."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -79,3 +80,28 @@ def dihedral_prob(dihedral10):
 def uniform_on(G, ids):
     ids = list(ids)
     return AlgebraElement.from_pairs(G, [(i, Fraction(1, len(ids))) for i in ids])
+
+
+@pytest.fixture
+def fraction_work(monkeypatch):
+    """A Counter of the `Fraction`s built and of the numerators, denominators
+    and truth values of `Fraction`s read while the test runs; clear it just
+    before the call to measure."""
+    work = Counter()
+    build = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        work["new"] += 1
+        return build(cls, *args, **kwargs)
+
+    def counted(name, read):
+        def wrapper(self):
+            work[name] += 1
+            return read(self)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Fraction, "__bool__", counted("bool", Fraction.__bool__))
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(counted(name, getattr(Fraction, name).fget)))
+    return work

@@ -27,9 +27,15 @@ string, the multiplication and inverse tables of an enumerated group, the
 subgroup generated by some of its elements, and its one-sided and double
 cosets built from every product.  The cycle parser keeps its form with a
 second scan for the cycles (`parse_cycles_findall`).
+
+The integral forms keep their `Fraction` references: the sampler with its
+thresholds as `Fraction`s, the per-entry checks of a transition matrix,
+Dynkin's test on `Fraction` lump sums, and the cyclotomic power sum over a
+table of `Fraction` coordinates.
 """
 
 import re
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -39,7 +45,8 @@ from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
 from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row, nullspace
 from lumpwalk.lumping import require_E_bullet
-from lumpwalk.scalars import RATIONALS, common_field
+from lumpwalk.markov import STATE_CAP
+from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial
 
 
 def compose(g: tuple, h: tuple) -> tuple:
@@ -498,3 +505,72 @@ def theta_dimension_per_element(problem, e) -> tuple[int, list[int]]:
             raise InvariantError(f"theta constraint count {count} is not an integer")
         per_class.append(int(field.rational_value(count)))
     return G.order - sum(per_class), per_class
+
+
+def fraction_threshold_sampler(entries):
+    """Reference for `simulate._sampler`: the cumulative thresholds held as
+    `Fraction`s and compared with u = k / 2^64, one `Fraction` per draw."""
+    values = []
+    thresholds = []
+    acc = Fraction(0)
+    for value, p in entries:
+        if p:
+            acc += p
+            values.append(value)
+            thresholds.append(acc)
+    if acc != 1:
+        raise InvariantError("sampler probabilities must sum to 1")
+    last = len(values) - 1
+
+    def draw(k: int):
+        return values[min(bisect_right(thresholds, Fraction(k, 1 << 64)), last)]
+
+    return draw
+
+
+def transition_rows_per_entry(rows):
+    """Reference for the validation of `markov.TransitionMatrix`: every entry
+    made a `Fraction`, then per row the square, sign and sum checks on the
+    nonzero entries, summed over their common denominator.  Returns
+    (rows, nonzero)."""
+    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
+    n = len(rows)
+    if n > STATE_CAP:
+        raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
+    nonzero = []
+    for r in rows:
+        if len(r) != n:
+            raise DomainError("transition matrix must be square")
+        pairs = [(y, p) for y, p in enumerate(r) if p]
+        if any(p.numerator < 0 for _, p in pairs):
+            raise DomainError("negative transition probability")
+        den = lcm(*{p.denominator for _, p in pairs})
+        if sum(p.numerator * (den // p.denominator) for _, p in pairs) != den:
+            raise DomainError("row of transition matrix does not sum to 1")
+        nonzero.append(pairs)
+    return rows, nonzero
+
+
+def strong_generic_on_fractions(f, P) -> bool:
+    """Reference for `markov.test_strong_generic`: Dynkin's condition on the
+    `Fraction` rows, each row's lump sums added one `Fraction` at a time."""
+    for block in f.lumps():
+        base = f.apply_F(P.rows[block[0]])
+        for other in block[1:]:
+            if f.apply_F(P.rows[other]) != base:
+                return False
+    return True
+
+
+def power_sum_on_fraction_table(field, coeffs):
+    """Reference for `CyclotomicField.power_sum`: the powers z^k reduced
+    modulo Phi_n with `Fraction` coordinates, and the sum taken over them."""
+    minimal = cyclotomic_polynomial(field.order)
+    row = [Fraction(1)] + [Fraction(0)] * (field.phi - 1)
+    out = [Fraction(0)] * field.phi
+    for c in coeffs:
+        out = [a + c * r for a, r in zip(out, row)]
+        row = [Fraction(0)] + row
+        lead = row.pop()
+        row = [a - lead * m for a, m in zip(row, minimal)]
+    return out

@@ -536,7 +536,7 @@ def test_strong_exact_self_check_raises_on_disagreement(monkeypatch, top_prob, f
     verdict, _ = test(top_prob, frustrator)
     calls = []
 
-    def flipped(problem, w, s):
+    def flipped(problem, sums, s, scale):
         calls.append(s)
         return not verdict, None
 

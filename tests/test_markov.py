@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumpwalk import (
     AlgebraElement,
     Distribution,
     LumpingFunction,
+    LumpingProblem,
     Subspace,
     TransitionMatrix,
     compute_Vmax_generic,
@@ -34,9 +37,14 @@ from lumpwalk.markov import (
     parse_lump_file,
     parse_matrix_file,
 )
-from lumpwalk.shuffles import random_to_top, top_to_random
+from lumpwalk.shuffles import random_to_top, symmetric_group, top_to_random
 from tests.conftest import uniform_on
-from tests.reference import left_ideal_closure
+from tests.oracle_suite import WEIGHT_KINDS, build_pool, sample_weight
+from tests.reference import (
+    left_ideal_closure,
+    strong_generic_on_fractions,
+    transition_rows_per_entry,
+)
 
 
 def dist(alg_elem):
@@ -104,6 +112,139 @@ def test_transition_matrix_validation():
                           + [Fraction(1, 30)]] * 13)
     with pytest.raises(DomainError, match="exceeds the cap"):
         TransitionMatrix([[]] * (STATE_CAP + 1))
+
+
+@st.composite
+def matrix_rows(draw):
+    """Square or ragged rows of `Fraction`s, most of them stochastic."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n):
+        length = n if draw(st.integers(0, 7)) else draw(st.integers(0, 6))
+        if draw(st.integers(0, 3)):
+            weights = draw(st.lists(st.integers(0, 4), min_size=length, max_size=length))
+            rows.append([Fraction(c, sum(weights) or 1) for c in weights])
+        else:
+            rows.append(draw(st.lists(st.fractions(-1, 2, max_denominator=6),
+                                      min_size=length, max_size=length)))
+    return rows
+
+
+def written(p: Fraction, form: int):
+    """An entry as a caller may give it: the `Fraction`, an `int` when it is
+    one, or a literal, reduced or not."""
+    if form == 1 and p.denominator == 1:
+        return int(p)
+    if form >= 2:
+        k = form - 1
+        return f"{p.numerator * k}/{p.denominator * k}"
+    return p
+
+
+def outcome(build):
+    """(rows, nonzero) of a matrix, or the type and message of its error."""
+    try:
+        rows, nonzero = build()
+    except (DomainError, InputFormatError) as exc:
+        return type(exc).__name__, str(exc)
+    assert all(type(p) is Fraction for row in rows for p in row)
+    return rows, nonzero
+
+
+def built(*args):
+    P = TransitionMatrix(*args)
+    return P.rows, P.nonzero
+
+
+def built_from(text):
+    P = parse_matrix_file(text)
+    return P.rows, P.nonzero
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_rows(), st.data())
+def test_integral_rows_match_per_entry_checks(rows, data):
+    """Rows given as `Fraction`s, `int`s or literals, and as matrix text, give
+    the rows, nonzero pairs and errors of the per-entry checks."""
+    forms = data.draw(st.lists(st.integers(0, 3), min_size=sum(map(len, rows)),
+                               max_size=sum(map(len, rows))))
+    it = iter(forms)
+    given_rows = [[written(p, next(it)) for p in row] for row in rows]
+    expected = outcome(lambda: transition_rows_per_entry(rows))
+    assert outcome(lambda: built(given_rows)) == expected
+    assert outcome(lambda: built(rows)) == expected
+    if all(rows):
+        tokens = [[str(written(p, 2 + (k + x) % 2)) for k, p in enumerate(row)]
+                  for x, row in enumerate(rows)]
+        text = f"states {len(rows)}\n" + "".join(" ".join(t) + "\n" for t in tokens)
+        if any(len(row) != len(rows) for row in rows):
+            expected = ("InputFormatError", "matrix row with wrong entry count")
+        assert outcome(lambda: built_from(text)) == expected
+
+
+def lumpable_chain(rng, sizes):
+    """A chain on lumps of the given sizes satisfying Dynkin's condition, each
+    row splitting its lump sums with denominators of its own."""
+    lump_of = [b for b, k in enumerate(sizes) for _ in range(k)]
+    lumps = [[x for x, b in enumerate(lump_of) if b == c] for c in range(len(sizes))]
+    rows = [None] * len(lump_of)
+    for members in lumps:
+        raw = [rng.randint(0, 3) for _ in sizes]
+        raw[rng.randrange(len(sizes))] += 1
+        sums = [Fraction(c, sum(raw)) for c in raw]
+        for x in members:
+            row = [Fraction(0)] * len(lump_of)
+            for c, q in enumerate(sums):
+                split = [rng.randint(1, 7) for _ in lumps[c]]
+                for y, r in zip(lumps[c], split):
+                    row[y] = q * Fraction(r, sum(split))
+            rows[x] = row
+    return LumpingFunction(tuple(lump_of)), rows
+
+
+def test_integral_dynkin_matches_fraction_lump_sums():
+    """Dynkin's test on integer lump sums agrees with the `Fraction` form on
+    every walk of the pool and on chains whose rows have different
+    denominators, lumpable or made not to be."""
+    rng = random.Random(2025)
+    verdicts = []
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        f = lumping_function(problem)
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue
+            P = transition_from_weight(G, sample_weight(rng, problem, kind))
+            verdicts.append(strong_generic(f, P))
+            assert verdicts[-1] == strong_generic_on_fractions(f, P), (label, kind)
+    mixed = 0
+    for _ in range(60):
+        f, rows = lumpable_chain(rng, [rng.randint(1, 4) for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.5:
+            # move mass between two lumps in one row
+            x = rng.randrange(len(rows))
+            src = max(range(len(rows)), key=lambda y: rows[x][y])
+            dst = rng.randrange(len(rows))
+            shift = rows[x][src] / rng.randint(2, 5)
+            rows[x][src] -= shift
+            rows[x][dst] += shift
+        P = TransitionMatrix(rows)
+        mixed += any(len({P.integral[x][0] for x in block}) > 1 for block in f.lumps())
+        verdicts.append(strong_generic(f, P))
+        assert verdicts[-1] == strong_generic_on_fractions(f, P), rows
+    assert mixed > 20 and set(verdicts) == {True, False}
+
+
+def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):
+    """A 120-state walk matrix is read with a bounded number of `Fraction`
+    operations per row, not one or more per entry."""
+    G = symmetric_group(5)
+    P = transition_from_weight(G, random_to_top(G))
+    text = f"states {P.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in P.rows)
+    fraction_work.clear()
+    parsed = parse_matrix_file(text)
+    assert sum(fraction_work.values()) <= 10 * P.n, fraction_work
+    assert parsed == P
 
 
 # -- the minimal stable space and the three tests -----------------------------
@@ -353,6 +494,33 @@ def test_time_reversal(sym4, top_prob):
     assert time_reversal_matrix(symmetric, Distribution.uniform(2)) == symmetric
     with pytest.raises(DomainError):
         time_reversal_matrix(Pr, Distribution.point(24, 0))
+
+
+def test_time_reversal_matches_fraction_formula(sym4, frustrator):
+    """The reversed chain read off the integral rows equals
+    alpha(y) P(y, x) / alpha(x) in `Fraction`s, also for chains whose rows
+    and stationary law have different denominators."""
+    rng = random.Random(58)
+    chains = [transition_from_weight(sym4, frustrator)]
+    for n in (1, 2, 5, 7):
+        rows = []
+        for _ in range(n):
+            raw = [rng.choice([0, 1, 2, 5]) for _ in range(n)]
+            raw[rng.randrange(n)] += 1
+            raw = [r * rng.randint(1, 3) for r in raw]
+            rows.append([Fraction(r, sum(raw)) for r in raw])
+        chains.append(TransitionMatrix(rows))
+    checked = 0
+    for P in chains:
+        if not P.is_irreducible():
+            continue
+        mu = stationary_distribution(P).probs
+        expected = [[mu[y] * P.rows[y][x] / mu[x] for y in range(P.n)] for x in range(P.n)]
+        Pstar = time_reversal_matrix(P, Distribution(mu))
+        assert Pstar.rows == expected
+        assert Pstar.nonzero == [[(y, p) for y, p in enumerate(row) if p] for row in expected]
+        checked += 1
+    assert checked >= 3
 
 
 def test_strong_exact_reversal_duality_small_chains():

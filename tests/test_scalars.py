@@ -18,6 +18,7 @@ from lumpwalk.scalars import (
     parse_scalar,
     RATIONALS,
 )
+from tests.reference import power_sum_on_fraction_table
 
 
 def test_rational_basics():
@@ -70,6 +71,20 @@ def test_power_sum_matches_zeta_arithmetic(n):
         assert F.power_sum(coeffs) == expected
     # the n-th roots of unity sum to zero for n > 1
     assert F.power_sum([1] * n).is_zero() == (n > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 24, 30, 64]), st.data())
+def test_power_sum_of_int_buckets_stays_integral(n, data):
+    """The power table is integral: `int` buckets give `int` coordinates, equal
+    to the sum over a table with `Fraction` coordinates, and `Fraction`
+    buckets give the same values."""
+    F = cyclotomic_field(n)
+    buckets = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    result = F.power_sum(buckets)
+    assert all(type(c) is int for c in result.coeffs)
+    assert list(result.coeffs) == power_sum_on_fraction_table(F, buckets)
+    assert F.power_sum([Fraction(c) for c in buckets]) == result
 
 
 def test_conjugation():

@@ -20,6 +20,7 @@ from lumpwalk import (
 from lumpwalk.errors import InvariantError
 from lumpwalk.shuffles import random_to_top
 from lumpwalk.simulate import _sampler, simulate_ensemble
+from tests.reference import fraction_threshold_sampler
 
 
 def test_prng_is_stable():
@@ -28,8 +29,8 @@ def test_prng_is_stable():
     rng2 = Xoshiro256StarStar(1)
     assert [rng2.next_uint64() for _ in range(4)] == first
     assert Xoshiro256StarStar(2).next_uint64() != first[0]
-    u = Xoshiro256StarStar(3).next_unit_fraction()
-    assert 0 <= u < 1
+    k = Xoshiro256StarStar(3).next_uint64()
+    assert 0 <= k < 1 << 64
 
 
 def test_reproducible_trajectories(sym4, top_prob, frustrator, mid_swap_T):
@@ -115,6 +116,8 @@ def linear_scan_draw(entries, u):
 
 
 def test_bisect_draw_matches_linear_scan():
+    """The integer draw at k agrees with a linear scan and with the `Fraction`
+    thresholds at u = k / 2^64, also just below, at and above each t * 2^64."""
     rng = random.Random(404)
     gen = Xoshiro256StarStar(404)
     for _ in range(200):
@@ -124,20 +127,51 @@ def test_bisect_draw_matches_linear_scan():
         total = sum(weights)
         entries = [(k, Fraction(c, total)) for k, c in enumerate(weights)]
         draw = _sampler(entries)
+        reference = fraction_threshold_sampler(entries)
         thresholds = []
         acc = Fraction(0)
         for _, p in entries:
             acc += p
             thresholds.append(acc)
         # the thresholds themselves, and their neighbours, are the boundary cases
-        probes = [gen.next_unit_fraction() for _ in range(20)]
-        probes += [t + d for t in thresholds for d in (-Fraction(1, 1 << 64), 0)]
-        probes.append(Fraction(0))
-        for u in probes:
-            if 0 <= u < 1:
-                assert draw(u) == linear_scan_draw(entries, u), (entries, u)
+        probes = [gen.next_uint64() for _ in range(20)] + [0, (1 << 64) - 1]
+        for t in thresholds:
+            at = t * (1 << 64)
+            probes += [math.floor(at) - 1, math.floor(at), math.ceil(at), math.ceil(at) + 1]
+        for k in probes:
+            if 0 <= k < 1 << 64:
+                expected = linear_scan_draw(entries, Fraction(k, 1 << 64))
+                assert draw(k) == reference(k) == expected, (entries, k)
+
+
+def test_trajectories_match_fraction_thresholds(sym4, top_prob, frustrator, mid_swap_T):
+    """`simulate_walk` gives the states of a walk drawn on `Fraction`
+    thresholds and multiplied with `G.mul`."""
+    G = sym4
+    for w, alpha, seed in ((frustrator, eta(G, mid_swap_T), 5),
+                           (random_to_top(G), AlgebraElement.basis(G, 7), 11)):
+        rng = Xoshiro256StarStar(seed)
+        draw_start = fraction_threshold_sampler(list(alpha.support()))
+        draw_step = fraction_threshold_sampler(list(w.normalized().support()))
+        x = draw_start(rng.next_uint64())
+        states = [x]
+        for _ in range(300):
+            x = G.mul(x, draw_step(rng.next_uint64()))
+            states.append(x)
+        assert simulate_walk(top_prob, w, alpha, seed, 300).states == tuple(states)
 
 
 def test_sampler_rejects_probabilities_not_summing_to_one():
     with pytest.raises(InvariantError, match="sum to 1"):
         _sampler([(0, Fraction(1, 2)), (1, Fraction(1, 3))])
+
+
+def test_simulate_walk_builds_no_fraction_per_step(fraction_work, top_prob, frustrator, sym4,
+                                                   mid_swap_T):
+    """A 2000-step walk reads its `Fraction`s while it builds its samplers,
+    not once or more per step."""
+    alpha = eta(sym4, mid_swap_T)
+    length = 2000
+    fraction_work.clear()
+    simulate_walk(top_prob, frustrator, alpha, seed=9, length=length)
+    assert sum(fraction_work.values()) < length // 4, fraction_work
