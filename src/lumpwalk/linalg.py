@@ -1,25 +1,21 @@
 """Exact linear algebra over Q: row spaces, their closures under linear maps, kernels.
 
-Subspaces are held in reduced row echelon form with leading coefficient 1, so
-two subspaces are equal exactly when their basis matrices are equal.  Each
-row also keeps the ascending list of its nonzero columns, updated whenever an
-insertion rewrites the row, so reduction and back-elimination touch only those
-entries.  The entries and the order of the arithmetic on them are those of a
-dense sweep, so bases and kernels do not depend on the cache.
+A canonical echelon is a reduced row echelon form, so two subspaces are
+equal exactly when their canonical basis matrices are equal.  Each row also
+keeps the ascending list of its nonzero columns, so elimination touches only
+those entries, in the order of a dense sweep.
 
-There are three row stores for rational row spaces, on one skeleton
-(`_RowStore`).  `Subspace` holds `Fraction` rows with leading coefficient 1.
-`IntegerRows` holds a row space fraction-free: each row is the canonical
-RREF row times the one positive integer that makes it a primitive integer
-vector (entries with gcd 1, positive pivot).  That scaled form is unique, so
-it determines the canonical RREF, which `to_subspace` builds once, at the
-end; its eliminations use integer row operations and divide only by a gcd.
-`ReversedRows` is `IntegerRows` of each vector with its columns reversed:
-it takes and gives back vectors in their own order, and holds the echelon
-form that `nullspace` reads.  The group-path closures and `nullspace` run
-on integer rows, and `nullspace` returns an `IntegerRows`, so a caller
-builds the `Fraction` rows once; the generic oracle's closures stay on
-`Subspace`.
+There are two row stores, on one skeleton (`_RowStore`).  `Subspace` holds
+`Fraction` rows in RREF with leading coefficient 1.  `IntegerRows`, the spin
+store, holds primitive integer rows (gcd 1, positive pivot), appended in
+semi-echelon form: growing a span rewrites no stored row, and elimination
+divides only by a gcd.  When the span is complete, `echelon` builds the
+canonical form its reader needs, once: each row the canonical RREF row
+times the one positive integer that makes it primitive, which `to_subspace`
+turns into the canonical `Subspace`; or, for a store spun with ``last``, the
+same with the columns read from the right, the echelon `nullspace` reads.
+The group-path closures and `nullspace` run on integer rows, and `nullspace`
+returns an `IntegerRows`; the generic oracle's closures stay on `Subspace`.
 
 `kernel_span` is the one kernel that combines coefficient vectors with a
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
@@ -36,18 +32,19 @@ images that grew it also get the successors: a translate gets translations
 only.  That is sound when the successors of a translate are translates of
 successors, as for a left ideal of a group algebra under left multiplication
 by the group (proved at `closure`); the generic oracle passes no
-translations, so every map meets every vector there.  `nullspace`
-echelonises its constraints with the columns reversed, on `ReversedRows`,
-so the solution of each free column is already a row of the canonical
-basis and no second elimination is needed; a closure grown on
-`ReversedRows` is handed to it as it stands.  No elimination runs over a
-cyclotomic field.  The module knows nothing of groups: its callers hand it
-vectors and maps.
+translations, so every map meets every vector there.  Whether a vector
+grows a span does not depend on the echelon that holds it, so a closure
+spun on `IntegerRows` has the same worklist, inserts and yields in either
+column order, and its canonical echelon is built once, when it ends.  No
+elimination runs over a cyclotomic field.  The module knows nothing of
+groups: its callers hand it vectors and maps.
 """
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import DomainError
@@ -76,7 +73,7 @@ class _RowStore:
         return len(self.rows)
 
     def copy(self):
-        out = type(self)(self.ambient)
+        out = shallow_copy(self)  # every slot; the lists are copied below
         out.rows = [list(r) for r in self.rows]
         out.pivots = list(self.pivots)
         out.support = [list(s) for s in self.support]
@@ -150,19 +147,23 @@ class Subspace(_RowStore):
 
 
 class IntegerRows(_RowStore):
-    """Row space over Q of integer vectors, kept as the scaled canonical RREF.
+    """Row space over Q of integer vectors, spun in semi-echelon form.
 
-    ``rows[i]`` is the canonical RREF row with pivot ``pivots[i]`` times the
-    positive integer that makes it primitive: integer entries with gcd 1 and
-    a positive pivot entry.  `insert` takes integer vectors; `to_subspace`
-    gives the canonical `Subspace` over the rationals.
+    `insert` reduces a vector by the stored rows in insertion order and
+    appends the primitive residue, if any, with its first nonzero column as
+    pivot (its last, with ``last``): each row is zero at the pivots of the
+    rows before it, so `reduce` takes the span to zero.  `echelon` builds
+    the canonical form, and `to_subspace` reads a forward one.
     """
 
-    __slots__ = ()
+    __slots__ = ("last",)
+
+    def __init__(self, ambient: int, vectors=(), last: bool = False):
+        self.last = last
+        super().__init__(ambient, vectors)
 
     def reduce(self, vector) -> list[int]:
-        """A nonzero integer multiple of the residue of an integer vector after
-        eliminating all pivots (input not mutated)."""
+        """A nonzero multiple of the residue of an integer vector (not mutated)."""
         if len(vector) != self.ambient:
             raise DomainError("vector length does not match the ambient dimension")
         v = list(vector)
@@ -184,39 +185,63 @@ class IntegerRows(_RowStore):
         v = self.reduce(vector)
         if not any(v):
             return False
-        cols = [k for k, c in enumerate(v) if c]
-        pivot = cols[0]
+        cols = list(compress(range(self.ambient), v))
+        pivot = cols[-1] if self.last else cols[0]
         g = gcd(*v)
         if v[pivot] < 0:
             g = -g
         if g != 1:
             for k in cols:
                 v[k] //= g
-        d = v[pivot]
-        # eliminate the new pivot column from existing rows; their pivots stay positive
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                g = gcd(c, d)
-                m, c = d // g, c // g
-                touched = set(self.support[i])
-                touched.update(cols)
-                for k in touched:
-                    row[k] = m * row[k] - c * v[k]
-                kept = [k for k in sorted(touched) if row[k]]
-                g = gcd(*[row[k] for k in kept])
-                if g != 1:
-                    for k in kept:
-                        row[k] //= g
-                self.support[i] = kept
-        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
-        self.support.insert(at, cols)
+        self.rows.append(v)
+        self.pivots.append(pivot)
+        self.support.append(cols)
         return True
 
+    def echelon(self) -> IntegerRows:
+        """The canonical echelon of the span, in ascending pivot order.
+
+        The rows are taken from the last pivot to the first (the first to the
+        last, with ``last``).  A row is zero left of its pivot (right, with
+        ``last``) and at the pivots of the rows inserted before it, so every
+        other pivot at which it is nonzero is that of a row already taken; the taken rows are zero at every pivot but their own, so one
+        reduction by them makes the row canonical and rewrites no taken row.
+        The whole space is the identity, built as it stands.
+        """
+        n = self.ambient
+        if self.dim == n:
+            taken = {i: ([0] * i + [1] + [0] * (n - 1 - i), [i]) for i in range(n)}
+        else:
+            taken = {}  # pivot -> (canonical row, its nonzero columns)
+            for i in sorted(range(self.dim), key=self.pivots.__getitem__, reverse=not self.last):
+                v, p, cols = list(self.rows[i]), self.pivots[i], self.support[i]
+                touched = set(cols)
+                for k in cols:
+                    if k != p and k in taken:
+                        row, row_cols = taken[k]
+                        g = gcd(v[k], row[k])
+                        m, c = row[k] // g, v[k] // g
+                        if m != 1:
+                            for j in touched:
+                                v[j] *= m
+                        for j in row_cols:
+                            v[j] -= c * row[j]
+                        touched.update(row_cols)
+                kept = sorted(j for j in touched if v[j])
+                g = gcd(*[v[j] for j in kept])
+                if g != 1:
+                    for j in kept:
+                        v[j] //= g
+                taken[p] = (v, kept)
+        out = IntegerRows(n, last=self.last)
+        out.pivots = sorted(taken)
+        out.rows = [taken[p][0] for p in out.pivots]
+        out.support = [taken[p][1] for p in out.pivots]
+        return out
+
     def to_subspace(self) -> Subspace:
-        """The same row space as a `Subspace` over the rationals, in canonical RREF."""
+        """The row space of a forward `echelon` as a `Subspace` over the
+        rationals, in canonical RREF."""
         out = Subspace(self.ambient)
         zero = RATIONALS.zero
         for row, p, cols in zip(self.rows, self.pivots, self.support):
@@ -228,25 +253,6 @@ class IntegerRows(_RowStore):
             out.pivots.append(p)
             out.support.append(list(cols))
         return out
-
-
-class ReversedRows(IntegerRows):
-    """`IntegerRows` of each vector with its columns reversed, so the pivot
-    of a row is its last nonzero column.
-
-    `insert` takes a vector in its own column order and `basis` gives the
-    rows back in it, so `closure` runs on this store as on any other.
-    ``rows``, ``pivots``, ``support``, `reduce` and `to_subspace` are in the
-    reversed columns: the echelon form `nullspace` reads.
-    """
-
-    __slots__ = ()
-
-    def insert(self, vector) -> bool:
-        return super().insert(vector[::-1])
-
-    def basis(self) -> list[list[int]]:
-        return [row[::-1] for row in self.rows]
 
 
 def integer_row(vector) -> list[int]:
@@ -299,36 +305,27 @@ def nullspace(constraints, ambient: int) -> IntegerRows:
     """Rational solutions v of the homogeneous system row . v == 0 for each
     constraint row, as the canonical rows of an `IntegerRows`.
 
-    ``constraints`` is a list of rational rows, or a `ReversedRows` that
-    holds them already (as `compute_Jw` grows the cut of L_{w*}).  Rows are
-    scaled to integers, which does not change the solutions, and echelonised
-    on `ReversedRows`, with their columns reversed, so the pivot of each
-    constraint is its last nonzero column, and the constraint is zero at
-    every other pivot.  The solution of a free column f is 1 at f and
-    -row[f] / row[pivot] at the pivot of each row, all of them right of f,
-    and 0 at every other free column: a canonical RREF row as it stands.
-    Each solution is scaled by the lcm of its denominators and divided by
-    the gcd of its entries, so it is the primitive integer row with a
-    positive pivot, built without a `Fraction`.
-
-    The column order of the echelon is free to a closure: whether a vector
-    grows the span does not depend on it, and a seed row comes back from
-    `basis` as the same line in either order.  So from one seed row a
-    closure grown on `ReversedRows` has the worklist, inserts and yields of
-    one grown on `IntegerRows`, and its store is read here as it stands,
-    without a second elimination.
+    ``constraints`` is a list of rational rows, scaled to integers (which
+    changes no solution) and spun with ``last``, or the `echelon` of such a
+    store (as `compute_Jw` grows the cut of L_{w*}).  In that echelon the
+    pivot of each row is its last nonzero column, and the row is zero at
+    every other pivot.  So the solution of a free column f is 1 at f,
+    -row[f] / row[pivot] at the pivot of each row, all right of f, and 0 at
+    every other free column: a canonical RREF row as it stands.  Scaled by
+    the lcm of its denominators and divided by the gcd of its entries, it
+    is the primitive integer row with a positive pivot, without a `Fraction`.
     """
-    if not isinstance(constraints, ReversedRows):
-        constraints = ReversedRows(ambient, [integer_row(row) for row in constraints])
-    last = ambient - 1
-    pivots = {last - p for p in constraints.pivots}
+    if not isinstance(constraints, IntegerRows):
+        spun = IntegerRows(ambient, (integer_row(row) for row in constraints), last=True)
+        constraints = spun.echelon()
+    pivots = set(constraints.pivots)
     # per free column f, (pivot column, numerator, denominator) of each entry right of f
     entries = {free: [] for free in range(ambient) if free not in pivots}
     for row, p, cols in zip(constraints.rows, constraints.pivots, constraints.support):
         d = row[p]
         for k in cols:
             if k != p:
-                entries[last - k].append((last - p, -row[k], d))
+                entries[k].append((p, -row[k], d))
     out = IntegerRows(ambient)
     for free, terms in entries.items():
         scale = lcm(*(d for _, _, d in terms))
@@ -358,8 +355,10 @@ def closure(V: Subspace, successors, translations=lambda v: ()) -> Subspace:
     the span also get the successors, but a translate gets translations
     only.  The loop ends when the worklist is empty or the span is the
     whole space.  The fixpoint is unique, so the order of exploration does
-    not change the canonical RREF; last in, first out was about three times
-    faster than first in, first out on the S7 shuffle closures.
+    not change the canonical echelon; last in, first out was about three
+    times faster than first in, first out on the S7 shuffle closures.  The
+    store comes back as it was grown: an `IntegerRows` in semi-echelon
+    form, whose caller builds the `echelon` it reads.
 
     The translations are for a closure that is a module: the caller vouches
     that for every translation t and every successor f' there are a

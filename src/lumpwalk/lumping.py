@@ -33,11 +33,12 @@ translate gets the generators of H only (`close_H_ideal`).  The weak
 obstruction is checked on the integer rows, and the canonical `Fraction`
 rows are built once, for the report.  The cut of J_w is read through the
 time-reversal duality: it is the nullspace of the cut of L_{w*}, for the
-reversed weight w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).  The
-cuts of L_w and L_alpha are held on `linalg.IntegerRows`, in the canonical
-RREF that reports and the cut certificate read; that of L_{w*} on
-`linalg.ReversedRows`, with its columns reversed, the echelon form
-`nullspace` reads, so it is echelonised once.
+reversed weight w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).  All
+three are spun on `linalg.IntegerRows` in semi-echelon form, and each gets
+one canonical echelon when its closure ends: the cuts of L_w and L_alpha
+the forward RREF that reports and the cut certificate read, and that of
+L_{w*} the echelon with its columns read from the right, which `nullspace`
+reads, so each closure is echelonised once.
 
 No command takes a product in the group algebra.  The strong and exact
 tests read the coset sums of D w, and the lumped matrix the double-coset
@@ -74,7 +75,7 @@ from .algebra import (
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets, gather, inverse
-from .linalg import IntegerRows, ReversedRows, Subspace, closure, integer_row, nullspace
+from .linalg import IntegerRows, Subspace, closure, integer_row, nullspace
 from .scalars import common_field, cyclotomic_field
 
 
@@ -196,19 +197,19 @@ class LumpingProblem:
         H, G, position = self.subgroup, self.group, self.left.position
         return tuple(tuple(position[G.mul(g, h)] for h in H.members) for g in H.generators)
 
-    def close_H_ideal(self, seeds, w: AlgebraElement, store=IntegerRows,
+    def close_H_ideal(self, seeds, w: AlgebraElement, last: bool = False,
                       integral: AlgebraElement | None = None) -> IntegerRows:
         """Smallest left ideal of the subgroup algebra containing the seed
         vectors and closed under u -> each coset component of u w.
 
         It grows the cut of L_w (seeded with the all-ones vector), of L_alpha
         (and the coset components of alpha) and, as the cut of L_{w*}, the
-        annihilator of the cut of J_w.  It runs on integer rows, `store`
-        (`IntegerRows`, or `ReversedRows` for the annihilator that
-        `nullspace` reads), under the action table of the integral form D w
-        (`_integer_element`; `integral`, when the caller holds it already),
-        with each seed scaled by `integer_row`: nonzero multiples of a map or
-        a seed give the same closure.
+        annihilator of the cut of J_w.  It is spun on `IntegerRows` under the
+        action table of the integral form D w (`_integer_element`;
+        `integral`, when the caller holds it already), with each seed scaled
+        by `integer_row`: nonzero multiples of a map or a seed give the same
+        closure.  It returns the store's canonical `echelon`: the forward one
+        that reports read, or with ``last`` the one `nullspace` reads.
 
         Left multiplications by the generators of H are the translations of
         `linalg.closure`, and the coset components of u w its successors, so
@@ -221,9 +222,9 @@ class LumpingProblem:
         if integral is None:
             integral = _integer_element(w)[1]
         table = self.weight_action(integral)
-        seed_rows = store(self.subgroup.order, (integer_row(v) for v in seeds))
+        seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds), last=last)
         return closure(seed_rows, lambda u: self.times_weight(table, u),
-                       lambda u: (k_inv(u) for k_inv in translations))
+                       lambda u: (k_inv(u) for k_inv in translations)).echelon()
 
 
 @dataclass
@@ -523,20 +524,18 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     translation and, by (1), under a -> M_x a for x = r_c^-1; by (2) then
     also for x = r_c, so C^perp lies in A by (i).  Hence A = C^perp.
 
-    A is grown on `ReversedRows`, echelonised with its columns reversed, the
-    form `nullspace` reads, so A is echelonised once.  The order is free:
-    whether an image grows the span does not depend on the column order, so
-    the worklist, the inserts and their yields are those of the closure on
-    `IntegerRows`, and only the echelon form that holds A differs.
+    A is spun with ``last``, so its one canonical echelon, built when the
+    closure ends, is the form `nullspace` reads.  Whether an image grows the
+    span does not depend on the pivot order, so the worklist, the inserts
+    and their yields are those of the forward closure.
     """
     weak, _, _ = test_weak_weight(problem, w)
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
-    reversed_cut = problem.close_H_ideal([[1] * n], w.require_weight().star(), ReversedRows)
-    rows = nullspace(reversed_cut, n)
+    rows = nullspace(problem.close_H_ideal([[1] * n], w.require_weight().star(), last=True), n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
-    ideal = GurvitsLedouxIdeal(problem, rows.to_subspace())
+    ideal = GurvitsLedouxIdeal(problem, rows.echelon().to_subspace())
     ideal.weakly_lumping = True
     return ideal
 

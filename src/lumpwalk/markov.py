@@ -59,9 +59,10 @@ class Distribution:
         return Distribution((Fraction(1, n),) * n)
 
 
-def _integral_row(keys, value) -> tuple[list[Fraction], int, list[int]]:
-    """One row as (entries, D, M): its `Fraction` entries, D the lcm of their
-    denominators and M = D * row in `int`.
+def _integral_row(keys, value) -> tuple[list[tuple[int, Fraction]], int, list[int]]:
+    """One row as (nonzero, D, M): the ``(column, entry)`` pairs of its nonzero
+    `Fraction` entries, D the lcm of their denominators and M = D * row in
+    `int`.
 
     The row is given as keys, and `value` maps a key to its `Fraction`: the
     entries themselves (`Fraction`, `int` or literal strings) by default,
@@ -74,7 +75,9 @@ def _integral_row(keys, value) -> tuple[list[Fraction], int, list[int]]:
     values = {k: value(k) for k in dict.fromkeys(keys)}
     scale = lcm(*(v.denominator for v in values.values()))
     scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
-    return list(map(values.__getitem__, keys)), scale, list(map(scaled.__getitem__, keys))
+    row = list(map(scaled.__getitem__, keys))
+    nonzero = zip(compress(range(len(row)), row), map(values.__getitem__, compress(keys, row)))
+    return list(nonzero), scale, row
 
 
 class TransitionMatrix:
@@ -83,23 +86,23 @@ class TransitionMatrix:
     Each row x is held in its integral form ``integral[x] = (D_x, M_x)``,
     with D_x the lcm of the denominators of the row and M_x = D_x P(x, .) in
     `int` (`_integral_row`), and validation reads only that form: no entry of
-    M_x is negative, and M_x sums to D_x.  ``rows`` is the dense matrix of
-    `Fraction`s; ``nonzero[x]`` lists the ``(y, P(x, y))`` pairs with
-    ``P(x, y) != 0`` in ascending ``y``, picked out where M_x is nonzero, so
-    ``apply`` and ``apply_column`` touch only those entries.
+    M_x is negative, and M_x sums to D_x.  ``nonzero[x]`` lists the
+    ``(y, P(x, y))`` pairs with ``P(x, y) != 0`` in ascending ``y``, picked
+    out where M_x is nonzero, so ``apply`` and ``apply_column`` touch only
+    those entries.  ``rows``, the dense matrix of `Fraction`s, is built from
+    the integral form when first read.
 
     Rows are given as keys mapped to their values by `value`, the entries
     themselves by default (`_integral_row`).
     """
 
-    __slots__ = ("n", "rows", "nonzero", "integral")
+    __slots__ = ("n", "_rows", "nonzero", "integral")
 
     def __init__(self, rows, value=Fraction):
         forms = [_integral_row(r, value) for r in rows]
         n = len(forms)
         if n > STATE_CAP:
             raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
-        columns = range(n)
         for _, scale, scaled in forms:
             if len(scaled) != n:
                 raise DomainError("transition matrix must be square")
@@ -108,10 +111,18 @@ class TransitionMatrix:
             if sum(scaled) != scale:
                 raise DomainError("row of transition matrix does not sum to 1")
         self.n = n
-        self.rows = [entries for entries, _, _ in forms]
-        self.nonzero = [list(zip(compress(columns, scaled), compress(entries, scaled)))
-                        for entries, _, scaled in forms]
+        self._rows = None
+        self.nonzero = [nonzero for nonzero, _, _ in forms]
         self.integral = [(scale, scaled) for _, scale, scaled in forms]
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        if self._rows is None:
+            self._rows = []
+            for scale, scaled in self.integral:
+                values = {m: Fraction(m, scale) for m in dict.fromkeys(scaled)}
+                self._rows.append(list(map(values.__getitem__, scaled)))
+        return self._rows
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         """Row vector times matrix."""
@@ -480,10 +491,12 @@ def parse_distribution_file(text: str) -> Distribution:
     n, lines = _read_states(text, "distribution")
     if len(lines) != 1:
         raise InputFormatError("distribution file needs exactly one row")
-    entries = [parse_rational(tok) for tok in lines[0].split()]
-    if len(entries) != n:
+    tokens = lines[0].split()
+    # each distinct token once, in the order it first occurs, so a bad one fails first
+    values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}
+    if len(tokens) != n:
         raise InputFormatError("distribution row with wrong entry count")
-    return Distribution(tuple(entries))
+    return Distribution(tuple(map(values.__getitem__, tokens)))
 
 
 def parse_lump_file(text: str, n_states: int) -> LumpingFunction:

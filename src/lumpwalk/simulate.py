@@ -36,20 +36,20 @@ class Xoshiro256StarStar:
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
             self.state.append(z ^ (z >> 31))
 
-    @staticmethod
-    def _rotl(x: int, k: int) -> int:
-        return ((x << k) | (x >> (64 - k))) & _MASK
-
     def next_uint64(self) -> int:
+        """The next 64-bit output word; the two rotations are inlined, as the
+        sampler draws one word per step."""
         s = self.state
-        result = (self._rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
+        x = (s[1] * 5) & _MASK
+        result = (((x << 7) | (x >> 57)) * 9) & _MASK  # rotl(x, 7) * 9
         t = (s[1] << 17) & _MASK
         s[2] ^= s[0]
         s[3] ^= s[1]
         s[1] ^= s[2]
         s[0] ^= s[3]
         s[2] ^= t
-        s[3] = self._rotl(s[3], 45)
+        x = s[3]
+        s[3] = ((x << 45) | (x >> 19)) & _MASK  # rotl(x, 45)
         return result
 
 

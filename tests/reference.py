@@ -18,8 +18,12 @@ every map on every vector, which the translation rule of `linalg.closure`
 must reproduce; it translates by scattering entries (`permuted`) where the
 package gathers them by the inverse map, so the two translation codes stay
 independent.  The other is the cut of J_w by two echelons: the cut of
-L_{w*} grown on forward integer rows and echelonised again, columns
-reversed, by `nullspace`, which `compute_Jw` does in one.
+L_{w*} grown forward and echelonised again, columns read from the right,
+by `nullspace`, which `compute_Jw` does in one.  The spin store
+`linalg.IntegerRows` is compared with the integer store it replaced:
+`BackEliminatingRows` holds the canonical echelon at every step by
+eliminating each new pivot from every stored row, and
+`ReversedBackEliminatingRows` is that store on reversed columns.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -38,12 +42,12 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from lumpwalk.algebra import AlgebraElement, coset_sums, eta
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
-from lumpwalk.linalg import IntegerRows, Subspace, closure, integer_row, nullspace
+from lumpwalk.linalg import Subspace, closure, integer_row, nullspace
 from lumpwalk.lumping import require_E_bullet
 from lumpwalk.markov import STATE_CAP
 from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial
@@ -127,10 +131,101 @@ def double_coset_partition(mul, left_members, right_members) -> tuple:
     return tuple(class_of), tuple(reps), tuple(len(b) for b in blocks), tuple(blocks)
 
 
-def all_maps_H_ideal(problem, seeds, action) -> IntegerRows:
-    """Reference for `LumpingProblem.close_H_ideal`: the same integer-row
-    closure with every map on every vector, the generators of H and the
-    coset components of u w alike, as successors of one family."""
+class BackEliminatingRows:
+    """Reference for `linalg.IntegerRows`: integer rows kept as the canonical
+    echelon at every step, each row the canonical RREF row times the positive
+    integer that makes it primitive.  `insert` eliminates each new pivot from
+    every stored row, and the rows stay sorted by pivot."""
+
+    def __init__(self, ambient, vectors=()):
+        self.ambient, self.rows, self.pivots, self.support = ambient, [], [], []
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def copy(self):
+        out = type(self)(self.ambient)
+        out.rows = [list(r) for r in self.rows]
+        out.pivots, out.support = list(self.pivots), [list(s) for s in self.support]
+        return out
+
+    def basis(self):
+        return [list(r) for r in self.rows]
+
+    def reduce(self, vector):
+        v = list(vector)
+        for row, p, cols in zip(self.rows, self.pivots, self.support):
+            c = v[p]
+            if c:
+                d = row[p]
+                g = gcd(c, d)
+                if g != d:
+                    v = [(d // g) * x for x in v]
+                c //= g
+                for k in cols:
+                    v[k] -= c * row[k]
+        return v
+
+    def insert(self, vector):
+        v = self.reduce(vector)
+        cols = [k for k, c in enumerate(v) if c]
+        if not cols:
+            return False
+        pivot = cols[0]
+        g = gcd(*v) * (1 if v[pivot] > 0 else -1)
+        for k in cols:
+            v[k] //= g
+        d = v[pivot]
+        for i, row in enumerate(self.rows):
+            c = row[pivot]
+            if c:
+                g = gcd(c, d)
+                m, c = d // g, c // g
+                touched = set(self.support[i]) | set(cols)
+                for k in touched:
+                    row[k] = m * row[k] - c * v[k]
+                kept = [k for k in sorted(touched) if row[k]]
+                g = gcd(*[row[k] for k in kept])
+                for k in kept:
+                    row[k] //= g
+                self.support[i] = kept
+        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pivot)
+        self.support.insert(at, cols)
+        return True
+
+    def canonical(self):
+        """(rows, pivots, supports) in ascending pivot order."""
+        return self.rows, self.pivots, self.support
+
+
+class ReversedBackEliminatingRows(BackEliminatingRows):
+    """`BackEliminatingRows` of each vector with its columns reversed, so the
+    pivot of a row is its last nonzero column; `basis` and `canonical` give
+    the rows back in their own columns."""
+
+    def insert(self, vector):
+        return super().insert(vector[::-1])
+
+    def basis(self):
+        return [row[::-1] for row in self.rows]
+
+    def canonical(self):
+        last = self.ambient - 1
+        rows = [row[::-1] for row in reversed(self.rows)]
+        pivots = [last - p for p in reversed(self.pivots)]
+        return rows, pivots, [[k for k, c in enumerate(row) if c] for row in rows]
+
+
+def all_maps_H_ideal(problem, seeds, action) -> BackEliminatingRows:
+    """Reference for `LumpingProblem.close_H_ideal`: the integer-row closure
+    with every map on every vector, the generators of H and the coset
+    components of u w alike, as successors of one family, on the
+    back-eliminating store."""
     perms = problem._H_generator_perms
     scale = lcm(*(value.denominator for entries in action for _, _, value in entries))
     table = [[(cid, pos, value.numerator * (scale // value.denominator))
@@ -141,20 +236,20 @@ def all_maps_H_ideal(problem, seeds, action) -> IntegerRows:
             yield permuted(u, perm, 0)
         yield from problem.times_weight(table, u)
 
-    seed_rows = IntegerRows(problem.subgroup.order, (integer_row(v) for v in seeds))
+    seed_rows = BackEliminatingRows(problem.subgroup.order, (integer_row(v) for v in seeds))
     return closure(seed_rows, images)
 
 
 def maximal_cut_two_echelons(problem, w: AlgebraElement) -> Subspace:
-    """Reference for the cut of `compute_Jw`: the cut of L_{w*} grown on
-    forward `IntegerRows`, its rows handed to `nullspace` as plain
-    constraints, which echelonises them a second time with the columns
-    reversed, plus eta_H."""
+    """Reference for the cut of `compute_Jw`: the cut of L_{w*} in its
+    forward echelon, its rows handed to `nullspace` as plain constraints,
+    which echelonises them a second time with the columns read from the
+    right, plus eta_H."""
     n = problem.subgroup.order
     forward = problem.close_H_ideal([[1] * n], w.star())
     rows = nullspace(forward.rows, n)
     rows.insert([1] * n)
-    return rows.to_subspace()
+    return rows.echelon().to_subspace()
 
 
 def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:

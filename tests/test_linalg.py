@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from lumpwalk import AlgebraElement, Subspace, eta, intersect
 from lumpwalk.linalg import IntegerRows, integer_row, kernel_coefficients, kernel_span, nullspace
-from tests.reference import is_induced, is_left_ideal, left_ideal_closure, right_multiply_space
+from tests.reference import (
+    BackEliminatingRows,
+    ReversedBackEliminatingRows,
+    is_induced,
+    is_left_ideal,
+    left_ideal_closure,
+    right_multiply_space,
+)
 
 
 def rand_vec(rng, n, low=-3, high=3):
@@ -168,29 +175,49 @@ def proportional(u, v):
 @given(rational_matrices(), st.lists(signed_entries, min_size=8, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_integer_rows_match_fraction_rows(matrix, probe):
-    """`IntegerRows` against `Subspace` and the dense reference, in any insertion
-    order: the same growth at every step, primitive rows with a positive pivot,
-    and after `to_subspace` the same rows, pivots and supports."""
+    """The spin store `IntegerRows` against `Subspace`, the dense reference and
+    the back-eliminating references, in any insertion order and in both
+    column orders: the same growth at every step; appended primitive rows
+    with a positive pivot at their first (last) nonzero column, each zero at
+    the pivots of the rows before it, and never rewritten; and an `echelon`
+    equal to the references' canonical rows, pivots and supports, which
+    `to_subspace` turns into the `Subspace`."""
     width, rows, order = matrix
     probe = probe[:width]
-    fast, ref, dense = IntegerRows(width), Subspace(width), DenseSubspace(width)
+    ref, dense = Subspace(width), DenseSubspace(width)
+    stores = [(IntegerRows(width), BackEliminatingRows(width)),
+              (IntegerRows(width, last=True), ReversedBackEliminatingRows(width))]
     for i in order:
         row = rows[i]
-        grew = fast.insert(integer_row(row))
-        assert grew == ref.insert(row) == dense.insert(row)
-        for r, p, cols in zip(fast.rows, fast.pivots, fast.support):
-            assert all(isinstance(c, int) for c in r)
-            assert r[p] > 0 and gcd(*r) == 1
-            assert cols == [k for k, c in enumerate(r) if c]
-        exact = fast.to_subspace()
+        grew = ref.insert(row)
+        assert grew == dense.insert(row)
+        for fast, back in stores:
+            kept = [list(r) for r in fast.rows]
+            assert fast.insert(integer_row(row)) == back.insert(integer_row(row)) == grew
+            assert fast.rows[:len(kept)] == kept
+            for j, (r, p, cols) in enumerate(zip(fast.rows, fast.pivots, fast.support)):
+                assert all(isinstance(c, int) for c in r)
+                assert r[p] > 0 and gcd(*r) == 1
+                assert cols == [k for k, c in enumerate(r) if c]
+                assert p == cols[-1 if fast.last else 0]
+                assert not any(r[q] for q in fast.pivots[:j])
+            canonical = fast.echelon()
+            assert canonical.last == fast.last
+            assert (canonical.rows, canonical.pivots, canonical.support) == back.canonical()
+            assert proportional(fast.reduce(integer_row(probe)), canonical.reduce(integer_row(probe)))
+        exact = stores[0][0].echelon().to_subspace()
         assert (exact.rows, exact.pivots, exact.support) == (ref.rows, ref.pivots, ref.support)
         assert (exact.rows, exact.pivots) == (dense.rows, dense.pivots)
-        assert proportional(fast.reduce(integer_row(probe)), ref.reduce(probe))
-    again = IntegerRows(width, [integer_row(row) for row in rows])
-    assert (again.rows, again.pivots, again.support) == (fast.rows, fast.pivots, fast.support)
+        assert proportional(stores[0][0].reduce(integer_row(probe)), ref.reduce(probe))
+    fast = stores[0][0]
+    again = IntegerRows(width, [integer_row(row) for row in rows]).echelon()
+    canonical = fast.echelon()
+    assert (again.rows, again.pivots, again.support) == \
+        (canonical.rows, canonical.pivots, canonical.support)
     copied = fast.copy()
     assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
     assert copied.basis() == fast.rows and copied.dim == ref.dim
+    assert stores[1][0].copy().last and not copied.last
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=6))

@@ -601,10 +601,21 @@ def test_matrix_files(tmp_path):
 def test_matrix_file_tokens():
     # equal tokens give equal values, and equal values written differently agree
     P = parse_matrix_file("states 3\n1/3 1/3 1/3\n2/6 0 4/6\n0 1 0\n")
+    assert P._rows is None  # the dense rows are built from the integral form when first read
     assert P.rows == [[Fraction(1, 3)] * 3, [Fraction(1, 3), 0, Fraction(2, 3)], [0, 1, 0]]
+    assert P.rows is P.rows
     assert P.nonzero[1] == [(0, Fraction(1, 3)), (2, Fraction(2, 3))]
     # a bad token fails wherever it repeats, and so does a zero denominator
     for text in ("states 2\n1/x 1/x\n1/x 1/x\n", "states 2\n1/2 1/2\n1/x 1/x\n",
                  "states 2\n1/2 1/2\n1/0 1\n", "states 2\n1/0 1/0\n1/0 1/0\n"):
         with pytest.raises(InputFormatError):
             parse_matrix_file(text)
+    # a distribution reads each distinct token once, in the order it first
+    # occurs: the first bad token fails, and before the entry count is checked
+    alpha = parse_distribution_file("states 4\n1/4 1/4 2/8 1/4\n")
+    assert alpha.probs == (Fraction(1, 4),) * 4
+    for text, message in (("states 3\n1/2 1/x 1/y\n", "bad rational literal '1/x'"),
+                          ("states 2\n1/0 1/x 1/0\n", "zero denominator in rational literal '1/0'"),
+                          ("states 3\n1/2 1/2\n", "distribution row with wrong entry count")):
+        with pytest.raises(InputFormatError, match=message):
+            parse_distribution_file(text)

@@ -33,13 +33,13 @@ from lumpwalk import (
 )
 from lumpwalk import test_exact as exact_test
 from lumpwalk import test_strong as strong_test
+from lumpwalk import test_weak_distribution as weak_dist_test
 from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.algebra import character_idempotent, format_element, parse_element_file
 from lumpwalk.errors import DomainError
 from lumpwalk.linalg import (
     IntegerRows,
-    ReversedRows,
     Subspace,
     closure,
     integer_row,
@@ -59,14 +59,18 @@ from lumpwalk.scalars import RATIONALS, cyclotomic_field
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
 from tests.conftest import lazy_frustrator
 from tests.oracle_suite import (
+    DIST_KINDS,
     WEIGHT_KINDS,
     build_pool,
     random_subgroup_of,
     run_suite,
+    sample_distribution,
     sample_weight,
     theta_basis,
 )
 from tests.reference import (
+    BackEliminatingRows,
+    ReversedBackEliminatingRows,
     all_maps_H_ideal,
     balanced_double_coset_mass,
     check_Q_characterization_per_element,
@@ -454,6 +458,40 @@ def test_weak_fixpoints_match_round_based_references_on_pool():
         assert check_weak_fixpoints(problem, w, rng, label) == weak, label
 
 
+def test_weak_distribution_matches_l_alpha():
+    """`test-dist` and `l-alpha` decide by independent routes whether the walk
+    started at alpha lumps weakly: membership of alpha in J_w, read off the
+    cut of L_{w*}, and the cut obstruction on L_alpha.  Their verdicts agree
+    on every pool pair, weight family and start kind of the oracle suite, and
+    on S6/S5 over the top-card stabiliser under bottom-card and random-to-top
+    with every start kind.  For weights that lump weakly, starts that lump
+    and starts that do not both occur."""
+    rng = random.Random(3131)
+    cases = []
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            cases.append(((label, kind), problem, w))
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    cases += [(("S6", "bottom"), problem, bottom_card_cycle(G)), (("S6", "rtt"), problem, random_to_top(G))]
+    verdicts = Counter()
+    for label, problem, w in cases:
+        weak = weak_weight_test(problem, w)[0]
+        for start in DIST_KINDS:
+            alpha = sample_distribution(rng, problem, start).normalized()
+            member, _ = weak_dist_test(problem, w, alpha)
+            _, lumps = compute_L_alpha_w(problem, w, alpha)
+            assert member == lumps, (label, start)
+            verdicts[weak, member] += 1
+    assert verdicts[True, True] > 0 and verdicts[True, False] > 0, verdicts
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_worklist_closure_matches_round_based_loop(data):
@@ -478,7 +516,7 @@ def test_worklist_closure_matches_round_based_loop(data):
             yield [sum(a * b for a, b in zip(row, v)) for row in M]
 
     exact = closure(V, successors)
-    fast = closure(IntegerRows(n, vectors), successors).to_subspace()
+    fast = closure(IntegerRows(n, vectors), successors).echelon().to_subspace()
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support)
     if exact.dim == n:
         assert exact.rows == [[Fraction(k == i) for k in range(n)] for i in range(n)]
@@ -701,9 +739,9 @@ def assert_nullspace_matches_reference(rows, n, store=None):
     the same rows, pivots and supports once made `Fraction` rows, each row
     primitive with a positive pivot and its support exactly its nonzero columns.
     It gives the same rows, pivots and supports when handed the constraints as
-    a `ReversedRows` store: ``store`` if given (it must span the rows), else
-    the rows inserted into one last to first, so the store has another
-    history than the one `nullspace` builds from the rows."""
+    the echelon of a store spun with ``last``: ``store`` if given (it must span
+    the rows), else that of the rows inserted last to first, so the store has
+    another history than the one `nullspace` builds from the rows."""
     fast = nullspace(rows, n)
     canonical, ref = fast.to_subspace(), insert_nullspace(rows, n)
     assert (canonical.rows, canonical.pivots, canonical.support) == (ref.rows, ref.pivots, ref.support)
@@ -713,7 +751,7 @@ def assert_nullspace_matches_reference(rows, n, store=None):
         assert cols == [k for k, c in enumerate(row) if c]
     assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in fast.rows)
     if store is None:
-        store = ReversedRows(n, [integer_row(row) for row in reversed(rows)])
+        store = IntegerRows(n, [integer_row(row) for row in reversed(rows)], last=True).echelon()
     read = nullspace(store, n)
     assert (read.rows, read.pivots, read.support) == (fast.rows, fast.pivots, fast.support)
 
@@ -730,19 +768,20 @@ def test_nullspace_matches_insert_reference_on_pool_reversed_cuts():
                 continue  # the nullspace construction is for small orders
             w = sample_weight(rng, problem, kind)
             cut = problem.close_H_ideal([[1] * n], w.star())
-            store = problem.close_H_ideal([[1] * n], w.star(), ReversedRows)
+            store = problem.close_H_ideal([[1] * n], w.star(), last=True)
             assert_nullspace_matches_reference(cut.rows, n, store)
 
 
 def test_reversed_annihilator_matches_forward_route():
-    """`compute_Jw` grows the cut of L_{w*} on `ReversedRows` and reads its
-    nullspace off that store.  On every pool pair and weight family and on
-    S6 over its top-card stabiliser under bottom-card, random-to-top and
-    their reverses, the reversed store holds exactly the forward closure's
-    rows echelonised with their columns reversed (rows, pivots, supports),
-    and `basis` gives back the forward span; for a weak weight the cut of
-    J_w equals the route of two echelons (`maximal_cut_two_echelons`).
-    Weak and non-weak weights and proper annihilators occur."""
+    """`compute_Jw` spins the cut of L_{w*} with ``last`` and reads its
+    nullspace off that store's echelon.  On every pool pair and weight
+    family and on S6 over its top-card stabiliser under bottom-card,
+    random-to-top and their reverses, that echelon holds exactly the
+    forward closure's rows echelonised with their columns reversed by the
+    back-eliminating reference (rows, pivots, supports), and gives back the
+    forward echelon; for a weak weight the cut of J_w equals the route of
+    two echelons (`maximal_cut_two_echelons`).  Weak and non-weak weights
+    and proper annihilators occur."""
     rng = random.Random(2424)
     cases = []
     for label, G, hgens in build_pool():
@@ -762,16 +801,72 @@ def test_reversed_annihilator_matches_forward_route():
     for label, problem, w in cases:
         n = problem.subgroup.order
         forward = problem.close_H_ideal([[1] * n], w.star())
-        store = problem.close_H_ideal([[1] * n], w.star(), ReversedRows)
-        expected = IntegerRows(n, [row[::-1] for row in forward.rows])
-        assert (store.rows, store.pivots, store.support) == \
-            (expected.rows, expected.pivots, expected.support), label
-        assert IntegerRows(n, store.basis()).rows == forward.rows, label
+        store = problem.close_H_ideal([[1] * n], w.star(), last=True)
+        expected = ReversedBackEliminatingRows(n, forward.rows)
+        assert (store.rows, store.pivots, store.support) == expected.canonical(), label
+        again = IntegerRows(n, store.rows).echelon()
+        assert (again.rows, again.pivots, again.support) == \
+            (forward.rows, forward.pivots, forward.support), label
         proper += 1 < store.dim < n
         if compute_Lw(problem, w).weakly_lumping:
             assert compute_Jw(problem, w).pi_H == maximal_cut_two_echelons(problem, w), label
             weak += 1
     assert 0 < weak < len(cases) and proper > 0, (weak, proper, len(cases))
+
+
+def check_spin_echelons(problem, w, seeds, label):
+    """`close_H_ideal` in both column orders against the same closure, with
+    the same translation rule, on the back-eliminating reference stores:
+    the same rows, pivots and supports."""
+    n = problem.subgroup.order
+    table = problem.weight_action(_integer_element(w)[1])
+    perms = problem._H_generator_perms
+    for last, store in ((False, BackEliminatingRows), (True, ReversedBackEliminatingRows)):
+        spun = problem.close_H_ideal(seeds, w, last=last)
+        grown = closure(store(n, (integer_row(v) for v in seeds)),
+                        lambda u: problem.times_weight(table, u),
+                        lambda u: (permuted(u, perm, 0) for perm in perms))
+        assert (spun.rows, spun.pivots, spun.support) == grown.canonical(), (label, last)
+        for row, p, cols in zip(spun.rows, spun.pivots, spun.support):
+            assert row[p] > 0 and gcd(*row) == 1, (label, last)
+            assert cols == [k for k, c in enumerate(row) if c], (label, last)
+            assert cols[-1 if last else 0] == p, (label, last)
+    return spun.dim
+
+
+def test_spin_echelons_match_back_eliminating_closures():
+    """The spin store's canonical echelons, forward and with ``last``,
+    against the closures on the back-eliminating reference stores: L_w and
+    L_alpha on every pool pair and weight family, and L_w on S6/S5 and S7/S6
+    over the top-card stabiliser under bottom-card, random-to-top and their
+    reverses.  (The `Fraction` closures of `test_rank_shortcut_matches_exact_closure`
+    cover the pool and S6; at S7 they are too slow for this suite.)  Proper
+    ideals, one-dimensional ones and the whole algebra all occur."""
+    rng = random.Random(2525)
+    dims = set()
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        n = problem.subgroup.order
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            points = rng.sample(range(G.order), min(2, G.order))
+            alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
+            for seeds in ([[1] * n], [[1] * n] + problem.coset_components(alpha)):
+                dim = check_spin_echelons(problem, w, seeds, (label, kind))
+                dims.add((dim == 1) - (dim == n))
+    for degree in (6, 7):
+        G = symmetric_group(degree)
+        problem = LumpingProblem(G, top_stabilizer(G))
+        n = problem.subgroup.order
+        bottom, rtt = bottom_card_cycle(G), random_to_top(G)
+        for name, w in (("bottom", bottom), ("rtt", rtt), ("bottom*", bottom.star()), ("rtt*", rtt.star())):
+            dim = check_spin_echelons(problem, w, [[1] * n], (f"S{degree}", name))
+            dims.add((dim == 1) - (dim == n))
+    assert dims == {-1, 0, 1}
 
 
 def round_based_GL_space(f, P, alpha):
