@@ -17,11 +17,12 @@ arrays, as in Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory* (2005).  A caller that multiplies many elements by one ``g`` builds
 its gather once: the closures gather each element of the block already
 generated, the left cosets their representative, the right cosets and the
-double cosets each subgroup member, and `lumping` the subgroup members
-(`weight_action`, the cut kernel) and the inverse translations of the
-subgroup generators.  Gathers live within one call; no table of them is
-kept.  Inverses are computed per element from the image tuple, when asked
-for; no table of them is built.
+double cosets each subgroup member, `lumping` the subgroup members
+(`weight_action`, the cut kernel, the abelian test's tables), the subgroup
+generators and their inverse translations, and `hecke` the inverse of each
+element.  Gathers live within one call; no table of them is kept.
+Inverses are computed per element from the image tuple, when asked for; no
+table of them is built.
 
 Cycle notation is the text form.  `parse_cycles` checks it and returns the
 image tuple, and `format_cycles` writes it back from a tuple when a report
@@ -144,7 +145,7 @@ def inverse(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(g)), key=g.__getitem__))
 
 
-def _closure(degree: int, gens, cap: int, known=None) -> set[tuple[int, ...]]:
+def _closure(degree: int, gens, cap: int, known=None, past=None) -> set[tuple[int, ...]]:
     """The group generated by the image tuples `gens`, by Dimino's algorithm.
 
     The generators join one at a time.  The group K generated before a new
@@ -153,7 +154,9 @@ def _closure(degree: int, gens, cap: int, known=None) -> set[tuple[int, ...]]:
     r t does: only coset representatives are multiplied by the generators,
     and each new coset costs |K| products that need no lookup.  `known`, if
     given, is the group generated by all of `gens` but the last, and only the
-    last joins.
+    last joins.  `past`, if given, stops the closure as soon as it holds more
+    than `past` elements, and the set returned is then only a part of the
+    group generated.
     """
     budget = MAX_GROUP_ENTRIES // degree
     if not budget:
@@ -173,6 +176,8 @@ def _closure(degree: int, gens, cap: int, known=None) -> set[tuple[int, ...]]:
                     raise ResourceError(f"group order exceeds the configured cap {cap}")
                 raise _over_budget(degree)
             elements.update([g(r) for g in block])  # the coset K r
+            if past is not None and len(elements) > past:
+                return elements
             r_times = gather(r)
             for t in active:
                 rt = r_times(t)
@@ -259,21 +264,26 @@ class FiniteGroup:
         misses it; each join at least doubles that subgroup, so it happens at
         most log2 |G| times however large the support is.  Each join extends
         the subgroup already generated (`_closure` with `known`) instead of
-        closing from the identity again.  The answer is kept per set of ids
-        for the life of the group, so asking again for the same support
-        builds no closure.
+        closing from the identity again, and stops as soon as it knows more
+        than |G|/2 elements: the order of a subgroup divides |G| (Lagrange),
+        so a subgroup with more than half of G is G.  The answer is kept per
+        set of ids for the life of the group, so asking again for the same
+        support builds no closure.
         """
         support = list(support)
         if not support:
             raise DomainError("empty support cannot generate")
         key = frozenset(support)
         if key not in self._generating:
+            half = self.order // 2
             gens, closure = [], {self.images[0]}
             for i in support:
                 if self.images[i] not in closure:
                     gens.append(self.images[i])
-                    closure = _closure(self.degree, gens, self.order, closure)
-            self._generating[key] = len(closure) == self.order
+                    closure = _closure(self.degree, gens, self.order, closure, past=half)
+                    if len(closure) > half:
+                        break
+            self._generating[key] = len(closure) > half
         return self._generating[key]
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .errors import DomainError
+from .groups import gather, inverse
 from .lumping import LumpingProblem
 
 
@@ -109,16 +110,20 @@ def verify_hecke_isomorphism(problem: LumpingProblem) -> bool:
     cosets k with (i, k) in orbital A and (k, j) in orbital B, and entry
     (i, j) of the right-hand side is N^C_AB for the orbital C of (i, j).
     """
-    G, double = problem.group, problem.double
+    images, index, double = problem.group.images, problem.group.index, problem.double
+    class_of = double.class_of
     n = double.n_classes
-    # structure[a][c] counts the classes b of x^-1 r_c over x in class a
+    reps = [images[r] for r in double.representatives]
+    # structure[a][c] counts the classes b of x^-1 r_c over x in class a,
+    # one gather of x^-1 per x
     structure = []
     for members in double.classes:
-        inverses = [G.inv(x) for x in members]
-        structure.append([
-            Counter(double.class_of[G.mul(x_inv, r)] for x_inv in inverses)
-            for r in double.representatives
-        ])
+        counts = [Counter() for _ in reps]
+        for x in members:
+            x_inv_times = gather(inverse(images[x]))
+            for count, r in zip(counts, reps):
+                count[class_of[index[x_inv_times(r)]]] += 1
+        structure.append(counts)
     order_H = problem.subgroup.order
     table = problem.pair_classes
     for row in table:

@@ -9,11 +9,14 @@ There are two row stores, on one skeleton (`_RowStore`).  `Subspace` holds
 `Fraction` rows in RREF with leading coefficient 1.  `IntegerRows`, the spin
 store, holds primitive integer rows (gcd 1, positive pivot), appended in
 semi-echelon form: growing a span rewrites no stored row, and elimination
-divides only by a gcd.  When the span is complete, `echelon` builds the
-canonical form its reader needs, once: each row the canonical RREF row
-times the one positive integer that makes it primitive, which `to_subspace`
-turns into the canonical `Subspace`; or, for a store spun with ``last``, the
-same with the columns read from the right, the echelon `nullspace` reads.
+divides only by a gcd.  It remembers every vector offered to it: one offered
+again lies in the span already and is not reduced a second time; about
+half the candidates of the shuffle closures repeat an earlier one exactly.
+When the span is complete, `echelon` builds the canonical form its reader
+needs, once: each row the canonical RREF row times the one positive integer
+that makes it primitive, which `to_subspace` turns into the canonical
+`Subspace`; or, for a store spun with ``last``, the same with the columns
+read from the right, the echelon `nullspace` reads.
 The group-path closures and `nullspace` run on integer rows, and `nullspace`
 returns an `IntegerRows`; the generic oracle's closures stay on `Subspace`.
 
@@ -152,15 +155,24 @@ class IntegerRows(_RowStore):
     `insert` reduces a vector by the stored rows in insertion order and
     appends the primitive residue, if any, with its first nonzero column as
     pivot (its last, with ``last``): each row is zero at the pivots of the
-    rows before it, so `reduce` takes the span to zero.  `echelon` builds
-    the canonical form, and `to_subspace` reads a forward one.
+    rows before it, so `reduce` takes the span to zero.  ``offered`` holds
+    every vector `insert` was given, as a tuple; each lies in the span, so
+    `insert` answers a second offer with False and no reduction, and a
+    `copy` gets a set of its own.  `echelon` builds the canonical form, and
+    `to_subspace` reads a forward one.
     """
 
-    __slots__ = ("last",)
+    __slots__ = ("last", "offered")
 
     def __init__(self, ambient: int, vectors=(), last: bool = False):
         self.last = last
+        self.offered: set[tuple[int, ...]] = set()  # every vector `insert` was given
         super().__init__(ambient, vectors)
+
+    def copy(self) -> IntegerRows:
+        out = super().copy()
+        out.offered = set(self.offered)  # shared, it would skip vectors this store never spanned
+        return out
 
     def reduce(self, vector) -> list[int]:
         """A nonzero multiple of the residue of an integer vector (not mutated)."""
@@ -181,8 +193,16 @@ class IntegerRows(_RowStore):
         return v
 
     def insert(self, vector) -> bool:
-        """Add an integer vector to the span; returns True if the dimension grew."""
-        v = self.reduce(vector)
+        """Add an integer vector to the span; returns True if the dimension grew.
+
+        A vector offered before lies in the span already, so it is not
+        reduced again.
+        """
+        key = tuple(vector)
+        if key in self.offered:
+            return False
+        self.offered.add(key)
+        v = self.reduce(key)
         if not any(v):
             return False
         cols = list(compress(range(self.ambient), v))

@@ -192,10 +192,15 @@ class LumpingProblem:
         """Left multiplication by each subgroup generator as an index map.
 
         H is the left coset of the identity, its own representative, so the
-        coset table gives the position of each member.
+        coset table gives the position of each member.  One gather per
+        generator composes it with every member.
         """
-        H, G, position = self.subgroup, self.group, self.left.position
-        return tuple(tuple(position[G.mul(g, h)] for h in H.members) for g in H.generators)
+        images, index, position = self.group.images, self.group.index, self.left.position
+        members = [images[h] for h in self.subgroup.members]
+        return tuple(
+            tuple(position[index[g_times(h)]] for h in members)
+            for g_times in (gather(images[g]) for g in self.subgroup.generators)
+        )
 
     def close_H_ideal(self, seeds, w: AlgebraElement, last: bool = False,
                       integral: AlgebraElement | None = None) -> IntegerRows:
@@ -411,24 +416,28 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
 
     z is constant on left cosets, so u z vanishes iff
     (u z)(r_j) = sum_p u_p z(h_p^-1 r_j) does at every left-coset
-    representative r_j.  It reads z times |HgH| on each double coset HgH,
-    from `_cut_coset_values` of w.  As h_p^-1 r_j lies in H r_j H, the sum
-    at r_j reads z only on H r_j H, so a positive factor per double coset
-    scales it as a whole and changes no zero pattern; so does a positive
-    multiple of w, and each caller hands its integral form D w
-    (`_integer_element`), taken once per call, so a rational w sums integers.
+    representative r_j.  z(h^-1 r_j) is the value of z on the left coset
+    r_k H with h r_k in r_j H, so one gather of h per member, on the
+    representatives, gives the row of h without inverting h.  It reads z
+    times |HgH| on each double coset HgH, from `_cut_coset_values` of w.
+    As h_p^-1 r_j lies in H r_j H, the sum at r_j reads z only on H r_j H,
+    so a positive factor per double coset scales it as a whole and changes
+    no zero pattern; so does a positive multiple of w, and each caller hands
+    its integral form D w (`_integer_element`), taken once per call, so a
+    rational w sums integers.
     """
     values = _cut_coset_values(problem, coset_sums(w, problem.left))
     if not any(values):
         return None
-    G, left = problem.group, problem.left
-    images, index, coset_of = G.images, G.index, left.coset_of
-    reps = [images[r] for r in left.representatives]
+    images, index, coset_of = problem.group.images, problem.group.index, problem.left.coset_of
+    reps = [images[r] for r in problem.left.representatives]
     # z(h_p^-1 r_j), per subgroup position p and coset id j
     shifted = []
     for h in problem.subgroup.members:
-        h_inv_times = gather(images[G.inv(h)])
-        shifted.append([values[coset_of[index[h_inv_times(r)]]] for r in reps])
+        h_times, zs = gather(images[h]), [0] * problem.index
+        for z, r in zip(values, reps):
+            zs[coset_of[index[h_times(r)]]] = z
+        shifted.append(zs)
     for i, row in enumerate(rows):
         at_reps = [0] * problem.index
         for c, zs in zip(row, shifted):
@@ -708,19 +717,22 @@ def abelian_weak_test(problem: LumpingProblem, w: AlgebraElement):
             "weight is reducible (support does not generate the group); "
             "the character-subset criterion requires an irreducible weight"
         )
-    G = problem.group
+    images, index = problem.group.images, problem.group.index
     field = cyclotomic_field(m)
     exponents = [[chi[h] for h in H.members] for chi in chars]
     # whether a pairing vanishes does not change when w is scaled: read w as integers
     values = _integer_element(w)[1].coeffs
-    # per double coset HxH, the nonzero entries (i, j, w(h_i x h_j)) of its |H| x |H| table
+    # per double coset HxH, the nonzero entries (i, j, w(h_i x h_j)) of its |H| x |H| table,
+    # one gather per left factor h_i and h_i x
+    h_gathers = [gather(images[h]) for h in H.members]
+    members = [images[k] for k in H.members]
     tables = []
     for x in problem.double.representatives:
         table = []
-        for i, h in enumerate(H.members):
-            hx = G.mul(h, x)
-            for j, k in enumerate(H.members):
-                value = values[G.mul(hx, k)]
+        for i, h_times in enumerate(h_gathers):
+            hx_times = gather(h_times(images[x]))
+            for j, k in enumerate(members):
+                value = values[index[hx_times(k)]]
                 if value:
                     table.append((i, j, value))
         tables.append(table)

@@ -192,6 +192,73 @@ def test_dimino_step_matches_closure_from_scratch_on_pool():
             assert fresh.is_generating(support) == (len(known) == G.order), support
 
 
+def _is_even(images) -> bool:
+    """Whether a permutation is even: its degree minus its number of cycles is even."""
+    seen, cycles = set(), 0
+    for start in range(len(images)):
+        if start not in seen:
+            cycles += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = images[x]
+    return (len(images) - cycles) % 2 == 0
+
+
+def test_is_generating_stop_past_half_matches_whole_closure(monkeypatch):
+    """`is_generating` stops a join once it knows more than |G|/2 elements;
+    its answer must still be whether the whole closure of the support is G.
+    On every pool group: random supports; supports of even permutations
+    where the even ones form a subgroup of index 2 (A_n in S_n among them),
+    so a support that generates it makes a closure of exactly |G|/2
+    elements and the answer False; and
+    supports whose last element is the one that completes G, so the stop
+    falls inside the last join, which must then have returned less than G
+    at least once."""
+    from lumpwalk import groups
+    from tests.oracle_suite import build_pool
+
+    returned = []
+    real = groups._closure
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(groups, "_closure", recorded)
+    rng = random.Random(13)
+    pool = {id(G): G for _, G, _ in build_pool()}
+    index_two = set()
+    for G in pool.values():
+        def generated(support):
+            return real(G.degree, [G.images[i] for i in support], G.order)
+
+        supports = [rng.sample(range(G.order), rng.randint(1, min(6, G.order))) for _ in range(40)]
+        even = [i for i in range(G.order) if _is_even(G.images[i])]
+        if 2 * len(even) == G.order:
+            evens = [rng.sample(even, rng.randint(1, min(4, len(even)))) for _ in range(20)]
+            if any(len(generated(s)) == len(even) for s in evens):
+                index_two.add(G.order)
+            supports += evens
+        cut_short = 0
+        for _ in range(20):  # a proper subgroup's elements, then one that completes G
+            cyclic = sorted(G.index[t] for t in generated([rng.randrange(G.order)]))
+            prefix = rng.sample(cyclic, min(2, len(cyclic)))
+            last = rng.randrange(G.order)
+            if len(generated(prefix)) < G.order == len(generated(prefix + [last])):
+                supports.append(prefix + [last])
+                fresh = FiniteGroup(G.degree, G.images, [])
+                returned.clear()
+                assert fresh.is_generating(prefix + [last])
+                cut_short += returned[-1] < G.order
+        assert cut_short or G.order <= 2, G.order
+        for support in supports:
+            fresh = FiniteGroup(G.degree, G.images, [])  # no answer kept from another support
+            assert fresh.is_generating(support) == (len(generated(support)) == G.order), support
+    assert {6, 24, 120} <= index_two  # A_3, A_4 and A_5 among the supports
+
+
 def test_irreducibility_is_decided_once_per_support(monkeypatch):
     """A second `is_irreducible_weight` call on the same group, for the same
     support, builds no closure; another support still does."""
@@ -204,9 +271,9 @@ def test_irreducibility_is_decided_once_per_support(monkeypatch):
     calls = []
     real = groups._closure
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[2])
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(groups, "_closure", counted)
     assert w.is_irreducible_weight()

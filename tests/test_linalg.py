@@ -220,6 +220,30 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
     assert stores[1][0].copy().last and not copied.last
 
 
+def test_spin_store_reduces_each_offered_vector_once(monkeypatch):
+    """A vector `IntegerRows.insert` was given before lies in the span, so a
+    second offer returns False without a reduction, whether the first grew
+    the span or reduced to zero; a copy has its own record, so an offer to
+    the copy does not stop the original from growing."""
+    calls = []
+    reduce = IntegerRows.reduce
+
+    def counted(self, vector):
+        calls.append(None)
+        return reduce(self, vector)
+
+    monkeypatch.setattr(IntegerRows, "reduce", counted)
+    store = IntegerRows(3, [[1, 2, 0], [2, 4, 0]])  # the second reduces to zero
+    assert store.dim == 1 and len(calls) == 2
+    assert not store.insert([1, 2, 0]) and not store.insert((2, 4, 0))
+    assert len(calls) == 2
+    assert not store.insert([3, 6, 0]) and len(calls) == 3  # in the span, not offered before
+    copied = store.copy()
+    assert copied.insert([0, 0, 1]) and copied.dim == 2
+    assert store.insert([0, 0, 1]) and store.dim == 2
+    assert not copied.insert([0, 0, 1]) and len(calls) == 5
+
+
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), max_size=6))
 @example([[2, 1, 0, 0]])
 @settings(max_examples=100, deadline=None)

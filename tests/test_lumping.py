@@ -474,6 +474,34 @@ def test_jw_insert_counts_on_s6(monkeypatch):
         assert 0 < len(calls) <= cap, (name, len(calls))
 
 
+def test_closure_reduce_counts_on_s6(monkeypatch):
+    """A work-count guard on the offered-once rule of the spin store: a
+    vector `IntegerRows.insert` was given before lies in the span, so it is
+    not reduced again.  S6 over its top-card stabiliser, L_w of random-to-top
+    takes at most 130 `IntegerRows.reduce` calls (128; 249 when every insert
+    reduces), L_w of the reversed bottom-card weight at most 105 (103; 183)
+    and `compute_Jw` of bottom-card at most 115 (111; 207).  The insert
+    counts of the two guards above do not change.  `echelon` and `nullspace`
+    reduce nothing, so a count of zero would mean the guard counts nothing."""
+    calls = []
+    reduce = IntegerRows.reduce
+
+    def counted(self, vector):
+        calls.append(None)
+        return reduce(self, vector)
+
+    monkeypatch.setattr(IntegerRows, "reduce", counted)
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    bottom = bottom_card_cycle(G)
+    for name, compute, w, cap in (("rtt", compute_Lw, random_to_top(G), 130),
+                                  ("bottom*", compute_Lw, bottom.star(), 105),
+                                  ("bottom jw", compute_Jw, bottom, 115)):
+        calls.clear()
+        compute(problem, w)
+        assert 0 < len(calls) <= cap, (name, len(calls))
+
+
 def test_abelian_test_die(die_prob, die_weight):
     ok, P, e_P = abelian_weak_test(die_prob, die_weight)
     assert ok and P == (0, 1, 3)
