@@ -18,7 +18,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import element_lines, format_element, parse_element_file
+from .algebra import format_element, parse_element_file
 from .errors import DomainError, InputFormatError, LumpwalkError, ResourceError
 from .groups import double_cosets, parse_generators, parse_group_file
 from .hecke import check_Q_characterization, orbital_matrices, verify_hecke_isomorphism
@@ -50,7 +50,7 @@ from .markov import (
     test_weak_generic,
     transition_from_weight,
 )
-from .scalars import RATIONALS
+from .scalars import format_ratio
 from .simulate import empirical_lumped_matrix, markov_diagnostic, simulate_walk
 
 
@@ -171,16 +171,17 @@ def _cut_strings(ideal) -> list[str]:
     """The cut basis rows in the form of `_element_strings`, each formatted from
     the positions of its support list; the subgroup members are sorted, so the
     terms come in element order, as they do for an element of the whole group
-    algebra."""
+    algebra.  A row of the integer echelon over its positive pivot entry is
+    the canonical RREF row, each entry written as its `Fraction` is."""
     labels = _labels(ideal.problem.group, ideal.problem.subgroup.members)
-    pi_H = ideal.pi_H
-    return ["; ".join(element_lines(RATIONALS, ((labels[p], row[p]) for p in cols)))
-            for row, cols in zip(pi_H.rows, pi_H.support)]
+    cut = ideal.cut
+    return ["; ".join(f"{format_ratio(row[k], row[p])} {labels[k]}" for k in cols)
+            for row, p, cols in zip(cut.rows, cut.pivots, cut.support)]
 
 
 def _ideal_fields(report: dict, verdict_key: str, verdict, ideal) -> None:
     report["verdicts"][verdict_key] = verdict
-    report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.pi_H.dim}
+    report["dimensions"] = {"ideal": ideal.dim, "cut": ideal.cut.dim}
     report["bases"] = {"cut": _cut_strings(ideal)}
 
 
@@ -224,7 +225,7 @@ def _double_cosets(inputs: Inputs, args, report: dict) -> None:
 def _test(inputs: Inputs, args, report: dict) -> None:
     if args.kind == "weak":
         verdict, ideal, cert = test_weak_weight(inputs.problem, inputs.weight)
-        report["dimensions"] = {"minimal_ideal": ideal.dim, "minimal_ideal_cut": ideal.pi_H.dim}
+        report["dimensions"] = {"minimal_ideal": ideal.dim, "minimal_ideal_cut": ideal.cut.dim}
         report["bases"] = {"minimal_ideal_cut": _cut_strings(ideal)}
     else:
         test = test_strong if args.kind == "strong" else test_exact
@@ -356,14 +357,15 @@ def _generic_test(inputs: Inputs, args, report: dict) -> None:
 
 def _parse_observations(problem, text: str):
     """Coset ids or coset-representative cycle strings; `;`-separated when
-    cycle notation (which contains commas) is used, even for one observation."""
+    cycle notation (which contains commas) is used, even for one observation.
+    A coset id is ASCII digits; any other token is read as cycle notation."""
     tokens = [token.strip() for token in text.split(";" if ";" in text or "(" in text else ",")]
     coset_of, element_of = problem.left.coset_of, problem.group.element_of
     observations = []
     for t, token in enumerate(tokens):
         if not token:
             raise InputFormatError(f"--obs: empty observation at index {t}")
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             observations.append(coset_of[element_of(token)])
         elif int(token) < problem.index:
             observations.append(int(token))

@@ -63,27 +63,28 @@ def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
     stripped = "".join(text.split())  # without its whitespace
     if not _CYCLES_RE.fullmatch(stripped):
         raise InputFormatError(f"bad cycle notation {text!r}")
-    images = list(range(degree))
+    images = list(range(-1, degree))  # by 1-based point, its 0-based image
     seen = set()
     for body in stripped[1:-1].split(")("):
         if not body:
             continue
         try:
-            points = [int(p) - 1 for p in body.split(",")]
+            points = list(map(int, body.split(",")))
         except ValueError:
             raise InputFormatError(f"bad point in cycle ({body})")
         cycle = set(points)
         if len(cycle) != len(points):
             raise InputFormatError(f"repeated point in cycle ({body})")
-        if min(points) < 0 or max(points) >= degree:
+        if min(points) < 1 or max(points) > degree:
             raise InputFormatError(f"cycle point outside 1..{degree} in ({body})")
         if not seen.isdisjoint(cycle):
-            shared = min(seen & cycle) + 1
-            raise InputFormatError(f"point {shared} appears in two cycles of {text!r}")
+            raise InputFormatError(f"point {min(seen & cycle)} appears in two cycles of {text!r}")
         seen |= cycle
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a] = b
-    return tuple(images)
+        a = points[-1]
+        for b in points:
+            images[a] = b - 1
+            a = b
+    return tuple(images[1:])
 
 
 def format_cycles(images: tuple[int, ...]) -> str:

@@ -14,9 +14,11 @@ again lies in the span already and is not reduced a second time; about
 half the candidates of the shuffle closures repeat an earlier one exactly.
 When the span is complete, `echelon` builds the canonical form its reader
 needs, once: each row the canonical RREF row times the one positive integer
-that makes it primitive, which `to_subspace` turns into the canonical
-`Subspace`; or, for a store spun with ``last``, the same with the columns
-read from the right, the echelon `nullspace` reads.
+that makes it primitive, which the weak reports, dimensions and membership
+tests of `lumping` read as it stands (`to_subspace` turns it into the
+canonical `Subspace` for a caller that wants `Fraction` rows); or, for a
+store spun with ``last``, the same with the columns read from the right,
+the echelon `nullspace` reads.
 The group-path closures and `nullspace` run on integer rows, and `nullspace`
 returns an `IntegerRows`; the generic oracle's closures stay on `Subspace`.
 
@@ -159,7 +161,9 @@ class IntegerRows(_RowStore):
     every vector `insert` was given, as a tuple; each lies in the span, so
     `insert` answers a second offer with False and no reduction, and a
     `copy` gets a set of its own.  `echelon` builds the canonical form, and
-    `to_subspace` reads a forward one.
+    `to_subspace` reads a forward one.  Two stores are equal when they hold
+    the same rows in the same order, so two canonical echelons are equal
+    exactly when their spans are.
     """
 
     __slots__ = ("last", "offered")
@@ -229,10 +233,13 @@ class IntegerRows(_RowStore):
         The whole space is the identity, built as it stands.
         """
         n = self.ambient
+        taken = {}  # pivot -> (canonical row, its nonzero columns)
         if self.dim == n:
-            taken = {i: ([0] * i + [1] + [0] * (n - 1 - i), [i]) for i in range(n)}
+            for i in range(n):
+                row = [0] * n
+                row[i] = 1
+                taken[i] = (row, [i])
         else:
-            taken = {}  # pivot -> (canonical row, its nonzero columns)
             for i in sorted(range(self.dim), key=self.pivots.__getitem__, reverse=not self.last):
                 v, p, cols = list(self.rows[i]), self.pivots[i], self.support[i]
                 touched = set(cols)
@@ -259,9 +266,16 @@ class IntegerRows(_RowStore):
         out.support = [taken[p][1] for p in out.pivots]
         return out
 
+    def __eq__(self, other):
+        if not isinstance(other, IntegerRows):
+            return NotImplemented
+        # a row's pivot is its first nonzero column (its last, with ``last``)
+        return (self.ambient, self.last, self.rows) == (other.ambient, other.last, other.rows)
+
     def to_subspace(self) -> Subspace:
         """The row space of a forward `echelon` as a `Subspace` over the
-        rationals, in canonical RREF."""
+        rationals, in canonical RREF: each row divided by its pivot entry.
+        The weak commands read the integer rows instead."""
         out = Subspace(self.ambient)
         zero = RATIONALS.zero
         for row, p, cols in zip(self.rows, self.pivots, self.support):

@@ -30,15 +30,17 @@ closure is a left ideal of the subgroup algebra, and the coset components
 of a translate k u are translates of those of u, so only the seeds and the
 coset components that grew the span get coset components of their own; a
 translate gets the generators of H only (`close_H_ideal`).  The weak
-obstruction is checked on the integer rows, and the canonical `Fraction`
-rows are built once, for the report.  The cut of J_w is read through the
-time-reversal duality: it is the nullspace of the cut of L_{w*}, for the
-reversed weight w*(g) = w(g^-1), plus eta_H (proved at `compute_Jw`).  All
-three are spun on `linalg.IntegerRows` in semi-echelon form, and each gets
-one canonical echelon when its closure ends: the cuts of L_w and L_alpha
-the forward RREF that reports and the cut certificate read, and that of
-L_{w*} the echelon with its columns read from the right, which `nullspace`
-reads, so each closure is echelonised once.
+obstruction is checked on the integer rows.  The cut of J_w is read
+through the time-reversal duality: it is the nullspace of the cut of
+L_{w*}, for the reversed weight w*(g) = w(g^-1), plus eta_H (proved at
+`compute_Jw`).  All three are spun on `linalg.IntegerRows` in semi-echelon
+form, and each gets one canonical echelon when its closure ends: the cuts
+of L_w and L_alpha the forward one, and that of L_{w*} the echelon with
+its columns read from the right, which `nullspace` reads, so each closure
+is echelonised once.  A `GurvitsLedouxIdeal` keeps the forward echelon of
+its cut: reports, dimensions and membership read those integer rows, and
+only the certificate of a false weak verdict, one row, is written over the
+rationals.
 
 No command takes a product in the group algebra.  The strong and exact
 tests read the coset sums of D w, and the lumped matrix the double-coset
@@ -234,20 +236,32 @@ class LumpingProblem:
 
 @dataclass
 class GurvitsLedouxIdeal:
-    """An induced left ideal described by its cut to the subgroup algebra."""
+    """An induced left ideal described by its cut to the subgroup algebra,
+    held as the canonical forward echelon of an `IntegerRows` (`cut`): each
+    row the canonical RREF row times the positive integer that makes it
+    primitive.  Reports, the dimension and membership read it as it stands."""
 
     problem: LumpingProblem
-    pi_H: Subspace
+    cut: IntegerRows
     weakly_lumping: bool | None = None
     cut_violation: AlgebraElement | None = None  # first cut row u with u (1 - eta_H) w eta_H != 0
 
     @property
     def dim(self) -> int:
-        return self.problem.index * self.pi_H.dim
+        return self.problem.index * self.cut.dim
+
+    @cached_property
+    def pi_H(self) -> Subspace:
+        """The cut as a `Subspace` in canonical RREF, built when first read."""
+        return self.cut.to_subspace()
 
     def contains(self, elem: AlgebraElement) -> bool:
-        """Membership of an element of C[G]: each of its coset components lies in pi_H."""
-        return all(self.pi_H.contains(comp) for comp in self.problem.coset_components(elem))
+        """Membership of a rational element of C[G]: each of its coset
+        components, scaled to integers, has a zero residue by the cut.  A
+        canonical echelon is a semi-echelon, so `IntegerRows.reduce` serves."""
+        reduce = self.cut.reduce
+        return all(not any(reduce(integer_row(comp)))
+                   for comp in self.problem.coset_components(elem))
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +481,13 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     if alpha is not None:
         seeds += problem.coset_components(alpha.require_distribution())
     integral = _integer_element(w)[1]
-    rows = problem.close_H_ideal(seeds, w, integral=integral)
-    M = rows.to_subspace()
-    ideal = GurvitsLedouxIdeal(problem, M)
-    violation = _first_cut_violation(problem, integral, rows.rows)
-    if violation is not None:
-        ideal.cut_violation = problem.from_H_vector(M.rows[violation])
-    ideal.weakly_lumping = violation is None
+    cut = problem.close_H_ideal(seeds, w, integral=integral)
+    violation = _first_cut_violation(problem, integral, cut.rows)
+    ideal = GurvitsLedouxIdeal(problem, cut, weakly_lumping=violation is None)
+    if violation is not None:  # the canonical RREF row, over the rationals
+        row = cut.rows[violation]
+        lead = row[cut.pivots[violation]]
+        ideal.cut_violation = problem.from_H_vector([Fraction(c, lead) for c in row])
     return ideal
 
 
@@ -544,9 +558,7 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     n = problem.subgroup.order
     rows = nullspace(problem.close_H_ideal([[1] * n], w.require_weight().star(), last=True), n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
-    ideal = GurvitsLedouxIdeal(problem, rows.echelon().to_subspace())
-    ideal.weakly_lumping = True
-    return ideal
+    return GurvitsLedouxIdeal(problem, rows.echelon(), weakly_lumping=True)
 
 
 def test_weak_distribution(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, InputFormatError, InvariantError
 
@@ -367,6 +368,17 @@ def parse_scalar(text: str, field):
         else:
             total = total + field.from_rational(sign * parse_rational(chunk))
     return total
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """The ratio of two integers as `str` writes its `Fraction`, without
+    building one: in lowest terms, with the sign on the numerator, and as a
+    bare integer when the denominator divides."""
+    g = gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    numerator, denominator = numerator // g, denominator // g
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def format_scalar(x) -> str:

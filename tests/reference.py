@@ -23,7 +23,11 @@ by `nullspace`, which `compute_Jw` does in one.  The spin store
 `linalg.IntegerRows` is compared with the integer store it replaced:
 `BackEliminatingRows` holds the canonical echelon at every step by
 eliminating each new pivot from every stored row, and
-`ReversedBackEliminatingRows` is that store on reversed columns.
+`ReversedBackEliminatingRows` is that store on reversed columns.  The weak
+reports and membership tests read the integer echelon of an ideal's cut;
+their route through its `Fraction` rows (`to_subspace`) stays here: the cut
+strings by `element_lines`, `Subspace.contains`, and the false `test weak`
+certificate, found by dense products.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -44,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from lumpwalk.algebra import AlgebraElement, coset_sums, eta
+from lumpwalk.algebra import AlgebraElement, coset_sums, element_lines, eta
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
 from lumpwalk.linalg import Subspace, closure, integer_row, nullspace
@@ -250,6 +254,38 @@ def maximal_cut_two_echelons(problem, w: AlgebraElement) -> Subspace:
     rows = nullspace(forward.rows, n)
     rows.insert([1] * n)
     return rows.echelon().to_subspace()
+
+
+def cut_strings_by_subspace(ideal) -> list[str]:
+    """Reference for `cli._cut_strings`: the cut as the `Fraction` rows of
+    `IntegerRows.to_subspace`, each entry written by `element_lines`."""
+    problem = ideal.problem
+    labels = [problem.group.cycle_string(h) for h in problem.subgroup.members]
+    pi_H = ideal.cut.to_subspace()
+    return ["; ".join(element_lines(RATIONALS, ((labels[p], row[p]) for p in cols)))
+            for row, cols in zip(pi_H.rows, pi_H.support)]
+
+
+def contains_by_subspace(ideal, elem: AlgebraElement) -> bool:
+    """Reference for `GurvitsLedouxIdeal.contains`: `Subspace.contains` of
+    each coset component, over the `Fraction` rows of `to_subspace`."""
+    pi_H = ideal.cut.to_subspace()
+    return all(pi_H.contains(comp) for comp in ideal.problem.coset_components(elem))
+
+
+def weak_certificate_by_subspace(ideal, w: AlgebraElement) -> str | None:
+    """Reference for the certificate of a false `test weak`: the `repr` of
+    the first `Fraction` row u of the cut's `to_subspace`, widened to C[G],
+    with u z != 0 for z = (1 - eta_H) w eta_H by dense products; None when
+    every row passes."""
+    problem = ideal.problem
+    w_eta = w * problem.eta_H
+    z = w_eta - problem.eta_H * w_eta
+    for row in ideal.cut.to_subspace().rows:
+        u = problem.from_H_vector(row)
+        if not (u * z).is_zero():
+            return repr(u)
+    return None
 
 
 def right_multiply_space(V: Subspace, w: AlgebraElement) -> Subspace:

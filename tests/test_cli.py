@@ -355,6 +355,38 @@ def test_golden_weak_reports(files, capsys):
         assert golden_report(capsys, argv) == expected[name], name
 
 
+def test_weak_commands_build_no_fraction_rows(files, capsys, monkeypatch):
+    """The weak commands read the integer echelon of each cut: every golden
+    `test weak`, `lw`, `l-alpha`, `jw` and `test-dist` request on S4 and S5,
+    a false `test weak` among them, gives its pinned report with no
+    `IntegerRows.to_subspace` call and no `Subspace` built or copied."""
+    from lumpwalk.linalg import IntegerRows, Subspace, _RowStore
+
+    built = Counter()
+
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            if isinstance(self, Subspace) or name == "to_subspace":
+                built[name] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_RowStore, "__init__", counted("Subspace", _RowStore.__init__))
+    monkeypatch.setattr(_RowStore, "copy", counted("Subspace.copy", _RowStore.copy))
+    monkeypatch.setattr(IntegerRows, "to_subspace", counted("to_subspace", IntegerRows.to_subspace))
+    expected = json.loads(GOLDEN_PATH.read_text())
+    commands = Counter()
+    for name, argv in golden_cases(files).items():
+        report = golden_report(capsys, argv)
+        assert report == expected[name], name
+        assert not built, (name, built)
+        commands[" ".join(argv[:2]) if argv[0] == "test" else argv[0], report["verdicts"].get("weak")] += 1
+    assert set(commands) == {("test weak", True), ("test weak", False), ("lw", None),
+                             ("l-alpha", None), ("jw", None), ("test-dist", None)}, commands
+    IntegerRows(2, [[1, 2]]).echelon().to_subspace().copy()  # the counters count
+    assert built == Counter({"to_subspace": 1, "Subspace": 1, "Subspace.copy": 1})
+
+
 def abelian_golden_cases(files):
     """The abelian-test requests whose reports are pinned in ABELIAN_GOLDEN_PATH."""
     out = {}
@@ -803,10 +835,15 @@ def test_conditional_impossible_prefix(files):
 
 def test_conditional_rejects_malformed_observations(files):
     """An empty token or a coset id at or above the index is bad input (exit 1),
-    not the identity coset or an impossible history."""
+    not the identity coset or an impossible history.  Digits outside ASCII
+    are no coset id: the token is bad cycle notation, not a traceback from
+    `int` or a coset read from another script's digit."""
     for obs, message in (("", "empty observation at index 0"),
                          ("0,,0", "empty observation at index 1"),
-                         ("0,99", "coset id 99 at index 1 is not below the index 4")):
+                         ("0,99", "coset id 99 at index 1 is not below the index 4"),
+                         ("\u00b2", "bad cycle notation '\u00b2'"),
+                         ("0,\u00b9", "bad cycle notation '\u00b9'"),
+                         ("\u0662", "bad cycle notation '\u0662'")):
         result = run_cli(
             "conditional", *common(files, "--weight", files["weight"], "--dist", files["dist_id"]),
             "--obs", obs,

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumpwalk import (
@@ -396,6 +396,7 @@ def parse_outcome(parse, degree, text):
 
 @settings(max_examples=400, deadline=None)
 @given(cycle_texts())
+@example((4, "(1,2,3)(3,2)"))  # two shared points: the message names the least
 def test_parse_cycles_matches_its_findall_reference(case):
     """One split after the check gives the tuple, or the message, of the
     reference that finds the cycles by a second scan."""

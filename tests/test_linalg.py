@@ -214,6 +214,11 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
     canonical = fast.echelon()
     assert (again.rows, again.pivots, again.support) == \
         (canonical.rows, canonical.pivots, canonical.support)
+    # canonical echelons are equal exactly when the spans are; a store spun
+    # with `last` holds its rows in another echelon
+    assert again == canonical and again != stores[1][0].echelon()
+    wider = canonical.copy()
+    assert wider == canonical and (not wider.insert(integer_row(probe))) == (wider == canonical)
     copied = fast.copy()
     assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
     assert copied.basis() == fast.rows and copied.dim == ref.dim

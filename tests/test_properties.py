@@ -48,6 +48,7 @@ from lumpwalk.linalg import (
     nullspace,
 )
 from lumpwalk.lumping import (
+    GurvitsLedouxIdeal,
     _cut_coset_values,
     _first_cut_violation,
     _integer_element,
@@ -74,6 +75,8 @@ from tests.reference import (
     all_maps_H_ideal,
     balanced_double_coset_mass,
     check_Q_characterization_per_element,
+    contains_by_subspace,
+    cut_strings_by_subspace,
     full_subspace,
     inner_product,
     kernel_F,
@@ -86,6 +89,7 @@ from tests.reference import (
     stable_ideal_check_dense,
     theta_dimension_per_element,
     walk_lumped_matrix_normalizing,
+    weak_certificate_by_subspace,
 )
 from tests.test_linalg import dense_kernel_span
 
@@ -490,6 +494,125 @@ def test_weak_distribution_matches_l_alpha():
             assert member == lumps, (label, start)
             verdicts[weak, member] += 1
     assert verdicts[True, True] > 0 and verdicts[True, False] > 0, verdicts
+
+
+def check_integer_echelon_reads(problem, w, starts, label) -> Counter:
+    """The reads of an ideal's integer echelon against its `Fraction` route,
+    for L_w, L_alpha of each start and (for a weak w) J_w: cut strings,
+    dimensions, the lazy `pi_H`, membership of each start, and the false
+    `test weak` certificate.  Returns the (weak, member) tally of the starts
+    in J_w."""
+    from lumpwalk import cli
+
+    tally = Counter()
+    verdict, lw, certificate = weak_weight_test(problem, w)
+    assert (certificate is None) == verdict, label
+    if not verdict or problem.group.order <= 120:  # a weak S6 cut passes in seconds of products
+        expected = weak_certificate_by_subspace(lw, w)
+        assert (certificate or {}).get("violating_cut_element") == expected, label
+    ideals = [lw] + [compute_L_alpha_w(problem, w, alpha)[0] for alpha in starts]
+    jw = compute_Jw(problem, w) if verdict else None
+    if jw is not None:
+        ideals.append(jw)
+    for ideal in ideals:
+        fractions = ideal.cut.to_subspace()
+        assert cli._cut_strings(ideal) == cut_strings_by_subspace(ideal), label
+        assert (ideal.cut.dim, ideal.dim) == (fractions.dim, problem.index * fractions.dim), label
+        assert ideal.pi_H == fractions, label
+        for alpha in starts:
+            assert ideal.contains(alpha) == contains_by_subspace(ideal, alpha), label
+    for alpha in starts:
+        member, maximal = weak_dist_test(problem, w, alpha)
+        assert member == (jw is not None and contains_by_subspace(jw, alpha)), label
+        assert (maximal is None) == (jw is None), label
+        tally[verdict, member] += 1
+    return tally
+
+
+def test_integer_echelon_reads_match_fraction_route_on_pool():
+    """Cut strings, dimensions, membership and the false `test weak`
+    certificate read off the integer echelon match the route through
+    `to_subspace` (`tests/reference.py`), on every pool pair and weight kind
+    of the oracle suite, with seeded random starts, the uniform start and
+    point starts, one of them the identity."""
+    rng = random.Random(2828)
+    tally = Counter()
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            starts = [sample_distribution(rng, problem, "random"), eta(G, range(G.order)),
+                      AlgebraElement.basis(G, 0), AlgebraElement.basis(G, rng.randrange(G.order))]
+            tally += check_integer_echelon_reads(problem, w, starts, (label, kind))
+    assert tally[False, False] and tally[True, True] and tally[True, False], tally
+
+
+def test_integer_echelon_reads_match_fraction_route_on_s6():
+    """The same on S6 over the top-card stabiliser S5 with bottom-card,
+    random-to-top and the reversed bottom-card weight w*."""
+    rng = random.Random(2929)
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    starts = [sample_distribution(rng, problem, "random"), eta(G, range(G.order)),
+              AlgebraElement.basis(G, 0), AlgebraElement.basis(G, rng.randrange(G.order))]
+    tally = Counter()
+    bottom = bottom_card_cycle(G)
+    for name, w in (("bottom", bottom), ("rtt", random_to_top(G)), ("bottom*", bottom.star())):
+        tally += check_integer_echelon_reads(problem, w, starts, ("S6", name))
+    assert tally[True, True] and tally[True, False], tally
+
+
+def test_integer_echelon_reads_match_fraction_route_with_fractional_rows(monkeypatch):
+    """The cuts the closures give on the pool and on S6 have canonical RREF
+    rows with integer entries, so their integer echelons all have pivot
+    entry 1.  Echelons of random integer rows, whose RREF rows have
+    fractional entries, are read as cuts here, four per pool pair with
+    |H| > 2: cut strings, dimensions, `pi_H`, membership of members and
+    non-members, and the false `test weak` certificate, taken from such a
+    cut in place of the closure's, against the route through `to_subspace`."""
+    rng = random.Random(3030)
+    fractional = Counter()
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        if problem.subgroup.order > 2:
+            for _ in range(4):
+                fractional += check_fractional_cut(problem, rng, monkeypatch, label)
+    assert fractional["cut"] >= 20 and fractional["certificate"] >= 5, fractional
+
+
+def check_fractional_cut(problem, rng, monkeypatch, label) -> Counter:
+    """One echelon of random integer rows read as the cut of `problem`;
+    returns whether a pivot entry and the certificate are fractional."""
+    from lumpwalk import cli
+
+    G, n = problem.group, problem.subgroup.order
+    rows = [[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(n)] for _ in range(n // 2)]
+    cut = IntegerRows(n, rows).echelon()
+    ideal = GurvitsLedouxIdeal(problem, cut)
+    assert cli._cut_strings(ideal) == cut_strings_by_subspace(ideal), label
+    assert ideal.pi_H == cut.to_subspace() and ideal.dim == problem.index * cut.dim, label
+    weights = [rng.randint(-2, 2) for _ in cut.rows]
+    member = problem.from_H_vector([sum(c * row[k] for c, row in zip(weights, cut.rows))
+                                    for k in range(n)])
+    outside = AlgebraElement.basis(G, rng.randrange(G.order))
+    for elem in (member, outside, member + outside, sample_distribution(rng, problem, "random")):
+        assert ideal.contains(elem) == contains_by_subspace(ideal, elem), label
+    assert ideal.contains(member), label
+    w = sample_weight(rng, problem, "random")
+    if not w.is_irreducible_weight():
+        w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+    with monkeypatch.context() as patch:
+        patch.setattr(LumpingProblem, "close_H_ideal", lambda self, seeds, w, **kwargs: cut)
+        _, lw, certificate = weak_weight_test(problem, w)
+    assert lw.cut is cut, label
+    expected = weak_certificate_by_subspace(ideal, w)
+    assert (certificate or {}).get("violating_cut_element") == expected, label
+    return Counter(cut=any(row[p] > 1 for row, p in zip(cut.rows, cut.pivots)),
+                   certificate=expected is not None and "/" in expected)
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,6 +14,7 @@ from lumpwalk.scalars import (
     cyclotomic_field,
     cyclotomic_polynomial,
     common_field,
+    format_ratio,
     format_scalar,
     parse_scalar,
     RATIONALS,
@@ -156,6 +157,16 @@ def test_format_roundtrip():
     for x in (F.zero, F.one, -F.zeta(), Fraction(3, 2) * F.zeta() - Fraction(1, 7)):
         assert parse_scalar(format_scalar(x), F) == x
     assert format_scalar(Fraction(-5, 3)) == "-5/3"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+def test_format_ratio_writes_the_fraction(numerator, denominator):
+    """A ratio of integers is written as its `Fraction` is: lowest terms,
+    the sign on the numerator, a bare integer when the denominator divides."""
+    assert format_ratio(numerator, denominator) == str(Fraction(numerator, denominator))
+    k = abs(numerator) % 97 + 1
+    assert format_ratio(k * numerator, k * denominator) == format_scalar(Fraction(numerator, denominator))
 
 
 def test_order_cap():
