@@ -31,7 +31,6 @@ from .groups import (
     parse_group_file,
 )
 from .hecke import (
-    HeckeElement,
     OrbitalMatrix,
     check_Q_characterization,
     hecke_project,

@@ -40,21 +40,12 @@ def orbital_matrices(problem: LumpingProblem) -> list[OrbitalMatrix]:
     ]
 
 
-@dataclass
-class HeckeElement:
-    """A bi-invariant element, stored by its constant value on each double coset."""
-
-    problem: LumpingProblem
-    class_values: list  # value of the element at each point of the class
-
-
-def hecke_project(problem: LumpingProblem, w: AlgebraElement) -> HeckeElement:
-    """eta_H w eta_H in the double-coset basis: the value on a class is
-    the class weight divided by the class size."""
+def hecke_project(problem: LumpingProblem, w: AlgebraElement) -> list:
+    """eta_H w eta_H, a bi-invariant element, by its constant value on each
+    double coset, in class id order: the class weight divided by the class
+    size."""
     sizes = problem.double.sizes
-    return HeckeElement(problem, [
-        v / Fraction(sizes[cid]) for cid, v in enumerate(problem.double_coset_sums(w))
-    ])
+    return [v / Fraction(sizes[cid]) for cid, v in enumerate(problem.double_coset_sums(w))]
 
 
 def check_Q_characterization(problem: LumpingProblem, Q):

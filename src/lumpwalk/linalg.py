@@ -6,7 +6,7 @@ keeps the ascending list of its nonzero columns, so elimination touches only
 those entries, in the order of a dense sweep.
 
 There are two row stores, on one skeleton (`_RowStore`).  `Subspace` holds
-`Fraction` rows in RREF with leading coefficient 1.  `IntegerRows`, the spin
+rational rows in RREF with leading coefficient 1.  `IntegerRows`, the spin
 store, holds primitive integer rows (gcd 1, positive pivot), appended in
 semi-echelon form: growing a span rewrites no stored row, and elimination
 divides only by a gcd.  It remembers every vector offered to it: one offered
@@ -15,12 +15,14 @@ half the candidates of the shuffle closures repeat an earlier one exactly.
 When the span is complete, `echelon` builds the canonical form its reader
 needs, once: each row the canonical RREF row times the one positive integer
 that makes it primitive, which the weak reports, dimensions and membership
-tests of `lumping` read as it stands (`to_subspace` turns it into the
-canonical `Subspace` for a caller that wants `Fraction` rows); or, for a
-store spun with ``last``, the same with the columns read from the right,
-the echelon `nullspace` reads.
+tests of `lumping` read as it stands; or, for a store spun with ``last``,
+the same with the columns read from the right, the echelon `nullspace`
+reads.  A rational vector enters an integer store in its integral form
+(`scalars.integral_form`), which spans the same line.
 The group-path closures and `nullspace` run on integer rows, and `nullspace`
-returns an `IntegerRows`; the generic oracle's closures stay on `Subspace`.
+returns an `IntegerRows`; the generic oracle's closures stay on `Subspace`,
+which takes the canonical rows of a forward echelon as they stand: each is
+zero at every other pivot, so `insert` only divides it by its pivot entry.
 
 `kernel_span` is the one kernel that combines coefficient vectors with a
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
@@ -48,12 +50,11 @@ groups: its callers hand it vectors and maps.
 from __future__ import annotations
 
 from copy import copy as shallow_copy
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 
 from .errors import DomainError
-from .scalars import RATIONALS
+from .scalars import RATIONALS, integral_form
 
 
 class _RowStore:
@@ -160,10 +161,9 @@ class IntegerRows(_RowStore):
     rows before it, so `reduce` takes the span to zero.  ``offered`` holds
     every vector `insert` was given, as a tuple; each lies in the span, so
     `insert` answers a second offer with False and no reduction, and a
-    `copy` gets a set of its own.  `echelon` builds the canonical form, and
-    `to_subspace` reads a forward one.  Two stores are equal when they hold
-    the same rows in the same order, so two canonical echelons are equal
-    exactly when their spans are.
+    `copy` gets a set of its own.  `echelon` builds the canonical form.  Two
+    stores are equal when they hold the same rows in the same order, so two
+    canonical echelons are equal exactly when their spans are.
     """
 
     __slots__ = ("last", "offered")
@@ -228,7 +228,8 @@ class IntegerRows(_RowStore):
         The rows are taken from the last pivot to the first (the first to the
         last, with ``last``).  A row is zero left of its pivot (right, with
         ``last``) and at the pivots of the rows inserted before it, so every
-        other pivot at which it is nonzero is that of a row already taken; the taken rows are zero at every pivot but their own, so one
+        other pivot at which it is nonzero is that of a row already taken;
+        the taken rows are zero at every pivot but their own, so one
         reduction by them makes the row canonical and rewrites no taken row.
         The whole space is the identity, built as it stands.
         """
@@ -271,29 +272,6 @@ class IntegerRows(_RowStore):
             return NotImplemented
         # a row's pivot is its first nonzero column (its last, with ``last``)
         return (self.ambient, self.last, self.rows) == (other.ambient, other.last, other.rows)
-
-    def to_subspace(self) -> Subspace:
-        """The row space of a forward `echelon` as a `Subspace` over the
-        rationals, in canonical RREF: each row divided by its pivot entry.
-        The weak commands read the integer rows instead."""
-        out = Subspace(self.ambient)
-        zero = RATIONALS.zero
-        for row, p, cols in zip(self.rows, self.pivots, self.support):
-            d = row[p]
-            canonical = [zero] * self.ambient
-            for k in cols:
-                canonical[k] = Fraction(row[k], d)
-            out.rows.append(canonical)
-            out.pivots.append(p)
-            out.support.append(list(cols))
-        return out
-
-
-def integer_row(vector) -> list[int]:
-    """A rational vector times the lcm of its denominators: an integer vector
-    spanning the same line."""
-    scale = lcm(*(c.denominator for c in vector))
-    return [c.numerator * (scale // c.denominator) for c in vector]
 
 
 def kernel_span(images: list[list], basis_rows: list[list], ambient: int) -> Subspace:
@@ -339,18 +317,18 @@ def nullspace(constraints, ambient: int) -> IntegerRows:
     """Rational solutions v of the homogeneous system row . v == 0 for each
     constraint row, as the canonical rows of an `IntegerRows`.
 
-    ``constraints`` is a list of rational rows, scaled to integers (which
-    changes no solution) and spun with ``last``, or the `echelon` of such a
-    store (as `compute_Jw` grows the cut of L_{w*}).  In that echelon the
-    pivot of each row is its last nonzero column, and the row is zero at
-    every other pivot.  So the solution of a free column f is 1 at f,
+    ``constraints`` is a list of rational rows, each taken in its
+    `integral_form` (which changes no solution) and spun with ``last``, or
+    the `echelon` of such a store (as `compute_Jw` grows the cut of
+    L_{w*}).  In that echelon the pivot of each row is its last nonzero
+    column, and the row is zero at every other pivot.  So the solution of a free column f is 1 at f,
     -row[f] / row[pivot] at the pivot of each row, all right of f, and 0 at
     every other free column: a canonical RREF row as it stands.  Scaled by
     the lcm of its denominators and divided by the gcd of its entries, it
     is the primitive integer row with a positive pivot, without a `Fraction`.
     """
     if not isinstance(constraints, IntegerRows):
-        spun = IntegerRows(ambient, (integer_row(row) for row in constraints), last=True)
+        spun = IntegerRows(ambient, (integral_form(row)[1] for row in constraints), last=True)
         constraints = spun.echelon()
     pivots = set(constraints.pivots)
     # per free column f, (pivot column, numerator, denominator) of each entry right of f

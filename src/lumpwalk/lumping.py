@@ -17,20 +17,20 @@ algebra.
 Every criterion here is homogeneous linear in w or e, so no verdict changes
 when an element is multiplied by a positive number: every exact kernel reads
 the integral form (D, D w) of `_integer_element`, D the lcm of the
-denominators of a rational w and 1 for a cyclotomic one, and compares its
-results up to D.  The cuts of L_w and L_alpha, and the annihilator of that
-of J_w, are all grown by `close_H_ideal`, the one worklist closure
-`linalg.closure` run on integer rows under the action table of D w, taken
-once per call; each seed vector is scaled by the lcm of its own
-denominators, which changes no span.  The cut of L_w is the closure of the
-all-ones vector |H| eta_H (and of the coset components of a start) under
-the generators of H and under u -> each coset component of u w; the seeds
-go onto the integer rows directly, so they are echelonised once.  The
-closure is a left ideal of the subgroup algebra, and the coset components
-of a translate k u are translates of those of u, so only the seeds and the
-coset components that grew the span get coset components of their own; a
-translate gets the generators of H only (`close_H_ideal`).  The weak
-obstruction is checked on the integer rows.  The cut of J_w is read
+denominators of a rational w (`scalars.integral_form`) and 1 for a
+cyclotomic one, and compares its results up to D.  The cuts of L_w and
+L_alpha, and the annihilator of that of J_w, are all grown by
+`close_H_ideal`, the one worklist closure `linalg.closure` run on integer
+rows under the action table of the D w its caller took; each seed vector
+enters in its own integral form, which changes no span.  The cut of L_w is
+the closure of the all-ones vector |H| eta_H (and of the coset components
+of a start) under the generators of H and under u -> each coset component
+of u w; the seeds go onto the integer rows directly, so they are
+echelonised once.  The closure is a left ideal of the subgroup algebra, and
+the coset components of a translate k u are translates of those of u, so
+only the seeds and the coset components that grew the span get coset
+components of their own; a translate gets the generators of H only
+(`close_H_ideal`).  The weak obstruction is checked on the integer rows.  The cut of J_w is read
 through the time-reversal duality: it is the nullspace of the cut of
 L_{w*}, for the reversed weight w*(g) = w(g^-1), plus eta_H (proved at
 `compute_Jw`).  All three are spun on `linalg.IntegerRows` in semi-echelon
@@ -40,7 +40,7 @@ its columns read from the right, which `nullspace` reads, so each closure
 is echelonised once.  A `GurvitsLedouxIdeal` keeps the forward echelon of
 its cut: reports, dimensions and membership read those integer rows, and
 only the certificate of a false weak verdict, one row, is written over the
-rationals.
+rationals; no `Fraction` copy of a cut is built.
 
 No command takes a product in the group algebra.  The strong and exact
 tests read the coset sums of D w, and the lumped matrix the double-coset
@@ -66,7 +66,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .algebra import (
     AlgebraElement,
@@ -77,8 +76,8 @@ from .algebra import (
 )
 from .errors import DomainError, InvariantError
 from .groups import FiniteGroup, Subgroup, cosets, double_cosets, gather, inverse
-from .linalg import IntegerRows, Subspace, closure, integer_row, nullspace
-from .scalars import common_field, cyclotomic_field
+from .linalg import IntegerRows, closure, nullspace
+from .scalars import common_field, cyclotomic_field, format_ratio, integral_form
 
 
 def _integer_element(w: AlgebraElement) -> tuple[int, AlgebraElement]:
@@ -90,10 +89,10 @@ def _integer_element(w: AlgebraElement) -> tuple[int, AlgebraElement]:
     if w.field.kind != "rational":
         return 1, w
     support = list(w.support())
-    scale = lcm(*(c.denominator for _, c in support))
+    scale, numerators = integral_form(c for _, c in support)
     coeffs = [0] * w.group.order
-    for i, c in support:
-        coeffs[i] = c.numerator * (scale // c.denominator)
+    for (i, _), m in zip(support, numerators):
+        coeffs[i] = m
     return scale, AlgebraElement(w.group, coeffs)
 
 
@@ -204,19 +203,18 @@ class LumpingProblem:
             for g_times in (gather(images[g]) for g in self.subgroup.generators)
         )
 
-    def close_H_ideal(self, seeds, w: AlgebraElement, last: bool = False,
-                      integral: AlgebraElement | None = None) -> IntegerRows:
+    def close_H_ideal(self, seeds, integral: AlgebraElement, last: bool = False) -> IntegerRows:
         """Smallest left ideal of the subgroup algebra containing the seed
         vectors and closed under u -> each coset component of u w.
 
         It grows the cut of L_w (seeded with the all-ones vector), of L_alpha
         (and the coset components of alpha) and, as the cut of L_{w*}, the
         annihilator of the cut of J_w.  It is spun on `IntegerRows` under the
-        action table of the integral form D w (`_integer_element`;
-        `integral`, when the caller holds it already), with each seed scaled
-        by `integer_row`: nonzero multiples of a map or a seed give the same
-        closure.  It returns the store's canonical `echelon`: the forward one
-        that reports read, or with ``last`` the one `nullspace` reads.
+        action table of ``integral``, the integral form D w that the caller
+        took (`_integer_element`), with each seed in its `integral_form`:
+        nonzero multiples of a map or a seed give the same closure.  It
+        returns the store's canonical `echelon`: the forward one that reports
+        read, or with ``last`` the one `nullspace` reads.
 
         Left multiplications by the generators of H are the translations of
         `linalg.closure`, and the coset components of u w its successors, so
@@ -226,10 +224,9 @@ class LumpingProblem:
         """
         # k u holds u_p at the position of k h_p: it gathers u by the map of k^-1
         translations = [gather(inverse(perm)) for perm in self._H_generator_perms]
-        if integral is None:
-            integral = _integer_element(w)[1]
         table = self.weight_action(integral)
-        seed_rows = IntegerRows(self.subgroup.order, (integer_row(v) for v in seeds), last=last)
+        seed_rows = IntegerRows(self.subgroup.order, (integral_form(v)[1] for v in seeds),
+                                last=last)
         return closure(seed_rows, lambda u: self.times_weight(table, u),
                        lambda u: (k_inv(u) for k_inv in translations)).echelon()
 
@@ -243,24 +240,19 @@ class GurvitsLedouxIdeal:
 
     problem: LumpingProblem
     cut: IntegerRows
-    weakly_lumping: bool | None = None
+    weakly_lumping: bool
     cut_violation: AlgebraElement | None = None  # first cut row u with u (1 - eta_H) w eta_H != 0
 
     @property
     def dim(self) -> int:
         return self.problem.index * self.cut.dim
 
-    @cached_property
-    def pi_H(self) -> Subspace:
-        """The cut as a `Subspace` in canonical RREF, built when first read."""
-        return self.cut.to_subspace()
-
     def contains(self, elem: AlgebraElement) -> bool:
         """Membership of a rational element of C[G]: each of its coset
-        components, scaled to integers, has a zero residue by the cut.  A
+        components, in its `integral_form`, has a zero residue by the cut.  A
         canonical echelon is a semi-echelon, so `IntegerRows.reduce` serves."""
         reduce = self.cut.reduce
-        return all(not any(reduce(integer_row(comp)))
+        return all(not any(reduce(integral_form(comp)[1]))
                    for comp in self.problem.coset_components(elem))
 
 
@@ -290,7 +282,7 @@ def _double_coset_constancy(problem: LumpingProblem, sums: list, side: str, scal
             return False, {
                 "double_coset": name(problem.double.representatives[cid]),
                 "cosets": [name(decomposition.representatives[k]) for k in ends],
-                "sums": [str(Fraction(sums[k], scale)) for k in ends],
+                "sums": [format_ratio(sums[k], scale) for k in ends],
             }
     return True, None
 
@@ -481,7 +473,7 @@ def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
     if alpha is not None:
         seeds += problem.coset_components(alpha.require_distribution())
     integral = _integer_element(w)[1]
-    cut = problem.close_H_ideal(seeds, w, integral=integral)
+    cut = problem.close_H_ideal(seeds, integral)
     violation = _first_cut_violation(problem, integral, cut.rows)
     ideal = GurvitsLedouxIdeal(problem, cut, weakly_lumping=violation is None)
     if violation is not None:  # the canonical RREF row, over the rationals
@@ -556,7 +548,8 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
-    rows = nullspace(problem.close_H_ideal([[1] * n], w.require_weight().star(), last=True), n)
+    reversed_weight = _integer_element(w.require_weight().star())[1]
+    rows = nullspace(problem.close_H_ideal([[1] * n], reversed_weight, last=True), n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
     return GurvitsLedouxIdeal(problem, rows.echelon(), weakly_lumping=True)
 

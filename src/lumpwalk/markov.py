@@ -31,7 +31,7 @@ from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
 from .linalg import Subspace, closure, kernel_span, nullspace
-from .scalars import parse_rational
+from .scalars import integral_form, parse_rational
 
 STATE_CAP = 5_000
 
@@ -61,8 +61,7 @@ class Distribution:
 
 def _integral_row(keys, value) -> tuple[list[tuple[int, Fraction]], int, list[int]]:
     """One row as (nonzero, D, M): the ``(column, entry)`` pairs of its nonzero
-    `Fraction` entries, D the lcm of their denominators and M = D * row in
-    `int`.
+    `Fraction` entries and its `integral_form` (D, M), M = D * row in `int`.
 
     The row is given as keys, and `value` maps a key to its `Fraction`: the
     entries themselves (`Fraction`, `int` or literal strings) by default,
@@ -73,8 +72,8 @@ def _integral_row(keys, value) -> tuple[list[tuple[int, Fraction]], int, list[in
     scaled with C-level maps.
     """
     values = {k: value(k) for k in dict.fromkeys(keys)}
-    scale = lcm(*(v.denominator for v in values.values()))
-    scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+    scale, numerators = integral_form(values.values())
+    scaled = dict(zip(values, numerators))
     row = list(map(scaled.__getitem__, keys))
     nonzero = zip(compress(range(len(row)), row), map(values.__getitem__, compress(keys, row)))
     return list(nonzero), scale, row
@@ -220,7 +219,7 @@ def transition_from_weight(G: FiniteGroup, w: AlgebraElement) -> TransitionMatri
     (D w)(G) once: x g runs over distinct y as g runs over supp w.
     """
     support = list(w.require_weight().support())
-    _, _, weights = _integral_row([c for _, c in support], Fraction)
+    _, weights = integral_form(c for _, c in support)
     total = sum(weights)
     rows = []
     for x in range(G.order):
@@ -399,7 +398,7 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace
             yield f.project(a, b)
 
     annihilator = closure(Subspace(P.n, columns), successors)
-    return nullspace(annihilator.rows, P.n).to_subspace()
+    return Subspace(P.n, nullspace(annihilator.rows, P.n).rows)
 
 
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
@@ -436,7 +435,7 @@ def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> Transition
         raise DomainError("time reversal requires a full-support distribution")
     if P.apply(list(alpha.probs)) != list(alpha.probs):
         raise DomainError("time reversal requires a stationary distribution")
-    _, _, weights = _integral_row(alpha.probs, Fraction)
+    _, weights = integral_form(alpha.probs)
     row_scale = lcm(*(d for d, _ in P.integral))
     weight_scale = lcm(*weights)
     columns = [(a * (row_scale // d), scaled) for a, (d, scaled) in zip(weights, P.integral)]

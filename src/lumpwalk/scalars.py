@@ -7,13 +7,17 @@ coefficient vectors.  Cyclotomic scalars form a ring here: they add, subtract,
 multiply and conjugate, but do not divide, as no elimination runs over Q(zeta_n)
 (characters, idempotents and the traces of `theta-dim` need no division).  No
 floating point is used anywhere.
+
+Every exact criterion of the package is homogeneous linear, so its kernels
+read a rational vector in its integral form (D, D v), with D the lcm of the
+denominators: `integral_form` is the one place that form is taken.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, InputFormatError, InvariantError
 
@@ -368,6 +372,15 @@ def parse_scalar(text: str, field):
         else:
             total = total + field.from_rational(sign * parse_rational(chunk))
     return total
+
+
+def integral_form(values) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) for rationals, `Fraction` or `int`, with D
+    the lcm of their denominators (1 for no values): the integer vector on
+    the line of a rational one, its numerators over one denominator."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def format_ratio(numerator: int, denominator: int) -> str:

@@ -13,12 +13,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 
 from .algebra import AlgebraElement
 from .errors import InvariantError
 from .groups import gather
 from .lumping import LumpingProblem
+from .scalars import integral_form
 
 _MASK = (1 << 64) - 1
 
@@ -58,22 +59,18 @@ def _sampler(entries):
     with the raw 64-bit output k of the generator, u = k / 2^64.
 
     The cumulative thresholds t_i = A_i / D, over the lcm D of the
-    denominators, are held as the integers A_i * 2^64, and `draw(k)` bisects
-    on k * D: t <= k / 2^64 iff A * 2^64 <= k * D, so it returns the value at
-    the first threshold above u with no `Fraction` per draw.  The last
+    denominators (`integral_form`), are held as the integers A_i * 2^64, and
+    `draw(k)` bisects on k * D: t <= k / 2^64 iff A * 2^64 <= k * D, so it
+    returns the value at the first threshold above u with no `Fraction` per
+    draw.  The last
     threshold is D * 2^64 > k * D, so there always is one.
     """
     kept = [(value, p) for value, p in entries if p]
-    scale = lcm(*(p.denominator for _, p in kept))
-    values = []
-    thresholds = []
-    acc = 0
-    for value, p in kept:
-        acc += p.numerator * (scale // p.denominator)
-        values.append(value)
-        thresholds.append(acc << 64)
-    if acc != scale:
+    scale, numerators = integral_form(p for _, p in kept)
+    if sum(numerators) != scale:
         raise InvariantError("sampler probabilities must sum to 1")
+    values = [value for value, _ in kept]
+    thresholds = [acc << 64 for acc in accumulate(numerators)]
 
     def draw(k: int):
         """The value at the first threshold above k / 2^64, for 0 <= k < 2^64."""

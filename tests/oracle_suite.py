@@ -34,6 +34,7 @@ from lumpwalk import test_exact_generic as exact_generic
 from lumpwalk import test_strong_generic as strong_generic
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.linalg import nullspace
+from tests.reference import to_subspace
 
 
 def _gen(degree, *cycles):
@@ -78,7 +79,7 @@ def theta_basis(problem, e):
         img2 = (e - eta_H) * basis_g * eta_H
         rows.append(img1.coeffs + img2.coeffs)
     constraints = [[rows[g][k] for g in range(G.order)] for k in range(2 * G.order)]
-    return nullspace(constraints, G.order).to_subspace()
+    return to_subspace(nullspace(constraints, G.order))
 
 
 def random_subgroup_of(rng, H):

@@ -25,9 +25,10 @@ by `nullspace`, which `compute_Jw` does in one.  The spin store
 eliminating each new pivot from every stored row, and
 `ReversedBackEliminatingRows` is that store on reversed columns.  The weak
 reports and membership tests read the integer echelon of an ideal's cut;
-their route through its `Fraction` rows (`to_subspace`) stays here: the cut
-strings by `element_lines`, `Subspace.contains`, and the false `test weak`
-certificate, found by dense products.
+their route through its `Fraction` rows (`to_subspace`, each canonical
+integer row divided by its pivot entry) stays here: the cut strings by
+`element_lines`, `Subspace.contains`, and the false `test weak` certificate,
+found by dense products.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -51,10 +52,10 @@ from math import gcd, lcm
 from lumpwalk.algebra import AlgebraElement, coset_sums, element_lines, eta
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
-from lumpwalk.linalg import Subspace, closure, integer_row, nullspace
-from lumpwalk.lumping import require_E_bullet
+from lumpwalk.linalg import Subspace, closure, nullspace
+from lumpwalk.lumping import _integer_element, require_E_bullet
 from lumpwalk.markov import STATE_CAP
-from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial
+from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial, integral_form
 
 
 def compose(g: tuple, h: tuple) -> tuple:
@@ -240,8 +241,27 @@ def all_maps_H_ideal(problem, seeds, action) -> BackEliminatingRows:
             yield permuted(u, perm, 0)
         yield from problem.times_weight(table, u)
 
-    seed_rows = BackEliminatingRows(problem.subgroup.order, (integer_row(v) for v in seeds))
+    seed_rows = BackEliminatingRows(problem.subgroup.order,
+                                    (integral_form(v)[1] for v in seeds))
     return closure(seed_rows, images)
+
+
+def to_subspace(store) -> Subspace:
+    """The row space of a forward `IntegerRows.echelon` as a `Subspace` in
+    canonical RREF, built row by row: each row divided by its pivot entry,
+    with `Fraction` entries.  The reference for `Subspace(store.ambient,
+    store.rows)`, which inserts the integer rows as they stand."""
+    out = Subspace(store.ambient)
+    zero = RATIONALS.zero
+    for row, p, cols in zip(store.rows, store.pivots, store.support):
+        d = row[p]
+        canonical = [zero] * store.ambient
+        for k in cols:
+            canonical[k] = Fraction(row[k], d)
+        out.rows.append(canonical)
+        out.pivots.append(p)
+        out.support.append(list(cols))
+    return out
 
 
 def maximal_cut_two_echelons(problem, w: AlgebraElement) -> Subspace:
@@ -250,18 +270,18 @@ def maximal_cut_two_echelons(problem, w: AlgebraElement) -> Subspace:
     which echelonises them a second time with the columns read from the
     right, plus eta_H."""
     n = problem.subgroup.order
-    forward = problem.close_H_ideal([[1] * n], w.star())
+    forward = problem.close_H_ideal([[1] * n], _integer_element(w.star())[1])
     rows = nullspace(forward.rows, n)
     rows.insert([1] * n)
-    return rows.echelon().to_subspace()
+    return to_subspace(rows.echelon())
 
 
 def cut_strings_by_subspace(ideal) -> list[str]:
     """Reference for `cli._cut_strings`: the cut as the `Fraction` rows of
-    `IntegerRows.to_subspace`, each entry written by `element_lines`."""
+    `to_subspace`, each entry written by `element_lines`."""
     problem = ideal.problem
     labels = [problem.group.cycle_string(h) for h in problem.subgroup.members]
-    pi_H = ideal.cut.to_subspace()
+    pi_H = to_subspace(ideal.cut)
     return ["; ".join(element_lines(RATIONALS, ((labels[p], row[p]) for p in cols)))
             for row, cols in zip(pi_H.rows, pi_H.support)]
 
@@ -269,7 +289,7 @@ def cut_strings_by_subspace(ideal) -> list[str]:
 def contains_by_subspace(ideal, elem: AlgebraElement) -> bool:
     """Reference for `GurvitsLedouxIdeal.contains`: `Subspace.contains` of
     each coset component, over the `Fraction` rows of `to_subspace`."""
-    pi_H = ideal.cut.to_subspace()
+    pi_H = to_subspace(ideal.cut)
     return all(pi_H.contains(comp) for comp in ideal.problem.coset_components(elem))
 
 
@@ -281,7 +301,7 @@ def weak_certificate_by_subspace(ideal, w: AlgebraElement) -> str | None:
     problem = ideal.problem
     w_eta = w * problem.eta_H
     z = w_eta - problem.eta_H * w_eta
-    for row in ideal.cut.to_subspace().rows:
+    for row in to_subspace(ideal.cut).rows:
         u = problem.from_H_vector(row)
         if not (u * z).is_zero():
             return repr(u)
@@ -344,7 +364,7 @@ def induce_full(problem, pi_H: Subspace) -> Subspace:
 
 def full_subspace(ideal) -> Subspace:
     """The induced ideal of a `GurvitsLedouxIdeal` as a subspace of C[G]."""
-    return induce_full(ideal.problem, ideal.pi_H)
+    return induce_full(ideal.problem, to_subspace(ideal.cut))
 
 
 def verify_axioms(ideal, w: AlgebraElement) -> dict:

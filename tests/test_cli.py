@@ -359,21 +359,21 @@ def test_weak_commands_build_no_fraction_rows(files, capsys, monkeypatch):
     """The weak commands read the integer echelon of each cut: every golden
     `test weak`, `lw`, `l-alpha`, `jw` and `test-dist` request on S4 and S5,
     a false `test weak` among them, gives its pinned report with no
-    `IntegerRows.to_subspace` call and no `Subspace` built or copied."""
+    `Subspace` built or copied."""
     from lumpwalk.linalg import IntegerRows, Subspace, _RowStore
+    from tests.reference import to_subspace
 
     built = Counter()
 
     def counted(name, method):
         def wrapper(self, *args, **kwargs):
-            if isinstance(self, Subspace) or name == "to_subspace":
+            if isinstance(self, Subspace):
                 built[name] += 1
             return method(self, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(_RowStore, "__init__", counted("Subspace", _RowStore.__init__))
     monkeypatch.setattr(_RowStore, "copy", counted("Subspace.copy", _RowStore.copy))
-    monkeypatch.setattr(IntegerRows, "to_subspace", counted("to_subspace", IntegerRows.to_subspace))
     expected = json.loads(GOLDEN_PATH.read_text())
     commands = Counter()
     for name, argv in golden_cases(files).items():
@@ -383,8 +383,8 @@ def test_weak_commands_build_no_fraction_rows(files, capsys, monkeypatch):
         commands[" ".join(argv[:2]) if argv[0] == "test" else argv[0], report["verdicts"].get("weak")] += 1
     assert set(commands) == {("test weak", True), ("test weak", False), ("lw", None),
                              ("l-alpha", None), ("jw", None), ("test-dist", None)}, commands
-    IntegerRows(2, [[1, 2]]).echelon().to_subspace().copy()  # the counters count
-    assert built == Counter({"to_subspace": 1, "Subspace": 1, "Subspace.copy": 1})
+    to_subspace(IntegerRows(2, [[1, 2]]).echelon()).copy()  # the counters count
+    assert built == Counter({"Subspace": 1, "Subspace.copy": 1})
 
 
 def abelian_golden_cases(files):
@@ -982,9 +982,11 @@ def test_cut_strings_match_widened_elements(top_prob, die_prob, frustrator, die_
     """A cut basis formatted from its |H| positions reads as each row widened
     to an element of the whole group algebra and formatted there."""
     from lumpwalk import cli, compute_Jw, compute_Lw
+    from tests.reference import to_subspace
 
     def widened(ideal):
-        return cli._element_strings([ideal.problem.from_H_vector(row) for row in ideal.pi_H.rows])
+        rows = to_subspace(ideal.cut).rows
+        return cli._element_strings([ideal.problem.from_H_vector(row) for row in rows])
 
     ideals = [compute(problem, w) for problem, w in ((top_prob, frustrator), (die_prob, die_weight))
               for compute in (compute_Lw, compute_Jw)]

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumpwalk import AlgebraElement, Subspace, eta, intersect
-from lumpwalk.linalg import IntegerRows, integer_row, kernel_coefficients, kernel_span, nullspace
+from lumpwalk.linalg import IntegerRows, kernel_coefficients, kernel_span, nullspace
+from lumpwalk.scalars import integral_form
 from tests.reference import (
     BackEliminatingRows,
     ReversedBackEliminatingRows,
@@ -16,6 +17,7 @@ from tests.reference import (
     is_left_ideal,
     left_ideal_closure,
     right_multiply_space,
+    to_subspace,
 )
 
 
@@ -181,9 +183,10 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
     with a positive pivot at their first (last) nonzero column, each zero at
     the pivots of the rows before it, and never rewritten; and an `echelon`
     equal to the references' canonical rows, pivots and supports, which
-    `to_subspace` turns into the `Subspace`."""
+    the reference `to_subspace` turns into the `Subspace`."""
     width, rows, order = matrix
     probe = probe[:width]
+    integral_probe = integral_form(probe)[1]
     ref, dense = Subspace(width), DenseSubspace(width)
     stores = [(IntegerRows(width), BackEliminatingRows(width)),
               (IntegerRows(width, last=True), ReversedBackEliminatingRows(width))]
@@ -191,9 +194,10 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
         row = rows[i]
         grew = ref.insert(row)
         assert grew == dense.insert(row)
+        integral_row = integral_form(row)[1]
         for fast, back in stores:
             kept = [list(r) for r in fast.rows]
-            assert fast.insert(integer_row(row)) == back.insert(integer_row(row)) == grew
+            assert fast.insert(integral_row) == back.insert(integral_row) == grew
             assert fast.rows[:len(kept)] == kept
             for j, (r, p, cols) in enumerate(zip(fast.rows, fast.pivots, fast.support)):
                 assert all(isinstance(c, int) for c in r)
@@ -204,13 +208,13 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
             canonical = fast.echelon()
             assert canonical.last == fast.last
             assert (canonical.rows, canonical.pivots, canonical.support) == back.canonical()
-            assert proportional(fast.reduce(integer_row(probe)), canonical.reduce(integer_row(probe)))
-        exact = stores[0][0].echelon().to_subspace()
+            assert proportional(fast.reduce(integral_probe), canonical.reduce(integral_probe))
+        exact = to_subspace(stores[0][0].echelon())
         assert (exact.rows, exact.pivots, exact.support) == (ref.rows, ref.pivots, ref.support)
         assert (exact.rows, exact.pivots) == (dense.rows, dense.pivots)
-        assert proportional(stores[0][0].reduce(integer_row(probe)), ref.reduce(probe))
+        assert proportional(stores[0][0].reduce(integral_probe), ref.reduce(probe))
     fast = stores[0][0]
-    again = IntegerRows(width, [integer_row(row) for row in rows]).echelon()
+    again = IntegerRows(width, [integral_form(row)[1] for row in rows]).echelon()
     canonical = fast.echelon()
     assert (again.rows, again.pivots, again.support) == \
         (canonical.rows, canonical.pivots, canonical.support)
@@ -218,11 +222,27 @@ def test_integer_rows_match_fraction_rows(matrix, probe):
     # with `last` holds its rows in another echelon
     assert again == canonical and again != stores[1][0].echelon()
     wider = canonical.copy()
-    assert wider == canonical and (not wider.insert(integer_row(probe))) == (wider == canonical)
+    assert wider == canonical and (not wider.insert(integral_probe)) == (wider == canonical)
     copied = fast.copy()
     assert (copied.rows, copied.pivots, copied.support) == (fast.rows, fast.pivots, fast.support)
     assert copied.basis() == fast.rows and copied.dim == ref.dim
     assert stores[1][0].copy().last and not copied.last
+
+
+@given(rational_matrices())
+@example((3, [[Fraction(2), Fraction(1), Fraction(0)], [Fraction(0), Fraction(3), Fraction(1)]],
+          [0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_subspace_takes_canonical_integer_rows_as_they_stand(matrix):
+    """`Subspace(s.ambient, s.rows)` for a forward canonical echelon s is the
+    reference `to_subspace(s)`, rows, pivots and supports alike: each row is
+    zero at every other pivot, so an insert only divides it by its pivot
+    entry, also where the RREF has fractional entries."""
+    width, rows, _ = matrix
+    echelon = IntegerRows(width, [integral_form(row)[1] for row in rows]).echelon()
+    built, ref = Subspace(echelon.ambient, echelon.rows), to_subspace(echelon)
+    assert (built.rows, built.pivots, built.support) == (ref.rows, ref.pivots, ref.support)
+    assert built == ref == Subspace(width, rows)
 
 
 def test_spin_store_reduces_each_offered_vector_once(monkeypatch):
@@ -262,12 +282,6 @@ def test_int_vectors_never_give_float_rows(rows):
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support)
 
 
-def test_integer_row_scales_by_the_lcm_of_denominators():
-    assert integer_row([Fraction(1, 4), Fraction(-1, 6), 0, Fraction(2)]) == [3, -2, 0, 24]
-    assert integer_row([Fraction(0)] * 3) == [0, 0, 0]
-    assert integer_row([2, -3]) == [2, -3]
-
-
 def test_canonical_echelon():
     rng = random.Random(1)
     for _ in range(5):
@@ -299,7 +313,7 @@ def test_grassmann_identity():
 
 def test_nullspace_and_kernel():
     rows = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
-    ns = nullspace(rows, 3).to_subspace()
+    ns = to_subspace(nullspace(rows, 3))
     assert ns.dim == 1
     v = ns.rows[0]
     assert v[0] + v[1] == 0 and v[1] + v[2] == 0

@@ -37,7 +37,7 @@ from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group,
 from tests.conftest import lazy_frustrator, uniform_on
 from tests.oracle_suite import build_pool, random_subgroup_of
 from tests.reference import (field_rank, full_subspace, left_ideal_closure, theta_dimension_by_rank,
-                             theta_rows, verify_axioms)
+                             theta_rows, to_subspace, verify_axioms)
 from tests.test_properties import conjugate_index
 
 
@@ -227,14 +227,14 @@ def test_sandwich_containment(sym4, top_prob, mid_swap_T, frustrator):
     jw = compute_Jw(top_prob, frustrator)
     l_alpha, ok = compute_L_alpha_w(top_prob, frustrator, eta(sym4, mid_swap_T))
     assert ok
-    assert all(l_alpha.pi_H.contains(row) for row in lw.pi_H.rows)
-    assert all(jw.pi_H.contains(row) for row in l_alpha.pi_H.rows)
+    assert all(to_subspace(l_alpha.cut).contains(row) for row in lw.cut.rows)
+    assert all(to_subspace(jw.cut).contains(row) for row in l_alpha.cut.rows)
 
 
 def test_L_alpha_cases(sym4, top_prob, mid_swap_T, frustrator):
     lw = compute_Lw(top_prob, frustrator)
     ideal_u, ok_u = compute_L_alpha_w(top_prob, frustrator, eta(sym4, range(24)))
-    assert ok_u and ideal_u.pi_H == lw.pi_H
+    assert ok_u and ideal_u.cut == lw.cut
     ideal_T, ok_T = compute_L_alpha_w(top_prob, frustrator, eta(sym4, mid_swap_T))
     assert ok_T and full_subspace(ideal_T) == ideal_of(sym4, eta(sym4, mid_swap_T))
     ideal_d, ok_d = compute_L_alpha_w(top_prob, frustrator, AlgebraElement.basis(sym4, 0))
@@ -403,7 +403,7 @@ def test_theta_multiplicative_closure(sym4, top_prob, mid_swap_T):
         img2 = (e - eta_H) * basis_g * eta_H
         rows.append(img1.coeffs + img2.coeffs)
     transposed = [[rows[g][k] for g in range(24)] for k in range(48)]
-    members = nullspace(transposed, 24).to_subspace()
+    members = to_subspace(nullspace(transposed, 24))
     rng = random.Random(13)
 
     def random_member():

@@ -42,7 +42,6 @@ from lumpwalk.linalg import (
     IntegerRows,
     Subspace,
     closure,
-    integer_row,
     intersect,
     kernel_span,
     nullspace,
@@ -56,7 +55,7 @@ from lumpwalk.lumping import (
 )
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
-from lumpwalk.scalars import RATIONALS, cyclotomic_field
+from lumpwalk.scalars import RATIONALS, cyclotomic_field, integral_form
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
 from tests.conftest import lazy_frustrator
 from tests.oracle_suite import (
@@ -88,6 +87,7 @@ from tests.reference import (
     right_multiply_space,
     stable_ideal_check_dense,
     theta_dimension_per_element,
+    to_subspace,
     walk_lumped_matrix_normalizing,
     weak_certificate_by_subspace,
 )
@@ -301,7 +301,7 @@ def test_closed_forms_match_dense_references_on_pool():
             assert balanced_double_coset_mass(problem, T, w) is not unbalanced, (label, kind)
             unbalanced_mass += unbalanced
             sandwiched = eta_H * w * eta_H
-            class_values = hecke_project(problem, w).class_values
+            class_values = hecke_project(problem, w)
             assert all(sandwiched.coeffs[g] == value
                        for value, members in zip(class_values, problem.double.classes)
                        for g in members), (label, kind)
@@ -342,13 +342,14 @@ def test_weak_path_tables_match_dense_products_on_pool():
             action = problem.weight_action(w)
             lw = compute_Lw(problem, w)
             unit_products = [problem.from_H_vector(row) * z for row in units.rows]
-            annihilator = nullspace([[uz.coeffs[g] for uz in unit_products]
-                                     for g in range(G.order)], n).to_subspace()
-            for M in (lw.pi_H, units):
+            annihilator = to_subspace(nullspace([[uz.coeffs[g] for uz in unit_products]
+                                                 for g in range(G.order)], n))
+            lw_cut = to_subspace(lw.cut)
+            for M in (lw_cut, units):
                 for row in M.rows:
                     dense = problem.coset_components(problem.from_H_vector(row) * w)
                     assert problem.times_weight(action, row) == dense, (label, kind)
-            spaces = [annihilator, lw.pi_H, units]
+            spaces = [annihilator, lw_cut, units]
             for row in units.rows:
                 grown = annihilator.copy()
                 if grown.insert(row):
@@ -357,8 +358,8 @@ def test_weak_path_tables_match_dense_products_on_pool():
                 first = next((i for i, row in enumerate(M.rows)
                               if not (problem.from_H_vector(row) * z).is_zero()), None)
                 # canonical rows inserted in order keep their order as integer rows
-                scaled = IntegerRows(n, [integer_row(row) for row in M.rows])
-                assert scaled.to_subspace() == M, (label, kind)
+                scaled = IntegerRows(n, [integral_form(row)[1] for row in M.rows])
+                assert to_subspace(scaled) == M, (label, kind)
                 assert _first_cut_violation(problem, w, scaled.rows) == first, (label, kind)
                 assert _first_cut_violation(problem, w, M.rows) == first, (label, kind)
                 later += (first or 0) > 0
@@ -366,7 +367,7 @@ def test_weak_path_tables_match_dense_products_on_pool():
                 assert lw.cut_violation is None, (label, kind)
                 weak += 1
             else:
-                first = next(row for row in lw.pi_H.rows
+                first = next(row for row in lw_cut.rows
                              if not (problem.from_H_vector(row) * z).is_zero())
                 assert lw.cut_violation == problem.from_H_vector(first), (label, kind)
                 nonweak += 1
@@ -395,35 +396,43 @@ def extra_weak_path_instances():
     return out
 
 
+def assert_subspace_of_rows(store, reference: Subspace, label):
+    """`Subspace(store.ambient, store.rows)` for a forward canonical echelon
+    has the rows, pivots and supports of the reference `to_subspace(store)`."""
+    built = Subspace(store.ambient, store.rows)
+    assert (built.rows, built.pivots, built.support) == \
+        (reference.rows, reference.pivots, reference.support), label
+
+
 def check_weak_fixpoints(problem, w, rng, label):
     """L_w, L_alpha and (for a weak w) J_w against the references; returns the verdict."""
     G, n = problem.group, problem.subgroup.order
     action = problem.weight_action(w)
     eta_seed = Subspace(n, [[Fraction(1, n)] * n])
     lw = compute_Lw(problem, w)
-    assert lw.pi_H == grown_minimal_ideal(problem, action, eta_seed), label
+    assert to_subspace(lw.cut) == grown_minimal_ideal(problem, action, eta_seed), label
     points = rng.sample(range(G.order), min(2, G.order))
     alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
     alpha_seed = eta_seed.copy()
     for comp in problem.coset_components(alpha):
         alpha_seed.insert(comp)
     l_alpha, _ = compute_L_alpha_w(problem, w, alpha)
-    assert l_alpha.pi_H == grown_minimal_ideal(problem, action, alpha_seed), label
+    assert to_subspace(l_alpha.cut) == grown_minimal_ideal(problem, action, alpha_seed), label
     # the largest stable sum-zero cut is defined for every weight, weak or not;
     # it is the nullspace of the cut of L_{w*}
-    annihilator = problem.close_H_ideal([[1] * n], w.star())
-    maximal = nullspace(annihilator.rows, n).to_subspace()
+    annihilator = problem.close_H_ideal([[1] * n], _integer_element(w.star())[1])
+    maximal = to_subspace(nullspace(annihilator.rows, n))
     maximal.insert([Fraction(1, n)] * n)
     assert maximal == narrowed_maximal_cut(problem, w), label
     if not lw.weakly_lumping:
         return False
-    jw = compute_Jw(problem, w)
-    assert jw.pi_H == maximal, label
-    sum_zero = intersect(jw.pi_H, averaging_kernel(problem))
+    jw_cut = to_subspace(compute_Jw(problem, w).cut)
+    assert jw_cut == maximal, label
+    sum_zero = intersect(jw_cut, averaging_kernel(problem))
     assert annihilator.dim + sum_zero.dim == n, label
     assert all(sum(a * c for a, c in zip(a_row, c_row)) == 0
                for a_row in annihilator.rows for c_row in sum_zero.rows), label
-    assert problem.close_H_ideal(jw.pi_H.rows, w).to_subspace() == jw.pi_H, label
+    assert to_subspace(problem.close_H_ideal(jw_cut.rows, _integer_element(w)[1])) == jw_cut, label
     return True
 
 
@@ -499,9 +508,9 @@ def test_weak_distribution_matches_l_alpha():
 def check_integer_echelon_reads(problem, w, starts, label) -> Counter:
     """The reads of an ideal's integer echelon against its `Fraction` route,
     for L_w, L_alpha of each start and (for a weak w) J_w: cut strings,
-    dimensions, the lazy `pi_H`, membership of each start, and the false
-    `test weak` certificate.  Returns the (weak, member) tally of the starts
-    in J_w."""
+    dimensions, the `Subspace` of the integer rows as they stand, membership
+    of each start, and the false `test weak` certificate.  Returns the
+    (weak, member) tally of the starts in J_w."""
     from lumpwalk import cli
 
     tally = Counter()
@@ -515,10 +524,10 @@ def check_integer_echelon_reads(problem, w, starts, label) -> Counter:
     if jw is not None:
         ideals.append(jw)
     for ideal in ideals:
-        fractions = ideal.cut.to_subspace()
+        fractions = to_subspace(ideal.cut)
         assert cli._cut_strings(ideal) == cut_strings_by_subspace(ideal), label
         assert (ideal.cut.dim, ideal.dim) == (fractions.dim, problem.index * fractions.dim), label
-        assert ideal.pi_H == fractions, label
+        assert_subspace_of_rows(ideal.cut, fractions, label)
         for alpha in starts:
             assert ideal.contains(alpha) == contains_by_subspace(ideal, alpha), label
     for alpha in starts:
@@ -571,9 +580,10 @@ def test_integer_echelon_reads_match_fraction_route_with_fractional_rows(monkeyp
     rows with integer entries, so their integer echelons all have pivot
     entry 1.  Echelons of random integer rows, whose RREF rows have
     fractional entries, are read as cuts here, four per pool pair with
-    |H| > 2: cut strings, dimensions, `pi_H`, membership of members and
-    non-members, and the false `test weak` certificate, taken from such a
-    cut in place of the closure's, against the route through `to_subspace`."""
+    |H| > 2: cut strings, dimensions, the `Subspace` of the integer rows as
+    they stand, membership of members and non-members, and the false
+    `test weak` certificate, taken from such a cut in place of the
+    closure's, against the route through `to_subspace`."""
     rng = random.Random(3030)
     fractional = Counter()
     for label, G, hgens in build_pool():
@@ -592,9 +602,10 @@ def check_fractional_cut(problem, rng, monkeypatch, label) -> Counter:
     G, n = problem.group, problem.subgroup.order
     rows = [[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(n)] for _ in range(n // 2)]
     cut = IntegerRows(n, rows).echelon()
-    ideal = GurvitsLedouxIdeal(problem, cut)
+    ideal = GurvitsLedouxIdeal(problem, cut, weakly_lumping=False)  # no weight decides it here
     assert cli._cut_strings(ideal) == cut_strings_by_subspace(ideal), label
-    assert ideal.pi_H == cut.to_subspace() and ideal.dim == problem.index * cut.dim, label
+    assert_subspace_of_rows(cut, to_subspace(cut), label)
+    assert ideal.dim == problem.index * cut.dim, label
     weights = [rng.randint(-2, 2) for _ in cut.rows]
     member = problem.from_H_vector([sum(c * row[k] for c, row in zip(weights, cut.rows))
                                     for k in range(n)])
@@ -606,7 +617,7 @@ def check_fractional_cut(problem, rng, monkeypatch, label) -> Counter:
     if not w.is_irreducible_weight():
         w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
     with monkeypatch.context() as patch:
-        patch.setattr(LumpingProblem, "close_H_ideal", lambda self, seeds, w, **kwargs: cut)
+        patch.setattr(LumpingProblem, "close_H_ideal", lambda self, seeds, integral, last=False: cut)
         _, lw, certificate = weak_weight_test(problem, w)
     assert lw.cut is cut, label
     expected = weak_certificate_by_subspace(ideal, w)
@@ -639,7 +650,7 @@ def test_worklist_closure_matches_round_based_loop(data):
             yield [sum(a * b for a, b in zip(row, v)) for row in M]
 
     exact = closure(V, successors)
-    fast = closure(IntegerRows(n, vectors), successors).echelon().to_subspace()
+    fast = to_subspace(closure(IntegerRows(n, vectors), successors).echelon())
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support)
     if exact.dim == n:
         assert exact.rows == [[Fraction(k == i) for k in range(n)] for i in range(n)]
@@ -681,7 +692,7 @@ def check_annihilator(problem, w, label):
     """The cut of L_{w*} from `close_H_ideal` against the transposed
     `Fraction` closure for w: rows, pivots and supports."""
     n = problem.subgroup.order
-    fast = problem.close_H_ideal([[1] * n], w.star()).to_subspace()
+    fast = to_subspace(problem.close_H_ideal([[1] * n], _integer_element(w.star())[1]))
     exact = exact_annihilator(problem, problem.weight_action(w))
     assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
 
@@ -699,7 +710,7 @@ def check_H_ideal(problem, w, rng, label):
     alpha = AlgebraElement.from_pairs(G, [(g, Fraction(1, len(points))) for g in points])
     full = 0
     for seeds in ([[Fraction(1, n)] * n], [[1] * n] + problem.coset_components(alpha)):
-        fast = problem.close_H_ideal(seeds, w).to_subspace()
+        fast = to_subspace(problem.close_H_ideal(seeds, _integer_element(w)[1]))
         echelon = Subspace(n, [[Fraction(c) for c in v] for v in seeds])
         exact = exact_H_ideal(problem, echelon, action)
         assert (fast.rows, fast.pivots, fast.support) == (exact.rows, exact.pivots, exact.support), label
@@ -747,7 +758,7 @@ def check_translation_rule(problem, w, rng, label):
     proper = 0
     for seeds, weight in ((ones, w), (ones + problem.coset_components(alpha), w), (ones, w.star())):
         action = problem.weight_action(weight)
-        fast = problem.close_H_ideal(seeds, weight)
+        fast = problem.close_H_ideal(seeds, _integer_element(weight)[1])
         spun = all_maps_H_ideal(problem, seeds, action)
         assert (fast.rows, fast.pivots, fast.support) == (spun.rows, spun.pivots, spun.support), label
         proper += fast.dim < n
@@ -866,7 +877,7 @@ def assert_nullspace_matches_reference(rows, n, store=None):
     the rows), else that of the rows inserted last to first, so the store has
     another history than the one `nullspace` builds from the rows."""
     fast = nullspace(rows, n)
-    canonical, ref = fast.to_subspace(), insert_nullspace(rows, n)
+    canonical, ref = to_subspace(fast), insert_nullspace(rows, n)
     assert (canonical.rows, canonical.pivots, canonical.support) == (ref.rows, ref.pivots, ref.support)
     for row, p, cols in zip(fast.rows, fast.pivots, fast.support):
         assert all(type(c) is int for c in row)
@@ -874,7 +885,7 @@ def assert_nullspace_matches_reference(rows, n, store=None):
         assert cols == [k for k, c in enumerate(row) if c]
     assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in fast.rows)
     if store is None:
-        store = IntegerRows(n, [integer_row(row) for row in reversed(rows)], last=True).echelon()
+        store = IntegerRows(n, [integral_form(row)[1] for row in reversed(rows)], last=True).echelon()
     read = nullspace(store, n)
     assert (read.rows, read.pivots, read.support) == (fast.rows, fast.pivots, fast.support)
 
@@ -890,8 +901,8 @@ def test_nullspace_matches_insert_reference_on_pool_reversed_cuts():
             if G.order > 30 and kind == "theta":
                 continue  # the nullspace construction is for small orders
             w = sample_weight(rng, problem, kind)
-            cut = problem.close_H_ideal([[1] * n], w.star())
-            store = problem.close_H_ideal([[1] * n], w.star(), last=True)
+            cut = problem.close_H_ideal([[1] * n], _integer_element(w.star())[1])
+            store = problem.close_H_ideal([[1] * n], _integer_element(w.star())[1], last=True)
             assert_nullspace_matches_reference(cut.rows, n, store)
 
 
@@ -923,8 +934,8 @@ def test_reversed_annihilator_matches_forward_route():
     weak = proper = 0
     for label, problem, w in cases:
         n = problem.subgroup.order
-        forward = problem.close_H_ideal([[1] * n], w.star())
-        store = problem.close_H_ideal([[1] * n], w.star(), last=True)
+        forward = problem.close_H_ideal([[1] * n], _integer_element(w.star())[1])
+        store = problem.close_H_ideal([[1] * n], _integer_element(w.star())[1], last=True)
         expected = ReversedBackEliminatingRows(n, forward.rows)
         assert (store.rows, store.pivots, store.support) == expected.canonical(), label
         again = IntegerRows(n, store.rows).echelon()
@@ -932,7 +943,8 @@ def test_reversed_annihilator_matches_forward_route():
             (forward.rows, forward.pivots, forward.support), label
         proper += 1 < store.dim < n
         if compute_Lw(problem, w).weakly_lumping:
-            assert compute_Jw(problem, w).pi_H == maximal_cut_two_echelons(problem, w), label
+            jw_cut = to_subspace(compute_Jw(problem, w).cut)
+            assert jw_cut == maximal_cut_two_echelons(problem, w), label
             weak += 1
     assert 0 < weak < len(cases) and proper > 0, (weak, proper, len(cases))
 
@@ -945,8 +957,8 @@ def check_spin_echelons(problem, w, seeds, label):
     table = problem.weight_action(_integer_element(w)[1])
     perms = problem._H_generator_perms
     for last, store in ((False, BackEliminatingRows), (True, ReversedBackEliminatingRows)):
-        spun = problem.close_H_ideal(seeds, w, last=last)
-        grown = closure(store(n, (integer_row(v) for v in seeds)),
+        spun = problem.close_H_ideal(seeds, _integer_element(w)[1], last=last)
+        grown = closure(store(n, (integral_form(v)[1] for v in seeds)),
                         lambda u: problem.times_weight(table, u),
                         lambda u: (permuted(u, perm, 0) for perm in perms))
         assert (spun.rows, spun.pivots, spun.support) == grown.canonical(), (label, last)
@@ -1048,16 +1060,28 @@ def check_cut(f, V, kernel, label):
     assert (cut.rows, cut.pivots) == (dense.rows, dense.pivots), label
 
 
-def test_generic_cut_matches_zassenhaus_intersection_on_pool():
+def test_generic_cut_matches_zassenhaus_intersection_on_pool(monkeypatch):
     """The generic oracle's stable spaces against their references on the pool.
 
     For the minimal stable space from a uniform, a point and a two-point
     start, and for the maximal stable space wherever the stationary (uniform)
     chain lumps weakly: the worklist closure equals the round-based or
     block-narrowed loop it replaced, and `V cap ker F` equals the Zassenhaus
-    intersection and the dense reference (`check_cut`).  On those weak draws
-    the maximal induced ideal J_w of the group path equals V_max as well.
+    intersection and the dense reference (`check_cut`).  V_max, the
+    `Subspace` of the canonical integer rows of its `nullspace`, has the
+    rows, pivots and supports of the reference route through `to_subspace`.
+    On those weak draws the maximal induced ideal J_w of the group path
+    equals V_max as well.
     """
+    from lumpwalk import markov
+
+    kernels = []  # every nullspace the generic oracle reads, the last one V_max's
+
+    def recorded(constraints, ambient):
+        kernels.append(nullspace(constraints, ambient))
+        return kernels[-1]
+
+    monkeypatch.setattr(markov, "nullspace", recorded)
     rng = random.Random(6262)
     draws = minimal = maximal = 0
     for label, G, hgens in build_pool():
@@ -1087,6 +1111,9 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool():
                 Q = walk_lumped_matrix(problem, w)
                 vmax = compute_Vmax_generic(f, P, Q)
                 assert vmax == block_narrowed_Vmax(f, P, Q), (label, kind)
+                ref = to_subspace(kernels[-1])
+                assert (vmax.rows, vmax.pivots, vmax.support) == \
+                    (ref.rows, ref.pivots, ref.support), (label, kind)
                 check_cut(f, vmax, kernel, (label, kind))
                 assert full_subspace(compute_Jw(problem, w)) == vmax, (label, kind)
                 maximal += 1

@@ -16,6 +16,7 @@ from lumpwalk.scalars import (
     common_field,
     format_ratio,
     format_scalar,
+    integral_form,
     parse_scalar,
     RATIONALS,
 )
@@ -167,6 +168,41 @@ def test_format_ratio_writes_the_fraction(numerator, denominator):
     assert format_ratio(numerator, denominator) == str(Fraction(numerator, denominator))
     k = abs(numerator) % 97 + 1
     assert format_ratio(k * numerator, k * denominator) == format_scalar(Fraction(numerator, denominator))
+
+
+def test_integral_form_scales_by_the_lcm_of_denominators():
+    assert integral_form([Fraction(1, 4), Fraction(-1, 6), 0, Fraction(2)]) == (12, [3, -2, 0, 24])
+    assert integral_form([Fraction(0)] * 3) == (1, [0, 0, 0])
+    assert integral_form([2, -3]) == (1, [2, -3])
+    assert integral_form(c for c in (Fraction(1, 2), Fraction(-5, 3))) == (6, [3, -10])
+    assert integral_form([]) == (1, [])
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.just(0),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=30)),
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_integral_form_is_the_least_integral_multiple(values):
+    """`integral_form` against `Fraction` arithmetic on `int`, negative, zero
+    and mixed vectors: each value is its numerator over D, and D is the
+    least positive integer that makes every value integral, the lcm of the
+    denominators, checked without `lcm`: D v is integral and no D / p is,
+    for a prime p dividing D (all denominators are at most 30)."""
+    scale, numerators = integral_form(values)
+    assert scale > 0 and len(numerators) == len(values)
+    assert all(type(n) is int for n in numerators)
+    assert all(Fraction(n, scale) == v for n, v in zip(numerators, values))
+    for p in SMALL_PRIMES:
+        if scale % p == 0:
+            assert any((Fraction(scale // p) * v).denominator != 1 for v in values)
+    remainder = scale  # every prime factor of D is one of SMALL_PRIMES
+    for p in SMALL_PRIMES:
+        while remainder % p == 0:
+            remainder //= p
+    assert remainder == 1
 
 
 def test_order_cap():
