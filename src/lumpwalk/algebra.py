@@ -18,6 +18,7 @@ from .scalars import (
     common_field,
     cyclotomic_field,
     format_scalar,
+    parse_integer,
     parse_scalar,
 )
 
@@ -308,7 +309,7 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
             if len(parts) != 3 or parts[1] != "cyclotomic":
                 raise InputFormatError(f"line {lineno}: bad scalar header {raw!r}")
             try:
-                order = int(parts[2])
+                order = parse_integer(parts[2])
             except ValueError:
                 raise InputFormatError(f"line {lineno}: bad cyclotomic order {parts[2]!r}")
             field = cyclotomic_field(order)

@@ -50,7 +50,7 @@ from .markov import (
     test_weak_generic,
     transition_from_weight,
 )
-from .scalars import format_ratio
+from .scalars import format_ratio, parse_integer
 from .simulate import empirical_lumped_matrix, markov_diagnostic, simulate_walk
 
 
@@ -119,6 +119,15 @@ class Inputs:
         if role == "subgroup":
             self.problem = LumpingProblem(self.group, value)
         return value
+
+
+def _integer_flag(text: str) -> int:
+    """An integer flag value in ASCII digits (`scalars.parse_integer`), with
+    the message argparse gives for `type=int`."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _arg(*flags, **kwargs) -> tuple:
@@ -394,8 +403,8 @@ def _conditional(inputs: Inputs, args, report: dict) -> None:
 
 @_command("simulate", "sample the walk and report empirical lump statistics",
           "group subgroup weight dist",
-          _arg("--seed", type=int, default=1),
-          _arg("--length", type=int, default=10_000),
+          _arg("--seed", type=_integer_flag, default=1),
+          _arg("--length", type=_integer_flag, default=10_000),
           _arg("--diagnose", action="store_true",
                help="run the advisory order-2 Markov diagnostic"),
           _arg("--trajectory-out", dest="trajectory_out", default=None,

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DomainError, InputFormatError, InvariantError, ResourceError
+from .scalars import parse_integer
 
 DEFAULT_ORDER_CAP = 20_000
 # Work budget of one enumeration: degree times group order, the number of
@@ -458,7 +459,7 @@ def parse_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
             if degree is not None:
                 raise InputFormatError(f"line {lineno}: second degree line {raw!r}")
             try:
-                degree = int(line.split()[1])
+                degree = parse_integer(line.split()[1])
             except (IndexError, ValueError):
                 raise InputFormatError(f"line {lineno}: bad degree line {raw!r}")
             if degree < 1:

@@ -231,40 +231,48 @@ class IntegerRows(_RowStore):
         other pivot at which it is nonzero is that of a row already taken;
         the taken rows are zero at every pivot but their own, so one
         reduction by them makes the row canonical and rewrites no taken row.
-        The whole space is the identity, built as it stands.
+        The whole space is the `identity`, with no reduction.
         """
         n = self.ambient
-        taken = {}  # pivot -> (canonical row, its nonzero columns)
         if self.dim == n:
-            for i in range(n):
-                row = [0] * n
-                row[i] = 1
-                taken[i] = (row, [i])
-        else:
-            for i in sorted(range(self.dim), key=self.pivots.__getitem__, reverse=not self.last):
-                v, p, cols = list(self.rows[i]), self.pivots[i], self.support[i]
-                touched = set(cols)
-                for k in cols:
-                    if k != p and k in taken:
-                        row, row_cols = taken[k]
-                        g = gcd(v[k], row[k])
-                        m, c = row[k] // g, v[k] // g
-                        if m != 1:
-                            for j in touched:
-                                v[j] *= m
-                        for j in row_cols:
-                            v[j] -= c * row[j]
-                        touched.update(row_cols)
-                kept = sorted(j for j in touched if v[j])
-                g = gcd(*[v[j] for j in kept])
-                if g != 1:
-                    for j in kept:
-                        v[j] //= g
-                taken[p] = (v, kept)
+            return IntegerRows.identity(n, self.last)
+        taken = {}  # pivot -> (canonical row, its nonzero columns)
+        for i in sorted(range(self.dim), key=self.pivots.__getitem__, reverse=not self.last):
+            v, p, cols = list(self.rows[i]), self.pivots[i], self.support[i]
+            touched = set(cols)
+            for k in cols:
+                if k != p and k in taken:
+                    row, row_cols = taken[k]
+                    g = gcd(v[k], row[k])
+                    m, c = row[k] // g, v[k] // g
+                    if m != 1:
+                        for j in touched:
+                            v[j] *= m
+                    for j in row_cols:
+                        v[j] -= c * row[j]
+                    touched.update(row_cols)
+            kept = sorted(j for j in touched if v[j])
+            g = gcd(*[v[j] for j in kept])
+            if g != 1:
+                for j in kept:
+                    v[j] //= g
+            taken[p] = (v, kept)
         out = IntegerRows(n, last=self.last)
         out.pivots = sorted(taken)
         out.rows = [taken[p][0] for p in out.pivots]
         out.support = [taken[p][1] for p in out.pivots]
+        return out
+
+    @staticmethod
+    def identity(n: int, last: bool = False) -> IntegerRows:
+        """The canonical echelon of the whole space: the unit rows."""
+        out = IntegerRows(n, last=last)
+        for i in range(n):
+            row = [0] * n
+            row[i] = 1
+            out.rows.append(row)
+            out.pivots.append(i)
+            out.support.append([i])
         return out
 
     def __eq__(self, other):

@@ -4,6 +4,8 @@ Everything here is exact.  A `LumpingProblem` builds each coset table once:
 the left cosets of H, with the position in H of r^-1 x for each x in a coset
 rH, the double cosets HxH as unions of those left cosets, and the right
 cosets only when first read (the exact test and `cosets --side right`).
+It also keeps the cut of each L_w it has closed, by the integral form of
+the weight (`compute_Lw`), so one request closes each L_w once.
 
 The two ideal computations follow the product structure of induced ideals:
 an induced left ideal is determined by its cut down to the subgroup algebra,
@@ -33,13 +35,15 @@ components of their own; a translate gets the generators of H only
 (`close_H_ideal`).  The weak obstruction is checked on the integer rows.  The cut of J_w is read
 through the time-reversal duality: it is the nullspace of the cut of
 L_{w*}, for the reversed weight w*(g) = w(g^-1), plus eta_H (proved at
-`compute_Jw`).  All three are spun on `linalg.IntegerRows` in semi-echelon
-form, and each gets one canonical echelon when its closure ends: the cuts
-of L_w and L_alpha the forward one, and that of L_{w*} the echelon with
-its columns read from the right, which `nullspace` reads, so each closure
-is echelonised once.  A `GurvitsLedouxIdeal` keeps the forward echelon of
-its cut: reports, dimensions and membership read those integer rows, and
-only the certificate of a false weak verdict, one row, is written over the
+`compute_Jw`), and the whole subgroup algebra, with no closure, for a
+weight that lumps strongly.  All three are spun on `linalg.IntegerRows`
+in semi-echelon form, and each gets one canonical echelon when its
+closure ends: the cuts of L_w and L_alpha the forward one, and that of
+L_{w*} the echelon with its columns read from the right, which
+`nullspace` reads, so each closure is echelonised once.  A
+`GurvitsLedouxIdeal` keeps the forward echelon of its cut: reports,
+dimensions and membership read those integer rows, and only the
+certificate of a false weak verdict, one row, is written over the
 rationals; no `Fraction` copy of a cut is built.
 
 No command takes a product in the group algebra.  The strong and exact
@@ -106,6 +110,8 @@ class LumpingProblem:
         self.subgroup = H
         self.left = cosets(G, H, "left")
         self.double = double_cosets(G, H, self.left)
+        # the cut of L_w and its certificate (or None), by the integral form of w
+        self._minimal_ideals: dict[tuple, tuple[IntegerRows, AlgebraElement | None]] = {}
 
     @property
     def index(self) -> int:
@@ -456,36 +462,56 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
     return None
 
 
-def _minimal_ideal(problem: LumpingProblem, w: AlgebraElement,
-                   alpha: AlgebraElement | None) -> GurvitsLedouxIdeal:
-    """Minimal induced ideal containing eta_G (and alpha, if given), stable under w.
-
-    The obstruction is evaluated once per basis row of the cut: the first row u
-    with u (1 - eta_H) w eta_H != 0 decides the verdict and is its certificate.
-    """
+def _irreducible_integral(w: AlgebraElement) -> AlgebraElement:
+    """The integral form D w of a weight whose support generates the group."""
     w = w.require_weight()
     if not w.is_irreducible_weight():
         raise DomainError(
             "weight is reducible (support does not generate the group); "
             "use the generic per-start test instead"
         )
+    return _integer_element(w)[1]
+
+
+def _minimal_ideal(problem: LumpingProblem, integral: AlgebraElement,
+                   alpha: AlgebraElement | None) -> tuple[IntegerRows, AlgebraElement | None]:
+    """The cut of the minimal induced ideal containing eta_G (and alpha, if
+    given), stable under w, from the integral form D w, and the certificate of
+    a false weak verdict, or None.
+
+    The obstruction is evaluated once per basis row of the cut: the first row u
+    with u (1 - eta_H) w eta_H != 0 decides the verdict and is its certificate.
+    """
     seeds = [[1] * problem.subgroup.order]  # eta_H, scaled by |H|
     if alpha is not None:
         seeds += problem.coset_components(alpha.require_distribution())
-    integral = _integer_element(w)[1]
     cut = problem.close_H_ideal(seeds, integral)
     violation = _first_cut_violation(problem, integral, cut.rows)
-    ideal = GurvitsLedouxIdeal(problem, cut, weakly_lumping=violation is None)
-    if violation is not None:  # the canonical RREF row, over the rationals
-        row = cut.rows[violation]
-        lead = row[cut.pivots[violation]]
-        ideal.cut_violation = problem.from_H_vector([Fraction(c, lead) for c in row])
-    return ideal
+    if violation is None:
+        return cut, None
+    row = cut.rows[violation]  # the canonical RREF row, over the rationals
+    lead = row[cut.pivots[violation]]
+    return cut, problem.from_H_vector([Fraction(c, lead) for c in row])
 
 
 def compute_Lw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
-    """Minimal induced ideal containing the uniform element and stable under w."""
-    return _minimal_ideal(problem, w, None)
+    """Minimal induced ideal containing the uniform element and stable under w.
+
+    The problem keeps the cut and certificate of each weight it has closed,
+    by its integral form, as `FiniteGroup.is_generating` keeps its answer per
+    support: a request that asks for the same L_w twice (`test-dist`, through
+    `compute_Jw`) closes it once.  The kept entry holds no `GurvitsLedouxIdeal`,
+    whose ``problem`` field would close a reference cycle through the problem,
+    so a problem is freed by reference counting as soon as its last user
+    lets go.  The cut is shared by every ideal built from the entry.
+    """
+    integral = _irreducible_integral(w)
+    key = tuple(integral.coeffs)
+    entry = problem._minimal_ideals.get(key)
+    if entry is None:
+        entry = problem._minimal_ideals[key] = _minimal_ideal(problem, integral, None)
+    cut, violation = entry
+    return GurvitsLedouxIdeal(problem, cut, violation is None, violation)
 
 
 def test_weak_weight(problem: LumpingProblem, w: AlgebraElement):
@@ -498,8 +524,8 @@ def test_weak_weight(problem: LumpingProblem, w: AlgebraElement):
 
 def compute_L_alpha_w(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement):
     """Minimal induced ideal containing a start distribution; verdict for that start."""
-    ideal = _minimal_ideal(problem, w, alpha)
-    return ideal, ideal.weakly_lumping
+    cut, violation = _minimal_ideal(problem, _irreducible_integral(w), alpha)
+    return GurvitsLedouxIdeal(problem, cut, violation is None, violation), violation is None
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +569,24 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     closure ends, is the form `nullspace` reads.  Whether an image grows the
     span does not depend on the pivot order, so the worklist, the inserts
     and their yields are those of the forward closure.
+
+    A weight that lumps strongly needs no closure: J_w is all of C[G], and
+    its cut the identity.  Strong lumping is z = (1 - eta_H) w eta_H = 0
+    (every `_cut_coset_values` is zero).  As eta_H* = eta_H, z* =
+    eta_H w* (1 - eta_H), so w* lumps exactly: eta_H w* = eta_H w* eta_H is
+    constant on each left coset, and every coset component of
+    (Q 1) w* = (Q eta_H) w* lies in Q 1, as do the translates of 1.  So
+    A = Q 1, C = A^perp is all of {u : sum u = 0}, and C + Q eta_H is the
+    whole subgroup algebra.
     """
     weak, _, _ = test_weak_weight(problem, w)
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
-    reversed_weight = _integer_element(w.require_weight().star())[1]
+    w = w.require_weight()
+    if not any(_cut_coset_values(problem, coset_sums(_integer_element(w)[1], problem.left))):
+        return GurvitsLedouxIdeal(problem, IntegerRows.identity(n), weakly_lumping=True)
+    reversed_weight = _integer_element(w.star())[1]
     rows = nullspace(problem.close_H_ideal([[1] * n], reversed_weight, last=True), n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
     return GurvitsLedouxIdeal(problem, rows.echelon(), weakly_lumping=True)

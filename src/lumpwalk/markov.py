@@ -31,7 +31,7 @@ from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
 from .linalg import Subspace, closure, kernel_span, nullspace
-from .scalars import integral_form, parse_rational
+from .scalars import integral_form, parse_integer, parse_rational
 
 STATE_CAP = 5_000
 
@@ -457,7 +457,7 @@ def _read_states(text: str, what: str) -> tuple[int, list[str]]:
     if not lines or not lines[0].startswith("states"):
         raise InputFormatError(f"{what} file must start with `states <N>`")
     try:
-        n = int(lines[0].split()[1])
+        n = parse_integer(lines[0].split()[1])
     except (IndexError, ValueError):
         raise InputFormatError("bad states header")
     if n < 1:
@@ -509,7 +509,7 @@ def parse_lump_file(text: str, n_states: int) -> LumpingFunction:
         if len(parts) != 3 or parts[0] != "lump":
             raise InputFormatError(f"line {lineno}: expected `lump <state> <label>`")
         try:
-            state = int(parts[1])
+            state = parse_integer(parts[1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: bad state {parts[1]!r}")
         label = parts[2]

@@ -331,8 +331,20 @@ def common_field(f1, f2):
 # ---------------------------------------------------------------------------
 # scalar literal grammar: rationals `p/q`; cyclotomic sums `a + b*z^k - ...`
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_TERM_RE = re.compile(r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?z(?:\^(?P<exp>\d+))?$")
+# ASCII digits only: `\d` and `int` also read other Unicode digits
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_TERM_RE = re.compile(r"^(?:(?P<coef>[0-9]+(?:/[0-9]+)?)\*?)?z(?:\^(?P<exp>[0-9]+))?$")
+
+
+def parse_integer(text: str) -> int:
+    """An integer field of an input: ASCII digits with an optional leading
+    minus sign.  `int` also reads other Unicode digits, `_` separators, a
+    `+` sign and surrounding whitespace, which no input format allows; any
+    of them raises `ValueError`, as `int` does for text it cannot read."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:

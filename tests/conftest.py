@@ -82,6 +82,20 @@ def uniform_on(G, ids):
     return AlgebraElement.from_pairs(G, [(i, Fraction(1, len(ids))) for i in ids])
 
 
+def counted_closures(patch) -> list:
+    """Patch `LumpingProblem.close_H_ideal` through ``patch`` (a monkeypatch
+    or one of its contexts) to record the ``last`` flag of each call."""
+    calls = []
+    close = LumpingProblem.close_H_ideal
+
+    def counted(self, seeds, integral, last=False):
+        calls.append(last)
+        return close(self, seeds, integral, last)
+
+    patch.setattr(LumpingProblem, "close_H_ideal", counted)
+    return calls
+
+
 @pytest.fixture
 def fraction_work(monkeypatch):
     """A Counter of the `Fraction`s built and of the numerators, denominators

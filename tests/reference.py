@@ -12,14 +12,17 @@ of the interpolation test by the double cosets T\\G/H.  The closed forms
 that sum once per coset or per class keep their per-element forms here: the
 strong and exact tests that sum w once per criterion, the lumped matrix of
 the normalized weight, the realizing weight divided per element, and
-Theta(e) summed over every element of each double coset.  Two
+Theta(e) summed over every element of each double coset.  Three
 references stay on the cut.  One is the closure of `close_H_ideal` with
 every map on every vector, which the translation rule of `linalg.closure`
 must reproduce; it translates by scattering entries (`permuted`) where the
 package gathers them by the inverse map, so the two translation codes stay
-independent.  The other is the cut of J_w by two echelons: the cut of
+independent.  The second is the cut of J_w by two echelons: the cut of
 L_{w*} grown forward and echelonised again, columns read from the right,
-by `nullspace`, which `compute_Jw` does in one.  The spin store
+by `nullspace`, which `compute_Jw` does in one.  The third is that one
+echelon for every weak weight (`compute_Jw_by_nullspace`), where
+`compute_Jw` returns the whole subgroup algebra, with no closure, for a
+weight that lumps strongly.  The spin store
 `linalg.IntegerRows` is compared with the integer store it replaced:
 `BackEliminatingRows` holds the canonical echelon at every step by
 eliminating each new pivot from every stored row, and
@@ -53,7 +56,12 @@ from lumpwalk.algebra import AlgebraElement, coset_sums, element_lines, eta
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
 from lumpwalk.linalg import Subspace, closure, nullspace
-from lumpwalk.lumping import _integer_element, require_E_bullet
+from lumpwalk.lumping import (
+    GurvitsLedouxIdeal,
+    _integer_element,
+    require_E_bullet,
+    test_weak_weight,
+)
 from lumpwalk.markov import STATE_CAP
 from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial, integral_form
 
@@ -274,6 +282,20 @@ def maximal_cut_two_echelons(problem, w: AlgebraElement) -> Subspace:
     rows = nullspace(forward.rows, n)
     rows.insert([1] * n)
     return to_subspace(rows.echelon())
+
+
+def compute_Jw_by_nullspace(problem, w: AlgebraElement) -> GurvitsLedouxIdeal:
+    """Reference for `compute_Jw` on every weight, strongly lumping or not:
+    the cut of L_{w*} spun with ``last``, its `nullspace`, and eta_H, in one
+    canonical echelon.  `compute_Jw` takes this route only for a weight that
+    does not lump strongly, and returns the identity cut for one that does."""
+    if not test_weak_weight(problem, w)[0]:
+        raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
+    n = problem.subgroup.order
+    reversed_weight = _integer_element(w.require_weight().star())[1]
+    rows = nullspace(problem.close_H_ideal([[1] * n], reversed_weight, last=True), n)
+    rows.insert([1] * n)
+    return GurvitsLedouxIdeal(problem, rows.echelon(), weakly_lumping=True)
 
 
 def cut_strings_by_subspace(ideal) -> list[str]:

@@ -194,6 +194,70 @@ def test_exit_codes(files, tmp_path):
     assert result.returncode == 0
 
 
+CHAIN_2 = ("states 2\n1 0\n0 1\n", "lump 0 a\nlump 1 b\n", "states 2\n1/2 1/2\n")
+# (role, valid file or flag value, the same with one numeral that `int` or `\d` would read,
+#  the message of the exit-1 line)
+NUMERAL_CASES = [
+    ("group", GROUP, GROUP.replace("4", "٤", 1), "bad degree line"),
+    ("group", GROUP, GROUP.replace("4", "0_4", 1), "bad degree line"),
+    ("group", GROUP, GROUP.replace("4", "+4", 1), "bad degree line"),
+    ("weight", "scalar cyclotomic 4\n" + WEIGHT, "scalar cyclotomic ٣\n" + WEIGHT,
+     "bad cyclotomic order"),
+    ("weight", "scalar cyclotomic 4\n" + WEIGHT, "scalar cyclotomic 0_4\n" + WEIGHT,
+     "bad cyclotomic order"),
+    ("weight", WEIGHT, WEIGHT.replace("1/4", "١/4", 1), "bad rational literal"),
+    ("weight", WEIGHT, WEIGHT.replace("1/4", "1/４", 1), "bad rational literal"),
+    ("weight", "scalar cyclotomic 4\n" + WEIGHT.replace("1/4 id", "1/4*z^4 id"),
+     "scalar cyclotomic 4\n" + WEIGHT.replace("1/4 id", "1/4*z^٤ id"),
+     "bad cyclotomic term"),
+    ("matrix", CHAIN_2[0], CHAIN_2[0].replace("1 0", "١ 0"), "bad rational literal"),
+    ("matrix", CHAIN_2[0], CHAIN_2[0].replace("2", "+2"), "bad states header"),
+    ("matrix", CHAIN_2[0], CHAIN_2[0].replace("2", "٢"), "bad states header"),
+    ("chain_dist", CHAIN_2[2], CHAIN_2[2].replace("2", "+2", 1), "bad states header"),
+    ("lumpmap", CHAIN_2[1], CHAIN_2[1].replace("1 b", "+1 b"), "bad state"),
+    ("lumpmap", CHAIN_2[1], CHAIN_2[1].replace("0 a", "0_0 a"), "bad state"),
+    ("lumpmap", CHAIN_2[1], CHAIN_2[1].replace("0 a", "٠ a"), "bad state"),
+    ("--length", "5", "٥", "invalid int value"),
+    ("--seed", "3", "+3", "invalid int value"),
+    ("--seed", "10", "1_0", "invalid int value"),
+]
+
+
+@pytest.mark.parametrize("role, valid, bad, message", NUMERAL_CASES)
+def test_numeric_fields_read_ascii_digits_only(tmp_path, role, valid, bad, message):
+    """Every numeric field, in a file or a flag, is ASCII digits: another
+    Unicode digit, a `_` separator or a `+` sign that `int` or the regular
+    expression `\\d` would read exits 1 with the field's message, while the
+    same input with ASCII digits exits 0."""
+    from lumpwalk import cli
+
+    texts = {"group": GROUP, "subgroup": SUBGROUP, "weight": WEIGHT, "dist": DIST_ETA_T,
+             "matrix": CHAIN_2[0], "lumpmap": CHAIN_2[1], "chain_dist": CHAIN_2[2]}
+    chain = role in ("matrix", "lumpmap", "chain_dist")
+
+    def run(value):
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(value if name == role else text, encoding="utf-8")
+        if chain:
+            argv = ["generic-test", "weak", "--matrix", paths["matrix"], "--lumpmap",
+                    paths["lumpmap"], "--dist", paths["chain_dist"]]
+        else:
+            argv = ["simulate", "--group", paths["group"], "--subgroup", paths["subgroup"],
+                    "--weight", paths["weight"], "--dist", paths["dist"], "--length", "5"]
+        if role.startswith("--"):
+            argv += [role, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+        return code, err.getvalue()
+
+    assert run(valid) == (0, "")
+    code, err = run(bad)
+    assert code == 1 and message in err and "Traceback" not in err, (bad, err)
+
+
 CHAIN_MATRIX = "states 4\n1/2 1/2 0 0\n0 1/2 1/2 0\n0 0 1/2 1/2\n1/2 0 0 1/2\n"
 CHAIN_LUMPMAP = "lump 0 a\nlump 1 a\nlump 2 b\nlump 3 b\n"
 CHAIN_DIST = "states 4\n1/2 0 1/2 0\n"
@@ -353,6 +417,48 @@ def test_golden_weak_reports(files, capsys):
     assert set(cases) == set(expected)
     for name, argv in cases.items():
         assert golden_report(capsys, argv) == expected[name], name
+
+
+def test_request_frees_its_problem_without_the_cycle_collector(files, capsys, monkeypatch):
+    """The `LumpingProblem` of a request is freed by reference counting once
+    the request returns: with the cycle collector off, a weak reference to it
+    is dead after every weak command, so what a problem keeps (the cuts of
+    L_w) holds no reference back to it."""
+    import gc
+    import weakref
+
+    from lumpwalk import cli
+
+    problems = []
+
+    class Recorded(cli.LumpingProblem):
+        def __init__(self, G, H):
+            super().__init__(G, H)
+            problems.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "LumpingProblem", Recorded)
+    weak = common(files, "--weight", files["weight"])
+    strong = ["--group", files["sym5"], "--subgroup", files["top5"], "--weight", files["rtt5"]]
+    requests = [["test", "weak", *weak], ["lw", *weak], ["jw", *weak],
+                ["test-dist", *weak, "--dist", files["dist_eta_t"]],
+                ["test-dist", *weak, "--dist", files["dist_id"]],
+                ["l-alpha", *weak, "--dist", files["dist_eta_t"]],
+                ["test-dist", *common(files, "--weight", files["nonweak"]),
+                 "--dist", files["dist_id"]],
+                ["test", "weak", *common(files, "--weight", files["nonweak"])],
+                ["jw", *strong], ["test-dist", *strong, "--dist", files["dist5_swap"]]]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in requests:
+            problems.clear()
+            assert cli.main(argv + ["--json"]) == 0, argv
+            assert len(problems) == 1 and problems[0]() is None, argv
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_weak_commands_build_no_fraction_rows(files, capsys, monkeypatch):

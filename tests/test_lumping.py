@@ -34,7 +34,7 @@ from lumpwalk.algebra import character_idempotent
 from lumpwalk.errors import DomainError, InvariantError
 from lumpwalk.linalg import IntegerRows
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer, top_to_random
-from tests.conftest import lazy_frustrator, uniform_on
+from tests.conftest import counted_closures, lazy_frustrator, uniform_on
 from tests.oracle_suite import build_pool, random_subgroup_of
 from tests.reference import (field_rank, full_subspace, left_ideal_closure, theta_dimension_by_rank,
                              theta_rows, to_subspace, verify_axioms)
@@ -220,6 +220,51 @@ def test_weak_distribution_nonlumping_weight(sym4, top_prob):
     assert not ok
     verdict, jw = weak_dist_test(top_prob, w, eta(sym4, range(24)))
     assert verdict is False and jw is None
+
+
+def test_test_dist_closes_L_w_once(sym4, mid_swap_T, frustrator, monkeypatch):
+    """`test_weak_distribution` asks for L_w twice, for its own verdict and
+    inside `compute_Jw`, and the problem closes it once.  The frustrator
+    does not lump strongly, so the cut of L_{w*} (``last``) is closed as
+    well; the averaged frustrator lumps strongly and closes nothing more."""
+    calls = counted_closures(monkeypatch)
+    problem = LumpingProblem(sym4, top_stabilizer(sym4))
+    assert weak_dist_test(problem, frustrator, eta(sym4, mid_swap_T))[0]
+    assert calls == [False, True]
+    calls.clear()
+    strong = eta(sym4, mid_swap_T) * frustrator
+    verdict, jw = weak_dist_test(problem, strong, AlgebraElement.basis(sym4, 0))
+    assert verdict and jw.dim == 24 and calls == [False]
+
+
+def test_minimal_ideals_are_kept_by_integral_form(sym4, frustrator, monkeypatch):
+    """A problem keeps one entry per integral form of a weight: a positive
+    multiple with the same integral form reads the kept cut and
+    certificate, a different weight gets an entry of its own, a weight that
+    does not lump keeps its certificate, and L_alpha keeps nothing."""
+    calls = counted_closures(monkeypatch)
+    problem = LumpingProblem(sym4, top_stabilizer(sym4))
+    first = compute_Lw(problem, frustrator)
+    half = AlgebraElement(sym4, [c / 2 for c in frustrator.coeffs])  # the same D w
+    again = compute_Lw(problem, half)
+    assert calls == [False] and len(problem._minimal_ideals) == 1
+    assert again.cut is first.cut and again.problem is problem
+    assert (again.dim, again.weakly_lumping, again.cut_violation) == \
+        (first.dim, True, None)
+    nonlumping = AlgebraElement.from_pairs(
+        sym4, [(sym4.element_of("(1,2)"), Fraction(1, 3)),
+               (sym4.element_of("(1,2,3,4)"), Fraction(2, 3))]
+    )
+    verdict, ideal, certificate = weak_weight_test(problem, nonlumping)
+    assert not verdict and calls == [False, False] and len(problem._minimal_ideals) == 2
+    assert ideal.cut is not first.cut
+    assert weak_weight_test(problem, nonlumping) == (False, ideal, certificate)
+    assert calls == [False, False]
+    scaled = AlgebraElement(sym4, [8 * c for c in frustrator.coeffs])  # D w twice the above
+    assert compute_Lw(problem, scaled).cut == first.cut
+    assert len(calls) == 3 and len(problem._minimal_ideals) == 3
+    compute_L_alpha_w(problem, frustrator, eta(sym4, range(24)))
+    assert len(calls) == 4 and len(problem._minimal_ideals) == 3
 
 
 def test_sandwich_containment(sym4, top_prob, mid_swap_T, frustrator):

@@ -1,5 +1,7 @@
 """Cross-cutting invariants: oracle agreement, dualities, well-definedness."""
 
+import contextlib
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -38,6 +40,7 @@ from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.algebra import character_idempotent, format_element, parse_element_file
 from lumpwalk.errors import DomainError
+from lumpwalk.groups import format_cycles
 from lumpwalk.linalg import (
     IntegerRows,
     Subspace,
@@ -57,7 +60,7 @@ from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field, integral_form
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
-from tests.conftest import lazy_frustrator
+from tests.conftest import counted_closures, lazy_frustrator
 from tests.oracle_suite import (
     DIST_KINDS,
     WEIGHT_KINDS,
@@ -75,6 +78,7 @@ from tests.reference import (
     balanced_double_coset_mass,
     check_Q_characterization_per_element,
     contains_by_subspace,
+    compute_Jw_by_nullspace,
     cut_strings_by_subspace,
     full_subspace,
     inner_product,
@@ -947,6 +951,114 @@ def test_reversed_annihilator_matches_forward_route():
             assert jw_cut == maximal_cut_two_echelons(problem, w), label
             weak += 1
     assert 0 < weak < len(cases) and proper > 0, (weak, proper, len(cases))
+
+
+def problem_files(directory, problem, hgens, w, alpha) -> list[str]:
+    """Input files of `problem` (its subgroup given by the image tuples
+    ``hgens``), of the weight w and of the start alpha, as the flags of a
+    `jw` or `test-dist` request."""
+    G = problem.group
+    texts = {
+        "group": f"degree {G.degree}\n" + "".join(f"gen {G.cycle_string(g)}\n"
+                                                 for g in G.generators),
+        "subgroup": f"degree {G.degree}\n" + "".join(f"gen {format_cycles(h)}\n"
+                                                    for h in hgens),
+        "weight": format_element(w),
+        "dist": format_element(alpha),
+    }
+    argv = []
+    for role, text in texts.items():
+        path = directory / f"{role}.txt"
+        path.write_text(text)
+        argv += [f"--{role}", str(path)]
+    return argv
+
+
+def jw_report_bytes(argv) -> list[str]:
+    """The `--json` and `--text` reports of `jw` and `test-dist` on the files of
+    `problem_files` (`jw` takes no start)."""
+    from lumpwalk import cli
+
+    outputs = []
+    for command in ("jw", "test-dist"):
+        args = argv if command == "test-dist" else argv[:-2]
+        for flag in ("--json", "--text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([command, *args, flag]) == 0, (command, flag)
+            outputs.append(out.getvalue())
+    return outputs
+
+
+def check_jw_route(problem, w, monkeypatch, files, label) -> bool:
+    """`compute_Jw` against the route of one echelon for every weight
+    (`compute_Jw_by_nullspace`): the cut (rows, pivots, supports, column
+    order) and the dimension, and the bytes of the `jw` and `test-dist`
+    reports on the files of `problem_files` against those with the
+    reference in its place.  The cut of L_{w*} (``last``) is spun exactly
+    when w does not lump strongly.  Returns whether w lumps strongly."""
+    from lumpwalk import cli, lumping
+
+    strong = strong_test(problem, w)[0]
+    with monkeypatch.context() as patch:
+        spun = counted_closures(patch)
+        jw = compute_Jw(problem, w)
+    assert spun.count(True) == (not strong), (label, spun)
+    expected = compute_Jw_by_nullspace(problem, w)
+    assert jw.cut == expected.cut and jw.dim == expected.dim, label
+    assert (jw.cut.pivots, jw.cut.support) == (expected.cut.pivots, expected.cut.support), label
+    if strong:
+        assert jw.dim == problem.group.order, label
+    reports = jw_report_bytes(files)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "compute_Jw", compute_Jw_by_nullspace)
+        patch.setattr(lumping, "compute_Jw", compute_Jw_by_nullspace)
+        assert jw_report_bytes(files) == reports, label
+    return strong
+
+
+def test_strongly_lumping_weight_has_the_whole_algebra_as_J_w(tmp_path, monkeypatch):
+    """A weight that lumps strongly has J_w = C[G]: `compute_Jw` returns the
+    identity cut with no closure of L_{w*}, and gives the cut, dimension and
+    `jw`/`test-dist` report bytes of the L_{w*}/nullspace route on every pool
+    pair and weight family whose weight lumps strongly (the bi-invariant
+    family always does), on S6/S5 and S7/S6 under random-to-top.  Weak
+    weights that do not lump strongly, bottom-card on S6/S5 among them, still
+    spin the cut of L_{w*} and give the same cut and bytes."""
+    rng = random.Random(3030)
+    strong_pairs, weak_only = set(), 0
+    for k, (label, G, hgens) in enumerate(build_pool()):
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue  # the nullspace construction is for small orders
+            w = sample_weight(rng, problem, kind)
+            if not w.is_irreducible_weight():
+                w = w + AlgebraElement.from_pairs(G, [(g, Fraction(1)) for g in G.generators])
+            if not compute_Lw(problem, w).weakly_lumping:
+                continue
+            directory = tmp_path / f"{k}-{kind}"
+            directory.mkdir()
+            alpha = sample_distribution(rng, problem, "random")
+            files = problem_files(directory, problem, hgens, w, alpha)
+            if check_jw_route(problem, w, monkeypatch, files, (label, kind)):
+                strong_pairs.add(label)
+            else:
+                weak_only += 1
+    assert len(strong_pairs) == len(build_pool()) and weak_only > 0, (strong_pairs, weak_only)
+    for degree in (6, 7):
+        G = symmetric_group(degree)
+        H = top_stabilizer(G)
+        problem = LumpingProblem(G, H)
+        hgens = [G.elements[h] for h in H.generators]
+        cases = [("rtt", random_to_top(G), True)]
+        if degree == 6:
+            cases.append(("bottom", bottom_card_cycle(G), False))
+        for name, w, strong in cases:
+            directory = tmp_path / f"S{degree}-{name}"
+            directory.mkdir()
+            files = problem_files(directory, problem, hgens, w, AlgebraElement.basis(G, 0))
+            assert check_jw_route(problem, w, monkeypatch, files, (degree, name)) == strong
 
 
 def check_spin_echelons(problem, w, seeds, label):
