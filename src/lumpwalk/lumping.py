@@ -4,8 +4,9 @@ Everything here is exact.  A `LumpingProblem` builds each coset table once:
 the left cosets of H, with the position in H of r^-1 x for each x in a coset
 rH, the double cosets HxH as unions of those left cosets, and the right
 cosets only when first read (the exact test and `cosets --side right`).
-It also keeps the cut of each L_w it has closed, by the integral form of
-the weight (`compute_Lw`), so one request closes each L_w once.
+It also keeps the cut of the last L_w it has closed, by the integral form
+of the weight (`compute_Lw`), so a request that asks for one L_w twice
+closes it once.
 
 The two ideal computations follow the product structure of induced ideals:
 an induced left ideal is determined by its cut down to the subgroup algebra,
@@ -110,8 +111,8 @@ class LumpingProblem:
         self.subgroup = H
         self.left = cosets(G, H, "left")
         self.double = double_cosets(G, H, self.left)
-        # the cut of L_w and its certificate (or None), by the integral form of w
-        self._minimal_ideals: dict[tuple, tuple[IntegerRows, AlgebraElement | None]] = {}
+        # (the integral form of w, the cut of L_w, its certificate or None), last closed
+        self._last_Lw: tuple[tuple, IntegerRows, AlgebraElement | None] | None = None
 
     @property
     def index(self) -> int:
@@ -242,7 +243,11 @@ class GurvitsLedouxIdeal:
     """An induced left ideal described by its cut to the subgroup algebra,
     held as the canonical forward echelon of an `IntegerRows` (`cut`): each
     row the canonical RREF row times the positive integer that makes it
-    primitive.  Reports, the dimension and membership read it as it stands."""
+    primitive.  Reports, the dimension and membership read it as it stands.
+
+    The cut and the certificate of an ideal from `compute_Lw` are shared
+    with the problem's last kept L_w (and any ideal built from it): treat
+    them as read-only."""
 
     problem: LumpingProblem
     cut: IntegerRows
@@ -497,20 +502,20 @@ def _minimal_ideal(problem: LumpingProblem, integral: AlgebraElement,
 def compute_Lw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal:
     """Minimal induced ideal containing the uniform element and stable under w.
 
-    The problem keeps the cut and certificate of each weight it has closed,
-    by its integral form, as `FiniteGroup.is_generating` keeps its answer per
-    support: a request that asks for the same L_w twice (`test-dist`, through
-    `compute_Jw`) closes it once.  The kept entry holds no `GurvitsLedouxIdeal`,
-    whose ``problem`` field would close a reference cycle through the problem,
-    so a problem is freed by reference counting as soon as its last user
-    lets go.  The cut is shared by every ideal built from the entry.
+    The problem keeps the cut and certificate of the last weight it has
+    closed, by its integral form: a request that asks for the same L_w twice
+    in a row (`test-dist`, through `compute_Jw`) closes it once, and a
+    problem holds one cut at most.  The kept entry holds no
+    `GurvitsLedouxIdeal`, whose ``problem`` field would close a reference
+    cycle through the problem, so a problem is freed by reference counting
+    as soon as its last user lets go.  The returned cut and certificate are
+    the kept ones, shared and read-only.
     """
     integral = _irreducible_integral(w)
     key = tuple(integral.coeffs)
-    entry = problem._minimal_ideals.get(key)
-    if entry is None:
-        entry = problem._minimal_ideals[key] = _minimal_ideal(problem, integral, None)
-    cut, violation = entry
+    if problem._last_Lw is None or problem._last_Lw[0] != key:
+        problem._last_Lw = (key, *_minimal_ideal(problem, integral, None))
+    _, cut, violation = problem._last_Lw
     return GurvitsLedouxIdeal(problem, cut, violation is None, violation)
 
 
@@ -571,8 +576,8 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     and their yields are those of the forward closure.
 
     A weight that lumps strongly needs no closure: J_w is all of C[G], and
-    its cut the identity.  Strong lumping is z = (1 - eta_H) w eta_H = 0
-    (every `_cut_coset_values` is zero).  As eta_H* = eta_H, z* =
+    its cut the identity.  Strong lumping (`test_strong`) is
+    z = (1 - eta_H) w eta_H = 0.  As eta_H* = eta_H, z* =
     eta_H w* (1 - eta_H), so w* lumps exactly: eta_H w* = eta_H w* eta_H is
     constant on each left coset, and every coset component of
     (Q 1) w* = (Q eta_H) w* lies in Q 1, as do the translates of 1.  So
@@ -583,10 +588,9 @@ def compute_Jw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
     if not weak:
         raise DomainError("weight does not lump weakly: the maximal ideal is undefined")
     n = problem.subgroup.order
-    w = w.require_weight()
-    if not any(_cut_coset_values(problem, coset_sums(_integer_element(w)[1], problem.left))):
+    if test_strong(problem, w)[0]:
         return GurvitsLedouxIdeal(problem, IntegerRows.identity(n), weakly_lumping=True)
-    reversed_weight = _integer_element(w.star())[1]
+    reversed_weight = _integer_element(w.require_weight().star())[1]
     rows = nullspace(problem.close_H_ideal([[1] * n], reversed_weight, last=True), n)
     rows.insert([1] * n)  # eta_H, scaled by |H|
     return GurvitsLedouxIdeal(problem, rows.echelon(), weakly_lumping=True)

@@ -3,9 +3,9 @@
     python3 tests/bench_bytes.py 1 7 > bytes.txt
 
 For each seed and each workload of `bench/workloads.py`, the script writes the
-inputs into `.bench_work/<workload>/` and issues every request from the root of
-the checkout, as `bench/run.py` does, so the reports record the same relative
-paths.  Each request runs in process through `lumpwalk.cli.main`, once with
+inputs into `.bench_work/<workload>/` under a temporary directory and issues
+every request from that directory, so the reports record the relative paths
+that `bench/run.py` gives them, and nothing in the checkout is written.  Each request runs in process through `lumpwalk.cli.main`, once with
 `--json` and once with `--text`, and gives one line: workload, seed, request
 index, output flag, command, exit code, and the sha256 of standard output and
 of standard error.  Copy the script into the `tests/` of another checkout and
@@ -13,7 +13,7 @@ run it there with the same seeds: the two outputs are equal exactly when every
 request exits with the same code and writes the same bytes.
 
 It imports `lumpwalk` from the `src/` next to it and reads `bench/workloads.py`
-only, and it removes the input directories it wrote.  pytest does not collect
+only.  pytest does not collect
 it (the file name does not start with `test_`).
 """
 
@@ -24,8 +24,8 @@ import contextlib
 import hashlib
 import io
 import os
-import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,36 +40,34 @@ def digest(text: str) -> str:
 
 
 def request_lines(name: str, seed: int):
-    """One line per request and output flag of one workload at one seed."""
-    work = Path(".bench_work") / name
-    shutil.rmtree(work, ignore_errors=True)
-    try:
-        spec = workloads.build(name, seed, work)
-        for i, req in enumerate(spec.requests):
-            for flag in ("--json", "--text"):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = cli.main(req.argv + [flag])
-                    except Exception as exc:  # a traceback is an outcome too
-                        code = f"raised:{type(exc).__name__}"
-                yield (f"{name} seed={seed} #{i} {flag} {req.command} exit={code}"
-                       f" out={digest(out.getvalue())} err={digest(err.getvalue())}")
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    """One line per request and output flag of one workload at one seed,
+    issued from the current directory."""
+    spec = workloads.build(name, seed, Path(".bench_work") / name)
+    for i, req in enumerate(spec.requests):
+        for flag in ("--json", "--text"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(req.argv + [flag])
+                except Exception as exc:  # a traceback is an outcome too
+                    code = f"raised:{type(exc).__name__}"
+            yield (f"{name} seed={seed} #{i} {flag} {req.command} exit={code}"
+                   f" out={digest(out.getvalue())} err={digest(err.getvalue())}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="+", type=int)
-    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
-                        help="only this workload (repeatable); all three by default")
     args = parser.parse_args(argv)
-    os.chdir(ROOT)  # reports record the relative input paths
-    for seed in args.seeds:
-        for name in args.workload or workloads.WORKLOADS:
-            for line in request_lines(name, seed):
-                print(line, flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)  # reports record the relative input paths
+        try:
+            for seed in args.seeds:
+                for name in workloads.WORKLOADS:
+                    for line in request_lines(name, seed):
+                        print(line, flush=True)
+        finally:
+            os.chdir(ROOT)
     return 0
 
 

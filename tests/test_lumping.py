@@ -237,17 +237,18 @@ def test_test_dist_closes_L_w_once(sym4, mid_swap_T, frustrator, monkeypatch):
     assert verdict and jw.dim == 24 and calls == [False]
 
 
-def test_minimal_ideals_are_kept_by_integral_form(sym4, frustrator, monkeypatch):
-    """A problem keeps one entry per integral form of a weight: a positive
-    multiple with the same integral form reads the kept cut and
-    certificate, a different weight gets an entry of its own, a weight that
-    does not lump keeps its certificate, and L_alpha keeps nothing."""
+def test_last_minimal_ideal_is_kept_by_integral_form(sym4, frustrator, monkeypatch):
+    """A problem keeps the last L_w it has closed, by the integral form of
+    the weight: a positive multiple with the same integral form reads the
+    kept cut and certificate, a different weight replaces the entry (the
+    problem holds one cut at most), a weight that does not lump keeps its
+    certificate, and L_alpha keeps nothing."""
     calls = counted_closures(monkeypatch)
     problem = LumpingProblem(sym4, top_stabilizer(sym4))
     first = compute_Lw(problem, frustrator)
     half = AlgebraElement(sym4, [c / 2 for c in frustrator.coeffs])  # the same D w
     again = compute_Lw(problem, half)
-    assert calls == [False] and len(problem._minimal_ideals) == 1
+    assert calls == [False] and problem._last_Lw[1] is first.cut
     assert again.cut is first.cut and again.problem is problem
     assert (again.dim, again.weakly_lumping, again.cut_violation) == \
         (first.dim, True, None)
@@ -256,15 +257,18 @@ def test_minimal_ideals_are_kept_by_integral_form(sym4, frustrator, monkeypatch)
                (sym4.element_of("(1,2,3,4)"), Fraction(2, 3))]
     )
     verdict, ideal, certificate = weak_weight_test(problem, nonlumping)
-    assert not verdict and calls == [False, False] and len(problem._minimal_ideals) == 2
-    assert ideal.cut is not first.cut
+    assert not verdict and calls == [False, False]
+    assert ideal.cut is not first.cut and problem._last_Lw[1] is ideal.cut
     assert weak_weight_test(problem, nonlumping) == (False, ideal, certificate)
     assert calls == [False, False]
+    assert compute_Lw(problem, frustrator).cut == first.cut  # replaced: closed again
+    assert len(calls) == 3
     scaled = AlgebraElement(sym4, [8 * c for c in frustrator.coeffs])  # D w twice the above
     assert compute_Lw(problem, scaled).cut == first.cut
-    assert len(calls) == 3 and len(problem._minimal_ideals) == 3
+    assert len(calls) == 4
+    kept = problem._last_Lw
     compute_L_alpha_w(problem, frustrator, eta(sym4, range(24)))
-    assert len(calls) == 4 and len(problem._minimal_ideals) == 3
+    assert len(calls) == 5 and problem._last_Lw is kept
 
 
 def test_sandwich_containment(sym4, top_prob, mid_swap_T, frustrator):
