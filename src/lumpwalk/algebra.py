@@ -302,10 +302,10 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("scalar"):
+        parts = line.split()
+        if parts[0] == "scalar":  # the keyword is the whole first token
             if header_done or pairs:
                 raise InputFormatError(f"line {lineno}: scalar header must come first")
-            parts = line.split()
             if len(parts) != 3 or parts[1] != "cyclotomic":
                 raise InputFormatError(f"line {lineno}: bad scalar header {raw!r}")
             try:

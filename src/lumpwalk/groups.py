@@ -455,18 +455,20 @@ def parse_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("degree"):
+        fields = line.split()  # the keyword is the whole first token
+        if fields[0] == "degree":
             if degree is not None:
                 raise InputFormatError(f"line {lineno}: second degree line {raw!r}")
             try:
-                degree = parse_integer(line.split()[1])
-            except (IndexError, ValueError):
+                _, value = fields  # exactly `degree <n>`
+                degree = parse_integer(value)
+            except ValueError:
                 raise InputFormatError(f"line {lineno}: bad degree line {raw!r}")
             if degree < 1:
                 raise InputFormatError(f"line {lineno}: degree must be positive, got {degree}")
             if degree > MAX_GROUP_ENTRIES:
                 raise _over_budget(degree)
-        elif line.startswith("gen"):
+        elif fields[0] == "gen":
             if degree is None:
                 raise InputFormatError(f"line {lineno}: gen before degree")
             gens.append(parse_cycles(degree, line[3:].strip()))

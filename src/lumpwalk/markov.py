@@ -454,11 +454,13 @@ def _read_states(text: str, what: str) -> tuple[int, list[str]]:
     """The count N of a `states <N>` header and the non-blank lines after it."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("states"):
+    header = lines[0].split() if lines else [""]
+    if header[0] != "states":  # the keyword is the whole first token
         raise InputFormatError(f"{what} file must start with `states <N>`")
     try:
-        n = parse_integer(lines[0].split()[1])
-    except (IndexError, ValueError):
+        _, count = header  # exactly `states <N>`
+        n = parse_integer(count)
+    except ValueError:
         raise InputFormatError("bad states header")
     if n < 1:
         raise InputFormatError(f"{what} file needs at least one state, got {n}")

@@ -3,8 +3,10 @@
 Rationals are plain ``fractions.Fraction``.  A cyclotomic scalar is a vector of
 rationals over the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced
 modulo the n-th cyclotomic polynomial, so equality of scalars is equality of
-coefficient vectors.  Cyclotomic scalars form a ring here: they add, subtract,
-multiply and conjugate, but do not divide, as no elimination runs over Q(zeta_n)
+coefficient vectors.  One kernel reduces, `CyclotomicField.power_sum`: a
+product or a conjugate is a sum over the exponents 0..n-1 that it reduces.
+Cyclotomic scalars form a ring here: they add, subtract, multiply and
+conjugate, but do not divide, as no elimination runs over Q(zeta_n)
 (characters, idempotents and the traces of `theta-dim` need no division).  No
 floating point is used anywhere.
 
@@ -92,14 +94,8 @@ class Cyclo:
     # -- helpers ----------------------------------------------------------
 
     def _coerced(self, other):
-        if isinstance(other, Cyclo):
-            if other.field.order != self.field.order:
-                raise DomainError(
-                    f"mixed cyclotomic orders {self.field.order} and {other.field.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
+        if isinstance(other, (Cyclo, int, Fraction)):
+            return self.field.coerce(other)
         return None
 
     def is_zero(self) -> bool:
@@ -209,21 +205,14 @@ class CyclotomicField:
         minimal = cyclotomic_polynomial(order)
         if len(minimal) != self.phi + 1:
             raise InvariantError(f"cyclotomic polynomial of order {order} has the wrong degree")
-        # power_table[k] = coefficients of z^k in the basis, 0 <= k <= max(n-1, 2*phi-2);
+        # power_table[k] = coefficients of z^k in the basis, 0 <= k < n (z^n = 1);
         # Phi_n is monic with integer coefficients, so they are `int`s
-        top = max(order - 1, 2 * self.phi - 2)
-        table = []
-        row = [0] * self.phi
-        row[0] = 1
-        table.append(tuple(row))
-        for _ in range(top):
-            row = [0] + list(row)
-            if len(row) > self.phi:
-                lead = row.pop()
-                if lead:
-                    row = [c - lead * m for c, m in zip(row, minimal[:-1])]
-            else:
-                row = row + [0] * (self.phi - len(row))
+        row = [1] + [0] * (self.phi - 1)
+        table = [tuple(row)]
+        for _ in range(order - 1):
+            lead, row = row[-1], [0] + row[:-1]  # times z: z^phi = -sum_{i<phi} m_i z^i
+            if lead:
+                row = [c - lead * m for c, m in zip(row, minimal)]
             table.append(tuple(row))
         self._power_table = table
         self.zero = Cyclo(self, (ZERO,) * self.phi)
@@ -234,8 +223,9 @@ class CyclotomicField:
         return Cyclo(self, self._power_table[k % self.order])
 
     def power_sum(self, coeffs) -> Cyclo:
-        """sum_k coeffs[k] z^k, reduced, for rational coeffs indexed by 0 <= k < n;
-        the power table is integral, so `int` coeffs give `int` coordinates."""
+        """sum_k coeffs[k] z^k for rational coeffs indexed by 0 <= k < n: the one
+        reduction mod Phi_n, also of products and conjugates.  The power table
+        is integral, so `int` coeffs give `int` coordinates."""
         out = [0] * self.phi
         for k, c in enumerate(coeffs):
             if c:
@@ -259,14 +249,10 @@ class CyclotomicField:
         return self.from_rational(x)
 
     def conjugate(self, x) -> Cyclo:
-        x = self.coerce(x)
-        out = [ZERO] * self.phi
-        for k, c in enumerate(x.coeffs):
-            if c:
-                row = self._power_table[(self.order - k) % self.order]
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return Cyclo(self, out)
+        exponents = [ZERO] * self.order  # z^k goes to z^(-k)
+        for k, c in enumerate(self.coerce(x).coeffs):
+            exponents[-k % self.order] = c
+        return self.power_sum(exponents)
 
     def is_zero(self, x) -> bool:
         return self.coerce(x).is_zero()
@@ -280,22 +266,14 @@ class CyclotomicField:
     # -- internal arithmetic -------------------------------------------------
 
     def _mul(self, a: Cyclo, b: Cyclo) -> Cyclo:
-        out = [ZERO] * self.phi
+        n = self.order
+        exponents = [ZERO] * n  # a_i b_j at the exponent (i + j) mod n
         for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if not cb:
-                    continue
-                c = ca * cb
-                if i + j < self.phi:
-                    out[i + j] += c
-                else:
-                    row = self._power_table[i + j]
-                    for k, r in enumerate(row):
-                        if r:
-                            out[k] += c * r
-        return Cyclo(self, out)
+            if ca:
+                for j, cb in enumerate(b.coeffs):
+                    if cb:
+                        exponents[(i + j) % n] += ca * cb
+        return self.power_sum(exponents)
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"

@@ -16,12 +16,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .algebra import AlgebraElement
-from .errors import InvariantError
+from .errors import InvariantError, ResourceError
 from .groups import gather
 from .lumping import LumpingProblem
 from .scalars import integral_form
 
 _MASK = (1 << 64) - 1
+STEP_CAP = 1_000_000  # steps of one walk: a million take seconds and tens of MB
 
 
 class Xoshiro256StarStar:
@@ -93,6 +94,8 @@ def simulate_walk(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElem
 
     A step draws the image tuple of g in supp w, built once, and composes it
     with that of the state."""
+    if length > STEP_CAP:
+        raise ResourceError(f"walk length {length} exceeds the cap {STEP_CAP}")
     w = w.require_weight().normalized()
     alpha = alpha.require_distribution()
     rng = Xoshiro256StarStar(seed)

@@ -43,13 +43,18 @@ second scan for the cycles (`parse_cycles_findall`).
 The integral forms keep their `Fraction` references: the sampler with its
 thresholds as `Fraction`s, the per-entry checks of a transition matrix,
 Dynkin's test on `Fraction` lump sums, and the cyclotomic power sum over a
-table of `Fraction` coordinates.
+table of `Fraction` coordinates.  The cyclotomic product and conjugate keep
+the loops they had before both went through that power sum: the product
+reduces each `a_i b_j` with i + j >= phi(n) by a table of the powers z^k up
+to max(n - 1, 2 phi(n) - 2), and the conjugate adds the row of z^(-k) for
+each coordinate.
 """
 
 import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from lumpwalk.algebra import AlgebraElement, coset_sums, element_lines, eta
@@ -746,4 +751,54 @@ def power_sum_on_fraction_table(field, coeffs):
         row = [Fraction(0)] + row
         lead = row.pop()
         row = [a - lead * m for a, m in zip(row, minimal)]
+    return out
+
+
+@cache
+def long_power_table(order: int) -> tuple:
+    """The coordinates of z^k, 0 <= k <= max(n - 1, 2 phi(n) - 2), reduced
+    modulo Phi_n one power at a time: the table the product once read, with a
+    row for every exponent i + j of two basis vectors."""
+    minimal = cyclotomic_polynomial(order)
+    phi = len(minimal) - 1
+    table = []
+    row = [0] * phi
+    row[0] = 1
+    table.append(tuple(row))
+    for _ in range(max(order - 1, 2 * phi - 2)):
+        row = [0] + list(row)
+        lead = row.pop()
+        if lead:
+            row = [c - lead * m for c, m in zip(row, minimal[:-1])]
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def cyclotomic_product_by_long_table(field, a, b) -> list:
+    """Reference for `CyclotomicField._mul` on coordinate vectors: a_i b_j
+    added at i + j below phi(n), and through the row of z^(i+j) above."""
+    table = long_power_table(field.order)
+    out = [Fraction(0)] * field.phi
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if ca and cb:
+                c = ca * cb
+                if i + j < field.phi:
+                    out[i + j] += c
+                else:
+                    for k, r in enumerate(table[i + j]):
+                        if r:
+                            out[k] += c * r
+    return out
+
+
+def cyclotomic_conjugate_by_rows(field, x) -> list:
+    """Reference for `CyclotomicField.conjugate` on a coordinate vector: the
+    row of z^(n-k) added once per coordinate k, times that coordinate."""
+    table = long_power_table(field.order)
+    out = [Fraction(0)] * field.phi
+    for k, c in enumerate(x):
+        if c:
+            for i, r in enumerate(table[(field.order - k) % field.order]):
+                out[i] += c * r
     return out

@@ -155,6 +155,12 @@ def test_exit_codes(files, tmp_path):
     deg5 = tmp_path / "deg5.txt"
     deg5.write_text("degree 5\ngen (1,2)\n")
     assert run_cli("cosets", "--group", files["group"], "--subgroup", str(deg5)).returncode == 2
+    # a walk longer than the step cap stops before its first draw
+    from lumpwalk.simulate import STEP_CAP
+    result = run_cli("simulate", *common(files, "--weight", files["weight"], "--dist",
+                                         files["dist_eta_t"]), "--length", str(STEP_CAP + 1))
+    assert result.returncode == 2
+    assert f"walk length {STEP_CAP + 1} exceeds the cap {STEP_CAP}" in result.stderr
     # malformed input files and flag values: exit 1 with a message, no traceback
     def write(name, text):
         path = tmp_path / name
@@ -182,6 +188,19 @@ def test_exit_codes(files, tmp_path):
         ["cosets", "--group", write("two_degrees.txt", "degree 3\ngen (1,2)\ndegree 4\n"
                                                        "gen (1,2,3,4)\n"),
          "--subgroup", files["subgroup"]],
+        # a header keyword is a whole token, and `degree` and `states` take one field
+        ["cosets", "--group", write("degrees.txt", "degrees 4\ngen (1,2)\n"),
+         "--subgroup", files["subgroup"]],
+        ["cosets", "--group", files["group"],
+         "--subgroup", write("degree_two_fields.txt", "degree 4 9\ngen (2,3)\n")],
+        ["cosets", "--group", write("generate.txt", "degree 4\ngenerate (2,3)\n"),
+         "--subgroup", files["subgroup"]],
+        ["test", "weak", *common(files, "--weight", write("scalar_x.txt",
+                                                          "scalarX cyclotomic 4\n1 id\n"))],
+        ["generic-test", "weak", "--matrix", write("statesman.txt", "statesman 2\n1 0\n0 1\n"),
+         "--lumpmap", lumpmap],
+        ["generic-test", "weak", "--matrix", matrix, "--lumpmap", lumpmap,
+         "--dist", write("states_two_fields.txt", "states 2 5\n1/2 1/2\n")],
     ]
     for argv in malformed:
         result = run_cli(*argv)
@@ -221,6 +240,32 @@ NUMERAL_CASES = [
     ("--seed", "3", "+3", "invalid int value"),
     ("--seed", "10", "1_0", "invalid int value"),
 ]
+
+
+# (file kind, text, the message of its input error): the header keywords
+# `degree`, `gen`, `scalar` and `states` are whole tokens, not prefixes
+HEADER_CASES = [
+    ("group", "degrees 4\ngen (1,2)\n", "line 1: unrecognized line 'degrees 4'"),
+    ("group", "degree 4 9\ngen (1,2)\n", "line 1: bad degree line 'degree 4 9'"),
+    ("group", "degree 4\ngenerate (2,3)\n", "line 2: unrecognized line 'generate (2,3)'"),
+    ("weight", "scalarX cyclotomic 4\n1 id\n", "bad rational literal 'scalarXcyclotomic'"),
+    ("matrix", "statesman 2\n1 0\n0 1\n", "matrix file must start with `states <N>`"),
+    ("chain_dist", "states 2 5\n1/2 1/2\n", "bad states header"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", HEADER_CASES)
+def test_header_keywords_are_whole_tokens(sym4, kind, text, message):
+    from lumpwalk.algebra import parse_element_file
+    from lumpwalk.errors import InputFormatError
+    from lumpwalk.groups import parse_generators
+    from lumpwalk.markov import parse_distribution_file, parse_matrix_file
+
+    parse = {"group": parse_generators, "weight": lambda t: parse_element_file(t, sym4),
+             "matrix": parse_matrix_file, "chain_dist": parse_distribution_file}[kind]
+    with pytest.raises(InputFormatError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("role, valid, bad, message", NUMERAL_CASES)

@@ -1,14 +1,17 @@
 """Field arithmetic: rationals, cyclotomic extensions, literals."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from lumpwalk import scalars
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.scalars import (
+    MAX_CYCLOTOMIC_ORDER,
+    Cyclo,
     CyclotomicField,
     _poly_div_exact,
     cyclotomic_field,
@@ -20,7 +23,11 @@ from lumpwalk.scalars import (
     parse_scalar,
     RATIONALS,
 )
-from tests.reference import power_sum_on_fraction_table
+from tests.reference import (
+    cyclotomic_conjugate_by_rows,
+    cyclotomic_product_by_long_table,
+    power_sum_on_fraction_table,
+)
 
 
 def test_rational_basics():
@@ -101,6 +108,37 @@ def test_conjugation():
         assert Fn.conjugate(x * y) == Fn.conjugate(x) * Fn.conjugate(y)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_CYCLOTOMIC_ORDER + 1))
+@settings(max_examples=4, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(seed=st.integers(0, 2**32))
+def test_product_and_conjugate_match_the_loops_they_replaced(n, seed):
+    """Products and conjugates, reduced by `power_sum` over the n-row power
+    table, equal the product over the table up to 2 phi(n) - 2 and the
+    conjugate by rows of z^(n-k), in value and in their written form, on
+    dense and sparse vectors of `int`s (as the power table gives) and
+    `Fraction`s (as literals give)."""
+    F = cyclotomic_field(n)
+    rng = random.Random(seed)
+
+    def vector(density):
+        out = []
+        for _ in range(F.phi):
+            p = rng.randint(-9, 9) if rng.random() < density else 0
+            out.append(p if rng.random() < 0.5 else Fraction(p, rng.randint(1, 6)))
+        return out
+
+    for density in (1, 0.2):
+        a, b = vector(density), vector(density)
+        x, y = Cyclo(F, a), Cyclo(F, b)
+        product = cyclotomic_product_by_long_table(F, a, b)
+        assert list((x * y).coeffs) == product
+        assert format_scalar(x * y) == format_scalar(Cyclo(F, product))
+        conjugate = cyclotomic_conjugate_by_rows(F, a)
+        assert list(F.conjugate(x).coeffs) == conjugate
+        assert format_scalar(F.conjugate(x)) == format_scalar(Cyclo(F, conjugate))
+    assert len(F._power_table) == n
+
+
 def test_embed_rational_roundtrip():
     z = cyclotomic_field(4).from_rational(Fraction(1, 4))
     assert z.is_rational() and z.rational_value() == Fraction(1, 4)
@@ -110,13 +148,25 @@ def test_embed_rational_roundtrip():
 
 
 def test_mixed_order_rejected():
+    """The order check lives in `CyclotomicField.coerce`: a product, a sum, a
+    difference and a conjugate across orders raise its message, and an
+    operand that is not a scalar leaves the operator to Python, which raises
+    `TypeError`."""
     a = cyclotomic_field(4).zeta()
     b = cyclotomic_field(3).zeta()
-    with pytest.raises(DomainError):
-        _ = a + b
+    for op, orders in ((lambda: a + b, "4 and 3"), (lambda: a * b, "4 and 3"),
+                       (lambda: b - a, "3 and 4"),
+                       (lambda: cyclotomic_field(4).conjugate(b), "4 and 3")):
+        with pytest.raises(DomainError) as info:
+            op()
+        assert str(info.value) == f"mixed cyclotomic orders {orders}"
     with pytest.raises(DomainError):
         common_field(cyclotomic_field(4), cyclotomic_field(3))
     assert common_field(RATIONALS, cyclotomic_field(5)).order == 5
+    for op in (lambda: a * "x", lambda: "x" * a, lambda: a + "x", lambda: "x" - a):
+        with pytest.raises(TypeError):
+            op()
+    assert a * 2 == 2 * a == a + a and a * Fraction(1, 2) + a * Fraction(1, 2) == a
 
 
 small_rationals = st.fractions(

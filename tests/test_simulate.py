@@ -17,9 +17,9 @@ from lumpwalk import (
     simulate_walk,
     walk_lumped_matrix,
 )
-from lumpwalk.errors import InvariantError
+from lumpwalk.errors import InvariantError, ResourceError
 from lumpwalk.shuffles import random_to_top
-from lumpwalk.simulate import _sampler, simulate_ensemble
+from lumpwalk.simulate import STEP_CAP, _sampler, simulate_ensemble
 from tests.reference import fraction_threshold_sampler
 
 
@@ -175,3 +175,15 @@ def test_simulate_walk_builds_no_fraction_per_step(fraction_work, top_prob, frus
     fraction_work.clear()
     simulate_walk(top_prob, frustrator, alpha, seed=9, length=length)
     assert sum(fraction_work.values()) < length // 4, fraction_work
+
+
+def test_walk_length_above_the_step_cap_is_a_resource_error(sym4, top_prob, frustrator,
+                                                            monkeypatch):
+    """The cap is checked before the generator is seeded: a walk one step
+    longer stops at once, and the longest walk of the acceptance suite
+    (100 000 steps) is within it."""
+    assert STEP_CAP >= 100_000
+    alpha = AlgebraElement.basis(sym4, 0)
+    monkeypatch.setattr("lumpwalk.simulate.Xoshiro256StarStar", None)
+    with pytest.raises(ResourceError, match=f"walk length {STEP_CAP + 1} exceeds the cap"):
+        simulate_walk(top_prob, frustrator, alpha, seed=1, length=STEP_CAP + 1)
