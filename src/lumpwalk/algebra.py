@@ -16,6 +16,7 @@ from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .scalars import (
     RATIONALS,
     common_field,
+    content_lines,
     cyclotomic_field,
     format_scalar,
     parse_integer,
@@ -298,11 +299,7 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
     pairs = []
     scalars = {}  # literal -> scalar: a weight file has few distinct literals
     header_done = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(text):
         if parts[0] == "scalar":  # the keyword is the whole first token
             if header_done or pairs:
                 raise InputFormatError(f"line {lineno}: scalar header must come first")
@@ -316,10 +313,9 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
             header_done = True
             continue
         # the group element is the final token; scalar literals may contain spaces
-        try:
-            literal, cycles_text = line.rsplit(None, 1)
-        except ValueError:
+        if len(parts) == 1:
             raise InputFormatError(f"line {lineno}: expected `<scalar> <cycles>` in {raw!r}")
+        literal, cycles_text = " ".join(parts[:-1]), parts[-1]
         scalar = scalars.get(literal)
         if scalar is None:
             scalar = scalars[literal] = parse_scalar(literal, field)

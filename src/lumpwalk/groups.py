@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DomainError, InputFormatError, InvariantError, ResourceError
-from .scalars import parse_integer
+from .scalars import content_lines, parse_integer, squeeze
 
 DEFAULT_ORDER_CAP = 20_000
 # Work budget of one enumeration: degree times group order, the number of
@@ -50,18 +50,18 @@ _CYCLES_RE = re.compile(r"(?:\([0-9,]*\))*")
 
 def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
     """The image tuple of 1-based cycle notation such as ``(1,2)(3,4)``;
-    ``id`` or ``()`` is the identity.
+    ``id``, ``()``, ``e`` or ``1`` is the identity.
 
-    Once `_CYCLES_RE` has matched the text without its whitespace, its cycles
-    are the pieces between the outer parentheses split at ``)(``: one split,
-    no second scan.  Cycles whose points are in range, distinct and in
-    disjoint cycles make a permutation by construction, so the images need no
-    further check.
+    Once `_CYCLES_RE` has matched the `squeeze`d text (whitespace between two
+    digits is an error, not a join), its cycles are the pieces between the
+    outer parentheses split at ``)(``: one split, no second scan.  Cycles
+    whose points are in range, distinct and in disjoint cycles make a
+    permutation by construction, so the images need no further check.
     """
     text = text.strip()
     if text in ("id", "()", "e", "1"):
         return tuple(range(degree))
-    stripped = "".join(text.split())  # without its whitespace
+    stripped = squeeze(text)
     if not _CYCLES_RE.fullmatch(stripped):
         raise InputFormatError(f"bad cycle notation {text!r}")
     images = list(range(-1, degree))  # by 1-based point, its 0-based image
@@ -451,12 +451,8 @@ def parse_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
     enumerating the group."""
     degree = None
     gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()  # the keyword is the whole first token
-        if fields[0] == "degree":
+    for lineno, raw, fields in content_lines(text):
+        if fields[0] == "degree":  # the keyword is the whole first token
             if degree is not None:
                 raise InputFormatError(f"line {lineno}: second degree line {raw!r}")
             try:
@@ -471,7 +467,9 @@ def parse_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
         elif fields[0] == "gen":
             if degree is None:
                 raise InputFormatError(f"line {lineno}: gen before degree")
-            gens.append(parse_cycles(degree, line[3:].strip()))
+            if len(fields) == 1:
+                raise InputFormatError(f"line {lineno}: gen without cycles or id")
+            gens.append(parse_cycles(degree, " ".join(fields[1:])))
         else:
             raise InputFormatError(f"line {lineno}: unrecognized line {raw!r}")
     if degree is None:

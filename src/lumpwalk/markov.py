@@ -31,7 +31,7 @@ from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
 from .linalg import Subspace, closure, kernel_span, nullspace
-from .scalars import integral_form, parse_integer, parse_rational
+from .scalars import content_lines, integral_form, parse_integer, parse_rational
 
 STATE_CAP = 5_000
 
@@ -450,11 +450,10 @@ def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> Transition
 # text formats: `states <N>` then N rows of rationals; `lump <state> <label>`
 
 
-def _read_states(text: str, what: str) -> tuple[int, list[str]]:
-    """The count N of a `states <N>` header and the non-blank lines after it."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    header = lines[0].split() if lines else [""]
+def _read_states(text: str, what: str) -> tuple[int, list[list[str]]]:
+    """The count N of a `states <N>` header and the fields of each line after it."""
+    rows = [fields for _, _, fields in content_lines(text)]
+    header = rows[0] if rows else [""]
     if header[0] != "states":  # the keyword is the whole first token
         raise InputFormatError(f"{what} file must start with `states <N>`")
     try:
@@ -464,20 +463,18 @@ def _read_states(text: str, what: str) -> tuple[int, list[str]]:
         raise InputFormatError("bad states header")
     if n < 1:
         raise InputFormatError(f"{what} file needs at least one state, got {n}")
-    return n, lines[1:]
+    return n, rows[1:]
 
 
 def parse_matrix_file(text: str) -> TransitionMatrix:
-    n, lines = _read_states(text, "matrix")
-    if len(lines) != n:
-        raise InputFormatError(f"expected {n} matrix rows, found {len(lines)}")
+    n, rows = _read_states(text, "matrix")
+    if len(rows) != n:
+        raise InputFormatError(f"expected {n} matrix rows, found {len(rows)}")
     values = {}  # token -> Fraction: a walk matrix has few distinct entries
 
     def token_rows():
-        """Each row's tokens, once its new tokens are parsed: a row at a time,
-        so no more than one row of token strings is held at once."""
-        for ln in lines:
-            tokens = ln.split()
+        """Each row's tokens, once its new tokens are parsed."""
+        for tokens in rows:
             for tok in dict.fromkeys(tokens):  # a bad token fails where it first occurs
                 if tok not in values:
                     values[tok] = parse_rational(tok)
@@ -489,10 +486,10 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
 
 
 def parse_distribution_file(text: str) -> Distribution:
-    n, lines = _read_states(text, "distribution")
-    if len(lines) != 1:
+    n, rows = _read_states(text, "distribution")
+    if len(rows) != 1:
         raise InputFormatError("distribution file needs exactly one row")
-    tokens = lines[0].split()
+    tokens = rows[0]
     # each distinct token once, in the order it first occurs, so a bad one fails first
     values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}
     if len(tokens) != n:
@@ -503,11 +500,7 @@ def parse_distribution_file(text: str) -> Distribution:
 def parse_lump_file(text: str, n_states: int) -> LumpingFunction:
     assignments = {}
     labels = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in content_lines(text):
         if len(parts) != 3 or parts[0] != "lump":
             raise InputFormatError(f"line {lineno}: expected `lump <state> <label>`")
         try:

@@ -307,11 +307,31 @@ def common_field(f1, f2):
 
 
 # ---------------------------------------------------------------------------
+# the lexical rules of every input file: `#` starts a comment, a line without a
+# field is skipped, whitespace is what `str.split()` and `\s` split on; and the
 # scalar literal grammar: rationals `p/q`; cyclotomic sums `a + b*z^k - ...`
 
 # ASCII digits only: `\d` and `int` also read other Unicode digits
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _TERM_RE = re.compile(r"^(?:(?P<coef>[0-9]+(?:/[0-9]+)?)\*?)?z(?:\^(?P<exp>[0-9]+))?$")
+_SPACED_DIGITS_RE = re.compile(r"[0-9]\s+[0-9]")
+
+
+def content_lines(text: str):
+    """(lineno, raw, fields) for each line of `text` with a field before its
+    `#` comment, lineno 1-based: the one comment rule of every input parser."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, raw, fields
+
+
+def squeeze(text: str) -> str:
+    """`text` as one token, without its whitespace; whitespace between two
+    digits is an error, so that `1 2` is never read as 12."""
+    if _SPACED_DIGITS_RE.search(text):
+        raise InputFormatError(f"whitespace between digits in {text.strip()!r}")
+    return "".join(text.split())
 
 
 def parse_integer(text: str) -> int:
@@ -326,7 +346,7 @@ def parse_integer(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
+    """A rational literal: a field of a line or a `squeeze`d token."""
     if not _RATIONAL_RE.match(text):
         raise InputFormatError(f"bad rational literal {text!r}")
     try:
@@ -337,7 +357,7 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_scalar(text: str, field):
     """Parse a scalar literal in the given field."""
-    text = text.strip().replace(" ", "")
+    text = squeeze(text)
     if "z" not in text:
         value = parse_rational(text)
         return value if field.kind == "rational" else field.from_rational(value)

@@ -529,11 +529,16 @@ _CYCLES_RE = re.compile(r"(?:\([0-9,]*\))*")
 
 def parse_cycles_findall(degree: int, text: str) -> tuple[int, ...]:
     """Reference for `lumpwalk.groups.parse_cycles`: the text checked by one
-    regular expression, then its cycles found by a second scan (`findall`)."""
+    regular expression, then its cycles found by a second scan (`findall`).
+    Whitespace is removed, except between two digits, where it is an error."""
     text = text.strip()
     if text in ("id", "()", "e", "1"):
         return tuple(range(degree))
-    stripped = "".join(text.split())  # without its whitespace
+    pieces = text.split()
+    for left, right in zip(pieces, pieces[1:]):
+        if left[-1] in "0123456789" and right[0] in "0123456789":
+            raise InputFormatError(f"whitespace between digits in {text!r}")
+    stripped = "".join(pieces)
     if not _CYCLES_RE.fullmatch(stripped):
         raise InputFormatError(f"bad cycle notation {text!r}")
     images = list(range(degree))

@@ -22,8 +22,9 @@ The tests fail on the names that nothing live reaches, public and private
 (a leading underscore) alike, so a private helper cannot outlive its last
 caller.  Tests, `tests/reference.py` and the rest of `bench/` do not count.
 
-One more guard keeps the package readable: no source line of it is longer
-than 100 characters.
+Two more guards keep the package readable: no source line of it is longer
+than 100 characters, and one function, `scalars.content_lines`, cuts an
+input line at its `#` comment.
 """
 
 import ast
@@ -233,3 +234,27 @@ def test_source_lines_fit_the_line_limit():
                   for number, line in enumerate(path.read_text().splitlines(), start=1)
                   if len(line) > MAX_LINE]
     assert not long_lines, f"lines over {MAX_LINE} characters: " + ", ".join(long_lines)
+
+
+def comment_splits() -> list[str]:
+    """The innermost function (or module) of each call in the package that
+    splits or partitions a string at `#`."""
+    out = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("split", "rsplit", "partition", "rpartition")):
+                continue
+            separators = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "sep")]
+            if any(isinstance(s, ast.Constant) and s.value == "#" for s in separators):
+                out.append(owner.get(id(call), path.stem))
+    return out
+
+
+def test_the_comment_rule_is_in_one_place():
+    """Every input parser reads its lines through `scalars.content_lines`,
+    the one function that cuts a line at its `#` comment."""
+    assert comment_splits() == ["scalars.content_lines"]

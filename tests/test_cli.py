@@ -206,6 +206,31 @@ def test_exit_codes(files, tmp_path):
         result = run_cli(*argv)
         assert result.returncode == 1, (argv, result.stderr)
         assert "Traceback" not in result.stderr, argv
+    # a bare `gen` line, and whitespace between two digits of a literal or of
+    # cycle notation: each an input error, never a generator or a number read
+    # with another meaning
+    deg12 = ["--group", write("deg12.txt", "degree 12\ngen (1 2,3)\n"),
+             "--subgroup", write("deg12_sub.txt", "degree 12\ngen (12,3)\n")]
+    bare_gen = write("bare_gen.txt", "degree 4\ngen\n")
+    cyclotomic = write("spaced_z.txt", "scalar cyclotomic 4\nz^1 2 id\n")
+    dist = ["--dist", files["dist_eta_t"]]
+    messages = [
+        (["cosets", "--group", files["group"], "--subgroup", bare_gen],
+         "line 2: gen without cycles or id"),
+        (["test", "weak", *common(files, "--weight", write("spaced.txt", "1 2 id\n"))],
+         "whitespace between digits in '1 2'"),
+        (["test", "weak", *common(files, "--weight", write("spaced_q.txt", "1/2 3 id\n"))],
+         "whitespace between digits in '1/2 3'"),
+        (["test", "weak", *common(files, "--weight", cyclotomic)],
+         "whitespace between digits in 'z^1 2'"),
+        (["cosets", *deg12], "whitespace between digits in '(1 2,3)'"),
+        (["conditional", *common(files, "--weight", files["weight"], *dist), "--obs", "(1 2,3)"],
+         "whitespace between digits in '(1 2,3)'"),
+    ]
+    for argv, message in messages:
+        result = run_cli(*argv)
+        assert result.returncode == 1, (argv, result.stderr)
+        assert result.stderr == f"lumpwalk: input error: {message}\n", argv
     # verdict false is still exit 0
     result = run_cli(
         "test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])

@@ -350,7 +350,7 @@ def test_parse_cycles_rejections_keep_their_messages():
         "(1,2,)": "bad point in cycle (1,2,)",
         "(1,2)x": "bad cycle notation '(1,2)x'",
         "((1,2))": "bad cycle notation '((1,2))'",
-        "(1 2)": "cycle point outside 1..4 in (12)",
+        "(1 2)": "whitespace between digits in '(1 2)'",
     }
     for text, message in cases.items():
         with pytest.raises(InputFormatError) as caught:
