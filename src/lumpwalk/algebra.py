@@ -15,6 +15,7 @@ from .errors import DomainError, InputFormatError, InvariantError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .scalars import (
     RATIONALS,
+    at_line,
     common_field,
     content_lines,
     cyclotomic_field,
@@ -300,26 +301,29 @@ def parse_element_file(text: str, group: FiniteGroup) -> AlgebraElement:
     scalars = {}  # literal -> scalar: a weight file has few distinct literals
     header_done = False
     for lineno, raw, parts in content_lines(text):
-        if parts[0] == "scalar":  # the keyword is the whole first token
-            if header_done or pairs:
-                raise InputFormatError(f"line {lineno}: scalar header must come first")
-            if len(parts) != 3 or parts[1] != "cyclotomic":
-                raise InputFormatError(f"line {lineno}: bad scalar header {raw!r}")
-            try:
-                order = parse_integer(parts[2])
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: bad cyclotomic order {parts[2]!r}")
-            field = cyclotomic_field(order)
-            header_done = True
-            continue
-        # the group element is the final token; scalar literals may contain spaces
-        if len(parts) == 1:
-            raise InputFormatError(f"line {lineno}: expected `<scalar> <cycles>` in {raw!r}")
-        literal, cycles_text = " ".join(parts[:-1]), parts[-1]
-        scalar = scalars.get(literal)
-        if scalar is None:
-            scalar = scalars[literal] = parse_scalar(literal, field)
-        pairs.append((group.element_of(cycles_text), scalar))
+        try:
+            if parts[0] == "scalar":  # the keyword is the whole first token
+                if header_done or pairs:
+                    raise InputFormatError("scalar header must come first")
+                if len(parts) != 3 or parts[1] != "cyclotomic":
+                    raise InputFormatError(f"bad scalar header {raw!r}")
+                try:
+                    order = parse_integer(parts[2])
+                except ValueError:
+                    raise InputFormatError(f"bad cyclotomic order {parts[2]!r}")
+                field = cyclotomic_field(order)
+                header_done = True
+                continue
+            # the group element is the final token; scalar literals may contain spaces
+            if len(parts) == 1:
+                raise InputFormatError(f"expected `<scalar> <cycles>` in {raw!r}")
+            literal, cycles_text = " ".join(parts[:-1]), parts[-1]
+            scalar = scalars.get(literal)
+            if scalar is None:
+                scalar = scalars[literal] = parse_scalar(literal, field)
+            pairs.append((group.element_of(cycles_text), scalar))
+        except (InputFormatError, DomainError) as error:
+            raise at_line(lineno, error) from error
     if not pairs:
         raise InputFormatError("element file has no coefficient lines")
     return AlgebraElement.from_pairs(group, pairs, field)

@@ -16,13 +16,18 @@ shared 2-vCPU VM).  This is the classical product of permutations on image
 arrays, as in Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory* (2005).  A caller that multiplies many elements by one ``g`` builds
 its gather once: the closures gather each element of the block already
-generated, the left cosets their representative, the right cosets and the
-double cosets each subgroup member, `lumping` the subgroup members
-(`weight_action`, the cut kernel, the abelian test's tables), the subgroup
-generators and their inverse translations, and `hecke` the inverse of each
-element.  Gathers live within one call; no table of them is kept.
-Inverses are computed per element from the image tuple, when asked for; no
-table of them is built.
+generated, the left cosets their representative, the right cosets each
+subgroup member, the double cosets each generator of the left factor (its
+action on the left cosets) and, for the counting identity, each of its
+members, `lumping` the subgroup members (`weight_action`, the cut kernel,
+the abelian test's tables), the subgroup generators and their inverse
+translations, and `hecke` the inverse of each element.  Gathers live within
+one call; no table of them is kept.  Inverses are computed per element from
+the image tuple, when asked for; no table of them is built.
+
+A closure joins its generators by decreasing element order, the largest
+cyclic block first.  A generated group of degree! elements is S_n, listed in
+the order of `itertools.permutations` without a sort.
 
 Cycle notation is the text form.  `parse_cycles` checks it and returns the
 image tuple, and `format_cycles` writes it back from a tuple when a report
@@ -34,10 +39,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import permutations
+from math import lcm
 from operator import itemgetter
 
 from .errors import DomainError, InputFormatError, InvariantError, ResourceError
-from .scalars import content_lines, parse_integer, squeeze
+from .scalars import at_line, content_lines, parse_integer, squeeze
 
 DEFAULT_ORDER_CAP = 20_000
 # Work budget of one enumeration: degree times group order, the number of
@@ -147,6 +155,44 @@ def inverse(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(g)), key=g.__getitem__))
 
 
+def _order(g: tuple[int, ...]) -> int:
+    """The order of the permutation with image tuple g: the lcm of its cycle
+    lengths."""
+    seen, out = [False] * len(g), 1
+    for start in range(len(g)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = g[j]
+            length += 1
+        if length:
+            out = lcm(out, length)
+    return out
+
+
+def _largest_order_first(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The generators in decreasing element order, ties in the given order.
+
+    `_closure` joins them in this order, so its first block is the largest
+    cyclic group it can start from, and the later generators join over
+    fewer, larger cosets: S_n from an n-cycle and a transposition closes over
+    (n-1)! cosets of the cycle, not n!/2 of the transposition.
+    """
+    return sorted(gens, key=_order, reverse=True)  # a stable sort, also reversed
+
+
+def _is_symmetric(degree: int, order: int) -> bool:
+    """True iff order == degree!, so that a group of that order on `degree`
+    points is S_n; degree! is not built past `order`, which the work budget
+    keeps small however large the degree."""
+    full = 1
+    for m in range(2, degree + 1):
+        full *= m
+        if full > order:
+            return False
+    return full == order
+
+
 def _closure(degree: int, gens, cap: int, known=None, past=None) -> set[tuple[int, ...]]:
     """The group generated by the image tuples `gens`, by Dimino's algorithm.
 
@@ -211,7 +257,11 @@ class FiniteGroup:
     def generate(degree: int, generators, order_cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
         """The group generated by the given image tuples, each checked."""
         gens = [_permutation(degree, g) for g in generators]
-        return FiniteGroup(degree, sorted(_closure(degree, gens, order_cap)), gens)
+        closure = _closure(degree, _largest_order_first(gens), order_cap)
+        if _is_symmetric(degree, len(closure)):
+            # the canonical order of S_n is the lexicographic one of `permutations`
+            return FiniteGroup(degree, permutations(range(degree)), gens)
+        return FiniteGroup(degree, sorted(closure), gens)
 
     # -- basic queries -------------------------------------------------------
 
@@ -254,7 +304,7 @@ class FiniteGroup:
             if g not in self.index:
                 raise DomainError(f"generator {format_cycles(g)} is not in the group")
             gens.append(g)
-        closure = _closure(self.degree, gens, self.order)
+        closure = _closure(self.degree, _largest_order_first(gens), self.order)
         members = sorted(self.index[t] for t in closure)
         gen_ids = sorted({self.index[g] for g in gens} - {0})
         return Subgroup(self, tuple(members), tuple(gen_ids))
@@ -321,8 +371,6 @@ class Subgroup:
         return True
 
     def exponent(self) -> int:
-        from math import lcm
-
         out = 1
         for m in self.members:
             k, x = 1, m
@@ -349,7 +397,6 @@ class CosetDecomposition:
     subgroup: Subgroup
     coset_of: tuple[int, ...]
     representatives: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]
     position: tuple[int, ...]
 
     @property
@@ -367,7 +414,7 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
     if side == "right":
         subgroup = [gather(h) for h in subgroup]
     coset_of, position = [-1] * G.order, [-1] * G.order
-    reps, blocks = [], []
+    reps = []
     for g in range(G.order):
         if coset_of[g] != -1:
             continue
@@ -382,9 +429,7 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> CosetDecompositio
             coset_of[y] = cid
             position[y] = pos
         reps.append(g)  # g is minimal in its coset since we scan ids upward
-        blocks.append(tuple(sorted(block)))
-    return CosetDecomposition(side, H, tuple(coset_of), tuple(reps), tuple(blocks),
-                              tuple(position))
+    return CosetDecomposition(side, H, tuple(coset_of), tuple(reps), tuple(position))
 
 
 @dataclass(frozen=True)
@@ -394,11 +439,19 @@ class DoubleCosetDecomposition:
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
 
     @property
     def n_classes(self) -> int:
         return len(self.representatives)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The members of each class, ascending, built from `class_of` when
+        first read."""
+        blocks = [[] for _ in self.representatives]
+        for g, cid in enumerate(self.class_of):
+            blocks[cid].append(g)
+        return tuple(map(tuple, blocks))
 
 
 def double_cosets(G: FiniteGroup, T: Subgroup,
@@ -406,39 +459,49 @@ def double_cosets(G: FiniteGroup, T: Subgroup,
     """Partition of G into classes TxH, with the counting identity checked.
 
     H is the subgroup of ``left``, the left coset decomposition of G by H that
-    the caller holds.  Each class is the union of the left cosets (tx)H over t
-    in T.
+    the caller holds.  T acts on the left cosets by t (rH) = (t r)H, and the
+    class TxH is the union of the orbit of xH: the orbits are read from one
+    gather per generator of T and coset, and a class has |H| times as many
+    members as its orbit has cosets.  The classes are numbered by their
+    least member, the representative of their first coset.
     """
     H = left.subgroup
     if T.parent is not G or H.parent is not G:
         raise DomainError("subgroups do not belong to this group")
     if left.side != "left":
         raise DomainError("double cosets are built from the left cosets of the right factor")
-    images, index = G.images, G.index
-    inner = [gather(images[t]) for t in T.members]
-    class_of = [-1] * G.order
-    reps, sizes, blocks = [], [], []
-    for x in range(G.order):
-        if class_of[x] != -1:
+    images, index, coset_of = G.images, G.index, left.coset_of
+    rep_images = [images[r] for r in left.representatives]
+    actions = []  # for each generator t of T, the coset id of t r, by coset id of r
+    for t in T.generators:
+        t_times = gather(images[t])
+        actions.append([coset_of[index[t_times(r)]] for r in rep_images])
+    class_of_coset = [-1] * left.n_cosets
+    reps, sizes = [], []
+    for c in range(left.n_cosets):
+        if class_of_coset[c] != -1:
             continue
         cid = len(reps)
-        p = images[x]
-        tx = [t_times(p) for t_times in inner]  # t x, for t in T
-        coset_ids = {left.coset_of[index[y]] for y in tx}
-        block = sorted(y for c in coset_ids for y in left.cosets[c])
-        for y in block:
-            class_of[y] = cid
-        reps.append(x)
-        sizes.append(len(block))
-        blocks.append(tuple(block))
-        # |TxH| * |x^{-1} T x cap H| == |H| * |T|
-        x_inv_times, meet = gather(inverse(p)), 0
-        for y in tx:
-            meet += index[x_inv_times(y)] in H  # x^-1 t x
-        if len(block) * meet != H.order * T.order:
+        class_of_coset[c] = cid
+        orbit = [c]
+        for d in orbit:  # grows while it is read
+            for action in actions:
+                e = action[d]
+                if class_of_coset[e] == -1:
+                    class_of_coset[e] = cid
+                    orbit.append(e)
+        reps.append(left.representatives[c])
+        sizes.append(len(orbit) * H.order)
+    # |TxH| * |x^{-1} T x cap H| == |H| * |T|, where x^-1 t x lies in H
+    # exactly when t x lies in xH
+    inner = [gather(images[t]) for t in T.members]
+    for x, size in zip(reps, sizes):
+        p, own = images[x], coset_of[x]
+        meet = sum(coset_of[index[t_times(p)]] == own for t_times in inner)
+        if size * meet != H.order * T.order:
             raise DomainError("double coset counting identity failed (corrupt input group)")
     return DoubleCosetDecomposition(
-        T, H, tuple(class_of), tuple(reps), tuple(sizes), tuple(blocks)
+        T, H, tuple(map(class_of_coset.__getitem__, coset_of)), tuple(reps), tuple(sizes)
     )
 
 
@@ -452,26 +515,29 @@ def parse_generators(text: str) -> tuple[int, list[tuple[int, ...]]]:
     degree = None
     gens = []
     for lineno, raw, fields in content_lines(text):
-        if fields[0] == "degree":  # the keyword is the whole first token
-            if degree is not None:
-                raise InputFormatError(f"line {lineno}: second degree line {raw!r}")
-            try:
-                _, value = fields  # exactly `degree <n>`
-                degree = parse_integer(value)
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: bad degree line {raw!r}")
-            if degree < 1:
-                raise InputFormatError(f"line {lineno}: degree must be positive, got {degree}")
-            if degree > MAX_GROUP_ENTRIES:
-                raise _over_budget(degree)
-        elif fields[0] == "gen":
-            if degree is None:
-                raise InputFormatError(f"line {lineno}: gen before degree")
-            if len(fields) == 1:
-                raise InputFormatError(f"line {lineno}: gen without cycles or id")
-            gens.append(parse_cycles(degree, " ".join(fields[1:])))
-        else:
-            raise InputFormatError(f"line {lineno}: unrecognized line {raw!r}")
+        try:
+            if fields[0] == "degree":  # the keyword is the whole first token
+                if degree is not None:
+                    raise InputFormatError(f"second degree line {raw!r}")
+                try:
+                    _, value = fields  # exactly `degree <n>`
+                    degree = parse_integer(value)
+                except ValueError:
+                    raise InputFormatError(f"bad degree line {raw!r}")
+                if degree < 1:
+                    raise InputFormatError(f"degree must be positive, got {degree}")
+                if degree > MAX_GROUP_ENTRIES:
+                    raise _over_budget(degree)
+            elif fields[0] == "gen":
+                if degree is None:
+                    raise InputFormatError("gen before degree")
+                if len(fields) == 1:
+                    raise InputFormatError("gen without cycles or id")
+                gens.append(parse_cycles(degree, " ".join(fields[1:])))
+            else:
+                raise InputFormatError(f"unrecognized line {raw!r}")
+        except (InputFormatError, DomainError) as error:
+            raise at_line(lineno, error) from error
     if degree is None:
         raise InputFormatError("missing degree line")
     return degree, gens

@@ -31,7 +31,7 @@ from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError, InvariantError
 from .groups import FiniteGroup
 from .linalg import Subspace, closure, kernel_span, nullspace
-from .scalars import content_lines, integral_form, parse_integer, parse_rational
+from .scalars import at_line, content_lines, integral_form, parse_integer, parse_rational
 
 STATE_CAP = 5_000
 
@@ -450,19 +450,20 @@ def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> Transition
 # text formats: `states <N>` then N rows of rationals; `lump <state> <label>`
 
 
-def _read_states(text: str, what: str) -> tuple[int, list[list[str]]]:
-    """The count N of a `states <N>` header and the fields of each line after it."""
-    rows = [fields for _, _, fields in content_lines(text)]
-    header = rows[0] if rows else [""]
+def _read_states(text: str, what: str) -> tuple[int, list[tuple[int, list[str]]]]:
+    """The count N of a `states <N>` header, and the line number and fields
+    of each line after it."""
+    rows = [(lineno, fields) for lineno, _, fields in content_lines(text)]
+    lineno, header = rows[0] if rows else (0, [""])
     if header[0] != "states":  # the keyword is the whole first token
         raise InputFormatError(f"{what} file must start with `states <N>`")
     try:
         _, count = header  # exactly `states <N>`
         n = parse_integer(count)
     except ValueError:
-        raise InputFormatError("bad states header")
+        raise at_line(lineno, InputFormatError("bad states header"))
     if n < 1:
-        raise InputFormatError(f"{what} file needs at least one state, got {n}")
+        raise at_line(lineno, InputFormatError(f"{what} file needs at least one state, got {n}"))
     return n, rows[1:]
 
 
@@ -474,12 +475,15 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
 
     def token_rows():
         """Each row's tokens, once its new tokens are parsed."""
-        for tokens in rows:
-            for tok in dict.fromkeys(tokens):  # a bad token fails where it first occurs
-                if tok not in values:
-                    values[tok] = parse_rational(tok)
-            if len(tokens) != n:
-                raise InputFormatError("matrix row with wrong entry count")
+        for lineno, tokens in rows:
+            try:
+                for tok in dict.fromkeys(tokens):  # a bad token fails where it first occurs
+                    if tok not in values:
+                        values[tok] = parse_rational(tok)
+                if len(tokens) != n:
+                    raise InputFormatError("matrix row with wrong entry count")
+            except (InputFormatError, DomainError) as error:
+                raise at_line(lineno, error) from error
             yield tokens
 
     return TransitionMatrix(token_rows(), values.__getitem__)
@@ -489,11 +493,14 @@ def parse_distribution_file(text: str) -> Distribution:
     n, rows = _read_states(text, "distribution")
     if len(rows) != 1:
         raise InputFormatError("distribution file needs exactly one row")
-    tokens = rows[0]
-    # each distinct token once, in the order it first occurs, so a bad one fails first
-    values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}
-    if len(tokens) != n:
-        raise InputFormatError("distribution row with wrong entry count")
+    lineno, tokens = rows[0]
+    try:
+        # each distinct token once, in the order it first occurs, so a bad one fails first
+        values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}
+        if len(tokens) != n:
+            raise InputFormatError("distribution row with wrong entry count")
+    except (InputFormatError, DomainError) as error:
+        raise at_line(lineno, error) from error
     return Distribution(tuple(map(values.__getitem__, tokens)))
 
 
@@ -501,18 +508,20 @@ def parse_lump_file(text: str, n_states: int) -> LumpingFunction:
     assignments = {}
     labels = {}
     for lineno, _, parts in content_lines(text):
-        if len(parts) != 3 or parts[0] != "lump":
-            raise InputFormatError(f"line {lineno}: expected `lump <state> <label>`")
         try:
-            state = parse_integer(parts[1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: bad state {parts[1]!r}")
-        label = parts[2]
-        if not 0 <= state < n_states:
-            raise InputFormatError(f"line {lineno}: state {state} out of range")
-        if state in assignments:
-            raise InputFormatError(f"line {lineno}: state {state} has a second lump line")
-        assignments[state] = label
+            if len(parts) != 3 or parts[0] != "lump":
+                raise InputFormatError("expected `lump <state> <label>`")
+            try:
+                state = parse_integer(parts[1])
+            except ValueError:
+                raise InputFormatError(f"bad state {parts[1]!r}")
+            if not 0 <= state < n_states:
+                raise InputFormatError(f"state {state} out of range")
+            if state in assignments:
+                raise InputFormatError(f"state {state} has a second lump line")
+        except (InputFormatError, DomainError) as error:
+            raise at_line(lineno, error) from error
+        assignments[state] = parts[2]
     if set(assignments) != set(range(n_states)):
         raise InputFormatError("every state needs exactly one lump line")
     order = []

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError, InputFormatError, InvariantError
+from .errors import DomainError, InputFormatError, InvariantError, LumpwalkError
 
 MAX_CYCLOTOMIC_ORDER = 64
 
@@ -324,6 +324,13 @@ def content_lines(text: str):
         fields = raw.split("#", 1)[0].split()
         if fields:
             yield lineno, raw, fields
+
+
+def at_line(lineno: int, error: LumpwalkError) -> LumpwalkError:
+    """`error` again, of its own class, with `line N: ` before its message.
+    Each parser raises through it the `InputFormatError` or `DomainError`
+    that one line of its input gives, so the message names the line."""
+    return type(error)(f"line {lineno}: {error}")
 
 
 def squeeze(text: str) -> str:

@@ -34,7 +34,7 @@ from lumpwalk import test_exact_generic as exact_generic
 from lumpwalk import test_strong_generic as strong_generic
 from lumpwalk import test_weak_generic as weak_generic
 from lumpwalk.linalg import nullspace
-from tests.reference import to_subspace
+from tests.reference import coset_blocks, to_subspace
 
 
 def _gen(degree, *cycles):
@@ -118,7 +118,7 @@ def sample_weight(rng, problem, kind):
         decomposition = problem.left if side == "left" else problem.right
         cid = rng.randrange(decomposition.n_cosets)
         w = AlgebraElement.zero(G)
-        for g in decomposition.cosets[cid]:
+        for g in coset_blocks(decomposition)[cid]:
             w.coeffs[g] = Fraction(1)
         w.coeffs[0] += Fraction(1)
         return w

@@ -38,7 +38,11 @@ sharing no code with `lumpwalk.groups`: the one-line images of a cycle
 string, the multiplication and inverse tables of an enumerated group, the
 subgroup generated by some of its elements, and its one-sided and double
 cosets built from every product.  The cycle parser keeps its form with a
-second scan for the cycles (`parse_cycles_findall`).
+second scan for the cycles (`parse_cycles_findall`).  The double cosets,
+which the package reads as orbits of the left factor's generators on the
+left cosets, keep their construction from every member of the left factor
+(`double_cosets_per_member`), and the members of each one-sided coset, which
+the package no longer lists, are read from its `coset_of` (`coset_blocks`).
 
 The integral forms keep their `Fraction` references: the sampler with its
 thresholds as `Fraction`s, the per-entry checks of a transition matrix,
@@ -147,6 +151,40 @@ def double_coset_partition(mul, left_members, right_members) -> tuple:
             reps.append(x)
             blocks.append(tuple(block))
     return tuple(class_of), tuple(reps), tuple(len(b) for b in blocks), tuple(blocks)
+
+
+def coset_blocks(decomposition) -> tuple[tuple[int, ...], ...]:
+    """The members of each coset of a `CosetDecomposition`, ascending, by
+    coset id, read from its `coset_of`."""
+    blocks = [[] for _ in decomposition.representatives]
+    for g, cid in enumerate(decomposition.coset_of):
+        blocks[cid].append(g)
+    return tuple(map(tuple, blocks))
+
+
+def double_cosets_per_member(G, T, left) -> tuple:
+    """(class_of, representatives, sizes, classes) of the classes TxH, for H
+    the subgroup of the left coset decomposition `left`: each class the union
+    of the cosets (tx)H over every member t of T, numbered by its least
+    member, with the counting identity |TxH| |x^-1 T x cap H| = |H| |T|
+    checked by the conjugates x^-1 t x."""
+    H = left.subgroup
+    blocks = coset_blocks(left)
+    class_of, reps, classes = [-1] * G.order, [], []
+    for x in range(G.order):
+        if class_of[x] != -1:
+            continue
+        tx = [G.mul(t, x) for t in T.members]
+        block = sorted(y for c in {left.coset_of[y] for y in tx} for y in blocks[c])
+        for y in block:
+            class_of[y] = len(reps)
+        reps.append(x)
+        classes.append(tuple(block))
+        x_inv = G.inv(x)
+        meet = sum(G.mul(x_inv, y) in H for y in tx)
+        if len(block) * meet != H.order * T.order:
+            raise DomainError("double coset counting identity failed")
+    return tuple(class_of), tuple(reps), tuple(map(len, classes)), tuple(classes)
 
 
 class BackEliminatingRows:

@@ -195,6 +195,7 @@ def test_averaging(sym4, top_prob, mid_swap_T):
     """eta_T w is constant on right cosets of T; w eta_H constant on left
     cosets of H; eta_T w eta_H constant on (T, H) double cosets."""
     from lumpwalk.groups import cosets as make_cosets, double_cosets as make_double
+    from tests.reference import coset_blocks
 
     rng = random.Random(23)
     T = mid_swap_T
@@ -206,12 +207,12 @@ def test_averaging(sym4, top_prob, mid_swap_T):
     for _ in range(3):
         w = random_element(sym4, rng, 0, 4)
         left_avg = eta_T * w
-        for cid, block in enumerate(right_T.cosets):
+        for cid, block in enumerate(coset_blocks(right_T)):
             values = {left_avg.coeffs[g] for g in block}
             assert len(values) == 1
             assert values.pop() * T.order == sum(w.coeffs[g] for g in block)
         wh = w * eta_H
-        for block in top_prob.left.cosets:
+        for block in coset_blocks(top_prob.left):
             values = {wh.coeffs[g] for g in block}
             assert len(values) == 1
             assert values.pop() * H.order == sum(w.coeffs[g] for g in block)

@@ -218,19 +218,42 @@ def test_exit_codes(files, tmp_path):
         (["cosets", "--group", files["group"], "--subgroup", bare_gen],
          "line 2: gen without cycles or id"),
         (["test", "weak", *common(files, "--weight", write("spaced.txt", "1 2 id\n"))],
-         "whitespace between digits in '1 2'"),
+         "line 1: whitespace between digits in '1 2'"),
         (["test", "weak", *common(files, "--weight", write("spaced_q.txt", "1/2 3 id\n"))],
-         "whitespace between digits in '1/2 3'"),
+         "line 1: whitespace between digits in '1/2 3'"),
         (["test", "weak", *common(files, "--weight", cyclotomic)],
-         "whitespace between digits in 'z^1 2'"),
-        (["cosets", *deg12], "whitespace between digits in '(1 2,3)'"),
+         "line 2: whitespace between digits in 'z^1 2'"),
+        (["cosets", *deg12], "line 2: whitespace between digits in '(1 2,3)'"),
         (["conditional", *common(files, "--weight", files["weight"], *dist), "--obs", "(1 2,3)"],
          "whitespace between digits in '(1 2,3)'"),
+        # an error of one line names that line: weight, group, subgroup, --dist and matrix files
+        (["test", "weak", *common(files, "--weight", write("line5.txt", WEIGHT + "1 2 (1,4)\n"))],
+         "line 5: whitespace between digits in '1 2'"),
+        (["cosets", "--group", write("open_group.txt", "degree 4\n# S4\ngen (1,2\n"),
+          "--subgroup", files["subgroup"]], "line 3: bad cycle notation '(1,2'"),
+        (["cosets", "--group", files["group"],
+          "--subgroup", write("open_sub.txt", "degree 4\ngen (2,3)\ngen (2,3\n")],
+         "line 3: bad cycle notation '(2,3'"),
+        (["test-dist", *common(files, "--weight", files["weight"], "--dist",
+                               write("dist_zero.txt", "1/2 id\n1/0 (2,3)\n"))],
+         "line 2: zero denominator in rational literal '1/0'"),
+        (["generic-test", "weak", "--matrix", write("x_row.txt", "states 2\n1/2 1/2\n1 x\n"),
+          "--lumpmap", lumpmap], "line 3: bad rational literal 'x'"),
+        (["generic-test", "weak", "--matrix", matrix, "--lumpmap", lumpmap,
+          "--dist", write("chain_zero.txt", "states 2\n\n1/0 1\n")],
+         "line 3: zero denominator in rational literal '1/0'"),
     ]
     for argv, message in messages:
         result = run_cli(*argv)
         assert result.returncode == 1, (argv, result.stderr)
         assert result.stderr == f"lumpwalk: input error: {message}\n", argv
+    # an element outside the group is a precondition, and names its line too
+    result = run_cli("test", "weak", "--group", write("c4.txt", CYCLIC),
+                     "--subgroup", write("c2.txt", "degree 4\ngen (1,3)(2,4)\n"),
+                     "--weight", write("outside.txt", "1/2 (1,2,3,4)\n1/2 (1,2)\n"))
+    assert result.returncode == 2
+    assert result.stderr == ("lumpwalk: precondition violated: "
+                             "line 2: (1,2) is not an element of this group\n")
     # verdict false is still exit 0
     result = run_cli(
         "test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])
@@ -273,9 +296,9 @@ HEADER_CASES = [
     ("group", "degrees 4\ngen (1,2)\n", "line 1: unrecognized line 'degrees 4'"),
     ("group", "degree 4 9\ngen (1,2)\n", "line 1: bad degree line 'degree 4 9'"),
     ("group", "degree 4\ngenerate (2,3)\n", "line 2: unrecognized line 'generate (2,3)'"),
-    ("weight", "scalarX cyclotomic 4\n1 id\n", "bad rational literal 'scalarXcyclotomic'"),
+    ("weight", "scalarX cyclotomic 4\n1 id\n", "line 1: bad rational literal 'scalarXcyclotomic'"),
     ("matrix", "statesman 2\n1 0\n0 1\n", "matrix file must start with `states <N>`"),
-    ("chain_dist", "states 2 5\n1/2 1/2\n", "bad states header"),
+    ("chain_dist", "states 2 5\n1/2 1/2\n", "line 1: bad states header"),
 ]
 
 

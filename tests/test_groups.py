@@ -15,8 +15,15 @@ from lumpwalk import (
     parse_group_file,
 )
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError, ResourceError
-from lumpwalk.groups import MAX_GROUP_ENTRIES, _closure, format_cycles, gather, parse_generators
-from tests.reference import parse_cycles_findall
+from lumpwalk.groups import (
+    DEFAULT_ORDER_CAP,
+    MAX_GROUP_ENTRIES,
+    _closure,
+    format_cycles,
+    gather,
+    parse_generators,
+)
+from tests.reference import coset_blocks, parse_cycles_findall
 
 
 def test_group_not_starting_at_the_identity_is_an_invariant_error():
@@ -88,7 +95,7 @@ def test_left_cosets(sym4, top_prob):
     assert coset_of[sym4.element_of("id")] != coset_of[sym4.element_of("(1,2)")]
     for k in (2, 3, 4):
         cid = coset_of[sym4.element_of(f"(1,{k})")]
-        members = decomposition.cosets[cid]
+        members = coset_blocks(decomposition)[cid]
         # gH = permutations sending position k to the top
         assert all(sym4.images[m][k - 1] == 0 for m in members)
     assert "id" in reps
@@ -98,7 +105,7 @@ def test_coset_sizes_and_index(sym4):
     C4 = sym4.subgroup([parse_cycles(4, "(1,2,3,4)")])
     decomposition = cosets(sym4, C4, "left")
     assert decomposition.n_cosets == 6
-    assert all(len(c) == 4 for c in decomposition.cosets)
+    assert all(len(c) == 4 for c in coset_blocks(decomposition))
     whole = cosets(sym4, sym4.subgroup(sym4.generators), "left")
     assert whole.n_cosets == 1
 
@@ -121,7 +128,7 @@ def test_double_cosets_trivial_left_factor(sym4):
     lc = cosets(sym4, H, "left")
     dc = double_cosets(sym4, T, lc)
     assert dc.n_classes == lc.n_cosets
-    assert set(dc.classes) == set(lc.cosets)
+    assert set(dc.classes) == set(coset_blocks(lc))
 
 
 def test_counting_identity(sym4):
@@ -137,10 +144,10 @@ def test_counting_identity(sym4):
 
 
 def test_left_cosets_refine_double_cosets(top_prob):
-    for cid, block in enumerate(top_prob.left.cosets):
+    for cid, block in enumerate(coset_blocks(top_prob.left)):
         classes = {top_prob.double.class_of[g] for g in block}
         assert len(classes) == 1
-    for cid, block in enumerate(top_prob.right.cosets):
+    for cid, block in enumerate(coset_blocks(top_prob.right)):
         classes = {top_prob.double.class_of[g] for g in block}
         assert len(classes) == 1
 
@@ -438,11 +445,12 @@ def test_permutation_validation(sym4):
 def test_coset_invariants(sym4, top_prob):
     H = top_prob.subgroup
     for decomposition in (top_prob.left, top_prob.right):
-        assert all(len(c) == H.order for c in decomposition.cosets)
+        blocks = coset_blocks(decomposition)
+        assert all(len(c) == H.order for c in blocks)
         for cid, rep in enumerate(decomposition.representatives):
             assert decomposition.coset_of[rep] == cid
-            assert rep == min(decomposition.cosets[cid])
-        assert sorted(sum(decomposition.cosets, ())) == list(range(24))
+            assert rep == min(blocks[cid])
+        assert sorted(sum(blocks, ())) == list(range(24))
 
 
 def test_gather_matches_the_python_product_loop():
@@ -471,7 +479,7 @@ def test_group_layer_matches_one_line_reference_at_degrees_one_and_two():
         for H in (G.subgroup([]), G.subgroup(G.generators)):
             for side in ("left", "right"):
                 got = cosets(G, H, side)
-                assert (got.coset_of, got.representatives, got.cosets) == coset_partition(
+                assert (got.coset_of, got.representatives, coset_blocks(got)) == coset_partition(
                     mul, H.members, side), (degree, side)
             got = double_cosets(G, H, cosets(G, H))
             assert (got.class_of, got.representatives, got.sizes, got.classes) == \
@@ -495,7 +503,7 @@ def test_group_layer_matches_one_line_reference_on_pool():
         H = G.subgroup(hgens)
         for side in ("left", "right"):
             got = cosets(G, H, side)
-            assert (got.coset_of, got.representatives, got.cosets) == coset_partition(
+            assert (got.coset_of, got.representatives, coset_blocks(got)) == coset_partition(
                 mul, H.members, side), (label, side)
 
 
@@ -532,6 +540,134 @@ def test_double_cosets_match_brute_force_on_pool():
                 double_coset_partition(mul, T.members, K.members), label
 
 
+def test_double_cosets_check_the_counting_identity(sym4, top_prob):
+    """The orbits come from the left factor's generators and the identity's
+    stabilisers from its members, so a factor whose generators do not
+    generate its members is refused."""
+    from lumpwalk.groups import Subgroup
+
+    H = top_prob.subgroup
+    for generators in ((), H.generators[:1]):
+        corrupt = Subgroup(sym4, H.members, generators)
+        with pytest.raises(DomainError, match="counting identity"):
+            double_cosets(sym4, corrupt, top_prob.left)
+
+
 def test_double_cosets_need_the_left_decomposition(sym4, top_prob):
     with pytest.raises(DomainError, match="left cosets"):
         double_cosets(sym4, top_prob.subgroup, top_prob.right)
+
+
+def symmetric_generators(n: int) -> list[tuple[int, ...]]:
+    """(1,2) and (1,2,...,n) as image tuples; none for S_1."""
+    if n == 1:
+        return []
+    return [parse_cycles(n, "(1,2)"), parse_cycles(n, "(" + ",".join(map(str, range(1, n + 1))) + ")")]
+
+
+def top_stabilizer_generators(n: int) -> list[tuple[int, ...]]:
+    """(2,3) and (2,3,...,n) as image tuples: the stabiliser of point 1 in S_n."""
+    return [parse_cycles(n, "(2,3)"), parse_cycles(n, "(" + ",".join(map(str, range(2, n + 1))) + ")")]
+
+
+def test_double_cosets_match_the_per_member_reference():
+    """The classes read as orbits on the left cosets equal the classes built
+    from every member of the left factor, with their numbering, sizes and
+    members: on every pair of the pool with T = H and with each proper
+    subgroup T of H that the pool's inner-subgroup draw gives, and on S6 over
+    its top-card stabiliser and over C6, and S7 over S6."""
+    from tests.oracle_suite import build_pool, random_subgroup_of
+    from tests.reference import double_cosets_per_member
+
+    cases = []
+    for label, G, hgens in build_pool():
+        H = G.subgroup(hgens)
+        rng, inner = random.Random(f"double cosets {label}"), {}
+        for _ in range(12):
+            T = random_subgroup_of(rng, H)
+            if T.order < H.order:
+                inner.setdefault(T.members, T)
+        cases += [(label, G, T, H) for T in [H, *inner.values()]]
+    s6 = FiniteGroup.generate(6, symmetric_generators(6))
+    s7 = FiniteGroup.generate(7, symmetric_generators(7))
+    for label, G, H in (("S6/S5", s6, s6.subgroup(top_stabilizer_generators(6))),
+                        ("S6/C6", s6, s6.subgroup([parse_cycles(6, "(1,2,3,4,5,6)")])),
+                        ("S7/S6", s7, s7.subgroup(top_stabilizer_generators(7)))):
+        cases.append((label, G, H, H))
+    for label, G, T, H in cases:
+        left = cosets(G, H)
+        got = double_cosets(G, T, left)
+        assert (got.class_of, got.representatives, got.sizes, got.classes) == \
+            double_cosets_per_member(G, T, left), (label, T.members)
+
+
+NON_SYMMETRIC = [
+    ("A4", 4, ["(1,2)(3,4)", "(1,2,3)"]),
+    ("D10", 5, ["(1,2,3,4,5)", "(2,5)(3,4)"]),
+    ("D12", 6, ["(1,2,3,4,5,6)", "(2,6)(3,5)"]),
+    ("C6", 6, ["(1,2,3,4,5,6)"]),
+    ("S5 on 6 points", 6, ["(1,2)", "(1,2,3,4,5)"]),
+]
+
+
+def test_generate_lists_the_sorted_closure():
+    """`generate` lists the closure of its generators sorted, both where it
+    lists S_n in the order of `permutations` (S_1 to S_7, also from other
+    generators) and where it sorts (groups of order below degree!)."""
+    groups = [(f"S{n}", n, symmetric_generators(n)) for n in range(1, 8)]
+    groups.append(("S4 by adjacent transpositions", 4,
+                   [parse_cycles(4, c) for c in ("(1,2)", "(2,3)", "(3,4)")]))
+    groups += [(label, degree, [parse_cycles(degree, c) for c in gens])
+               for label, degree, gens in NON_SYMMETRIC]
+    for label, degree, gens in groups:
+        closure = _closure(degree, gens, DEFAULT_ORDER_CAP)
+        assert FiniteGroup.generate(degree, gens).images == tuple(sorted(closure)), label
+
+
+GENERATED = [(f"S{n}", n, symmetric_generators(n), top_stabilizer_generators(n))
+             for n in (4, 5)]
+GENERATED += [(label, degree, [parse_cycles(degree, c) for c in gens],
+               [parse_cycles(degree, gens[-1])]) for label, degree, gens in NON_SYMMETRIC]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(GENERATED), st.randoms(use_true_random=False), st.booleans(),
+       st.booleans())
+def test_generators_in_any_order_give_the_same_group(case, rng, duplicate, identity):
+    """The images of a generated group and the members of a subgroup do not
+    change when the generators are shuffled, repeated or joined by the
+    identity."""
+    label, degree, gens, hgens = case
+    G = FiniteGroup.generate(degree, gens)
+    H = G.subgroup(hgens)
+
+    def variant(generators):
+        out = list(generators)
+        if duplicate and out:
+            out.append(rng.choice(out))
+        if identity:
+            out.append(tuple(range(degree)))
+        rng.shuffle(out)
+        return out
+
+    again = FiniteGroup.generate(degree, variant(gens))
+    assert (again.images, again.generators) == (G.images, G.generators), label
+    assert G.subgroup(variant(hgens)).members == H.members, label
+    assert again.subgroup(variant(hgens)).members == H.members, label
+
+
+def test_order_cap_and_work_budget_keep_their_messages():
+    """A group over the order cap or the work budget raises `ResourceError`
+    with the same message, whether or not it would be S_n."""
+    for n, cap in ((5, 100), (6, 719), (8, DEFAULT_ORDER_CAP)):
+        with pytest.raises(ResourceError) as info:
+            FiniteGroup.generate(n, symmetric_generators(n), order_cap=cap)
+        assert str(info.value) == f"group order exceeds the configured cap {cap}"
+    with pytest.raises(ResourceError) as info:
+        FiniteGroup.generate(6, [parse_cycles(6, c) for c in NON_SYMMETRIC[-1][2]], order_cap=119)
+    assert str(info.value) == "group order exceeds the configured cap 119"
+    with pytest.raises(ResourceError) as info:
+        FiniteGroup.generate(9, symmetric_generators(9), order_cap=10**6)
+    assert str(info.value) == (f"degree 9 times the group order exceeds the work budget of "
+                               f"{MAX_GROUP_ENTRIES} permutation entries")
+    assert FiniteGroup.generate(8, symmetric_generators(8), order_cap=40320).order == 40320

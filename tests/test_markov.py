@@ -177,8 +177,9 @@ def test_integral_rows_match_per_entry_checks(rows, data):
         tokens = [[str(written(p, 2 + (k + x) % 2)) for k, p in enumerate(row)]
                   for x, row in enumerate(rows)]
         text = f"states {len(rows)}\n" + "".join(" ".join(t) + "\n" for t in tokens)
-        if any(len(row) != len(rows) for row in rows):
-            expected = ("InputFormatError", "matrix row with wrong entry count")
+        short = [x for x, row in enumerate(rows) if len(row) != len(rows)]
+        if short:  # row x is line x + 2, after the header
+            expected = ("InputFormatError", f"line {short[0] + 2}: matrix row with wrong entry count")
         assert outcome(lambda: built_from(text)) == expected
 
 
