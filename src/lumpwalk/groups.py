@@ -170,17 +170,6 @@ def _order(g: tuple[int, ...]) -> int:
     return out
 
 
-def _largest_order_first(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The generators in decreasing element order, ties in the given order.
-
-    `_closure` joins them in this order, so its first block is the largest
-    cyclic group it can start from, and the later generators join over
-    fewer, larger cosets: S_n from an n-cycle and a transposition closes over
-    (n-1)! cosets of the cycle, not n!/2 of the transposition.
-    """
-    return sorted(gens, key=_order, reverse=True)  # a stable sort, also reversed
-
-
 def _is_symmetric(degree: int, order: int) -> bool:
     """True iff order == degree!, so that a group of that order on `degree`
     points is S_n; degree! is not built past `order`, which the work budget
@@ -200,7 +189,12 @@ def _closure(degree: int, gens, cap: int, known=None, past=None) -> set[tuple[in
     generator is closed under the earlier ones, so the group it grows into is
     a union of right cosets K r, and K r t = K (r t) lies in it as soon as
     r t does: only coset representatives are multiplied by the generators,
-    and each new coset costs |K| products that need no lookup.  `known`, if
+    and each new coset costs |K| products that need no lookup.  `generate`
+    and `subgroup` pass their generators in decreasing element order (a
+    stable sort, ties in the given order), so the first block is the largest cyclic group the
+    closure can start from, and the later generators join over fewer, larger
+    cosets: S_n from an n-cycle and a transposition closes over the (n-1)!
+    cosets of the cycle, not the n!/2 of the transposition.  `known`, if
     given, is the group generated by all of `gens` but the last, and only the
     last joins.  `past`, if given, stops the closure as soon as it holds more
     than `past` elements, and the set returned is then only a part of the
@@ -257,7 +251,7 @@ class FiniteGroup:
     def generate(degree: int, generators, order_cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
         """The group generated by the given image tuples, each checked."""
         gens = [_permutation(degree, g) for g in generators]
-        closure = _closure(degree, _largest_order_first(gens), order_cap)
+        closure = _closure(degree, sorted(gens, key=_order, reverse=True), order_cap)
         if _is_symmetric(degree, len(closure)):
             # the canonical order of S_n is the lexicographic one of `permutations`
             return FiniteGroup(degree, permutations(range(degree)), gens)
@@ -304,7 +298,7 @@ class FiniteGroup:
             if g not in self.index:
                 raise DomainError(f"generator {format_cycles(g)} is not in the group")
             gens.append(g)
-        closure = _closure(self.degree, _largest_order_first(gens), self.order)
+        closure = _closure(self.degree, sorted(gens, key=_order, reverse=True), self.order)
         members = sorted(self.index[t] for t in closure)
         gen_ids = sorted({self.index[g] for g in gens} - {0})
         return Subgroup(self, tuple(members), tuple(gen_ids))

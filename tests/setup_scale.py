@@ -1,13 +1,13 @@
 """Median library set-up of S_n over its top-card stabiliser, at n = 6, 7 and 8.
 
-    python3 tests/setup_scale.py [--repeats 9] [--degrees 6 7 8]
+    python3 tests/setup_scale.py
 
 For each degree n the script times, in process, the three set-up steps a
 request takes before any verdict: `FiniteGroup.generate` of S_n from
 (1,2) and (1,2,...,n), `FiniteGroup.subgroup` of the stabiliser of point 1
 from (2,3) and (2,3,...,n), and `LumpingProblem` (the left cosets and the
 double cosets).  It prints one line per degree with the median of each step
-and of their sum over the repeats, in seconds.  S8 has 40 320 elements, over
+and of their sum over nine repeats, in seconds.  S8 has 40 320 elements, over
 the default order cap, so its group is generated with `order_cap=40320`.
 
 It imports `lumpwalk` from the `src/` next to it and writes nothing.  Copy it
@@ -18,7 +18,6 @@ file name does not start with `test_`).
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -29,6 +28,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from lumpwalk.groups import FiniteGroup, parse_cycles  # noqa: E402
 from lumpwalk.lumping import LumpingProblem  # noqa: E402
+
+REPEATS = 9
+DEGREES = (6, 7, 8)
 
 
 def cycle(degree: int, first: int) -> tuple[int, ...]:
@@ -50,13 +52,9 @@ def set_up(n: int) -> tuple[float, float, float]:
     return t1 - t0, t2 - t1, t3 - t2
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--degrees", type=int, nargs="+", default=[6, 7, 8])
-    args = parser.parse_args(argv)
-    for n in args.degrees:
-        runs = [set_up(n) for _ in range(args.repeats)]
+def main() -> int:
+    for n in DEGREES:
+        runs = [set_up(n) for _ in range(REPEATS)]
         steps = [statistics.median(step) for step in zip(*runs)]
         total = statistics.median(map(sum, runs))
         print(f"S{n}/S{n - 1} generate {steps[0]:.5f} subgroup {steps[1]:.5f} "
