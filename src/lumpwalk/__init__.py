@@ -3,9 +3,11 @@
 The package decides strong, exact and weak lumping of the walk induced on
 left cosets, computes the minimal and maximal stable induced ideals and the
 admissible start distributions, characterizes achievable lumped transition
-matrices through orbital matrices and bi-invariant weights, and cross-checks
-everything against a generic finite-Markov-chain oracle.  All decision paths
-use exact rational or cyclotomic arithmetic.
+matrices through orbital matrices and bi-invariant weights, and runs the
+generic finite-chain tests behind `generic-test` and `conditional`: the
+tests' chain oracle (`tests/oracle_suite.py`) builds on them to cross-check
+every group-specific verdict.  All decision paths use exact rational or
+cyclotomic arithmetic.
 """
 
 __version__ = "0.1.0"
@@ -60,15 +62,11 @@ from .markov import (
     Distribution,
     LumpingFunction,
     TransitionMatrix,
-    compute_Vmax_generic,
     conditional_distribution,
-    lumped_transition_matrix,
     minimal_GL_space,
-    stationary_distribution,
     test_exact_generic,
     test_strong_generic,
     test_weak_generic,
-    time_reversal_matrix,
     transition_from_weight,
 )
 from .scalars import (
@@ -85,6 +83,5 @@ from .simulate import (
     Xoshiro256StarStar,
     empirical_lumped_matrix,
     markov_diagnostic,
-    simulate_ensemble,
     simulate_walk,
 )

@@ -20,9 +20,12 @@ the same with the columns read from the right, the echelon `nullspace`
 reads.  A rational vector enters an integer store in its integral form
 (`scalars.integral_form`), which spans the same line.
 The group-path closures and `nullspace` run on integer rows, and `nullspace`
-returns an `IntegerRows`; the generic oracle's closures stay on `Subspace`,
-which takes the canonical rows of a forward echelon as they stand: each is
-zero at every other pivot, so `insert` only divides it by its pivot entry.
+returns an `IntegerRows` (for `compute_Jw`, and for the `V_max` and
+stationary laws of the tests' chain oracle).  The generic chain closures
+stay on `Subspace`: the minimal stable space of `markov`, and the oracle's
+annihilator of `V_max`.  A `Subspace` takes the canonical rows of a forward
+echelon as they stand: each is zero at every other pivot, so `insert` only
+divides it by its pivot entry.
 
 `kernel_span` is the one kernel that combines coefficient vectors with a
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
@@ -397,8 +400,9 @@ def closure(V: Subspace, successors, translations=lambda v: ()) -> Subspace:
 
     It serves the group path (`L_w`, `L_alpha` and `L_{w*}`, whose nullspace
     is the cut of `J_w`: left H-ideals, with the generators of H as the
-    translations) and the generic oracle (the minimal stable space and the
-    annihilator of `V_max`, with no translations) alike.
+    translations) and the generic chain closures (the minimal stable space
+    of `markov` and, in the tests' oracle, the annihilator of `V_max`, with
+    no translations) alike.
     """
     def images(vector, spins):
         for image in translations(vector):

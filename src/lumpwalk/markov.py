@@ -1,16 +1,16 @@
 """Generic finite Markov-chain machinery over exact rationals.
 
-This module is deliberately group-free: states are abstract indices, so it
-serves as the independent oracle for the group-specific decision procedures.
-It provides the minimal stable subspace for a start distribution, the
-weak/strong/exact lumping tests, the maximal stable subspace, stationary
-distributions, lumped transition matrices, exact conditional laws given a
-lump history, and time reversal.
+This module is deliberately group-free: states are abstract indices.  It
+holds what `generic-test` and `conditional` run: transition matrices and
+their walk form, lumping functions, the minimal stable subspace for a start
+distribution, the weak/strong/exact lumping tests, exact conditional laws
+given a lump history, and the parsers of the chain file formats.  The
+oracle's further tools (stationary laws, aggregated matrices, the maximal
+stable subspace and time reversal) live beside the oracle suite in
+`tests/oracle_suite.py`.
 
-Both stable subspaces are fixpoints of `linalg.closure` on `Fraction` rows,
-with no group or action table: the minimal one grows rows under
-v -> Pi_b(v P), and the maximal one is the nullspace of the columns grown
-from PF - FQ under a -> P a and a -> Pi_b a.
+The minimal stable subspace is a fixpoint of `linalg.closure` on `Fraction`
+rows, with no group or action table: it grows rows under v -> Pi_b(v P).
 
 A transition matrix keeps each row in its integral form (D, D P(x, .)) in
 `int`, beside the dense rows and the nonzero entries of each row: validation
@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
 
 from .algebra import AlgebraElement
-from .errors import DomainError, InputFormatError, InvariantError
+from .errors import DomainError, InputFormatError
 from .groups import FiniteGroup
-from .linalg import Subspace, closure, kernel_span, nullspace
+from .linalg import Subspace, closure, kernel_span
 from .scalars import at_line, content_lines, integral_form, parse_integer, parse_rational
 
 STATE_CAP = 5_000
@@ -65,11 +64,11 @@ def _integral_row(keys, value) -> tuple[list[tuple[int, Fraction]], int, list[in
 
     The row is given as keys, and `value` maps a key to its `Fraction`: the
     entries themselves (`Fraction`, `int` or literal strings) by default,
-    integer numerators over one denominator from `transition_from_weight` and
-    `time_reversal_matrix`, the tokens of a matrix file from
-    `parse_matrix_file`.  Each distinct key is read once, in the order it
-    first occurs, so a row of a walk matrix, with few distinct entries, is
-    scaled with C-level maps.
+    integer numerators over one denominator from `transition_from_weight`
+    (and the oracle's time reversal in `tests/oracle_suite.py`), the tokens
+    of a matrix file from `parse_matrix_file`.  Each distinct key is read
+    once, in the order it first occurs, so a row of a walk matrix, with few
+    distinct entries, is scaled with C-level maps.
     """
     values = {k: value(k) for k in dict.fromkeys(keys)}
     scale, numerators = integral_form(values.values())
@@ -87,9 +86,10 @@ class TransitionMatrix:
     `int` (`_integral_row`), and validation reads only that form: no entry of
     M_x is negative, and M_x sums to D_x.  ``nonzero[x]`` lists the
     ``(y, P(x, y))`` pairs with ``P(x, y) != 0`` in ascending ``y``, picked
-    out where M_x is nonzero, so ``apply`` and ``apply_column`` touch only
-    those entries.  ``rows``, the dense matrix of `Fraction`s, is built from
-    the integral form when first read.
+    out where M_x is nonzero, so ``apply`` touches only those entries.
+    ``rows``, the dense matrix of `Fraction`s, is built from the integral
+    form when first read.  A row that fails a check is named by its index
+    x, the state number of a lump file.
 
     Rows are given as keys mapped to their values by `value`, the entries
     themselves by default (`_integral_row`).
@@ -102,13 +102,14 @@ class TransitionMatrix:
         n = len(forms)
         if n > STATE_CAP:
             raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
-        for _, scale, scaled in forms:
+        for x, (_, scale, scaled) in enumerate(forms):
             if len(scaled) != n:
-                raise DomainError("transition matrix must be square")
+                raise DomainError(f"row {x} of the transition matrix has {len(scaled)} "
+                                  f"entries: a square matrix needs {n}")
             if min(scaled) < 0:
-                raise DomainError("negative transition probability")
+                raise DomainError(f"row {x} of the transition matrix has a negative entry")
             if sum(scaled) != scale:
-                raise DomainError("row of transition matrix does not sum to 1")
+                raise DomainError(f"row {x} of the transition matrix does not sum to 1")
         self.n = n
         self._rows = None
         self.nonzero = [nonzero for nonzero, _, _ in forms]
@@ -131,40 +132,6 @@ class TransitionMatrix:
                 for y, p in pairs:
                     out[y] = out[y] + vx * p
         return out
-
-    def apply_column(self, vec: list[Fraction]) -> list[Fraction]:
-        """Matrix times column vector."""
-        out = []
-        for pairs in self.nonzero:
-            total = Fraction(0)
-            for y, p in pairs:
-                if vec[y]:
-                    total = total + p * vec[y]
-            out.append(total)
-        return out
-
-    def is_irreducible(self) -> bool:
-        return self._reaches_all(forward=True) and self._reaches_all(forward=False)
-
-    def _reaches_all(self, forward: bool) -> bool:
-        """Whether state 0 reaches every state (forward) or every state reaches
-        it (backward): a search on the `nonzero` entries, backward on
-        predecessor lists built once."""
-        if forward:
-            neighbours = [[y for y, _ in pairs] for pairs in self.nonzero]
-        else:
-            neighbours = [[] for _ in range(self.n)]
-            for x, pairs in enumerate(self.nonzero):
-                for y, _ in pairs:
-                    neighbours[y].append(x)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for y in neighbours[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
 
     def __eq__(self, other):
         return isinstance(other, TransitionMatrix) and self.rows == other.rows
@@ -303,104 +270,6 @@ def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribut
     return True
 
 
-def stationary_distribution(P: TransitionMatrix) -> Distribution:
-    """The unique solution of mu P = mu for an irreducible chain."""
-    if not P.is_irreducible():
-        raise DomainError("transition matrix is not irreducible")
-    n = P.n
-    # left null space of (P - I): solve v (P - I) = 0 as nullspace of columns
-    rows = []
-    for y in range(n):
-        rows.append([P.rows[x][y] - (1 if x == y else 0) for x in range(n)])
-    sols = nullspace(rows, n)
-    if sols.dim != 1:
-        raise InvariantError("irreducible chain must have a unique stationary law")
-    vec = sols.rows[0]
-    total = sum(vec)
-    mu = [Fraction(x, total) for x in vec]
-    if any(x < 0 for x in mu):
-        raise DomainError("stationary solution is not a distribution")
-    return Distribution(tuple(mu))
-
-
-def lumped_transition_matrix(f: LumpingFunction, P: TransitionMatrix, mu: Distribution):
-    """Aggregated matrix Q(i, j) = mu-weighted mass flow from lump i to lump j.
-
-    Rows of lumps with zero mu-mass are undefined and returned as None.
-    """
-    m = f.n_lumps
-    lumps = f.lumps()
-    out = []
-    for i in range(m):
-        mass = sum(mu.probs[x] for x in lumps[i])
-        if mass == 0:
-            out.append(None)
-            continue
-        row = [Fraction(0)] * m
-        for x in lumps[i]:
-            if mu.probs[x]:
-                for y, p in enumerate(P.rows[x]):
-                    if p:
-                        row[f.lump_of[y]] += mu.probs[x] * p
-        out.append([q / mass for q in row])
-    return out
-
-
-def lumped_matrix_from_start(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
-    """Empirical-free lumped rows observed from a start law: row b is the
-    common next-lump law from any reachable conditional supported on lump b.
-
-    Only valid when MC(alpha, P) lumps weakly; rows of unreachable lumps are
-    None.
-    """
-    m = f.n_lumps
-    rows = [None] * m
-    vec = list(alpha.probs)
-    for _ in range(P.n + 1):
-        for b in range(m):
-            proj = f.project(vec, b)
-            total = sum(proj)
-            if total and rows[b] is None:
-                nxt = f.apply_F(P.apply(proj))
-                rows[b] = [x / total for x in nxt]
-        vec = P.apply(vec)
-    return rows
-
-
-def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace:
-    """Largest subspace V with V P <= V, V Pi_b <= V and V <= ker(PF - FQ).
-
-    Requires an irreducible P whose stationary chain lumps weakly under f with
-    lumped matrix Q.  V is the nullspace of its annihilator: the smallest
-    space of columns holding the columns of PF - FQ and closed under
-    a -> P a and a -> Pi_b a, since v (P a) = (v P) a and v (Pi_b a) = (v Pi_b) a.
-    """
-    mu = stationary_distribution(P)
-    ok, _ = test_weak_generic(f, P, mu)
-    if not ok:
-        raise DomainError("the stationary chain does not lump weakly under f")
-    expected = lumped_transition_matrix(f, P, mu)
-    given = [list(map(Fraction, row)) for row in Q]
-    if expected != given:
-        raise DomainError("Q is not the lumped transition matrix of the stationary chain")
-
-    lumps = range(f.n_lumps)
-    # column j of PF - FQ: the mass P(x, lump j) less Q[f(x)][j]
-    columns = [[-given[b][j] for b in f.lump_of] for j in lumps]
-    for x, pairs in enumerate(P.nonzero):
-        for y, p in pairs:
-            column = columns[f.lump_of[y]]
-            column[x] = column[x] + p
-
-    def successors(a):
-        yield P.apply_column(a)
-        for b in lumps:
-            yield f.project(a, b)
-
-    annihilator = closure(Subspace(P.n, columns), successors)
-    return Subspace(P.n, nullspace(annihilator.rows, P.n).rows)
-
-
 def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
                              alpha: Distribution, observations) -> Distribution:
     """Exact law of X_t given the lump history f(X_0), ..., f(X_t).
@@ -421,29 +290,6 @@ def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
             raise DomainError(f"impossible observation sequence at prefix index {t}")
     total = sum(vec)
     return Distribution(tuple(x / total for x in vec))
-
-
-def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> TransitionMatrix:
-    """Reversed chain P*(x, y) = alpha(y) P(y, x) / alpha(x).
-
-    Read off the integral rows: with alpha(y) = a_y / A and
-    P(y, x) = M_y[x] / D_y, P*(x, y) = a_y (L / D_y) M_y[x] (K / a_x) / (L K)
-    for L the lcm of the D_y and K that of the a_x, so every row is given as
-    integers over the one denominator L K.
-    """
-    if any(p == 0 for p in alpha.probs):
-        raise DomainError("time reversal requires a full-support distribution")
-    if P.apply(list(alpha.probs)) != list(alpha.probs):
-        raise DomainError("time reversal requires a stationary distribution")
-    _, weights = integral_form(alpha.probs)
-    row_scale = lcm(*(d for d, _ in P.integral))
-    weight_scale = lcm(*weights)
-    columns = [(a * (row_scale // d), scaled) for a, (d, scaled) in zip(weights, P.integral)]
-    rows = []
-    for x, a in enumerate(weights):
-        k = weight_scale // a
-        rows.append([u * scaled[x] * k for u, scaled in columns])
-    return TransitionMatrix(rows, lambda m: Fraction(m, row_scale * weight_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -111,21 +111,6 @@ def simulate_walk(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElem
     return Trajectory(seed, length, tuple(states), lumps)
 
 
-def simulate_ensemble(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement,
-                      seed: int, replicas: int, length: int) -> list[Trajectory]:
-    """Independent restarts; replica r is seeded with splitmix64(seed) xor r.
-
-    Aggregate statistics over an ensemble of short runs expose start-dependent
-    violations of the Markov property that wash out of one long trajectory of
-    an aperiodic walk (whose late-time triple counts follow the stationary
-    lumped chain).
-    """
-    base = Xoshiro256StarStar(seed).next_uint64()
-    return [
-        simulate_walk(problem, w, alpha, base ^ r, length) for r in range(replicas)
-    ]
-
-
 def empirical_lumped_matrix(lumps, n_lumps: int):
     """Observed next-lump frequencies; rows of unvisited lumps are None."""
     counts = [[0] * n_lumps for _ in range(n_lumps)]

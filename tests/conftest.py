@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from lumpwalk import AlgebraElement, FiniteGroup, LumpingProblem, parse_cycles
+from lumpwalk import (
+    AlgebraElement,
+    FiniteGroup,
+    LumpingProblem,
+    Trajectory,
+    Xoshiro256StarStar,
+    parse_cycles,
+    simulate_walk,
+)
 from lumpwalk.shuffles import symmetric_group, top_stabilizer
 
 
@@ -80,6 +88,21 @@ def dihedral_prob(dihedral10):
 def uniform_on(G, ids):
     ids = list(ids)
     return AlgebraElement.from_pairs(G, [(i, Fraction(1, len(ids))) for i in ids])
+
+
+def simulate_ensemble(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement,
+                      seed: int, replicas: int, length: int) -> list[Trajectory]:
+    """Independent restarts; replica r is seeded with splitmix64(seed) xor r.
+
+    Aggregate statistics over an ensemble of short runs expose start-dependent
+    violations of the Markov property that wash out of one long trajectory of
+    an aperiodic walk (whose late-time triple counts follow the stationary
+    lumped chain).
+    """
+    base = Xoshiro256StarStar(seed).next_uint64()
+    return [
+        simulate_walk(problem, w, alpha, base ^ r, length) for r in range(replicas)
+    ]
 
 
 def counted_closures(patch) -> list:

@@ -7,23 +7,32 @@ of an averaging idempotent (these exercise the weakly-but-not-strongly
 lumping paths), and one-sided coset weights.  Every group-specific verdict is
 compared with the generic chain oracle, and the time-reversal dualities are
 checked on the same instances.
+
+The oracle's own chain tools live here too, since no command runs them:
+stationary laws, aggregated matrices, the maximal stable subspace V_max and
+time reversal, with the column product and the irreducibility search they
+read.  They build on the chain tests of `lumpwalk.markov` and keep their
+`Subspace` closures and `nullspace` calls, so they share no spin store with
+the group path.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from lumpwalk import (
     AlgebraElement,
     Distribution,
     FiniteGroup,
+    LumpingFunction,
     LumpingProblem,
+    Subspace,
+    TransitionMatrix,
     eta,
     lumping_function,
     parse_cycles,
     stable_ideal_check,
-    stationary_distribution,
     time_reversal_dual_idempotent,
-    time_reversal_matrix,
     transition_from_weight,
 )
 from lumpwalk import test_exact as exact_test
@@ -33,8 +42,172 @@ from lumpwalk import test_weak_weight as weak_weight_test
 from lumpwalk import test_exact_generic as exact_generic
 from lumpwalk import test_strong_generic as strong_generic
 from lumpwalk import test_weak_generic as weak_generic
-from lumpwalk.linalg import nullspace
+from lumpwalk.errors import DomainError, InvariantError
+from lumpwalk.linalg import closure, nullspace
+from lumpwalk.scalars import integral_form
 from tests.reference import coset_blocks, to_subspace
+
+
+# ---------------------------------------------------------------------------
+# the oracle's own chain tools
+
+
+def apply_column(P: TransitionMatrix, vec: list[Fraction]) -> list[Fraction]:
+    """Matrix times column vector."""
+    out = []
+    for pairs in P.nonzero:
+        total = Fraction(0)
+        for y, p in pairs:
+            if vec[y]:
+                total = total + p * vec[y]
+        out.append(total)
+    return out
+
+
+def is_irreducible(P: TransitionMatrix) -> bool:
+    return _reaches_all(P, forward=True) and _reaches_all(P, forward=False)
+
+
+def _reaches_all(P: TransitionMatrix, forward: bool) -> bool:
+    """Whether state 0 reaches every state (forward) or every state reaches
+    it (backward): a search on the `nonzero` entries, backward on
+    predecessor lists built once."""
+    if forward:
+        neighbours = [[y for y, _ in pairs] for pairs in P.nonzero]
+    else:
+        neighbours = [[] for _ in range(P.n)]
+        for x, pairs in enumerate(P.nonzero):
+            for y, _ in pairs:
+                neighbours[y].append(x)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in neighbours[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == P.n
+
+
+def stationary_distribution(P: TransitionMatrix) -> Distribution:
+    """The unique solution of mu P = mu for an irreducible chain."""
+    if not is_irreducible(P):
+        raise DomainError("transition matrix is not irreducible")
+    n = P.n
+    # left null space of (P - I): solve v (P - I) = 0 as nullspace of columns
+    rows = []
+    for y in range(n):
+        rows.append([P.rows[x][y] - (1 if x == y else 0) for x in range(n)])
+    sols = nullspace(rows, n)
+    if sols.dim != 1:
+        raise InvariantError("irreducible chain must have a unique stationary law")
+    vec = sols.rows[0]
+    total = sum(vec)
+    mu = [Fraction(x, total) for x in vec]
+    if any(x < 0 for x in mu):
+        raise DomainError("stationary solution is not a distribution")
+    return Distribution(tuple(mu))
+
+
+def lumped_transition_matrix(f: LumpingFunction, P: TransitionMatrix, mu: Distribution):
+    """Aggregated matrix Q(i, j) = mu-weighted mass flow from lump i to lump j.
+
+    Rows of lumps with zero mu-mass are undefined and returned as None.
+    """
+    m = f.n_lumps
+    lumps = f.lumps()
+    out = []
+    for i in range(m):
+        mass = sum(mu.probs[x] for x in lumps[i])
+        if mass == 0:
+            out.append(None)
+            continue
+        row = [Fraction(0)] * m
+        for x in lumps[i]:
+            if mu.probs[x]:
+                for y, p in enumerate(P.rows[x]):
+                    if p:
+                        row[f.lump_of[y]] += mu.probs[x] * p
+        out.append([q / mass for q in row])
+    return out
+
+
+def lumped_matrix_from_start(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
+    """Empirical-free lumped rows observed from a start law: row b is the
+    common next-lump law from any reachable conditional supported on lump b.
+
+    Only valid when MC(alpha, P) lumps weakly; rows of unreachable lumps are
+    None.
+    """
+    m = f.n_lumps
+    rows = [None] * m
+    vec = list(alpha.probs)
+    for _ in range(P.n + 1):
+        for b in range(m):
+            proj = f.project(vec, b)
+            total = sum(proj)
+            if total and rows[b] is None:
+                nxt = f.apply_F(P.apply(proj))
+                rows[b] = [x / total for x in nxt]
+        vec = P.apply(vec)
+    return rows
+
+
+def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace:
+    """Largest subspace V with V P <= V, V Pi_b <= V and V <= ker(PF - FQ).
+
+    Requires an irreducible P whose stationary chain lumps weakly under f with
+    lumped matrix Q.  V is the nullspace of its annihilator: the smallest
+    space of columns holding the columns of PF - FQ and closed under
+    a -> P a and a -> Pi_b a, since v (P a) = (v P) a and v (Pi_b a) = (v Pi_b) a.
+    """
+    mu = stationary_distribution(P)
+    ok, _ = weak_generic(f, P, mu)
+    if not ok:
+        raise DomainError("the stationary chain does not lump weakly under f")
+    expected = lumped_transition_matrix(f, P, mu)
+    given = [list(map(Fraction, row)) for row in Q]
+    if expected != given:
+        raise DomainError("Q is not the lumped transition matrix of the stationary chain")
+
+    lumps = range(f.n_lumps)
+    # column j of PF - FQ: the mass P(x, lump j) less Q[f(x)][j]
+    columns = [[-given[b][j] for b in f.lump_of] for j in lumps]
+    for x, pairs in enumerate(P.nonzero):
+        for y, p in pairs:
+            column = columns[f.lump_of[y]]
+            column[x] = column[x] + p
+
+    def successors(a):
+        yield apply_column(P, a)
+        for b in lumps:
+            yield f.project(a, b)
+
+    annihilator = closure(Subspace(P.n, columns), successors)
+    return Subspace(P.n, nullspace(annihilator.rows, P.n).rows)
+
+
+def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> TransitionMatrix:
+    """Reversed chain P*(x, y) = alpha(y) P(y, x) / alpha(x).
+
+    Read off the integral rows: with alpha(y) = a_y / A and
+    P(y, x) = M_y[x] / D_y, P*(x, y) = a_y (L / D_y) M_y[x] (K / a_x) / (L K)
+    for L the lcm of the D_y and K that of the a_x, so every row is given as
+    integers over the one denominator L K.
+    """
+    if any(p == 0 for p in alpha.probs):
+        raise DomainError("time reversal requires a full-support distribution")
+    if P.apply(list(alpha.probs)) != list(alpha.probs):
+        raise DomainError("time reversal requires a stationary distribution")
+    _, weights = integral_form(alpha.probs)
+    row_scale = lcm(*(d for d, _ in P.integral))
+    weight_scale = lcm(*weights)
+    columns = [(a * (row_scale // d), scaled) for a, (d, scaled) in zip(weights, P.integral)]
+    rows = []
+    for x, a in enumerate(weights):
+        k = weight_scale // a
+        rows.append([u * scaled[x] * k for u, scaled in columns])
+    return TransitionMatrix(rows, lambda m: Fraction(m, row_scale * weight_scale))
 
 
 def _gen(degree, *cycles):

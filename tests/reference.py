@@ -759,15 +759,16 @@ def transition_rows_per_entry(rows):
     if n > STATE_CAP:
         raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
     nonzero = []
-    for r in rows:
+    for x, r in enumerate(rows):
         if len(r) != n:
-            raise DomainError("transition matrix must be square")
+            raise DomainError(f"row {x} of the transition matrix has {len(r)} entries: "
+                              f"a square matrix needs {n}")
         pairs = [(y, p) for y, p in enumerate(r) if p]
         if any(p.numerator < 0 for _, p in pairs):
-            raise DomainError("negative transition probability")
+            raise DomainError(f"row {x} of the transition matrix has a negative entry")
         den = lcm(*{p.denominator for _, p in pairs})
         if sum(p.numerator * (den // p.denominator) for _, p in pairs) != den:
-            raise DomainError("row of transition matrix does not sum to 1")
+            raise DomainError(f"row {x} of the transition matrix does not sum to 1")
         nonzero.append(pairs)
     return rows, nonzero
 

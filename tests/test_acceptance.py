@@ -48,10 +48,9 @@ from lumpwalk.shuffles import (
 from lumpwalk.simulate import (
     empirical_lumped_matrix,
     markov_diagnostic,
-    simulate_ensemble,
     simulate_walk,
 )
-from tests.conftest import lazy_frustrator, uniform_on
+from tests.conftest import lazy_frustrator, simulate_ensemble, uniform_on
 from tests.oracle_suite import run_suite
 from tests.reference import full_subspace, left_ideal_closure
 

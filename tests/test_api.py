@@ -35,15 +35,14 @@ from tests.test_bench_tracing import load_tracing
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "lumpwalk"
 
-# Paper-facing library entry points that no command calls: the generic
-# Markov-chain oracle, the card-shuffle families and the Monte-Carlo
-# corroboration, used from Python and throughout the tests.
+# Paper-facing library entry points that no command calls: the card-shuffle
+# families.  They stay in the package because they are the paper's top-card
+# application, and `conftest.py` and most test modules build their decks from
+# them.  The chain oracle's own tools live in `tests/oracle_suite.py`, beside
+# the suite that runs them, so no other module needs an entry here.
 LIBRARY = {
-    "markov": {"stationary_distribution", "lumped_transition_matrix",
-               "lumped_matrix_from_start", "compute_Vmax_generic", "time_reversal_matrix"},
     "shuffles": {"symmetric_group", "top_stabilizer", "random_to_top", "top_to_random",
                  "bottom_card_cycle"},
-    "simulate": {"simulate_ensemble"},
 }
 # Library members that no command reads (none: an induced ideal holds its
 # cut only as the integer echelon that the commands read).

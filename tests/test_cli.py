@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import traceback
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -99,6 +100,22 @@ def run_cli(*args):
     )
 
 
+def run_main(*args):
+    """`cli.main` in process with its streams captured, as `run_cli` reports
+    it: an exception that escapes `main` is written to stderr as a traceback
+    with exit code 1, as the interpreter would."""
+    from lumpwalk import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
 def common(files, *extra):
     return ["--group", files["group"], "--subgroup", files["subgroup"], *extra]
 
@@ -137,28 +154,28 @@ def test_dist_verdicts(files):
 
 
 def test_exit_codes(files, tmp_path):
-    # usage error
+    # usage error, through the module entry point; every other case runs in process
     assert run_cli("test", "weak", "--group", files["group"]).returncode == 1
     # unknown subcommand
-    assert run_cli("frobnicate").returncode == 1
+    assert run_main("frobnicate").returncode == 1
     # parse error in an input file
     bad = tmp_path / "bad.txt"
     bad.write_text("degree x\n")
-    assert run_cli("cosets", "--group", str(bad), "--subgroup", files["subgroup"]).returncode == 1
+    assert run_main("cosets", "--group", str(bad), "--subgroup", files["subgroup"]).returncode == 1
     # precondition violation: reducible weight into lw
     reducible = tmp_path / "reducible.txt"
     reducible.write_text("1 id\n")
-    result = run_cli("lw", *common(files, "--weight", str(reducible)))
+    result = run_main("lw", *common(files, "--weight", str(reducible)))
     assert result.returncode == 2
     assert "precondition" in result.stderr
     # subgroup not inside the group
     deg5 = tmp_path / "deg5.txt"
     deg5.write_text("degree 5\ngen (1,2)\n")
-    assert run_cli("cosets", "--group", files["group"], "--subgroup", str(deg5)).returncode == 2
+    assert run_main("cosets", "--group", files["group"], "--subgroup", str(deg5)).returncode == 2
     # a walk longer than the step cap stops before its first draw
     from lumpwalk.simulate import STEP_CAP
-    result = run_cli("simulate", *common(files, "--weight", files["weight"], "--dist",
-                                         files["dist_eta_t"]), "--length", str(STEP_CAP + 1))
+    result = run_main("simulate", *common(files, "--weight", files["weight"], "--dist",
+                                          files["dist_eta_t"]), "--length", str(STEP_CAP + 1))
     assert result.returncode == 2
     assert f"walk length {STEP_CAP + 1} exceeds the cap {STEP_CAP}" in result.stderr
     # malformed input files and flag values: exit 1 with a message, no traceback
@@ -203,7 +220,7 @@ def test_exit_codes(files, tmp_path):
          "--dist", write("states_two_fields.txt", "states 2 5\n1/2 1/2\n")],
     ]
     for argv in malformed:
-        result = run_cli(*argv)
+        result = run_main(*argv)
         assert result.returncode == 1, (argv, result.stderr)
         assert "Traceback" not in result.stderr, argv
     # a bare `gen` line, and whitespace between two digits of a literal or of
@@ -244,18 +261,25 @@ def test_exit_codes(files, tmp_path):
          "line 3: zero denominator in rational literal '1/0'"),
     ]
     for argv, message in messages:
-        result = run_cli(*argv)
+        result = run_main(*argv)
         assert result.returncode == 1, (argv, result.stderr)
         assert result.stderr == f"lumpwalk: input error: {message}\n", argv
     # an element outside the group is a precondition, and names its line too
-    result = run_cli("test", "weak", "--group", write("c4.txt", CYCLIC),
-                     "--subgroup", write("c2.txt", "degree 4\ngen (1,3)(2,4)\n"),
-                     "--weight", write("outside.txt", "1/2 (1,2,3,4)\n1/2 (1,2)\n"))
+    result = run_main("test", "weak", "--group", write("c4.txt", CYCLIC),
+                      "--subgroup", write("c2.txt", "degree 4\ngen (1,3)(2,4)\n"),
+                      "--weight", write("outside.txt", "1/2 (1,2,3,4)\n1/2 (1,2)\n"))
     assert result.returncode == 2
     assert result.stderr == ("lumpwalk: precondition violated: "
                              "line 2: (1,2) is not an element of this group\n")
+    # a bad row of a matrix file names its row, the state number of a lump file
+    result = run_main("generic-test", "weak",
+                      "--matrix", write("row1.txt", "states 3\n1 0 0\n1/2 1/3 0\n0 0 1\n"),
+                      "--lumpmap", write("lumps3.txt", "lump 0 a\nlump 1 a\nlump 2 b\n"))
+    assert result.returncode == 2
+    assert result.stderr == ("lumpwalk: precondition violated: "
+                             "row 1 of the transition matrix does not sum to 1\n")
     # verdict false is still exit 0
-    result = run_cli(
+    result = run_main(
         "test-dist", *common(files, "--weight", files["weight"], "--dist", files["dist_id"])
     )
     assert result.returncode == 0
@@ -322,8 +346,6 @@ def test_numeric_fields_read_ascii_digits_only(tmp_path, role, valid, bad, messa
     Unicode digit, a `_` separator or a `+` sign that `int` or the regular
     expression `\\d` would read exits 1 with the field's message, while the
     same input with ASCII digits exits 0."""
-    from lumpwalk import cli
-
     texts = {"group": GROUP, "subgroup": SUBGROUP, "weight": WEIGHT, "dist": DIST_ETA_T,
              "matrix": CHAIN_2[0], "lumpmap": CHAIN_2[1], "chain_dist": CHAIN_2[2]}
     chain = role in ("matrix", "lumpmap", "chain_dist")
@@ -341,10 +363,8 @@ def test_numeric_fields_read_ascii_digits_only(tmp_path, role, valid, bad, messa
                     "--weight", paths["weight"], "--dist", paths["dist"], "--length", "5"]
         if role.startswith("--"):
             argv += [role, value]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([str(a) for a in argv])
-        return code, err.getvalue()
+        result = run_main(*argv)
+        return result.returncode, result.stderr
 
     assert run(valid) == (0, "")
     code, err = run(bad)

@@ -14,17 +14,13 @@ from lumpwalk import (
     LumpingProblem,
     Subspace,
     TransitionMatrix,
-    compute_Vmax_generic,
     conditional_distribution,
     eta,
-    lumped_transition_matrix,
     lumping_function,
     minimal_GL_space,
-    stationary_distribution,
     test_exact_generic as exact_generic,
     test_strong_generic as strong_generic,
     test_weak_generic as weak_generic,
-    time_reversal_matrix,
     transition_from_weight,
     walk_lumped_matrix,
 )
@@ -32,14 +28,23 @@ from lumpwalk.errors import DomainError, InputFormatError
 from lumpwalk.markov import (
     STATE_CAP,
     _cut,
-    lumped_matrix_from_start,
     parse_distribution_file,
     parse_lump_file,
     parse_matrix_file,
 )
 from lumpwalk.shuffles import random_to_top, symmetric_group, top_to_random
 from tests.conftest import uniform_on
-from tests.oracle_suite import WEIGHT_KINDS, build_pool, sample_weight
+from tests.oracle_suite import (
+    WEIGHT_KINDS,
+    build_pool,
+    compute_Vmax_generic,
+    is_irreducible,
+    lumped_matrix_from_start,
+    lumped_transition_matrix,
+    sample_weight,
+    stationary_distribution,
+    time_reversal_matrix,
+)
 from tests.reference import (
     left_ideal_closure,
     strong_generic_on_fractions,
@@ -513,7 +518,7 @@ def test_time_reversal_matches_fraction_formula(sym4, frustrator):
         chains.append(TransitionMatrix(rows))
     checked = 0
     for P in chains:
-        if not P.is_irreducible():
+        if not is_irreducible(P):
             continue
         mu = stationary_distribution(P).probs
         expected = [[mu[y] * P.rows[y][x] / mu[x] for y in range(P.n)] for x in range(P.n)]

@@ -18,7 +18,6 @@ from lumpwalk import (
     abelian_characters,
     abelian_weak_test,
     check_Q_characterization,
-    compute_Vmax_generic,
     coset_sums,
     eta,
     hecke_project,
@@ -65,6 +64,7 @@ from tests.oracle_suite import (
     DIST_KINDS,
     WEIGHT_KINDS,
     build_pool,
+    compute_Vmax_generic,
     random_subgroup_of,
     run_suite,
     sample_distribution,
@@ -1185,15 +1185,15 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool(monkeypatch):
     On those weak draws the maximal induced ideal J_w of the group path
     equals V_max as well.
     """
-    from lumpwalk import markov
+    from tests import oracle_suite
 
-    kernels = []  # every nullspace the generic oracle reads, the last one V_max's
+    kernels = []  # every nullspace the oracle suite reads, the last one V_max's
 
     def recorded(constraints, ambient):
         kernels.append(nullspace(constraints, ambient))
         return kernels[-1]
 
-    monkeypatch.setattr(markov, "nullspace", recorded)
+    monkeypatch.setattr(oracle_suite, "nullspace", recorded)
     rng = random.Random(6262)
     draws = minimal = maximal = 0
     for label, G, hgens in build_pool():

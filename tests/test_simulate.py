@@ -19,7 +19,8 @@ from lumpwalk import (
 )
 from lumpwalk.errors import InvariantError, ResourceError
 from lumpwalk.shuffles import random_to_top
-from lumpwalk.simulate import STEP_CAP, _sampler, simulate_ensemble
+from lumpwalk.simulate import STEP_CAP, _sampler
+from tests.conftest import simulate_ensemble
 from tests.reference import fraction_threshold_sampler
 
 
