@@ -1,13 +1,13 @@
 """Exact lumping analysis of left-invariant random walks on finite groups.
 
 The package decides strong, exact and weak lumping of the walk induced on
-left cosets, computes the minimal and maximal stable induced ideals and the
-admissible start distributions, characterizes achievable lumped transition
-matrices through orbital matrices and bi-invariant weights, and runs the
-generic finite-chain tests behind `generic-test` and `conditional`: the
-tests' chain oracle (`tests/oracle_suite.py`) builds on them to cross-check
-every group-specific verdict.  All decision paths use exact rational or
-cyclotomic arithmetic.
+left cosets, computes the minimal and maximal stable induced ideals, the
+admissible start distributions and the law of the state given a coset
+history, characterizes achievable lumped transition matrices through orbital
+matrices and bi-invariant weights, and runs the generic chain tests behind
+`generic-test`, on which the tests' chain oracle (`tests/oracle_suite.py`)
+cross-checks every group-specific verdict.  All decision paths use exact
+rational or cyclotomic arithmetic.
 """
 
 __version__ = "0.1.0"
@@ -47,6 +47,7 @@ from .lumping import (
     compute_Jw,
     compute_L_alpha_w,
     compute_Lw,
+    conditional_law,
     interpolation_test,
     lumping_function,
     stable_ideal_check,
@@ -62,7 +63,6 @@ from .markov import (
     Distribution,
     LumpingFunction,
     TransitionMatrix,
-    conditional_distribution,
     minimal_GL_space,
     test_exact_generic,
     test_strong_generic,

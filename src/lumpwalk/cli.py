@@ -28,6 +28,7 @@ from .lumping import (
     compute_Jw,
     compute_L_alpha_w,
     compute_Lw,
+    conditional_law,
     interpolation_test,
     lumping_function,
     stable_ideal_check,
@@ -40,15 +41,14 @@ from .lumping import (
     walk_lumped_matrix,
 )
 from .markov import (
+    STATE_CAP,
     Distribution,
-    conditional_distribution,
     parse_distribution_file,
     parse_lump_file,
     parse_matrix_file,
     test_exact_generic,
     test_strong_generic,
     test_weak_generic,
-    transition_from_weight,
 )
 from .scalars import format_ratio, parse_integer
 from .simulate import empirical_lumped_matrix, markov_diagnostic, simulate_walk
@@ -391,14 +391,14 @@ def _parse_observations(problem, text: str):
 def _conditional(inputs: Inputs, args, report: dict) -> None:
     problem = inputs.problem
     alpha = inputs.dist.require_distribution()
-    f = lumping_function(problem)
-    P = transition_from_weight(inputs.group, inputs.weight)
-    observations = _parse_observations(problem, args.obs)
-    law = conditional_distribution(f, P, Distribution(tuple(alpha.coeffs)), observations)
+    w = inputs.weight.require_weight()
+    if problem.group.order > STATE_CAP:  # the cap of a chain file, before any work
+        raise DomainError(f"state count {problem.group.order} exceeds the cap {STATE_CAP}")
+    law = conditional_law(problem, w, alpha, _parse_observations(problem, args.obs))
     report["verdicts"]["completed"] = True
-    report["labels"] = list(f.labels)
-    support = {inputs.group.cycle_string(i): str(p) for i, p in enumerate(law.probs) if p}
-    report["certificates"] = {"conditional_law": support}
+    report["labels"] = _labels(inputs.group, problem.left.representatives)
+    report["certificates"] = {"conditional_law": {
+        inputs.group.cycle_string(x): str(p) for x, p in law.items()}}
 
 
 @_command("simulate", "sample the walk and report empirical lump statistics",

@@ -243,7 +243,6 @@ class FiniteGroup:
         self.index = {t: i for i, t in enumerate(self.images)}
         # the ids of the image tuples that generate the group, identity left out
         self.generators = tuple(sorted({self.index[g] for g in generators} - {0}))
-        self._generating: dict[frozenset[int], bool] = {}  # `is_generating`, by support
 
     # -- construction -------------------------------------------------------
 
@@ -312,25 +311,20 @@ class FiniteGroup:
         the subgroup already generated (`_closure` with `known`) instead of
         closing from the identity again, and stops as soon as it knows more
         than |G|/2 elements: the order of a subgroup divides |G| (Lagrange),
-        so a subgroup with more than half of G is G.  The answer is kept per
-        set of ids for the life of the group, so asking again for the same
-        support builds no closure.
+        so a subgroup with more than half of G is G.
         """
         support = list(support)
         if not support:
             raise DomainError("empty support cannot generate")
-        key = frozenset(support)
-        if key not in self._generating:
-            half = self.order // 2
-            gens, closure = [], {self.images[0]}
-            for i in support:
-                if self.images[i] not in closure:
-                    gens.append(self.images[i])
-                    closure = _closure(self.degree, gens, self.order, closure, past=half)
-                    if len(closure) > half:
-                        break
-            self._generating[key] = len(closure) > half
-        return self._generating[key]
+        half = self.order // 2
+        gens, closure = [], {self.images[0]}
+        for i in support:
+            if self.images[i] not in closure:
+                gens.append(self.images[i])
+                closure = _closure(self.degree, gens, self.order, closure, past=half)
+                if len(closure) > half:
+                    break
+        return len(closure) > half
 
 
 @dataclass(frozen=True)

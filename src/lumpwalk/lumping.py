@@ -6,7 +6,7 @@ rH, the double cosets HxH as unions of those left cosets, and the right
 cosets only when first read (the exact test and `cosets --side right`).
 It also keeps the cut of the last L_w it has closed, by the integral form
 of the weight (`compute_Lw`), so a request that asks for one L_w twice
-closes it once.
+closes it, and tests the weight for irreducibility, once.
 
 The two ideal computations follow the product structure of induced ideals:
 an induced left ideal is determined by its cut down to the subgroup algebra,
@@ -20,32 +20,18 @@ algebra.
 Every criterion here is homogeneous linear in w or e, so no verdict changes
 when an element is multiplied by a positive number: every exact kernel reads
 the integral form (D, D w) of `_integer_element`, D the lcm of the
-denominators of a rational w (`scalars.integral_form`) and 1 for a
-cyclotomic one, and compares its results up to D.  The cuts of L_w and
-L_alpha, and the annihilator of that of J_w, are all grown by
-`close_H_ideal`, the one worklist closure `linalg.closure` run on integer
-rows under the action table of the D w its caller took; each seed vector
-enters in its own integral form, which changes no span.  The cut of L_w is
-the closure of the all-ones vector |H| eta_H (and of the coset components
-of a start) under the generators of H and under u -> each coset component
-of u w; the seeds go onto the integer rows directly, so they are
-echelonised once.  The closure is a left ideal of the subgroup algebra, and
-the coset components of a translate k u are translates of those of u, so
-only the seeds and the coset components that grew the span get coset
-components of their own; a translate gets the generators of H only
-(`close_H_ideal`).  The weak obstruction is checked on the integer rows.  The cut of J_w is read
-through the time-reversal duality: it is the nullspace of the cut of
-L_{w*}, for the reversed weight w*(g) = w(g^-1), plus eta_H (proved at
-`compute_Jw`), and the whole subgroup algebra, with no closure, for a
-weight that lumps strongly.  All three are spun on `linalg.IntegerRows`
-in semi-echelon form, and each gets one canonical echelon when its
-closure ends: the cuts of L_w and L_alpha the forward one, and that of
-L_{w*} the echelon with its columns read from the right, which
-`nullspace` reads, so each closure is echelonised once.  A
-`GurvitsLedouxIdeal` keeps the forward echelon of its cut: reports,
-dimensions and membership read those integer rows, and only the
-certificate of a false weak verdict, one row, is written over the
-rationals; no `Fraction` copy of a cut is built.
+denominators of a rational w and 1 for a cyclotomic one, and compares its
+results up to D.  The cuts of L_w and L_alpha, and the annihilator of that
+of J_w, are all grown by `close_H_ideal` on `linalg.IntegerRows`, seeded
+with the all-ones vector |H| eta_H (and the coset components of a start),
+and each gets one canonical echelon when its closure ends: the forward one,
+or for L_{w*} the one `nullspace` reads.  The cut of J_w is the nullspace
+of the cut of L_{w*}, for the reversed weight w*(g) = w(g^-1), plus eta_H,
+and the whole subgroup algebra for a weight that lumps strongly (proved at
+`compute_Jw`).  A `GurvitsLedouxIdeal` keeps the forward echelon of its
+cut: reports, dimensions and membership read those integer rows, and only
+the certificate of a false weak verdict, one row, is written over the
+rationals.
 
 No command takes a product in the group algebra.  The strong and exact
 tests read the coset sums of D w, and the lumped matrix the double-coset
@@ -61,7 +47,9 @@ with no division, from the coset sums of D w.  The E_• check and the ideal
 condition e w (1-e) = 0 read the action tables of D e and D w, and
 Theta(e) has its dimension as a sum of traces read off e, summed per left
 coset of each double coset and per conjugacy class of H, so all
-elimination is over Q.  The dense forms remain as references in
+elimination is over Q.  The law of the state given a coset history
+(`conditional_law`) is one forward filter on the group, read off the left
+coset table: no chain is built.  The dense forms remain as references in
 `tests/test_properties.py` and `tests/reference.py`.
 """
 
@@ -467,15 +455,13 @@ def _first_cut_violation(problem: LumpingProblem, w: AlgebraElement, rows) -> in
     return None
 
 
-def _irreducible_integral(w: AlgebraElement) -> AlgebraElement:
-    """The integral form D w of a weight whose support generates the group."""
-    w = w.require_weight()
-    if not w.is_irreducible_weight():
-        raise DomainError(
-            "weight is reducible (support does not generate the group); "
-            "use the generic per-start test instead"
-        )
-    return _integer_element(w)[1]
+def _irreducible(integral: AlgebraElement) -> AlgebraElement:
+    """The integral form D w of a weight, once checked to be irreducible: its
+    support, that of w, generates the group."""
+    if not integral.is_irreducible_weight():
+        raise DomainError("weight is reducible (support does not generate the group); "
+                          "use the generic per-start test instead")
+    return integral
 
 
 def _minimal_ideal(problem: LumpingProblem, integral: AlgebraElement,
@@ -504,16 +490,17 @@ def compute_Lw(problem: LumpingProblem, w: AlgebraElement) -> GurvitsLedouxIdeal
 
     The problem keeps the cut and certificate of the last weight it has
     closed, by its integral form: a request that asks for the same L_w twice
-    in a row (`test-dist`, through `compute_Jw`) closes it once, and a
-    problem holds one cut at most.  The kept entry holds no
-    `GurvitsLedouxIdeal`, whose ``problem`` field would close a reference
-    cycle through the problem, so a problem is freed by reference counting
-    as soon as its last user lets go.  The returned cut and certificate are
-    the kept ones, shared and read-only.
+    in a row (`test-dist`, through `compute_Jw`) closes it and tests its
+    irreducibility once, and a problem holds one cut at most.  The kept
+    entry holds no `GurvitsLedouxIdeal`, whose ``problem`` field would close
+    a reference cycle through the problem, so a problem is freed by
+    reference counting as soon as its last user lets go.  The returned cut
+    and certificate are the kept ones, shared and read-only.
     """
-    integral = _irreducible_integral(w)
+    integral = _integer_element(w.require_weight())[1]
     key = tuple(integral.coeffs)
     if problem._last_Lw is None or problem._last_Lw[0] != key:
+        _irreducible(integral)
         problem._last_Lw = (key, *_minimal_ideal(problem, integral, None))
     _, cut, violation = problem._last_Lw
     return GurvitsLedouxIdeal(problem, cut, violation is None, violation)
@@ -529,7 +516,8 @@ def test_weak_weight(problem: LumpingProblem, w: AlgebraElement):
 
 def compute_L_alpha_w(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement):
     """Minimal induced ideal containing a start distribution; verdict for that start."""
-    cut, violation = _minimal_ideal(problem, _irreducible_integral(w), alpha)
+    integral = _irreducible(_integer_element(w.require_weight())[1])
+    cut, violation = _minimal_ideal(problem, integral, alpha)
     return GurvitsLedouxIdeal(problem, cut, violation is None, violation), violation is None
 
 
@@ -836,3 +824,42 @@ def lumping_function(problem: LumpingProblem):
 
     labels = tuple(problem.group.cycle_string(r) for r in problem.left.representatives)
     return LumpingFunction(tuple(problem.left.coset_of), labels)
+
+
+# ---------------------------------------------------------------------------
+# the law of the state given a coset history
+
+
+def conditional_law(problem: LumpingProblem, w: AlgebraElement, alpha: AlgebraElement,
+                    observations) -> dict[int, Fraction]:
+    """The exact law {element id: probability} of X_t, ascending, given the
+    coset history X_0 H, ..., X_t H of the walk of w from alpha (alpha for an
+    empty one), w and alpha as `require_weight` and `require_distribution`
+    return them.  A forward filter on the group: the law starts as alpha on
+    the first coset observed, and each further observation maps each state x
+    to the x g, g in supp w, by one gather of x (the step of `simulate_walk`),
+    and keeps those in that coset.  It is homogeneous in alpha and w, so both
+    are read in their integral forms, and it is normalised once, at the end.
+    Raises DomainError naming the first impossible prefix.
+    """
+    coset_of, images, index = problem.left.coset_of, problem.group.images, problem.group.index
+    history = iter(observations)
+    first = next(history, None)
+    start = _integer_element(alpha)[1].support()
+    law = {x: m for x, m in start if first is None or coset_of[x] == first}
+    if not law:
+        raise DomainError("impossible observation sequence at prefix index 0")
+    steps = [(images[g], c) for g, c in _integer_element(w)[1].support()]
+    for t, b in enumerate(history, start=1):
+        image = {}
+        for x, m in law.items():
+            x_times = gather(images[x])
+            for g, c in steps:
+                y = index[x_times(g)]  # x g
+                if coset_of[y] == b:
+                    image[y] = image.get(y, 0) + m * c
+        if not image:
+            raise DomainError(f"impossible observation sequence at prefix index {t}")
+        law = image
+    total = sum(law.values())
+    return {x: Fraction(m, total) for x, m in sorted(law.items())}

@@ -1,13 +1,13 @@
 """Generic finite Markov-chain machinery over exact rationals.
 
 This module is deliberately group-free: states are abstract indices.  It
-holds what `generic-test` and `conditional` run: transition matrices and
-their walk form, lumping functions, the minimal stable subspace for a start
-distribution, the weak/strong/exact lumping tests, exact conditional laws
-given a lump history, and the parsers of the chain file formats.  The
-oracle's further tools (stationary laws, aggregated matrices, the maximal
-stable subspace and time reversal) live beside the oracle suite in
-`tests/oracle_suite.py`.
+holds what `generic-test` runs: transition matrices, lumping functions, the
+minimal stable subspace for a start distribution, the weak/strong/exact
+lumping tests, and the parsers of the chain file formats.  No command builds
+a chain from a group; `transition_from_weight` serves the bench and the
+tests' chain oracle, whose further tools (stationary laws, aggregated
+matrices, the maximal stable subspace, time reversal and the law given a
+lump history) live in `tests/oracle_suite.py`.
 
 The minimal stable subspace is a fixpoint of `linalg.closure` on `Fraction`
 rows, with no group or action table: it grows rows under v -> Pi_b(v P).
@@ -259,37 +259,16 @@ def test_strong_generic(f: LumpingFunction, P: TransitionMatrix) -> bool:
 
 
 def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution) -> bool:
-    """Exact lumping via the per-lump dimension criterion dim(V Pi_b) <= 1."""
-    V = minimal_GL_space(f, P, alpha)
-    for b in range(f.n_lumps):
-        block = Subspace(P.n)
-        for v in V.rows:
-            block.insert(f.project(v, b))
-            if block.dim > 1:
-                return False
-    return True
-
-
-def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
-                             alpha: Distribution, observations) -> Distribution:
-    """Exact law of X_t given the lump history f(X_0), ..., f(X_t).
-
-    An empty history imposes no condition and returns alpha.  Raises
-    DomainError naming the first impossible prefix when the observed sequence
-    has probability zero under MC(alpha, P).
+    """Exact lumping via the per-lump dimension criterion dim(V Pi_b) <= 1,
+    for V = `minimal_GL_space`: dim(V Pi_b) is the number of rows of its
+    canonical echelon with a pivot in lump b.  Proof: V is spanned by its
+    seeds and the successor images that grew it, lump projections all, so V
+    is the direct sum of the spans V_b of those in each lump b, on disjoint
+    columns, and V Pi_b = V_b.  The echelons of the V_b, merged by pivot,
+    are in RREF, which is unique: each row lies in one lump.
     """
-    observations = list(observations)
-    if not observations:
-        return alpha
-    vec = f.project(alpha.probs, observations[0])
-    if not any(vec):
-        raise DomainError("impossible observation sequence at prefix index 0")
-    for t, b in enumerate(observations[1:], start=1):
-        vec = f.project(P.apply(vec), b)
-        if not any(vec):
-            raise DomainError(f"impossible observation sequence at prefix index {t}")
-    total = sum(vec)
-    return Distribution(tuple(x / total for x in vec))
+    lumps = [f.lump_of[p] for p in minimal_GL_space(f, P, alpha).pivots]
+    return len(set(lumps)) == len(lumps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
-"""Shared groups, subgroups and weights used across the suite."""
+"""Shared groups, subgroups and weights used across the suite, and the
+in-process command-line runner."""
 
+import contextlib
+import io
+import subprocess
+import traceback
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +20,22 @@ from lumpwalk import (
     simulate_walk,
 )
 from lumpwalk.shuffles import symmetric_group, top_stabilizer
+
+
+def run_main(*args):
+    """`cli.main` in process with its streams captured, as a subprocess run
+    reports it: an exception that escapes `main` is written to stderr as a
+    traceback with exit code 1, as the interpreter would."""
+    from lumpwalk import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="session")

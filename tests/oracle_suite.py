@@ -9,8 +9,8 @@ compared with the generic chain oracle, and the time-reversal dualities are
 checked on the same instances.
 
 The oracle's own chain tools live here too, since no command runs them:
-stationary laws, aggregated matrices, the maximal stable subspace V_max and
-time reversal, with the column product and the irreducibility search they
+stationary laws, aggregated matrices, the maximal stable subspace V_max,
+the conditional law given a lump history and time reversal, with the column product and the irreducibility search they
 read.  They build on the chain tests of `lumpwalk.markov` and keep their
 `Subspace` closures and `nullspace` calls, so they share no spin store with
 the group path.
@@ -185,6 +185,29 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace
 
     annihilator = closure(Subspace(P.n, columns), successors)
     return Subspace(P.n, nullspace(annihilator.rows, P.n).rows)
+
+
+def conditional_distribution(f: LumpingFunction, P: TransitionMatrix,
+                             alpha: Distribution, observations) -> Distribution:
+    """Exact law of X_t given the lump history f(X_0), ..., f(X_t): the
+    chain reference of `lumping.conditional_law`.
+
+    An empty history imposes no condition and returns alpha.  Raises
+    DomainError naming the first impossible prefix when the observed sequence
+    has probability zero under MC(alpha, P).
+    """
+    observations = list(observations)
+    if not observations:
+        return alpha
+    vec = f.project(alpha.probs, observations[0])
+    if not any(vec):
+        raise DomainError("impossible observation sequence at prefix index 0")
+    for t, b in enumerate(observations[1:], start=1):
+        vec = f.project(P.apply(vec), b)
+        if not any(vec):
+            raise DomainError(f"impossible observation sequence at prefix index {t}")
+    total = sum(vec)
+    return Distribution(tuple(x / total for x in vec))
 
 
 def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> TransitionMatrix:

@@ -22,6 +22,7 @@ from lumpwalk import (
     check_Q_characterization,
     compute_Jw,
     compute_Lw,
+    conditional_law,
     coset_sums,
     eta,
     interpolation_test,
@@ -51,7 +52,7 @@ from lumpwalk.simulate import (
     simulate_walk,
 )
 from tests.conftest import lazy_frustrator, simulate_ensemble, uniform_on
-from tests.oracle_suite import run_suite
+from tests.oracle_suite import conditional_distribution, run_suite
 from tests.reference import full_subspace, left_ideal_closure
 
 
@@ -169,10 +170,11 @@ def test_criterion_06_conditional_counterexample(sym4, top_prob, frustrator):
                     joint["qq_j"] += p if l3 == jack else 0
         assert joint["qq_j"] / joint["qq"] == 0
         assert joint["q_j"] / joint["q"] == Fraction(1, 8) > 0
-        # library values agree
-        from lumpwalk import conditional_distribution
-
+        # library values agree, on the group and on the chain
         law = conditional_distribution(f, P, Distribution.point(24, 0), [top, top, top])
+        point = AlgebraElement.basis(sym4, 0)
+        assert conditional_law(top_prob, frustrator, point, [top, top, top]) == {
+            x: p for x, p in enumerate(law.probs) if p}
         assert f.apply_F(P.apply(list(law.probs)))[jack] == 0
         vec = P.apply(P.apply([Fraction(1)] + [Fraction(0)] * 23))
         vec_q = f.project(vec, top)

@@ -35,14 +35,18 @@ from tests.test_bench_tracing import load_tracing
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "lumpwalk"
 
-# Paper-facing library entry points that no command calls: the card-shuffle
-# families.  They stay in the package because they are the paper's top-card
+# Paper-facing library entry points that no command calls.  The card-shuffle
+# families stay in the package because they are the paper's top-card
 # application, and `conftest.py` and most test modules build their decks from
-# them.  The chain oracle's own tools live in `tests/oracle_suite.py`, beside
-# the suite that runs them, so no other module needs an entry here.
+# them.  The walk matrix of a weight stays because `bench/tracing.py` times
+# it, `bench/test_bench.py` and `bench/run.py --confirm` build chains with it,
+# and the tests' chain oracle reads every group verdict against it; no
+# command builds a chain from a group.  The chain oracle's own tools live in
+# `tests/oracle_suite.py`, beside the suite that runs them.
 LIBRARY = {
     "shuffles": {"symmetric_group", "top_stabilizer", "random_to_top", "top_to_random",
                  "bottom_card_cycle"},
+    "markov": {"transition_from_weight"},
 }
 # Library members that no command reads (none: an induced ideal holds its
 # cut only as the integer echelon that the commands read).

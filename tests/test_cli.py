@@ -1,12 +1,9 @@
 """End-to-end CLI runs: exit codes, report stability, schema validation."""
 
-import contextlib
-import io
 import json
 import subprocess
 import sys
 import tempfile
-import traceback
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from tests.conftest import run_main
 
 try:
     import jsonschema
@@ -98,22 +97,6 @@ def run_cli(*args):
         [sys.executable, "-m", "lumpwalk.cli", *args],
         capture_output=True, text=True,
     )
-
-
-def run_main(*args):
-    """`cli.main` in process with its streams captured, as `run_cli` reports
-    it: an exception that escapes `main` is written to stderr as a traceback
-    with exit code 1, as the interpreter would."""
-    from lumpwalk import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main([str(a) for a in args])
-        except Exception:
-            traceback.print_exc()
-            code = 1
-    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def common(files, *extra):
@@ -443,8 +426,6 @@ def test_mutated_inputs_exit_cleanly(case):
     trajectory role is the directory `simulate` writes into, a plain file
     when replaced.
     """
-    from lumpwalk import cli
-
     command, replaced, expected = case
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"trajectory": str(Path(tmp) / "trajectory")}
@@ -455,15 +436,15 @@ def test_mutated_inputs_exit_cleanly(case):
             Path(paths[role]).write_bytes(data)
         if "trajectory" not in replaced:
             Path(paths["trajectory"]).mkdir()
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(FUZZ_COMMANDS[command].format(**paths).split())
+        result = run_main(*FUZZ_COMMANDS[command].format(**paths).split())
+    code, out, err = result.returncode, result.stdout, result.stderr
+    assert "Traceback" not in err, (case, err)
     assert code in (0, 1, 2), (case, code)
     if expected is not None:
-        assert code == expected, (case, err.getvalue())
+        assert code == expected, (case, err)
     if code:
-        assert err.getvalue().startswith("lumpwalk: ") and err.getvalue().count("\n") == 1, case
-        assert not out.getvalue(), case
+        assert err.startswith("lumpwalk: ") and err.count("\n") == 1, case
+        assert not out, case
 
 
 def test_internal_error_exits_2_without_traceback(files, monkeypatch, capsys):
@@ -853,6 +834,82 @@ def test_no_command_takes_a_group_algebra_product(files, tmp_path, sym4, capsys,
     test_golden_generic_reports(files, tmp_path, capsys)
     test_golden_cli_reports(files, capsys)
     test_golden_cli_text_and_help(files, tmp_path, capsys, monkeypatch)
+
+
+def test_no_group_command_builds_a_chain(files, tmp_path, sym4, capsys, monkeypatch):
+    """Every golden request but those of `generic-test`, JSON and text, gives
+    its pinned report with `TransitionMatrix` and `Distribution` made to
+    refuse construction: no group command builds a chain."""
+    from lumpwalk.markov import Distribution, TransitionMatrix
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a chain built on a group command path")
+
+    monkeypatch.setattr(TransitionMatrix, "__init__", refuse)
+    monkeypatch.setattr(Distribution, "__post_init__", refuse)
+    test_golden_weak_reports(files, capsys)
+    test_golden_abelian_reports(files, sym4, capsys)
+    test_golden_verdict_reports(files, capsys)
+    test_golden_cli_reports(files, capsys)
+    test_golden_cli_text_and_help(files, tmp_path, capsys, monkeypatch)
+
+
+def test_test_dist_decides_irreducibility_once(files, monkeypatch):
+    """A `test-dist` request asks for L_w twice, for its verdict and inside
+    `compute_Jw`, and the second reads the problem's kept cut: the support of
+    the weight is closed once to decide that it generates the group."""
+    from lumpwalk.groups import FiniteGroup
+
+    calls = []
+    is_generating = FiniteGroup.is_generating
+
+    def counted(self, support):
+        calls.append(support)
+        return is_generating(self, support)
+
+    monkeypatch.setattr(FiniteGroup, "is_generating", counted)
+    s5 = ["--group", files["sym5"], "--subgroup", files["top5"], "--dist", files["dist5_swap"]]
+    for argv in (["test-dist", *common(files, "--weight", files["weight"]),
+                  "--dist", files["dist_eta_t"]],
+                 ["test-dist", *s5, "--weight", files["bottom5_star"]],
+                 ["test-dist", *s5, "--weight", files["rtt5"]]):
+        calls.clear()
+        result = run_main(*argv, "--json")
+        assert result.returncode == 0, result.stderr
+        assert "maximal_ideal" in json.loads(result.stdout)["dimensions"], argv
+        assert len(calls) == 1, argv
+
+
+def test_conditional_refuses_a_group_over_the_state_cap_first(tmp_path, monkeypatch):
+    """S7/S6 has 5040 states, over the cap of a chain file: `conditional`
+    exits 2 before it parses `--obs` or filters, and builds no chain.  The
+    start and the weight are checked before the cap."""
+    from lumpwalk import cli
+    from lumpwalk.markov import TransitionMatrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work past the state cap")
+
+    monkeypatch.setattr(TransitionMatrix, "__init__", refuse)
+    monkeypatch.setattr(cli, "conditional_law", refuse)
+    paths = {}
+    for name, text in (("group", "degree 7\ngen (1,2)\ngen (1,2,3,4,5,6,7)\n"),
+                       ("subgroup", "degree 7\ngen (2,3)\ngen (2,3,4,5,6,7)\n"),
+                       ("weight", "1/2 (1,2)\n1/2 (1,2,3,4,5,6,7)\n"),
+                       ("dist", "1 id\n"), ("half", "1/2 id\n"), ("signed", "-1 (1,2)\n")):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    capped = "lumpwalk: precondition violated: state count 5040 exceeds the cap 5000\n"
+    for weight, dist, obs, message in (
+            ("weight", "dist", "0,0,1", capped),
+            ("weight", "dist", "0,99", capped),
+            ("signed", "dist", "0", "non-negative with positive total"),
+            ("signed", "half", "0", "distribution must sum to 1, got 1/2")):
+        result = run_main("conditional", "--group", paths["group"], "--subgroup",
+                          paths["subgroup"], "--weight", paths[weight], "--dist",
+                          paths[dist], "--obs", obs)
+        assert result.returncode == 2 and message in result.stderr, (weight, dist, obs)
+        assert result.stderr.count("\n") == 1 and not result.stdout
 
 
 def test_closed_form_commands_do_not_normalize_the_weight(files, sym4, capsys, monkeypatch):

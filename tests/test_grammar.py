@@ -12,19 +12,17 @@ same meaning.  The meaning is compared, not only the exit code, because an
 input read with a wrong meaning (`1 2 id` read as weight 12) exits 0.
 """
 
-import contextlib
-import io
 import random
 import re
 import sys
 from pathlib import Path
 
-from lumpwalk import cli
 from lumpwalk.algebra import parse_element_file
 from lumpwalk.errors import DomainError, InputFormatError, ResourceError
 from lumpwalk.groups import parse_generators, parse_group_file
 from lumpwalk.markov import parse_distribution_file, parse_lump_file, parse_matrix_file
 from tests import grammar, test_cli
+from tests.conftest import run_main
 from tests.reference import compose, long_power_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,10 +207,8 @@ def run_request(tmp_path, argv, slot, text):
             path.write_text(text if k == slot else item[1])
             item = str(path)
         paths.append(item)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(paths)
-    return code, err.getvalue()
+    result = run_main(*paths)
+    return result.returncode, result.stderr
 
 
 def test_parsers_agree_with_the_reference_grammar(tmp_path):

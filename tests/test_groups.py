@@ -266,34 +266,6 @@ def test_is_generating_stop_past_half_matches_whole_closure(monkeypatch):
     assert {6, 24, 120} <= index_two  # A_3, A_4 and A_5 among the supports
 
 
-def test_irreducibility_is_decided_once_per_support(monkeypatch):
-    """A second `is_irreducible_weight` call on the same group, for the same
-    support, builds no closure; another support still does."""
-    from lumpwalk import groups
-    from lumpwalk.algebra import parse_element_file
-    from lumpwalk.shuffles import random_to_top, symmetric_group
-
-    G = symmetric_group(5)
-    w = random_to_top(G)
-    calls = []
-    real = groups._closure
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groups, "_closure", counted)
-    assert w.is_irreducible_weight()
-    first = len(calls)
-    assert first > 0
-    assert w.is_irreducible_weight()
-    assert (w + w).is_irreducible_weight()  # same support, other values
-    assert len(calls) == first
-    swap = parse_element_file("1 (1,2)\n", G)
-    assert not swap.is_irreducible_weight()
-    assert len(calls) > first
-
-
 def test_subgroup_from_file_generators_matches_enumerated_file(sym4):
     """Closing a subgroup file's generators inside the group gives the same
     subgroup as enumerating the file as a group of its own first."""

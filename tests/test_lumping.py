@@ -1,6 +1,7 @@
 """Group-specific lumping decisions against the generic oracle and known cases."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from lumpwalk import (
     compute_Jw,
     compute_L_alpha_w,
     compute_Lw,
+    conditional_law,
     eta,
     interpolation_test,
     lumping_function,
@@ -34,8 +36,10 @@ from lumpwalk.algebra import character_idempotent
 from lumpwalk.errors import DomainError, InvariantError
 from lumpwalk.linalg import IntegerRows
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer, top_to_random
+from lumpwalk.simulate import simulate_walk
 from tests.conftest import counted_closures, lazy_frustrator, uniform_on
-from tests.oracle_suite import build_pool, random_subgroup_of
+from tests.oracle_suite import (DIST_KINDS, WEIGHT_KINDS, build_pool, conditional_distribution,
+                                random_subgroup_of, sample_distribution, sample_weight)
 from tests.reference import (field_rank, full_subspace, left_ideal_closure, theta_dimension_by_rank,
                              theta_rows, to_subspace, verify_axioms)
 from tests.test_properties import conjugate_index
@@ -656,3 +660,79 @@ def test_right_cosets_are_built_only_when_read(sym4, frustrator):
         assert "right" not in problem.__dict__, test.__name__
         exact_test(problem, frustrator)
         assert problem.__dict__["right"].side == "right"
+
+
+# -- the law of the state given a coset history --------------------------------------
+
+
+def coset_histories(rng, problem, w, alpha, count):
+    """`count` coset histories of length 1 to 8: half drawn uniformly, which
+    often have an impossible prefix, and half read off sampled paths."""
+    out = []
+    for k in range(count):
+        length = rng.randint(1, 8)
+        if k % 2:
+            out.append([rng.randrange(problem.index) for _ in range(length)])
+        else:
+            out.append(list(simulate_walk(problem, w, alpha, rng.getrandbits(64),
+                                          length - 1).lumps))
+    return out
+
+
+def compare_conditional_laws(problem, w, alpha, histories, P=None) -> Counter:
+    """`conditional_law` against the chain filter of the oracle on the walk
+    matrix P of w, on each history: the same law, or the same message for an
+    impossible prefix.  Counts the outcomes."""
+    f = lumping_function(problem)
+    P = P or transition_from_weight(problem.group, w)
+    start = Distribution(tuple(alpha.coeffs))
+    outcomes = Counter()
+    for history in histories:
+        try:
+            law = conditional_distribution(f, P, start, history)
+            expected = {x: p for x, p in enumerate(law.probs) if p}
+        except DomainError as error:
+            with pytest.raises(DomainError) as raised:
+                conditional_law(problem, w, alpha, history)
+            assert str(raised.value) == str(error), history
+            outcomes["impossible"] += 1
+            continue
+        assert conditional_law(problem, w, alpha, history) == expected, history
+        outcomes["law"] += 1
+    return outcomes
+
+
+def test_conditional_law_matches_the_chain_filter_on_pool():
+    """On every pool pair, weight kind and start kind, the filter on the group
+    gives the law of the chain filter, or its message, on random histories
+    and on histories of sampled paths."""
+    rng = random.Random(39)
+    outcomes = Counter()
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue
+            w = sample_weight(rng, problem, kind).require_weight()
+            P = transition_from_weight(G, w)
+            for start in DIST_KINDS:
+                alpha = sample_distribution(rng, problem, start).require_distribution()
+                histories = coset_histories(rng, problem, w, alpha, 4)
+                outcomes += compare_conditional_laws(problem, w, alpha, histories, P)
+    assert outcomes["law"] > 100 and outcomes["impossible"] > 50, outcomes
+
+
+@pytest.mark.parametrize("shuffle", [bottom_card_cycle, random_to_top])
+def test_conditional_law_matches_the_chain_filter_on_s6(shuffle):
+    """The top-card problem S6/S5 from a point and from the uniform start, an
+    empty history among them."""
+    rng = random.Random(6)
+    G = symmetric_group(6)
+    problem = LumpingProblem(G, top_stabilizer(G))
+    w = shuffle(G)
+    P = transition_from_weight(G, w)
+    outcomes = Counter()
+    for alpha in (AlgebraElement.basis(G, rng.randrange(G.order)), eta(G, range(G.order))):
+        histories = [[], *coset_histories(rng, problem, w, alpha, 6)]
+        outcomes += compare_conditional_laws(problem, w, alpha, histories, P)
+    assert outcomes["law"] >= 8 and outcomes["impossible"], outcomes

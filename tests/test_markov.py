@@ -14,7 +14,6 @@ from lumpwalk import (
     LumpingProblem,
     Subspace,
     TransitionMatrix,
-    conditional_distribution,
     eta,
     lumping_function,
     minimal_GL_space,
@@ -35,12 +34,15 @@ from lumpwalk.markov import (
 from lumpwalk.shuffles import random_to_top, symmetric_group, top_to_random
 from tests.conftest import uniform_on
 from tests.oracle_suite import (
+    DIST_KINDS,
     WEIGHT_KINDS,
     build_pool,
     compute_Vmax_generic,
+    conditional_distribution,
     is_irreducible,
     lumped_matrix_from_start,
     lumped_transition_matrix,
+    sample_distribution,
     sample_weight,
     stationary_distribution,
     time_reversal_matrix,
@@ -239,6 +241,32 @@ def test_integral_dynkin_matches_fraction_lump_sums():
         verdicts.append(strong_generic(f, P))
         assert verdicts[-1] == strong_generic_on_fractions(f, P), rows
     assert mixed > 20 and set(verdicts) == {True, False}
+
+
+def test_minimal_space_rows_each_lie_in_one_lump():
+    """Every row of the canonical echelon of `minimal_GL_space` lies in one
+    lump, on every walk of the pool from every start kind, so the exact test
+    reads dim(V Pi_b) off the pivots; its verdict is that of one `Subspace`
+    per lump."""
+    rng = random.Random(39)
+    verdicts = []
+    for label, G, hgens in build_pool():
+        problem = LumpingProblem(G, G.subgroup(hgens))
+        f = lumping_function(problem)
+        for kind in WEIGHT_KINDS:
+            if G.order > 30 and kind == "theta":
+                continue
+            P = transition_from_weight(G, sample_weight(rng, problem, kind))
+            for start in DIST_KINDS:
+                alpha = Distribution(tuple(sample_distribution(rng, problem, start).coeffs))
+                V = minimal_GL_space(f, P, alpha)
+                for cols in V.support:
+                    assert len({f.lump_of[k] for k in cols}) == 1, (label, kind, start)
+                dims = [Subspace(P.n, (f.project(v, b) for v in V.rows)).dim
+                        for b in range(f.n_lumps)]
+                verdicts.append(exact_generic(f, P, alpha))
+                assert verdicts[-1] == (max(dims) <= 1), (label, kind, start)
+    assert set(verdicts) == {True, False}
 
 
 def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):

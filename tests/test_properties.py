@@ -1,7 +1,5 @@
 """Cross-cutting invariants: oracle agreement, dualities, well-definedness."""
 
-import contextlib
-import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -59,7 +57,7 @@ from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
 from lumpwalk.markov import _cut
 from lumpwalk.scalars import RATIONALS, cyclotomic_field, integral_form
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
-from tests.conftest import counted_closures, lazy_frustrator
+from tests.conftest import counted_closures, lazy_frustrator, run_main
 from tests.oracle_suite import (
     DIST_KINDS,
     WEIGHT_KINDS,
@@ -977,16 +975,13 @@ def problem_files(directory, problem, hgens, w, alpha) -> list[str]:
 def jw_report_bytes(argv) -> list[str]:
     """The `--json` and `--text` reports of `jw` and `test-dist` on the files of
     `problem_files` (`jw` takes no start)."""
-    from lumpwalk import cli
-
     outputs = []
     for command in ("jw", "test-dist"):
         args = argv if command == "test-dist" else argv[:-2]
         for flag in ("--json", "--text"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert cli.main([command, *args, flag]) == 0, (command, flag)
-            outputs.append(out.getvalue())
+            result = run_main(command, *args, flag)
+            assert result.returncode == 0, (command, flag, result.stderr)
+            outputs.append(result.stdout)
     return outputs
 
 
