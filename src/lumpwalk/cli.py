@@ -30,7 +30,6 @@ from .lumping import (
     compute_Lw,
     conditional_law,
     interpolation_test,
-    lumping_function,
     stable_ideal_check,
     test_exact,
     test_strong,
@@ -414,17 +413,17 @@ def _simulate(inputs: Inputs, args, report: dict) -> None:
         raise InputFormatError(f"--length must be non-negative, got {args.length}")
     problem = inputs.problem
     trajectory = simulate_walk(problem, inputs.weight, inputs.dist, args.seed, args.length)
-    f = lumping_function(problem)
+    labels = _labels(inputs.group, problem.left.representatives)
     report["verdicts"]["completed"] = True
-    report["labels"] = list(f.labels)
-    empirical = empirical_lumped_matrix(trajectory.lumps, f.n_lumps)
+    report["labels"] = labels
+    empirical = empirical_lumped_matrix(trajectory.lumps, problem.index)
     report["matrices"] = {"empirical_lumped": _mat_str(empirical)}
-    counts = [0] * f.n_lumps
+    counts = [0] * problem.index
     for b in trajectory.lumps:
         counts[b] += 1
     report["samples"] = {"seed": args.seed, "length": args.length, "lump_counts": counts}
     if args.diagnose:
-        diag = markov_diagnostic(trajectory.lumps, f.n_lumps)
+        diag = markov_diagnostic(trajectory.lumps, problem.index)
         report["verdicts"]["diagnostic_clean"] = diag.clean
         flagged = [{"context": list(item["context"]), "statistic": round(item["statistic"], 3)}
                    for item in diag.flagged]
@@ -435,7 +434,7 @@ def _simulate(inputs: Inputs, args, report: dict) -> None:
         try:
             with open(args.trajectory_out, "w") as fh:
                 for b in trajectory.lumps:
-                    fh.write(f.labels[b] + "\n")
+                    fh.write(labels[b] + "\n")
         except OSError as exc:
             raise InputFormatError(f"cannot write {args.trajectory_out}: {exc}")
 

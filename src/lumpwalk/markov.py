@@ -9,15 +9,19 @@ tests' chain oracle, whose further tools (stationary laws, aggregated
 matrices, the maximal stable subspace, time reversal and the law given a
 lump history) live in `tests/oracle_suite.py`.
 
-The minimal stable subspace is a fixpoint of `linalg.closure` on `Fraction`
-rows, with no group or action table: it grows rows under v -> Pi_b(v P).
+The minimal stable subspace, which the weak test cuts, is a fixpoint of
+`linalg.closure` on `Fraction` rows, with no group or action table: it grows
+rows under v -> Pi_b(v P).  The exact test builds no subspace: that space is
+the direct sum of its lump parts, so it holds one integer direction per lump
+and stops at the first lump that meets a second one (`test_exact_generic`).
 
 A transition matrix keeps each row in its integral form (D, D P(x, .)) in
-`int`, beside the dense rows and the nonzero entries of each row: validation
-and Dynkin's test read the integral form, every product with a vector the
-nonzero entries.  The cut `V ∩ ker F` of a stable subspace is read off one
-block echelon of the rows `(v F | v)` over a basis of `V`
-(`linalg.kernel_span`), and is computed only by the callers that read it.
+`int`, beside the dense rows and the nonzero entries of each row:
+validation, Dynkin's test and the exact test read the integral form, every
+product with a `Fraction` vector the nonzero entries.  The cut `V ∩ ker F`
+of a stable subspace is read off one block echelon of the rows `(v F | v)`
+over a basis of `V` (`linalg.kernel_span`), and is computed only by the
+callers that read it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
 
 from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError
@@ -260,15 +265,68 @@ def test_strong_generic(f: LumpingFunction, P: TransitionMatrix) -> bool:
 
 def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution) -> bool:
     """Exact lumping via the per-lump dimension criterion dim(V Pi_b) <= 1,
-    for V = `minimal_GL_space`: dim(V Pi_b) is the number of rows of its
-    canonical echelon with a pivot in lump b.  Proof: V is spanned by its
-    seeds and the successor images that grew it, lump projections all, so V
-    is the direct sum of the spans V_b of those in each lump b, on disjoint
-    columns, and V Pi_b = V_b.  The echelons of the V_b, merged by pivot,
-    are in RREF, which is unique: each row lies in one lump.
+    for V the minimal stable space (`minimal_GL_space`), decided without
+    building V: each lump holds one direction, and the test stops at the
+    first lump that meets a second one.
+
+    V is spanned by its seeds Pi_b(alpha) and the successor images
+    Pi_b(v P) that grew it, lump projections all, so V is the direct sum of
+    the spans V_b of those in each lump b, on disjoint columns, and
+    V Pi_b = V_b.  So the chain lumps exactly iff each V_b is at most a line.
+
+    Each lump b with Pi_b(alpha) nonzero is seeded with Pi_b(D alpha), D the
+    lcm of the denominators of alpha.  Each held direction v is multiplied
+    once by L P, L the lcm of the row denominators D_x, in `int` from the
+    integral rows: L P(x, y) = (L / D_x) M_x(y).  Each nonzero projection
+    Pi_c of that image becomes the direction of c, divided by the gcd of
+    its entries, if c holds none yet; otherwise it is compared with c's
+    direction by cross-multiplication.  Every direction and projection is a
+    rescaled lump projection of a vector of V, so two that are not
+    collinear give dim V_c >= 2: not exact.  If the queue empties first,
+    the sum W of the held lines contains every seed, and it holds
+    Pi_c(v P) for each of its directions v and each c, so it is closed.  W
+    lies in V and V is the least such space, so V = W and each V_b is at
+    most a line.
+
+    The entries of alpha and P are nonnegative, so every direction and
+    image is positive on its support and no entry cancels.  Each lump's
+    direction is multiplied once, so each row of P is read at most once.  A
+    start law of the wrong length raises DomainError.
     """
-    lumps = [f.lump_of[p] for p in minimal_GL_space(f, P, alpha).pivots]
-    return len(set(lumps)) == len(lumps)
+    if alpha.n != P.n:
+        raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
+    lump_of, integral = f.lump_of, P.integral
+    scale = lcm(*(weight for weight, _ in integral))
+
+    def lump_parts(vector: dict) -> dict:
+        """{lump: {state: entry}} of a vector {state: entry}."""
+        parts = {}
+        for y, c in vector.items():
+            parts.setdefault(lump_of[y], {})[y] = c
+        return parts
+
+    _, start = integral_form(alpha.probs)
+    lines = lump_parts(dict(zip(compress(range(P.n), start), compress(start, start))))
+    queue = list(lines)
+    while queue:
+        image = {}
+        for x, c in lines[queue.pop()].items():
+            weight, row = integral[x]
+            c *= scale // weight
+            for y, _ in P.nonzero[x]:
+                image[y] = image.get(y, 0) + c * row[y]
+        for b, part in lump_parts(image).items():
+            line = lines.get(b)
+            if line is None:
+                g = gcd(*part.values())
+                lines[b] = {y: c // g for y, c in part.items()}
+                queue.append(b)
+                continue
+            y0 = next(iter(line))
+            p, q = part.get(y0, 0), line[y0]
+            if line.keys() != part.keys() or any(part[y] * q != c * p for y, c in line.items()):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +357,11 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
     values = {}  # token -> Fraction: a walk matrix has few distinct entries
 
     def token_rows():
-        """Each row's tokens, once its new tokens are parsed."""
-        for lineno, tokens in rows:
+        """Each row's tokens, once its new tokens are parsed.  A row leaves
+        `rows` as it is read, so the tokens of the whole file and the matrix
+        built from them are not held at once."""
+        for i, (lineno, tokens) in enumerate(rows):
+            rows[i] = None
             try:
                 for tok in dict.fromkeys(tokens):  # a bad token fails where it first occurs
                     if tok not in values:

@@ -31,7 +31,10 @@ reports and membership tests read the integer echelon of an ideal's cut;
 their route through its `Fraction` rows (`to_subspace`, each canonical
 integer row divided by its pivot entry) stays here: the cut strings by
 `element_lines`, `Subspace.contains`, and the false `test weak` certificate,
-found by dense products.
+found by dense products.  The generic exact test, which holds one
+direction per lump and stops at the second, keeps its form on the whole
+minimal stable space (`exact_generic_by_closure`): its canonical echelon,
+with the pivots counted per lump.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -71,7 +74,7 @@ from lumpwalk.lumping import (
     require_E_bullet,
     test_weak_weight,
 )
-from lumpwalk.markov import STATE_CAP
+from lumpwalk.markov import STATE_CAP, minimal_GL_space
 from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial, integral_form
 
 
@@ -545,6 +548,15 @@ def balanced_double_coset_mass(problem, T, w) -> bool:
     w_hh = problem.double_coset_sums(w)
     return all(w_th[cid] * hh.sizes[hh.class_of[rep]] == w_hh[hh.class_of[rep]] * th.sizes[cid]
                for cid, rep in enumerate(th.representatives))
+
+
+def exact_generic_by_closure(f, P, alpha) -> bool:
+    """The generic exact test on the whole minimal stable space: dim(V Pi_b)
+    <= 1 for every lump b, read as the number of pivots of the canonical
+    echelon of `minimal_GL_space` in lump b (each of its rows lies in one
+    lump)."""
+    lumps = [f.lump_of[p] for p in minimal_GL_space(f, P, alpha).pivots]
+    return len(set(lumps)) == len(lumps)
 
 
 def kernel_F(f) -> Subspace:

@@ -41,12 +41,17 @@ PACKAGE_DIR = ROOT / "src" / "lumpwalk"
 # them.  The walk matrix of a weight stays because `bench/tracing.py` times
 # it, `bench/test_bench.py` and `bench/run.py --confirm` build chains with it,
 # and the tests' chain oracle reads every group verdict against it; no
-# command builds a chain from a group.  The chain oracle's own tools live in
-# `tests/oracle_suite.py`, beside the suite that runs them.
+# command builds a chain from a group.  The left-coset lumping map as a
+# generic lumping function stays for the same readers: `bench/run.py
+# --confirm` and the tests hand it to the chain oracle beside that matrix,
+# while the commands read the coset labels and count off the problem.  The
+# chain oracle's own tools live in `tests/oracle_suite.py`, beside the suite
+# that runs them.
 LIBRARY = {
     "shuffles": {"symmetric_group", "top_stabilizer", "random_to_top", "top_to_random",
                  "bottom_card_cycle"},
     "markov": {"transition_from_weight"},
+    "lumping": {"lumping_function"},
 }
 # Library members that no command reads (none: an induced ideal holds its
 # cut only as the integer echelon that the commands read).

@@ -1,6 +1,8 @@
 """Generic chain machinery: the oracle side of every lumping verdict."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,8 +33,14 @@ from lumpwalk.markov import (
     parse_lump_file,
     parse_matrix_file,
 )
-from lumpwalk.shuffles import random_to_top, symmetric_group, top_to_random
-from tests.conftest import uniform_on
+from lumpwalk.shuffles import (
+    bottom_card_cycle,
+    random_to_top,
+    symmetric_group,
+    top_stabilizer,
+    top_to_random,
+)
+from tests.conftest import run_main, uniform_on
 from tests.oracle_suite import (
     DIST_KINDS,
     WEIGHT_KINDS,
@@ -48,6 +56,7 @@ from tests.oracle_suite import (
     time_reversal_matrix,
 )
 from tests.reference import (
+    exact_generic_by_closure,
     left_ideal_closure,
     strong_generic_on_fractions,
     transition_rows_per_entry,
@@ -245,17 +254,16 @@ def test_integral_dynkin_matches_fraction_lump_sums():
 
 def test_minimal_space_rows_each_lie_in_one_lump():
     """Every row of the canonical echelon of `minimal_GL_space` lies in one
-    lump, on every walk of the pool from every start kind, so the exact test
-    reads dim(V Pi_b) off the pivots; its verdict is that of one `Subspace`
-    per lump."""
+    lump, on every walk of the pool (every pair and weight kind) from every
+    start kind, so the closure reference of the exact test reads
+    dim(V Pi_b) off the pivots; its verdict is that of one `Subspace` per
+    lump, and the exact test, one direction per lump, gives it too."""
     rng = random.Random(39)
     verdicts = []
     for label, G, hgens in build_pool():
         problem = LumpingProblem(G, G.subgroup(hgens))
         f = lumping_function(problem)
         for kind in WEIGHT_KINDS:
-            if G.order > 30 and kind == "theta":
-                continue
             P = transition_from_weight(G, sample_weight(rng, problem, kind))
             for start in DIST_KINDS:
                 alpha = Distribution(tuple(sample_distribution(rng, problem, start).coeffs))
@@ -264,9 +272,143 @@ def test_minimal_space_rows_each_lie_in_one_lump():
                     assert len({f.lump_of[k] for k in cols}) == 1, (label, kind, start)
                 dims = [Subspace(P.n, (f.project(v, b) for v in V.rows)).dim
                         for b in range(f.n_lumps)]
-                verdicts.append(exact_generic(f, P, alpha))
+                verdicts.append(exact_generic_by_closure(f, P, alpha))
                 assert verdicts[-1] == (max(dims) <= 1), (label, kind, start)
+                assert exact_generic(f, P, alpha) == verdicts[-1], (label, kind, start)
     assert set(verdicts) == {True, False}
+
+
+def exact_chain(rng, sizes):
+    """A chain on lumps of the given sizes that lumps exactly from the uniform
+    start: row x of lump b is t_b e_{s(x)} + (1 - t_b) R(b, c) / |c| on each
+    state of each lump c, for a permutation s of each lump and a stochastic
+    R.  Summed over lump b, a column of lump c reads [b = c] t_b +
+    (1 - t_b) |b| R(b, c) / |c| on every state of c.  The rows of different
+    lumps have denominators of their own."""
+    lump_of = [b for b, k in enumerate(sizes) for _ in range(k)]
+    lumps = [[x for x, b in enumerate(lump_of) if b == c] for c in range(len(sizes))]
+    rows = [None] * len(lump_of)
+    for members in lumps:
+        t = Fraction(rng.randint(0, 3), rng.randint(3, 5))
+        raw = [rng.randint(0, 3) for _ in sizes]
+        raw[rng.randrange(len(sizes))] += 1
+        spread = [None] * len(lump_of)
+        for c, r in enumerate(raw):
+            for y in lumps[c]:
+                spread[y] = (1 - t) * Fraction(r, sum(raw) * len(lumps[c]))
+        for x, y in zip(members, rng.sample(members, len(members))):
+            rows[x] = list(spread)
+            rows[x][y] += t
+    return lump_of, rows
+
+
+def matrix_text(rows) -> str:
+    return f"states {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+def lump_starts(rng, lump_of):
+    """Starts on a chain: uniform, uniform or random on some lumps only (no
+    mass on the others), and a point mass at every state."""
+    n, m = len(lump_of), max(lump_of) + 1
+    starts = [Distribution.uniform(n)]
+    for _ in range(2):
+        kept = set(rng.sample(range(m), rng.randint(1, m)))
+        flat = [Fraction(lump_of[x] in kept) for x in range(n)]
+        raw = [c * rng.randint(1, 4) for c in flat]
+        for masses in (flat, raw):
+            starts.append(Distribution(tuple(c / sum(masses) for c in masses)))
+    return starts + [Distribution.point(n, x) for x in range(n)]
+
+
+def test_exact_matches_the_closure_on_matrix_files():
+    """On matrix files whose rows have different denominators, lumping
+    exactly from the uniform start or perturbed not to, from starts with no
+    mass on some lumps and point masses, and under the given lumps, one lump
+    and all-singleton lumps, the exact test gives the closure's verdict."""
+    rng = random.Random(4040)
+    verdicts, mixed = Counter(), 0
+    for trial in range(40):
+        lump_of, rows = exact_chain(rng, [rng.randint(1, 4) for _ in range(rng.randint(1, 4))])
+        n = len(rows)
+        if trial % 2:  # move mass between two states in one row
+            x = rng.randrange(n)
+            src = max(range(n), key=lambda y: rows[x][y])
+            shift = rows[x][src] / rng.randint(2, 5)
+            rows[x][src] -= shift
+            rows[x][rng.randrange(n)] += shift
+        P = parse_matrix_file(matrix_text(rows))
+        mixed += len({scale for scale, _ in P.integral}) > 1
+        for lumps in (tuple(lump_of), (0,) * n, tuple(range(n))):
+            f = LumpingFunction(lumps)
+            for alpha in lump_starts(rng, lumps):
+                verdict = exact_generic(f, P, alpha)
+                assert verdict == exact_generic_by_closure(f, P, alpha), (rows, lumps, alpha)
+                verdicts[len(set(lumps)), verdict] += 1
+    assert mixed > 20
+    assert {verdict for _, verdict in verdicts} == {True, False}
+    assert verdicts[1, True] and verdicts[1, False]  # one lump: exact iff alpha is stationary
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_exact_matches_the_closure_on_top_card_chains(n):
+    """S5/S4 and S6/S5 top-card chains under bottom-card, random-to-top and
+    top-to-random, from the uniform start and a point mass."""
+    G = symmetric_group(n)
+    f = lumping_function(LumpingProblem(G, top_stabilizer(G)))
+    verdicts = []
+    for shuffle in (bottom_card_cycle, random_to_top, top_to_random):
+        P = transition_from_weight(G, shuffle(G))
+        for alpha in (Distribution.uniform(G.order), Distribution.point(G.order, G.order - 1)):
+            verdicts.append(exact_generic(f, P, alpha))
+            assert verdicts[-1] == exact_generic_by_closure(f, P, alpha), shuffle.__name__
+    # only top-to-random from the uniform start lumps exactly
+    assert verdicts == [False, False, False, False, True, False]
+
+
+def test_exact_generic_builds_no_subspace(tmp_path, monkeypatch, fraction_work):
+    """`generic-test exact` on the 720-state S6/S5 random-to-top chain takes
+    no `minimal_GL_space` and inserts into no `Subspace`, and the test itself
+    builds no `Fraction`; the counters do see a weak request."""
+    from lumpwalk import linalg, markov
+
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(markov, "minimal_GL_space",
+                        counted("minimal_GL_space", markov.minimal_GL_space))
+    monkeypatch.setattr(linalg.Subspace, "insert", counted("insert", linalg.Subspace.insert))
+    G = symmetric_group(6)
+    f = lumping_function(LumpingProblem(G, top_stabilizer(G)))
+    P = transition_from_weight(G, random_to_top(G))
+    matrix, lumpmap = tmp_path / "matrix.txt", tmp_path / "lumps.txt"
+    matrix.write_text(matrix_text(P.rows))
+    lumpmap.write_text("".join(f"lump {x} {f.labels[b]}\n" for x, b in enumerate(f.lump_of)))
+    result = run_main("generic-test", "exact", "--json",
+                      "--matrix", matrix, "--lumpmap", lumpmap)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["verdicts"] == {"exact": False}
+    assert not calls, calls
+    uniform = Distribution.uniform(P.n)
+    fraction_work.clear()
+    assert not exact_generic(f, P, uniform)
+    assert fraction_work["new"] == fraction_work["bool"] == 0, fraction_work
+    assert not calls, calls
+    small = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    weak_generic(LumpingFunction((0, 1)), small, Distribution.uniform(2))
+    assert calls["minimal_GL_space"] == 1 and calls["insert"] > 0
+
+
+def test_exact_generic_refuses_a_start_of_the_wrong_length():
+    P = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    f = LumpingFunction((0, 1))
+    for alpha in (Distribution.uniform(1), Distribution.uniform(3)):
+        with pytest.raises(DomainError, match=f"start law has {alpha.n} states, the matrix 2"):
+            exact_generic(f, P, alpha)
 
 
 def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):
@@ -274,7 +416,7 @@ def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):
     operations per row, not one or more per entry."""
     G = symmetric_group(5)
     P = transition_from_weight(G, random_to_top(G))
-    text = f"states {P.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in P.rows)
+    text = matrix_text(P.rows)
     fraction_work.clear()
     parsed = parse_matrix_file(text)
     assert sum(fraction_work.values()) <= 10 * P.n, fraction_work
