@@ -15,10 +15,10 @@ rows under v -> Pi_b(v P).  The exact test builds no subspace: that space is
 the direct sum of its lump parts, so it holds one integer direction per lump
 and stops at the first lump that meets a second one (`test_exact_generic`).
 
-A transition matrix keeps each row in its integral form (D, D P(x, .)) in
-`int`, beside the dense rows and the nonzero entries of each row:
-validation, Dynkin's test and the exact test read the integral form, every
-product with a `Fraction` vector the nonzero entries.  The cut `V ∩ ker F`
+A transition matrix is built from integral rows (D, D P(x, .)) in `int`
+and holds each row once, as its nonzero columns and their integers reduced
+by their gcd with D: validation, Dynkin's test, the exact test and every
+product with a `Fraction` vector read that form.  The cut `V ∩ ker F`
 of a stable subspace is read off one block echelon of the rows `(v F | v)`
 over a basis of `V` (`linalg.kernel_span`), and is computed only by the
 callers that read it.
@@ -63,83 +63,68 @@ class Distribution:
         return Distribution((Fraction(1, n),) * n)
 
 
-def _integral_row(keys, value) -> tuple[list[tuple[int, Fraction]], int, list[int]]:
-    """One row as (nonzero, D, M): the ``(column, entry)`` pairs of its nonzero
-    `Fraction` entries and its `integral_form` (D, M), M = D * row in `int`.
-
-    The row is given as keys, and `value` maps a key to its `Fraction`: the
-    entries themselves (`Fraction`, `int` or literal strings) by default,
-    integer numerators over one denominator from `transition_from_weight`
-    (and the oracle's time reversal in `tests/oracle_suite.py`), the tokens
-    of a matrix file from `parse_matrix_file`.  Each distinct key is read
-    once, in the order it first occurs, so a row of a walk matrix, with few
-    distinct entries, is scaled with C-level maps.
-    """
-    values = {k: value(k) for k in dict.fromkeys(keys)}
-    scale, numerators = integral_form(values.values())
-    scaled = dict(zip(values, numerators))
-    row = list(map(scaled.__getitem__, keys))
-    nonzero = zip(compress(range(len(row)), row), map(values.__getitem__, compress(keys, row)))
-    return list(nonzero), scale, row
-
-
 class TransitionMatrix:
     """Row-stochastic matrix with exact rational entries acting on row vectors.
 
-    Each row x is held in its integral form ``integral[x] = (D_x, M_x)``,
-    with D_x the lcm of the denominators of the row and M_x = D_x P(x, .) in
-    `int` (`_integral_row`), and validation reads only that form: no entry of
-    M_x is negative, and M_x sums to D_x.  ``nonzero[x]`` lists the
-    ``(y, P(x, y))`` pairs with ``P(x, y) != 0`` in ascending ``y``, picked
-    out where M_x is nonzero, so ``apply`` touches only those entries.
-    ``rows``, the dense matrix of `Fraction`s, is built from the integral
-    form when first read.  A row that fails a check is named by its index
-    x, the state number of a lump file.
-
-    Rows are given as keys mapped to their values by `value`, the entries
-    themselves by default (`_integral_row`).
+    Built from integral rows ``(D_x, M_x)``, M_x a dense list of `int` with
+    P(x, .) = M_x / D_x, and validated on them: no entry of M_x is negative
+    and M_x sums to D_x > 0; a failing row is named by its index x, the
+    state number of a lump file.  Row x is held once, as ``integral[x] =
+    (D_x, cols_x, M_x)``: its nonzero columns ascending and their integers,
+    divided by the gcd of D_x and M_x, so a matrix has one form.  ``apply``
+    reads that form; ``rows``, the dense `Fraction` matrix, is built from it
+    when first read.
     """
 
-    __slots__ = ("n", "_rows", "nonzero", "integral")
+    __slots__ = ("n", "_rows", "integral")
 
-    def __init__(self, rows, value=Fraction):
-        forms = [_integral_row(r, value) for r in rows]
+    def __init__(self, forms):
+        forms = list(forms)
         n = len(forms)
         if n > STATE_CAP:
             raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
-        for x, (_, scale, scaled) in enumerate(forms):
+        self.n = n
+        self._rows = None
+        self.integral = []
+        for x, (scale, scaled) in enumerate(forms):
             if len(scaled) != n:
                 raise DomainError(f"row {x} of the transition matrix has {len(scaled)} "
                                   f"entries: a square matrix needs {n}")
             if min(scaled) < 0:
                 raise DomainError(f"row {x} of the transition matrix has a negative entry")
-            if sum(scaled) != scale:
+            if scale < 1 or sum(scaled) != scale:
                 raise DomainError(f"row {x} of the transition matrix does not sum to 1")
-        self.n = n
-        self._rows = None
-        self.nonzero = [nonzero for nonzero, _, _ in forms]
-        self.integral = [(scale, scaled) for _, scale, scaled in forms]
+            values = list(compress(scaled, scaled))
+            g = gcd(scale, *values)
+            if g > 1:
+                scale, values = scale // g, [m // g for m in values]
+            self.integral.append((scale, list(compress(range(n), scaled)), values))
 
     @property
     def rows(self) -> list[list[Fraction]]:
         if self._rows is None:
+            zero = Fraction(0)
             self._rows = []
-            for scale, scaled in self.integral:
+            for scale, cols, scaled in self.integral:
                 values = {m: Fraction(m, scale) for m in dict.fromkeys(scaled)}
-                self._rows.append(list(map(values.__getitem__, scaled)))
+                row = [zero] * self.n
+                for y, m in zip(cols, scaled):
+                    row[y] = values[m]
+                self._rows.append(row)
         return self._rows
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         """Row vector times matrix."""
         out = [Fraction(0)] * self.n
-        for vx, pairs in zip(vec, self.nonzero):
+        for vx, (scale, cols, scaled) in zip(vec, self.integral):
             if vx:
-                for y, p in pairs:
-                    out[y] = out[y] + vx * p
+                c = Fraction(vx, scale)
+                for y, m in zip(cols, scaled):
+                    out[y] = out[y] + c * m
         return out
 
     def __eq__(self, other):
-        return isinstance(other, TransitionMatrix) and self.rows == other.rows
+        return isinstance(other, TransitionMatrix) and self.integral == other.integral
 
 
 @dataclass(frozen=True)
@@ -150,6 +135,8 @@ class LumpingFunction:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.lump_of:
+            raise DomainError("a lumping function needs at least one state")
         m = self.n_lumps
         if sorted(set(self.lump_of)) != list(range(m)):
             raise DomainError("lump ids must be exactly 0..M-1")
@@ -186,9 +173,9 @@ class LumpingFunction:
 def transition_from_weight(G: FiniteGroup, w: AlgebraElement) -> TransitionMatrix:
     """Walk matrix P(x, y) = w(x^-1 y)/w(G) of the left-invariant random walk.
 
-    Row x is given as the integers (D w)(x^-1 y), D the lcm of the
-    denominators of w, each distinct one read as a `Fraction` over
-    (D w)(G) once: x g runs over distinct y as g runs over supp w.
+    Row x is given as the integers (D w)(x^-1 y) over (D w)(G), D the lcm
+    of the denominators of w, so no `Fraction` is built: x g runs over
+    distinct y as g runs over supp w.
     """
     support = list(w.require_weight().support())
     _, weights = integral_form(c for _, c in support)
@@ -198,12 +185,20 @@ def transition_from_weight(G: FiniteGroup, w: AlgebraElement) -> TransitionMatri
         row = [0] * G.order
         for (g, _), m in zip(support, weights):
             row[G.mul(x, g)] = m
-        rows.append(row)
-    return TransitionMatrix(rows, lambda m: Fraction(m, total))
+        rows.append((total, row))
+    return TransitionMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
 # Gurvits-Ledoux spaces and the generic lumping tests
+
+
+def _check_states(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution | None = None):
+    """Refuse a lumping function or start law with another state count."""
+    if len(f.lump_of) != P.n:
+        raise DomainError(f"lumping function has {len(f.lump_of)} states, the matrix {P.n}")
+    if alpha is not None and alpha.n != P.n:
+        raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
 
 
 def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution) -> Subspace:
@@ -231,6 +226,7 @@ def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
 
 def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
     """Weak lumping of MC(alpha, P) under f; certificate is a violating vector."""
+    _check_states(f, P, alpha)
     for v in _cut(f, minimal_GL_space(f, P, alpha)).rows:
         image = f.apply_F(P.apply(v))
         if any(image):
@@ -245,13 +241,14 @@ def test_strong_generic(f: LumpingFunction, P: TransitionMatrix) -> bool:
     sums of M_x over D_x, so two rows agree iff their integer sums do, each
     multiplied by the other row's D.
     """
+    _check_states(f, P)
     lump_of, m = f.lump_of, f.n_lumps
 
     def lump_sums(x):
-        scale, scaled = P.integral[x]
+        scale, cols, scaled = P.integral[x]
         sums = [0] * m
-        for b, c in zip(compress(lump_of, scaled), compress(scaled, scaled)):
-            sums[b] += c
+        for y, c in zip(cols, scaled):
+            sums[lump_of[y]] += c
         return scale, sums
 
     for block in f.lumps():
@@ -291,12 +288,11 @@ def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribut
     The entries of alpha and P are nonnegative, so every direction and
     image is positive on its support and no entry cancels.  Each lump's
     direction is multiplied once, so each row of P is read at most once.  A
-    start law of the wrong length raises DomainError.
+    lumping function or start law of the wrong length raises DomainError.
     """
-    if alpha.n != P.n:
-        raise DomainError(f"start law has {alpha.n} states, the matrix {P.n}")
+    _check_states(f, P, alpha)
     lump_of, integral = f.lump_of, P.integral
-    scale = lcm(*(weight for weight, _ in integral))
+    scale = lcm(*(weight for weight, _, _ in integral))
 
     def lump_parts(vector: dict) -> dict:
         """{lump: {state: entry}} of a vector {state: entry}."""
@@ -311,10 +307,10 @@ def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribut
     while queue:
         image = {}
         for x, c in lines[queue.pop()].items():
-            weight, row = integral[x]
+            weight, cols, row = integral[x]
             c *= scale // weight
-            for y, _ in P.nonzero[x]:
-                image[y] = image.get(y, 0) + c * row[y]
+            for y, m in zip(cols, row):
+                image[y] = image.get(y, 0) + c * m
         for b, part in lump_parts(image).items():
             line = lines.get(b)
             if line is None:
@@ -356,23 +352,26 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
         raise InputFormatError(f"expected {n} matrix rows, found {len(rows)}")
     values = {}  # token -> Fraction: a walk matrix has few distinct entries
 
-    def token_rows():
-        """Each row's tokens, once its new tokens are parsed.  A row leaves
-        `rows` as it is read, so the tokens of the whole file and the matrix
-        built from them are not held at once."""
+    def integral_rows():
+        """Each row's integral form, from its distinct tokens, each parsed
+        once per file and scaled once per row.  A row leaves `rows` as it is
+        read, so the tokens of the whole file and the matrix built from them
+        are not held at once."""
         for i, (lineno, tokens) in enumerate(rows):
             rows[i] = None
+            distinct = dict.fromkeys(tokens)
             try:
-                for tok in dict.fromkeys(tokens):  # a bad token fails where it first occurs
+                for tok in distinct:  # a bad token fails where it first occurs
                     if tok not in values:
                         values[tok] = parse_rational(tok)
                 if len(tokens) != n:
                     raise InputFormatError("matrix row with wrong entry count")
             except (InputFormatError, DomainError) as error:
                 raise at_line(lineno, error) from error
-            yield tokens
+            scale, numerators = integral_form(map(values.__getitem__, distinct))
+            yield scale, list(map(dict(zip(distinct, numerators)).__getitem__, tokens))
 
-    return TransitionMatrix(token_rows(), values.__getitem__)
+    return TransitionMatrix(integral_rows())
 
 
 def parse_distribution_file(text: str) -> Distribution:

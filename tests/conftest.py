@@ -3,10 +3,12 @@ in-process command-line runner."""
 
 import contextlib
 import io
+import os
 import subprocess
 import traceback
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,11 @@ from lumpwalk import (
     simulate_walk,
 )
 from lumpwalk.shuffles import symmetric_group, top_stabilizer
+
+# `pyproject.toml` puts `src/` on pytest's path; the interpreters the CLI
+# tests start get it first on theirs, so they import the same package
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def run_main(*args):

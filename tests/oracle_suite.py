@@ -55,12 +55,12 @@ from tests.reference import coset_blocks, to_subspace
 def apply_column(P: TransitionMatrix, vec: list[Fraction]) -> list[Fraction]:
     """Matrix times column vector."""
     out = []
-    for pairs in P.nonzero:
+    for scale, cols, scaled in P.integral:
         total = Fraction(0)
-        for y, p in pairs:
+        for y, m in zip(cols, scaled):
             if vec[y]:
-                total = total + p * vec[y]
-        out.append(total)
+                total = total + m * vec[y]
+        out.append(total / scale)
     return out
 
 
@@ -70,14 +70,14 @@ def is_irreducible(P: TransitionMatrix) -> bool:
 
 def _reaches_all(P: TransitionMatrix, forward: bool) -> bool:
     """Whether state 0 reaches every state (forward) or every state reaches
-    it (backward): a search on the `nonzero` entries, backward on
-    predecessor lists built once."""
+    it (backward): a search on the nonzero columns of the `integral` rows,
+    backward on predecessor lists built once."""
     if forward:
-        neighbours = [[y for y, _ in pairs] for pairs in P.nonzero]
+        neighbours = [cols for _, cols, _ in P.integral]
     else:
         neighbours = [[] for _ in range(P.n)]
-        for x, pairs in enumerate(P.nonzero):
-            for y, _ in pairs:
+        for x, (_, cols, _) in enumerate(P.integral):
+            for y in cols:
                 neighbours[y].append(x)
     seen = {0}
     stack = [0]
@@ -173,10 +173,10 @@ def compute_Vmax_generic(f: LumpingFunction, P: TransitionMatrix, Q) -> Subspace
     lumps = range(f.n_lumps)
     # column j of PF - FQ: the mass P(x, lump j) less Q[f(x)][j]
     columns = [[-given[b][j] for b in f.lump_of] for j in lumps]
-    for x, pairs in enumerate(P.nonzero):
-        for y, p in pairs:
+    for x, (scale, cols, scaled) in enumerate(P.integral):
+        for y, m in zip(cols, scaled):
             column = columns[f.lump_of[y]]
-            column[x] = column[x] + p
+            column[x] = column[x] + Fraction(m, scale)
 
     def successors(a):
         yield apply_column(P, a)
@@ -216,21 +216,22 @@ def time_reversal_matrix(P: TransitionMatrix, alpha: Distribution) -> Transition
     Read off the integral rows: with alpha(y) = a_y / A and
     P(y, x) = M_y[x] / D_y, P*(x, y) = a_y (L / D_y) M_y[x] (K / a_x) / (L K)
     for L the lcm of the D_y and K that of the a_x, so every row is given as
-    integers over the one denominator L K.
+    integers over the one denominator L K, column y of them filled from the
+    nonzero entries of row y of P.
     """
     if any(p == 0 for p in alpha.probs):
         raise DomainError("time reversal requires a full-support distribution")
     if P.apply(list(alpha.probs)) != list(alpha.probs):
         raise DomainError("time reversal requires a stationary distribution")
     _, weights = integral_form(alpha.probs)
-    row_scale = lcm(*(d for d, _ in P.integral))
+    row_scale = lcm(*(d for d, _, _ in P.integral))
     weight_scale = lcm(*weights)
-    columns = [(a * (row_scale // d), scaled) for a, (d, scaled) in zip(weights, P.integral)]
-    rows = []
-    for x, a in enumerate(weights):
-        k = weight_scale // a
-        rows.append([u * scaled[x] * k for u, scaled in columns])
-    return TransitionMatrix(rows, lambda m: Fraction(m, row_scale * weight_scale))
+    rows = [[0] * P.n for _ in range(P.n)]
+    for y, (a, (d, cols, scaled)) in enumerate(zip(weights, P.integral)):
+        u = a * (row_scale // d)
+        for x, m in zip(cols, scaled):
+            rows[x][y] = u * m * (weight_scale // weights[x])
+    return TransitionMatrix((row_scale * weight_scale, row) for row in rows)
 
 
 def _gen(degree, *cycles):

@@ -762,15 +762,16 @@ def fraction_threshold_sampler(entries):
 
 
 def transition_rows_per_entry(rows):
-    """Reference for the validation of `markov.TransitionMatrix`: every entry
-    made a `Fraction`, then per row the square, sign and sum checks on the
-    nonzero entries, summed over their common denominator.  Returns
-    (rows, nonzero)."""
+    """Reference for the validation of `markov.TransitionMatrix` and its held
+    form: every entry made a `Fraction`, then per row the square, sign and
+    sum checks on the nonzero entries, summed over their common denominator
+    D.  Returns (rows, integral), row x of ``integral`` being D, the columns
+    of the nonzero entries and their numerators over D."""
     rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
     n = len(rows)
     if n > STATE_CAP:
         raise DomainError(f"state count {n} exceeds the cap {STATE_CAP}")
-    nonzero = []
+    integral = []
     for x, r in enumerate(rows):
         if len(r) != n:
             raise DomainError(f"row {x} of the transition matrix has {len(r)} entries: "
@@ -779,10 +780,11 @@ def transition_rows_per_entry(rows):
         if any(p.numerator < 0 for _, p in pairs):
             raise DomainError(f"row {x} of the transition matrix has a negative entry")
         den = lcm(*{p.denominator for _, p in pairs})
-        if sum(p.numerator * (den // p.denominator) for _, p in pairs) != den:
+        numerators = [p.numerator * (den // p.denominator) for _, p in pairs]
+        if sum(numerators) != den:
             raise DomainError(f"row {x} of the transition matrix does not sum to 1")
-        nonzero.append(pairs)
-    return rows, nonzero
+        integral.append((den, [y for y, _ in pairs], numerators))
+    return rows, integral
 
 
 def strong_generic_on_fractions(f, P) -> bool:

@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from lumpwalk.markov import (
     parse_lump_file,
     parse_matrix_file,
 )
+from lumpwalk.scalars import integral_form
 from lumpwalk.shuffles import (
     bottom_card_cycle,
     random_to_top,
@@ -67,6 +69,18 @@ def dist(alg_elem):
     return Distribution(tuple(alg_elem.coeffs))
 
 
+def chain(rows) -> TransitionMatrix:
+    """The matrix of rows of rationals (`Fraction`s, `int`s or literals),
+    each given to `TransitionMatrix` in its integral form."""
+    return TransitionMatrix(integral_form(map(Fraction, row)) for row in rows)
+
+
+def held_pairs(P):
+    """The (column, entry) pairs of each row of P, read off its held form."""
+    return [[(y, Fraction(m, scale)) for y, m in zip(cols, scaled)]
+            for scale, cols, scaled in P.integral]
+
+
 # -- transition matrices -----------------------------------------------------
 
 
@@ -96,9 +110,9 @@ def test_sparse_rows_match_dense_reference(sym4, frustrator):
             raw = [rng.choice([0, 0, 1, 2, 5]) for _ in range(n)]
             raw[rng.randrange(n)] += 1
             rows.append([Fraction(r, sum(raw)) for r in raw])
-        chains.append(TransitionMatrix(rows))
+        chains.append(chain(rows))
     for P in chains:
-        assert P.nonzero == [[(y, p) for y, p in enumerate(row) if p] for row in P.rows]
+        assert held_pairs(P) == [[(y, p) for y, p in enumerate(row) if p] for row in P.rows]
         for _ in range(5):
             vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * rng.randint(0, 1)
                    for _ in range(P.n)]
@@ -110,24 +124,54 @@ def test_sparse_rows_match_dense_reference(sym4, frustrator):
 
 def test_transition_matrix_validation():
     half = Fraction(1, 2)
-    assert TransitionMatrix([[1, 0], ["1/3", Fraction(2, 3)]]).rows[1] == [Fraction(1, 3),
-                                                                          Fraction(2, 3)]
+    assert chain([[1, 0], ["1/3", Fraction(2, 3)]]).rows[1] == [Fraction(1, 3), Fraction(2, 3)]
     with pytest.raises(DomainError, match="square"):
-        TransitionMatrix([[half, half]])
+        chain([[half, half]])
     with pytest.raises(DomainError, match="square"):
-        TransitionMatrix([[1, 0], [1]])
+        chain([[1, 0], [1]])
     with pytest.raises(DomainError, match="negative"):
-        TransitionMatrix([[1, 0], [Fraction(3, 2), -half]])
+        chain([[1, 0], [Fraction(3, 2), -half]])
     with pytest.raises(DomainError, match="sum to 1"):
-        TransitionMatrix([[half, Fraction(1, 3)], [1, 0]])
+        chain([[half, Fraction(1, 3)], [1, 0]])
     with pytest.raises(DomainError, match="sum to 1"):
-        TransitionMatrix([[0, 0], [0, 1]])
+        chain([[0, 0], [0, 1]])
     with pytest.raises(DomainError, match="sum to 1"):
         # 1/6 + 1/10 + 10/15 + 1/30 = 29/30, over a common denominator of several
-        TransitionMatrix([[Fraction(1, 6), Fraction(1, 10)] + [Fraction(1, 15)] * 10
-                          + [Fraction(1, 30)]] * 13)
+        chain([[Fraction(1, 6), Fraction(1, 10)] + [Fraction(1, 15)] * 10
+               + [Fraction(1, 30)]] * 13)
     with pytest.raises(DomainError, match="exceeds the cap"):
-        TransitionMatrix([[]] * (STATE_CAP + 1))
+        chain([[]] * (STATE_CAP + 1))
+    # integral rows given directly: a zero or negative denominator sums to no 1
+    for scale in (0, -2):
+        with pytest.raises(DomainError, match="row 1 of the transition matrix does not sum to 1"):
+            TransitionMatrix([(1, [1, 0]), (scale, [0, 0])])
+    with pytest.raises(DomainError, match="row 0 of the transition matrix has a negative entry"):
+        TransitionMatrix([(2, [3, -1]), (1, [1, 0])])
+
+
+def test_integral_rows_are_held_once_reduced():
+    """Row x given as (k D, k M) or (D, M) is held as the same reduced
+    sparse form, so the matrices are equal, and a matrix written as text
+    and parsed back equals the one it was written from."""
+    P = TransitionMatrix([(4, [1, 0, 3]), (1, [0, 1, 0]), (6, [2, 2, 2])])
+    assert P.integral == [(4, [0, 2], [1, 3]), (1, [1], [1]), (3, [0, 1, 2], [1, 1, 1])]
+    for k in (2, 3, 12):
+        scaled = TransitionMatrix([(4 * k, [k, 0, 3 * k]), (k, [0, k, 0]), (6 * k, [2 * k] * 3)])
+        assert scaled == P and scaled.integral == P.integral
+    assert P != TransitionMatrix([(4, [3, 0, 1]), (1, [0, 1, 0]), (3, [1, 1, 1])])
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        forms = []
+        for _ in range(n):
+            row = [rng.choice([0, 0, 1, 2, 6]) for _ in range(n)]
+            row[rng.randrange(n)] += 1
+            k = rng.randint(1, 5)
+            forms.append((k * sum(row), [k * m for m in row]))
+        P = TransitionMatrix(forms)
+        assert all(gcd(scale, *scaled) == 1 for scale, _, scaled in P.integral)
+        assert parse_matrix_file(matrix_text(P.rows)) == P
+        assert parse_matrix_file(matrix_text(P.rows)).integral == P.integral
 
 
 @st.composite
@@ -158,30 +202,30 @@ def written(p: Fraction, form: int):
 
 
 def outcome(build):
-    """(rows, nonzero) of a matrix, or the type and message of its error."""
+    """(rows, integral) of a matrix, or the type and message of its error."""
     try:
-        rows, nonzero = build()
+        rows, integral = build()
     except (DomainError, InputFormatError) as exc:
         return type(exc).__name__, str(exc)
     assert all(type(p) is Fraction for row in rows for p in row)
-    return rows, nonzero
+    return rows, integral
 
 
-def built(*args):
-    P = TransitionMatrix(*args)
-    return P.rows, P.nonzero
+def built(rows):
+    P = chain(rows)
+    return P.rows, P.integral
 
 
 def built_from(text):
     P = parse_matrix_file(text)
-    return P.rows, P.nonzero
+    return P.rows, P.integral
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrix_rows(), st.data())
 def test_integral_rows_match_per_entry_checks(rows, data):
     """Rows given as `Fraction`s, `int`s or literals, and as matrix text, give
-    the rows, nonzero pairs and errors of the per-entry checks."""
+    the rows, held sparse integral forms and errors of the per-entry checks."""
     forms = data.draw(st.lists(st.integers(0, 3), min_size=sum(map(len, rows)),
                                max_size=sum(map(len, rows))))
     it = iter(forms)
@@ -245,7 +289,7 @@ def test_integral_dynkin_matches_fraction_lump_sums():
             shift = rows[x][src] / rng.randint(2, 5)
             rows[x][src] -= shift
             rows[x][dst] += shift
-        P = TransitionMatrix(rows)
+        P = chain(rows)
         mixed += any(len({P.integral[x][0] for x in block}) > 1 for block in f.lumps())
         verdicts.append(strong_generic(f, P))
         assert verdicts[-1] == strong_generic_on_fractions(f, P), rows
@@ -337,7 +381,7 @@ def test_exact_matches_the_closure_on_matrix_files():
             rows[x][src] -= shift
             rows[x][rng.randrange(n)] += shift
         P = parse_matrix_file(matrix_text(rows))
-        mixed += len({scale for scale, _ in P.integral}) > 1
+        mixed += len({scale for scale, _, _ in P.integral}) > 1
         for lumps in (tuple(lump_of), (0,) * n, tuple(range(n))):
             f = LumpingFunction(lumps)
             for alpha in lump_starts(rng, lumps):
@@ -398,17 +442,57 @@ def test_exact_generic_builds_no_subspace(tmp_path, monkeypatch, fraction_work):
     assert not exact_generic(f, P, uniform)
     assert fraction_work["new"] == fraction_work["bool"] == 0, fraction_work
     assert not calls, calls
-    small = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    small = chain([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
     weak_generic(LumpingFunction((0, 1)), small, Distribution.uniform(2))
     assert calls["minimal_GL_space"] == 1 and calls["insert"] > 0
 
 
 def test_exact_generic_refuses_a_start_of_the_wrong_length():
-    P = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    P = chain([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
     f = LumpingFunction((0, 1))
     for alpha in (Distribution.uniform(1), Distribution.uniform(3)):
         with pytest.raises(DomainError, match=f"start law has {alpha.n} states, the matrix 2"):
             exact_generic(f, P, alpha)
+
+
+def test_weak_generic_refuses_a_start_of_the_wrong_length():
+    P = chain([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    f = LumpingFunction((0, 1))
+    for alpha in (Distribution.uniform(1), Distribution.uniform(3)):
+        with pytest.raises(DomainError, match=f"start law has {alpha.n} states, the matrix 2"):
+            weak_generic(f, P, alpha)
+
+
+@pytest.mark.parametrize("lump_of", [(0, 1), (0, 1, 0, 1)])
+def test_generic_tests_refuse_a_lump_map_of_the_wrong_length(lump_of):
+    """A lump map shorter or longer than the 3-state matrix is refused by
+    all three tests, which would otherwise give a verdict or fail on an
+    index."""
+    P = chain([[0, Fraction(1, 2), Fraction(1, 2)], [1, 0, 0], [0, 1, 0]])
+    f, alpha = LumpingFunction(lump_of), Distribution.uniform(3)
+    message = f"lumping function has {len(lump_of)} states, the matrix 3"
+    with pytest.raises(DomainError, match=message):
+        strong_generic(f, P)
+    with pytest.raises(DomainError, match=message):
+        exact_generic(f, P, alpha)
+    with pytest.raises(DomainError, match=message):
+        weak_generic(f, P, alpha)
+
+
+def test_lumping_function_needs_a_state():
+    with pytest.raises(DomainError, match="at least one state"):
+        LumpingFunction(())
+
+
+def test_transition_from_weight_builds_no_fraction(fraction_work):
+    """The S5 random-to-top walk matrix is handed over as integers over the
+    weight's total: no `Fraction` is built."""
+    G = symmetric_group(5)
+    w = random_to_top(G)
+    fraction_work.clear()
+    P = transition_from_weight(G, w)
+    assert fraction_work["new"] == 0, fraction_work
+    assert all(scale == 5 and scaled == [1] * 5 for scale, _, scaled in P.integral)
 
 
 def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):
@@ -427,7 +511,7 @@ def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):
 
 
 def test_minimal_space_identity_matrix():
-    P = TransitionMatrix([[1, 0], [0, 1]])
+    P = chain([[1, 0], [0, 1]])
     f = LumpingFunction((0, 1))
     alpha = Distribution((Fraction(1, 2), Fraction(1, 2)))
     gl = minimal_GL_space(f, P, alpha)
@@ -438,7 +522,7 @@ def test_minimal_space_identity_matrix():
 
 
 def test_single_lump_always_weak():
-    P = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
+    P = chain([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
     f = LumpingFunction((0, 0))
     ok, _ = weak_generic(f, P, Distribution.point(2, 0))
     assert ok
@@ -517,10 +601,10 @@ def test_stationary(sym4, frustrator):
     P = transition_from_weight(sym4, frustrator)
     mu = stationary_distribution(P)
     assert all(p == Fraction(1, 24) for p in mu.probs)
-    swap = TransitionMatrix([[0, 1], [1, 0]])
+    swap = chain([[0, 1], [1, 0]])
     assert stationary_distribution(swap).probs == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(DomainError):
-        stationary_distribution(TransitionMatrix([[1, 0], [0, 1]]))
+        stationary_distribution(chain([[1, 0], [0, 1]]))
 
 
 def test_lumped_matrix(sym4, top_prob, frustrator):
@@ -537,7 +621,7 @@ def test_lumped_matrix(sym4, top_prob, frustrator):
     fid = LumpingFunction(tuple(range(24)))
     assert lumped_transition_matrix(fid, P, mu) == P.rows
     # zero-mass lump rows are undefined
-    P2 = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
+    P2 = chain([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
     f2 = LumpingFunction((0, 1))
     rows = lumped_transition_matrix(f2, P2, Distribution.point(2, 0))
     assert rows[1] is None and rows[0] == [Fraction(1, 2), Fraction(1, 2)]
@@ -666,7 +750,7 @@ def test_time_reversal(sym4, top_prob):
     mu = Distribution.uniform(24)
     assert time_reversal_matrix(Pr, mu) == Pt
     assert time_reversal_matrix(time_reversal_matrix(Pr, mu), mu) == Pr
-    symmetric = TransitionMatrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
+    symmetric = chain([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
     assert time_reversal_matrix(symmetric, Distribution.uniform(2)) == symmetric
     with pytest.raises(DomainError):
         time_reversal_matrix(Pr, Distribution.point(24, 0))
@@ -685,7 +769,7 @@ def test_time_reversal_matches_fraction_formula(sym4, frustrator):
             raw[rng.randrange(n)] += 1
             raw = [r * rng.randint(1, 3) for r in raw]
             rows.append([Fraction(r, sum(raw)) for r in raw])
-        chains.append(TransitionMatrix(rows))
+        chains.append(chain(rows))
     checked = 0
     for P in chains:
         if not is_irreducible(P):
@@ -694,7 +778,7 @@ def test_time_reversal_matches_fraction_formula(sym4, frustrator):
         expected = [[mu[y] * P.rows[y][x] / mu[x] for y in range(P.n)] for x in range(P.n)]
         Pstar = time_reversal_matrix(P, Distribution(mu))
         assert Pstar.rows == expected
-        assert Pstar.nonzero == [[(y, p) for y, p in enumerate(row) if p] for row in expected]
+        assert held_pairs(Pstar) == [[(y, p) for y, p in enumerate(row) if p] for row in expected]
         checked += 1
     assert checked >= 3
 
@@ -710,7 +794,7 @@ def test_strong_exact_reversal_duality_small_chains():
             raw = [rng.randint(1, 4) for _ in range(n)]
             total = sum(raw)
             rows.append([Fraction(r, total) for r in raw])
-        P = TransitionMatrix(rows)
+        P = chain(rows)
         mu = stationary_distribution(P)
         Pstar = time_reversal_matrix(P, mu)
         assert strong_generic(f, P) == exact_generic(f, Pstar, mu)
@@ -780,7 +864,7 @@ def test_matrix_file_tokens():
     assert P._rows is None  # the dense rows are built from the integral form when first read
     assert P.rows == [[Fraction(1, 3)] * 3, [Fraction(1, 3), 0, Fraction(2, 3)], [0, 1, 0]]
     assert P.rows is P.rows
-    assert P.nonzero[1] == [(0, Fraction(1, 3)), (2, Fraction(2, 3))]
+    assert P.integral[1] == (3, [0, 2], [1, 2])
     # a bad token fails wherever it repeats, and so does a zero denominator
     for text in ("states 2\n1/x 1/x\n1/x 1/x\n", "states 2\n1/2 1/2\n1/x 1/x\n",
                  "states 2\n1/2 1/2\n1/0 1\n", "states 2\n1/0 1/0\n1/0 1/0\n"):
