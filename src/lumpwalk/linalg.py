@@ -31,7 +31,9 @@ divides it by its pivot entry.
 basis: Zassenhaus's block echelon on one `Subspace`, which reads the span
 off without building the coefficient vectors.  `kernel_coefficients` is
 `kernel_span` with unit basis rows, and `intersect` is `kernel_span` of the
-rows of both spaces with the rows of one.
+rows of both spaces with the rows of one.  No command reaches the three:
+the weak test of `markov` reads its cut in closed form, and they serve the
+tests' chain oracle and references.
 
 `closure` is the one fixpoint kernel, generic over the row store, for the
 group path and the generic oracle alike: the smallest subspace containing a
@@ -291,7 +293,9 @@ def kernel_span(images: list[list], basis_rows: list[list], ambient: int) -> Sub
     Zassenhaus's block echelon: the rows (images[k] | basis_rows[k]) are
     echelonised as one `Subspace`.  A row whose pivot lies in the basis block
     is zero on the image block, and those rows, cut to the basis block, are
-    the canonical RREF of the span.
+    the canonical RREF of the span.  The tests' chain oracle and references
+    call it (the generic cut `V cap ker F` by block echelon is the reference
+    of `markov._cut_rows`); no command does.
     """
     width = len(images[0]) if images else 0
     wide = Subspace(width + ambient,

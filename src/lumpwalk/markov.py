@@ -11,30 +11,31 @@ lump history) live in `tests/oracle_suite.py`.
 
 The minimal stable subspace, which the weak test cuts, is a fixpoint of
 `linalg.closure` on `Fraction` rows, with no group or action table: it grows
-rows under v -> Pi_b(v P).  The exact test builds no subspace: that space is
-the direct sum of its lump parts, so it holds one integer direction per lump
-and stops at the first lump that meets a second one (`test_exact_generic`).
+rows under v -> Pi_b(v P).  That space is the direct sum of its lump parts.
+So the exact test builds no subspace: it holds one integer direction per
+lump and stops at the first lump that meets a second one
+(`test_exact_generic`).  And the weak test reads the cut `V ∩ ker F` off the
+canonical rows of V in closed form, one combination of two rows per row of
+nonzero sum, with no second elimination (`_cut_rows`).
 
 A transition matrix is built from integral rows (D, D P(x, .)) in `int`
 and holds each row once, as its nonzero columns and their integers reduced
 by their gcd with D: validation, Dynkin's test, the exact test and every
-product with a `Fraction` vector read that form.  The cut `V ∩ ker F`
-of a stable subspace is read off one block echelon of the rows `(v F | v)`
-over a basis of `V` (`linalg.kernel_span`), and is computed only by the
-callers that read it.
+product with a `Fraction` vector read that form.  The matrix parser holds
+the fields of one line at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, lcm
 
 from .algebra import AlgebraElement
 from .errors import DomainError, InputFormatError
 from .groups import FiniteGroup
-from .linalg import Subspace, closure, kernel_span
+from .linalg import Subspace, closure
 from .scalars import at_line, content_lines, integral_form, parse_integer, parse_rational
 
 STATE_CAP = 5_000
@@ -214,22 +215,47 @@ def minimal_GL_space(f: LumpingFunction, P: TransitionMatrix, alpha: Distributio
     return closure(seed, successors)
 
 
-def _cut(f: LumpingFunction, V: Subspace) -> Subspace:
-    """V cap ker F, from the block echelon of (v F | v) over a basis of V.
+def _cut_rows(f: LumpingFunction, V: Subspace):
+    """The canonical RREF rows of V cap ker F, in pivot order, read off those
+    of V = `minimal_GL_space(f, P, alpha)` with no elimination.
 
-    Its rows are n_lumps + n wide, where those of the Zassenhaus intersection
-    `intersect(V, kernel_F(f))`, with the reference `kernel_F` of
-    `tests/reference.py`, are 2n wide; the result is the same canonical RREF.
+    V is the direct sum of its lump parts V_b on disjoint columns
+    (`test_exact_generic`), so each canonical row of V lies in one lump,
+    V cap ker F is the direct sum of the V_b cap ker F_b, F_b the entry sum
+    over lump b, and the canonical RREF of the cut is the union of those of
+    its parts, ordered by pivot.  Let r_1 .. r_k be the rows of V with
+    pivots p_1 < .. < p_k in lump b, s_i the entry sum of r_i and j the last
+    i with s_i != 0.  The cut rows of lump b are r_i - (s_i / s_j) r_j for
+    i < j (r_i when s_i = 0) and r_i for i > j.  Each lies in V_b and sums
+    to 0.  It is 0 left of p_i and 1 at p_i, as r_j is 0 left of p_j > p_i,
+    and 0 at every other p_l but p_j, which is no pivot of the cut.  So these
+    k - 1 rows are independent and canonical, and they span V_b cap ker F_b,
+    of dimension k - 1 as F_b(r_j) != 0.  Some s_i is nonzero: V_b is
+    spanned by lump projections of nonnegative vectors, the seeds and the
+    successor images.  (A lump with every s_i = 0 keeps all its rows, which
+    would be its cut.)  The sums and the combination read the supports only.
     """
-    return kernel_span([f.apply_F(v) for v in V.rows], V.rows, V.ambient)
+    lump_of = f.lump_of
+    sums = [sum(row[k] for k in cols) for row, cols in zip(V.rows, V.support)]
+    last = {lump_of[p]: i for i, (p, s) in enumerate(zip(V.pivots, sums)) if s}
+    for i, (row, p, s) in enumerate(zip(V.rows, V.pivots, sums)):
+        if s:  # so i <= j
+            j = last[lump_of[p]]
+            if i == j:
+                continue
+            c, row, other = s / sums[j], list(row), V.rows[j]
+            for k in V.support[j]:
+                row[k] -= c * other[k]
+        yield row
 
 
 def test_weak_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribution):
-    """Weak lumping of MC(alpha, P) under f; certificate is a violating vector."""
+    """Weak lumping of MC(alpha, P) under f; certificate is a violating vector:
+    the first row of the canonical RREF of V cap ker F (`_cut_rows`), V the
+    minimal stable space, with F(v P) != 0."""
     _check_states(f, P, alpha)
-    for v in _cut(f, minimal_GL_space(f, P, alpha)).rows:
-        image = f.apply_F(P.apply(v))
-        if any(image):
+    for v in _cut_rows(f, minimal_GL_space(f, P, alpha)):
+        if any(f.apply_F(P.apply(v))):
             return False, list(v)
     return True, None
 
@@ -329,11 +355,13 @@ def test_exact_generic(f: LumpingFunction, P: TransitionMatrix, alpha: Distribut
 # text formats: `states <N>` then N rows of rationals; `lump <state> <label>`
 
 
-def _read_states(text: str, what: str) -> tuple[int, list[tuple[int, list[str]]]]:
-    """The count N of a `states <N>` header, and the line number and fields
-    of each line after it."""
-    rows = [(lineno, fields) for lineno, _, fields in content_lines(text)]
-    lineno, header = rows[0] if rows else (0, [""])
+def _read_states(text: str, what: str):
+    """The count N of a `states <N>` header, the number of lines after it,
+    and an iterator of their `content_lines`.  The lines are counted in one
+    pass and split again as the iterator is read, so one line's fields are
+    held at a time."""
+    lines = content_lines(text)
+    lineno, _, header = next(lines, (0, "", [""]))
     if header[0] != "states":  # the keyword is the whole first token
         raise InputFormatError(f"{what} file must start with `states <N>`")
     try:
@@ -343,22 +371,19 @@ def _read_states(text: str, what: str) -> tuple[int, list[tuple[int, list[str]]]
         raise at_line(lineno, InputFormatError("bad states header"))
     if n < 1:
         raise at_line(lineno, InputFormatError(f"{what} file needs at least one state, got {n}"))
-    return n, rows[1:]
+    return n, sum(1 for _ in lines), islice(content_lines(text), 1, None)
 
 
 def parse_matrix_file(text: str) -> TransitionMatrix:
-    n, rows = _read_states(text, "matrix")
-    if len(rows) != n:
-        raise InputFormatError(f"expected {n} matrix rows, found {len(rows)}")
+    n, count, rows = _read_states(text, "matrix")
+    if count != n:
+        raise InputFormatError(f"expected {n} matrix rows, found {count}")
     values = {}  # token -> Fraction: a walk matrix has few distinct entries
 
     def integral_rows():
         """Each row's integral form, from its distinct tokens, each parsed
-        once per file and scaled once per row.  A row leaves `rows` as it is
-        read, so the tokens of the whole file and the matrix built from them
-        are not held at once."""
-        for i, (lineno, tokens) in enumerate(rows):
-            rows[i] = None
+        once per file and scaled once per row."""
+        for lineno, _, tokens in rows:
             distinct = dict.fromkeys(tokens)
             try:
                 for tok in distinct:  # a bad token fails where it first occurs
@@ -375,10 +400,10 @@ def parse_matrix_file(text: str) -> TransitionMatrix:
 
 
 def parse_distribution_file(text: str) -> Distribution:
-    n, rows = _read_states(text, "distribution")
-    if len(rows) != 1:
+    n, count, rows = _read_states(text, "distribution")
+    if count != 1:
         raise InputFormatError("distribution file needs exactly one row")
-    lineno, tokens = rows[0]
+    lineno, _, tokens = next(rows)
     try:
         # each distinct token once, in the order it first occurs, so a bad one fails first
         values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}

@@ -34,7 +34,10 @@ integer row divided by its pivot entry) stays here: the cut strings by
 found by dense products.  The generic exact test, which holds one
 direction per lump and stops at the second, keeps its form on the whole
 minimal stable space (`exact_generic_by_closure`): its canonical echelon,
-with the pivots counted per lump.
+with the pivots counted per lump.  The generic weak test, which reads the
+cut of that space in closed form, keeps the cut by Zassenhaus's block
+echelon of the rows (v F | v) (`cut_by_block_echelon`), which also cuts
+spaces where no closed form is claimed, such as V_max.
 
 The group layer has its own reference, written in one-line notation and
 sharing no code with `lumpwalk.groups`: the one-line images of a cycle
@@ -67,14 +70,14 @@ from math import gcd, lcm
 from lumpwalk.algebra import AlgebraElement, coset_sums, element_lines, eta
 from lumpwalk.errors import DomainError, InputFormatError, InvariantError
 from lumpwalk.groups import CosetDecomposition, FiniteGroup, double_cosets, gather
-from lumpwalk.linalg import Subspace, closure, nullspace
+from lumpwalk.linalg import Subspace, closure, kernel_span, nullspace
 from lumpwalk.lumping import (
     GurvitsLedouxIdeal,
     _integer_element,
     require_E_bullet,
     test_weak_weight,
 )
-from lumpwalk.markov import STATE_CAP, minimal_GL_space
+from lumpwalk.markov import STATE_CAP, _check_states, minimal_GL_space
 from lumpwalk.scalars import RATIONALS, common_field, cyclotomic_polynomial, integral_form
 
 
@@ -557,6 +560,23 @@ def exact_generic_by_closure(f, P, alpha) -> bool:
     lump)."""
     lumps = [f.lump_of[p] for p in minimal_GL_space(f, P, alpha).pivots]
     return len(set(lumps)) == len(lumps)
+
+
+def cut_by_block_echelon(f, V: Subspace) -> Subspace:
+    """Reference for `markov._cut_rows`: V cap ker F, from the block echelon
+    of the rows (v F | v) over a basis of V (`linalg.kernel_span`), n_lumps
+    + n wide, for any subspace V of the states."""
+    return kernel_span([f.apply_F(v) for v in V.rows], V.rows, V.ambient)
+
+
+def weak_generic_by_block_echelon(f, P, alpha):
+    """Reference for `markov.test_weak_generic`: the first row of the cut by
+    block echelon of the minimal stable space with F(v P) != 0."""
+    _check_states(f, P, alpha)
+    for v in cut_by_block_echelon(f, minimal_GL_space(f, P, alpha)).rows:
+        if any(f.apply_F(P.apply(v))):
+            return False, list(v)
+    return True, None
 
 
 def kernel_F(f) -> Subspace:

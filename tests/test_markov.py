@@ -29,7 +29,7 @@ from lumpwalk import (
 from lumpwalk.errors import DomainError, InputFormatError
 from lumpwalk.markov import (
     STATE_CAP,
-    _cut,
+    _cut_rows,
     parse_distribution_file,
     parse_lump_file,
     parse_matrix_file,
@@ -58,10 +58,12 @@ from tests.oracle_suite import (
     time_reversal_matrix,
 )
 from tests.reference import (
+    cut_by_block_echelon,
     exact_generic_by_closure,
     left_ideal_closure,
     strong_generic_on_fractions,
     transition_rows_per_entry,
+    weak_generic_by_block_echelon,
 )
 
 
@@ -301,7 +303,11 @@ def test_minimal_space_rows_each_lie_in_one_lump():
     lump, on every walk of the pool (every pair and weight kind) from every
     start kind, so the closure reference of the exact test reads
     dim(V Pi_b) off the pivots; its verdict is that of one `Subspace` per
-    lump, and the exact test, one direction per lump, gives it too."""
+    lump, and the exact test, one direction per lump, gives it too.  Every
+    lump that holds rows holds one with a nonzero entry sum, and the
+    closed-form cut of the weak test (`_cut_rows`), which rests on both, has
+    the rows of the block-echelon reference, so the same verdict and
+    certificate."""
     rng = random.Random(39)
     verdicts = []
     for label, G, hgens in build_pool():
@@ -314,6 +320,11 @@ def test_minimal_space_rows_each_lie_in_one_lump():
                 V = minimal_GL_space(f, P, alpha)
                 for cols in V.support:
                     assert len({f.lump_of[k] for k in cols}) == 1, (label, kind, start)
+                held = {f.lump_of[p] for p in V.pivots}
+                summed = {f.lump_of[p] for p, row in zip(V.pivots, V.rows) if sum(row)}
+                assert held == summed, (label, kind, start)
+                assert list(_cut_rows(f, V)) == cut_by_block_echelon(f, V).rows, \
+                    (label, kind, start)
                 dims = [Subspace(P.n, (f.project(v, b) for v in V.rows)).dim
                         for b in range(f.n_lumps)]
                 verdicts.append(exact_generic_by_closure(f, P, alpha))
@@ -364,14 +375,12 @@ def lump_starts(rng, lump_of):
     return starts + [Distribution.point(n, x) for x in range(n)]
 
 
-def test_exact_matches_the_closure_on_matrix_files():
-    """On matrix files whose rows have different denominators, lumping
-    exactly from the uniform start or perturbed not to, from starts with no
-    mass on some lumps and point masses, and under the given lumps, one lump
-    and all-singleton lumps, the exact test gives the closure's verdict."""
-    rng = random.Random(4040)
-    verdicts, mixed = Counter(), 0
-    for trial in range(40):
+def matrix_file_cases(rng, trials):
+    """Matrix files P whose rows have different denominators, lumping
+    exactly from the uniform start or perturbed not to, each with its cases
+    (f, alpha): the given lumps, one lump and all-singleton lumps, from
+    starts with no mass on some lumps and point masses (`lump_starts`)."""
+    for trial in range(trials):
         lump_of, rows = exact_chain(rng, [rng.randint(1, 4) for _ in range(rng.randint(1, 4))])
         n = len(rows)
         if trial % 2:  # move mass between two states in one row
@@ -380,17 +389,70 @@ def test_exact_matches_the_closure_on_matrix_files():
             shift = rows[x][src] / rng.randint(2, 5)
             rows[x][src] -= shift
             rows[x][rng.randrange(n)] += shift
-        P = parse_matrix_file(matrix_text(rows))
+        lumpings = [LumpingFunction(lumps) for lumps in (tuple(lump_of), (0,) * n, tuple(range(n)))]
+        yield parse_matrix_file(matrix_text(rows)), [
+            (f, alpha) for f in lumpings for alpha in lump_starts(rng, f.lump_of)]
+
+
+def test_exact_matches_the_closure_on_matrix_files():
+    """On the matrix files of `matrix_file_cases` the exact test gives the
+    closure's verdict."""
+    verdicts, mixed = Counter(), 0
+    for P, cases in matrix_file_cases(random.Random(4040), 40):
         mixed += len({scale for scale, _, _ in P.integral}) > 1
-        for lumps in (tuple(lump_of), (0,) * n, tuple(range(n))):
-            f = LumpingFunction(lumps)
-            for alpha in lump_starts(rng, lumps):
-                verdict = exact_generic(f, P, alpha)
-                assert verdict == exact_generic_by_closure(f, P, alpha), (rows, lumps, alpha)
-                verdicts[len(set(lumps)), verdict] += 1
+        for f, alpha in cases:
+            verdict = exact_generic(f, P, alpha)
+            assert verdict == exact_generic_by_closure(f, P, alpha), (P.rows, f, alpha)
+            verdicts[f.n_lumps, verdict] += 1
     assert mixed > 20
     assert {verdict for _, verdict in verdicts} == {True, False}
     assert verdicts[1, True] and verdicts[1, False]  # one lump: exact iff alpha is stationary
+
+
+def test_weak_matches_the_block_echelon_on_matrix_files():
+    """On the matrix files of `matrix_file_cases` the weak test, whose cut is
+    read off the minimal stable space in closed form, gives the verdict and
+    certificate of the block-echelon reference."""
+    verdicts, mixed = Counter(), 0
+    for P, cases in matrix_file_cases(random.Random(4242), 12):
+        mixed += len({scale for scale, _, _ in P.integral}) > 1
+        for f, alpha in cases:
+            result = weak_generic(f, P, alpha)
+            assert result == weak_generic_by_block_echelon(f, P, alpha), (P.rows, f, alpha)
+            verdicts[f.n_lumps == 1, result[0]] += 1
+    assert mixed > 5
+    assert verdicts[False, True] and verdicts[False, False], verdicts
+    assert not verdicts[True, False]  # one lump always lumps weakly
+
+
+def test_weak_matches_the_block_echelon_on_random_chains():
+    """On seeded random chains of 1 to 9 states with sparse integer rows,
+    some rows copied from another state of their lump, under random lumps,
+    one lump and all-singleton lumps, from the uniform start, point masses
+    and starts with no mass on some lump, the weak test gives the verdict
+    and certificate of the block-echelon reference."""
+    rng = random.Random(4343)
+    verdicts = Counter()
+    for _ in range(20):
+        n = rng.randint(1, 9)
+        m = rng.randint(1, n)
+        lump_of = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+        rng.shuffle(lump_of)
+        rows = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        for x, row in enumerate(rows):
+            row[rng.randrange(n)] += 1
+            twins = [y for y in range(x) if lump_of[y] == lump_of[x]]
+            if twins and rng.random() < 0.4:
+                rows[x] = list(rows[rng.choice(twins)])
+        P = TransitionMatrix((sum(row), row) for row in rows)
+        for lumps in (tuple(lump_of), (0,) * n, tuple(range(n))):
+            f = LumpingFunction(lumps)
+            starts = lump_starts(rng, lumps)
+            for alpha in starts[:5] + rng.sample(starts[5:], min(n, 2)):
+                result = weak_generic(f, P, alpha)
+                assert result == weak_generic_by_block_echelon(f, P, alpha), (rows, lumps, alpha)
+                verdicts[result[0]] += 1
+    assert verdicts[True] > 250 and verdicts[False] > 40, verdicts
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -445,6 +507,39 @@ def test_exact_generic_builds_no_subspace(tmp_path, monkeypatch, fraction_work):
     small = chain([[Fraction(1, 2), Fraction(1, 2)], [1, 0]])
     weak_generic(LumpingFunction((0, 1)), small, Distribution.uniform(2))
     assert calls["minimal_GL_space"] == 1 and calls["insert"] > 0
+
+
+def test_weak_generic_builds_no_wider_subspace(tmp_path, monkeypatch):
+    """`generic-test weak` through `cli.main`, on the S5/S4 top-card
+    random-to-top chain and on a chain with a false verdict, builds every
+    `Subspace` P.n wide: the cut is read off the minimal stable space, with
+    no block echelon n_lumps + n wide."""
+    from lumpwalk import linalg
+
+    widths = Counter()
+    init = linalg._RowStore.__init__
+
+    def recorded(self, ambient, *args, **kwargs):
+        if isinstance(self, linalg.Subspace):
+            widths[ambient] += 1
+        init(self, ambient, *args, **kwargs)
+
+    monkeypatch.setattr(linalg._RowStore, "__init__", recorded)
+    G = symmetric_group(5)
+    top = transition_from_weight(G, random_to_top(G))
+    cycle = chain([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                   [0, 0, 0, 0, 1], [Fraction(1, 2), Fraction(1, 2), 0, 0, 0]])
+    cases = [(top, lumping_function(LumpingProblem(G, top_stabilizer(G))).lump_of, True),
+             (cycle, (0, 0, 1, 1, 1), False)]
+    for P, lump_of, verdict in cases:
+        widths.clear()
+        matrix, lumpmap = tmp_path / "matrix.txt", tmp_path / "lumps.txt"
+        matrix.write_text(matrix_text(P.rows))
+        lumpmap.write_text("".join(f"lump {x} b{b}\n" for x, b in enumerate(lump_of)))
+        result = run_main("generic-test", "weak", "--json", "--matrix", matrix, "--lumpmap", lumpmap)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["verdicts"] == {"weak": verdict}
+        assert set(widths) == {P.n}, widths
 
 
 def test_exact_generic_refuses_a_start_of_the_wrong_length():
@@ -505,6 +600,40 @@ def test_parse_matrix_file_reads_no_fraction_per_entry(fraction_work):
     parsed = parse_matrix_file(text)
     assert sum(fraction_work.values()) <= 10 * P.n, fraction_work
     assert parsed == P
+
+
+def test_parse_matrix_file_holds_one_row_of_tokens():
+    """A dense 120-state walk matrix, of 120 distinct tokens a row, is parsed
+    with a tracemalloc peak under 0.7 MB (about 0.4 MB, of which the matrix
+    takes 0.28 MB): the fields of one line are held at a time, not those of
+    the whole file (1.0 MB)."""
+    import tracemalloc
+
+    G = symmetric_group(5)
+    rng = random.Random(5)
+    w = AlgebraElement.from_pairs(G, [(g, Fraction(rng.randint(1, 9))) for g in range(G.order)])
+    P = transition_from_weight(G, w)
+    text = matrix_text(P.rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parsed = parse_matrix_file(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert parsed == P
+    assert peak < 0.7e6, peak
+
+
+def test_row_count_error_comes_before_a_row_error():
+    """A file with too few rows reports the row count, also when a row it
+    has holds a bad token or the wrong number of entries."""
+    for text in ("states 3\n1/x 1/2 1/2\n1 0 0\n", "states 3\n1/2 1/2\n"):
+        with pytest.raises(InputFormatError, match="^expected 3 matrix rows, found "):
+            parse_matrix_file(text)
+    for text in ("states 2\n1/x 1\n1 0\n", "states 2\n"):
+        with pytest.raises(InputFormatError, match="^distribution file needs exactly one row$"):
+            parse_distribution_file(text)
 
 
 # -- the minimal stable space and the three tests -----------------------------
@@ -590,7 +719,7 @@ def test_reducible_pentagon(dihedral10, dihedral_prob):
     gl = minimal_GL_space(f, P, dist(uniform_on(G, C5.members)))
     assert gl.dim <= 10
     # the cut part is stable under P when it lumps
-    for v in _cut(f, gl).rows:
+    for v in _cut_rows(f, gl):
         assert not any(f.apply_F(P.apply(v)))
 
 

@@ -54,7 +54,7 @@ from lumpwalk.lumping import (
     require_E_bullet,
 )
 from lumpwalk.lumping import compute_Jw, compute_L_alpha_w, compute_Lw
-from lumpwalk.markov import _cut
+from lumpwalk.markov import _cut_rows
 from lumpwalk.scalars import RATIONALS, cyclotomic_field, integral_form
 from lumpwalk.shuffles import bottom_card_cycle, random_to_top, symmetric_group, top_stabilizer
 from tests.conftest import counted_closures, lazy_frustrator, run_main
@@ -77,6 +77,7 @@ from tests.reference import (
     check_Q_characterization_per_element,
     contains_by_subspace,
     compute_Jw_by_nullspace,
+    cut_by_block_echelon,
     cut_strings_by_subspace,
     full_subspace,
     inner_product,
@@ -1157,14 +1158,17 @@ def block_narrowed_Vmax(f, P, Q):
                   for blk in blocks]
 
 
-def check_cut(f, V, kernel, label):
-    """`_cut` against the Zassenhaus intersection with ker F, and against the
-    dense kernel coefficients of the lump images combined with the basis of V,
-    which share no code with the block echelon of `kernel_span`."""
-    cut = _cut(f, V)
+def check_cut(f, V, kernel, label) -> Subspace:
+    """The cut by block echelon (`cut_by_block_echelon`) against the
+    Zassenhaus intersection with ker F, and against the dense kernel
+    coefficients of the lump images combined with the basis of V, which
+    share no code with the block echelon of `kernel_span`; the cut is
+    returned."""
+    cut = cut_by_block_echelon(f, V)
     assert cut == intersect(V, kernel), label
     dense = dense_kernel_span([f.apply_F(v) for v in V.rows], V.rows, V.ambient)
     assert (cut.rows, cut.pivots) == (dense.rows, dense.pivots), label
+    return cut
 
 
 def test_generic_cut_matches_zassenhaus_intersection_on_pool(monkeypatch):
@@ -1174,7 +1178,9 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool(monkeypatch):
     start, and for the maximal stable space wherever the stationary (uniform)
     chain lumps weakly: the worklist closure equals the round-based or
     block-narrowed loop it replaced, and `V cap ker F` equals the Zassenhaus
-    intersection and the dense reference (`check_cut`).  V_max, the
+    intersection and the dense reference (`check_cut`).  On the minimal
+    space the closed-form cut rows of the weak test (`_cut_rows`) are those
+    rows.  V_max, the
     `Subspace` of the canonical integer rows of its `nullspace`, has the
     rows, pivots and supports of the reference route through `to_subspace`.
     On those weak draws the maximal induced ideal J_w of the group path
@@ -1212,7 +1218,8 @@ def test_generic_cut_matches_zassenhaus_intersection_on_pool(monkeypatch):
             for alpha in (uniform, Distribution.point(G.order, x), spread):
                 gl = minimal_GL_space(f, P, alpha)
                 assert gl == round_based_GL_space(f, P, alpha), (label, kind)
-                check_cut(f, gl, kernel, (label, kind))
+                cut = check_cut(f, gl, kernel, (label, kind))
+                assert list(_cut_rows(f, gl)) == cut.rows, (label, kind)
                 minimal += 1
             if weak_generic(f, P, uniform)[0]:
                 Q = walk_lumped_matrix(problem, w)
